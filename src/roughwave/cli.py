@@ -39,7 +39,7 @@ class RunConfig:
     sources: list[dict] = field(default_factory=list)
     sampler: dict | None = None
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    observed: str | None = None
+    observed: list[str] = field(default_factory=list)
     study: dict | None = None
     output: str = "out"
     seed: int = 0
@@ -86,8 +86,6 @@ def parse_config(path: str) -> RunConfig:
     integ_raw = raw.get("integrator", {})
     integrator = IntegratorConfig(
         scheme=integ_raw.get("scheme", "implicit_midpoint"),
-        tolerance=float(integ_raw.get("tolerance", 1e-9)),
-        max_iterations=int(integ_raw.get("max_iterations", 200)),
         cfl_safety=float(integ_raw.get("cfl_safety", 0.5)),
         store_stride=int(integ_raw.get("store_stride", 1)),
     )
@@ -95,8 +93,15 @@ def parse_config(path: str) -> RunConfig:
     source = raw.get("source")
     if command in ("simulate", "forward", "gradient") and source is None and not sources:
         raise ConfigError("required field is missing", field="config.source")
-    if command == "gradient" and "observed" not in raw:
-        raise ConfigError("gradient runs need observed data", field="config.observed")
+    observed = []
+    if command == "gradient":
+        if "observed" not in raw:
+            raise ConfigError("gradient runs need observed data", field="config.observed")
+        observed = raw["observed"] if isinstance(raw["observed"], list) else [raw["observed"]]
+        n_shots = max(len(sources), 1)
+        if len(observed) != n_shots or not all(isinstance(p, str) for p in observed):
+            raise ConfigError(f"expected one observed data path per source ({n_shots}), "
+                              f"got {len(observed)}", field="config.observed")
     if command == "study":
         study = _need(raw, "study", dict, "config")
         _need(study, "kind", str, "config.study")
@@ -109,7 +114,7 @@ def parse_config(path: str) -> RunConfig:
         sources=sources,
         sampler=raw.get("sampler"),
         integrator=integrator,
-        observed=raw.get("observed"),
+        observed=observed,
         study=raw.get("study"),
         output=raw.get("output", "out"),
         seed=int(raw.get("seed", 0)),
@@ -272,17 +277,17 @@ def _cmd_gradient(cfg: RunConfig) -> int:
     model, system = build_system(cfg)
     sampler = build_sampler_from_spec(cfg.sampler, system)
     specs = cfg.sources if cfg.sources else [cfg.source]
-    observed = forward.load_observed_data(cfg.observed)
+    observed = [forward.load_observed_data(path) for path in cfg.observed]
     os.makedirs(cfg.output, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     total = None
     j_total = 0.0
     worst_dot = 0.0
     # deterministic accumulation in fixed source order
-    for spec in specs:
+    for spec, data in zip(specs, observed):
         source = build_source(spec, system)
         report = sensitivity.misfit_gradient(
-            system, source, sampler, observed, cfg.integrator, dot_test_rng=rng
+            system, source, sampler, data, cfg.integrator, dot_test_rng=rng
         )
         j_total += report.objective
         worst_dot = max(worst_dot, report.diagnostics.get("dot_product_residual", 0.0))

@@ -9,7 +9,7 @@ where the memory value R_{n+1/2} is the convolution of the piecewise-linear
 interpolant of the discrete states, evaluated at the half step.  For Prony
 kernels that value is linear in (history, u_n, u_{n+1}) through the exact
 exponential recursion, so the whole step stays one sparse solve with a
-constant matrix, factorized once per run.  Because <P ubar, ubar> = 0 to
+constant matrix, factorized once per system.  Because <P ubar, ubar> = 0 to
 round-off, the scheme conserves the quadratic energy exactly when
 B = R = f = 0, which is the sharpest testable analogue of the continuous
 energy identity.
@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     GridMismatchError,
@@ -36,11 +34,10 @@ from .errors import (
 from .fields import Grid, PronyKernel, SourceTerm, TabulatedKernel, write_field_array
 from .operators import (
     DiscreteSystem,
-    MemoryOperator,
-    block_diagonal,
+    StepOperators,  # noqa: F401  (re-exported: callers import it from here)
     energy,
-    exp_interval_weights,
     max_symbol_speed,
+    memory_series,
     prony_advance,
 )
 
@@ -51,14 +48,10 @@ RK4 = "rk4"
 @dataclass(frozen=True)
 class IntegratorConfig:
     scheme: str = IMPLICIT_MIDPOINT
-    tolerance: float = 1e-9
-    max_iterations: int = 200
     cfl_safety: float = 0.5
     store_stride: int = 1
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise InvalidArgumentError("solver tolerance must be positive")
         if self.scheme not in (IMPLICIT_MIDPOINT, RK4):
             raise InvalidArgumentError(f"unknown scheme {self.scheme!r}")
         if self.store_stride < 1:
@@ -97,124 +90,6 @@ class Trajectory:
         return self.states[n // self.stride]
 
 
-# ---------------------------------------------------------------------------
-# step operators
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _PronyTerm:
-    weight_matrix: sp.bsr_matrix
-    tau: float
-    e_full: float
-    w_old_full: float
-    w_new_full: float
-    e_half: float
-    w_old_half: float
-    w_new_half: float
-
-
-class StepOperators:
-    """Factorized midpoint step pieces for one (system, dt) pair.
-
-    The step solves C u_{n+1} = D u_n + memory history terms + f(t_half).
-    The same LU factorization serves the adjoint recursion through
-    transposed solves.
-    """
-
-    def __init__(self, system: DiscreteSystem, dt: float):
-        self.system = system
-        self.dt = float(dt)
-        n = system.n_state
-        a_over_dt = system.mass.as_matrix() / self.dt
-        k_mat = system.skew.matrix
-        b_mat = system.b_matrix()
-        if b_mat is not None:
-            k_mat = k_mat + b_mat
-        c = (a_over_dt + 0.5 * k_mat).tocsc()
-        d = (a_over_dt - 0.5 * k_mat).tocsr()
-
-        self.prony_terms: list[_PronyTerm] = []
-        self.tabulated: MemoryOperator | None = None
-        kern = system.memory.kernel
-        if isinstance(kern, PronyKernel):
-            for w, tau in zip(kern.weights, kern.taus):
-                e_f, wo_f, wn_f = exp_interval_weights(self.dt, tau)
-                e_h, i0, i1 = exp_interval_weights(self.dt / 2.0, tau)
-                # Half-interval weights for the interpolant parameterized on
-                # the full step: u(s) = u_n + (s - t_n)/dt (u_{n+1} - u_n).
-                w_new_h = 0.5 * i1
-                w_old_h = (i0 + i1) - w_new_h
-                term = _PronyTerm(
-                    weight_matrix=block_diagonal(w),
-                    tau=tau,
-                    e_full=e_f, w_old_full=wo_f, w_new_full=wn_f,
-                    e_half=e_h, w_old_half=w_old_h, w_new_half=w_new_h,
-                )
-                c = (c + w_new_h * term.weight_matrix).tocsc()
-                d = (d - sp.csr_matrix(w_old_h * term.weight_matrix))
-                self.prony_terms.append(term)
-        elif isinstance(kern, TabulatedKernel):
-            self.tabulated = system.memory
-            q0 = block_diagonal(self.tabulated.tabulated_at(np.array([0.0]))[0])
-            q_half = block_diagonal(self.tabulated.tabulated_at(np.array([self.dt / 2.0]))[0])
-            c = (c + (self.dt / 8.0) * q0).tocsc()
-            d = (d - sp.csr_matrix((0.75 * self.dt) * q_half + (self.dt / 8.0) * q0))
-
-        self.c_matrix = c.tocsr()
-        self.d_matrix = d.tocsr()
-        self.lu = spla.splu(c)
-        self.n_state = n
-
-    # -- forward pieces ----------------------------------------------------
-
-    def new_aux(self) -> list[np.ndarray]:
-        return [np.zeros(self.n_state) for _ in self.prony_terms]
-
-    def memory_history_rhs(self, aux: list[np.ndarray], history: np.ndarray, step: int) -> np.ndarray:
-        """Contribution of states up to t_n to R at the half step (moved to the RHS)."""
-        out = np.zeros(self.n_state)
-        for term, s in zip(self.prony_terms, aux):
-            out -= term.e_half * (term.weight_matrix @ s)
-        if self.tabulated is not None and step > 0:
-            offs = self.dt * (np.arange(step, 0, -1.0) + 0.5)
-            blocks = self.tabulated.tabulated_at(offs)
-            n_cells, k = self.system.grid.n_cells, self.system.k
-            weights = np.full(step, self.dt)
-            weights[0] = 0.5 * self.dt  # m = 0 endpoint of the trapezoid
-            for m in range(step):
-                out -= weights[m] * np.einsum(
-                    "cij,cj->ci", blocks[m], history[m].reshape(n_cells, k)
-                ).ravel()
-        return out
-
-    def advance_aux(self, aux: list[np.ndarray], u_prev: np.ndarray, u_next: np.ndarray) -> list[np.ndarray]:
-        return [
-            term.e_full * s + term.w_old_full * u_prev + term.w_new_full * u_next
-            for term, s in zip(self.prony_terms, aux)
-        ]
-
-    def half_step_memory(self, aux: list[np.ndarray], u_prev: np.ndarray, u_next: np.ndarray,
-                         history: np.ndarray | None = None, step: int | None = None) -> np.ndarray:
-        """R at the half step as the scheme saw it (for residual diagnostics)."""
-        out = np.zeros(self.n_state)
-        for term, s in zip(self.prony_terms, aux):
-            s_half = term.e_half * s + term.w_old_half * u_prev + term.w_new_half * u_next
-            out += term.weight_matrix @ s_half
-        if self.tabulated is not None:
-            assert history is not None and step is not None
-            out -= self.memory_history_rhs([], history, step)
-            q0 = self.tabulated.tabulated_at(np.array([0.0]))[0]
-            q_half = self.tabulated.tabulated_at(np.array([self.dt / 2.0]))[0]
-            n_cells, k = self.system.grid.n_cells, self.system.k
-            coef_prev = np.einsum("cij,cj->ci", 0.75 * self.dt * q_half + self.dt / 8.0 * q0,
-                                  u_prev.reshape(n_cells, k)).ravel()
-            coef_next = np.einsum("cij,cj->ci", self.dt / 8.0 * q0,
-                                  u_next.reshape(n_cells, k)).ravel()
-            out += coef_prev + coef_next
-        return out
-
-
 def _source_at(source: SourceTerm | None, t: float, n_state: int) -> np.ndarray:
     if source is None:
         return np.zeros(n_state)
@@ -238,7 +113,7 @@ def _midpoint_solve(
 ) -> Trajectory:
     grid = system.grid
     dt, n_steps = grid.dt, grid.n_steps
-    ops = StepOperators(system, dt)
+    ops = system.step_operators
     _check_forcing(forcing, n_steps, ops.n_state)
     times = grid.times(t_start)
     stride = config.store_stride
@@ -263,7 +138,7 @@ def _midpoint_solve(
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
         scale = max(scale, float(np.linalg.norm(rhs)))
-        aux = ops.advance_aux(aux, u, u_next)
+        aux = prony_advance(aux, u, u_next, ops.dt, ops.taus)
         u = u_next
         if history is not None:
             history[n + 1] = u
@@ -320,9 +195,9 @@ def _rk4_solve(
         if b_mat is not None:
             rhs = rhs - b_mat @ v
         if prony:
-            for wm, s, tau in zip(weight_mats, aux, kern.taus):
-                e, w_old, w_new = exp_interval_weights(offset, tau) if offset > 0 else (1.0, 0.0, 0.0)
-                rhs = rhs - wm @ (e * s + w_old * u_base + w_new * v)
+            s_now = aux if offset == 0 else prony_advance(aux, u_base, v, offset, kern.taus)
+            for wm, s in zip(weight_mats, s_now):
+                rhs = rhs - wm @ s
         return system.mass.solve(rhs)
 
     for n in range(n_steps):
@@ -406,28 +281,6 @@ def time_reversed_system(system: DiscreteSystem) -> DiscreteSystem:
 # ---------------------------------------------------------------------------
 
 
-def _memory_at_grid_times(system: DiscreteSystem, states: np.ndarray, dt: float) -> np.ndarray:
-    """R[u](t_n) for every grid time, from the stored states."""
-    n_levels, n_state = states.shape
-    out = np.zeros_like(states)
-    kern = system.memory.kernel
-    if system.memory.is_zero:
-        return out
-    if isinstance(kern, PronyKernel):
-        weight_mats = system.memory.weight_matrices()
-        aux = [np.zeros(n_state) for _ in kern.taus]
-        for n in range(1, n_levels):
-            aux = prony_advance(aux, states[n - 1], states[n], dt, kern.taus)
-            for wm, s in zip(weight_mats, aux):
-                out[n] += wm @ s
-        return out
-    from .operators import apply_memory  # tabulated path
-
-    for n in range(1, n_levels):
-        out[n] = apply_memory(system.memory, states, n, dt)
-    return out
-
-
 def energy_identity_residual(
     traj: Trajectory,
     system: DiscreteSystem,
@@ -448,7 +301,7 @@ def energy_identity_residual(
     vol = system.grid.cell_volume
     dt = system.grid.dt
     states = traj.states
-    mem = _memory_at_grid_times(system, states, dt)
+    mem = memory_series(system.memory, states, dt)
     g = np.zeros(traj.times.size)
     for n in range(traj.times.size):
         rhs = -system.apply_b(states[n]) - mem[n] + _source_at(source, traj.times[n], system.n_state)
@@ -471,7 +324,7 @@ def step_residuals(
     traj.require_dense("step residual evaluation")
     source = source if source is not None else traj.source
     dt = system.grid.dt
-    ops = StepOperators(system, dt)
+    ops = system.step_operators
     states = traj.states
     aux = ops.new_aux()
     out = np.zeros(traj.n_steps)
@@ -484,7 +337,7 @@ def step_residuals(
         if forcing is not None:
             r -= forcing[n]
         out[n] = np.linalg.norm(r)
-        aux = ops.advance_aux(aux, u, un)
+        aux = prony_advance(aux, u, un, ops.dt, ops.taus)
     return out
 
 

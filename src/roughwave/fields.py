@@ -217,14 +217,13 @@ def kernel_values(kernel: MemoryKernel, times: np.ndarray, n_cells: int, k: int)
             decay = np.where(times >= 0, np.exp(-np.maximum(times, 0.0) / tau), 0.0)
             out += decay[:, None, None, None] * w[None]
         return out
-    tk = kernel.times
+    tk = np.asarray(kernel.times, dtype=float)
     flat = kernel.samples.reshape(tk.size, -1)
-    for i, t in enumerate(times):
-        if t < 0 or t > tk[-1]:
-            continue
-        j = min(int(np.floor(t / (tk[1] - tk[0]))), tk.size - 2)
-        w = (t - tk[j]) / (tk[j + 1] - tk[j])
-        out[i] = ((1 - w) * flat[j] + w * flat[j + 1]).reshape(n_cells, k, k)
+    inside = (times >= 0) & (times <= tk[-1])
+    t = times[inside]
+    j = np.minimum(np.floor(t / (tk[1] - tk[0])).astype(int), tk.size - 2)
+    w = ((t - tk[j]) / (tk[j + 1] - tk[j]))[:, None]
+    out[inside] = ((1 - w) * flat[j] + w * flat[j + 1]).reshape(-1, n_cells, k, k)
     return out
 
 

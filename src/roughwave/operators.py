@@ -17,10 +17,12 @@ oracle path).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     GridMismatchError,
@@ -35,6 +37,7 @@ from .fields import (
     PronyKernel,
     TabulatedKernel,
     ZeroKernel,
+    kernel_values,
 )
 
 
@@ -299,6 +302,32 @@ def prony_advance(
     return out
 
 
+def half_step_weights(dt: float, tau: float) -> tuple[float, float, float]:
+    """Weights (E, w_old, w_new) of s_j at the half step t_n + dt/2.
+
+    They act on (s_j(t_n), u_n, u_{n+1}) for the interpolant parameterized
+    on the full step, u(s) = u_n + (s - t_n)/dt (u_{n+1} - u_n).
+    """
+    e, i0, i1 = exp_interval_weights(dt / 2.0, tau)
+    w_new = 0.5 * i1
+    return e, (i0 + i1) - w_new, w_new
+
+
+def prony_half_step(
+    aux: Sequence[np.ndarray],
+    u_prev: np.ndarray,
+    u_next: np.ndarray,
+    dt: float,
+    taus: Sequence[float],
+) -> list[np.ndarray]:
+    """Auxiliary states at the half step of the implicit-midpoint scheme."""
+    out = []
+    for s, tau in zip(aux, taus):
+        e, w_old, w_new = half_step_weights(dt, tau)
+        out.append(e * s + w_old * u_prev + w_new * u_next)
+    return out
+
+
 @dataclass(frozen=True)
 class MemoryOperator:
     """Convolution operator R[u](t) = integral q(t - s) u(s) ds on the grid.
@@ -337,23 +366,34 @@ class MemoryOperator:
 
     def tabulated_at(self, offsets: np.ndarray) -> np.ndarray:
         """Kernel blocks at the given nonnegative time offsets, interpolated."""
-        kern = self.kernel
-        if not isinstance(kern, TabulatedKernel):
+        if not isinstance(self.kernel, TabulatedKernel):
             raise UnsupportedConfigurationError("tabulated evaluation needs a tabulated kernel")
-        dtk = kern.times[1] - kern.times[0]
-        flat = kern.samples.reshape(kern.times.size, -1)
-        out = np.zeros((offsets.size, flat.shape[1]))
-        for i, t in enumerate(np.asarray(offsets, dtype=float)):
-            if t < 0 or t > kern.times[-1]:
-                continue
-            j = min(int(np.floor(t / dtk)), kern.times.size - 2)
-            w = (t - kern.times[j]) / dtk
-            out[i] = (1 - w) * flat[j] + w * flat[j + 1]
-        return out.reshape(offsets.size, self.grid.n_cells, self.k, self.k)
+        return kernel_values(self.kernel, offsets, self.grid.n_cells, self.k)
 
 
 def _block_apply(blocks: np.ndarray, u: np.ndarray, n_cells: int, k: int) -> np.ndarray:
     return np.einsum("cij,cj->ci", blocks, u.reshape(n_cells, k)).ravel()
+
+
+def memory_series(op: MemoryOperator, states: np.ndarray, dt: float) -> np.ndarray:
+    """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N).
+
+    Prony kernels run the exact recursion once over the whole series;
+    tabulated kernels evaluate the trapezoid rule at each time.
+    """
+    out = np.zeros_like(states)
+    if op.is_zero:
+        return out
+    if isinstance(op.kernel, PronyKernel):
+        aux = [np.zeros(states.shape[1]) for _ in op.kernel.taus]
+        for m in range(1, states.shape[0]):
+            aux = prony_advance(aux, states[m - 1], states[m], dt, op.kernel.taus)
+            for w, s in zip(op.kernel.weights, aux):
+                out[m] += _block_apply(w, s, op.grid.n_cells, op.k)
+        return out
+    for m in range(1, states.shape[0]):
+        out[m] = apply_memory(op, states, m, dt)
+    return out
 
 
 def apply_memory(op: MemoryOperator, history: np.ndarray, t_index: int, dt: float) -> np.ndarray:
@@ -373,13 +413,7 @@ def apply_memory(op: MemoryOperator, history: np.ndarray, t_index: int, dt: floa
     if op.is_zero or t_index == 0:
         return np.zeros(n * op.k)
     if isinstance(op.kernel, PronyKernel):
-        aux = [np.zeros(n * op.k) for _ in op.kernel.taus]
-        for m in range(t_index):
-            aux = prony_advance(aux, history[m], history[m + 1], dt, op.kernel.taus)
-        out = np.zeros(n * op.k)
-        for w, s in zip(op.kernel.weights, aux):
-            out += _block_apply(w, s, n, op.k)
-        return out
+        return memory_series(op, history[: t_index + 1], dt)[t_index]
     offsets = dt * np.arange(t_index, -1, -1.0)
     blocks = op.tabulated_at(offsets)
     weights = np.full(t_index + 1, dt)
@@ -424,6 +458,102 @@ class DiscreteSystem:
             return np.zeros_like(u)
         return _block_apply(self.b_blocks, u, self.grid.n_cells, self.k)
 
+    @cached_property
+    def step_operators(self) -> StepOperators:
+        """The midpoint step at the grid's dt, factored on first use and kept.
+
+        Forward solves, step residuals and the adjoint all share it.  Copies
+        made with ``dataclasses.replace`` start without it.
+        """
+        return StepOperators(self, self.grid.dt)
+
+
+@dataclass
+class _PronyTerm:
+    weight_matrix: sp.bsr_matrix
+    e_full: float
+    w_old_full: float
+    w_new_full: float
+    e_half: float
+
+
+class StepOperators:
+    """Factorized midpoint step pieces for one (system, dt) pair.
+
+    The step solves C u_{n+1} = D u_n + memory history terms + f(t_half).
+    The same LU factorization serves the adjoint recursion through
+    transposed solves.  No reference to the system is kept, so a system
+    and its cached operator never form a reference cycle.
+    """
+
+    def __init__(self, system: DiscreteSystem, dt: float):
+        self.dt = float(dt)
+        self.n_cells, self.k = system.grid.n_cells, system.k
+        a_over_dt = system.mass.as_matrix() / self.dt
+        k_mat = system.skew.matrix
+        b_mat = system.b_matrix()
+        if b_mat is not None:
+            k_mat = k_mat + b_mat
+        c = (a_over_dt + 0.5 * k_mat).tocsc()
+        d = (a_over_dt - 0.5 * k_mat).tocsr()
+
+        self.taus: tuple[float, ...] = ()
+        self.prony_terms: list[_PronyTerm] = []
+        self.tabulated: MemoryOperator | None = None
+        kern = system.memory.kernel
+        if isinstance(kern, PronyKernel):
+            self.taus = tuple(kern.taus)
+            for w, tau in zip(kern.weights, kern.taus):
+                e_h, w_old_h, w_new_h = half_step_weights(self.dt, tau)
+                term = _PronyTerm(block_diagonal(w), *exp_interval_weights(self.dt, tau), e_h)
+                c = (c + w_new_h * term.weight_matrix).tocsc()
+                d = (d - sp.csr_matrix(w_old_h * term.weight_matrix))
+                self.prony_terms.append(term)
+        elif isinstance(kern, TabulatedKernel):
+            self.tabulated = system.memory
+            self._q0, self._q_half = system.memory.tabulated_at(np.array([0.0, self.dt / 2.0]))
+            q0 = block_diagonal(self._q0)
+            c = (c + (self.dt / 8.0) * q0).tocsc()
+            d = (d - sp.csr_matrix((0.75 * self.dt) * block_diagonal(self._q_half)
+                                   + (self.dt / 8.0) * q0))
+
+        self.c_matrix = c.tocsr()
+        self.d_matrix = d.tocsr()
+        self.lu = spla.splu(c)
+        self.n_state = system.n_state
+
+    def new_aux(self) -> list[np.ndarray]:
+        return [np.zeros(self.n_state) for _ in self.prony_terms]
+
+    def memory_history_rhs(self, aux: list[np.ndarray], history: np.ndarray, step: int) -> np.ndarray:
+        """Contribution of states up to t_n to R at the half step (moved to the RHS)."""
+        out = np.zeros(self.n_state)
+        for term, s in zip(self.prony_terms, aux):
+            out -= term.e_half * (term.weight_matrix @ s)
+        if self.tabulated is not None and step > 0:
+            offs = self.dt * (np.arange(step, 0, -1.0) + 0.5)
+            blocks = self.tabulated.tabulated_at(offs)
+            weights = np.full(step, self.dt)
+            weights[0] = 0.5 * self.dt  # m = 0 endpoint of the trapezoid
+            for m in range(step):
+                out -= weights[m] * _block_apply(blocks[m], history[m], self.n_cells, self.k)
+        return out
+
+    def half_step_memory(self, aux: list[np.ndarray], u_prev: np.ndarray, u_next: np.ndarray,
+                         history: np.ndarray | None = None, step: int | None = None) -> np.ndarray:
+        """R at the half step as the scheme saw it (for residual diagnostics)."""
+        out = np.zeros(self.n_state)
+        s_half = prony_half_step(aux, u_prev, u_next, self.dt, self.taus)
+        for term, s in zip(self.prony_terms, s_half):
+            out += term.weight_matrix @ s
+        if self.tabulated is not None:
+            assert history is not None and step is not None
+            out -= self.memory_history_rhs([], history, step)
+            coef_prev = _block_apply(0.75 * self.dt * self._q_half + self.dt / 8.0 * self._q0,
+                                     u_prev, self.n_cells, self.k)
+            out += coef_prev + _block_apply(self.dt / 8.0 * self._q0, u_next, self.n_cells, self.k)
+        return out
+
 
 def assemble_system(
     f: CoefficientField,
@@ -450,28 +580,30 @@ def assemble_system(
     return DiscreteSystem(mass=mass, skew=skew, b_blocks=b, memory=memory, grid=f.grid, k=f.k)
 
 
+def unit_directions(dim: int, n_directions: int | None = None) -> np.ndarray:
+    """Sampled unit directions: all of them in 1D, a 1-degree half-circle
+    sweep in 2D, a 2048-point Fibonacci sphere in 3D (one row each)."""
+    if dim == 1:
+        return np.array([[1.0]])
+    if dim == 2:
+        n = 360 if n_directions is None else n_directions
+        th = np.linspace(0.0, np.pi, n, endpoint=False)
+        return np.stack([np.cos(th), np.sin(th)], axis=1)
+    n = 2048 if n_directions is None else n_directions
+    i = np.arange(n)
+    z = 1 - 2 * (i + 0.5) / n
+    r = np.sqrt(1 - z**2)
+    phi = np.pi * (1 + np.sqrt(5.0)) * i
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
 def max_symbol_speed(system: DiscreteSystem, n_directions: int | None = None) -> float:
     """Largest characteristic speed of the symbol over cells and directions.
 
     Solves the generalized eigenproblem of p(xi) against the per-cell mass
-    block on sampled unit directions (all of them in 1D, a 1-degree circle
-    sweep in 2D, a 2048-point Fibonacci sphere in 3D).
+    block on the sampled ``unit_directions``.
     """
-    dim = system.grid.dim
-    if dim == 1:
-        dirs = np.array([[1.0]])
-    elif dim == 2:
-        n = 360 if n_directions is None else n_directions
-        th = np.linspace(0, np.pi, n, endpoint=False)
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    else:
-        n = 2048 if n_directions is None else n_directions
-        i = np.arange(n)
-        z = 1 - 2 * (i + 0.5) / n
-        r = np.sqrt(1 - z**2)
-        phi = np.pi * (1 + np.sqrt(5.0)) * i
-        dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
+    dirs = unit_directions(system.grid.dim, n_directions)
     vals, vecs = np.linalg.eigh(system.mass.blocks)
     inv_sqrt = np.einsum("cik,ck,cjk->cij", vecs, 1.0 / np.sqrt(vals), vecs)
     speed = 0.0

@@ -36,6 +36,7 @@ from .operators import (
     acoustic_p_matrices,
     assemble_system,
     max_symbol_speed,
+    unit_directions,
 )
 
 # Kelvin component order per dimension: diagonal entries first, then the
@@ -362,21 +363,6 @@ def viscoelastic_system(model: ViscoelasticModel, boundary: str = "periodic") ->
 # ---------------------------------------------------------------------------
 
 
-def _unit_directions(dim: int, n_directions: int | None = None) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0]])
-    if dim == 2:
-        n = 360 if n_directions is None else n_directions
-        th = np.linspace(0.0, np.pi, n, endpoint=False)
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
-    n = 2048 if n_directions is None else n_directions
-    i = np.arange(n)
-    z = 1 - 2 * (i + 0.5) / n
-    r = np.sqrt(1 - z**2)
-    phi = np.pi * (1 + np.sqrt(5.0)) * i
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
 def max_wavespeed(obj, n_directions: int | None = None) -> float:
     """Largest propagation speed of a model or assembled system.
 
@@ -389,7 +375,7 @@ def max_wavespeed(obj, n_directions: int | None = None) -> float:
     if isinstance(obj, AcousticModel):
         return float(np.sqrt(obj.kappa / obj.rho).max())
     if isinstance(obj, ViscoelasticModel):
-        dirs = _unit_directions(obj.grid.dim, n_directions)
+        dirs = unit_directions(obj.grid.dim, n_directions)
         hooke = np.linalg.inv(obj.gamma_elastic)
         speed2 = 0.0
         for xi in dirs:
@@ -413,7 +399,7 @@ def slowness_pencil_min_eig(system: DiscreteSystem, tau: float,
     when tau >= 1/max_wavespeed; sweeping tau across that threshold is the
     two-sided check of the finite-speed slowness bound.
     """
-    dirs = _unit_directions(system.grid.dim, n_directions)
+    dirs = unit_directions(system.grid.dim, n_directions)
     vals, vecs = np.linalg.eigh(system.mass.blocks)
     sqrt_a = np.einsum("cik,ck,cjk->cij", vecs, np.sqrt(vals), vecs)
     worst = np.inf

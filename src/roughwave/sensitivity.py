@@ -34,12 +34,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedConfigurationError,
 )
-from .evolution import (
-    IntegratorConfig,
-    StepOperators,
-    Trajectory,
-    solve_causal,
-)
+from .evolution import IntegratorConfig, Trajectory, solve_causal
 from .fields import PronyKernel, SourceTerm, write_field_array
 from .forward import (
     Sampler,
@@ -48,7 +43,14 @@ from .forward import (
     sample_trajectory,
     sampler_adjoint_source,
 )
-from .operators import DiscreteSystem, MassOperator, MemoryOperator, energy
+from .operators import (
+    DiscreteSystem,
+    MassOperator,
+    MemoryOperator,
+    energy,
+    prony_advance,
+    prony_half_step,
+)
 
 
 @dataclass(frozen=True)
@@ -166,18 +168,13 @@ def _base_series(system: DiscreteSystem, traj: Trajectory):
     s_half: list[np.ndarray] = []
     kern = system.memory.kernel
     if isinstance(kern, PronyKernel):
-        ops = StepOperators(system, dt)
-        n_steps = states.shape[0] - 1
-        s_half = [np.zeros((n_steps, system.n_state)) for _ in ops.prony_terms]
-        aux = ops.new_aux()
-        for n in range(n_steps):
-            for j, term in enumerate(ops.prony_terms):
-                s_half[j][n] = (
-                    term.e_half * aux[j]
-                    + term.w_old_half * states[n]
-                    + term.w_new_half * states[n + 1]
-                )
-            aux = ops.advance_aux(aux, states[n], states[n + 1])
+        s_half = [np.zeros_like(v) for _ in kern.taus]
+        aux = [np.zeros(system.n_state) for _ in kern.taus]
+        for n in range(v.shape[0]):
+            s_now = prony_half_step(aux, states[n], states[n + 1], dt, kern.taus)
+            for series, s in zip(s_half, s_now):
+                series[n] = s
+            aux = prony_advance(aux, states[n], states[n + 1], dt, kern.taus)
     return v, ubar, s_half
 
 
@@ -281,7 +278,7 @@ def adjoint_solve(
         raise GridMismatchError("residual time axis does not match the system grid")
     injections = sampler_adjoint_source(sampler, residual)  # (n_times, n_state)
 
-    ops = StepOperators(system, grid.dt)
+    ops = system.step_operators
     w = np.zeros((n_steps + 1, system.n_state))
     lam = np.zeros(system.n_state)
     mu = ops.new_aux()

@@ -4,8 +4,18 @@ import os
 
 import pytest
 
-from roughwave.cli import main, parse_config, run_checks
+from roughwave.cli import (
+    build_sampler_from_spec,
+    build_source,
+    build_system,
+    main,
+    parse_config,
+    run_checks,
+)
 from roughwave.errors import ConfigError
+from roughwave.evolution import IntegratorConfig
+from roughwave.forward import load_observed_data
+from roughwave.sensitivity import misfit_gradient
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -73,6 +83,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="config.observed"):
             parse_config(path)
 
+    def test_multi_shot_gradient_needs_one_observed_per_source(self, tmp_path):
+        two_shots = {
+            "command": "gradient",
+            "model": base_model(),
+            "sources": [{"type": "ricker", "center": [x], "frequency": 8.0} for x in (0.3, 0.5)],
+            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
+        }
+        for observed in ("seis.csv", ["seis.csv"], ["a.csv", "b.csv", "c.csv"]):
+            path = write_config(tmp_path, {**two_shots, "observed": observed})
+            with pytest.raises(ConfigError, match="config.observed"):
+                parse_config(path)
+            assert main(["gradient", "--config", path]) == 2
+        path = write_config(tmp_path, {**two_shots, "observed": ["a.csv", "b.csv"]})
+        assert parse_config(path).observed == ["a.csv", "b.csv"]
+
+    def test_removed_integrator_knobs_are_ignored(self, tmp_path):
+        path = write_config(tmp_path, {
+            "command": "simulate",
+            "model": base_model(),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "integrator": {"scheme": "implicit_midpoint", "tolerance": 1e-9, "max_iterations": 200},
+        })
+        assert parse_config(path).integrator == IntegratorConfig()
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.json")
@@ -122,6 +156,35 @@ class TestCommands:
         assert diag["objective"] > 0
         assert diag["diagnostics"]["dot_product_residual"] <= 1e-8
         assert (tmp_path / "grad" / "gradient_grad_a.rwf").exists()
+
+    def test_multi_shot_gradient_pairs_each_shot_with_its_data(self, tmp_path):
+        sources = [{"type": "ricker", "center": [x], "frequency": 8.0, "amplitude": 5.0}
+                   for x in (0.3, 0.5)]
+        sampler = {"tag": "pressure", "receivers": [[0.6], [0.8]]}
+        fwd = write_config(tmp_path, {
+            "command": "forward", "model": base_model(cells=60, t_end=0.3),
+            "sources": sources, "sampler": sampler, "output": str(tmp_path / "fwd"),
+        }, name="fwd.json")
+        assert main(["forward", "--config", fwd]) == 0
+        files = [str(tmp_path / "fwd" / f"seismogram_{i:03d}.csv") for i in range(2)]
+
+        grad = write_config(tmp_path, {
+            "command": "gradient", "model": {**base_model(cells=60, t_end=0.3), "kappa": 1.1},
+            "sources": sources, "sampler": sampler, "observed": files,
+            "output": str(tmp_path / "grad"),
+        }, name="grad.json")
+        assert main(["gradient", "--config", grad]) == 0
+        diag = json.loads((tmp_path / "grad" / "gradient_diagnostics.json").read_text())
+
+        cfg = parse_config(grad)
+        _, system = build_system(cfg)
+        samp = build_sampler_from_spec(cfg.sampler, system)
+        per_shot = [
+            misfit_gradient(system, build_source(spec, system), samp, load_observed_data(f)).objective
+            for spec, f in zip(sources, files)
+        ]
+        assert per_shot[0] != per_shot[1]
+        assert diag["objective"] == per_shot[0] + per_shot[1]
 
     def test_byte_identical_reruns(self, tmp_path):
         for out in ("run1", "run2"):
