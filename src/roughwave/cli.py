@@ -46,7 +46,6 @@ class RunConfig:
     leak_tolerance: float = 1e-6
     snapshot_every: int = 10
     jobs: int = 1
-    raw: dict = field(default_factory=dict)
 
 
 def _need(cfg: dict, key: str, kind, where: str):
@@ -87,7 +86,6 @@ def parse_config(path: str) -> RunConfig:
     integrator = IntegratorConfig(
         scheme=integ_raw.get("scheme", "implicit_midpoint"),
         cfl_safety=float(integ_raw.get("cfl_safety", 0.5)),
-        store_stride=int(integ_raw.get("store_stride", 1)),
     )
     sources = raw.get("sources", [])
     source = raw.get("source")
@@ -121,7 +119,6 @@ def parse_config(path: str) -> RunConfig:
         leak_tolerance=float(raw.get("leak_tolerance", 1e-6)),
         snapshot_every=int(raw.get("snapshot_every", 10)),
         jobs=int(raw.get("jobs", 1)),
-        raw=raw,
     )
 
 
@@ -158,7 +155,9 @@ def _per_cell(spec, grid: fields.Grid, what: str) -> np.ndarray:
     raise ConfigError("expected a number, array, or {'two_layer': ...}", field=what)
 
 
-def _build_kernel(spec: dict | None, grid: fields.Grid, k: int):
+def _build_kernel(spec: dict | None, grid: fields.Grid, width: int):
+    """Kernel of ``config.model.kernel`` on blocks of the given width (the
+    acoustic state width, or the Kelvin stress width for viscoelasticity)."""
     if not spec or spec.get("type", "zero") == "zero":
         return None
     if spec["type"] == "prony":
@@ -166,14 +165,22 @@ def _build_kernel(spec: dict | None, grid: fields.Grid, k: int):
         for term in _need(spec, "terms", list, "config.model.kernel"):
             scale = float(_need(term, "scale", (int, float), "config.model.kernel.terms"))
             taus.append(float(_need(term, "tau", (int, float), "config.model.kernel.terms")))
-            weights.append(np.tile(scale * np.eye(k), (grid.n_cells, 1, 1)))
+            weights.append(np.tile(scale * np.eye(width), (grid.n_cells, 1, 1)))
         return PronyKernel(weights=tuple(weights), taus=tuple(taus))
     raise ConfigError("kernel type must be 'zero' or 'prony'", field="config.model.kernel.type")
 
 
+def _read_input(load, path, where: str):
+    """Load an input file; unreadable or inconsistent files are config errors."""
+    try:
+        return load(path)
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}", field=where) from exc
+
+
 def build_model(spec: dict):
     if "path" in spec:
-        return physics.load_model(spec["path"])
+        return _read_input(physics.load_model, spec["path"], "config.model.path")
     grid = _build_grid(spec["grid"])
     if spec["type"] == "acoustic":
         return physics.AcousticModel(
@@ -181,21 +188,13 @@ def build_model(spec: dict):
             kappa=_per_cell(_need(spec, "kappa", object, "config.model"), grid, "config.model.kappa"),
             rho=_per_cell(_need(spec, "rho", object, "config.model"), grid, "config.model.rho"),
         )
-    m = physics.kelvin_dim(grid.dim)
     lam = float(_need(spec, "lam", (int, float), "config.model"))
     mu = float(spec.get("mu", 0.0))
     gamma_e = np.tile(physics.isotropic_inverse_hooke(lam, mu, grid.dim), (grid.n_cells, 1, 1))
-    kern_spec = spec.get("kernel")
-    kernel = None
-    if kern_spec and kern_spec.get("type") == "prony":
-        weights, taus = [], []
-        for term in kern_spec["terms"]:
-            weights.append(np.tile(float(term["scale"]) * np.eye(m), (grid.n_cells, 1, 1)))
-            taus.append(float(term["tau"]))
-        kernel = PronyKernel(weights=tuple(weights), taus=tuple(taus))
     return physics.ViscoelasticModel(
         grid=grid, rho=_per_cell(spec.get("rho", 1.0), grid, "config.model.rho"),
-        gamma_elastic=gamma_e, gamma_kernel=kernel,
+        gamma_elastic=gamma_e,
+        gamma_kernel=_build_kernel(spec.get("kernel"), grid, physics.kelvin_dim(grid.dim)),
     )
 
 
@@ -277,7 +276,8 @@ def _cmd_gradient(cfg: RunConfig) -> int:
     model, system = build_system(cfg)
     sampler = build_sampler_from_spec(cfg.sampler, system)
     specs = cfg.sources if cfg.sources else [cfg.source]
-    observed = [forward.load_observed_data(path) for path in cfg.observed]
+    observed = [_read_input(forward.load_observed_data, path, "config.observed")
+                for path in cfg.observed]
     os.makedirs(cfg.output, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     total = None
@@ -486,10 +486,10 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                f"quiet leak {leak_quiet:.2e} vs intruding leak {leak_fast:.2e}")
 
         tau0 = 1.0 / speed
-        neg = physics.slowness_pencil_min_eig(system, 0.95 * tau0)
-        pos = physics.slowness_pencil_min_eig(system, 1.05 * tau0)
-        record("slowness_pencil_two_sided", neg < 0 <= pos + 1e-12,
-               f"min eig at 0.95/c: {neg:.2e}, at 1.05/c: {pos:.2e}")
+        inside = physics.slowness_pencil_min_eig(system, 0.95 * tau0)
+        outside = physics.slowness_pencil_min_eig(system, 1.05 * tau0)
+        record("slowness_pencil_two_sided", outside < 0 <= inside + 1e-12,
+               f"min eig at 0.95/c: {inside:.2e}, at 1.05/c: {outside:.2e}")
 
     # physics: viscoelastic split and Christoffel speed
     ve_grid = build_grid(1, [8], 1.0, 1e-3, 1e-2)

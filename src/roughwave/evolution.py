@@ -49,21 +49,17 @@ RK4 = "rk4"
 class IntegratorConfig:
     scheme: str = IMPLICIT_MIDPOINT
     cfl_safety: float = 0.5
-    store_stride: int = 1
 
     def __post_init__(self):
         if self.scheme not in (IMPLICIT_MIDPOINT, RK4):
             raise InvalidArgumentError(f"unknown scheme {self.scheme!r}")
-        if self.store_stride < 1:
-            raise InvalidArgumentError("store_stride must be >= 1")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Time-indexed solution states plus the recorded energy series.
 
-    ``states`` holds every stored level row-wise; with ``stride`` > 1 only
-    every stride-th level is kept (energies are still recorded per step).
+    ``states`` holds every time level row-wise, t = t_start included.
     """
 
     grid: Grid
@@ -71,23 +67,11 @@ class Trajectory:
     states: np.ndarray
     energies: np.ndarray
     scheme: str
-    stride: int = 1
     source: SourceTerm | None = None
 
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    def require_dense(self, what: str = "this operation") -> None:
-        if self.stride != 1:
-            raise UnsupportedConfigurationError(
-                f"{what} needs an undecimated trajectory (stride 1), got stride {self.stride}"
-            )
-
-    def state(self, n: int) -> np.ndarray:
-        if n % self.stride:
-            raise InvalidArgumentError(f"step {n} not stored at stride {self.stride}")
-        return self.states[n // self.stride]
 
 
 def _source_at(source: SourceTerm | None, t: float, n_state: int) -> np.ndarray:
@@ -106,7 +90,6 @@ def _check_forcing(forcing: np.ndarray | None, n_steps: int, n_state: int) -> No
 def _midpoint_solve(
     system: DiscreteSystem,
     source: SourceTerm | None,
-    config: IntegratorConfig,
     u0: np.ndarray,
     t_start: float,
     forcing: np.ndarray | None,
@@ -116,21 +99,17 @@ def _midpoint_solve(
     ops = system.step_operators
     _check_forcing(forcing, n_steps, ops.n_state)
     times = grid.times(t_start)
-    stride = config.store_stride
-    stored = np.zeros((n_steps // stride + 1, ops.n_state))
+    states = np.zeros((n_steps + 1, ops.n_state))
     energies = np.zeros(n_steps + 1)
-    history = np.zeros((n_steps + 1, ops.n_state)) if ops.tabulated is not None else None
 
     u = u0.copy()
-    stored[0] = u
-    if history is not None:
-        history[0] = u
+    states[0] = u
     energies[0] = energy(system.mass, u)
     aux = ops.new_aux()
     scale = 0.0
     for n in range(n_steps):
         rhs = ops.d_matrix @ u
-        rhs += ops.memory_history_rhs(aux, history if history is not None else stored[:0], n)
+        rhs += ops.memory_history_rhs(aux, states, n)
         rhs += _source_at(source, times[n] + 0.5 * dt, ops.n_state)
         if forcing is not None:
             rhs += forcing[n]
@@ -140,13 +119,10 @@ def _midpoint_solve(
         scale = max(scale, float(np.linalg.norm(rhs)))
         aux = prony_advance(aux, u, u_next, ops.dt, ops.taus)
         u = u_next
-        if history is not None:
-            history[n + 1] = u
-        if (n + 1) % stride == 0:
-            stored[(n + 1) // stride] = u
+        states[n + 1] = u
         energies[n + 1] = energy(system.mass, u)
-    return Trajectory(grid=grid, times=times, states=stored, energies=energies,
-                      scheme=IMPLICIT_MIDPOINT, stride=stride, source=source)
+    return Trajectory(grid=grid, times=times, states=states, energies=energies,
+                      scheme=IMPLICIT_MIDPOINT, source=source)
 
 
 def _rk4_solve(
@@ -177,11 +153,10 @@ def _rk4_solve(
     weight_mats = system.memory.weight_matrices() if prony else []
     _check_forcing(forcing, n_steps, system.n_state)
     times = grid.times(t_start)
-    stride = config.store_stride
-    stored = np.zeros((n_steps // stride + 1, system.n_state))
+    states = np.zeros((n_steps + 1, system.n_state))
     energies = np.zeros(n_steps + 1)
     u = u0.copy()
-    stored[0] = u
+    states[0] = u
     energies[0] = energy(system.mass, u)
     aux = [np.zeros(system.n_state) for _ in (kern.taus if prony else ())]
     k_mat = system.skew.matrix
@@ -213,11 +188,10 @@ def _rk4_solve(
         if prony:
             aux = prony_advance(aux, u, u_next, dt, kern.taus)
         u = u_next
-        if (n + 1) % stride == 0:
-            stored[(n + 1) // stride] = u
+        states[n + 1] = u
         energies[n + 1] = energy(system.mass, u)
-    return Trajectory(grid=grid, times=times, states=stored, energies=energies,
-                      scheme=RK4, stride=stride, source=source)
+    return Trajectory(grid=grid, times=times, states=states, energies=energies,
+                      scheme=RK4, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +214,7 @@ def solve_causal(
         raise GridMismatchError("source and system grids differ")
     u0 = np.zeros(system.n_state)
     if config.scheme == IMPLICIT_MIDPOINT:
-        return _midpoint_solve(system, source, config, u0, t_start, forcing)
+        return _midpoint_solve(system, source, u0, t_start, forcing)
     return _rk4_solve(system, source, config, u0, t_start, forcing)
 
 
@@ -265,7 +239,7 @@ def solve_ivp(
     if u0.shape != (system.n_state,):
         raise InvalidArgumentError("u0 must be a flat state vector")
     if config.scheme == IMPLICIT_MIDPOINT:
-        return _midpoint_solve(system, source, config, u0.astype(float), t_start, None)
+        return _midpoint_solve(system, source, u0.astype(float), t_start, None)
     return _rk4_solve(system, source, config, u0.astype(float), t_start, None)
 
 
@@ -294,7 +268,6 @@ def energy_identity_residual(
     internal half-step values, so the residual measures genuine consistency
     (O(dt^2)-small under refinement) instead of restating the scheme.
     """
-    traj.require_dense("energy identity evaluation")
     if traj.grid != system.grid:
         raise GridMismatchError("trajectory and system grids differ")
     source = source if source is not None else traj.source
@@ -321,7 +294,6 @@ def step_residuals(
     Recomputes A(u_{n+1} - u_n)/dt + (P+B) ubar + R_{n+1/2} - f_{n+1/2} from
     the stored states; direct solves keep this at round-off.
     """
-    traj.require_dense("step residual evaluation")
     source = source if source is not None else traj.source
     dt = system.grid.dt
     ops = system.step_operators
@@ -350,7 +322,6 @@ def smooth_trajectory(traj: Trajectory, window: int, system: DiscreteSystem) -> 
     """
     if window < 1:
         raise InvalidArgumentError("window must be >= 1 step")
-    traj.require_dense("trajectory smoothing")
     half = window - 1
     if half == 0:
         return traj
@@ -363,12 +334,11 @@ def smooth_trajectory(traj: Trajectory, window: int, system: DiscreteSystem) -> 
         out += wj * padded[off : off + traj.states.shape[0]]
     energies = np.array([energy(system.mass, s) for s in out])
     return Trajectory(grid=traj.grid, times=traj.times, states=out, energies=energies,
-                      scheme=traj.scheme, stride=traj.stride, source=traj.source)
+                      scheme=traj.scheme, source=traj.source)
 
 
 def graph_norm_series(traj: Trajectory, system: DiscreteSystem) -> np.ndarray:
     """||u(t_n)|| + ||P u(t_n)|| in the volume-weighted norm, per step."""
-    traj.require_dense("graph norm evaluation")
     root_vol = np.sqrt(system.grid.cell_volume)
     out = np.zeros(traj.times.size)
     for n, u in enumerate(traj.states):
@@ -395,7 +365,6 @@ def energy_bound_constant(traj: Trajectory, source: SourceTerm) -> float:
 
 def time_derivative_bound(traj: Trajectory, order: int) -> float:
     """Max norm of the order-th finite-difference time derivative of u."""
-    traj.require_dense("time-derivative bound")
     arr = traj.states
     for _ in range(order):
         arr = np.diff(arr, axis=0) / traj.grid.dt
@@ -416,15 +385,13 @@ def export_energy_csv(traj: Trajectory, path) -> None:
 
 
 def export_snapshots(traj: Trajectory, directory, k: int, every: int = 1) -> list[str]:
-    """Write stored states as binary frames (fields header convention)."""
+    """Write every ``every``-th state as a binary frame (fields format)."""
     import os
 
     os.makedirs(directory, exist_ok=True)
     written = []
-    for row, n in enumerate(range(0, traj.n_steps + 1, traj.stride)):
-        if row % every:
-            continue
+    for n in range(0, traj.n_steps + 1, every):
         path = os.path.join(directory, f"frame_{n:06d}.rwf")
-        write_field_array(path, traj.grid, k, traj.states[row].reshape(traj.grid.n_cells, k))
+        write_field_array(path, traj.grid, k, traj.states[n].reshape(traj.grid.n_cells, k))
         written.append(path)
     return written

@@ -74,7 +74,6 @@ def cone_leak(traj: Trajectory, cone: ConeSpec, system: DiscreteSystem) -> float
     Energy density is the per-cell quadratic form (1/2) vol u^T a u; the
     0/0 case of an identically zero trajectory reports leak 0.
     """
-    traj.require_dense("cone leak measurement")
     grid = system.grid
     if len(cone.apex_x) != grid.dim:
         raise InvalidArgumentError("cone apex dimension does not match the grid")

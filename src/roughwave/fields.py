@@ -542,67 +542,121 @@ def make_sampled_wavelet(times: np.ndarray, values: np.ndarray) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# flat binary field format ("RWF1")
+# flat binary field format ("RWF1") and the JSON grid and kernel codecs
 # ---------------------------------------------------------------------------
 
 
-def write_field_array(path, grid: Grid, k: int, payload: np.ndarray) -> None:
+def write_field_array(path, grid: Grid | Sequence[int], k: int, payload: np.ndarray) -> None:
     """Write a per-cell array in the flat binary format.
 
     Header: magic "RWF1", then dim, k and cells per axis as little-endian
     int64; payload row-major float64 (leading axis = flattened cells).
+    ``grid`` may also be bare cells per axis: a seismogram is written with
+    cells ``(n_times,)``, one row per time step.
     """
+    cells = grid.shape if isinstance(grid, Grid) else tuple(grid)
     payload = np.ascontiguousarray(payload, dtype="<f8")
-    if payload.shape[0] != grid.n_cells:
+    if payload.shape[0] != int(np.prod(cells)):
         raise InvalidArgumentError("payload leading axis must equal the cell count")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<2q", grid.dim, k))
-        fh.write(struct.pack(f"<{grid.dim}q", *grid.shape))
+        fh.write(struct.pack(f"<{2 + len(cells)}q", len(cells), k, *cells))
         fh.write(payload.tobytes())
 
 
-def read_field_array(path) -> tuple[int, int, tuple[int, ...], np.ndarray]:
-    """Read an RWF1 file; returns (dim, k, cells_per_axis, flat payload)."""
+def read_field_array(path, grid: Grid | Sequence[int] | None = None,
+                     k: int | None = None) -> tuple[int, int, tuple[int, ...], np.ndarray]:
+    """Read an RWF1 file; returns (dim, k, cells_per_axis, flat payload).
+
+    Raises InvalidArgumentError naming the file when the header is cut short,
+    the payload is not a whole number of k-wide rows per cell, or the header
+    differs from the expected ``grid`` (or bare cells per axis) and ``k``.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise InvalidArgumentError(f"{path} is not an RWF1 field file")
-        dim, k = struct.unpack("<2q", fh.read(16))
-        shape = struct.unpack(f"<{dim}q", fh.read(8 * dim))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return int(dim), int(k), tuple(int(s) for s in shape), data
+        raw = fh.read()
+    dim, width = struct.unpack_from("<2q", raw, 4) if len(raw) >= 20 else (0, 0)
+    if raw[:4] != _MAGIC or not 1 <= dim <= 3 or width < 1 or len(raw) < 20 + 8 * dim:
+        raise InvalidArgumentError(f"{path} is not an RWF1 field file (or its header is cut short)")
+    shape = struct.unpack_from(f"<{dim}q", raw, 20)
+    payload = raw[20 + 8 * dim:]
+    cells = shape if grid is None else grid.shape if isinstance(grid, Grid) else tuple(grid)
+    if (shape != cells or (k is not None and width != k) or min(shape) < 1
+            or len(payload) % (8 * width * int(np.prod(shape)))):
+        raise InvalidArgumentError(f"{path}: header (cells {shape}, k = {width}) and "
+                                   f"{len(payload)} payload bytes do not fit cells {cells}, k = {k}")
+    return dim, width, shape, np.frombuffer(payload, dtype="<f8")
+
+
+def read_cells(path, grid: Grid | Sequence[int], k: int | None = None,
+               per_cell: Sequence[int] | None = None) -> np.ndarray:
+    """The checked payload of ``read_field_array(path, grid, k)``, shaped
+    (n_cells, *per_cell); ``per_cell`` defaults to (k,) and must fit exactly.
+    """
+    _, width, shape, data = read_field_array(path, grid, k)
+    per_cell = (width,) if per_cell is None else tuple(per_cell)
+    n = int(np.prod(shape))
+    if data.size != n * int(np.prod(per_cell)):
+        raise InvalidArgumentError(f"{path}: {data.size // n} values per cell, expected {per_cell}")
+    return data.reshape(n, *per_cell)
+
+
+def grid_metadata(grid: Grid) -> dict:
+    """The JSON form of a grid in every manifest and sidecar."""
+    return {"dim": grid.dim, "cells": list(grid.shape), "h": list(grid.h),
+            "origin": list(grid.origin), "dt": grid.dt, "n_steps": grid.n_steps}
+
+
+def grid_from_metadata(meta: dict) -> Grid:
+    return Grid(dim=meta["dim"], shape=tuple(meta["cells"]), h=tuple(meta["h"]),
+                dt=meta["dt"], n_steps=meta["n_steps"], origin=tuple(meta["origin"]))
+
+
+def save_kernel(kernel: MemoryKernel | None, basepath: str, stem: str, grid: Grid,
+                width: int) -> dict:
+    """Write a kernel's per-cell files and return its JSON spec: Prony weight
+    j in ``{basepath}_{stem}{j}.rwf``, tabulated samples in
+    ``{basepath}_{stem}.rwf`` as per-cell (n_times, width, width) rows.
+    """
+    if isinstance(kernel, PronyKernel):
+        for j, w in enumerate(kernel.weights):
+            write_field_array(f"{basepath}_{stem}{j}.rwf", grid, width, w)
+        return {"type": "prony", "taus": list(kernel.taus)}
+    if isinstance(kernel, TabulatedKernel):
+        write_field_array(f"{basepath}_{stem}.rwf", grid, width, np.moveaxis(kernel.samples, 0, 1))
+        return {"type": "tabulated", "times": kernel.times.tolist()}
+    return {"type": "zero"}
+
+
+def load_kernel(spec: dict, basepath: str, stem: str, grid: Grid, width: int) -> MemoryKernel:
+    """Inverse of ``save_kernel``."""
+    kind = spec.get("type", "zero")
+    if kind == "prony":
+        weights = [read_cells(f"{basepath}_{stem}{j}.rwf", grid, width, (width, width))
+                   for j in range(len(spec["taus"]))]
+        return PronyKernel(weights=tuple(weights), taus=tuple(spec["taus"]))
+    if kind == "tabulated":
+        times = np.asarray(spec["times"])
+        rows = read_cells(f"{basepath}_{stem}.rwf", grid, width, (times.size, width, width))
+        return TabulatedKernel(times=times, samples=np.moveaxis(rows, 1, 0))
+    if kind != "zero":
+        raise InvalidArgumentError(f"{basepath}.json: unknown kernel type {kind!r}")
+    return ZeroKernel()
 
 
 def save_coefficient_field(f: CoefficientField, basepath: str) -> None:
     """Write a field as RWF1 binaries plus a human-readable JSON sidecar."""
     write_field_array(f"{basepath}_a.rwf", f.grid, f.k, f.a)
     sidecar = {
-        "dim": f.grid.dim,
+        **grid_metadata(f.grid),
         "k": f.k,
-        "cells": list(f.grid.shape),
-        "h": list(f.grid.h),
-        "origin": list(f.grid.origin),
-        "dt": f.grid.dt,
-        "n_steps": f.grid.n_steps,
         "bounds": {"c_lo": f.c_lo, "c_hi": f.c_hi, "c_b": f.c_b, "c_q": f.c_q},
         "units": {"a": "dimensionless", "length": "domain units", "time": "domain units"},
         "parts": ["a"],
-        "kernel": {"type": "zero"},
+        "kernel": save_kernel(f.kernel, basepath, "q", f.grid, f.k),
     }
     if f.b is not None:
         write_field_array(f"{basepath}_b.rwf", f.grid, f.k, f.b)
         sidecar["parts"].append("b")
-    if isinstance(f.kernel, PronyKernel):
-        for j, w in enumerate(f.kernel.weights):
-            write_field_array(f"{basepath}_q{j}.rwf", f.grid, f.k, w)
-        sidecar["kernel"] = {"type": "prony", "taus": list(f.kernel.taus)}
-    elif isinstance(f.kernel, TabulatedKernel):
-        nt = f.kernel.times.size
-        write_field_array(
-            f"{basepath}_q.rwf", f.grid, f.k,
-            np.moveaxis(f.kernel.samples, 0, 1).reshape(f.grid.n_cells, nt, f.k, f.k),
-        )
-        sidecar["kernel"] = {"type": "tabulated", "times": f.kernel.times.tolist()}
     with open(f"{basepath}.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
 
@@ -610,38 +664,12 @@ def save_coefficient_field(f: CoefficientField, basepath: str) -> None:
 def load_coefficient_field(basepath: str) -> CoefficientField:
     with open(f"{basepath}.json") as fh:
         sidecar = json.load(fh)
-    dim = sidecar["dim"]
-    k = sidecar["k"]
-    grid = Grid(
-        dim=dim,
-        shape=tuple(sidecar["cells"]),
-        h=tuple(sidecar["h"]),
-        dt=sidecar["dt"],
-        n_steps=sidecar["n_steps"],
-        origin=tuple(sidecar["origin"]),
-    )
-    _, _, _, a = read_field_array(f"{basepath}_a.rwf")
-    a = a.reshape(grid.n_cells, k, k)
-    b = None
-    if "b" in sidecar["parts"]:
-        _, _, _, braw = read_field_array(f"{basepath}_b.rwf")
-        b = braw.reshape(grid.n_cells, k, k)
-    kspec = sidecar["kernel"]
-    kernel: MemoryKernel = ZeroKernel()
-    if kspec["type"] == "prony":
-        weights = []
-        for j in range(len(kspec["taus"])):
-            _, _, _, w = read_field_array(f"{basepath}_q{j}.rwf")
-            weights.append(w.reshape(grid.n_cells, k, k))
-        kernel = PronyKernel(weights=tuple(weights), taus=tuple(kspec["taus"]))
-    elif kspec["type"] == "tabulated":
-        times = np.asarray(kspec["times"])
-        _, _, _, q = read_field_array(f"{basepath}_q.rwf")
-        samples = np.moveaxis(q.reshape(grid.n_cells, times.size, k, k), 1, 0)
-        kernel = TabulatedKernel(times=times, samples=samples)
+    grid, k = grid_from_metadata(sidecar), sidecar["k"]
+    a = read_cells(f"{basepath}_a.rwf", grid, k, (k, k))
+    b = read_cells(f"{basepath}_b.rwf", grid, k, (k, k)) if "b" in sidecar["parts"] else None
     bounds = sidecar["bounds"]
     return CoefficientField(
-        grid=grid, k=k, a=a, b=b, kernel=kernel,
+        grid=grid, k=k, a=a, b=b, kernel=load_kernel(sidecar["kernel"], basepath, "q", grid, k),
         c_lo=bounds["c_lo"], c_hi=bounds["c_hi"], c_b=bounds["c_b"], c_q=bounds["c_q"],
     )
 

@@ -11,6 +11,7 @@ generically.
 
 from __future__ import annotations
 
+import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 
 from .errors import GridMismatchError, InvalidArgumentError, UnsupportedConfigurationError
 from .evolution import IntegratorConfig, Trajectory, solve_causal
-from .fields import Grid, SourceTerm
+from .fields import Grid, SourceTerm, read_cells, write_field_array
 from .operators import DiscreteSystem
 
 PRESSURE = "pressure"
@@ -162,7 +163,6 @@ def apply_sampler(sampler: Sampler, u: np.ndarray) -> np.ndarray:
 
 
 def sample_trajectory(sampler: Sampler, traj: Trajectory) -> SeismogramData:
-    traj.require_dense("trace sampling")
     if traj.grid != sampler.grid:
         raise GridMismatchError("trajectory and sampler grids differ")
     data = sampler.matrix @ traj.states.T
@@ -183,10 +183,6 @@ def forward_map(
             "the forward map is continuous but not differentiable there",
             stacklevel=2,
         )
-    if config is not None and config.store_stride != 1:
-        from dataclasses import replace
-
-        config = replace(config, store_stride=1)  # sampling needs every step
     traj = solve_causal(system, source, config)
     return sample_trajectory(sampler, traj)
 
@@ -237,18 +233,10 @@ def load_seismogram_csv(path) -> SeismogramData:
 
 
 def save_seismogram_binary(seis: SeismogramData, basepath: str) -> None:
-    """Binary frames (fields header convention: one row per time step) plus a
-    JSON sidecar carrying the time axis and receiver positions.
+    """Binary frames in the fields format (cells = time steps, k = channels)
+    plus a JSON sidecar carrying the time axis and receiver positions.
     """
-    import json
-    import struct
-
-    data = np.ascontiguousarray(seis.data.T, dtype="<f8")  # (n_times, channels)
-    with open(f"{basepath}.rwf", "wb") as fh:
-        fh.write(b"RWF1")
-        fh.write(struct.pack("<2q", 1, data.shape[1]))
-        fh.write(struct.pack("<1q", data.shape[0]))
-        fh.write(data.tobytes())
+    write_field_array(f"{basepath}.rwf", (seis.times.size,), seis.data.shape[0], seis.data.T)
     sidecar = {
         "times": seis.times.tolist(),
         "receivers": seis.receivers.tolist(),
@@ -259,17 +247,12 @@ def save_seismogram_binary(seis: SeismogramData, basepath: str) -> None:
 
 
 def load_seismogram_binary(basepath: str) -> SeismogramData:
-    import json
-
-    from .fields import read_field_array
-
-    _, channels, shape, payload = read_field_array(f"{basepath}.rwf")
     with open(f"{basepath}.json") as fh:
         sidecar = json.load(fh)
-    data = payload.reshape(shape[0], channels).T
+    times = np.asarray(sidecar["times"])
     return SeismogramData(
-        times=np.asarray(sidecar["times"]),
-        data=data,
+        times=times,
+        data=read_cells(f"{basepath}.rwf", (times.size,)).T,
         receivers=np.asarray(sidecar["receivers"]),
         tag=sidecar.get("tag", CUSTOM),
     )

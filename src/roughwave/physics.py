@@ -28,7 +28,11 @@ from .fields import (
     PronyKernel,
     TabulatedKernel,
     ZeroKernel,
-    read_field_array,
+    grid_from_metadata,
+    grid_metadata,
+    load_kernel,
+    read_cells,
+    save_kernel,
     write_field_array,
 )
 from .operators import (
@@ -391,22 +395,21 @@ def max_wavespeed(obj, n_directions: int | None = None) -> float:
 
 def slowness_pencil_min_eig(system: DiscreteSystem, tau: float,
                             n_directions: int | None = None) -> float:
-    """Smallest eigenvalue of tau*I + a^(1/2) p(xi) a^(1/2) over cells and
-    directions.
+    """Smallest eigenvalue of a - tau * p(xi) over cells and unit directions.
 
-    The congruence a^(1/2) p(xi) a^(1/2) has spectrum +/- the slowness of
-    the characteristic modes, so the pencil is positive semidefinite exactly
-    when tau >= 1/max_wavespeed; sweeping tau across that threshold is the
-    two-sided check of the finite-speed slowness bound.
+    This is the energy-flux form on a cone surface t = tau |x| with normal
+    direction xi.  In a cell with speeds c (the generalized eigenvalues of
+    p(xi) against a, in +/- pairs), it is positive semidefinite exactly when
+    tau * c <= 1.  So the minimum over cells changes sign at
+    tau = 1/max_wavespeed in every medium: positive below, negative above.
+    Sweeping tau across that value is the two-sided check of the
+    finite-speed slowness bound.
     """
     dirs = unit_directions(system.grid.dim, n_directions)
-    vals, vecs = np.linalg.eigh(system.mass.blocks)
-    sqrt_a = np.einsum("cik,ck,cjk->cij", vecs, np.sqrt(vals), vecs)
     worst = np.inf
     for xi in dirs:
         p = sum(x * pm for x, pm in zip(xi, system.skew.p_matrices))
-        pencil = tau * np.eye(system.k)[None] + np.einsum("cij,jk,ckl->cil", sqrt_a, p, sqrt_a)
-        worst = min(worst, float(np.linalg.eigvalsh(pencil).min()))
+        worst = min(worst, float(np.linalg.eigvalsh(system.mass.blocks - tau * p[None]).min()))
     return worst
 
 
@@ -418,39 +421,20 @@ def slowness_pencil_min_eig(system: DiscreteSystem, tau: float,
 def save_model(model, basepath: str) -> None:
     """JSON manifest plus binary per-cell arrays in the fields format."""
     grid = model.grid
-    manifest = {
-        "grid": {
-            "dim": grid.dim, "cells": list(grid.shape), "h": list(grid.h),
-            "origin": list(grid.origin), "dt": grid.dt, "n_steps": grid.n_steps,
-        },
-    }
+    manifest = {"grid": grid_metadata(grid)}
+    if not isinstance(model, (AcousticModel, ViscoelasticModel)):
+        raise InvalidArgumentError(f"cannot save model of type {type(model).__name__}")
+    write_field_array(f"{basepath}_rho.rwf", grid, 1, model.rho.reshape(-1, 1))
     if isinstance(model, AcousticModel):
         manifest["type"] = "acoustic"
         manifest["scales"] = {"s_kappa": model.s_kappa, "s_rho": model.s_rho}
         manifest["bounds"] = {"c_lo": model.c_lo, "c_hi": model.c_hi}
         write_field_array(f"{basepath}_kappa.rwf", grid, 1, model.kappa.reshape(-1, 1))
-        write_field_array(f"{basepath}_rho.rwf", grid, 1, model.rho.reshape(-1, 1))
-    elif isinstance(model, ViscoelasticModel):
+    else:
         manifest["type"] = "viscoelastic"
         manifest["bounds"] = {"g_lo": model.g_lo, "g_hi": model.g_hi}
-        write_field_array(f"{basepath}_rho.rwf", grid, 1, model.rho.reshape(-1, 1))
         write_field_array(f"{basepath}_gamma_e.rwf", grid, model.m, model.gamma_elastic)
-        kern = model.gamma_kernel
-        if isinstance(kern, PronyKernel):
-            manifest["kernel"] = {"type": "prony", "taus": list(kern.taus)}
-            for j, w in enumerate(kern.weights):
-                write_field_array(f"{basepath}_gamma{j}.rwf", grid, model.m, w)
-        elif isinstance(kern, TabulatedKernel):
-            manifest["kernel"] = {"type": "tabulated", "times": kern.times.tolist()}
-            nt = kern.times.size
-            write_field_array(
-                f"{basepath}_gamma.rwf", grid, model.m,
-                np.moveaxis(kern.samples, 0, 1).reshape(grid.n_cells, nt, model.m, model.m),
-            )
-        else:
-            manifest["kernel"] = {"type": "zero"}
-    else:
-        raise InvalidArgumentError(f"cannot save model of type {type(model).__name__}")
+        manifest["kernel"] = save_kernel(model.gamma_kernel, basepath, "gamma", grid, model.m)
     with open(f"{basepath}.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -458,41 +442,22 @@ def save_model(model, basepath: str) -> None:
 def load_model(basepath: str):
     with open(f"{basepath}.json") as fh:
         manifest = json.load(fh)
-    g = manifest["grid"]
-    grid = Grid(dim=g["dim"], shape=tuple(g["cells"]), h=tuple(g["h"]),
-                dt=g["dt"], n_steps=g["n_steps"], origin=tuple(g["origin"]))
+    grid = grid_from_metadata(manifest["grid"])
+    bounds = manifest.get("bounds", {})
+    rho = read_cells(f"{basepath}_rho.rwf", grid, 1, ())
     if manifest["type"] == "acoustic":
-        _, _, _, kappa = read_field_array(f"{basepath}_kappa.rwf")
-        _, _, _, rho = read_field_array(f"{basepath}_rho.rwf")
         scales = manifest.get("scales", {})
-        bounds = manifest.get("bounds", {})
         return AcousticModel(
-            grid=grid, kappa=kappa, rho=rho,
+            grid=grid, kappa=read_cells(f"{basepath}_kappa.rwf", grid, 1, ()), rho=rho,
             s_kappa=scales.get("s_kappa", 1.0), s_rho=scales.get("s_rho", 1.0),
             c_lo=bounds.get("c_lo"), c_hi=bounds.get("c_hi"),
         )
     if manifest["type"] == "viscoelastic":
         m = kelvin_dim(grid.dim)
-        _, _, _, rho = read_field_array(f"{basepath}_rho.rwf")
-        _, _, _, ge = read_field_array(f"{basepath}_gamma_e.rwf")
-        kern_spec = manifest.get("kernel", {"type": "zero"})
-        kernel = None
-        if kern_spec["type"] == "prony":
-            weights = []
-            for j in range(len(kern_spec["taus"])):
-                _, _, _, w = read_field_array(f"{basepath}_gamma{j}.rwf")
-                weights.append(w.reshape(grid.n_cells, m, m))
-            kernel = PronyKernel(weights=tuple(weights), taus=tuple(kern_spec["taus"]))
-        elif kern_spec["type"] == "tabulated":
-            times = np.asarray(kern_spec["times"])
-            _, _, _, q = read_field_array(f"{basepath}_gamma.rwf")
-            kernel = TabulatedKernel(
-                times=times,
-                samples=np.moveaxis(q.reshape(grid.n_cells, times.size, m, m), 1, 0),
-            )
-        bounds = manifest.get("bounds", {})
+        kernel = load_kernel(manifest.get("kernel", {}), basepath, "gamma", grid, m)
         return ViscoelasticModel(
-            grid=grid, rho=rho, gamma_elastic=ge.reshape(grid.n_cells, m, m),
-            gamma_kernel=kernel, g_lo=bounds.get("g_lo"), g_hi=bounds.get("g_hi"),
+            grid=grid, rho=rho, gamma_elastic=read_cells(f"{basepath}_gamma_e.rwf", grid, m, (m, m)),
+            gamma_kernel=None if isinstance(kernel, ZeroKernel) else kernel,
+            g_lo=bounds.get("g_lo"), g_hi=bounds.get("g_hi"),
         )
     raise InvalidArgumentError(f"unknown model type {manifest['type']!r}")

@@ -158,7 +158,6 @@ def _base_series(system: DiscreteSystem, traj: Trajectory):
     Recomputed from the stored states with the same recursion the stepper
     used, so the values are bit-identical to the forward pass.
     """
-    traj.require_dense("sensitivity analysis")
     if traj.grid != system.grid:
         raise GridMismatchError("trajectory was not produced on this system's grid")
     states = traj.states
@@ -226,7 +225,7 @@ def directional_derivative(
         warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
                       "in the continuum limit", stacklevel=2)
     forcing = perturbation_forcing(system, base, pert)
-    return solve_causal(system, None, replace(config, store_stride=1), forcing=forcing,
+    return solve_causal(system, None, config, forcing=forcing,
                         t_start=float(base.times[0]))
 
 
@@ -296,7 +295,7 @@ def adjoint_solve(
         mu = mu_new
     energies = np.array([energy(system.mass, wm) for wm in w])
     return Trajectory(grid=grid, times=residual.times.copy(), states=w, energies=energies,
-                      scheme="implicit_midpoint", stride=1, source=None)
+                      scheme="implicit_midpoint", source=None)
 
 
 def assemble_gradient(
@@ -310,8 +309,6 @@ def assemble_gradient(
     derivative of J: dJ . pert = report.pair(pert), exactly in the discrete
     sense.  g_a and the kernel gradients are symmetrized per cell.
     """
-    base.require_dense("gradient assembly")
-    adjoint.require_dense("gradient assembly")
     if base.states.shape != adjoint.states.shape:
         raise GridMismatchError("base and adjoint trajectories are misaligned")
     v, ubar, s_half = _base_series(system, base)
@@ -348,8 +345,8 @@ def misfit_gradient(
     central finite differences of J along random single-cell bumps (the FD
     step chosen by a three-point sweep).
     """
-    config = config or IntegratorConfig(store_stride=1)
-    traj = solve_causal(system, source, replace(config, store_stride=1))
+    config = config or IntegratorConfig()
+    traj = solve_causal(system, source, config)
     predicted = sample_trajectory(sampler, traj)
     j_value = objective_from_data(predicted, observed)
     residual = SeismogramData(
@@ -517,7 +514,7 @@ def quotient_study(
     than fatal.
     """
     config = config or IntegratorConfig()
-    base = solve_causal(system, source, replace(config, store_stride=1))
+    base = solve_causal(system, source, config)
     du = directional_derivative(system, base, pert, config)
     vol = system.grid.cell_volume
     du_norm = float(np.sqrt(vol) * np.linalg.norm(du.states, axis=1).max())
@@ -533,7 +530,7 @@ def quotient_study(
             remainders.append(np.nan)
             flagged.append(True)
             continue
-        u_h = solve_causal(pert_system, source, replace(config, store_stride=1))
+        u_h = solve_causal(pert_system, source, config)
         quotient = (u_h.states - base.states) / float(h)
         remainders.append(_sup_l2_distance(quotient, du.states, vol))
         flagged.append(False)

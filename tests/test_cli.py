@@ -14,7 +14,9 @@ from roughwave.cli import (
 )
 from roughwave.errors import ConfigError
 from roughwave.evolution import IntegratorConfig
+from roughwave.fields import build_grid
 from roughwave.forward import load_observed_data
+from roughwave.physics import AcousticModel, save_model
 from roughwave.sensitivity import misfit_gradient
 
 
@@ -106,6 +108,17 @@ class TestParseConfig:
             "integrator": {"scheme": "implicit_midpoint", "tolerance": 1e-9, "max_iterations": 200},
         })
         assert parse_config(path).integrator == IntegratorConfig()
+
+    def test_removed_store_stride_is_ignored(self, tmp_path):
+        path = write_config(tmp_path, {
+            "command": "simulate",
+            "model": base_model(cells=40, t_end=0.1),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "integrator": {"scheme": "implicit_midpoint", "store_stride": 5},
+            "output": str(tmp_path / "out"),
+        })
+        assert parse_config(path).integrator == IntegratorConfig()
+        assert main(["simulate", "--config", path]) == 0
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -274,3 +287,90 @@ class TestCommands:
             "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
         })
         assert main(["forward", "--config", path]) == 2
+
+
+class TestInputErrors:
+    """Bad kernels and unreadable input files exit 2 and name the config field."""
+
+    def expect_config_error(self, tmp_path, capsys, payload, where):
+        path = write_config(tmp_path, payload)
+        assert main([payload["command"], "--config", path]) == 2
+        assert f"config error: {where}" in capsys.readouterr().err
+
+    def viscoelastic(self, kernel):
+        return {
+            "command": "simulate",
+            "model": {"type": "viscoelastic", "grid": base_model(cells=20)["grid"],
+                      "lam": 1.2, "rho": 1.0, "kernel": kernel},
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+        }
+
+    def test_viscoelastic_kernel_term_without_tau(self, tmp_path, capsys):
+        kernel = {"type": "prony", "terms": [{"scale": 0.2}]}
+        self.expect_config_error(tmp_path, capsys, self.viscoelastic(kernel),
+                                 "config.model.kernel.terms.tau")
+
+    @pytest.mark.parametrize("kind", ["tabulated", "fractional"])
+    def test_viscoelastic_kernel_type_not_dropped(self, tmp_path, capsys, kind):
+        self.expect_config_error(tmp_path, capsys, self.viscoelastic({"type": kind}),
+                                 "config.model.kernel.type")
+
+    def save_acoustic(self, tmp_path, name, cells):
+        grid = build_grid(1, [cells], 1.0, 1e-3, 0.3)
+        save_model(AcousticModel(grid=grid, kappa=2.0, rho=1.0), str(tmp_path / name))
+
+    def saved_model_config(self, tmp_path):
+        self.save_acoustic(tmp_path, "model", 20)
+        return {
+            "command": "simulate",
+            "model": {"path": str(tmp_path / "model")},
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "output": str(tmp_path / "out"),
+        }
+
+    def test_saved_model_runs(self, tmp_path):
+        path = write_config(tmp_path, self.saved_model_config(tmp_path))
+        assert main(["simulate", "--config", path]) == 0
+
+    def test_missing_model_manifest(self, tmp_path, capsys):
+        payload = self.saved_model_config(tmp_path)
+        payload["model"]["path"] = str(tmp_path / "absent")
+        self.expect_config_error(tmp_path, capsys, payload, "config.model.path")
+
+    def test_truncated_model_array(self, tmp_path, capsys):
+        payload = self.saved_model_config(tmp_path)
+        rho = tmp_path / "model_rho.rwf"
+        rho.write_bytes(rho.read_bytes()[:-5])
+        self.expect_config_error(tmp_path, capsys, payload, "config.model.path")
+
+    def test_model_array_with_wrong_cell_count(self, tmp_path, capsys):
+        payload = self.saved_model_config(tmp_path)
+        self.save_acoustic(tmp_path, "other", 30)
+        os.replace(tmp_path / "other_kappa.rwf", tmp_path / "model_kappa.rwf")
+        self.expect_config_error(tmp_path, capsys, payload, "config.model.path")
+
+    def test_missing_observed_file(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, {
+            "command": "gradient",
+            "model": base_model(cells=20),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
+            "observed": str(tmp_path / "absent.csv"),
+            "output": str(tmp_path / "out"),
+        }, "config.observed")
+
+
+def test_check_passes_on_the_readme_two_layer_medium(tmp_path, capsys):
+    # kappa 1 | 4 at x = 0.6: the slowness pencil changes sign at the fast layer
+    path = write_config(tmp_path, {
+        "command": "check",
+        "model": {
+            "type": "acoustic",
+            "grid": {"dim": 1, "cells": [200], "extent": 1.0, "dt": 2.5e-3, "t_end": 0.5},
+            "kappa": {"two_layer": {"left": 1.0, "right": 4.0, "interface": 0.6}},
+            "rho": 1.0,
+        },
+        "sampler": {"tag": "pressure", "receivers": [[0.45], [0.8]]},
+    })
+    assert main(["check", "--config", path]) == 0
+    assert "slowness_pencil_two_sided: PASS" in capsys.readouterr().out

@@ -103,17 +103,6 @@ class TestCausalSolve:
         res = step_residuals(traj, system, src)
         assert res.max() <= 1e-12
 
-    def test_stride_storage(self):
-        g, system = homogeneous_acoustics(cells=60, t_end=0.2)
-        src = rw.make_ricker_source(g, 2, [0.5], peak_frequency=8.0)
-        dense = rw.solve_causal(system, src)
-        strided = rw.solve_causal(system, src, IntegratorConfig(store_stride=5))
-        assert strided.states.shape[0] == dense.states.shape[0] // 5 + 1
-        np.testing.assert_array_equal(strided.state(40), dense.states[40])
-        np.testing.assert_array_equal(strided.energies, dense.energies)
-        with pytest.raises(UnsupportedConfigurationError):
-            step_residuals(strided, system, src)
-
 
 class TestRK4:
     def test_matches_midpoint_on_smooth_run(self):

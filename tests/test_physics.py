@@ -90,13 +90,25 @@ class TestWavespeedAcoustic:
 
 class TestSlownessPencil:
     def test_two_sided_threshold_at_medium_slowness(self):
-        # negative eigenvalue just below the slowness bound, PSD just above
+        # PSD just below the slowness bound, a negative eigenvalue just above
         g = rw.build_grid(1, [8], 1.0, 1e-3, 0.01)
         model = rw.AcousticModel(grid=g, kappa=4.0, rho=1.0)
         system = rw.acoustics_system(model)
         tau_star = 1.0 / rw.max_wavespeed(model)
-        assert slowness_pencil_min_eig(system, 0.95 * tau_star) < 0
-        assert slowness_pencil_min_eig(system, 1.05 * tau_star) > 0
+        assert slowness_pencil_min_eig(system, 0.95 * tau_star) > 0
+        assert slowness_pencil_min_eig(system, 1.05 * tau_star) < 0
+        assert abs(slowness_pencil_min_eig(system, tau_star)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_threshold_sits_at_the_fastest_layer(self, dim):
+        # speeds 1 and 2: the sign change is at 1/2, not at the slow layer's 1
+        g = rw.build_grid(dim, [10] * dim, 1.0, 1e-3, 0.01)
+        model = rw.two_layer_acoustic(g, kappa_left=1.0, kappa_right=4.0, interface=0.6)
+        system = rw.acoustics_system(model)
+        tau_star = 1.0 / rw.max_wavespeed(model)
+        assert tau_star == 0.5
+        assert slowness_pencil_min_eig(system, 0.95 * tau_star) > 0
+        assert slowness_pencil_min_eig(system, 1.05 * tau_star) < 0
         assert abs(slowness_pencil_min_eig(system, tau_star)) < 1e-12
 
 

@@ -64,14 +64,6 @@ class TestDirectionalDerivative:
         assert rem[-1] <= 0.01 * study.derivative_norm
         assert study.slope >= 0.9  # first-order remainder decay
 
-    def test_decimated_base_rejected(self):
-        from roughwave.evolution import IntegratorConfig
-
-        g, system, src, sampler = acoustic_setup(with_memory=False)
-        strided = rw.solve_causal(system, src, IntegratorConfig(store_stride=4))
-        with pytest.raises(UnsupportedConfigurationError, match="undecimated"):
-            rw.directional_derivative(system, strided, CoefficientPerturbation())
-
 
 class TestObjective:
     def test_perfect_fit(self):
