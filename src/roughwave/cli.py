@@ -19,6 +19,8 @@ import numpy as np
 from . import experiments, fields, forward, physics, sensitivity
 from .errors import ConfigError, RoughwaveError
 from .evolution import (
+    IMPLICIT_MIDPOINT,
+    RK4,
     IntegratorConfig,
     energy_identity_residual,
     export_energy_csv,
@@ -49,6 +51,8 @@ class RunConfig:
 
 
 def _need(cfg: dict, key: str, kind, where: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected a JSON object, got {type(cfg).__name__}", field=where)
     if key not in cfg:
         raise ConfigError("required field is missing", field=f"{where}.{key}")
     value = cfg[key]
@@ -83,10 +87,13 @@ def parse_config(path: str) -> RunConfig:
                               field="config.model.type")
         _need(model, "grid", dict, "config.model")
     integ_raw = raw.get("integrator", {})
-    integrator = IntegratorConfig(
-        scheme=integ_raw.get("scheme", "implicit_midpoint"),
-        cfl_safety=float(integ_raw.get("cfl_safety", 0.5)),
-    )
+    scheme = integ_raw.get("scheme", IMPLICIT_MIDPOINT)
+    # gradient and check run the adjoint, the exact transpose of the midpoint step
+    schemes = (IMPLICIT_MIDPOINT,) if command in ("gradient", "check") else (IMPLICIT_MIDPOINT, RK4)
+    if scheme not in schemes:
+        raise ConfigError(f"{command} runs take scheme {' or '.join(map(repr, schemes))}, "
+                          f"got {scheme!r}", field="config.integrator.scheme")
+    integrator = IntegratorConfig(scheme=scheme, cfl_safety=float(integ_raw.get("cfl_safety", 0.5)))
     sources = raw.get("sources", [])
     source = raw.get("source")
     if command in ("simulate", "forward", "gradient") and source is None and not sources:
@@ -278,6 +285,14 @@ def _cmd_gradient(cfg: RunConfig) -> int:
     specs = cfg.sources if cfg.sources else [cfg.source]
     observed = [_read_input(forward.load_observed_data, path, "config.observed")
                 for path in cfg.observed]
+    times = system.grid.times()
+    for path, data in zip(cfg.observed, observed):
+        if data.data.shape != (sampler.n_channels, times.size) or not np.allclose(
+                data.times, times, rtol=1e-10, atol=1e-14):
+            raise ConfigError(f"{path!r} holds {data.data.shape[0]} channel(s) at "
+                              f"{data.data.shape[1]} time level(s); the run predicts "
+                              f"{sampler.n_channels} at the {times.size} levels of its grid",
+                              field="config.observed")
     os.makedirs(cfg.output, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     total = None
@@ -286,9 +301,7 @@ def _cmd_gradient(cfg: RunConfig) -> int:
     # deterministic accumulation in fixed source order
     for spec, data in zip(specs, observed):
         source = build_source(spec, system)
-        report = sensitivity.misfit_gradient(
-            system, source, sampler, data, cfg.integrator, dot_test_rng=rng
-        )
+        report = sensitivity.misfit_gradient(system, source, sampler, data, dot_test_rng=rng)
         j_total += report.objective
         worst_dot = max(worst_dot, report.diagnostics.get("dot_product_residual", 0.0))
         if total is None:
@@ -401,7 +414,6 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     # evolution: causality, determinism, conservation, identity residual
     center = [grid.origin[a] + 0.5 * grid.extent[a] for a in range(grid.dim)]
-    speed = physics.max_wavespeed(system)
     duration = grid.dt * grid.n_steps
     peak_frequency = max(4.0 / max(grid.extent), 3.0 / duration)
     src = make_ricker_source(grid, k, center, peak_frequency=peak_frequency,
@@ -448,22 +460,22 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         # sensitivity: linearity, dot product, gradient symmetry
         if system.memory.is_zero or isinstance(system.memory.kernel, PronyKernel):
             pert = sensitivity.random_perturbation(system, rng)
-            du1 = sensitivity.directional_derivative(system, traj, pert, cfg.integrator)
+            du1 = sensitivity.directional_derivative(system, traj, pert)
             pert2 = sensitivity.CoefficientPerturbation(
                 delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
                 delta_weights=None if pert.delta_weights is None
                 else tuple(2 * w for w in pert.delta_weights),
             )
-            du2 = sensitivity.directional_derivative(system, traj, pert2, cfg.integrator)
+            du2 = sensitivity.directional_derivative(system, traj, pert2)
             lin = float(np.abs(du2.states - 2 * du1.states).max())
             record("derivative_linearity", lin <= 1e-10 * max(1.0, float(np.abs(du2.states).max())),
                    f"|du(2m) - 2 du(m)| = {lin:.1e}")
 
-            rel = sensitivity.dot_product_test(system, traj, sampler, rng, config=cfg.integrator)
+            rel = sensitivity.dot_product_test(system, traj, sampler, rng)
             record("adjoint_dot_product", rel <= 1e-8, f"relative error = {rel:.2e}")
 
             obs = forward.sample_trajectory(sampler, traj)
-            report = sensitivity.misfit_gradient(system, src, sampler, obs, cfg.integrator)
+            report = sensitivity.misfit_gradient(system, src, sampler, obs)
             sym = float(np.abs(report.g_a - np.swapaxes(report.g_a, 1, 2)).max())
             zero = float(np.abs(report.g_a).max() + np.abs(report.g_b).max()
                          + sum(np.abs(g).max() for g in report.g_q))
@@ -473,8 +485,10 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                    f"J = {report.objective:.1e}, |g| = {zero:.1e}")
 
     # experiments: two-sided cone check (the intruding cone is anchored at the
-    # emission peak so the pulse delay cannot mask the overlap)
-    if speed > 0 and grid.dim == 1:
+    # emission peak so the pulse delay cannot mask the overlap); the sampled
+    # symbol speed is only needed, and only cheap, in 1D
+    speed = physics.max_wavespeed(system) if grid.dim == 1 else 0.0
+    if speed > 0:
         onset = src.onset
         quiet_cone = experiments.cone_from_speed(center, onset, speed, margin=0.1)
         leak_quiet = experiments.cone_leak(traj, quiet_cone, system)

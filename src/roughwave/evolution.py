@@ -21,6 +21,7 @@ checked against the symbol speed of the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import (
 from .fields import Grid, PronyKernel, SourceTerm, TabulatedKernel, write_field_array
 from .operators import (
     DiscreteSystem,
+    MassOperator,
     StepOperators,  # noqa: F401  (re-exported: callers import it from here)
     energy,
     max_symbol_speed,
@@ -57,21 +59,26 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed solution states plus the recorded energy series.
+    """Time-indexed solution states of one system.
 
-    ``states`` holds every time level row-wise, t = t_start included.
+    ``states`` holds every time level row-wise, t = t_start included.  The
+    energy series is computed from the states and ``mass`` on first read.
     """
 
     grid: Grid
     times: np.ndarray
     states: np.ndarray
-    energies: np.ndarray
+    mass: MassOperator
     scheme: str
     source: SourceTerm | None = None
 
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        return np.array([energy(self.mass, u) for u in self.states])
 
 
 def _source_at(source: SourceTerm | None, t: float, n_state: int) -> np.ndarray:
@@ -100,13 +107,10 @@ def _midpoint_solve(
     _check_forcing(forcing, n_steps, ops.n_state)
     times = grid.times(t_start)
     states = np.zeros((n_steps + 1, ops.n_state))
-    energies = np.zeros(n_steps + 1)
 
     u = u0.copy()
     states[0] = u
-    energies[0] = energy(system.mass, u)
     aux = ops.new_aux()
-    scale = 0.0
     for n in range(n_steps):
         rhs = ops.d_matrix @ u
         rhs += ops.memory_history_rhs(aux, states, n)
@@ -116,12 +120,10 @@ def _midpoint_solve(
         u_next = ops.lu.solve(rhs)
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
-        scale = max(scale, float(np.linalg.norm(rhs)))
         aux = prony_advance(aux, u, u_next, ops.dt, ops.taus)
         u = u_next
         states[n + 1] = u
-        energies[n + 1] = energy(system.mass, u)
-    return Trajectory(grid=grid, times=times, states=states, energies=energies,
+    return Trajectory(grid=grid, times=times, states=states, mass=system.mass,
                       scheme=IMPLICIT_MIDPOINT, source=source)
 
 
@@ -154,10 +156,8 @@ def _rk4_solve(
     _check_forcing(forcing, n_steps, system.n_state)
     times = grid.times(t_start)
     states = np.zeros((n_steps + 1, system.n_state))
-    energies = np.zeros(n_steps + 1)
     u = u0.copy()
     states[0] = u
-    energies[0] = energy(system.mass, u)
     aux = [np.zeros(system.n_state) for _ in (kern.taus if prony else ())]
     k_mat = system.skew.matrix
     b_mat = system.b_matrix()
@@ -189,8 +189,7 @@ def _rk4_solve(
             aux = prony_advance(aux, u, u_next, dt, kern.taus)
         u = u_next
         states[n + 1] = u
-        energies[n + 1] = energy(system.mass, u)
-    return Trajectory(grid=grid, times=times, states=states, energies=energies,
+    return Trajectory(grid=grid, times=times, states=states, mass=system.mass,
                       scheme=RK4, source=source)
 
 
@@ -318,7 +317,7 @@ def smooth_trajectory(traj: Trajectory, window: int, system: DiscreteSystem) -> 
 
     ``window`` counts steps; a window of one step is the identity.  Ends are
     handled by edge replication, so a constant-in-time tail is unchanged on
-    its interior.  Energies are recomputed from the smoothed states.
+    its interior.  Energies are computed from the smoothed states.
     """
     if window < 1:
         raise InvalidArgumentError("window must be >= 1 step")
@@ -332,8 +331,7 @@ def smooth_trajectory(traj: Trajectory, window: int, system: DiscreteSystem) -> 
     out = np.zeros_like(traj.states)
     for off, wj in zip(range(2 * half + 1), w):
         out += wj * padded[off : off + traj.states.shape[0]]
-    energies = np.array([energy(system.mass, s) for s in out])
-    return Trajectory(grid=traj.grid, times=traj.times, states=out, energies=energies,
+    return Trajectory(grid=traj.grid, times=traj.times, states=out, mass=system.mass,
                       scheme=traj.scheme, source=traj.source)
 
 

@@ -16,7 +16,7 @@ oracle path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -333,27 +333,22 @@ class MemoryOperator:
     """Convolution operator R[u](t) = integral q(t - s) u(s) ds on the grid.
 
     The operator itself is stateless; time steppers own whatever auxiliary
-    recursion state they need.  ``quadrature`` records how the kernel is
-    integrated ("recursive" for Prony, "trapezoid" for tabulated).
+    recursion state they need.  Prony kernels are integrated by the exact
+    exponential recursion, tabulated ones by the trapezoid rule.
     """
 
     kernel: MemoryKernel
     grid: Grid
     k: int
-    quadrature: str = field(init=False)
 
     def __post_init__(self):
         if isinstance(self.kernel, PronyKernel):
-            object.__setattr__(self, "quadrature", "recursive")
             for j, w in enumerate(self.kernel.weights):
                 if w.shape != (self.grid.n_cells, self.k, self.k):
                     raise InvalidCoefficientError(f"Prony weight {j} has wrong shape {w.shape}")
         elif isinstance(self.kernel, TabulatedKernel):
-            object.__setattr__(self, "quadrature", "trapezoid")
             if self.kernel.samples.shape[1:] != (self.grid.n_cells, self.k, self.k):
                 raise InvalidCoefficientError("tabulated kernel has wrong per-cell shape")
-        else:
-            object.__setattr__(self, "quadrature", "none")
 
     @property
     def is_zero(self) -> bool:

@@ -47,7 +47,6 @@ from .operators import (
     DiscreteSystem,
     MassOperator,
     MemoryOperator,
-    energy,
     prony_advance,
     prony_half_step,
 )
@@ -209,24 +208,20 @@ def directional_derivative(
     system: DiscreteSystem,
     base: Trajectory,
     pert: CoefficientPerturbation,
-    config: IntegratorConfig | None = None,
 ) -> Trajectory:
     """Gateaux derivative of the solution in the given coefficient direction.
 
     Solves the same evolution problem with the perturbation-assembled
-    right-hand side; linear in the perturbation by construction.
+    right-hand side (implicit midpoint); linear in the perturbation by
+    construction.
     """
-    config = config or IntegratorConfig()
-    if config.scheme != "implicit_midpoint":
-        raise UnsupportedConfigurationError("sensitivity solves use the implicit midpoint scheme")
     if base.source is not None and base.source.smoothness < 2:
         import warnings
 
         warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
                       "in the continuum limit", stacklevel=2)
     forcing = perturbation_forcing(system, base, pert)
-    return solve_causal(system, None, config, forcing=forcing,
-                        t_start=float(base.times[0]))
+    return solve_causal(system, None, forcing=forcing, t_start=float(base.times[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,6 @@ def adjoint_solve(
     system: DiscreteSystem,
     residual: SeismogramData,
     sampler: Sampler,
-    config: IntegratorConfig | None = None,
 ) -> Trajectory:
     """Adjoint state w: the transposed midpoint recursion driven by S^T r.
 
@@ -267,9 +261,6 @@ def adjoint_solve(
     the terminal condition w = 0 for t > T holds by construction, and w is
     returned on the original time axis.
     """
-    config = config or IntegratorConfig()
-    if config.scheme != "implicit_midpoint":
-        raise UnsupportedConfigurationError("the adjoint is the transpose of the midpoint stepper")
     _require_sensitivity_kernel(system)
     grid = system.grid
     n_steps = grid.n_steps
@@ -293,8 +284,7 @@ def adjoint_solve(
         lam = ops.lu.solve(rhs, trans="T")
         w[m - 1] = lam
         mu = mu_new
-    energies = np.array([energy(system.mass, wm) for wm in w])
-    return Trajectory(grid=grid, times=residual.times.copy(), states=w, energies=energies,
+    return Trajectory(grid=grid, times=residual.times.copy(), states=w, mass=system.mass,
                       scheme="implicit_midpoint", source=None)
 
 
@@ -334,7 +324,6 @@ def misfit_gradient(
     source: SourceTerm,
     sampler: Sampler,
     observed: SeismogramData,
-    config: IntegratorConfig | None = None,
     dot_test_rng: np.random.Generator | None = None,
     fd_bumps: int = 0,
     fd_rng: np.random.Generator | None = None,
@@ -343,10 +332,10 @@ def misfit_gradient(
 
     Optional diagnostics: a randomized dot-product self-test and a table of
     central finite differences of J along random single-cell bumps (the FD
-    step chosen by a three-point sweep).
+    step chosen by a three-point sweep).  Every solve uses implicit midpoint,
+    whose exact transpose the adjoint is.
     """
-    config = config or IntegratorConfig()
-    traj = solve_causal(system, source, config)
+    traj = solve_causal(system, source)
     predicted = sample_trajectory(sampler, traj)
     j_value = objective_from_data(predicted, observed)
     residual = SeismogramData(
@@ -355,19 +344,19 @@ def misfit_gradient(
         receivers=predicted.receivers,
         tag=predicted.tag,
     )
-    w = adjoint_solve(system, residual, sampler, config)
+    w = adjoint_solve(system, residual, sampler)
     report = assemble_gradient(traj, w, system)
     report.objective = j_value
     if np.abs(residual.data).max() == 0.0:
         # zero-residual fixed point: the gradient vanishes identically
         report.diagnostics["zero_residual"] = True
     if dot_test_rng is not None:
-        rel = dot_product_test(system, traj, sampler, rng=dot_test_rng, config=config)
+        rel = dot_product_test(system, traj, sampler, rng=dot_test_rng)
         report.diagnostics["dot_product_residual"] = rel
     if fd_bumps:
         rng = fd_rng or np.random.default_rng(0)
         report.diagnostics["fd_table"] = finite_difference_table(
-            system, source, sampler, observed, report, n_bumps=fd_bumps, rng=rng, config=config
+            system, source, sampler, observed, report, n_bumps=fd_bumps, rng=rng
         )
     return report
 
@@ -379,24 +368,22 @@ def dot_product_test(
     rng: np.random.Generator,
     pert: CoefficientPerturbation | None = None,
     data_series: np.ndarray | None = None,
-    config: IntegratorConfig | None = None,
 ) -> float:
     """Relative error of the discrete adjoint identity on one random instance.
 
     Checks dt * sum_m <r_m, (S du)_m> against -<pert, g(w(r))>; with exact
     transposition both sides agree to solver round-off.
     """
-    config = config or IntegratorConfig()
     if pert is None:
         pert = random_perturbation(system, rng)
     if data_series is None:
         data_series = rng.standard_normal((sampler.n_channels, base.times.size))
-    du = directional_derivative(system, base, pert, config)
+    du = directional_derivative(system, base, pert)
     s_du = sampler.matrix @ du.states.T
     dt = system.grid.dt
     lhs = dt * float(np.sum(data_series * s_du))
     residual = SeismogramData(times=base.times, data=data_series, receivers=sampler.receivers)
-    w = adjoint_solve(system, residual, sampler, config)
+    w = adjoint_solve(system, residual, sampler)
     g = assemble_gradient(base, w, system)
     rhs = -g.pair(pert)
     denom = max(abs(lhs), abs(rhs), 1e-300)
@@ -432,7 +419,6 @@ def finite_difference_table(
     report: GradientReport,
     n_bumps: int,
     rng: np.random.Generator,
-    config: IntegratorConfig | None = None,
     steps: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
 ) -> list[dict]:
     """Central-difference checks of J along random single-cell bumps.
@@ -463,8 +449,8 @@ def finite_difference_table(
         fd_values = []
         for h in steps:
             hh = h * scale
-            j_plus = objective(perturbed_system(system, pert, hh), source, sampler, observed, config)
-            j_minus = objective(perturbed_system(system, pert, -hh), source, sampler, observed, config)
+            j_plus = objective(perturbed_system(system, pert, hh), source, sampler, observed)
+            j_minus = objective(perturbed_system(system, pert, -hh), source, sampler, observed)
             fd_values.append((j_plus - j_minus) / (2 * hh))
         gaps = [abs(fd_values[i] - fd_values[i + 1]) for i in range(len(fd_values) - 1)]
         best = fd_values[int(np.argmin(gaps)) + 1]
@@ -504,7 +490,6 @@ def quotient_study(
     pert: CoefficientPerturbation,
     source: SourceTerm,
     h_schedule,
-    config: IntegratorConfig | None = None,
     bounds: tuple[float, float] | None = None,
 ) -> QuotientStudy:
     """Tabulate ||(u_h - u)/h - du|| over the h schedule.
@@ -513,9 +498,8 @@ def quotient_study(
     positive definiteness, or exit explicit ``bounds``) are flagged rather
     than fatal.
     """
-    config = config or IntegratorConfig()
-    base = solve_causal(system, source, config)
-    du = directional_derivative(system, base, pert, config)
+    base = solve_causal(system, source)
+    du = directional_derivative(system, base, pert)
     vol = system.grid.cell_volume
     du_norm = float(np.sqrt(vol) * np.linalg.norm(du.states, axis=1).max())
     remainders, flagged = [], []
@@ -530,7 +514,7 @@ def quotient_study(
             remainders.append(np.nan)
             flagged.append(True)
             continue
-        u_h = solve_causal(pert_system, source, config)
+        u_h = solve_causal(pert_system, source)
         quotient = (u_h.states - base.states) / float(h)
         remainders.append(_sup_l2_distance(quotient, du.states, vol))
         flagged.append(False)

@@ -2,9 +2,12 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+from roughwave import sensitivity
 from roughwave.cli import (
+    COMMANDS,
     build_sampler_from_spec,
     build_source,
     build_system,
@@ -15,7 +18,7 @@ from roughwave.cli import (
 from roughwave.errors import ConfigError
 from roughwave.evolution import IntegratorConfig
 from roughwave.fields import build_grid
-from roughwave.forward import load_observed_data
+from roughwave.forward import SeismogramData, load_observed_data, save_seismogram_csv
 from roughwave.physics import AcousticModel, save_model
 from roughwave.sensitivity import misfit_gradient
 
@@ -349,6 +352,33 @@ class TestInputErrors:
         os.replace(tmp_path / "other_kappa.rwf", tmp_path / "model_kappa.rwf")
         self.expect_config_error(tmp_path, capsys, payload, "config.model.path")
 
+    def test_kernel_term_not_an_object(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, {
+            "command": "simulate",
+            "model": {**base_model(cells=20), "kernel": {"type": "prony", "terms": [0.2]}},
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+        }, "config.model.kernel.terms")
+
+    @pytest.mark.parametrize("channels, n_times, dt", [(2, 51, 1e-3), (1, 2, 1e-3),
+                                                       (1, 50, 1e-3), (1, 51, 2e-3)])
+    def test_observed_data_that_does_not_fit_the_run(self, tmp_path, capsys, monkeypatch,
+                                                     channels, n_times, dt):
+        # the run predicts 1 channel at 51 time levels (50 steps of 1e-3)
+        monkeypatch.setattr(sensitivity, "misfit_gradient",
+                            lambda *args, **kwargs: pytest.fail("solved before checking"))
+        path = str(tmp_path / "observed.csv")
+        times = dt * np.arange(n_times)
+        save_seismogram_csv(SeismogramData(times=times, data=np.zeros((channels, n_times)),
+                                           receivers=np.zeros((channels, 1))), path)
+        self.expect_config_error(tmp_path, capsys, {
+            "command": "gradient",
+            "model": base_model(cells=20, t_end=0.05),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
+            "observed": path,
+            "output": str(tmp_path / "out"),
+        }, "config.observed")
+
     def test_missing_observed_file(self, tmp_path, capsys):
         self.expect_config_error(tmp_path, capsys, {
             "command": "gradient",
@@ -358,6 +388,58 @@ class TestInputErrors:
             "observed": str(tmp_path / "absent.csv"),
             "output": str(tmp_path / "out"),
         }, "config.observed")
+
+
+class TestSchemes:
+    """gradient and check run the midpoint adjoint; every command names a bad scheme."""
+
+    def payload(self, command, scheme):
+        return {
+            "command": command,
+            "model": base_model(cells=20, t_end=0.05),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
+            "observed": "observed.csv",
+            "study": {"kind": "measure_convergence"},
+            "integrator": {"scheme": scheme},
+        }
+
+    def expect_scheme_error(self, tmp_path, capsys, command, scheme):
+        path = write_config(tmp_path, self.payload(command, scheme))
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "config error: config.integrator.scheme" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["gradient", "check"])
+    def test_rk4_rejected_where_the_adjoint_runs(self, tmp_path, capsys, command):
+        self.expect_scheme_error(tmp_path, capsys, command, "rk4")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_scheme_named(self, tmp_path, capsys, command):
+        self.expect_scheme_error(tmp_path, capsys, command, "euler")
+
+    @pytest.mark.parametrize("command", ["simulate", "forward", "study"])
+    def test_rk4_accepted_for_forward_solves(self, tmp_path, command):
+        path = write_config(tmp_path, self.payload(command, "rk4"))
+        assert parse_config(path).integrator.scheme == "rk4"
+
+
+def test_check_samples_no_symbol_speed_outside_1d(tmp_path, monkeypatch):
+    import roughwave.physics
+
+    calls = []
+    monkeypatch.setattr(roughwave.physics, "max_symbol_speed",
+                        lambda *args, **kwargs: calls.append(args) or 1.0)
+    path = write_config(tmp_path, {
+        "command": "check",
+        "model": {**base_model(), "grid": {"dim": 2, "cells": [8, 8], "extent": 1.0,
+                                           "dt": 1.25e-2, "t_end": 0.1}},
+        "sampler": {"tag": "pressure", "receivers": [[0.7, 0.3]]},
+    })
+    names = {name for name, _, _ in run_checks(parse_config(path))}
+    assert calls == []
+    assert "cone_two_sided" not in names and "adjoint_dot_product" in names
 
 
 def test_check_passes_on_the_readme_two_layer_medium(tmp_path, capsys):

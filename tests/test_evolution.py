@@ -17,7 +17,7 @@ from roughwave.evolution import (
 )
 from roughwave.experiments import advection_oracle, dalembert_pressure, fit_slope
 from roughwave.fields import CoefficientField, PronyKernel, ricker_wavelet
-from roughwave.operators import assemble_system
+from roughwave.operators import assemble_system, energy
 
 
 def homogeneous_acoustics(cells=120, dt=1e-3, t_end=0.3, kappa=1.0, rho=1.0, extent=1.0):
@@ -212,6 +212,26 @@ class TestEnergyIdentity:
         assert ratios[1] <= 2.0 * ratios[0]
 
 
+class TestEnergiesOnRead:
+    @pytest.mark.parametrize("scheme", ["implicit_midpoint", "rk4"])
+    def test_energies_computed_on_first_read(self, energy_calls, scheme):
+        g, system = homogeneous_acoustics(cells=40, dt=2e-3, t_end=0.05)
+        src = rw.make_ricker_source(g, 2, [0.5], peak_frequency=8.0)
+        traj = rw.solve_causal(system, src, IntegratorConfig(scheme=scheme))
+        assert energy_calls == []
+        energies = traj.energies
+        assert len(energy_calls) == traj.n_steps + 1
+        assert traj.energies is energies
+        assert np.array_equal(energies, [energy(system.mass, u) for u in traj.states])
+
+    def test_smoothed_energies_use_the_system_mass(self, energy_calls):
+        g, system = homogeneous_acoustics(cells=40, dt=2e-3, t_end=0.05)
+        src = rw.make_ricker_source(g, 2, [0.5], peak_frequency=8.0)
+        out = smooth_trajectory(rw.solve_causal(system, src), 3, system)
+        assert energy_calls == []
+        assert np.array_equal(out.energies, [energy(system.mass, u) for u in out.states])
+
+
 class TestSmoothing:
     def test_window_one_is_identity(self):
         g, system = homogeneous_acoustics(cells=40, t_end=0.1)
@@ -226,7 +246,7 @@ class TestSmoothing:
         states = traj.states.copy()
         states[:] = 1.5
         frozen = rw.Trajectory(grid=traj.grid, times=traj.times, states=states,
-                               energies=traj.energies, scheme=traj.scheme)
+                               mass=system.mass, scheme=traj.scheme)
         out = smooth_trajectory(frozen, 4, system)
         np.testing.assert_allclose(out.states[5:-5], 1.5, rtol=1e-14)
 

@@ -121,6 +121,13 @@ class TestMeasureConvergence:
         assert all(b <= a for a, b in zip(md, md[1:]))
         assert report.passed
 
+    def test_study_computes_no_energy(self, energy_calls):
+        g = rw.build_grid(1, [60], 1.0, 2.5e-3, 0.1)
+        field = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6).coefficient_field()
+        src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=6.0)
+        measure_convergence_study(field, src, [4, 8, 16])
+        assert energy_calls == []
+
     def test_schedule_validation(self):
         g = rw.build_grid(1, [40], 1.0, 2e-3, 0.1)
         field = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0).coefficient_field()

@@ -163,9 +163,9 @@ class TestGradient:
         u[1, 0] = 0.3  # (u1 - u0)/dt = 3 in cell 0, component 0
         w = np.zeros((2, system.n_state))
         w[0, 0] = 2.0
-        base = rw.Trajectory(grid=g, times=times, states=u, energies=np.zeros(2),
+        base = rw.Trajectory(grid=g, times=times, states=u, mass=system.mass,
                              scheme="implicit_midpoint")
-        adj = rw.Trajectory(grid=g, times=times, states=w, energies=np.zeros(2),
+        adj = rw.Trajectory(grid=g, times=times, states=w, mass=system.mass,
                             scheme="implicit_midpoint")
         report = rw.assemble_gradient(base, adj, system)
         assert report.g_a[0, 0, 0] == pytest.approx(0.6)
@@ -201,6 +201,25 @@ class TestGradient:
                                        n_bumps=4, rng=np.random.default_rng(7))
         for row in rows:
             assert row["rel_error"] <= 1e-3
+
+    def test_gradient_with_dot_test_computes_no_energy(self, energy_calls):
+        g, system, src, sampler = acoustic_setup(cells=60, t_end=0.1)
+        traj = rw.solve_causal(system, src)
+        observed = sample_trajectory(sampler, traj)
+        observed = rw.SeismogramData(times=observed.times, data=0.8 * observed.data,
+                                     receivers=observed.receivers)
+        report = misfit_gradient(system, src, sampler, observed,
+                                 dot_test_rng=np.random.default_rng(2))
+        assert report.diagnostics["dot_product_residual"] <= 1e-10
+        assert energy_calls == []
+
+    def test_adjoint_energies_on_read(self, energy_calls):
+        g, system, src, sampler = acoustic_setup(cells=60, t_end=0.1)
+        data = np.random.default_rng(3).standard_normal((sampler.n_channels, g.n_steps + 1))
+        residual = rw.SeismogramData(times=g.times(), data=data, receivers=sampler.receivers)
+        w = rw.adjoint_solve(system, residual, sampler)
+        assert energy_calls == []
+        assert np.array_equal(w.energies, [rw.energy(system.mass, u) for u in w.states])
 
     def test_report_export(self, tmp_path):
         g, system, src, sampler = acoustic_setup(t_end=0.2)
