@@ -64,6 +64,11 @@ def _need(cfg: dict, key: str, kind, where: str):
     return value
 
 
+def _optional(cfg: dict, key: str, kind, default, where: str = "config"):
+    """``cfg[key]`` checked like ``_need``; ``default`` when absent or null."""
+    return default if cfg.get(key) is None else _need(cfg, key, kind, where)
+
+
 def parse_config(path: str) -> RunConfig:
     """Load and validate a run configuration, filling defaults."""
     if not os.path.exists(path):
@@ -86,16 +91,19 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError("model type must be 'acoustic' or 'viscoelastic'",
                               field="config.model.type")
         _need(model, "grid", dict, "config.model")
-    integ_raw = raw.get("integrator", {})
+    integ_raw = _optional(raw, "integrator", dict, {})
     scheme = integ_raw.get("scheme", IMPLICIT_MIDPOINT)
     # gradient and check run the adjoint, the exact transpose of the midpoint step
     schemes = (IMPLICIT_MIDPOINT,) if command in ("gradient", "check") else (IMPLICIT_MIDPOINT, RK4)
     if scheme not in schemes:
         raise ConfigError(f"{command} runs take scheme {' or '.join(map(repr, schemes))}, "
                           f"got {scheme!r}", field="config.integrator.scheme")
-    integrator = IntegratorConfig(scheme=scheme, cfl_safety=float(integ_raw.get("cfl_safety", 0.5)))
-    sources = raw.get("sources", [])
-    source = raw.get("source")
+    integrator = IntegratorConfig(
+        scheme=scheme, cfl_safety=_optional(integ_raw, "cfl_safety", float, 0.5, "config.integrator"))
+    sources = _optional(raw, "sources", list, [])
+    if not all(isinstance(s, dict) for s in sources):
+        raise ConfigError("expected a list of JSON objects", field="config.sources")
+    source = _optional(raw, "source", dict, None)
     if command in ("simulate", "forward", "gradient") and source is None and not sources:
         raise ConfigError("required field is missing", field="config.source")
     observed = []
@@ -122,10 +130,10 @@ def parse_config(path: str) -> RunConfig:
         observed=observed,
         study=raw.get("study"),
         output=raw.get("output", "out"),
-        seed=int(raw.get("seed", 0)),
-        leak_tolerance=float(raw.get("leak_tolerance", 1e-6)),
-        snapshot_every=int(raw.get("snapshot_every", 10)),
-        jobs=int(raw.get("jobs", 1)),
+        seed=_optional(raw, "seed", int, 0),
+        leak_tolerance=_optional(raw, "leak_tolerance", float, 1e-6),
+        snapshot_every=_optional(raw, "snapshot_every", int, 10),
+        jobs=_optional(raw, "jobs", int, 1),
     )
 
 
@@ -147,24 +155,29 @@ def _build_grid(spec: dict) -> fields.Grid:
 
 def _per_cell(spec, grid: fields.Grid, what: str) -> np.ndarray:
     if isinstance(spec, (int, float)):
-        return np.full(grid.n_cells, float(spec))
-    if isinstance(spec, list):
+        arr = np.full(grid.n_cells, float(spec))
+    elif isinstance(spec, list):
         arr = np.asarray(spec, dtype=float)
         if arr.size != grid.n_cells:
             raise ConfigError(f"array length {arr.size} != cell count {grid.n_cells}", field=what)
-        return arr
-    if isinstance(spec, dict) and "two_layer" in spec:
+    elif isinstance(spec, dict) and "two_layer" in spec:
         tl = spec["two_layer"]
         coord = grid.centers()[:, int(tl.get("axis", 0))]
-        return np.where(coord >= float(tl.get("interface", 0.5)),
-                        float(_need(tl, "right", (int, float), what)),
-                        float(_need(tl, "left", (int, float), what)))
-    raise ConfigError("expected a number, array, or {'two_layer': ...}", field=what)
+        arr = np.where(coord >= float(tl.get("interface", 0.5)),
+                       float(_need(tl, "right", (int, float), what)),
+                       float(_need(tl, "left", (int, float), what)))
+    else:
+        raise ConfigError("expected a number, array, or {'two_layer': ...}", field=what)
+    bad = np.flatnonzero(~(arr > 0))
+    if bad.size:
+        raise ConfigError(f"must be positive; cell {bad[0]} has {arr[bad[0]]:.6g}", field=what)
+    return arr
 
 
-def _build_kernel(spec: dict | None, grid: fields.Grid, width: int):
+def _build_kernel(model: dict, grid: fields.Grid, width: int):
     """Kernel of ``config.model.kernel`` on blocks of the given width (the
     acoustic state width, or the Kelvin stress width for viscoelasticity)."""
+    spec = _optional(model, "kernel", dict, None, "config.model")
     if not spec or spec.get("type", "zero") == "zero":
         return None
     if spec["type"] == "prony":
@@ -201,15 +214,26 @@ def build_model(spec: dict):
     return physics.ViscoelasticModel(
         grid=grid, rho=_per_cell(spec.get("rho", 1.0), grid, "config.model.rho"),
         gamma_elastic=gamma_e,
-        gamma_kernel=_build_kernel(spec.get("kernel"), grid, physics.kelvin_dim(grid.dim)),
+        gamma_kernel=_build_kernel(spec, grid, physics.kelvin_dim(grid.dim)),
     )
+
+
+def _boundary(cfg: RunConfig, model) -> str:
+    """``config.model.boundary``; viscoelastic systems are periodic only."""
+    boundary = cfg.model.get("boundary", "periodic")
+    acoustic = isinstance(model, physics.AcousticModel)
+    allowed = ("periodic", "acoustic_free") if acoustic else ("periodic",)
+    if boundary not in allowed:
+        raise ConfigError(f"expected {' or '.join(map(repr, allowed))}, got {boundary!r}",
+                          field="config.model.boundary")
+    return boundary
 
 
 def build_system(cfg: RunConfig):
     model = build_model(cfg.model)
-    boundary = cfg.model.get("boundary", "periodic")
+    boundary = _boundary(cfg, model)
     if isinstance(model, physics.AcousticModel):
-        kernel = _build_kernel(cfg.model.get("kernel"), model.grid, model.k)
+        kernel = _build_kernel(cfg.model, model.grid, model.k)
         return model, physics.acoustics_system(model, boundary=boundary, kernel=kernel)
     return model, physics.viscoelastic_system(model, boundary=boundary)
 
@@ -218,6 +242,9 @@ def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
     kind = spec.get("type", "ricker")
     grid, k = system.grid, system.k
     center = _need(spec, "center", list, "config.source")
+    if len(center) != grid.dim:
+        raise ConfigError(f"expected {grid.dim} coordinate(s), got {len(center)}",
+                          field="config.source.center")
     common = dict(
         grid=grid, k=k, center=center,
         onset=float(spec.get("onset", 0.0)),
@@ -238,9 +265,19 @@ def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
     raise ConfigError("source type must be 'ricker' or 'burst'", field="config.source.type")
 
 
+def _receivers(spec: dict, grid: fields.Grid, where: str) -> list:
+    """``spec["receivers"]``, a list of points of ``grid.dim`` numbers each."""
+    receivers = _need(spec, "receivers", list, where)
+    if not receivers or not all(isinstance(r, list) and len(r) == grid.dim and all(
+            isinstance(x, (int, float)) for x in r) for r in receivers):
+        raise ConfigError(f"expected a list of points of {grid.dim} coordinate(s) each",
+                          field=f"{where}.receivers")
+    return receivers
+
+
 def build_sampler_from_spec(spec: dict, system: DiscreteSystem) -> forward.Sampler:
     return forward.build_sampler(
-        receivers=_need(spec, "receivers", list, "config.sampler"),
+        receivers=_receivers(spec, system.grid, "config.sampler"),
         tag=spec.get("tag", "pressure"),
         grid=system.grid,
         k=system.k,
@@ -320,19 +357,25 @@ def _cmd_gradient(cfg: RunConfig) -> int:
 def _cmd_study(cfg: RunConfig) -> int:
     model, system = build_system(cfg)
     kind = cfg.study["kind"]
+    if not isinstance(model, physics.AcousticModel):
+        raise ConfigError("studies need an acoustic model", field="config.model.type")
     os.makedirs(cfg.output, exist_ok=True)
     if kind == "measure_convergence":
+        if cfg.source is None and not cfg.sources:
+            raise ConfigError("required field is missing", field="config.source")
         source = build_source(cfg.source or cfg.sources[0], system)
-        rough = (model.coefficient_field() if isinstance(model, physics.AcousticModel)
-                 else None)
-        if rough is None:
-            raise ConfigError("measure_convergence studies need an acoustic model",
-                              field="config.study.kind")
         report = experiments.measure_convergence_study(
-            rough, source, cfg.study.get("schedule", [4, 8, 16, 32]), cfg.integrator,
+            model.coefficient_field(kernel=system.memory.kernel), source,
+            cfg.study.get("schedule", [4, 8, 16, 32]), cfg.integrator,
+            boundary=_boundary(cfg, model),
         )
     elif kind == "trace_regularity":
-        receivers = cfg.study.get("receivers") or cfg.sampler["receivers"]
+        if not system.memory.is_zero:
+            raise ConfigError("trace_regularity studies need a memory-free medium",
+                              field="config.model.kernel")
+        from_study = cfg.study.get("receivers") or not cfg.sampler
+        spec, where = (cfg.study, "config.study") if from_study else (cfg.sampler, "config.sampler")
+        receivers = _receivers(spec, model.grid, where)
         center = cfg.study.get("center", [0.5] * model.grid.dim)
         freq = float(cfg.study.get("frequency", 4.0))
 
@@ -343,6 +386,7 @@ def _cmd_study(cfg: RunConfig) -> int:
             model, receivers, factory,
             smoothness_schedule=cfg.study.get("smoothness", [1, 2, 3]),
             refinements=int(cfg.study.get("refinements", 2)),
+            boundary=_boundary(cfg, model),
             config=cfg.integrator,
         )
     else:
@@ -440,6 +484,8 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     try:
         sampler = (build_sampler_from_spec(cfg.sampler, system) if cfg.sampler
                    else forward.build_sampler(receivers, "pressure", grid, k))
+    except ConfigError:
+        raise
     except RoughwaveError:
         sampler = None
     if sampler is not None:
@@ -491,11 +537,11 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     if speed > 0:
         onset = src.onset
         quiet_cone = experiments.cone_from_speed(center, onset, speed, margin=0.1)
-        leak_quiet = experiments.cone_leak(traj, quiet_cone, system)
+        leak_quiet = experiments.cone_leak(traj, quiet_cone)
         t_peak = onset + 1.5 / peak_frequency
         fast = experiments.ConeSpec(apex_x=tuple(center), apex_t=t_peak,
                                     slowness=(1.1 / speed))
-        leak_fast = experiments.cone_leak(traj, fast, system)
+        leak_fast = experiments.cone_leak(traj, fast)
         record("cone_two_sided", leak_quiet <= cfg.leak_tolerance and leak_fast > 1e-3,
                f"quiet leak {leak_quiet:.2e} vs intruding leak {leak_fast:.2e}")
 

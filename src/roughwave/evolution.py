@@ -69,7 +69,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     mass: MassOperator
-    scheme: str
     source: SourceTerm | None = None
 
     @property
@@ -123,8 +122,7 @@ def _midpoint_solve(
         aux = prony_advance(aux, u, u_next, ops.dt, ops.taus)
         u = u_next
         states[n + 1] = u
-    return Trajectory(grid=grid, times=times, states=states, mass=system.mass,
-                      scheme=IMPLICIT_MIDPOINT, source=source)
+    return Trajectory(grid=grid, times=times, states=states, mass=system.mass, source=source)
 
 
 def _rk4_solve(
@@ -189,8 +187,7 @@ def _rk4_solve(
             aux = prony_advance(aux, u, u_next, dt, kern.taus)
         u = u_next
         states[n + 1] = u
-    return Trajectory(grid=grid, times=times, states=states, mass=system.mass,
-                      scheme=RK4, source=source)
+    return Trajectory(grid=grid, times=times, states=states, mass=system.mass, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,7 @@ def step_residuals(
     return out
 
 
-def smooth_trajectory(traj: Trajectory, window: int, system: DiscreteSystem) -> Trajectory:
+def smooth_trajectory(traj: Trajectory, window: int) -> Trajectory:
     """Discrete time-convolution with a unit-mass hat of the given window.
 
     ``window`` counts steps; a window of one step is the identity.  Ends are
@@ -331,8 +328,7 @@ def smooth_trajectory(traj: Trajectory, window: int, system: DiscreteSystem) -> 
     out = np.zeros_like(traj.states)
     for off, wj in zip(range(2 * half + 1), w):
         out += wj * padded[off : off + traj.states.shape[0]]
-    return Trajectory(grid=traj.grid, times=traj.times, states=out, mass=system.mass,
-                      scheme=traj.scheme, source=traj.source)
+    return replace(traj, states=out)
 
 
 def graph_norm_series(traj: Trajectory, system: DiscreteSystem) -> np.ndarray:

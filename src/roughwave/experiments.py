@@ -27,7 +27,7 @@ from .errors import InvalidArgumentError
 from .evolution import IntegratorConfig, Trajectory, solve_causal
 from .fields import CoefficientField, Grid, SourceTerm, mollify_field, measure_distance
 from .forward import Sampler, build_sampler, sample_trajectory
-from .operators import DiscreteSystem, assemble_system
+from .operators import assemble_system
 from .physics import AcousticModel, acoustics_system
 
 
@@ -48,13 +48,10 @@ class ConeSpec:
     apex_x: tuple[float, ...]
     apex_t: float
     slowness: float
-    margin: float = 0.0
 
     def __post_init__(self):
         if self.slowness <= 0:
             raise InvalidArgumentError("cone slowness must be positive")
-        if self.margin < 0:
-            raise InvalidArgumentError("cone margin must be >= 0")
 
 
 def cone_from_speed(apex_x, apex_t: float, speed: float, margin: float = 0.1) -> ConeSpec:
@@ -64,26 +61,25 @@ def cone_from_speed(apex_x, apex_t: float, speed: float, margin: float = 0.1) ->
     if speed <= 0:
         raise InvalidArgumentError("speed must be positive")
     apex = tuple(float(x) for x in (apex_x if np.iterable(apex_x) else [apex_x]))
-    return ConeSpec(apex_x=apex, apex_t=float(apex_t),
-                    slowness=1.0 / ((1.0 + margin) * speed), margin=margin)
+    return ConeSpec(apex_x=apex, apex_t=float(apex_t), slowness=1.0 / ((1.0 + margin) * speed))
 
 
-def cone_leak(traj: Trajectory, cone: ConeSpec, system: DiscreteSystem) -> float:
+def cone_leak(traj: Trajectory, cone: ConeSpec) -> float:
     """Fraction of total trajectory energy inside the claimed-quiet region.
 
     Energy density is the per-cell quadratic form (1/2) vol u^T a u; the
     0/0 case of an identically zero trajectory reports leak 0.
     """
-    grid = system.grid
+    grid = traj.grid
     if len(cone.apex_x) != grid.dim:
         raise InvalidArgumentError("cone apex dimension does not match the grid")
     if traj.times[-1] < cone.apex_t:
         raise InvalidArgumentError("trajectory does not cover the cone's time window")
     centers = grid.centers()
     dist = np.linalg.norm(centers - np.asarray(cone.apex_x), axis=1)
-    states = traj.states.reshape(traj.states.shape[0], grid.n_cells, system.k)
+    states = traj.states.reshape(traj.states.shape[0], grid.n_cells, traj.mass.k)
     density = 0.5 * grid.cell_volume * np.einsum(
-        "nci,cij,ncj->nc", states, system.mass.blocks, states
+        "nci,cij,ncj->nc", states, traj.mass.blocks, states
     )
     quiet = cone.slowness * dist[None, :] + cone.apex_t - traj.times[:, None] >= 0
     total = float(density.sum())
@@ -144,22 +140,20 @@ def oscillatory_rhs(eps: float) -> Callable[[float, float], float]:
     return f
 
 
-def oscillatory_response_magnitude(c: float, eps: float, t: float,
-                                   x_values: np.ndarray | None = None) -> float:
-    """Max |u[c, f_eps](t, x)| over an x sample, via quadrature of the
-    characteristic integral (vectorized Simpson sized to the oscillation).
+def oscillatory_response_magnitude(c: float, eps: float, t: float) -> float:
+    """Max |u[c, f_eps](t, x)| over 201 points x in [-1 - c t, 1], via
+    quadrature of the characteristic integral (vectorized Simpson sized to
+    the oscillation).
 
     For c away from 1 this decays like eps / |c - 1|.  The family is not
     causal, so the integral runs over the full support of the bump factors.
     """
     from scipy.integrate import simpson
 
-    if x_values is None:
-        x_values = np.linspace(-1.0 - c * t, 1.0, 201)
     cycles = abs(1.0 - c) * 2.0 / (2.0 * np.pi * eps) + 2.0
     n_pts = (max(801, int(64 * cycles))) | 1
     worst = 0.0
-    for x in np.asarray(x_values, dtype=float):
+    for x in np.linspace(-1.0 - c * t, 1.0, 201):
         # tau-support of chi(x + c (t - tau)): |x + c(t - tau)| < 1
         lo = t - (1.0 - x) / c
         hi = min(t, t - (-1.0 - x) / c)
@@ -262,24 +256,22 @@ def measure_convergence_study(
     config: IntegratorConfig | None = None,
     p_matrices=None,
     boundary: str = "periodic",
-    eps: float | None = None,
     sampler: Sampler | None = None,
 ) -> StudyReport:
     """Solve with mollified coefficients along the schedule and record the
     sup-in-time L2 distance to the rough-field solution.
 
     Also records the convergence-in-measure distance of the coefficients
-    (and the seismogram max-norm gap when a sampler is given), quantifying
-    how solution continuity follows from coefficient convergence in
-    measure.
+    (at threshold eps, a quarter of the spread of ``rough.a``) and, when a
+    sampler is given, the seismogram max-norm gap, quantifying how solution
+    continuity follows from coefficient convergence in measure.
     """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 3 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidArgumentError("schedule must be at least 3 strictly increasing integers")
     config = config or IntegratorConfig()
-    if eps is None:
-        spread = float(rough.a.max(axis=0).max() - rough.a.min(axis=0).min())
-        eps = 0.25 * spread if spread > 0 else 0.25
+    spread = float(rough.a.max(axis=0).max() - rough.a.min(axis=0).min())
+    eps = 0.25 * spread if spread > 0 else 0.25
     system = assemble_system(rough, p_matrices, boundary)
     ref = solve_causal(system, source, config)
     vol = rough.grid.cell_volume
@@ -339,15 +331,15 @@ def trace_regularity_probe(
     refinements: int = 2,
     boundary: str = "periodic",
     config: IntegratorConfig | None = None,
-    bound_slack: float = 1.25,
 ) -> StudyReport:
     """Check that the seismogram's discrete time-derivatives up to order
     s - 1 stay bounded under dt refinement for wavelets of smoothness s.
 
     ``source_factory(grid, s)`` builds a wavelet of smoothness class s on
     each refined grid.  Passing means the derivative magnitude grows by at
-    most ``bound_slack`` from the coarsest to the finest level.
+    most a factor 1.25 from the coarsest to the finest level.
     """
+    bound_slack = 1.25
     config = config or IntegratorConfig()
     per_s_bounds: dict[str, tuple[float, ...]] = {}
     passed = True

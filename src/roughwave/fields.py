@@ -227,7 +227,7 @@ def kernel_values(kernel: MemoryKernel, times: np.ndarray, n_cells: int, k: int)
     return out
 
 
-def kernel_l1_bound(kernel: MemoryKernel, horizon: float | None = None) -> float:
+def kernel_l1_bound(kernel: MemoryKernel) -> float:
     """Upper bound on the L1-in-time norm of the per-cell operator norm of q."""
     if isinstance(kernel, ZeroKernel):
         return 0.0
@@ -246,9 +246,9 @@ def kernel_l1_bound(kernel: MemoryKernel, horizon: float | None = None) -> float
 # ---------------------------------------------------------------------------
 
 
-def _require_symmetric(arr: np.ndarray, what: str, tol: float = 1e-12) -> None:
+def _require_symmetric(arr: np.ndarray, what: str) -> None:
     asym = np.abs(arr - np.swapaxes(arr, -1, -2))
-    if asym.size and asym.max() > tol * max(1.0, float(np.abs(arr).max())):
+    if asym.size and asym.max() > 1e-12 * max(1.0, float(np.abs(arr).max())):
         entry = int(asym.max(axis=(-1, -2)).argmax())
         raise InvalidCoefficientError(f"{what} is not symmetric (worst block at flat index {entry})")
 
@@ -318,10 +318,6 @@ class CoefficientField:
             object.__setattr__(self, "c_q", qb)
         elif qb > self.c_q + 1e-12 * max(1.0, qb):
             raise InvalidCoefficientError(f"kernel L1 bound {qb:.6g} exceeds {self.c_q}")
-
-    def spatial(self, arr: np.ndarray) -> np.ndarray:
-        """View a per-cell array with its spatial axes unflattened."""
-        return arr.reshape(*self.grid.shape, *arr.shape[1:])
 
 
 def _hat_weights(half_width: int) -> np.ndarray:

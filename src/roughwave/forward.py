@@ -38,7 +38,6 @@ class Sampler:
     tag: str
     grid: Grid
     k: int
-    channels_per_receiver: int
 
     @property
     def n_channels(self) -> int:
@@ -152,8 +151,7 @@ def build_sampler(
                 for comp in range(k):
                     if m_rows[r, li, comp]:
                         mat[row, cell * k + comp] += w * m_rows[r, li, comp]
-    return Sampler(matrix=mat.tocsr(), receivers=receivers, tag=tag, grid=grid, k=k,
-                   channels_per_receiver=l)
+    return Sampler(matrix=mat.tocsr(), receivers=receivers, tag=tag, grid=grid, k=k)
 
 
 def apply_sampler(sampler: Sampler, u: np.ndarray) -> np.ndarray:

@@ -182,7 +182,6 @@ class SkewOperator:
 
     matrix: sp.csr_matrix
     p_matrices: tuple[np.ndarray, ...]
-    boundary: str
     grid: Grid
     k: int
 
@@ -239,7 +238,7 @@ def assemble_skew(
     else:
         raise InvalidArgumentError(f"unknown boundary {boundary!r}")
     total.sum_duplicates()
-    return SkewOperator(matrix=total, p_matrices=tuple(p_matrices), boundary=boundary, grid=grid, k=k)
+    return SkewOperator(matrix=total, p_matrices=tuple(p_matrices), grid=grid, k=k)
 
 
 def export_coo(skew: SkewOperator, path) -> None:
@@ -575,16 +574,15 @@ def assemble_system(
     return DiscreteSystem(mass=mass, skew=skew, b_blocks=b, memory=memory, grid=f.grid, k=f.k)
 
 
-def unit_directions(dim: int, n_directions: int | None = None) -> np.ndarray:
+def unit_directions(dim: int) -> np.ndarray:
     """Sampled unit directions: all of them in 1D, a 1-degree half-circle
     sweep in 2D, a 2048-point Fibonacci sphere in 3D (one row each)."""
     if dim == 1:
         return np.array([[1.0]])
     if dim == 2:
-        n = 360 if n_directions is None else n_directions
-        th = np.linspace(0.0, np.pi, n, endpoint=False)
+        th = np.linspace(0.0, np.pi, 360, endpoint=False)
         return np.stack([np.cos(th), np.sin(th)], axis=1)
-    n = 2048 if n_directions is None else n_directions
+    n = 2048
     i = np.arange(n)
     z = 1 - 2 * (i + 0.5) / n
     r = np.sqrt(1 - z**2)
@@ -592,13 +590,13 @@ def unit_directions(dim: int, n_directions: int | None = None) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def max_symbol_speed(system: DiscreteSystem, n_directions: int | None = None) -> float:
+def max_symbol_speed(system: DiscreteSystem) -> float:
     """Largest characteristic speed of the symbol over cells and directions.
 
     Solves the generalized eigenproblem of p(xi) against the per-cell mass
     block on the sampled ``unit_directions``.
     """
-    dirs = unit_directions(system.grid.dim, n_directions)
+    dirs = unit_directions(system.grid.dim)
     vals, vecs = np.linalg.eigh(system.mass.blocks)
     inv_sqrt = np.einsum("cik,ck,cjk->cij", vecs, 1.0 / np.sqrt(vals), vecs)
     speed = 0.0

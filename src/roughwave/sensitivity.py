@@ -34,7 +34,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedConfigurationError,
 )
-from .evolution import IntegratorConfig, Trajectory, solve_causal
+from .evolution import Trajectory, solve_causal
 from .fields import PronyKernel, SourceTerm, write_field_array
 from .forward import (
     Sampler,
@@ -86,12 +86,6 @@ class CoefficientPerturbation:
             for j, w in enumerate(self.delta_weights):
                 if w.shape != (n, k, k):
                     raise InvalidArgumentError(f"delta weight {j} must have shape {(n, k, k)}")
-
-    def is_zero(self) -> bool:
-        parts = [self.delta_a, self.delta_b]
-        if self.delta_weights:
-            parts.extend(self.delta_weights)
-        return all(p is None or not np.abs(p).max() for p in parts)
 
 
 @dataclass
@@ -244,9 +238,9 @@ def objective(
     source: SourceTerm,
     sampler: Sampler,
     observed: SeismogramData,
-    config: IntegratorConfig | None = None,
 ) -> float:
-    return objective_from_data(forward_map(system, source, sampler, config), observed)
+    """J of the implicit-midpoint prediction, the scheme the adjoint transposes."""
+    return objective_from_data(forward_map(system, source, sampler), observed)
 
 
 def adjoint_solve(
@@ -284,8 +278,7 @@ def adjoint_solve(
         lam = ops.lu.solve(rhs, trans="T")
         w[m - 1] = lam
         mu = mu_new
-    return Trajectory(grid=grid, times=residual.times.copy(), states=w, mass=system.mass,
-                      scheme="implicit_midpoint", source=None)
+    return Trajectory(grid=grid, times=residual.times.copy(), states=w, mass=system.mass)
 
 
 def assemble_gradient(
@@ -325,15 +318,11 @@ def misfit_gradient(
     sampler: Sampler,
     observed: SeismogramData,
     dot_test_rng: np.random.Generator | None = None,
-    fd_bumps: int = 0,
-    fd_rng: np.random.Generator | None = None,
 ) -> GradientReport:
     """Full gradient workflow: forward solve, residual, adjoint, contraction.
 
-    Optional diagnostics: a randomized dot-product self-test and a table of
-    central finite differences of J along random single-cell bumps (the FD
-    step chosen by a three-point sweep).  Every solve uses implicit midpoint,
-    whose exact transpose the adjoint is.
+    With ``dot_test_rng`` it also runs the randomized dot-product self-test.
+    Every solve uses implicit midpoint, whose exact transpose the adjoint is.
     """
     traj = solve_causal(system, source)
     predicted = sample_trajectory(sampler, traj)
@@ -353,11 +342,6 @@ def misfit_gradient(
     if dot_test_rng is not None:
         rel = dot_product_test(system, traj, sampler, rng=dot_test_rng)
         report.diagnostics["dot_product_residual"] = rel
-    if fd_bumps:
-        rng = fd_rng or np.random.default_rng(0)
-        report.diagnostics["fd_table"] = finite_difference_table(
-            system, source, sampler, observed, report, n_bumps=fd_bumps, rng=rng
-        )
     return report
 
 
@@ -366,18 +350,15 @@ def dot_product_test(
     base: Trajectory,
     sampler: Sampler,
     rng: np.random.Generator,
-    pert: CoefficientPerturbation | None = None,
-    data_series: np.ndarray | None = None,
 ) -> float:
     """Relative error of the discrete adjoint identity on one random instance.
 
-    Checks dt * sum_m <r_m, (S du)_m> against -<pert, g(w(r))>; with exact
+    Checks dt * sum_m <r_m, (S du)_m> against -<pert, g(w(r))> for a
+    ``random_perturbation`` and a standard-normal data series r; with exact
     transposition both sides agree to solver round-off.
     """
-    if pert is None:
-        pert = random_perturbation(system, rng)
-    if data_series is None:
-        data_series = rng.standard_normal((sampler.n_channels, base.times.size))
+    pert = random_perturbation(system, rng)
+    data_series = rng.standard_normal((sampler.n_channels, base.times.size))
     du = directional_derivative(system, base, pert)
     s_du = sampler.matrix @ du.states.T
     dt = system.grid.dt
@@ -394,7 +375,6 @@ def random_perturbation(
     system: DiscreteSystem,
     rng: np.random.Generator,
     scale: float = 0.1,
-    include_kernel: bool = True,
 ) -> CoefficientPerturbation:
     """Dense random symmetric da, random db, and Prony-weight bumps."""
     n, k = system.grid.n_cells, system.k
@@ -402,7 +382,7 @@ def random_perturbation(
     da = 0.5 * (da + np.swapaxes(da, 1, 2))
     db = rng.standard_normal((n, k, k)) * scale
     dw = None
-    if include_kernel and isinstance(system.memory.kernel, PronyKernel):
+    if isinstance(system.memory.kernel, PronyKernel):
         dws = []
         for _ in system.memory.kernel.taus:
             w = rng.standard_normal((n, k, k)) * scale
@@ -419,7 +399,6 @@ def finite_difference_table(
     report: GradientReport,
     n_bumps: int,
     rng: np.random.Generator,
-    steps: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
 ) -> list[dict]:
     """Central-difference checks of J along random single-cell bumps.
 
@@ -430,6 +409,7 @@ def finite_difference_table(
     of the J evaluations the row is marked ``below_noise`` with zero error.
     """
     n, k = system.grid.n_cells, system.k
+    steps = (1e-1, 1e-2, 1e-3)
     scale = float(np.abs(system.mass.blocks).max())
     j_base = report.objective if report.objective is not None else 1.0
     noise_floor = 64 * np.finfo(float).eps * abs(j_base) / (min(steps) * scale)
@@ -474,7 +454,6 @@ def finite_difference_table(
 class QuotientStudy:
     """Remainder table of the Newton quotient against the Gateaux derivative."""
 
-    h_values: tuple[float, ...]
     remainders: tuple[float, ...]
     flagged: tuple[bool, ...]
     slope: float
@@ -490,13 +469,11 @@ def quotient_study(
     pert: CoefficientPerturbation,
     source: SourceTerm,
     h_schedule,
-    bounds: tuple[float, float] | None = None,
 ) -> QuotientStudy:
     """Tabulate ||(u_h - u)/h - du|| over the h schedule.
 
     Rows where the perturbed coefficients leave the admissible set (lose
-    positive definiteness, or exit explicit ``bounds``) are flagged rather
-    than fatal.
+    positive definiteness) are flagged rather than fatal.
     """
     base = solve_causal(system, source)
     du = directional_derivative(system, base, pert)
@@ -506,9 +483,7 @@ def quotient_study(
     for h in h_schedule:
         try:
             pert_system = perturbed_system(system, pert, float(h))
-            eigs = np.linalg.eigvalsh(pert_system.mass.blocks)
-            lo, hi = (0.0, np.inf) if bounds is None else bounds
-            if eigs.min() <= lo or eigs.max() > hi:
+            if np.linalg.eigvalsh(pert_system.mass.blocks).min() <= 0.0:
                 raise InvalidArgumentError("perturbed mass exits the admissible set")
         except (InvalidArgumentError, np.linalg.LinAlgError):
             remainders.append(np.nan)
@@ -525,7 +500,6 @@ def quotient_study(
         rs = np.log([r for _, r in ok])
         slope = float(np.polyfit(hs, rs, 1)[0])
     return QuotientStudy(
-        h_values=tuple(float(h) for h in h_schedule),
         remainders=tuple(remainders),
         flagged=tuple(flagged),
         slope=slope,

@@ -156,7 +156,7 @@ def test_criterion_5_finite_speed():
         src = rw.make_ricker_source(g, 2, [src_x], peak_frequency=5.0)
         traj = rw.solve_causal(system, src)
         cone = cone_from_speed([src_x], 0.0, rw.max_wavespeed(model), margin=0.1)
-        return cone_leak(traj, cone, system)
+        return cone_leak(traj, cone)
 
     homog = leak(400, False, 0.5)
     homog_fine = leak(800, False, 0.5)

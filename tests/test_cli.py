@@ -389,6 +389,117 @@ class TestInputErrors:
             "output": str(tmp_path / "out"),
         }, "config.observed")
 
+    @staticmethod
+    def malformed(case):
+        payload = {
+            "command": "simulate",
+            "model": base_model(cells=20, t_end=0.01),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+        }
+        key, value = case
+        if key.startswith("model."):
+            payload["model"][key[len("model."):]] = value
+        elif key == "receivers":
+            payload.update(command="forward", sampler={"receivers": value})
+        elif key == "trace_regularity":
+            extra = dict(value)
+            payload["model"].update(extra.pop("model", {}))
+            payload.update(command="study", study={"kind": "trace_regularity"}, **extra)
+        else:
+            payload[key] = value
+        return payload
+
+    @pytest.mark.parametrize("case, where", [
+        (("source", 3), "config.source"),
+        (("sources", [3]), "config.sources"),
+        (("model.kernel", 3), "config.model.kernel"),
+        (("integrator", "rk4"), "config.integrator"),
+        (("seed", "abc"), "config.seed"),
+        (("leak_tolerance", "tiny"), "config.leak_tolerance"),
+        (("snapshot_every", "often"), "config.snapshot_every"),
+        (("jobs", "many"), "config.jobs"),
+        (("integrator", {"cfl_safety": "half"}), "config.integrator.cfl_safety"),
+        (("trace_regularity", {}), "config.study.receivers"),
+        (("model.boundary", "dirichlet"), "config.model.boundary"),
+        (("source", {"type": "ricker", "center": [0.5, 0.5], "frequency": 8.0}),
+         "config.source.center"),
+        (("receivers", [[0.5, 0.2]]), "config.sampler.receivers"),
+        (("model.kappa", -1), "config.model.kappa"),
+        (("trace_regularity", {"sampler": {"receivers": [[0.7]]},
+                               "model": {"kernel": {"type": "prony",
+                                                    "terms": [{"scale": 0.2, "tau": 0.1}]}}}),
+         "config.model.kernel"),
+        (("trace_regularity", {"sampler": {"receivers": [[0.7]]},
+                               "model": {"type": "viscoelastic", "lam": 1.2}}),
+         "config.model.type"),
+    ], ids=["source", "sources", "kernel", "integrator", "seed", "leak_tolerance",
+            "snapshot_every", "jobs", "cfl_safety", "trace_receivers", "boundary", "center",
+            "receivers", "kappa", "trace_kernel", "trace_viscoelastic"])
+    def test_malformed_entry_named(self, tmp_path, capsys, case, where):
+        self.expect_config_error(tmp_path, capsys, self.malformed(case), where)
+
+    def test_check_names_a_configured_sampler(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, {
+            "command": "check",
+            "model": base_model(cells=20, t_end=0.01),
+            "sampler": {"receivers": [[0.5, 0.2]]},
+        }, "config.sampler.receivers")
+
+
+class TestStudyMedium:
+    """`study` runs on the configured boundary and kernel."""
+
+    def study(self, tmp_path, name, kind, **model):
+        out = tmp_path / name
+        path = write_config(tmp_path, {
+            "command": "study",
+            "model": {**base_model(cells=64, t_end=0.2, dt=2e-3),
+                      "kappa": {"two_layer": {"left": 1.0, "right": 4.0, "interface": 0.6}},
+                      **model},
+            "source": {"type": "ricker", "center": [0.3], "frequency": 6.0},
+            "sampler": {"receivers": [[0.7]]},
+            "study": {"kind": kind, "schedule": [4, 8, 16], "smoothness": [2], "refinements": 1},
+            "output": str(out),
+        }, name=f"{name}.json")
+        main(["study", "--config", path])
+        cfg = parse_config(path)
+        return cfg, (out / f"study_{kind}.json").read_bytes()
+
+    def test_measure_convergence_on_configured_boundary_and_kernel(self, tmp_path):
+        from roughwave.experiments import measure_convergence_study
+
+        prony = {"type": "prony", "terms": [{"scale": 5.0, "tau": 0.05}]}
+        reports = []
+        for name, model in (("periodic", {}), ("free", {"boundary": "acoustic_free"}),
+                            ("prony", {"kernel": prony})):
+            cfg, report = self.study(tmp_path, name, "measure_convergence", **model)
+            medium, system = build_system(cfg)
+            expected = measure_convergence_study(
+                medium.coefficient_field(kernel=system.memory.kernel),
+                build_source(cfg.source, system), [4, 8, 16],
+                boundary=model.get("boundary", "periodic"))
+            expected.save(str(tmp_path / f"{name}_library"))
+            assert report == (tmp_path / f"{name}_library.json").read_bytes()
+            reports.append(report)
+        assert len(set(reports)) == 3
+
+    def test_trace_regularity_on_configured_boundary(self, tmp_path):
+        from roughwave.experiments import trace_regularity_probe
+        from roughwave.fields import make_burst_source
+
+        reports = []
+        for boundary in ("periodic", "acoustic_free"):
+            cfg, report = self.study(tmp_path, boundary, "trace_regularity", boundary=boundary)
+            medium, _ = build_system(cfg)
+            expected = trace_regularity_probe(
+                medium, [[0.7]],
+                lambda grid, s: make_burst_source(grid, 2, [0.5], frequency=4.0, smoothness=s),
+                smoothness_schedule=[2], refinements=1, boundary=boundary)
+            expected.save(str(tmp_path / f"{boundary}_library"))
+            assert report == (tmp_path / f"{boundary}_library.json").read_bytes()
+            reports.append(report)
+        assert reports[0] != reports[1]
+
 
 class TestSchemes:
     """gradient and check run the midpoint adjoint; every command names a bad scheme."""

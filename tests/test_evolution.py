@@ -104,6 +104,35 @@ class TestCausalSolve:
         assert res.max() <= 1e-12
 
 
+class TestTabulatedMidpoint:
+    @staticmethod
+    def gap_to_prony(cells, steps, t_end=0.3):
+        """Tabulated and Prony solves of the kernel 2 exp(-t / 0.1) I sampled at
+        the step times: their relative gap, then the tabulated system, solve
+        and source."""
+        dt = t_end / steps
+        g = rw.build_grid(1, [cells], 1.0, dt, t_end)
+        model = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6)
+        weight = np.tile(2.0 * np.eye(2), (cells, 1, 1))
+        times = dt * np.arange(steps + 2)
+        tabulated = rw.TabulatedKernel(
+            times=times, samples=np.exp(-times / 0.1)[:, None, None, None] * weight[None])
+        src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=6.0)
+        prony = rw.solve_causal(
+            rw.acoustics_system(model, kernel=PronyKernel(weights=(weight,), taus=(0.1,))), src)
+        system = rw.acoustics_system(model, kernel=tabulated)
+        traj = rw.solve_causal(system, src)
+        gap = np.abs(traj.states - prony.states).max() / np.abs(prony.states).max()
+        return gap, system, traj, src
+
+    def test_converges_to_prony_of_the_same_kernel(self):
+        coarse, system, traj, src = self.gap_to_prony(100, 150)
+        fine, *_ = self.gap_to_prony(200, 300)
+        assert coarse <= 1e-5
+        assert fine <= coarse / 3
+        assert step_residuals(traj, system, src).max() <= 1e-12
+
+
 class TestRK4:
     def test_matches_midpoint_on_smooth_run(self):
         g, system = homogeneous_acoustics(cells=100, dt=0.4 / 100, t_end=0.2)
@@ -112,6 +141,25 @@ class TestRK4:
         t_rk = rw.solve_causal(system, src, IntegratorConfig(scheme="rk4"))
         scale = np.abs(t_mid.states).max()
         assert np.abs(t_mid.states[-1] - t_rk.states[-1]).max() < 2e-3 * scale
+
+    def test_prony_memory_matches_midpoint(self):
+        gaps = []
+        for cells in (100, 200):
+            g, _ = homogeneous_acoustics(cells=cells, dt=0.4 / cells, t_end=0.2)
+            kernel = PronyKernel(weights=(np.tile(5.0 * np.eye(2), (cells, 1, 1)),
+                                          np.tile(10.0 * np.eye(2), (cells, 1, 1))),
+                                 taus=(0.1, 0.02))
+            system = rw.acoustics_system(rw.AcousticModel(grid=g, kappa=1.0, rho=1.0),
+                                         kernel=kernel)
+            src = rw.make_ricker_source(g, 2, [0.5], peak_frequency=5.0)
+            t_mid = rw.solve_causal(system, src)
+            t_rk = rw.solve_causal(system, src, IntegratorConfig(scheme="rk4"))
+            scale = np.abs(t_mid.states).max()
+            gaps.append(np.abs(t_mid.states[-1] - t_rk.states[-1]).max() / scale)
+        # halving the memory moves the state by 1e-3 of its scale, so a wrong
+        # stage recursion would not shrink the gap on refinement
+        assert gaps[0] < 2e-3
+        assert gaps[1] <= gaps[0] / 3
 
     def test_cfl_violation_raises_with_suggestion(self):
         g, system = homogeneous_acoustics(cells=100, dt=8e-3, t_end=0.1)
@@ -227,7 +275,7 @@ class TestEnergiesOnRead:
     def test_smoothed_energies_use_the_system_mass(self, energy_calls):
         g, system = homogeneous_acoustics(cells=40, dt=2e-3, t_end=0.05)
         src = rw.make_ricker_source(g, 2, [0.5], peak_frequency=8.0)
-        out = smooth_trajectory(rw.solve_causal(system, src), 3, system)
+        out = smooth_trajectory(rw.solve_causal(system, src), 3)
         assert energy_calls == []
         assert np.array_equal(out.energies, [energy(system.mass, u) for u in out.states])
 
@@ -237,7 +285,7 @@ class TestSmoothing:
         g, system = homogeneous_acoustics(cells=40, t_end=0.1)
         src = rw.make_ricker_source(g, 2, [0.5], peak_frequency=8.0)
         traj = rw.solve_causal(system, src)
-        out = smooth_trajectory(traj, 1, system)
+        out = smooth_trajectory(traj, 1)
         np.testing.assert_array_equal(out.states, traj.states)
 
     def test_constant_tail_unchanged_on_interior(self):
@@ -246,8 +294,8 @@ class TestSmoothing:
         states = traj.states.copy()
         states[:] = 1.5
         frozen = rw.Trajectory(grid=traj.grid, times=traj.times, states=states,
-                               mass=system.mass, scheme=traj.scheme)
-        out = smooth_trajectory(frozen, 4, system)
+                               mass=system.mass)
+        out = smooth_trajectory(frozen, 4)
         np.testing.assert_allclose(out.states[5:-5], 1.5, rtol=1e-14)
 
     def test_graph_norm_bounded_under_refinement(self):
@@ -260,7 +308,7 @@ class TestSmoothing:
             system = rw.acoustics_system(rw.AcousticModel(grid=g, kappa=1.0, rho=1.0))
             src = rw.make_ricker_source(g, 2, [0.5], peak_frequency=6.0)
             traj = rw.solve_causal(system, src)
-            smoothed = smooth_trajectory(traj, max(2, int(window_time / dt)), system)
+            smoothed = smooth_trajectory(traj, max(2, int(window_time / dt)))
             maxima.append(graph_norm_series(smoothed, system).max())
         assert maxima[1] <= 1.3 * maxima[0]
 

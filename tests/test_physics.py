@@ -18,7 +18,9 @@ from roughwave.physics import (
     strain_projector,
     ve_kernel_split,
 )
+from roughwave.evolution import step_residuals
 from roughwave.experiments import fit_slope
+from roughwave.sensitivity import dot_product_test
 
 
 class TestAcoustics:
@@ -210,6 +212,28 @@ class TestViscoelastic:
         traj = rw.solve_ivp(system, u0)
         drift = np.abs(traj.energies - traj.energies[0]).max() / traj.energies[0]
         assert drift <= 1e-11
+
+    def test_two_term_prony_steps_and_adjoint(self):
+        # b and the Prony memory both act on the embedded stress block
+        m = kelvin_dim(2)
+        g = rw.build_grid(2, [12, 12], 1.0, 2e-3, 0.06)
+        ge = np.tile(isotropic_inverse_hooke(2.0, 1.0, 2), (g.n_cells, 1, 1))
+        kern = PronyKernel(weights=(np.tile(0.3 * np.eye(m), (g.n_cells, 1, 1)),
+                                    np.tile(0.1 * np.eye(m), (g.n_cells, 1, 1))),
+                           taus=(0.5, 0.05))
+        system = rw.viscoelastic_system(
+            ViscoelasticModel(grid=g, rho=1.25, gamma_elastic=ge, gamma_kernel=kern))
+        assert system.b_blocks is not None and system.memory.kernel.n_terms == 2
+        src = rw.make_ricker_source(g, system.k, [0.5, 0.5], peak_frequency=10.0, component=m)
+        traj = rw.solve_causal(system, src)
+        res = step_residuals(traj, system, src).max()
+        assert res <= 1e-12 * np.abs(traj.states).max()
+        velocity = np.zeros((2, system.k))
+        velocity[0, m] = velocity[1, m + 1] = 1.0
+        with pytest.warns(UserWarning, match="custom sampler"):
+            sampler = build_sampler([[0.7, 0.5], [0.3, 0.6]], "custom", g, system.k,
+                                    weights=velocity)
+        assert dot_product_test(system, traj, sampler, np.random.default_rng(0)) <= 1e-12
 
     def test_ellipticity_violation_rejected(self):
         g = rw.build_grid(2, [4, 4], 1.0, 1e-3, 0.01)

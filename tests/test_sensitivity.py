@@ -163,10 +163,8 @@ class TestGradient:
         u[1, 0] = 0.3  # (u1 - u0)/dt = 3 in cell 0, component 0
         w = np.zeros((2, system.n_state))
         w[0, 0] = 2.0
-        base = rw.Trajectory(grid=g, times=times, states=u, mass=system.mass,
-                             scheme="implicit_midpoint")
-        adj = rw.Trajectory(grid=g, times=times, states=w, mass=system.mass,
-                            scheme="implicit_midpoint")
+        base = rw.Trajectory(grid=g, times=times, states=u, mass=system.mass)
+        adj = rw.Trajectory(grid=g, times=times, states=w, mass=system.mass)
         report = rw.assemble_gradient(base, adj, system)
         assert report.g_a[0, 0, 0] == pytest.approx(0.6)
 
