@@ -30,7 +30,6 @@ from .fields import (
 from .operators import (
     DiscreteSystem,
     MassOperator,
-    MemoryOperator,
     SkewOperator,
     acoustic_p_matrices,
     apply_memory,

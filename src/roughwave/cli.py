@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import experiments, fields, forward, physics, sensitivity
-from .errors import ConfigError, RoughwaveError
+from .errors import ConfigError, InvalidArgumentError, RoughwaveError
 from .evolution import (
     IMPLICIT_MIDPOINT,
     RK4,
@@ -27,7 +27,7 @@ from .evolution import (
     export_snapshots,
     solve_causal,
 )
-from .fields import PronyKernel, SourceTerm, build_grid
+from .fields import PronyKernel, SourceTerm, ZeroKernel, build_grid
 from .operators import DiscreteSystem
 
 COMMANDS = ("simulate", "forward", "gradient", "check", "study")
@@ -67,6 +67,19 @@ def _need(cfg: dict, key: str, kind, where: str):
 def _optional(cfg: dict, key: str, kind, default, where: str = "config"):
     """``cfg[key]`` checked like ``_need``; ``default`` when absent or null."""
     return default if cfg.get(key) is None else _need(cfg, key, kind, where)
+
+
+def _is_point(value, dim: int) -> bool:
+    return (isinstance(value, list) and len(value) == dim
+            and all(isinstance(x, (int, float)) for x in value))
+
+
+def _per_axis(cfg: dict, key: str, default, dim: int, where: str):
+    """``cfg[key]``: one number for every axis, or a list of one per axis."""
+    value = _optional(cfg, key, (int, float, list), default, where)
+    if isinstance(value, list) and not _is_point(value, dim):
+        raise ConfigError(f"expected a number or a list of {dim} numbers", field=f"{where}.{key}")
+    return value
 
 
 def parse_config(path: str) -> RunConfig:
@@ -129,7 +142,7 @@ def parse_config(path: str) -> RunConfig:
         integrator=integrator,
         observed=observed,
         study=raw.get("study"),
-        output=raw.get("output", "out"),
+        output=_optional(raw, "output", str, "out"),
         seed=_optional(raw, "seed", int, 0),
         leak_tolerance=_optional(raw, "leak_tolerance", float, 1e-6),
         snapshot_every=_optional(raw, "snapshot_every", int, 10),
@@ -143,13 +156,15 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _build_grid(spec: dict) -> fields.Grid:
+    where = "config.model.grid"
+    dim = _need(spec, "dim", int, where)
     return build_grid(
-        dim=_need(spec, "dim", int, "config.model.grid"),
-        cells_per_axis=_need(spec, "cells", list, "config.model.grid"),
-        extent=spec.get("extent", 1.0),
-        dt=_need(spec, "dt", (int, float), "config.model.grid"),
-        t_end=_need(spec, "t_end", (int, float), "config.model.grid"),
-        origin=spec.get("origin", 0.0),
+        dim=dim,
+        cells_per_axis=_need(spec, "cells", list, where),
+        extent=_per_axis(spec, "extent", 1.0, dim, where),
+        dt=_need(spec, "dt", (int, float), where),
+        t_end=_need(spec, "t_end", (int, float), where),
+        origin=_per_axis(spec, "origin", 0.0, dim, where),
     )
 
 
@@ -161,9 +176,11 @@ def _per_cell(spec, grid: fields.Grid, what: str) -> np.ndarray:
         if arr.size != grid.n_cells:
             raise ConfigError(f"array length {arr.size} != cell count {grid.n_cells}", field=what)
     elif isinstance(spec, dict) and "two_layer" in spec:
-        tl = spec["two_layer"]
-        coord = grid.centers()[:, int(tl.get("axis", 0))]
-        arr = np.where(coord >= float(tl.get("interface", 0.5)),
+        tl = _need(spec, "two_layer", dict, what)
+        axis = _optional(tl, "axis", int, 0, what)
+        if not 0 <= axis < grid.dim:
+            raise ConfigError(f"expected an axis in 0..{grid.dim - 1}, got {axis}", field=f"{what}.axis")
+        arr = np.where(grid.centers()[:, axis] >= _optional(tl, "interface", float, 0.5, what),
                        float(_need(tl, "right", (int, float), what)),
                        float(_need(tl, "left", (int, float), what)))
     else:
@@ -209,7 +226,7 @@ def build_model(spec: dict):
             rho=_per_cell(_need(spec, "rho", object, "config.model"), grid, "config.model.rho"),
         )
     lam = float(_need(spec, "lam", (int, float), "config.model"))
-    mu = float(spec.get("mu", 0.0))
+    mu = _optional(spec, "mu", float, 0.0, "config.model")
     gamma_e = np.tile(physics.isotropic_inverse_hooke(lam, mu, grid.dim), (grid.n_cells, 1, 1))
     return physics.ViscoelasticModel(
         grid=grid, rho=_per_cell(spec.get("rho", 1.0), grid, "config.model.rho"),
@@ -245,22 +262,24 @@ def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
     if len(center) != grid.dim:
         raise ConfigError(f"expected {grid.dim} coordinate(s), got {len(center)}",
                           field="config.source.center")
+    component = _optional(spec, "component", int, 0, "config.source")
+    if not 0 <= component < k:
+        raise ConfigError(f"expected 0..{k - 1}, got {component}", field="config.source.component")
     common = dict(
-        grid=grid, k=k, center=center,
-        onset=float(spec.get("onset", 0.0)),
-        amplitude=float(spec.get("amplitude", 1.0)),
-        component=int(spec.get("component", 0)),
-        footprint_width=spec.get("footprint_width"),
+        grid=grid, k=k, center=center, component=component,
+        onset=_optional(spec, "onset", float, 0.0, "config.source"),
+        amplitude=_optional(spec, "amplitude", float, 1.0, "config.source"),
+        footprint_width=_optional(spec, "footprint_width", float, None, "config.source"),
     )
     if kind == "ricker":
         return fields.make_ricker_source(
-            peak_frequency=float(_need(spec, "frequency", (int, float), "config.source")),
-            delay=spec.get("delay"), **common,
+            peak_frequency=_need(spec, "frequency", float, "config.source"),
+            delay=_optional(spec, "delay", float, None, "config.source"), **common,
         )
     if kind == "burst":
         return fields.make_burst_source(
-            frequency=float(_need(spec, "frequency", (int, float), "config.source")),
-            smoothness=int(spec.get("smoothness", 2)), **common,
+            frequency=_need(spec, "frequency", float, "config.source"),
+            smoothness=_optional(spec, "smoothness", int, 2, "config.source"), **common,
         )
     raise ConfigError("source type must be 'ricker' or 'burst'", field="config.source.type")
 
@@ -268,21 +287,33 @@ def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
 def _receivers(spec: dict, grid: fields.Grid, where: str) -> list:
     """``spec["receivers"]``, a list of points of ``grid.dim`` numbers each."""
     receivers = _need(spec, "receivers", list, where)
-    if not receivers or not all(isinstance(r, list) and len(r) == grid.dim and all(
-            isinstance(x, (int, float)) for x in r) for r in receivers):
+    if not receivers or not all(_is_point(r, grid.dim) for r in receivers):
         raise ConfigError(f"expected a list of points of {grid.dim} coordinate(s) each",
                           field=f"{where}.receivers")
     return receivers
 
 
 def build_sampler_from_spec(spec: dict, system: DiscreteSystem) -> forward.Sampler:
-    return forward.build_sampler(
-        receivers=_receivers(spec, system.grid, "config.sampler"),
-        tag=spec.get("tag", "pressure"),
-        grid=system.grid,
-        k=system.k,
-        normal=spec.get("normal"),
-    )
+    """The sampler of ``config.sampler``: pressure, or velocity along one or per-receiver normals."""
+    grid = system.grid
+    receivers = _receivers(spec, grid, "config.sampler")
+    tag = _optional(spec, "tag", str, forward.PRESSURE, "config.sampler")
+    if tag not in (forward.PRESSURE, forward.NORMAL_VELOCITY):
+        raise ConfigError(f"expected 'pressure' or 'normal_velocity', got {tag!r}",
+                          field="config.sampler.tag")
+    if system.k != grid.dim + 1:
+        raise ConfigError(f"sampler tags read the acoustic state of width {grid.dim + 1}; "
+                          f"this model's state has width {system.k}", field="config.model.type")
+    normal = _optional(spec, "normal", list, None, "config.sampler")
+    normals = normal if normal and isinstance(normal[0], list) else [normal]
+    if tag == forward.NORMAL_VELOCITY and not (len(normals) in (1, len(receivers)) and all(
+            _is_point(n, grid.dim) and any(n) for n in normals)):
+        raise ConfigError(f"'normal_velocity' needs a nonzero normal of {grid.dim} number(s), "
+                          "or one per receiver", field="config.sampler.normal")
+    try:
+        return forward.build_sampler(receivers, tag, grid, system.k, normal=normal)
+    except InvalidArgumentError as exc:  # a receiver outside the domain
+        raise ConfigError(str(exc), field="config.sampler.receivers") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -354,40 +385,55 @@ def _cmd_gradient(cfg: RunConfig) -> int:
     return 0 if worst_dot < 1e-8 else 3
 
 
+def _increasing(study: dict, key: str, default: list, min_len: int) -> list:
+    """``config.study[key]``: at least ``min_len`` strictly increasing integers >= 1."""
+    values = _optional(study, key, list, default, "config.study")
+    if len(values) < min_len or not all(isinstance(v, int) and v >= 1 for v in values) or any(
+            b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"expected at least {min_len} strictly increasing integers >= 1",
+                          field=f"config.study.{key}")
+    return values
+
+
 def _cmd_study(cfg: RunConfig) -> int:
     model, system = build_system(cfg)
     kind = cfg.study["kind"]
     if not isinstance(model, physics.AcousticModel):
         raise ConfigError("studies need an acoustic model", field="config.model.type")
-    os.makedirs(cfg.output, exist_ok=True)
+    dim = model.grid.dim
     if kind == "measure_convergence":
         if cfg.source is None and not cfg.sources:
             raise ConfigError("required field is missing", field="config.source")
         source = build_source(cfg.source or cfg.sources[0], system)
+        schedule = _increasing(cfg.study, "schedule", [4, 8, 16, 32], 3)
+        os.makedirs(cfg.output, exist_ok=True)
         report = experiments.measure_convergence_study(
-            model.coefficient_field(kernel=system.memory.kernel), source,
-            cfg.study.get("schedule", [4, 8, 16, 32]), cfg.integrator,
+            model.coefficient_field(kernel=system.kernel), source, schedule, cfg.integrator,
             boundary=_boundary(cfg, model),
         )
     elif kind == "trace_regularity":
-        if not system.memory.is_zero:
+        if not isinstance(system.kernel, ZeroKernel):
             raise ConfigError("trace_regularity studies need a memory-free medium",
                               field="config.model.kernel")
         from_study = cfg.study.get("receivers") or not cfg.sampler
         spec, where = (cfg.study, "config.study") if from_study else (cfg.sampler, "config.sampler")
         receivers = _receivers(spec, model.grid, where)
-        center = cfg.study.get("center", [0.5] * model.grid.dim)
-        freq = float(cfg.study.get("frequency", 4.0))
+        center = _optional(cfg.study, "center", list, [0.5] * dim, "config.study")
+        if not _is_point(center, dim):
+            raise ConfigError(f"expected {dim} coordinate(s)", field="config.study.center")
+        freq = _optional(cfg.study, "frequency", float, 4.0, "config.study")
+        smoothness = _increasing(cfg.study, "smoothness", [1, 2, 3], 1)
+        refinements = _optional(cfg.study, "refinements", int, 2, "config.study")
+        if refinements < 1:
+            raise ConfigError("expected an integer >= 1", field="config.study.refinements")
 
         def factory(grid, s):
             return fields.make_burst_source(grid, model.k, center, frequency=freq, smoothness=s)
 
+        os.makedirs(cfg.output, exist_ok=True)
         report = experiments.trace_regularity_probe(
-            model, receivers, factory,
-            smoothness_schedule=cfg.study.get("smoothness", [1, 2, 3]),
-            refinements=int(cfg.study.get("refinements", 2)),
-            boundary=_boundary(cfg, model),
-            config=cfg.integrator,
+            model, receivers, factory, smoothness_schedule=smoothness, refinements=refinements,
+            boundary=_boundary(cfg, model), config=cfg.integrator,
         )
     else:
         raise ConfigError("study kind must be 'measure_convergence' or 'trace_regularity'",
@@ -418,6 +464,8 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(cfg.seed)
     model, system = build_system(cfg)
     grid, k = system.grid, system.k
+    center = [grid.origin[a] + 0.5 * grid.extent[a] for a in range(grid.dim)]
+    sampler = build_sampler_from_spec(cfg.sampler or {"receivers": [center]}, system)
     results: list[tuple[str, bool, str]] = []
 
     def record(name: str, ok: bool, detail: str):
@@ -457,7 +505,6 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                f"d(f,g;2e)={d13:.4g} <= {d12 + d23:.4g}")
 
     # evolution: causality, determinism, conservation, identity residual
-    center = [grid.origin[a] + 0.5 * grid.extent[a] for a in range(grid.dim)]
     duration = grid.dt * grid.n_steps
     peak_frequency = max(4.0 / max(grid.extent), 3.0 / duration)
     src = make_ricker_source(grid, k, center, peak_frequency=peak_frequency,
@@ -480,55 +527,46 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     record("energy_identity", eres <= 2e-2 * scale, f"max residual {eres:.2e} vs energy {scale:.2e}")
 
     # forward: sampler adjoint identity and forward linearity
-    receivers = [center]
-    try:
-        sampler = (build_sampler_from_spec(cfg.sampler, system) if cfg.sampler
-                   else forward.build_sampler(receivers, "pressure", grid, k))
-    except ConfigError:
-        raise
-    except RoughwaveError:
-        sampler = None
-    if sampler is not None:
-        u = rng.standard_normal(system.n_state)
-        r = rng.standard_normal(sampler.n_channels)
-        lhs = float(sampler.matrix @ u @ r)
-        rhs = float(u @ (sampler.matrix.T @ r))
-        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        record("sampler_adjoint_identity", rel <= 1e-12, f"relative gap = {rel:.1e}")
+    u = rng.standard_normal(system.n_state)
+    r = rng.standard_normal(sampler.n_channels)
+    lhs = float(sampler.matrix @ u @ r)
+    rhs = float(u @ (sampler.matrix.T @ r))
+    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    record("sampler_adjoint_identity", rel <= 1e-12, f"relative gap = {rel:.1e}")
 
-        seis1 = forward.sample_trajectory(sampler, traj)
-        src3 = dc_replace(src, footprint=3.0 * src.footprint)
-        seis3 = forward.sample_trajectory(sampler, solve_causal(system, src3, cfg.integrator))
-        lin = float(np.abs(seis3.data - 3.0 * seis1.data).max())
-        record("forward_linearity", lin <= 1e-10 * max(1.0, float(np.abs(seis3.data).max())),
-               f"|F(3f) - 3F(f)| = {lin:.1e}")
+    seis1 = forward.sample_trajectory(sampler, traj)
+    src3 = dc_replace(src, footprint=3.0 * src.footprint)
+    seis3 = forward.sample_trajectory(sampler, solve_causal(system, src3, cfg.integrator))
+    lin = float(np.abs(seis3.data - 3.0 * seis1.data).max())
+    record("forward_linearity", lin <= 1e-10 * max(1.0, float(np.abs(seis3.data).max())),
+           f"|F(3f) - 3F(f)| = {lin:.1e}")
 
-        # sensitivity: linearity, dot product, gradient symmetry
-        if system.memory.is_zero or isinstance(system.memory.kernel, PronyKernel):
-            pert = sensitivity.random_perturbation(system, rng)
-            du1 = sensitivity.directional_derivative(system, traj, pert)
-            pert2 = sensitivity.CoefficientPerturbation(
-                delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
-                delta_weights=None if pert.delta_weights is None
-                else tuple(2 * w for w in pert.delta_weights),
-            )
-            du2 = sensitivity.directional_derivative(system, traj, pert2)
-            lin = float(np.abs(du2.states - 2 * du1.states).max())
-            record("derivative_linearity", lin <= 1e-10 * max(1.0, float(np.abs(du2.states).max())),
-                   f"|du(2m) - 2 du(m)| = {lin:.1e}")
+    # sensitivity: linearity, dot product, gradient symmetry
+    if isinstance(system.kernel, (ZeroKernel, PronyKernel)):
+        pert = sensitivity.random_perturbation(system, rng)
+        du1 = sensitivity.directional_derivative(system, traj, pert)
+        pert2 = sensitivity.CoefficientPerturbation(
+            delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
+            delta_weights=None if pert.delta_weights is None
+            else tuple(2 * w for w in pert.delta_weights),
+        )
+        du2 = sensitivity.directional_derivative(system, traj, pert2)
+        lin = float(np.abs(du2.states - 2 * du1.states).max())
+        record("derivative_linearity", lin <= 1e-10 * max(1.0, float(np.abs(du2.states).max())),
+               f"|du(2m) - 2 du(m)| = {lin:.1e}")
 
-            rel = sensitivity.dot_product_test(system, traj, sampler, rng)
-            record("adjoint_dot_product", rel <= 1e-8, f"relative error = {rel:.2e}")
+        rel = sensitivity.dot_product_test(system, traj, sampler, rng)
+        record("adjoint_dot_product", rel <= 1e-8, f"relative error = {rel:.2e}")
 
-            obs = forward.sample_trajectory(sampler, traj)
-            report = sensitivity.misfit_gradient(system, src, sampler, obs)
-            sym = float(np.abs(report.g_a - np.swapaxes(report.g_a, 1, 2)).max())
-            zero = float(np.abs(report.g_a).max() + np.abs(report.g_b).max()
-                         + sum(np.abs(g).max() for g in report.g_q))
-            record("gradient_symmetry", sym == 0.0, f"asymmetry = {sym:.1e}")
-            record("zero_residual_zero_gradient",
-                   report.objective == 0.0 and zero == 0.0,
-                   f"J = {report.objective:.1e}, |g| = {zero:.1e}")
+        obs = forward.sample_trajectory(sampler, traj)
+        report = sensitivity.misfit_gradient(system, src, sampler, obs)
+        sym = float(np.abs(report.g_a - np.swapaxes(report.g_a, 1, 2)).max())
+        zero = float(np.abs(report.g_a).max() + np.abs(report.g_b).max()
+                     + sum(np.abs(g).max() for g in report.g_q))
+        record("gradient_symmetry", sym == 0.0, f"asymmetry = {sym:.1e}")
+        record("zero_residual_zero_gradient",
+               report.objective == 0.0 and zero == 0.0,
+               f"J = {report.objective:.1e}, |g| = {zero:.1e}")
 
     # experiments: two-sided cone check (the intruding cone is anchored at the
     # emission peak so the pulse delay cannot mask the overlap); the sampled

@@ -32,11 +32,12 @@ from .errors import (
     StabilityError,
     UnsupportedConfigurationError,
 )
-from .fields import Grid, PronyKernel, SourceTerm, TabulatedKernel, write_field_array
+from .fields import Grid, PronyKernel, SourceTerm, TabulatedKernel, ZeroKernel, write_field_array
 from .operators import (
     DiscreteSystem,
     MassOperator,
     StepOperators,  # noqa: F401  (re-exported: callers import it from here)
+    block_diagonal,
     energy,
     max_symbol_speed,
     memory_series,
@@ -135,7 +136,8 @@ def _rk4_solve(
 ) -> Trajectory:
     grid = system.grid
     dt, n_steps = grid.dt, grid.n_steps
-    if isinstance(system.memory.kernel, TabulatedKernel):
+    kern = system.kernel
+    if isinstance(kern, TabulatedKernel):
         raise UnsupportedConfigurationError(
             "tabulated memory kernels require the implicit midpoint integrator"
         )
@@ -148,15 +150,14 @@ def _rk4_solve(
                 f"{speed:.6g}); got dt = {dt:.6g}",
                 suggested_dt=dt_max,
             )
-    kern = system.memory.kernel
-    prony = isinstance(kern, PronyKernel)
-    weight_mats = system.memory.weight_matrices() if prony else []
+    taus = kern.taus if isinstance(kern, PronyKernel) else ()
+    weight_mats = [block_diagonal(w) for w in kern.weights] if taus else []
     _check_forcing(forcing, n_steps, system.n_state)
     times = grid.times(t_start)
     states = np.zeros((n_steps + 1, system.n_state))
     u = u0.copy()
     states[0] = u
-    aux = [np.zeros(system.n_state) for _ in (kern.taus if prony else ())]
+    aux = [np.zeros(system.n_state) for _ in taus]
     k_mat = system.skew.matrix
     b_mat = system.b_matrix()
 
@@ -167,10 +168,9 @@ def _rk4_solve(
         rhs = rhs - k_mat @ v
         if b_mat is not None:
             rhs = rhs - b_mat @ v
-        if prony:
-            s_now = aux if offset == 0 else prony_advance(aux, u_base, v, offset, kern.taus)
-            for wm, s in zip(weight_mats, s_now):
-                rhs = rhs - wm @ s
+        s_now = aux if offset == 0 else prony_advance(aux, u_base, v, offset, taus)
+        for wm, s in zip(weight_mats, s_now):
+            rhs = rhs - wm @ s
         return system.mass.solve(rhs)
 
     for n in range(n_steps):
@@ -183,8 +183,7 @@ def _rk4_solve(
         u_next = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"RK4 produced non-finite state at step {n}")
-        if prony:
-            aux = prony_advance(aux, u, u_next, dt, kern.taus)
+        aux = prony_advance(aux, u, u_next, dt, taus)
         u = u_next
         states[n + 1] = u
     return Trajectory(grid=grid, times=times, states=states, mass=system.mass, source=source)
@@ -227,7 +226,7 @@ def solve_ivp(
     data do not determine solutions.
     """
     config = config or IntegratorConfig()
-    if not system.memory.is_zero:
+    if not isinstance(system.kernel, ZeroKernel):
         raise UnsupportedConfigurationError(
             "initial-value solves require a zero memory kernel; with memory, "
             "initial data do not determine the solution"
@@ -270,7 +269,7 @@ def energy_identity_residual(
     vol = system.grid.cell_volume
     dt = system.grid.dt
     states = traj.states
-    mem = memory_series(system.memory, states, dt)
+    mem = memory_series(system.kernel, states, dt)
     g = np.zeros(traj.times.size)
     for n in range(traj.times.size):
         rhs = -system.apply_b(states[n]) - mem[n] + _source_at(source, traj.times[n], system.n_state)
@@ -300,7 +299,7 @@ def step_residuals(
         u, un = states[n], states[n + 1]
         ubar = 0.5 * (u + un)
         r = system.mass.apply((un - u) / dt) + system.skew.apply(ubar) + system.apply_b(ubar)
-        r += ops.half_step_memory(aux, u, un, history=states, step=n)
+        r += ops.half_step_memory(aux, u, un, states, n)
         r -= _source_at(source, traj.times[n] + 0.5 * dt, system.n_state)
         if forcing is not None:
             r -= forcing[n]

@@ -1,4 +1,4 @@
-"""Discrete mass, spatial, lower-order, and memory operators.
+"""Mass, spatial and memory terms of the discrete system, and its midpoint step.
 
 The spatial operator uses centered differences.  With periodic wrap the
 difference matrix along each axis is an antisymmetric circulant; with the
@@ -8,14 +8,15 @@ one-sided difference matrices exact negative transposes of each other.
 Either way the assembled operator satisfies <Pu, v> = -<u, Pv> to the
 last bit, which is what the discrete energy argument needs.
 
-Memory operators come in two flavors: Prony sums of decaying exponentials
-with an O(1)-per-step recursion that is exact for piecewise-linear input,
-and tabulated kernels integrated by the trapezoid rule (the brute-force
-oracle path).
+A system holds b and the memory kernel q as per-cell blocks, whose product
+with states is ``block_apply``.  Prony kernels convolve by an O(1)-per-step
+recursion that is exact for piecewise-linear input, tabulated kernels by
+the trapezoid rule (the brute-force oracle path).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -50,6 +51,12 @@ def block_diagonal(blocks: np.ndarray) -> sp.bsr_matrix:
     )
 
 
+def block_apply(blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-cell products of (n_cells, k, k) blocks with states of shape (..., n_cells * k)."""
+    n, k, _ = blocks.shape
+    return np.einsum("cij,scj->sci", blocks, u.reshape(-1, n, k)).reshape(u.shape)
+
+
 # ---------------------------------------------------------------------------
 # mass operator
 # ---------------------------------------------------------------------------
@@ -76,12 +83,10 @@ class MassOperator:
         return self.grid.state_size(self.k)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        v = u.reshape(-1, self.grid.n_cells, self.k)
-        return np.einsum("cij,scj->sci", self.blocks, v).reshape(u.shape)
+        return block_apply(self.blocks, u)
 
     def solve(self, u: np.ndarray) -> np.ndarray:
-        v = u.reshape(-1, self.grid.n_cells, self.k)
-        return np.einsum("cij,scj->sci", self._inv, v).reshape(u.shape)
+        return block_apply(self._inv, u)
 
     def as_matrix(self) -> sp.bsr_matrix:
         return block_diagonal(self.blocks)
@@ -256,6 +261,12 @@ def export_coo(skew: SkewOperator, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Taylor coefficients, highest power first, of (1 - (1 + alpha) e^-alpha) / alpha^2 and
+# (alpha - 1 + e^-alpha) / alpha^2: round-off exact for alpha < 0.5, where those cancel.
+_W_OLD_SERIES = tuple((-1) ** m * (m + 1) / math.factorial(m + 2) for m in range(16, -1, -1))
+_W_NEW_SERIES = tuple((-1) ** m / math.factorial(m + 2) for m in range(16, -1, -1))
+
+
 def exp_interval_weights(length: float, tau: float) -> tuple[float, float, float]:
     """Decay and endpoint weights of one exponential-convolution interval.
 
@@ -265,17 +276,20 @@ def exp_interval_weights(length: float, tau: float) -> tuple[float, float, float
         integral_0^length exp(-(length - s)/tau) u(s) ds
             = w_old * u_old + w_new * u_new,
 
-    exactly.  Series fallbacks keep the weights accurate for length << tau.
+    exactly.  Below alpha = length/tau = 0.5 the weights come from their
+    Taylor series (Horner), above it from the closed forms.
     """
     alpha = length / tau
     e = np.exp(-alpha)
-    if alpha < 1e-4:
-        i1 = length * (0.5 - alpha / 6.0 + alpha**2 / 24.0 - alpha**3 / 120.0)
-        i0 = length * (1.0 - alpha / 2.0 + alpha**2 / 6.0 - alpha**3 / 24.0)
+    if alpha < 0.5:
+        w_old = w_new = 0.0
+        for c_old, c_new in zip(_W_OLD_SERIES, _W_NEW_SERIES):
+            w_old = w_old * alpha + c_old
+            w_new = w_new * alpha + c_new
     else:
-        i0 = length * (1.0 - e) / alpha
-        i1 = length * (alpha - 1.0 + e) / alpha**2
-    return float(e), float(i0 - i1), float(i1)
+        w_old = (1.0 - (1.0 + alpha) * e) / alpha**2
+        w_new = (alpha - 1.0 + e) / alpha**2
+    return float(e), float(length * w_old), float(length * w_new)
 
 
 def prony_advance(
@@ -327,94 +341,54 @@ def prony_half_step(
     return out
 
 
-@dataclass(frozen=True)
-class MemoryOperator:
-    """Convolution operator R[u](t) = integral q(t - s) u(s) ds on the grid.
-
-    The operator itself is stateless; time steppers own whatever auxiliary
-    recursion state they need.  Prony kernels are integrated by the exact
-    exponential recursion, tabulated ones by the trapezoid rule.
-    """
-
-    kernel: MemoryKernel
-    grid: Grid
-    k: int
-
-    def __post_init__(self):
-        if isinstance(self.kernel, PronyKernel):
-            for j, w in enumerate(self.kernel.weights):
-                if w.shape != (self.grid.n_cells, self.k, self.k):
-                    raise InvalidCoefficientError(f"Prony weight {j} has wrong shape {w.shape}")
-        elif isinstance(self.kernel, TabulatedKernel):
-            if self.kernel.samples.shape[1:] != (self.grid.n_cells, self.k, self.k):
-                raise InvalidCoefficientError("tabulated kernel has wrong per-cell shape")
-
-    @property
-    def is_zero(self) -> bool:
-        return isinstance(self.kernel, ZeroKernel)
-
-    def weight_matrices(self) -> list[sp.bsr_matrix]:
-        if not isinstance(self.kernel, PronyKernel):
-            raise UnsupportedConfigurationError("weight matrices exist only for Prony kernels")
-        return [block_diagonal(w) for w in self.kernel.weights]
-
-    def tabulated_at(self, offsets: np.ndarray) -> np.ndarray:
-        """Kernel blocks at the given nonnegative time offsets, interpolated."""
-        if not isinstance(self.kernel, TabulatedKernel):
-            raise UnsupportedConfigurationError("tabulated evaluation needs a tabulated kernel")
-        return kernel_values(self.kernel, offsets, self.grid.n_cells, self.k)
-
-
-def _block_apply(blocks: np.ndarray, u: np.ndarray, n_cells: int, k: int) -> np.ndarray:
-    return np.einsum("cij,cj->ci", blocks, u.reshape(n_cells, k)).ravel()
-
-
-def memory_series(op: MemoryOperator, states: np.ndarray, dt: float) -> np.ndarray:
+def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.ndarray:
     """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N).
 
     Prony kernels run the exact recursion once over the whole series;
     tabulated kernels evaluate the trapezoid rule at each time.
     """
     out = np.zeros_like(states)
-    if op.is_zero:
+    if isinstance(kernel, ZeroKernel):
         return out
-    if isinstance(op.kernel, PronyKernel):
-        aux = [np.zeros(states.shape[1]) for _ in op.kernel.taus]
+    if isinstance(kernel, PronyKernel):
+        aux = [np.zeros(states.shape[1]) for _ in kernel.taus]
         for m in range(1, states.shape[0]):
-            aux = prony_advance(aux, states[m - 1], states[m], dt, op.kernel.taus)
-            for w, s in zip(op.kernel.weights, aux):
-                out[m] += _block_apply(w, s, op.grid.n_cells, op.k)
+            aux = prony_advance(aux, states[m - 1], states[m], dt, kernel.taus)
+            for w, s in zip(kernel.weights, aux):
+                out[m] += block_apply(w, s)
         return out
     for m in range(1, states.shape[0]):
-        out[m] = apply_memory(op, states, m, dt)
+        out[m] = apply_memory(kernel, states, m, dt)
     return out
 
 
-def apply_memory(op: MemoryOperator, history: np.ndarray, t_index: int, dt: float) -> np.ndarray:
+def apply_memory(kernel: MemoryKernel, history: np.ndarray, t_index: int, dt: float) -> np.ndarray:
     """Evaluate R[u] at grid time index ``t_index`` from the state history.
 
     ``history`` holds states at t_0 .. t_m row-wise and must cover the
     requested index.  Prony kernels use the exact recursion on the linear
     interpolant; tabulated kernels use the trapezoid rule on grid nodes.
     """
-    n = op.grid.n_cells
-    if history.ndim != 2 or history.shape[1] != n * op.k:
+    if history.ndim != 2:
         raise InvalidArgumentError("history must be (n_times, n_state)")
     if t_index >= history.shape[0]:
         raise InvalidArgumentError(
             f"insufficient history: need index {t_index}, have {history.shape[0] - 1}"
         )
-    if op.is_zero or t_index == 0:
-        return np.zeros(n * op.k)
-    if isinstance(op.kernel, PronyKernel):
-        return memory_series(op, history[: t_index + 1], dt)[t_index]
+    if isinstance(kernel, ZeroKernel) or t_index == 0:
+        return np.zeros(history.shape[1])
+    n, k = (kernel.weights[0] if isinstance(kernel, PronyKernel) else kernel.samples[0]).shape[:2]
+    if history.shape[1] != n * k:
+        raise InvalidArgumentError("history must be (n_times, n_state)")
+    if isinstance(kernel, PronyKernel):
+        return memory_series(kernel, history[: t_index + 1], dt)[t_index]
     offsets = dt * np.arange(t_index, -1, -1.0)
-    blocks = op.tabulated_at(offsets)
+    blocks = kernel_values(kernel, offsets, n, k)
     weights = np.full(t_index + 1, dt)
     weights[0] = weights[-1] = 0.5 * dt
-    out = np.zeros(n * op.k)
+    out = np.zeros(n * k)
     for m in range(t_index + 1):
-        out += weights[m] * _block_apply(blocks[m], history[m], n, op.k)
+        out += weights[m] * block_apply(blocks[m], history[m])
     return out
 
 
@@ -430,15 +404,21 @@ class DiscreteSystem:
     mass: MassOperator
     skew: SkewOperator
     b_blocks: np.ndarray | None
-    memory: MemoryOperator
+    kernel: MemoryKernel
     grid: Grid
     k: int
 
     def __post_init__(self):
-        if self.mass.grid != self.grid or self.skew.grid != self.grid or self.memory.grid != self.grid:
+        if self.mass.grid != self.grid or self.skew.grid != self.grid:
             raise GridMismatchError("all operators must share the system grid")
-        if self.mass.k != self.k or self.skew.k != self.k or self.memory.k != self.k:
+        if self.mass.k != self.k or self.skew.k != self.k:
             raise GridMismatchError("all operators must share the state width")
+        cells = (self.grid.n_cells, self.k, self.k)
+        for j, w in enumerate(self.kernel.weights if isinstance(self.kernel, PronyKernel) else ()):
+            if w.shape != cells:
+                raise InvalidCoefficientError(f"Prony weight {j} has wrong shape {w.shape}")
+        if isinstance(self.kernel, TabulatedKernel) and self.kernel.samples.shape[1:] != cells:
+            raise InvalidCoefficientError("tabulated kernel has wrong per-cell shape")
 
     @property
     def n_state(self) -> int:
@@ -450,7 +430,7 @@ class DiscreteSystem:
     def apply_b(self, u: np.ndarray) -> np.ndarray:
         if self.b_blocks is None:
             return np.zeros_like(u)
-        return _block_apply(self.b_blocks, u, self.grid.n_cells, self.k)
+        return block_apply(self.b_blocks, u)
 
     @cached_property
     def step_operators(self) -> StepOperators:
@@ -482,7 +462,6 @@ class StepOperators:
 
     def __init__(self, system: DiscreteSystem, dt: float):
         self.dt = float(dt)
-        self.n_cells, self.k = system.grid.n_cells, system.k
         a_over_dt = system.mass.as_matrix() / self.dt
         k_mat = system.skew.matrix
         b_mat = system.b_matrix()
@@ -493,8 +472,8 @@ class StepOperators:
 
         self.taus: tuple[float, ...] = ()
         self.prony_terms: list[_PronyTerm] = []
-        self.tabulated: MemoryOperator | None = None
-        kern = system.memory.kernel
+        self.tabulated: TabulatedKernel | None = None
+        kern = system.kernel
         if isinstance(kern, PronyKernel):
             self.taus = tuple(kern.taus)
             for w, tau in zip(kern.weights, kern.taus):
@@ -504,8 +483,9 @@ class StepOperators:
                 d = (d - sp.csr_matrix(w_old_h * term.weight_matrix))
                 self.prony_terms.append(term)
         elif isinstance(kern, TabulatedKernel):
-            self.tabulated = system.memory
-            self._q0, self._q_half = system.memory.tabulated_at(np.array([0.0, self.dt / 2.0]))
+            self.tabulated = kern
+            self._q0, self._q_half = kernel_values(kern, np.array([0.0, self.dt / 2.0]),
+                                                   system.grid.n_cells, system.k)
             q0 = block_diagonal(self._q0)
             c = (c + (self.dt / 8.0) * q0).tocsc()
             d = (d - sp.csr_matrix((0.75 * self.dt) * block_diagonal(self._q_half)
@@ -526,26 +506,24 @@ class StepOperators:
             out -= term.e_half * (term.weight_matrix @ s)
         if self.tabulated is not None and step > 0:
             offs = self.dt * (np.arange(step, 0, -1.0) + 0.5)
-            blocks = self.tabulated.tabulated_at(offs)
+            blocks = kernel_values(self.tabulated, offs, *self.tabulated.samples.shape[1:3])
             weights = np.full(step, self.dt)
             weights[0] = 0.5 * self.dt  # m = 0 endpoint of the trapezoid
             for m in range(step):
-                out -= weights[m] * _block_apply(blocks[m], history[m], self.n_cells, self.k)
+                out -= weights[m] * block_apply(blocks[m], history[m])
         return out
 
     def half_step_memory(self, aux: list[np.ndarray], u_prev: np.ndarray, u_next: np.ndarray,
-                         history: np.ndarray | None = None, step: int | None = None) -> np.ndarray:
+                         history: np.ndarray, step: int) -> np.ndarray:
         """R at the half step as the scheme saw it (for residual diagnostics)."""
         out = np.zeros(self.n_state)
         s_half = prony_half_step(aux, u_prev, u_next, self.dt, self.taus)
         for term, s in zip(self.prony_terms, s_half):
             out += term.weight_matrix @ s
         if self.tabulated is not None:
-            assert history is not None and step is not None
             out -= self.memory_history_rhs([], history, step)
-            coef_prev = _block_apply(0.75 * self.dt * self._q_half + self.dt / 8.0 * self._q0,
-                                     u_prev, self.n_cells, self.k)
-            out += coef_prev + _block_apply(self.dt / 8.0 * self._q0, u_next, self.n_cells, self.k)
+            coef_prev = block_apply(0.75 * self.dt * self._q_half + self.dt / 8.0 * self._q0, u_prev)
+            out += coef_prev + block_apply(self.dt / 8.0 * self._q0, u_next)
         return out
 
 
@@ -567,11 +545,8 @@ def assemble_system(
         p_matrices = acoustic_p_matrices(f.grid.dim)
     mass = assemble_mass(f)
     skew = assemble_skew(p_matrices, f.grid, boundary, k=f.k)
-    memory = MemoryOperator(kernel=f.kernel, grid=f.grid, k=f.k)
-    b = None
-    if f.b is not None and np.abs(f.b).max() > 0:
-        b = f.b
-    return DiscreteSystem(mass=mass, skew=skew, b_blocks=b, memory=memory, grid=f.grid, k=f.k)
+    b = f.b if f.b is not None and np.abs(f.b).max() > 0 else None
+    return DiscreteSystem(mass=mass, skew=skew, b_blocks=b, kernel=f.kernel, grid=f.grid, k=f.k)
 
 
 def unit_directions(dim: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .evolution import Trajectory, solve_causal
-from .fields import PronyKernel, SourceTerm, write_field_array
+from .fields import PronyKernel, SourceTerm, ZeroKernel, write_field_array
 from .forward import (
     Sampler,
     SeismogramData,
@@ -46,7 +46,7 @@ from .forward import (
 from .operators import (
     DiscreteSystem,
     MassOperator,
-    MemoryOperator,
+    block_apply,
     prony_advance,
     prony_half_step,
 )
@@ -76,12 +76,11 @@ class CoefficientPerturbation:
             ):
                 raise InvalidArgumentError("delta_a must be symmetric per cell")
         if self.delta_weights is not None:
-            kern = system.memory.kernel
-            if not isinstance(kern, PronyKernel):
+            if not isinstance(system.kernel, PronyKernel):
                 raise UnsupportedConfigurationError(
                     "kernel perturbations are defined for Prony kernels only"
                 )
-            if len(self.delta_weights) != kern.n_terms:
+            if len(self.delta_weights) != system.kernel.n_terms:
                 raise InvalidArgumentError("one delta weight per Prony term required")
             for j, w in enumerate(self.delta_weights):
                 if w.shape != (n, k, k):
@@ -112,7 +111,7 @@ class GradientReport:
 
 
 def _require_sensitivity_kernel(system: DiscreteSystem) -> None:
-    if not (system.memory.is_zero or isinstance(system.memory.kernel, PronyKernel)):
+    if not isinstance(system.kernel, (ZeroKernel, PronyKernel)):
         raise UnsupportedConfigurationError(
             "sensitivity solves support zero or Prony memory kernels only"
         )
@@ -128,16 +127,11 @@ def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: f
     b = system.b_blocks
     if pert.delta_b is not None:
         b = (b if b is not None else 0.0) + h * pert.delta_b
-    memory = system.memory
-    if pert.delta_weights is not None:
-        kern = system.memory.kernel
-        assert isinstance(kern, PronyKernel)
-        new_kern = PronyKernel(
-            weights=tuple(w + h * dw for w, dw in zip(kern.weights, pert.delta_weights)),
-            taus=kern.taus,
-        )
-        memory = MemoryOperator(kernel=new_kern, grid=system.grid, k=system.k)
-    return replace(system, mass=mass, b_blocks=b, memory=memory)
+    kernel = system.kernel
+    if pert.delta_weights is not None:  # validate() checked that the kernel is Prony
+        kernel = PronyKernel(tuple(w + h * dw for w, dw in zip(kernel.weights, pert.delta_weights)),
+                             kernel.taus)
+    return replace(system, mass=mass, b_blocks=b, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def _base_series(system: DiscreteSystem, traj: Trajectory):
     v = np.diff(states, axis=0) / dt
     ubar = 0.5 * (states[:-1] + states[1:])
     s_half: list[np.ndarray] = []
-    kern = system.memory.kernel
+    kern = system.kernel
     if isinstance(kern, PronyKernel):
         s_half = [np.zeros_like(v) for _ in kern.taus]
         aux = [np.zeros(system.n_state) for _ in kern.taus]
@@ -168,10 +162,6 @@ def _base_series(system: DiscreteSystem, traj: Trajectory):
                 series[n] = s
             aux = prony_advance(aux, states[n], states[n + 1], dt, kern.taus)
     return v, ubar, s_half
-
-
-def _block_series_apply(blocks: np.ndarray, series: np.ndarray, n_cells: int, k: int) -> np.ndarray:
-    return np.einsum("cij,ncj->nci", blocks, series.reshape(-1, n_cells, k)).reshape(series.shape)
 
 
 def perturbation_forcing(
@@ -186,15 +176,14 @@ def perturbation_forcing(
     pert.validate(system)
     _require_sensitivity_kernel(system)
     v, ubar, s_half = _base_series(system, traj)
-    n_cells, k = system.grid.n_cells, system.k
     out = np.zeros_like(v)
     if pert.delta_a is not None:
-        out -= _block_series_apply(pert.delta_a, v, n_cells, k)
+        out -= block_apply(pert.delta_a, v)
     if pert.delta_b is not None:
-        out -= _block_series_apply(pert.delta_b, ubar, n_cells, k)
+        out -= block_apply(pert.delta_b, ubar)
     if pert.delta_weights is not None:
         for dw, s in zip(pert.delta_weights, s_half):
-            out -= _block_series_apply(dw, s, n_cells, k)
+            out -= block_apply(dw, s)
     return out
 
 
@@ -382,9 +371,9 @@ def random_perturbation(
     da = 0.5 * (da + np.swapaxes(da, 1, 2))
     db = rng.standard_normal((n, k, k)) * scale
     dw = None
-    if isinstance(system.memory.kernel, PronyKernel):
+    if isinstance(system.kernel, PronyKernel):
         dws = []
-        for _ in system.memory.kernel.taus:
+        for _ in system.kernel.taus:
             w = rng.standard_normal((n, k, k)) * scale
             dws.append(0.5 * (w + np.swapaxes(w, 1, 2)))
         dw = tuple(dws)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from roughwave import sensitivity
+from roughwave import cli, sensitivity
 from roughwave.cli import (
     COMMANDS,
     build_sampler_from_spec,
@@ -267,7 +267,8 @@ class TestCommands:
         })
         assert main(["study", "--config", path]) == 0
         payload = json.loads((tmp_path / "trace" / "study_trace_regularity.json").read_text())
-        assert "s2_derivative_bound" in payload["series"]
+        assert payload["schedule"] == [2.0]
+        assert set(payload["series"]) == {"level0_derivative_bound", "level1_derivative_bound"}
 
     def test_cfl_violation_exits_nonzero(self, tmp_path):
         path = write_config(tmp_path, {
@@ -397,16 +398,24 @@ class TestInputErrors:
             "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
         }
         key, value = case
-        if key.startswith("model."):
-            payload["model"][key[len("model."):]] = value
-        elif key == "receivers":
+        if key == "receivers":
             payload.update(command="forward", sampler={"receivers": value})
+        elif key in ("forward", "check"):
+            payload.update(command=key, sampler=value)
         elif key == "trace_regularity":
             extra = dict(value)
             payload["model"].update(extra.pop("model", {}))
             payload.update(command="study", study={"kind": "trace_regularity"}, **extra)
+        elif key.startswith("study."):
+            kind = "measure_convergence" if key == "study.schedule" else "trace_regularity"
+            payload.update(command="study", sampler={"receivers": [[0.7]]},
+                           study={"kind": kind, key[len("study."):]: value})
         else:
-            payload[key] = value
+            *path, last = key.split(".")
+            entry = payload
+            for part in path:
+                entry = entry[part]
+            entry[last] = value
         return payload
 
     @pytest.mark.parametrize("case, where", [
@@ -432,11 +441,59 @@ class TestInputErrors:
         (("trace_regularity", {"sampler": {"receivers": [[0.7]]},
                                "model": {"type": "viscoelastic", "lam": 1.2}}),
          "config.model.type"),
+        (("source.amplitude", "loud"), "config.source.amplitude"),
+        (("source.onset", "soon"), "config.source.onset"),
+        (("source.component", 1.5), "config.source.component"),
+        (("source.component", 2), "config.source.component"),
+        (("source.footprint_width", "wide"), "config.source.footprint_width"),
+        (("source.delay", [0.1]), "config.source.delay"),
+        (("source", {"type": "burst", "center": [0.5], "frequency": 8.0, "smoothness": "high"}),
+         "config.source.smoothness"),
+        (("model.grid.extent", "big"), "config.model.grid.extent"),
+        (("model.grid.origin", [0.0, 1.0]), "config.model.grid.origin"),
+        (("model.kappa", {"two_layer": {"left": 1.0, "right": 2.0, "interface": "mid"}}),
+         "config.model.kappa.interface"),
+        (("model.kappa", {"two_layer": {"left": 1.0, "right": 2.0, "axis": 1}}),
+         "config.model.kappa.axis"),
+        (("model", {"type": "viscoelastic", "grid": base_model(cells=20, t_end=0.01)["grid"],
+                    "lam": 1.2, "mu": "soft"}), "config.model.mu"),
+        (("output", 3), "config.output"),
+        (("study.refinements", "two"), "config.study.refinements"),
+        (("study.refinements", 0), "config.study.refinements"),
+        (("study.frequency", "high"), "config.study.frequency"),
+        (("study.smoothness", [2, "x"]), "config.study.smoothness"),
+        (("study.center", [0.5, 0.5]), "config.study.center"),
+        (("study.schedule", [4, 8]), "config.study.schedule"),
+        (("forward", {"tag": "bogus", "receivers": [[0.5]]}), "config.sampler.tag"),
+        (("check", {"tag": "bogus", "receivers": [[0.5]]}), "config.sampler.tag"),
+        (("forward", {"tag": "normal_velocity", "receivers": [[0.5]]}), "config.sampler.normal"),
+        (("check", {"tag": "normal_velocity", "receivers": [[0.5]]}), "config.sampler.normal"),
+        (("forward", {"tag": "normal_velocity", "receivers": [[0.5]], "normal": "up"}),
+         "config.sampler.normal"),
+        (("check", {"receivers": [[1.5]]}), "config.sampler.receivers"),
     ], ids=["source", "sources", "kernel", "integrator", "seed", "leak_tolerance",
             "snapshot_every", "jobs", "cfl_safety", "trace_receivers", "boundary", "center",
-            "receivers", "kappa", "trace_kernel", "trace_viscoelastic"])
+            "receivers", "kappa", "trace_kernel", "trace_viscoelastic", "amplitude", "onset",
+            "component", "component_range", "footprint_width", "delay", "burst_smoothness",
+            "extent", "origin", "interface", "axis", "mu", "output", "refinements",
+            "refinements_range", "study_frequency", "study_smoothness", "study_center",
+            "study_schedule", "forward_tag", "check_tag", "forward_normal", "check_normal",
+            "normal_type", "check_receiver_outside"])
     def test_malformed_entry_named(self, tmp_path, capsys, case, where):
         self.expect_config_error(tmp_path, capsys, self.malformed(case), where)
+
+    @pytest.mark.parametrize("command", ["forward", "check"])
+    def test_sampler_needs_the_acoustic_state(self, tmp_path, capsys, command):
+        # a 2D viscoelastic state (width 5) holds no pressure to sample
+        payload = {
+            "command": command,
+            "model": {"type": "viscoelastic", "lam": 1.2, "mu": 0.5,
+                      "grid": {"dim": 2, "cells": [4, 4], "dt": 1e-2, "t_end": 0.02}},
+            "source": {"type": "ricker", "center": [0.5, 0.5], "frequency": 8.0},
+        }
+        if command == "forward":
+            payload["sampler"] = {"receivers": [[0.5, 0.5]]}
+        self.expect_config_error(tmp_path, capsys, payload, "config.model.type")
 
     def test_check_names_a_configured_sampler(self, tmp_path, capsys):
         self.expect_config_error(tmp_path, capsys, {
@@ -444,6 +501,29 @@ class TestInputErrors:
             "model": base_model(cells=20, t_end=0.01),
             "sampler": {"receivers": [[0.5, 0.2]]},
         }, "config.sampler.receivers")
+
+
+class TestFlagOverrides:
+    """--out, --seed and --jobs win over the config's values."""
+
+    @pytest.mark.parametrize("flag, value, key, configured", [
+        ("--out", "elsewhere", "output", "configured"),
+        ("--seed", "5", "seed", 1),
+        ("--jobs", "3", "jobs", 1),
+    ])
+    def test_flag_wins(self, tmp_path, monkeypatch, flag, value, key, configured):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+        path = write_config(tmp_path, {
+            "command": "simulate",
+            "model": base_model(cells=20),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            key: configured,
+        })
+        assert main(["simulate", "--config", path]) == 0
+        assert main(["simulate", "--config", path, flag, value]) == 0
+        assert getattr(seen[0], key) == configured
+        assert getattr(seen[1], key) == (value if key == "output" else int(value))
 
 
 class TestStudyMedium:
@@ -475,7 +555,7 @@ class TestStudyMedium:
             cfg, report = self.study(tmp_path, name, "measure_convergence", **model)
             medium, system = build_system(cfg)
             expected = measure_convergence_study(
-                medium.coefficient_field(kernel=system.memory.kernel),
+                medium.coefficient_field(kernel=system.kernel),
                 build_source(cfg.source, system), [4, 8, 16],
                 boundary=model.get("boundary", "periodic"))
             expected.save(str(tmp_path / f"{name}_library"))

@@ -249,6 +249,22 @@ class TestEnergyIdentity:
             maxima.append(np.abs(rw.energy_identity_residual(traj, system, src)).max())
         assert fit_slope(dts, maxima) >= 1.9
 
+    def test_residual_shrinks_with_a_tabulated_kernel(self):
+        # the kernel 2 exp(-t / 0.1) I sampled at the step times
+        relative = []
+        for dt in (4e-3, 2e-3):
+            g = rw.build_grid(1, [100], 1.0, dt, 0.3)
+            t = dt * np.arange(g.n_steps + 2)
+            kern = rw.TabulatedKernel(times=t, samples=(2.0 * np.exp(-t / 0.1))[:, None, None, None]
+                                      * np.tile(np.eye(2), (t.size, g.n_cells, 1, 1)))
+            system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6),
+                                         kernel=kern)
+            src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=6.0)
+            traj = rw.solve_causal(system, src)
+            res = rw.energy_identity_residual(traj, system, src)
+            relative.append(np.abs(res).max() / traj.energies.max())
+        assert relative[1] <= relative[0] / 3
+
     def test_energy_bound_constant_stable_under_refinement(self):
         ratios = []
         for cells, dt in ((100, 2e-3), (200, 1e-3)):

@@ -16,9 +16,11 @@ from roughwave.experiments import (
     oscillatory_response_magnitude,
     oscillatory_rhs,
     refine_acoustic_model,
+    seismogram_derivative_bound,
     smooth_bump,
     trace_regularity_probe,
 )
+from roughwave.operators import assemble_system
 
 
 class TestAdvectionOracle:
@@ -121,6 +123,20 @@ class TestMeasureConvergence:
         assert all(b <= a for a, b in zip(md, md[1:]))
         assert report.passed
 
+    def test_seismogram_distance_with_a_sampler(self):
+        g = rw.build_grid(1, [400], 1.0, 2.5e-3, 0.3)
+        field = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6).coefficient_field()
+        src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=6.0)
+        sampler = rw.build_sampler([[0.45], [0.8]], "pressure", g, 2)
+        schedule = [4, 8, 16]
+        report = measure_convergence_study(field, src, schedule, sampler=sampler)
+        gaps = report.series["seismogram_distance"]
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        rough = rw.forward_map(assemble_system(field), src, sampler).data
+        for n, gap in zip(schedule, gaps):
+            smooth = rw.forward_map(assemble_system(rw.mollify_field(field, n)), src, sampler).data
+            assert gap == float(np.abs(smooth - rough).max())
+
     def test_study_computes_no_energy(self, energy_calls):
         g = rw.build_grid(1, [60], 1.0, 2.5e-3, 0.1)
         field = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6).coefficient_field()
@@ -150,7 +166,8 @@ class TestTraceRegularity:
         report = trace_regularity_probe(model, [[0.7]], factory,
                                         smoothness_schedule=(1, 3), refinements=1)
         assert report.passed
-        assert set(report.series) == {"s1_derivative_bound", "s3_derivative_bound"}
+        assert report.schedule == (1.0, 3.0)
+        assert set(report.series) == {"level0_derivative_bound", "level1_derivative_bound"}
 
     def test_zero_wavelet_zero_derivatives(self):
         g = rw.build_grid(1, [40], 1.0, 2e-3, 0.2)
@@ -162,7 +179,35 @@ class TestTraceRegularity:
 
         report = trace_regularity_probe(model, [[0.7]], factory,
                                         smoothness_schedule=(2,), refinements=1)
-        assert max(report.series["s2_derivative_bound"]) == 0.0
+        assert max(max(bounds) for bounds in report.series.values()) == 0.0
+
+    @pytest.mark.parametrize("refinements", [1, 3])
+    def test_report_rows_are_smoothness_classes(self, tmp_path, refinements):
+        g = rw.build_grid(1, [20], 1.0, 1e-2, 0.2)
+        model = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0)
+
+        def factory(grid, s):
+            return rw.make_burst_source(grid, 2, [0.35], frequency=5.0, smoothness=s)
+
+        report = trace_regularity_probe(model, [[0.7]], factory, smoothness_schedule=(1, 2, 3),
+                                        refinements=refinements)
+        levels = [f"level{i}_derivative_bound" for i in range(refinements + 1)]
+        assert sorted(report.series) == sorted(levels)
+        assert all(len(report.series[name]) == 3 for name in levels)
+        # one level's bound per class matches a direct solve on that level
+        fine = model
+        for _ in range(refinements):
+            fine = refine_acoustic_model(fine, 2)
+        system = rw.acoustics_system(fine)
+        sampler = rw.build_sampler([[0.7]], "pressure", fine.grid, 2)
+        data = rw.forward_map(system, factory(fine.grid, 2), sampler).data
+        assert report.series[levels[-1]][1] == seismogram_derivative_bound(data, fine.grid.dt, 1)
+        assert report.notes == "dt per refinement level: " + ", ".join(
+            f"level{i} {0.01 / 2**i:.6g}" for i in range(refinements + 1))
+        report.save(str(tmp_path / "trace"))
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        assert rows[0] == "parameter," + ",".join(sorted(levels))
+        assert [row.split(",")[0] for row in rows[1:]] == ["1.0", "2.0", "3.0"]
 
     def test_refine_model_preserves_medium(self):
         g = rw.build_grid(1, [10], 1.0, 1e-3, 0.01)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from roughwave.errors import (
 )
 from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel
 from roughwave.operators import (
-    MemoryOperator,
     acoustic_p_matrices,
     apply_memory,
     block_diagonal,
     energy,
+    exp_interval_weights,
     export_coo,
     max_symbol_speed,
     prony_advance,
@@ -162,37 +163,30 @@ class TestSkew:
 
 class TestMemory:
     def test_zero_kernel(self):
-        g = rw.build_grid(1, [8], 1.0, 1e-2, 0.2)
-        op = MemoryOperator(kernel=rw.ZeroKernel(), grid=g, k=1)
+        op = rw.ZeroKernel()
         hist = np.ones((21, 8))
         assert np.abs(apply_memory(op, hist, 20, 1e-2)).max() == 0.0
 
     def test_prony_step_response_closed_form(self):
         # q = exp(-t) I, u = 1 for t >= 0: R(t) = 1 - exp(-t), exact for the
         # recursion at grid times
-        g = rw.build_grid(1, [4], 1.0, 0.01, 1.0)
-        op = MemoryOperator(kernel=PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(1.0,)),
-                            grid=g, k=1)
+        op = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(1.0,))
         hist = np.ones((101, 4))
         for idx in (10, 50, 100):
             r = apply_memory(op, hist, idx, 0.01)
             assert r[0] == pytest.approx(1.0 - np.exp(-0.01 * idx), abs=1e-13)
 
     def test_tabulated_matches_prony_second_order(self):
-        g = rw.build_grid(1, [4], 1.0, 0.01, 1.0)
-        prony = MemoryOperator(kernel=PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(1.0,)),
-                               grid=g, k=1)
+        prony = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(1.0,))
         errs, dts = [], [0.04, 0.02, 0.01]
         rng = np.random.default_rng(0)
         for dt in dts:
             m = int(round(0.6 / dt))
             t = dt * np.arange(m + 1)
             hist = np.sin(3 * t)[:, None] * np.ones((1, 4))
-            tab = MemoryOperator(
-                kernel=TabulatedKernel(times=dt * np.arange(2 * m + 1),
-                                       samples=np.exp(-dt * np.arange(2 * m + 1))[:, None, None, None]
-                                       * np.ones((1, 4, 1, 1))),
-                grid=g, k=1)
+            tab = TabulatedKernel(times=dt * np.arange(2 * m + 1),
+                                  samples=np.exp(-dt * np.arange(2 * m + 1))[:, None, None, None]
+                                  * np.ones((1, 4, 1, 1)))
             r1 = apply_memory(prony, hist, m, dt)
             r2 = apply_memory(tab, hist, m, dt)
             errs.append(np.abs(r1 - r2).max())
@@ -200,9 +194,7 @@ class TestMemory:
         assert slope >= 1.9
 
     def test_causality_wrt_future_history(self):
-        g = rw.build_grid(1, [4], 1.0, 0.01, 1.0)
-        op = MemoryOperator(kernel=PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(0.5,)),
-                            grid=g, k=1)
+        op = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(0.5,))
         rng = np.random.default_rng(1)
         hist = rng.standard_normal((40, 4))
         r = apply_memory(op, hist, 20, 0.01)
@@ -211,11 +203,45 @@ class TestMemory:
         r2 = apply_memory(op, hist2, 20, 0.01)
         np.testing.assert_array_equal(r, r2)
 
+    def test_system_rejects_a_kernel_of_the_wrong_cell_shape(self):
+        model = rw.AcousticModel(grid=rw.build_grid(1, [4], 1.0, 0.01, 0.1), kappa=1.0, rho=1.0)
+        with pytest.raises(InvalidCoefficientError, match="Prony weight 0 has wrong shape"):
+            rw.acoustics_system(model, kernel=PronyKernel(weights=(np.ones((3, 2, 2)),), taus=(1.0,)))
+        with pytest.raises(InvalidCoefficientError, match="tabulated kernel has wrong per-cell shape"):
+            rw.acoustics_system(model, kernel=TabulatedKernel(times=np.array([0.0, 0.01]),
+                                                              samples=np.ones((2, 4, 1, 1))))
+
     def test_insufficient_history(self):
-        g = rw.build_grid(1, [4], 1.0, 0.01, 1.0)
-        op = MemoryOperator(kernel=rw.ZeroKernel(), grid=g, k=1)
+        op = rw.ZeroKernel()
         with pytest.raises(InvalidArgumentError, match="insufficient history"):
             apply_memory(op, np.zeros((5, 4)), 10, 0.01)
+
+
+class TestIntervalWeights:
+    @staticmethod
+    def reference(alpha: float) -> tuple[float, float, float]:
+        """(E, w_old, w_new) for length alpha and tau 1, to 60 digits."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a = Decimal(alpha)
+            e = (-a).exp()
+            return float(e), float((1 - (1 + a) * e) / a), float((a - 1 + e) / a)
+
+    def test_weights_match_60_digit_references(self):
+        # both sides of the series switch at alpha = 0.5, and the old one at 1e-4
+        alphas = np.concatenate([np.logspace(-9, 3, 241), [1.03e-4, 0.4999, 0.5, 0.5001]])
+        worst = 0.0
+        for alpha in alphas:
+            got = exp_interval_weights(float(alpha), 1.0)
+            for value, ref in zip(got, self.reference(float(alpha))):
+                # E underflows to 0 for large alpha, in both
+                worst = max(worst, abs(value - ref) / ref if ref else abs(value))
+        assert worst <= 4e-15
+
+    def test_weights_sum_to_the_interval_integral(self):
+        for alpha in (1e-6, 1e-3, 0.3, 2.0):
+            e, w_old, w_new = exp_interval_weights(alpha, 1.0)
+            assert w_old + w_new == pytest.approx(1.0 - e, rel=1e-14)
 
 
 class TestPronyAdvance:

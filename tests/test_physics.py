@@ -3,7 +3,7 @@ import pytest
 
 import roughwave as rw
 from roughwave.errors import InvalidCoefficientError, UnsupportedConfigurationError
-from roughwave.fields import PronyKernel, TabulatedKernel
+from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel
 from roughwave.forward import build_sampler, sample_trajectory
 from roughwave.physics import (
     ViscoelasticModel,
@@ -30,7 +30,7 @@ class TestAcoustics:
         u = np.random.default_rng(0).standard_normal(system.n_state)
         np.testing.assert_array_equal(system.mass.apply(u), u)
         assert system.b_blocks is None
-        assert system.memory.is_zero
+        assert isinstance(system.kernel, ZeroKernel)
 
     @pytest.mark.parametrize("dim,cells,k", [(1, [4], 2), (2, [3, 3], 3), (3, [2, 2, 2], 4)])
     def test_state_width(self, dim, cells, k):
@@ -154,7 +154,7 @@ class TestViscoelastic:
     def test_pure_elastic_has_no_lower_order_terms(self):
         system = rw.viscoelastic_system(self.make_model())
         assert system.b_blocks is None
-        assert system.memory.is_zero
+        assert isinstance(system.kernel, ZeroKernel)
 
     def test_prony_split_closed_form(self):
         # gamma(t) = c exp(-t/tau) I: b = c I and q(t) = -(c/tau) exp(-t/tau) I
@@ -223,7 +223,7 @@ class TestViscoelastic:
                            taus=(0.5, 0.05))
         system = rw.viscoelastic_system(
             ViscoelasticModel(grid=g, rho=1.25, gamma_elastic=ge, gamma_kernel=kern))
-        assert system.b_blocks is not None and system.memory.kernel.n_terms == 2
+        assert system.b_blocks is not None and system.kernel.n_terms == 2
         src = rw.make_ricker_source(g, system.k, [0.5, 0.5], peak_frequency=10.0, component=m)
         traj = rw.solve_causal(system, src)
         res = step_residuals(traj, system, src).max()
@@ -234,6 +234,26 @@ class TestViscoelastic:
             sampler = build_sampler([[0.7, 0.5], [0.3, 0.6]], "custom", g, system.k,
                                     weights=velocity)
         assert dot_product_test(system, traj, sampler, np.random.default_rng(0)) <= 1e-12
+
+    def test_tabulated_gamma_embeds_the_split_kernel(self):
+        m = kelvin_dim(2)
+        g = rw.build_grid(2, [8, 8], 1.0, 5e-3, 0.1)
+        ge = np.tile(isotropic_inverse_hooke(2.0, 1.0, 2), (g.n_cells, 1, 1))
+        t = g.dt * np.arange(g.n_steps + 3)
+        gamma = TabulatedKernel(times=t, samples=(0.3 * np.exp(-t / 0.2))[:, None, None, None]
+                                * np.tile(np.eye(m), (t.size, g.n_cells, 1, 1)))
+        model = ViscoelasticModel(grid=g, rho=1.25, gamma_elastic=ge, gamma_kernel=gamma)
+        system = rw.viscoelastic_system(model)
+        _, q = ve_kernel_split(model)
+        assert isinstance(system.kernel, TabulatedKernel)
+        np.testing.assert_array_equal(system.kernel.times, q.times)
+        np.testing.assert_array_equal(system.kernel.samples[:, :, :m, :m], q.samples)
+        outside = system.kernel.samples.copy()
+        outside[:, :, :m, :m] = 0.0
+        assert not outside.any()
+        src = rw.make_ricker_source(g, system.k, [0.5, 0.5], peak_frequency=10.0, component=m)
+        traj = rw.solve_causal(system, src)
+        assert step_residuals(traj, system, src).max() <= 1e-12 * np.abs(traj.states).max()
 
     def test_ellipticity_violation_rejected(self):
         g = rw.build_grid(2, [4, 4], 1.0, 1e-3, 0.01)
