@@ -39,6 +39,7 @@ from .operators import (
     StepOperators,  # noqa: F401  (re-exported: callers import it from here)
     block_diagonal,
     energy,
+    exp_interval_weights,
     max_symbol_speed,
     memory_series,
     prony_advance,
@@ -120,7 +121,7 @@ def _midpoint_solve(
         u_next = ops.lu.solve(rhs)
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
-        aux = prony_advance(aux, u, u_next, ops.dt, ops.taus)
+        aux = prony_advance(aux, u, u_next, ops.step_weights)
         u = u_next
         states[n + 1] = u
     return Trajectory(grid=grid, times=times, states=states, mass=system.mass, source=source)
@@ -152,6 +153,8 @@ def _rk4_solve(
             )
     taus = kern.taus if isinstance(kern, PronyKernel) else ()
     weight_mats = [block_diagonal(w) for w in kern.weights] if taus else []
+    half_weights = [exp_interval_weights(dt / 2, tau) for tau in taus]
+    step_weights = [exp_interval_weights(dt, tau) for tau in taus]
     _check_forcing(forcing, n_steps, system.n_state)
     times = grid.times(t_start)
     states = np.zeros((n_steps + 1, system.n_state))
@@ -161,14 +164,14 @@ def _rk4_solve(
     k_mat = system.skew.matrix
     b_mat = system.b_matrix()
 
-    def rate(t: float, v: np.ndarray, u_base: np.ndarray, offset: float, f_extra: np.ndarray | None):
+    def rate(t: float, v: np.ndarray, u_base: np.ndarray, weights, f_extra: np.ndarray | None):
         rhs = _source_at(source, t, system.n_state)
         if f_extra is not None:
             rhs = rhs + f_extra
         rhs = rhs - k_mat @ v
         if b_mat is not None:
             rhs = rhs - b_mat @ v
-        s_now = aux if offset == 0 else prony_advance(aux, u_base, v, offset, taus)
+        s_now = aux if weights is None else prony_advance(aux, u_base, v, weights)
         for wm, s in zip(weight_mats, s_now):
             rhs = rhs - wm @ s
         return system.mass.solve(rhs)
@@ -176,14 +179,14 @@ def _rk4_solve(
     for n in range(n_steps):
         t = times[n]
         f_extra = forcing[n] if forcing is not None else None
-        k1 = rate(t, u, u, 0.0, f_extra)
-        k2 = rate(t + dt / 2, u + dt / 2 * k1, u, dt / 2, f_extra)
-        k3 = rate(t + dt / 2, u + dt / 2 * k2, u, dt / 2, f_extra)
-        k4 = rate(t + dt, u + dt * k3, u, dt, f_extra)
+        k1 = rate(t, u, u, None, f_extra)
+        k2 = rate(t + dt / 2, u + dt / 2 * k1, u, half_weights, f_extra)
+        k3 = rate(t + dt / 2, u + dt / 2 * k2, u, half_weights, f_extra)
+        k4 = rate(t + dt, u + dt * k3, u, step_weights, f_extra)
         u_next = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"RK4 produced non-finite state at step {n}")
-        aux = prony_advance(aux, u, u_next, dt, taus)
+        aux = prony_advance(aux, u, u_next, step_weights)
         u = u_next
         states[n + 1] = u
     return Trajectory(grid=grid, times=times, states=states, mass=system.mass, source=source)
@@ -304,7 +307,7 @@ def step_residuals(
         if forcing is not None:
             r -= forcing[n]
         out[n] = np.linalg.norm(r)
-        aux = prony_advance(aux, u, un, ops.dt, ops.taus)
+        aux = prony_advance(aux, u, un, ops.step_weights)
     return out
 
 

@@ -296,49 +296,18 @@ def prony_advance(
     aux: Sequence[np.ndarray],
     u_prev: np.ndarray,
     u_next: np.ndarray,
-    dt: float,
-    taus: Sequence[float],
+    weights: Sequence[tuple[float, float, float]],
 ) -> list[np.ndarray]:
-    """Advance the scalar-exponential auxiliary states one step.
+    """Advance the scalar-exponential auxiliary states over one interval.
 
-    Each state carries s_j(t) = integral_0^t exp(-(t-s)/tau_j) u(s) ds; the
-    update integrates the linear interpolant of u exactly, so for piecewise
-    linear input the recursion reproduces the convolution with no quadrature
-    error.
+    Each state carries s_j(t) = integral_0^t exp(-(t-s)/tau_j) u(s) ds, and
+    ``weights`` holds one (E, w_old, w_new) triple per term: whole-step ones
+    from ``exp_interval_weights`` or the midpoint half-step ones of
+    ``StepOperators``.  The update integrates the linear interpolant of u
+    exactly, so for piecewise linear input the recursion reproduces the
+    convolution with no quadrature error.
     """
-    if any(t <= 0 for t in taus):
-        raise InvalidArgumentError("relaxation times must be positive")
-    out = []
-    for s, tau in zip(aux, taus):
-        e, w_old, w_new = exp_interval_weights(dt, tau)
-        out.append(e * s + w_old * u_prev + w_new * u_next)
-    return out
-
-
-def half_step_weights(dt: float, tau: float) -> tuple[float, float, float]:
-    """Weights (E, w_old, w_new) of s_j at the half step t_n + dt/2.
-
-    They act on (s_j(t_n), u_n, u_{n+1}) for the interpolant parameterized
-    on the full step, u(s) = u_n + (s - t_n)/dt (u_{n+1} - u_n).
-    """
-    e, i0, i1 = exp_interval_weights(dt / 2.0, tau)
-    w_new = 0.5 * i1
-    return e, (i0 + i1) - w_new, w_new
-
-
-def prony_half_step(
-    aux: Sequence[np.ndarray],
-    u_prev: np.ndarray,
-    u_next: np.ndarray,
-    dt: float,
-    taus: Sequence[float],
-) -> list[np.ndarray]:
-    """Auxiliary states at the half step of the implicit-midpoint scheme."""
-    out = []
-    for s, tau in zip(aux, taus):
-        e, w_old, w_new = half_step_weights(dt, tau)
-        out.append(e * s + w_old * u_prev + w_new * u_next)
-    return out
+    return [e * s + w_old * u_prev + w_new * u_next for s, (e, w_old, w_new) in zip(aux, weights)]
 
 
 def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.ndarray:
@@ -351,9 +320,10 @@ def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.nda
     if isinstance(kernel, ZeroKernel):
         return out
     if isinstance(kernel, PronyKernel):
+        weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
         aux = [np.zeros(states.shape[1]) for _ in kernel.taus]
         for m in range(1, states.shape[0]):
-            aux = prony_advance(aux, states[m - 1], states[m], dt, kernel.taus)
+            aux = prony_advance(aux, states[m - 1], states[m], weights)
             for w, s in zip(kernel.weights, aux):
                 out[m] += block_apply(w, s)
         return out
@@ -442,22 +412,16 @@ class DiscreteSystem:
         return StepOperators(self, self.grid.dt)
 
 
-@dataclass
-class _PronyTerm:
-    weight_matrix: sp.bsr_matrix
-    e_full: float
-    w_old_full: float
-    w_new_full: float
-    e_half: float
-
-
 class StepOperators:
     """Factorized midpoint step pieces for one (system, dt) pair.
 
     The step solves C u_{n+1} = D u_n + memory history terms + f(t_half).
     The same LU factorization serves the adjoint recursion through
-    transposed solves.  No reference to the system is kept, so a system
-    and its cached operator never form a reference cycle.
+    transposed solves.  For a Prony kernel it holds, per term, the weight
+    matrix and the ``prony_advance`` triples over the whole step and to
+    the half step: the one copy every midpoint recursion reads.  No
+    reference to the system is kept, so a system and its cached operator
+    never form a reference cycle.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
@@ -470,18 +434,24 @@ class StepOperators:
         c = (a_over_dt + 0.5 * k_mat).tocsc()
         d = (a_over_dt - 0.5 * k_mat).tocsr()
 
-        self.taus: tuple[float, ...] = ()
-        self.prony_terms: list[_PronyTerm] = []
+        self.weight_matrices: list[sp.bsr_matrix] = []
+        self.step_weights: list[tuple[float, float, float]] = []
+        self.half_weights: list[tuple[float, float, float]] = []
         self.tabulated: TabulatedKernel | None = None
         kern = system.kernel
         if isinstance(kern, PronyKernel):
-            self.taus = tuple(kern.taus)
             for w, tau in zip(kern.weights, kern.taus):
-                e_h, w_old_h, w_new_h = half_step_weights(self.dt, tau)
-                term = _PronyTerm(block_diagonal(w), *exp_interval_weights(self.dt, tau), e_h)
-                c = (c + w_new_h * term.weight_matrix).tocsc()
-                d = (d - sp.csr_matrix(w_old_h * term.weight_matrix))
-                self.prony_terms.append(term)
+                # s_j at t_n + dt/2 from (s_j(t_n), u_n, u_{n+1}), for the
+                # interpolant parameterized on the whole step
+                e_h, i0, i1 = exp_interval_weights(self.dt / 2.0, tau)
+                w_new_h = 0.5 * i1
+                w_old_h = (i0 + i1) - w_new_h
+                weight_matrix = block_diagonal(w)
+                c = (c + w_new_h * weight_matrix).tocsc()
+                d = (d - sp.csr_matrix(w_old_h * weight_matrix))
+                self.weight_matrices.append(weight_matrix)
+                self.step_weights.append(exp_interval_weights(self.dt, tau))
+                self.half_weights.append((e_h, w_old_h, w_new_h))
         elif isinstance(kern, TabulatedKernel):
             self.tabulated = kern
             self._q0, self._q_half = kernel_values(kern, np.array([0.0, self.dt / 2.0]),
@@ -497,13 +467,13 @@ class StepOperators:
         self.n_state = system.n_state
 
     def new_aux(self) -> list[np.ndarray]:
-        return [np.zeros(self.n_state) for _ in self.prony_terms]
+        return [np.zeros(self.n_state) for _ in self.weight_matrices]
 
     def memory_history_rhs(self, aux: list[np.ndarray], history: np.ndarray, step: int) -> np.ndarray:
         """Contribution of states up to t_n to R at the half step (moved to the RHS)."""
         out = np.zeros(self.n_state)
-        for term, s in zip(self.prony_terms, aux):
-            out -= term.e_half * (term.weight_matrix @ s)
+        for weight_matrix, (e_half, _, _), s in zip(self.weight_matrices, self.half_weights, aux):
+            out -= e_half * (weight_matrix @ s)
         if self.tabulated is not None and step > 0:
             offs = self.dt * (np.arange(step, 0, -1.0) + 0.5)
             blocks = kernel_values(self.tabulated, offs, *self.tabulated.samples.shape[1:3])
@@ -517,9 +487,9 @@ class StepOperators:
                          history: np.ndarray, step: int) -> np.ndarray:
         """R at the half step as the scheme saw it (for residual diagnostics)."""
         out = np.zeros(self.n_state)
-        s_half = prony_half_step(aux, u_prev, u_next, self.dt, self.taus)
-        for term, s in zip(self.prony_terms, s_half):
-            out += term.weight_matrix @ s
+        s_half = prony_advance(aux, u_prev, u_next, self.half_weights)
+        for weight_matrix, s in zip(self.weight_matrices, s_half):
+            out += weight_matrix @ s
         if self.tabulated is not None:
             out -= self.memory_history_rhs([], history, step)
             coef_prev = block_apply(0.75 * self.dt * self._q_half + self.dt / 8.0 * self._q0, u_prev)

@@ -48,7 +48,6 @@ from .operators import (
     MassOperator,
     block_apply,
     prony_advance,
-    prony_half_step,
 )
 
 
@@ -152,15 +151,15 @@ def _base_series(system: DiscreteSystem, traj: Trajectory):
     v = np.diff(states, axis=0) / dt
     ubar = 0.5 * (states[:-1] + states[1:])
     s_half: list[np.ndarray] = []
-    kern = system.kernel
-    if isinstance(kern, PronyKernel):
-        s_half = [np.zeros_like(v) for _ in kern.taus]
-        aux = [np.zeros(system.n_state) for _ in kern.taus]
+    if isinstance(system.kernel, PronyKernel):
+        ops = system.step_operators
+        s_half = [np.zeros_like(v) for _ in ops.weight_matrices]
+        aux = ops.new_aux()
         for n in range(v.shape[0]):
-            s_now = prony_half_step(aux, states[n], states[n + 1], dt, kern.taus)
+            s_now = prony_advance(aux, states[n], states[n + 1], ops.half_weights)
             for series, s in zip(s_half, s_now):
                 series[n] = s
-            aux = prony_advance(aux, states[n], states[n + 1], dt, kern.taus)
+            aux = prony_advance(aux, states[n], states[n + 1], ops.step_weights)
     return v, ubar, s_half
 
 
@@ -257,13 +256,11 @@ def adjoint_solve(
     mu = ops.new_aux()
     dT = ops.d_matrix.T.tocsr()
     for m in range(n_steps, 0, -1):
-        mu_new = [
-            term.e_full * mu_j - term.e_half * (term.weight_matrix @ lam)
-            for term, mu_j in zip(ops.prony_terms, mu)
-        ]
+        mu_new = [e_full * mu_j - e_half * (wm @ lam) for wm, (e_full, _, _), (e_half, _, _), mu_j
+                  in zip(ops.weight_matrices, ops.step_weights, ops.half_weights, mu)]
         rhs = dT @ lam + injections[m]
-        for term, mu_prev_j, mu_new_j in zip(ops.prony_terms, mu, mu_new):
-            rhs += term.w_old_full * mu_prev_j + term.w_new_full * mu_new_j
+        for (_, w_old, w_new), mu_prev_j, mu_new_j in zip(ops.step_weights, mu, mu_new):
+            rhs += w_old * mu_prev_j + w_new * mu_new_j
         lam = ops.lu.solve(rhs, trans="T")
         w[m - 1] = lam
         mu = mu_new

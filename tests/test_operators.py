@@ -247,14 +247,14 @@ class TestIntervalWeights:
 class TestPronyAdvance:
     def test_zero_history(self):
         aux = [np.zeros(6)]
-        out = prony_advance(aux, np.zeros(6), np.zeros(6), 0.01, [1.0])
+        out = prony_advance(aux, np.zeros(6), np.zeros(6), [exp_interval_weights(0.01, 1.0)])
         assert np.abs(out[0]).max() == 0.0
 
     def test_geometric_closed_form(self):
         aux = [np.zeros(3)]
         dt, n = 0.02, 80
         for _ in range(n):
-            aux = prony_advance(aux, np.ones(3), np.ones(3), dt, [1.0])
+            aux = prony_advance(aux, np.ones(3), np.ones(3), [exp_interval_weights(dt, 1.0)])
         assert aux[0][0] == pytest.approx(1.0 - np.exp(-n * dt), abs=1e-13)
 
     def test_converges_to_continuous_convolution(self):
@@ -269,14 +269,14 @@ class TestPronyAdvance:
             aux = [np.zeros(1)]
             for i in range(n):
                 aux = prony_advance(aux, np.array([u_fn(i * dt)]),
-                                    np.array([u_fn((i + 1) * dt)]), dt, [tau])
+                                    np.array([u_fn((i + 1) * dt)]), [exp_interval_weights(dt, tau)])
             errs.append(abs(aux[0][0] - oracle))
         assert errs[-1] < errs[0]
         assert errs[-1] < 5e-6
 
     def test_rejects_bad_tau(self):
         with pytest.raises(InvalidArgumentError):
-            prony_advance([np.zeros(2)], np.zeros(2), np.zeros(2), 0.01, [0.0])
+            PronyKernel(weights=(np.zeros((2, 1, 1)),), taus=(0.0,))
 
 
 class TestEnergy:
