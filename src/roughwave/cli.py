@@ -491,7 +491,7 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     # fields: mollifier preservation + measure pseudo-metric
     if isinstance(model, physics.AcousticModel):
         f0 = model.coefficient_field()
-        sm = mollify_field(f0, 4)
+        sm = mollify_field(f0, 4, _boundary(cfg, model))
         eig0 = np.linalg.eigvalsh(f0.a)
         eig1 = np.linalg.eigvalsh(sm.a)
         ok = eig1.min() >= eig0.min() - 1e-12 and eig1.max() <= eig0.max() + 1e-12

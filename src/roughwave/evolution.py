@@ -32,7 +32,15 @@ from .errors import (
     StabilityError,
     UnsupportedConfigurationError,
 )
-from .fields import Grid, PronyKernel, SourceTerm, TabulatedKernel, ZeroKernel, write_field_array
+from .fields import (
+    Grid,
+    PronyKernel,
+    SourceTerm,
+    TabulatedKernel,
+    ZeroKernel,
+    _hat_weights,
+    write_field_array,
+)
 from .operators import (
     DiscreteSystem,
     MassOperator,
@@ -323,12 +331,9 @@ def smooth_trajectory(traj: Trajectory, window: int) -> Trajectory:
     half = window - 1
     if half == 0:
         return traj
-    j = np.arange(-half, half + 1)
-    w = (half + 1 - np.abs(j)).astype(float)
-    w /= w.sum()
     padded = np.pad(traj.states, ((half, half), (0, 0)), mode="edge")
     out = np.zeros_like(traj.states)
-    for off, wj in zip(range(2 * half + 1), w):
+    for off, wj in zip(range(2 * half + 1), _hat_weights(half)):
         out += wj * padded[off : off + traj.states.shape[0]]
     return replace(traj, states=out)
 

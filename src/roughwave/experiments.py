@@ -278,7 +278,7 @@ def measure_convergence_study(
     sol_dist, meas_dist, seis_dist = [], [], []
     ref_data = sample_trajectory(sampler, ref).data if sampler is not None else None
     for n in schedule:
-        smooth = mollify_field(rough, n)
+        smooth = mollify_field(rough, n, boundary)
         traj = solve_causal(assemble_system(smooth, p_matrices, boundary), source, config)
         sol_dist.append(float(np.sqrt(vol) * np.linalg.norm(traj.states - ref.states, axis=1).max()))
         meas_dist.append(measure_distance(rough, smooth, eps))

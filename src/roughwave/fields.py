@@ -7,9 +7,9 @@ the lower-order part ``b``, and a causal matrix-valued relaxation kernel
 k on a grid with ``n`` cells is a flat float64 array of length ``n * k``
 whose ``(cell, component)`` view is ``u.reshape(n, k)``.
 
-The mollifier is a tensor-product triangular (hat) kernel with periodic
-wrap; convolving with it is a convex per-cell average, so symmetry and
-spectral bounds of ``a`` survive exactly.
+The mollifier is a tensor-product triangular (hat) kernel, wrapped on a
+periodic grid and mirrored at the walls otherwise; convolving with it is a
+convex per-cell average, so symmetry and spectral bounds of ``a`` survive.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -326,42 +326,46 @@ def _hat_weights(half_width: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _mollify_array(arr: np.ndarray, grid: Grid, n: int) -> np.ndarray:
-    """Periodic tensor-product hat smoothing of a per-cell array."""
+def _mollify_array(arr: np.ndarray, grid: Grid, n: int, boundary: str) -> np.ndarray:
+    """Tensor-product hat smoothing of a per-cell array (see ``mollify_field``)."""
     spatial = arr.reshape(*grid.shape, -1)
+    mode = "wrap" if boundary == "periodic" else "symmetric"
     for axis in range(grid.dim):
-        half = grid.shape[axis] // n
+        size, half = grid.shape[axis], grid.shape[axis] // n
         if half == 0:
             continue
-        w = _hat_weights(half)
+        pad = [(half, half) if a == axis else (0, 0) for a in range(spatial.ndim)]
+        padded = np.pad(spatial, pad, mode=mode)
         acc = np.zeros_like(spatial)
-        for off, wj in zip(range(-half, half + 1), w):
-            acc += wj * np.roll(spatial, off, axis=axis)
+        for off, wj in zip(range(-half, half + 1), _hat_weights(half)):
+            acc += wj * padded[(slice(None),) * axis + (slice(half - off, half - off + size),)]
         spatial = acc
     return spatial.reshape(arr.shape)
 
 
-def mollify_field(f: CoefficientField, n: int) -> CoefficientField:
+def mollify_field(f: CoefficientField, n: int, boundary: str = "periodic") -> CoefficientField:
     """Smooth a field with a unit-mass hat kernel of radius ~ 1/n.
 
     The half-width in cells is ``floor(N_axis / n)`` per axis, so once the
     radius drops below one cell the operation is the identity on the
-    per-cell representation.  Convex averaging preserves symmetry and the
-    spectral bounds of ``a`` exactly.
+    per-cell representation.  Each axis is padded by the half-width, wrapped
+    on a ``"periodic"`` grid and mirrored at the walls on any other boundary,
+    so no average reaches across a wall.  Convex averaging preserves
+    symmetry and the spectral bounds of ``a`` exactly.
     """
     if n < 1:
         raise InvalidArgumentError(f"mollification index must be >= 1, got {n}")
-    a = _mollify_array(f.a, f.grid, n)
+    a = _mollify_array(f.a, f.grid, n, boundary)
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    b = None if f.b is None else _mollify_array(f.b, f.grid, n)
+    b = None if f.b is None else _mollify_array(f.b, f.grid, n, boundary)
     kernel = f.kernel
     if isinstance(kernel, PronyKernel):
         kernel = PronyKernel(
-            weights=tuple(_mollify_array(w, f.grid, n) for w in kernel.weights),
+            weights=tuple(_mollify_array(w, f.grid, n, boundary) for w in kernel.weights),
             taus=kernel.taus,
         )
     elif isinstance(kernel, TabulatedKernel):
-        sm = np.stack([_mollify_array(s, f.grid, n) for s in kernel.samples])
+        sm = np.stack([_mollify_array(s, f.grid, n, boundary) for s in kernel.samples])
         kernel = TabulatedKernel(times=kernel.times, samples=sm)
     return CoefficientField(
         grid=f.grid, k=f.k, a=a, b=b, kernel=kernel,
@@ -424,11 +428,6 @@ class SourceTerm:
             raise InvalidArgumentError("footprint must be a flat state-sized vector")
         if self.smoothness < 1:
             raise InvalidArgumentError("declared smoothness must be >= 1")
-
-    def wavelet_at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        vals = np.asarray(self.wavelet(t), dtype=float)
-        return np.where(t >= self.onset, vals, 0.0)
 
     def evaluate(self, t: float) -> np.ndarray:
         if t < self.onset:
@@ -524,17 +523,6 @@ def make_burst_source(
     foot = amplitude * _make_footprint(grid, k, center, component, footprint_width)
     return SourceTerm(grid=grid, k=k, footprint=foot, wavelet=wavelet,
                       onset=onset, smoothness=smoothness)
-
-
-def make_sampled_wavelet(times: np.ndarray, values: np.ndarray) -> Callable:
-    """Linear interpolant through sampled wavelet values (zero outside)."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-
-    def wavelet(t):
-        return np.interp(np.asarray(t, dtype=float), times, values, left=0.0, right=0.0)
-
-    return wavelet
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +657,3 @@ def load_coefficient_field(basepath: str) -> CoefficientField:
         c_lo=bounds["c_lo"], c_hi=bounds["c_hi"], c_b=bounds["c_b"], c_q=bounds["c_q"],
     )
 
-
-def with_time_axis(grid: Grid, dt: float, t_end: float) -> Grid:
-    """Copy of ``grid`` with a different time axis."""
-    return replace(grid, dt=float(dt), n_steps=int(np.ceil(t_end / dt - 1e-12)))

@@ -11,7 +11,9 @@ last bit, which is what the discrete energy argument needs.
 A system holds b and the memory kernel q as per-cell blocks, whose product
 with states is ``block_apply``.  Prony kernels convolve by an O(1)-per-step
 recursion that is exact for piecewise-linear input, tabulated kernels by
-the trapezoid rule (the brute-force oracle path).
+the trapezoid rule (the brute-force oracle path).  ``prony_advance`` is the
+one recursion step, and ``StepOperators`` holds the midpoint scheme's
+whole-step and half-step weight triples.
 """
 
 from __future__ import annotations
@@ -246,16 +248,6 @@ def assemble_skew(
     return SkewOperator(matrix=total, p_matrices=tuple(p_matrices), grid=grid, k=k)
 
 
-def export_coo(skew: SkewOperator, path) -> None:
-    """Write the spatial operator as 'row col value' text for external checks."""
-    coo = skew.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # memory operator
 # ---------------------------------------------------------------------------
@@ -301,11 +293,10 @@ def prony_advance(
     """Advance the scalar-exponential auxiliary states over one interval.
 
     Each state carries s_j(t) = integral_0^t exp(-(t-s)/tau_j) u(s) ds, and
-    ``weights`` holds one (E, w_old, w_new) triple per term: whole-step ones
-    from ``exp_interval_weights`` or the midpoint half-step ones of
-    ``StepOperators``.  The update integrates the linear interpolant of u
-    exactly, so for piecewise linear input the recursion reproduces the
-    convolution with no quadrature error.
+    ``weights`` holds one (E, w_old, w_new) triple per term, from
+    ``exp_interval_weights`` or ``StepOperators``.  The update integrates
+    the linear interpolant of u exactly, so for piecewise linear input the
+    recursion reproduces the convolution with no quadrature error.
     """
     return [e * s + w_old * u_prev + w_new * u_next for s, (e, w_old, w_new) in zip(aux, weights)]
 
@@ -419,9 +410,10 @@ class StepOperators:
     The same LU factorization serves the adjoint recursion through
     transposed solves.  For a Prony kernel it holds, per term, the weight
     matrix and the ``prony_advance`` triples over the whole step and to
-    the half step: the one copy every midpoint recursion reads.  No
-    reference to the system is kept, so a system and its cached operator
-    never form a reference cycle.
+    the half step t_n + dt/2, where they act on (s_j(t_n), u_n, u_{n+1})
+    for the interpolant parameterized on the whole step: the one copy
+    every midpoint recursion reads.  No reference to the system is kept,
+    so a system and its cached operator never form a reference cycle.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
@@ -441,8 +433,6 @@ class StepOperators:
         kern = system.kernel
         if isinstance(kern, PronyKernel):
             for w, tau in zip(kern.weights, kern.taus):
-                # s_j at t_n + dt/2 from (s_j(t_n), u_n, u_{n+1}), for the
-                # interpolant parameterized on the whole step
                 e_h, i0, i1 = exp_interval_weights(self.dt / 2.0, tau)
                 w_new_h = 0.5 * i1
                 w_old_h = (i0 + i1) - w_new_h

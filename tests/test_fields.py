@@ -15,7 +15,6 @@ from roughwave.fields import (
     PronyKernel,
     TabulatedKernel,
     load_coefficient_field,
-    make_sampled_wavelet,
     read_field_array,
     ricker_wavelet,
     save_coefficient_field,
@@ -57,14 +56,6 @@ class TestBuildGrid:
         g = rw.build_grid(2, [4, 8], [1.0, 2.0], 1e-3, 0.01)
         assert g.state_size(3) == 3 * 32
         assert g.cell_volume == pytest.approx(0.25 * 0.25)
-
-    def test_with_time_axis_keeps_space(self):
-        from roughwave.fields import with_time_axis
-
-        g = rw.build_grid(1, [50], 1.0, 1e-3, 0.5)
-        g2 = with_time_axis(g, 5e-4, 0.25)
-        assert g2.shape == g.shape and g2.h == g.h
-        assert g2.dt == 5e-4 and g2.n_steps == 500
 
     def test_refined_grid(self):
         g = rw.build_grid(1, [50], 1.0, 1e-3, 0.5)
@@ -127,6 +118,30 @@ class TestMollify:
         eig_out = np.linalg.eigvalsh(out.a)
         assert eig_out.min() >= eig_in.min() - 1e-12
         assert eig_out.max() <= eig_in.max() + 1e-12
+
+    def test_walls_are_mirrored_not_wrapped(self):
+        # far from the interface at 0.6, the edge cells keep their layer's value
+        g = rw.build_grid(1, [64], 1.0, 1e-3, 0.1)
+        f = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6).coefficient_field()
+        wrapped = rw.mollify_field(f, 4)
+        assert wrapped.a[0, 0, 0] == pytest.approx(0.647, abs=1e-3)
+        walled = rw.mollify_field(f, 4, "acoustic_free")
+        assert walled.a[0, 0, 0] == pytest.approx(1.0, abs=3e-16)
+        assert walled.a[63, 0, 0] == pytest.approx(0.25, abs=3e-16)
+
+    def test_walled_2d_keeps_the_bounds_of_a(self):
+        rng = np.random.default_rng(5)
+        g = rw.build_grid(2, [10, 7], 1.0, 1e-3, 0.1)
+        q, _ = np.linalg.qr(rng.standard_normal((70, 3, 3)))
+        a = np.einsum("cik,ck,cjk->cij", q, 1.0 + rng.random((70, 3)), q)
+        f = CoefficientField(grid=g, k=3, a=0.5 * (a + np.swapaxes(a, 1, 2)))
+        eig_in = np.linalg.eigvalsh(f.a)
+        for n in (1, 2, 3):
+            out = rw.mollify_field(f, n, "acoustic_free")
+            assert not np.allclose(out.a, f.a)
+            eig_out = np.linalg.eigvalsh(out.a)
+            assert eig_out.min() >= eig_in.min() - 1e-12
+            assert eig_out.max() <= eig_in.max() + 1e-12
 
     def test_distance_to_mollification_nonincreasing_in_n(self):
         f = step_field(96)
@@ -228,14 +243,9 @@ class TestSources:
         g = rw.build_grid(1, [32], 1.0, 1e-3, 0.5)
         src = rw.make_burst_source(g, 2, [0.5], frequency=4.0, smoothness=3, onset=0.1)
         assert src.smoothness == 3
-        assert src.wavelet_at(0.05) == 0.0
-        assert src.wavelet_at(0.36) == 0.0  # after one period
-        assert src.wavelet_at(0.225) == pytest.approx(1.0)
-
-    def test_sampled_wavelet_interpolation(self):
-        w = make_sampled_wavelet(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))
-        assert w(0.5) == pytest.approx(1.0)
-        assert w(5.0) == 0.0
+        assert src.wavelet(0.05) == 0.0
+        assert src.wavelet(0.36) == 0.0  # after one period
+        assert src.wavelet(0.225) == pytest.approx(1.0)
 
 
 class TestFieldValidation:

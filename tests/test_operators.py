@@ -19,7 +19,6 @@ from roughwave.operators import (
     block_diagonal,
     energy,
     exp_interval_weights,
-    export_coo,
     max_symbol_speed,
     prony_advance,
 )
@@ -148,17 +147,6 @@ class TestSkew:
         g = rw.build_grid(1, [16], 1.0, 1e-3, 0.1)
         with pytest.raises(UnsupportedConfigurationError):
             rw.assemble_skew([np.array([[1.0]])], g, "acoustic_free")
-
-    def test_coo_export(self, tmp_path):
-        g = rw.build_grid(1, [8], 1.0, 1e-3, 0.1)
-        sk = rw.assemble_skew([np.array([[1.0]])], g, "periodic")
-        path = tmp_path / "p.coo"
-        export_coo(sk, path)
-        rows = [line.split() for line in path.read_text().splitlines()[1:]]
-        rebuilt = np.zeros((8, 8))
-        for r, c, v in rows:
-            rebuilt[int(r), int(c)] = float(v)
-        np.testing.assert_array_equal(rebuilt, sk.matrix.toarray())
 
 
 class TestMemory:

@@ -76,6 +76,23 @@ class TestFactorCount:
         assert len(splu_calls) == 1
 
 
+class TestPronyWeights:
+    def test_built_once_per_step_operator(self, interval_weight_calls):
+        # two terms, a whole-step and a half-step triple each
+        system, src, sampler = prony_2d()
+        ops = system.step_operators
+        assert len(interval_weight_calls) == 4
+        assert len(ops.step_weights) == len(ops.half_weights) == len(ops.weight_matrices) == 2
+        traj = rw.solve_causal(system, src)
+        step_residuals(traj, system)
+        observed = rw.SeismogramData(times=traj.times, data=np.zeros((2, traj.times.size)),
+                                     receivers=sampler.receivers)
+        report = misfit_gradient(system, src, sampler, observed,
+                                 dot_test_rng=np.random.default_rng(0))
+        assert report.diagnostics["dot_product_residual"] <= 1e-12
+        assert len(interval_weight_calls) == 4
+
+
 class TestCopies:
     def test_replaced_copy_starts_empty_and_matches(self):
         system, src, sampler = prony_2d()
