@@ -304,18 +304,16 @@ def step_residuals(
     dt = system.grid.dt
     ops = system.step_operators
     states = traj.states
-    aux = ops.new_aux()
     out = np.zeros(traj.n_steps)
-    for n in range(traj.n_steps):
+    for n, s_half in enumerate(ops.replay(states)):
         u, un = states[n], states[n + 1]
         ubar = 0.5 * (u + un)
         r = system.mass.apply((un - u) / dt) + system.skew.apply(ubar) + system.apply_b(ubar)
-        r += ops.half_step_memory(aux, u, un, states, n)
+        r += ops.half_step_memory(s_half, u, un, states, n)
         r -= _source_at(source, traj.times[n] + 0.5 * dt, system.n_state)
         if forcing is not None:
             r -= forcing[n]
         out[n] = np.linalg.norm(r)
-        aux = prony_advance(aux, u, un, ops.step_weights)
     return out
 
 

@@ -473,11 +473,19 @@ class StepOperators:
                 out -= weights[m] * block_apply(blocks[m], history[m])
         return out
 
-    def half_step_memory(self, aux: list[np.ndarray], u_prev: np.ndarray, u_next: np.ndarray,
+    def replay(self, states: np.ndarray):
+        """Replay the step's Prony recursion over stored states t_0 .. t_N.  Per
+        step it yields the half-step states s_j(t_n + dt/2) as the step formed
+        them (bit-identical; empty without Prony terms)."""
+        aux = self.new_aux()
+        for u_prev, u_next in zip(states[:-1], states[1:]):
+            yield prony_advance(aux, u_prev, u_next, self.half_weights)
+            aux = prony_advance(aux, u_prev, u_next, self.step_weights)
+
+    def half_step_memory(self, s_half: list[np.ndarray], u_prev: np.ndarray, u_next: np.ndarray,
                          history: np.ndarray, step: int) -> np.ndarray:
-        """R at the half step as the scheme saw it (for residual diagnostics)."""
+        """R at the half step as the scheme saw it, from ``replay``'s states (for residuals)."""
         out = np.zeros(self.n_state)
-        s_half = prony_advance(aux, u_prev, u_next, self.half_weights)
         for weight_matrix, s in zip(self.weight_matrices, s_half):
             out += weight_matrix @ s
         if self.tabulated is not None:

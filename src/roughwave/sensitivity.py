@@ -26,6 +26,7 @@ steepest-ascent directions; no descent machinery lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .operators import (
     DiscreteSystem,
     MassOperator,
     block_apply,
-    prony_advance,
 )
 
 
@@ -134,33 +134,20 @@ def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: f
 
 
 # ---------------------------------------------------------------------------
-# trajectory-derived series
+# trajectory-derived steps
 # ---------------------------------------------------------------------------
 
 
-def _base_series(system: DiscreteSystem, traj: Trajectory):
-    """Half-step derivative, midpoint average, and Prony half-step aux series.
-
-    Recomputed from the stored states with the same recursion the stepper
-    used, so the values are bit-identical to the forward pass.
-    """
+def _half_steps(system: DiscreteSystem, traj: Trajectory):
+    """Per step: (u_{n+1} - u_n)/dt, the midpoint average, and the Prony half-step
+    states of the stepper's ``replay``, bit-identical to the forward pass."""
     if traj.grid != system.grid:
         raise GridMismatchError("trajectory was not produced on this system's grid")
-    states = traj.states
-    dt = system.grid.dt
-    v = np.diff(states, axis=0) / dt
-    ubar = 0.5 * (states[:-1] + states[1:])
-    s_half: list[np.ndarray] = []
-    if isinstance(system.kernel, PronyKernel):
-        ops = system.step_operators
-        s_half = [np.zeros_like(v) for _ in ops.weight_matrices]
-        aux = ops.new_aux()
-        for n in range(v.shape[0]):
-            s_now = prony_advance(aux, states[n], states[n + 1], ops.half_weights)
-            for series, s in zip(s_half, s_now):
-                series[n] = s
-            aux = prony_advance(aux, states[n], states[n + 1], ops.step_weights)
-    return v, ubar, s_half
+    states, dt = traj.states, system.grid.dt
+    s_halves = (system.step_operators.replay(states)
+                if isinstance(system.kernel, PronyKernel) else repeat([]))
+    for u_prev, u_next, s_half in zip(states[:-1], states[1:], s_halves):
+        yield (u_next - u_prev) / dt, 0.5 * (u_prev + u_next), s_half
 
 
 def perturbation_forcing(
@@ -174,15 +161,14 @@ def perturbation_forcing(
     """
     pert.validate(system)
     _require_sensitivity_kernel(system)
-    v, ubar, s_half = _base_series(system, traj)
-    out = np.zeros_like(v)
-    if pert.delta_a is not None:
-        out -= block_apply(pert.delta_a, v)
-    if pert.delta_b is not None:
-        out -= block_apply(pert.delta_b, ubar)
-    if pert.delta_weights is not None:
-        for dw, s in zip(pert.delta_weights, s_half):
-            out -= block_apply(dw, s)
+    out = np.zeros((traj.n_steps, system.n_state))
+    for row, (v, ubar, s_half) in zip(out, _half_steps(system, traj)):
+        if pert.delta_a is not None:
+            row -= block_apply(pert.delta_a, v)
+        if pert.delta_b is not None:
+            row -= block_apply(pert.delta_b, ubar)
+        for dw, s in zip(pert.delta_weights or (), s_half):
+            row -= block_apply(dw, s)
     return out
 
 
@@ -236,7 +222,7 @@ def adjoint_solve(
     residual: SeismogramData,
     sampler: Sampler,
 ) -> Trajectory:
-    """Adjoint state w: the transposed midpoint recursion driven by S^T r.
+    """Adjoint state w: the transposed midpoint recursion driven by S^T r, step by step.
 
     Equivalent to a time-reversed causal solve (t -> T - t flips P by
     skew-symmetry and runs the memory recursion on the reversed kernel);
@@ -248,8 +234,6 @@ def adjoint_solve(
     n_steps = grid.n_steps
     if residual.times.size != n_steps + 1:
         raise GridMismatchError("residual time axis does not match the system grid")
-    injections = sampler_adjoint_source(sampler, residual)  # (n_times, n_state)
-
     ops = system.step_operators
     w = np.zeros((n_steps + 1, system.n_state))
     lam = np.zeros(system.n_state)
@@ -258,7 +242,7 @@ def adjoint_solve(
     for m in range(n_steps, 0, -1):
         mu_new = [e_full * mu_j - e_half * (wm @ lam) for wm, (e_full, _, _), (e_half, _, _), mu_j
                   in zip(ops.weight_matrices, ops.step_weights, ops.half_weights, mu)]
-        rhs = dT @ lam + injections[m]
+        rhs = dT @ lam + sampler_adjoint_source(sampler, residual.data[:, m])
         for (_, w_old, w_new), mu_prev_j, mu_new_j in zip(ops.step_weights, mu, mu_new):
             rhs += w_old * mu_prev_j + w_new * mu_new_j
         lam = ops.lu.solve(rhs, trans="T")
@@ -276,26 +260,20 @@ def assemble_gradient(
 
     With the adjoint driven by the misfit residual d - F, the result is the
     derivative of J: dJ . pert = report.pair(pert), exactly in the discrete
-    sense.  g_a and the kernel gradients are symmetrized per cell.
+    sense, summed forward one step at a time.  g_a and the kernel gradients are
+    symmetrized per cell.
     """
     if base.states.shape != adjoint.states.shape:
         raise GridMismatchError("base and adjoint trajectories are misaligned")
-    v, ubar, s_half = _base_series(system, base)
     n_cells, k = system.grid.n_cells, system.k
-    dt = system.grid.dt
-    lam = adjoint.states[:-1].reshape(-1, n_cells, k)
-
-    def contract(series: np.ndarray) -> np.ndarray:
-        return dt * np.einsum("nci,ncj->cij", lam, series.reshape(-1, n_cells, k))
-
-    g_a = contract(v)
-    g_a = 0.5 * (g_a + np.swapaxes(g_a, 1, 2))
-    g_b = contract(ubar)
-    g_q = []
-    for s in s_half:
-        g = contract(s)
-        g_q.append(0.5 * (g + np.swapaxes(g, 1, 2)))
-    return GradientReport(g_a=g_a, g_b=g_b, g_q=tuple(g_q))
+    n_terms = system.kernel.n_terms if isinstance(system.kernel, PronyKernel) else 0
+    sums = np.zeros((2 + n_terms, n_cells, k, k))  # g_a, g_b, g_q...
+    for lam, (v, ubar, s_half) in zip(adjoint.states, _half_steps(system, base)):
+        series = np.reshape([v, ubar, *s_half], (-1, n_cells, k))
+        sums += np.einsum("ci,mcj->mcij", lam.reshape(n_cells, k), series)
+    sums *= system.grid.dt
+    sym = 0.5 * (sums + np.swapaxes(sums, 2, 3))
+    return GradientReport(g_a=sym[0], g_b=sums[1], g_q=tuple(sym[2:]))
 
 
 def misfit_gradient(
