@@ -13,7 +13,8 @@ with states is ``block_apply``.  Prony kernels convolve by an O(1)-per-step
 recursion that is exact for piecewise-linear input, tabulated kernels by
 the trapezoid rule (the brute-force oracle path).  ``prony_advance`` is the
 one recursion step, and ``StepOperators`` holds the midpoint scheme's
-whole-step and half-step weight triples.
+whole-step and half-step weight triples; its ``replay`` reruns the
+recursion over stored states for step residuals and the sensitivity code.
 """
 
 from __future__ import annotations
@@ -536,11 +537,12 @@ def unit_directions(dim: int) -> np.ndarray:
 def max_symbol_speed(system: DiscreteSystem) -> float:
     """Largest characteristic speed of the symbol over cells and directions.
 
-    Solves the generalized eigenproblem of p(xi) against the per-cell mass
-    block on the sampled ``unit_directions``.
+    Solves the generalized eigenproblem of p(xi) against each distinct mass
+    block (rough media are mostly piecewise constant) on the sampled
+    ``unit_directions``.
     """
     dirs = unit_directions(system.grid.dim)
-    vals, vecs = np.linalg.eigh(system.mass.blocks)
+    vals, vecs = np.linalg.eigh(np.unique(system.mass.blocks, axis=0))
     inv_sqrt = np.einsum("cik,ck,cjk->cij", vecs, 1.0 / np.sqrt(vals), vecs)
     speed = 0.0
     for xi in dirs:

@@ -400,13 +400,14 @@ def slowness_pencil_min_eig(system: DiscreteSystem, tau: float) -> float:
     tau * c <= 1.  So the minimum over cells changes sign at
     tau = 1/max_wavespeed in every medium: positive below, negative above.
     Sweeping tau across that value is the two-sided check of the
-    finite-speed slowness bound.
+    finite-speed slowness bound.  Only the distinct cell blocks are solved.
     """
     dirs = unit_directions(system.grid.dim)
+    blocks = np.unique(system.mass.blocks, axis=0)
     worst = np.inf
     for xi in dirs:
         p = sum(x * pm for x, pm in zip(xi, system.skew.p_matrices))
-        worst = min(worst, float(np.linalg.eigvalsh(system.mass.blocks - tau * p[None]).min()))
+        worst = min(worst, float(np.linalg.eigvalsh(blocks - tau * p[None]).min()))
     return worst
 
 

@@ -19,8 +19,11 @@ specialized per cell):
     g_b[cell]  = dt sum_n (w_n (x) ubar_n)[cell]
     g_qj[cell] = dt sum_n sym(w_n (x) s_half_jn)[cell]   (Prony weights only)
 
-These arrays are derivative representers in the trace pairing, not
-steepest-ascent directions; no descent machinery lives here.
+The sums run forward, one step at a time, over the states the stepper's
+``replay`` yields, and the adjoint takes S^T r one step at a time, so no
+full series is built beside the trajectories themselves.  These arrays are
+derivative representers in the trace pairing, not steepest-ascent
+directions; no descent machinery lives here.
 """
 
 from __future__ import annotations

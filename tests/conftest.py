@@ -1,5 +1,7 @@
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import roughwave.operators
@@ -19,6 +21,30 @@ def count_calls(monkeypatch, name):
         if module_name.split(".")[0] == "roughwave" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that Python and numpy allocate while ``fn(*args)`` runs, result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def eigvalsh_rows(monkeypatch):
+    """Number of matrices in each stack that reaches ``np.linalg.eigvalsh``."""
+    original = np.linalg.eigvalsh
+    rows = []
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return rows
 
 
 @pytest.fixture

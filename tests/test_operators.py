@@ -21,6 +21,7 @@ from roughwave.operators import (
     exp_interval_weights,
     max_symbol_speed,
     prony_advance,
+    unit_directions,
 )
 
 
@@ -313,6 +314,15 @@ class TestSymbolSpeed:
         model = rw.AcousticModel(grid=g, kappa=4.0, rho=1.0)
         system = rw.acoustics_system(model)
         assert max_symbol_speed(system) == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_solves_distinct_cell_blocks_only(self, dim, eigvalsh_rows):
+        g = rw.build_grid(dim, [16] * dim, 1.0, 1e-3, 0.1)
+        model = rw.two_layer_acoustic(g, kappa_left=1.0, kappa_right=4.0, interface=0.6)
+        system = rw.acoustics_system(model)
+        eigvalsh_rows.clear()
+        assert max_symbol_speed(system) == pytest.approx(2.0, rel=1e-12)
+        assert eigvalsh_rows == [2] * len(unit_directions(dim))
 
     def test_block_diagonal_layout(self):
         blocks = np.arange(8.0).reshape(2, 2, 2)

@@ -19,6 +19,7 @@ from roughwave.physics import (
     ve_kernel_split,
 )
 from roughwave.evolution import step_residuals
+from roughwave.operators import unit_directions
 from roughwave.experiments import fit_slope
 from roughwave.sensitivity import dot_product_test
 
@@ -112,6 +113,15 @@ class TestSlownessPencil:
         assert slowness_pencil_min_eig(system, 0.95 * tau_star) > 0
         assert slowness_pencil_min_eig(system, 1.05 * tau_star) < 0
         assert abs(slowness_pencil_min_eig(system, tau_star)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_solves_distinct_cell_blocks_only(self, dim, eigvalsh_rows):
+        g = rw.build_grid(dim, [16] * dim, 1.0, 1e-3, 0.01)
+        model = rw.two_layer_acoustic(g, kappa_left=1.0, kappa_right=4.0, interface=0.6)
+        system = rw.acoustics_system(model)
+        eigvalsh_rows.clear()
+        assert slowness_pencil_min_eig(system, 0.45) > 0
+        assert eigvalsh_rows == [2] * len(unit_directions(dim))
 
 
 class TestKelvinElasticity:

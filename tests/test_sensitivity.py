@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import roughwave as rw
 from roughwave.errors import UnsupportedConfigurationError
@@ -10,6 +11,8 @@ from roughwave.fields import PronyKernel
 from roughwave.forward import build_sampler, sample_trajectory
 from roughwave.sensitivity import (
     CoefficientPerturbation,
+    adjoint_solve,
+    assemble_gradient,
     dot_product_test,
     finite_difference_table,
     misfit_gradient,
@@ -310,3 +313,44 @@ class TestPerturbedSystem:
         np.testing.assert_allclose(
             kern.weights[0],
             system.kernel.weights[0] + 0.5 * pert.delta_weights[0])
+
+
+class TestMemory:
+    """The sensitivity solves build no full-series intermediates: their peak
+    allocation, in units of one stored trajectory, stays near what they return."""
+
+    @pytest.fixture(scope="class")
+    def prony_1d(self):
+        g = rw.build_grid(1, [400], 1.0, 1e-3, 0.4)
+        rng = np.random.default_rng(4)
+        model = rw.AcousticModel(grid=g, kappa=1.0 + rng.random(g.n_cells),
+                                 rho=1.0 + 0.5 * rng.random(g.n_cells))
+        kernel = PronyKernel(weights=(np.tile(0.4 * np.eye(2), (g.n_cells, 1, 1)),
+                                      np.tile(0.15 * np.eye(2), (g.n_cells, 1, 1))),
+                             taus=(0.07, 0.3))
+        system = rw.acoustics_system(model, kernel=kernel)
+        src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=8.0)
+        sampler = build_sampler([[0.7], [0.55]], "pressure", g, 2)
+        traj = rw.solve_causal(system, src)
+        residual = rw.SeismogramData(times=traj.times,
+                                     data=rng.standard_normal((2, traj.times.size)),
+                                     receivers=sampler.receivers)
+        adjoint = adjoint_solve(system, residual, sampler)
+        assert g.n_steps == 400
+        return system, traj, sampler, residual, adjoint
+
+    def test_adjoint_solve(self, prony_1d):
+        system, traj, sampler, residual, _ = prony_1d
+        peak = traced_peak(adjoint_solve, system, residual, sampler)
+        assert peak <= 1.25 * traj.states.nbytes
+
+    def test_perturbation_forcing(self, prony_1d):
+        system, traj, *_ = prony_1d
+        pert = random_perturbation(system, np.random.default_rng(5))
+        peak = traced_peak(perturbation_forcing, system, traj, pert)
+        assert peak <= 1.25 * traj.states.nbytes
+
+    def test_assemble_gradient(self, prony_1d):
+        system, traj, _, _, adjoint = prony_1d
+        peak = traced_peak(assemble_gradient, traj, adjoint, system)
+        assert peak <= 0.25 * traj.states.nbytes
