@@ -165,7 +165,7 @@ def perturbation_forcing(
     pert.validate(system)
     _require_sensitivity_kernel(system)
     out = np.zeros((traj.n_steps, system.n_state))
-    for row, (v, ubar, s_half) in zip(out, _half_steps(system, traj)):
+    for (v, ubar, s_half), row in zip(_half_steps(system, traj), out):
         if pert.delta_a is not None:
             row -= block_apply(pert.delta_a, v)
         if pert.delta_b is not None:
