@@ -32,7 +32,6 @@ from .operators import (
     MassOperator,
     SkewOperator,
     acoustic_p_matrices,
-    apply_memory,
     assemble_mass,
     assemble_skew,
     assemble_system,

@@ -11,9 +11,11 @@ last bit, which is what the discrete energy argument needs.
 A system holds b and the memory kernel q as per-cell blocks, whose product
 with states is ``block_apply``.  Prony kernels convolve by an O(1)-per-step
 recursion that is exact for piecewise-linear input, tabulated kernels by
-the trapezoid rule (the brute-force oracle path).  ``prony_advance`` is the
-one recursion step, and ``StepOperators`` holds the midpoint scheme's
-whole-step and half-step weight triples; its ``replay`` reruns the
+the trapezoid rule (the brute-force oracle path).  ``memory_series`` is the
+one grid-time convolution, and evaluates a tabulated kernel once per call.
+``prony_advance`` is the one recursion step, and ``StepOperators`` holds
+the midpoint scheme's whole-step and half-step weight triples, or a
+tabulated kernel's blocks evaluated once; its ``replay`` reruns the
 recursion over stored states for step residuals and the sensitivity code.
 """
 
@@ -306,7 +308,8 @@ def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.nda
     """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N).
 
     Prony kernels run the exact recursion once over the whole series;
-    tabulated kernels evaluate the trapezoid rule at each time.
+    tabulated kernels are evaluated once on the grid times and apply the
+    trapezoid rule at each time.
     """
     out = np.zeros_like(states)
     if isinstance(kernel, ZeroKernel):
@@ -319,38 +322,10 @@ def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.nda
             for w, s in zip(kernel.weights, aux):
                 out[m] += block_apply(w, s)
         return out
+    blocks = kernel_values(kernel, dt * np.arange(states.shape[0]), *kernel.samples.shape[1:3])
     for m in range(1, states.shape[0]):
-        out[m] = apply_memory(kernel, states, m, dt)
-    return out
-
-
-def apply_memory(kernel: MemoryKernel, history: np.ndarray, t_index: int, dt: float) -> np.ndarray:
-    """Evaluate R[u] at grid time index ``t_index`` from the state history.
-
-    ``history`` holds states at t_0 .. t_m row-wise and must cover the
-    requested index.  Prony kernels use the exact recursion on the linear
-    interpolant; tabulated kernels use the trapezoid rule on grid nodes.
-    """
-    if history.ndim != 2:
-        raise InvalidArgumentError("history must be (n_times, n_state)")
-    if t_index >= history.shape[0]:
-        raise InvalidArgumentError(
-            f"insufficient history: need index {t_index}, have {history.shape[0] - 1}"
-        )
-    if isinstance(kernel, ZeroKernel) or t_index == 0:
-        return np.zeros(history.shape[1])
-    n, k = (kernel.weights[0] if isinstance(kernel, PronyKernel) else kernel.samples[0]).shape[:2]
-    if history.shape[1] != n * k:
-        raise InvalidArgumentError("history must be (n_times, n_state)")
-    if isinstance(kernel, PronyKernel):
-        return memory_series(kernel, history[: t_index + 1], dt)[t_index]
-    offsets = dt * np.arange(t_index, -1, -1.0)
-    blocks = kernel_values(kernel, offsets, n, k)
-    weights = np.full(t_index + 1, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    out = np.zeros(n * k)
-    for m in range(t_index + 1):
-        out += weights[m] * block_apply(blocks[m], history[m])
+        for i in range(m + 1):
+            out[m] += (0.5 * dt if i in (0, m) else dt) * block_apply(blocks[m - i], states[i])
     return out
 
 
@@ -413,8 +388,10 @@ class StepOperators:
     matrix and the ``prony_advance`` triples over the whole step and to
     the half step t_n + dt/2, where they act on (s_j(t_n), u_n, u_{n+1})
     for the interpolant parameterized on the whole step: the one copy
-    every midpoint recursion reads.  No reference to the system is kept,
-    so a system and its cached operator never form a reference cycle.
+    every midpoint recursion reads.  A tabulated kernel is evaluated here
+    once, at 0, dt/2 and the history offsets.  No reference to the system
+    is kept, so a system and its cached operator never form a reference
+    cycle.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
@@ -430,7 +407,7 @@ class StepOperators:
         self.weight_matrices: list[sp.bsr_matrix] = []
         self.step_weights: list[tuple[float, float, float]] = []
         self.half_weights: list[tuple[float, float, float]] = []
-        self.tabulated: TabulatedKernel | None = None
+        self._q_history: np.ndarray | None = None
         kern = system.kernel
         if isinstance(kern, PronyKernel):
             for w, tau in zip(kern.weights, kern.taus):
@@ -444,13 +421,14 @@ class StepOperators:
                 self.step_weights.append(exp_interval_weights(self.dt, tau))
                 self.half_weights.append((e_h, w_old_h, w_new_h))
         elif isinstance(kern, TabulatedKernel):
-            self.tabulated = kern
-            self._q0, self._q_half = kernel_values(kern, np.array([0.0, self.dt / 2.0]),
-                                                   system.grid.n_cells, system.k)
-            q0 = block_diagonal(self._q0)
-            c = (c + (self.dt / 8.0) * q0).tocsc()
-            d = (d - sp.csr_matrix((0.75 * self.dt) * block_diagonal(self._q_half)
-                                   + (self.dt / 8.0) * q0))
+            # q(0), q(dt/2) and the history offsets q(dt (j + 1/2)), j = 1 .. n_steps
+            offsets = np.concatenate(([0.0, 0.5], np.arange(1, system.grid.n_steps + 1) + 0.5))
+            q = kernel_values(kern, self.dt * offsets, system.grid.n_cells, system.k)
+            self._q_history = q[2:]
+            self._q_implicit = (self.dt / 8.0) * q[0]  # acts on u_{n+1}
+            self._q_explicit = 0.75 * self.dt * q[1] + self._q_implicit  # acts on u_n
+            c = (c + block_diagonal(self._q_implicit)).tocsc()
+            d = d - sp.csr_matrix(block_diagonal(self._q_explicit))
 
         self.c_matrix = c.tocsr()
         self.d_matrix = d.tocsr()
@@ -465,13 +443,11 @@ class StepOperators:
         out = np.zeros(self.n_state)
         for weight_matrix, (e_half, _, _), s in zip(self.weight_matrices, self.half_weights, aux):
             out -= e_half * (weight_matrix @ s)
-        if self.tabulated is not None and step > 0:
-            offs = self.dt * (np.arange(step, 0, -1.0) + 0.5)
-            blocks = kernel_values(self.tabulated, offs, *self.tabulated.samples.shape[1:3])
-            weights = np.full(step, self.dt)
-            weights[0] = 0.5 * self.dt  # m = 0 endpoint of the trapezoid
+        if self._q_history is not None and step > 0:
+            blocks = self._q_history[step - 1::-1]  # q(dt (step - m + 1/2)) for m = 0 .. step-1
             for m in range(step):
-                out -= weights[m] * block_apply(blocks[m], history[m])
+                # m = 0 is the endpoint of the trapezoid
+                out -= (0.5 * self.dt if m == 0 else self.dt) * block_apply(blocks[m], history[m])
         return out
 
     def replay(self, states: np.ndarray):
@@ -489,10 +465,9 @@ class StepOperators:
         out = np.zeros(self.n_state)
         for weight_matrix, s in zip(self.weight_matrices, s_half):
             out += weight_matrix @ s
-        if self.tabulated is not None:
+        if self._q_history is not None:
             out -= self.memory_history_rhs([], history, step)
-            coef_prev = block_apply(0.75 * self.dt * self._q_half + self.dt / 8.0 * self._q0, u_prev)
-            out += coef_prev + block_apply(self.dt / 8.0 * self._q0, u_next)
+            out += block_apply(self._q_explicit, u_prev) + block_apply(self._q_implicit, u_next)
         return out
 
 

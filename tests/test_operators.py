@@ -15,11 +15,11 @@ from roughwave.errors import (
 from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel
 from roughwave.operators import (
     acoustic_p_matrices,
-    apply_memory,
     block_diagonal,
     energy,
     exp_interval_weights,
     max_symbol_speed,
+    memory_series,
     prony_advance,
     unit_directions,
 )
@@ -154,7 +154,7 @@ class TestMemory:
     def test_zero_kernel(self):
         op = rw.ZeroKernel()
         hist = np.ones((21, 8))
-        assert np.abs(apply_memory(op, hist, 20, 1e-2)).max() == 0.0
+        assert np.abs(memory_series(op, hist, 1e-2)[20]).max() == 0.0
 
     def test_prony_step_response_closed_form(self):
         # q = exp(-t) I, u = 1 for t >= 0: R(t) = 1 - exp(-t), exact for the
@@ -162,7 +162,7 @@ class TestMemory:
         op = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(1.0,))
         hist = np.ones((101, 4))
         for idx in (10, 50, 100):
-            r = apply_memory(op, hist, idx, 0.01)
+            r = memory_series(op, hist, 0.01)[idx]
             assert r[0] == pytest.approx(1.0 - np.exp(-0.01 * idx), abs=1e-13)
 
     def test_tabulated_matches_prony_second_order(self):
@@ -176,8 +176,8 @@ class TestMemory:
             tab = TabulatedKernel(times=dt * np.arange(2 * m + 1),
                                   samples=np.exp(-dt * np.arange(2 * m + 1))[:, None, None, None]
                                   * np.ones((1, 4, 1, 1)))
-            r1 = apply_memory(prony, hist, m, dt)
-            r2 = apply_memory(tab, hist, m, dt)
+            r1 = memory_series(prony, hist, dt)[m]
+            r2 = memory_series(tab, hist, dt)[m]
             errs.append(np.abs(r1 - r2).max())
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 1.9
@@ -186,10 +186,10 @@ class TestMemory:
         op = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(0.5,))
         rng = np.random.default_rng(1)
         hist = rng.standard_normal((40, 4))
-        r = apply_memory(op, hist, 20, 0.01)
+        r = memory_series(op, hist, 0.01)[20]
         hist2 = hist.copy()
         hist2[21:] = 99.0
-        r2 = apply_memory(op, hist2, 20, 0.01)
+        r2 = memory_series(op, hist2, 0.01)[20]
         np.testing.assert_array_equal(r, r2)
 
     def test_system_rejects_a_kernel_of_the_wrong_cell_shape(self):
@@ -199,11 +199,6 @@ class TestMemory:
         with pytest.raises(InvalidCoefficientError, match="tabulated kernel has wrong per-cell shape"):
             rw.acoustics_system(model, kernel=TabulatedKernel(times=np.array([0.0, 0.01]),
                                                               samples=np.ones((2, 4, 1, 1))))
-
-    def test_insufficient_history(self):
-        op = rw.ZeroKernel()
-        with pytest.raises(InvalidArgumentError, match="insufficient history"):
-            apply_memory(op, np.zeros((5, 4)), 10, 0.01)
 
 
 class TestIntervalWeights:
