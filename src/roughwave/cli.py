@@ -69,6 +69,13 @@ def _optional(cfg: dict, key: str, kind, default, where: str = "config"):
     return default if cfg.get(key) is None else _need(cfg, key, kind, where)
 
 
+def _positive(value, where: str):
+    """``value`` (a number, or a list of numbers) when every entry is > 0."""
+    if not np.all(np.asarray(value) > 0):
+        raise ConfigError(f"must be positive, got {value}", field=where)
+    return value
+
+
 def _is_point(value, dim: int) -> bool:
     return (isinstance(value, list) and len(value) == dim
             and all(isinstance(x, (int, float)) for x in value))
@@ -145,7 +152,7 @@ def parse_config(path: str) -> RunConfig:
         output=_optional(raw, "output", str, "out"),
         seed=_optional(raw, "seed", int, 0),
         leak_tolerance=_optional(raw, "leak_tolerance", float, 1e-6),
-        snapshot_every=_optional(raw, "snapshot_every", int, 10),
+        snapshot_every=_positive(_optional(raw, "snapshot_every", int, 10), "config.snapshot_every"),
         jobs=_optional(raw, "jobs", int, 1),
     )
 
@@ -158,12 +165,17 @@ def parse_config(path: str) -> RunConfig:
 def _build_grid(spec: dict) -> fields.Grid:
     where = "config.model.grid"
     dim = _need(spec, "dim", int, where)
+    if dim not in (1, 2, 3):
+        raise ConfigError(f"expected 1, 2 or 3, got {dim}", field=f"{where}.dim")
+    cells = _need(spec, "cells", list, where)
+    if len(cells) != dim or not all(isinstance(c, int) and c >= 2 for c in cells):
+        raise ConfigError(f"expected {dim} integer(s) >= 2", field=f"{where}.cells")
     return build_grid(
         dim=dim,
-        cells_per_axis=_need(spec, "cells", list, where),
-        extent=_per_axis(spec, "extent", 1.0, dim, where),
-        dt=_need(spec, "dt", (int, float), where),
-        t_end=_need(spec, "t_end", (int, float), where),
+        cells_per_axis=cells,
+        extent=_positive(_per_axis(spec, "extent", 1.0, dim, where), f"{where}.extent"),
+        dt=_positive(_need(spec, "dt", (int, float), where), f"{where}.dt"),
+        t_end=_positive(_need(spec, "t_end", (int, float), where), f"{where}.t_end"),
         origin=_per_axis(spec, "origin", 0.0, dim, where),
     )
 
@@ -265,20 +277,24 @@ def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
     component = _optional(spec, "component", int, 0, "config.source")
     if not 0 <= component < k:
         raise ConfigError(f"expected 0..{k - 1}, got {component}", field="config.source.component")
+    onset = _optional(spec, "onset", float, 0.0, "config.source")
+    if onset < 0:
+        raise ConfigError(f"expected a number >= 0, got {onset}", field="config.source.onset")
     common = dict(
-        grid=grid, k=k, center=center, component=component,
-        onset=_optional(spec, "onset", float, 0.0, "config.source"),
+        grid=grid, k=k, center=center, component=component, onset=onset,
         amplitude=_optional(spec, "amplitude", float, 1.0, "config.source"),
         footprint_width=_optional(spec, "footprint_width", float, None, "config.source"),
     )
     if kind == "ricker":
         return fields.make_ricker_source(
-            peak_frequency=_need(spec, "frequency", float, "config.source"),
+            peak_frequency=_positive(_need(spec, "frequency", float, "config.source"),
+                                     "config.source.frequency"),
             delay=_optional(spec, "delay", float, None, "config.source"), **common,
         )
     if kind == "burst":
         return fields.make_burst_source(
-            frequency=_need(spec, "frequency", float, "config.source"),
+            frequency=_positive(_need(spec, "frequency", float, "config.source"),
+                                "config.source.frequency"),
             smoothness=_optional(spec, "smoothness", int, 2, "config.source"), **common,
         )
     raise ConfigError("source type must be 'ricker' or 'burst'", field="config.source.type")
@@ -366,9 +382,9 @@ def _cmd_gradient(cfg: RunConfig) -> int:
     total = None
     j_total = 0.0
     worst_dot = 0.0
+    sources = [build_source(s, system) for s in specs]
     # deterministic accumulation in fixed source order
-    for spec, data in zip(specs, observed):
-        source = build_source(spec, system)
+    for source, data in zip(sources, observed):
         report = sensitivity.misfit_gradient(system, source, sampler, data, dot_test_rng=rng)
         j_total += report.objective
         worst_dot = max(worst_dot, report.diagnostics.get("dot_product_residual", 0.0))
@@ -421,7 +437,8 @@ def _cmd_study(cfg: RunConfig) -> int:
         center = _optional(cfg.study, "center", list, [0.5] * dim, "config.study")
         if not _is_point(center, dim):
             raise ConfigError(f"expected {dim} coordinate(s)", field="config.study.center")
-        freq = _optional(cfg.study, "frequency", float, 4.0, "config.study")
+        freq = _positive(_optional(cfg.study, "frequency", float, 4.0, "config.study"),
+                         "config.study.frequency")
         smoothness = _increasing(cfg.study, "smoothness", [1, 2, 3], 1)
         refinements = _optional(cfg.study, "refinements", int, 2, "config.study")
         if refinements < 1:

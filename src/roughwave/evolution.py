@@ -71,7 +71,7 @@ class IntegratorConfig:
 class Trajectory:
     """Time-indexed solution states of one system.
 
-    ``states`` holds every time level row-wise, t = t_start included.  The
+    ``states`` holds every time level row-wise, t = 0 included.  The
     energy series is computed from the states and ``mass`` on first read.
     """
 
@@ -107,14 +107,13 @@ def _midpoint_solve(
     system: DiscreteSystem,
     source: SourceTerm | None,
     u0: np.ndarray,
-    t_start: float,
     forcing: np.ndarray | None,
 ) -> Trajectory:
     grid = system.grid
     dt, n_steps = grid.dt, grid.n_steps
     ops = system.step_operators
     _check_forcing(forcing, n_steps, ops.n_state)
-    times = grid.times(t_start)
+    times = grid.times()
     states = np.zeros((n_steps + 1, ops.n_state))
 
     u = u0.copy()
@@ -140,7 +139,6 @@ def _rk4_solve(
     source: SourceTerm | None,
     config: IntegratorConfig,
     u0: np.ndarray,
-    t_start: float,
     forcing: np.ndarray | None,
 ) -> Trajectory:
     grid = system.grid
@@ -164,7 +162,7 @@ def _rk4_solve(
     half_weights = [exp_interval_weights(dt / 2, tau) for tau in taus]
     step_weights = [exp_interval_weights(dt, tau) for tau in taus]
     _check_forcing(forcing, n_steps, system.n_state)
-    times = grid.times(t_start)
+    times = grid.times()
     states = np.zeros((n_steps + 1, system.n_state))
     u = u0.copy()
     states[0] = u
@@ -210,9 +208,8 @@ def solve_causal(
     source: SourceTerm | None,
     config: IntegratorConfig | None = None,
     forcing: np.ndarray | None = None,
-    t_start: float = 0.0,
 ) -> Trajectory:
-    """Causal solve: u = 0 at t_start, driven by the source (and/or an
+    """Causal solve: u = 0 at t = 0, driven by the source (and/or an
     explicit per-step forcing array sampled at half steps for midpoint).
     """
     config = config or IntegratorConfig()
@@ -220,18 +217,17 @@ def solve_causal(
         raise GridMismatchError("source and system grids differ")
     u0 = np.zeros(system.n_state)
     if config.scheme == IMPLICIT_MIDPOINT:
-        return _midpoint_solve(system, source, u0, t_start, forcing)
-    return _rk4_solve(system, source, config, u0, t_start, forcing)
+        return _midpoint_solve(system, source, u0, forcing)
+    return _rk4_solve(system, source, config, u0, forcing)
 
 
 def solve_ivp(
     system: DiscreteSystem,
     u0: np.ndarray,
-    t_start: float = 0.0,
     source: SourceTerm | None = None,
     config: IntegratorConfig | None = None,
 ) -> Trajectory:
-    """Initial-value solve with u(t_start) = u0.
+    """Initial-value solve with u(0) = u0.
 
     Only defined for memory-free systems: with a convolution term, initial
     data do not determine solutions.
@@ -245,8 +241,8 @@ def solve_ivp(
     if u0.shape != (system.n_state,):
         raise InvalidArgumentError("u0 must be a flat state vector")
     if config.scheme == IMPLICIT_MIDPOINT:
-        return _midpoint_solve(system, source, u0.astype(float), t_start, None)
-    return _rk4_solve(system, source, config, u0.astype(float), t_start, None)
+        return _midpoint_solve(system, source, u0.astype(float), None)
+    return _rk4_solve(system, source, config, u0.astype(float), None)
 
 
 def time_reversed_system(system: DiscreteSystem) -> DiscreteSystem:

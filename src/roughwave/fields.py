@@ -73,8 +73,8 @@ class Grid:
     def state_size(self, k: int) -> int:
         return self.n_cells * k
 
-    def times(self, t_start: float = 0.0) -> np.ndarray:
-        return t_start + self.dt * np.arange(self.n_steps + 1)
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.n_steps + 1)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         n, hh, o = self.shape[axis], self.h[axis], self.origin[axis]
@@ -509,6 +509,8 @@ def make_burst_source(
     """One-cycle sine-power burst with exactly ``smoothness`` continuous
     derivatives: w(t) = sin^(s+1)(pi (t - onset) f) on one period, 0 outside.
     """
+    if frequency <= 0:
+        raise InvalidArgumentError("frequency must be positive")
     if smoothness < 1:
         raise InvalidArgumentError("smoothness must be >= 1")
     duration = 1.0 / frequency

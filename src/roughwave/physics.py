@@ -192,17 +192,14 @@ def two_layer_acoustic(
     grid: Grid,
     kappa_left: float,
     kappa_right: float,
-    rho_left: float = 1.0,
-    rho_right: float = 1.0,
     interface: float = 0.5,
     axis: int = 0,
 ) -> AcousticModel:
-    """Two constant layers split by an axis-aligned interface."""
+    """Two constant-kappa layers of unit density split by an axis-aligned interface."""
     coord = grid.centers()[:, axis]
     right = coord >= interface
     kappa = np.where(right, kappa_right, kappa_left)
-    rho = np.where(right, rho_right, rho_left)
-    return AcousticModel(grid=grid, kappa=kappa, rho=rho)
+    return AcousticModel(grid=grid, kappa=kappa, rho=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def directional_derivative(
         warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
                       "in the continuum limit", stacklevel=2)
     forcing = perturbation_forcing(system, base, pert)
-    return solve_causal(system, None, forcing=forcing, t_start=float(base.times[0]))
+    return solve_causal(system, None, forcing=forcing)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from roughwave import cli, sensitivity
+from roughwave import cli, evolution, sensitivity
 from roughwave.cli import (
     COMMANDS,
     build_sampler_from_spec,
@@ -480,6 +480,28 @@ class TestInputErrors:
             "study_schedule", "forward_tag", "check_tag", "forward_normal", "check_normal",
             "normal_type", "check_receiver_outside"])
     def test_malformed_entry_named(self, tmp_path, capsys, case, where):
+        self.expect_config_error(tmp_path, capsys, self.malformed(case), where)
+
+    @pytest.mark.parametrize("case, where", [
+        (("source", {"type": "burst", "center": [0.5], "frequency": 0}), "config.source.frequency"),
+        (("source", {"type": "burst", "center": [0.5], "frequency": -3}), "config.source.frequency"),
+        (("source.frequency", 0), "config.source.frequency"),
+        (("source.onset", -1), "config.source.onset"),
+        (("model.grid.dt", 0), "config.model.grid.dt"),
+        (("model.grid.t_end", -0.1), "config.model.grid.t_end"),
+        (("model.grid.extent", 0), "config.model.grid.extent"),
+        (("model.grid.cells", [1]), "config.model.grid.cells"),
+        (("model.grid.cells", ["a"]), "config.model.grid.cells"),
+        (("model.grid.cells", [20, 20]), "config.model.grid.cells"),
+        (("model.grid.dim", 4), "config.model.grid.dim"),
+        (("snapshot_every", 0), "config.snapshot_every"),
+        (("study.frequency", 0), "config.study.frequency"),
+    ], ids=["burst_frequency_zero", "burst_frequency_negative", "ricker_frequency", "onset",
+            "dt", "t_end", "extent", "cells_one", "cells_type", "cells_count", "dim",
+            "snapshot_every", "study_frequency"])
+    def test_out_of_range_entry_named(self, tmp_path, capsys, monkeypatch, case, where):
+        monkeypatch.setattr(evolution, "_midpoint_solve",
+                            lambda *args, **kwargs: pytest.fail("solved before checking"))
         self.expect_config_error(tmp_path, capsys, self.malformed(case), where)
 
     @pytest.mark.parametrize("command", ["forward", "check"])

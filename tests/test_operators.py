@@ -12,9 +12,10 @@ from roughwave.errors import (
     InvalidCoefficientError,
     UnsupportedConfigurationError,
 )
-from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel
+from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel, kernel_values
 from roughwave.operators import (
     acoustic_p_matrices,
+    block_apply,
     block_diagonal,
     energy,
     exp_interval_weights,
@@ -181,6 +182,24 @@ class TestMemory:
             errs.append(np.abs(r1 - r2).max())
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 1.9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tabulated_rows_match_the_per_index_trapezoid(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k, dt = 5, 2, 0.01
+        q = rng.standard_normal((17, n, k, k))
+        # samples at 0.7 dt cover 11 steps of the 25-step history; q is zero beyond
+        kernel = TabulatedKernel(times=0.7 * dt * np.arange(17), samples=q + q.swapaxes(2, 3))
+        states = rng.standard_normal((26, n * k))
+        got = memory_series(kernel, states, dt)
+        assert np.abs(got[0]).max() == 0.0
+        for m in range(1, states.shape[0]):
+            row = np.zeros(n * k)
+            for i in range(m + 1):
+                weight = 0.5 * dt if i in (0, m) else dt
+                q_lag = kernel_values(kernel, np.array([dt * (m - i)]), n, k)[0]
+                row += weight * block_apply(q_lag, states[i])
+            assert np.array_equal(got[m], row), m
 
     def test_causality_wrt_future_history(self):
         op = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(0.5,))

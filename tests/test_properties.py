@@ -4,7 +4,10 @@ Each example draws a per-cell medium (kappa in [0.5, 4], rho in [0.5, 2]) in
 1D or 2D, a boundary, and either no memory or a two-term Prony kernel with
 random per-cell scales, then checks the discrete identities the sensitivity
 code rests on: forward step residuals, the forced step residuals of the
-directional derivative, and the adjoint dot-product test.
+directional derivative, and the adjoint dot-product test.  Memory-free
+media in 1D to 3D check the identities the energy argument rests on: the
+stored spatial operator is exactly antisymmetric, and with b = q = f = 0
+the midpoint step conserves the energy to round-off.
 """
 
 import numpy as np
@@ -61,3 +64,39 @@ def test_midpoint_and_adjoint_identities(case):
     assert step_residuals(du, system, forcing=forcing).max() <= 1e-10 * np.abs(du.states).max()
 
     assert dot_product_test(system, traj, sampler, rng) <= 1e-12
+
+
+# cells per axis by dimension
+CELLS = {1: (6, 40), 2: (6, 12), 3: (3, 6)}
+
+
+@st.composite
+def memory_free_media(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    cells = [draw(st.integers(*CELLS[dim])) for _ in range(dim)]
+    boundary = draw(st.sampled_from(["periodic", "acoustic_free"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dt = 0.5 / max(cells)
+    g = rw.build_grid(dim, cells, 1.0, dt, N_STEPS * dt)
+    model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
+                             rho=rng.uniform(0.5, 2.0, g.n_cells))
+    return rw.acoustics_system(model, boundary=boundary), rng
+
+
+@given(case=memory_free_media())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_stored_skew_operator_is_antisymmetric(case):
+    system, _ = case
+    p = system.skew.matrix
+    assert p.nnz > 0
+    assert abs(p + p.T).max() == 0
+
+
+@given(case=memory_free_media())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_midpoint_conserves_energy(case):
+    system, rng = case
+    traj = rw.solve_ivp(system, rng.standard_normal(system.n_state))
+    assert traj.n_steps == N_STEPS
+    energies = traj.energies
+    assert np.abs(energies - energies[0]).max() <= 1e-12 * energies[0]

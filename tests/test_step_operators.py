@@ -15,10 +15,12 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import roughwave as rw
+from conftest import count_calls
 from roughwave.cli import parse_config, run_checks
 from roughwave.evolution import step_residuals, time_reversed_system
-from roughwave.fields import PronyKernel
+from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
+from roughwave.operators import memory_series
 from roughwave.sensitivity import misfit_gradient, perturbed_system, random_perturbation
 
 
@@ -91,6 +93,25 @@ class TestPronyWeights:
                                  dot_test_rng=np.random.default_rng(0))
         assert report.diagnostics["dot_product_residual"] <= 1e-12
         assert len(interval_weight_calls) == 4
+
+
+class TestTabulatedKernel:
+    def test_evaluated_once_per_operator_and_per_convolution(self, monkeypatch):
+        # 1D 50 cells, 100 steps; evaluating per step would read 100, 99 and 100
+        g = rw.build_grid(1, [50], 1.0, 2e-3, 0.2)
+        rng = np.random.default_rng(4)
+        q = rng.standard_normal((60, g.n_cells, 2, 2))
+        kernel = TabulatedKernel(times=3e-3 * np.arange(60), samples=0.1 * (q + q.swapaxes(2, 3)))
+        system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0), kernel=kernel)
+        src = rw.make_ricker_source(g, 2, [0.4], peak_frequency=8.0)
+        calls = count_calls(monkeypatch, "kernel_values")
+        traj = rw.solve_causal(system, src)
+        assert g.n_steps == 100 and 1 <= len(calls) <= 2
+        del calls[:]
+        assert np.abs(step_residuals(traj, system)).max() <= 1e-12
+        assert len(calls) == 0
+        memory_series(kernel, traj.states, g.dt)
+        assert len(calls) == 1
 
 
 class TestCopies:
