@@ -11,7 +11,6 @@ from .errors import (
     InvalidCoefficientError,
     RoughwaveError,
     SolverError,
-    StabilityError,
     UnsupportedConfigurationError,
 )
 from .fields import (
@@ -39,7 +38,6 @@ from .operators import (
     prony_advance,
 )
 from .evolution import (
-    IntegratorConfig,
     Trajectory,
     energy_identity_residual,
     smooth_trajectory,

@@ -18,15 +18,7 @@ import numpy as np
 
 from . import experiments, fields, forward, physics, sensitivity
 from .errors import ConfigError, InvalidArgumentError, RoughwaveError
-from .evolution import (
-    IMPLICIT_MIDPOINT,
-    RK4,
-    IntegratorConfig,
-    energy_identity_residual,
-    export_energy_csv,
-    export_snapshots,
-    solve_causal,
-)
+from .evolution import energy_identity_residual, export_energy_csv, export_snapshots, solve_causal
 from .fields import PronyKernel, SourceTerm, ZeroKernel, build_grid
 from .operators import DiscreteSystem
 
@@ -40,7 +32,6 @@ class RunConfig:
     source: dict | None = None
     sources: list[dict] = field(default_factory=list)
     sampler: dict | None = None
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     observed: list[str] = field(default_factory=list)
     study: dict | None = None
     output: str = "out"
@@ -70,9 +61,16 @@ def _optional(cfg: dict, key: str, kind, default, where: str = "config"):
 
 
 def _positive(value, where: str):
-    """``value`` (a number, or a list of numbers) when every entry is > 0."""
-    if not np.all(np.asarray(value) > 0):
+    """``value`` (a number, or a list of numbers) when every entry is > 0; None passes."""
+    if value is not None and not np.all(np.asarray(value) > 0):
         raise ConfigError(f"must be positive, got {value}", field=where)
+    return value
+
+
+def _nonnegative(value, where: str):
+    """``value`` (a number) when it is >= 0; None passes."""
+    if value is not None and not value >= 0:
+        raise ConfigError(f"expected a number >= 0, got {value}", field=where)
     return value
 
 
@@ -111,15 +109,11 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError("model type must be 'acoustic' or 'viscoelastic'",
                               field="config.model.type")
         _need(model, "grid", dict, "config.model")
-    integ_raw = _optional(raw, "integrator", dict, {})
-    scheme = integ_raw.get("scheme", IMPLICIT_MIDPOINT)
-    # gradient and check run the adjoint, the exact transpose of the midpoint step
-    schemes = (IMPLICIT_MIDPOINT,) if command in ("gradient", "check") else (IMPLICIT_MIDPOINT, RK4)
-    if scheme not in schemes:
-        raise ConfigError(f"{command} runs take scheme {' or '.join(map(repr, schemes))}, "
-                          f"got {scheme!r}", field="config.integrator.scheme")
-    integrator = IntegratorConfig(
-        scheme=scheme, cfl_safety=_optional(integ_raw, "cfl_safety", float, 0.5, "config.integrator"))
+    # one scheme: the implicit midpoint step, whose exact transpose the adjoint is
+    scheme = _optional(raw, "integrator", dict, {}).get("scheme", "implicit_midpoint")
+    if scheme != "implicit_midpoint":
+        raise ConfigError(f"expected 'implicit_midpoint' (RK4 was removed), got {scheme!r}",
+                          field="config.integrator.scheme")
     sources = _optional(raw, "sources", list, [])
     if not all(isinstance(s, dict) for s in sources):
         raise ConfigError("expected a list of JSON objects", field="config.sources")
@@ -146,14 +140,14 @@ def parse_config(path: str) -> RunConfig:
         source=source,
         sources=sources,
         sampler=raw.get("sampler"),
-        integrator=integrator,
         observed=observed,
         study=raw.get("study"),
         output=_optional(raw, "output", str, "out"),
         seed=_optional(raw, "seed", int, 0),
-        leak_tolerance=_optional(raw, "leak_tolerance", float, 1e-6),
+        leak_tolerance=_nonnegative(_optional(raw, "leak_tolerance", float, 1e-6),
+                                    "config.leak_tolerance"),
         snapshot_every=_positive(_optional(raw, "snapshot_every", int, 10), "config.snapshot_every"),
-        jobs=_optional(raw, "jobs", int, 1),
+        jobs=_positive(_optional(raw, "jobs", int, 1), "config.jobs"),
     )
 
 
@@ -267,6 +261,14 @@ def build_system(cfg: RunConfig):
     return model, physics.viscoelastic_system(model, boundary=boundary)
 
 
+def _acoustic_system(cfg: RunConfig, who: str):
+    """``build_system`` for runs that need an acoustic model; ``who`` names them."""
+    model, system = build_system(cfg)
+    if not isinstance(model, physics.AcousticModel):
+        raise ConfigError(f"{who} need an acoustic model", field="config.model.type")
+    return model, system
+
+
 def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
     kind = spec.get("type", "ricker")
     grid, k = system.grid, system.k
@@ -277,19 +279,20 @@ def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
     component = _optional(spec, "component", int, 0, "config.source")
     if not 0 <= component < k:
         raise ConfigError(f"expected 0..{k - 1}, got {component}", field="config.source.component")
-    onset = _optional(spec, "onset", float, 0.0, "config.source")
-    if onset < 0:
-        raise ConfigError(f"expected a number >= 0, got {onset}", field="config.source.onset")
+    onset = _nonnegative(_optional(spec, "onset", float, 0.0, "config.source"),
+                         "config.source.onset")
     common = dict(
         grid=grid, k=k, center=center, component=component, onset=onset,
         amplitude=_optional(spec, "amplitude", float, 1.0, "config.source"),
-        footprint_width=_optional(spec, "footprint_width", float, None, "config.source"),
+        footprint_width=_positive(_optional(spec, "footprint_width", float, None, "config.source"),
+                                  "config.source.footprint_width"),
     )
     if kind == "ricker":
         return fields.make_ricker_source(
             peak_frequency=_positive(_need(spec, "frequency", float, "config.source"),
                                      "config.source.frequency"),
-            delay=_optional(spec, "delay", float, None, "config.source"), **common,
+            delay=_nonnegative(_optional(spec, "delay", float, None, "config.source"),
+                               "config.source.delay"), **common,
         )
     if kind == "burst":
         return fields.make_burst_source(
@@ -317,9 +320,6 @@ def build_sampler_from_spec(spec: dict, system: DiscreteSystem) -> forward.Sampl
     if tag not in (forward.PRESSURE, forward.NORMAL_VELOCITY):
         raise ConfigError(f"expected 'pressure' or 'normal_velocity', got {tag!r}",
                           field="config.sampler.tag")
-    if system.k != grid.dim + 1:
-        raise ConfigError(f"sampler tags read the acoustic state of width {grid.dim + 1}; "
-                          f"this model's state has width {system.k}", field="config.model.type")
     normal = _optional(spec, "normal", list, None, "config.sampler")
     normals = normal if normal and isinstance(normal[0], list) else [normal]
     if tag == forward.NORMAL_VELOCITY and not (len(normals) in (1, len(receivers)) and all(
@@ -340,7 +340,7 @@ def build_sampler_from_spec(spec: dict, system: DiscreteSystem) -> forward.Sampl
 def _cmd_simulate(cfg: RunConfig) -> int:
     model, system = build_system(cfg)
     source = build_source(cfg.source or cfg.sources[0], system)
-    traj = solve_causal(system, source, cfg.integrator)
+    traj = solve_causal(system, source)
     os.makedirs(cfg.output, exist_ok=True)
     export_energy_csv(traj, os.path.join(cfg.output, "energy.csv"))
     export_snapshots(traj, os.path.join(cfg.output, "snapshots"), system.k, every=cfg.snapshot_every)
@@ -351,11 +351,11 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_forward(cfg: RunConfig) -> int:
-    model, system = build_system(cfg)
+    model, system = _acoustic_system(cfg, "sampler tags")
     sampler = build_sampler_from_spec(cfg.sampler, system)
     specs = cfg.sources if cfg.sources else [cfg.source]
     sources = [build_source(s, system) for s in specs]
-    shots = forward.forward_map_shots(system, sources, sampler, cfg.integrator, jobs=cfg.jobs)
+    shots = forward.forward_map_shots(system, sources, sampler, jobs=cfg.jobs)
     os.makedirs(cfg.output, exist_ok=True)
     for i, seis in enumerate(shots):
         forward.save_seismogram_csv(seis, os.path.join(cfg.output, f"seismogram_{i:03d}.csv"))
@@ -364,7 +364,7 @@ def _cmd_forward(cfg: RunConfig) -> int:
 
 
 def _cmd_gradient(cfg: RunConfig) -> int:
-    model, system = build_system(cfg)
+    model, system = _acoustic_system(cfg, "sampler tags")
     sampler = build_sampler_from_spec(cfg.sampler, system)
     specs = cfg.sources if cfg.sources else [cfg.source]
     observed = [_read_input(forward.load_observed_data, path, "config.observed")
@@ -412,10 +412,8 @@ def _increasing(study: dict, key: str, default: list, min_len: int) -> list:
 
 
 def _cmd_study(cfg: RunConfig) -> int:
-    model, system = build_system(cfg)
+    model, system = _acoustic_system(cfg, "studies")
     kind = cfg.study["kind"]
-    if not isinstance(model, physics.AcousticModel):
-        raise ConfigError("studies need an acoustic model", field="config.model.type")
     dim = model.grid.dim
     if kind == "measure_convergence":
         if cfg.source is None and not cfg.sources:
@@ -424,7 +422,7 @@ def _cmd_study(cfg: RunConfig) -> int:
         schedule = _increasing(cfg.study, "schedule", [4, 8, 16, 32], 3)
         os.makedirs(cfg.output, exist_ok=True)
         report = experiments.measure_convergence_study(
-            model.coefficient_field(kernel=system.kernel), source, schedule, cfg.integrator,
+            model.coefficient_field(kernel=system.kernel), source, schedule,
             boundary=_boundary(cfg, model),
         )
     elif kind == "trace_regularity":
@@ -450,7 +448,7 @@ def _cmd_study(cfg: RunConfig) -> int:
         os.makedirs(cfg.output, exist_ok=True)
         report = experiments.trace_regularity_probe(
             model, receivers, factory, smoothness_schedule=smoothness, refinements=refinements,
-            boundary=_boundary(cfg, model), config=cfg.integrator,
+            boundary=_boundary(cfg, model),
         )
     else:
         raise ConfigError("study kind must be 'measure_convergence' or 'trace_regularity'",
@@ -479,7 +477,7 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     from .fields import make_ricker_source, mollify_field
 
     rng = np.random.default_rng(cfg.seed)
-    model, system = build_system(cfg)
+    model, system = _acoustic_system(cfg, "sampler tags")
     grid, k = system.grid, system.k
     center = [grid.origin[a] + 0.5 * grid.extent[a] for a in range(grid.dim)]
     sampler = build_sampler_from_spec(cfg.sampler or {"receivers": [center]}, system)
@@ -506,32 +504,31 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     record("mass_rayleigh_bounds", ok, f"quotients in [{min(rq):.4g}, {max(rq):.4g}] vs [{lo:.4g}, {hi:.4g}]")
 
     # fields: mollifier preservation + measure pseudo-metric
-    if isinstance(model, physics.AcousticModel):
-        f0 = model.coefficient_field()
-        sm = mollify_field(f0, 4, _boundary(cfg, model))
-        eig0 = np.linalg.eigvalsh(f0.a)
-        eig1 = np.linalg.eigvalsh(sm.a)
-        ok = eig1.min() >= eig0.min() - 1e-12 and eig1.max() <= eig0.max() + 1e-12
-        record("mollify_preserves_bounds", ok,
-               f"[{eig1.min():.4g}, {eig1.max():.4g}] within [{eig0.min():.4g}, {eig0.max():.4g}]")
-        eps = 0.1 * max(float(f0.a.max() - f0.a.min()), 1e-3)
-        d13 = fields.measure_distance(f0, sm, 2 * eps)
-        d12 = fields.measure_distance(f0, f0, eps)
-        d23 = fields.measure_distance(f0, sm, eps)
-        record("measure_pseudo_metric", d13 <= d12 + d23 + 1e-15 and d12 == 0.0,
-               f"d(f,g;2e)={d13:.4g} <= {d12 + d23:.4g}")
+    f0 = model.coefficient_field()
+    sm = mollify_field(f0, 4, _boundary(cfg, model))
+    eig0 = np.linalg.eigvalsh(f0.a)
+    eig1 = np.linalg.eigvalsh(sm.a)
+    ok = eig1.min() >= eig0.min() - 1e-12 and eig1.max() <= eig0.max() + 1e-12
+    record("mollify_preserves_bounds", ok,
+           f"[{eig1.min():.4g}, {eig1.max():.4g}] within [{eig0.min():.4g}, {eig0.max():.4g}]")
+    eps = 0.1 * max(float(f0.a.max() - f0.a.min()), 1e-3)
+    d13 = fields.measure_distance(f0, sm, 2 * eps)
+    d12 = fields.measure_distance(f0, f0, eps)
+    d23 = fields.measure_distance(f0, sm, eps)
+    record("measure_pseudo_metric", d13 <= d12 + d23 + 1e-15 and d12 == 0.0,
+           f"d(f,g;2e)={d13:.4g} <= {d12 + d23:.4g}")
 
     # evolution: causality, determinism, conservation, identity residual
     duration = grid.dt * grid.n_steps
     peak_frequency = max(4.0 / max(grid.extent), 3.0 / duration)
     src = make_ricker_source(grid, k, center, peak_frequency=peak_frequency,
                              onset=0.05 * duration, amplitude=1.0)
-    traj = solve_causal(system, src, cfg.integrator)
+    traj = solve_causal(system, src)
     pre_onset = traj.times < src.onset
     quiet = float(np.abs(traj.states[pre_onset]).max()) if pre_onset.any() else 0.0
     record("solve_causality", quiet == 0.0, f"max |u| before onset = {quiet:.1e}")
 
-    traj2 = solve_causal(system, src, cfg.integrator)
+    traj2 = solve_causal(system, src)
     gap = float(np.abs(traj.states - traj2.states).max())
     record("solve_determinism", gap <= 1e-14, f"repeat-solve gap = {gap:.1e}")
 
@@ -553,7 +550,7 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     seis1 = forward.sample_trajectory(sampler, traj)
     src3 = dc_replace(src, footprint=3.0 * src.footprint)
-    seis3 = forward.sample_trajectory(sampler, solve_causal(system, src3, cfg.integrator))
+    seis3 = forward.sample_trajectory(sampler, solve_causal(system, src3))
     lin = float(np.abs(seis3.data - 3.0 * seis1.data).max())
     record("forward_linearity", lin <= 1e-10 * max(1.0, float(np.abs(seis3.data).max())),
            f"|F(3f) - 3F(f)| = {lin:.1e}")
@@ -677,7 +674,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.jobs is not None:
-            cfg.jobs = args.jobs
+            cfg.jobs = _positive(args.jobs, "--jobs")
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

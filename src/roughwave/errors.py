@@ -22,14 +22,6 @@ class GridMismatchError(RoughwaveError, ValueError):
     """Two objects that must share a grid (or time axis) do not."""
 
 
-class StabilityError(RoughwaveError, RuntimeError):
-    """An explicit scheme was asked to run outside its stability region."""
-
-    def __init__(self, message: str, suggested_dt: float | None = None):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
-
-
 class SolverError(RoughwaveError, RuntimeError):
     """A linear or time-stepping solve failed to meet its tolerance."""
 

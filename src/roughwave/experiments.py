@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidArgumentError
-from .evolution import IntegratorConfig, Trajectory, solve_causal
+from .evolution import Trajectory, solve_causal
 from .fields import CoefficientField, Grid, SourceTerm, mollify_field, measure_distance
 from .forward import Sampler, build_sampler, sample_trajectory
 from .operators import assemble_system
@@ -253,7 +253,6 @@ def measure_convergence_study(
     rough: CoefficientField,
     source: SourceTerm,
     schedule: Sequence[int],
-    config: IntegratorConfig | None = None,
     p_matrices=None,
     boundary: str = "periodic",
     sampler: Sampler | None = None,
@@ -269,17 +268,16 @@ def measure_convergence_study(
     schedule = [int(n) for n in schedule]
     if len(schedule) < 3 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidArgumentError("schedule must be at least 3 strictly increasing integers")
-    config = config or IntegratorConfig()
     spread = float(rough.a.max(axis=0).max() - rough.a.min(axis=0).min())
     eps = 0.25 * spread if spread > 0 else 0.25
     system = assemble_system(rough, p_matrices, boundary)
-    ref = solve_causal(system, source, config)
+    ref = solve_causal(system, source)
     vol = rough.grid.cell_volume
     sol_dist, meas_dist, seis_dist = [], [], []
     ref_data = sample_trajectory(sampler, ref).data if sampler is not None else None
     for n in schedule:
         smooth = mollify_field(rough, n, boundary)
-        traj = solve_causal(assemble_system(smooth, p_matrices, boundary), source, config)
+        traj = solve_causal(assemble_system(smooth, p_matrices, boundary), source)
         sol_dist.append(float(np.sqrt(vol) * np.linalg.norm(traj.states - ref.states, axis=1).max()))
         meas_dist.append(measure_distance(rough, smooth, eps))
         if sampler is not None:
@@ -330,7 +328,6 @@ def trace_regularity_probe(
     smoothness_schedule: Sequence[int] = (1, 2, 3),
     refinements: int = 2,
     boundary: str = "periodic",
-    config: IntegratorConfig | None = None,
 ) -> StudyReport:
     """Check that the seismogram's discrete time-derivatives up to order
     s - 1 stay bounded under dt refinement for wavelets of smoothness s.
@@ -342,7 +339,6 @@ def trace_regularity_probe(
     grows by at most a factor 1.25 from the coarsest to the finest level.
     """
     bound_slack = 1.25
-    config = config or IntegratorConfig()
     levels = [model]
     for _ in range(refinements):
         levels.append(refine_acoustic_model(levels[-1], 2))
@@ -351,7 +347,7 @@ def trace_regularity_probe(
         for i, level_model in enumerate(levels):
             grid = level_model.grid
             system = acoustics_system(level_model, boundary)
-            traj = solve_causal(system, source_factory(grid, s), config)
+            traj = solve_causal(system, source_factory(grid, s))
             sampler = build_sampler(receivers, "pressure", grid, system.k)
             data = sample_trajectory(sampler, traj).data
             bounds[i, j] = seismogram_derivative_bound(data, grid.dt, s - 1)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridMismatchError, InvalidArgumentError, UnsupportedConfigurationError
-from .evolution import IntegratorConfig, Trajectory, solve_causal
+from .evolution import Trajectory, solve_causal
 from .fields import Grid, SourceTerm, read_cells, write_field_array
 from .operators import DiscreteSystem
 
@@ -172,7 +172,6 @@ def forward_map(
     system: DiscreteSystem,
     source: SourceTerm,
     sampler: Sampler,
-    config: IntegratorConfig | None = None,
 ) -> SeismogramData:
     """The data-prediction map: causal solve composed with the trace operator."""
     if source.smoothness < 2:
@@ -181,7 +180,7 @@ def forward_map(
             "the forward map is continuous but not differentiable there",
             stacklevel=2,
         )
-    traj = solve_causal(system, source, config)
+    traj = solve_causal(system, source)
     return sample_trajectory(sampler, traj)
 
 
@@ -189,14 +188,13 @@ def forward_map_shots(
     system: DiscreteSystem,
     sources: list[SourceTerm],
     sampler: Sampler,
-    config: IntegratorConfig | None = None,
     jobs: int = 1,
 ) -> list[SeismogramData]:
     """Independent forward solves per source; results in source order."""
     if jobs <= 1 or len(sources) <= 1:
-        return [forward_map(system, s, sampler, config) for s in sources]
+        return [forward_map(system, s, sampler) for s in sources]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(forward_map, system, s, sampler, config) for s in sources]
+        futures = [pool.submit(forward_map, system, s, sampler) for s in sources]
         return [f.result() for f in futures]
 
 

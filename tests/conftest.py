@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ def count_calls(monkeypatch, name):
         if module_name.split(".")[0] == "roughwave" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def time_reversed_system(system):
+    """System with the spatial operator negated (the substitution t -> T - t)."""
+    skew = replace(system.skew, matrix=(-system.skew.matrix).tocsr(),
+                   p_matrices=tuple(-p for p in system.skew.p_matrices))
+    return replace(system, skew=skew)
 
 
 def traced_peak(fn, *args):

@@ -16,7 +16,6 @@ from roughwave.cli import (
     run_checks,
 )
 from roughwave.errors import ConfigError
-from roughwave.evolution import IntegratorConfig
 from roughwave.fields import build_grid
 from roughwave.forward import SeismogramData, load_observed_data, save_seismogram_csv
 from roughwave.physics import AcousticModel, save_model
@@ -57,8 +56,6 @@ class TestParseConfig:
             "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
         })
         cfg = parse_config(path)
-        assert cfg.integrator.scheme == "implicit_midpoint"
-        assert cfg.integrator.cfl_safety == 0.5
         assert cfg.leak_tolerance == 1e-6
         assert cfg.output == "out"
         assert cfg.seed == 0
@@ -104,23 +101,26 @@ class TestParseConfig:
         assert parse_config(path).observed == ["a.csv", "b.csv"]
 
     def test_removed_integrator_knobs_are_ignored(self, tmp_path):
-        path = write_config(tmp_path, {
+        payload = {
             "command": "simulate",
             "model": base_model(),
             "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
-            "integrator": {"scheme": "implicit_midpoint", "tolerance": 1e-9, "max_iterations": 200},
-        })
-        assert parse_config(path).integrator == IntegratorConfig()
+        }
+        path = write_config(tmp_path, {**payload, "integrator": {
+            "scheme": "implicit_midpoint", "tolerance": 1e-9, "max_iterations": 200,
+            "cfl_safety": 0.5}})
+        assert parse_config(path) == parse_config(write_config(tmp_path, payload, "plain.json"))
 
     def test_removed_store_stride_is_ignored(self, tmp_path):
-        path = write_config(tmp_path, {
+        payload = {
             "command": "simulate",
             "model": base_model(cells=40, t_end=0.1),
             "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
-            "integrator": {"scheme": "implicit_midpoint", "store_stride": 5},
             "output": str(tmp_path / "out"),
-        })
-        assert parse_config(path).integrator == IntegratorConfig()
+        }
+        path = write_config(tmp_path, {**payload, "integrator": {
+            "scheme": "implicit_midpoint", "store_stride": 5}})
+        assert parse_config(path) == parse_config(write_config(tmp_path, payload, "plain.json"))
         assert main(["simulate", "--config", path]) == 0
 
     def test_missing_file(self):
@@ -270,16 +270,6 @@ class TestCommands:
         assert payload["schedule"] == [2.0]
         assert set(payload["series"]) == {"level0_derivative_bound", "level1_derivative_bound"}
 
-    def test_cfl_violation_exits_nonzero(self, tmp_path):
-        path = write_config(tmp_path, {
-            "command": "simulate",
-            "model": base_model(cells=100, dt=8e-3, t_end=0.1),
-            "source": {"type": "ricker", "center": [0.5], "frequency": 5.0},
-            "integrator": {"scheme": "rk4"},
-            "output": str(tmp_path / "out"),
-        })
-        assert main(["simulate", "--config", path]) == 3
-
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"command": "simulate"})
         assert main(["simulate", "--config", path]) == 2
@@ -427,7 +417,12 @@ class TestInputErrors:
         (("leak_tolerance", "tiny"), "config.leak_tolerance"),
         (("snapshot_every", "often"), "config.snapshot_every"),
         (("jobs", "many"), "config.jobs"),
-        (("integrator", {"cfl_safety": "half"}), "config.integrator.cfl_safety"),
+        (("jobs", 0), "config.jobs"),
+        (("jobs", -2), "config.jobs"),
+        (("source.footprint_width", 0), "config.source.footprint_width"),
+        (("source.footprint_width", -0.1), "config.source.footprint_width"),
+        (("source.delay", -0.1), "config.source.delay"),
+        (("leak_tolerance", -1e-6), "config.leak_tolerance"),
         (("trace_regularity", {}), "config.study.receivers"),
         (("model.boundary", "dirichlet"), "config.model.boundary"),
         (("source", {"type": "ricker", "center": [0.5, 0.5], "frequency": 8.0}),
@@ -472,7 +467,9 @@ class TestInputErrors:
          "config.sampler.normal"),
         (("check", {"receivers": [[1.5]]}), "config.sampler.receivers"),
     ], ids=["source", "sources", "kernel", "integrator", "seed", "leak_tolerance",
-            "snapshot_every", "jobs", "cfl_safety", "trace_receivers", "boundary", "center",
+            "snapshot_every", "jobs", "jobs_zero", "jobs_negative", "footprint_width_zero",
+            "footprint_width_negative", "delay_negative", "leak_tolerance_negative",
+            "trace_receivers", "boundary", "center",
             "receivers", "kappa", "trace_kernel", "trace_viscoelastic", "amplitude", "onset",
             "component", "component_range", "footprint_width", "delay", "burst_smoothness",
             "extent", "origin", "interface", "axis", "mu", "output", "refinements",
@@ -504,17 +501,23 @@ class TestInputErrors:
                             lambda *args, **kwargs: pytest.fail("solved before checking"))
         self.expect_config_error(tmp_path, capsys, self.malformed(case), where)
 
-    @pytest.mark.parametrize("command", ["forward", "check"])
-    def test_sampler_needs_the_acoustic_state(self, tmp_path, capsys, command):
-        # a 2D viscoelastic state (width 5) holds no pressure to sample
+    @pytest.mark.parametrize("command, dim", [
+        ("forward", 2), ("check", 2), ("forward", 1), ("gradient", 1), ("check", 1),
+    ], ids=["forward", "check", "forward_1d", "gradient_1d", "check_1d"])
+    def test_sampler_needs_the_acoustic_state(self, tmp_path, capsys, command, dim):
+        # a viscoelastic state holds no pressure to sample: in 2D it has width 5,
+        # and in 1D its (stress, velocity) has the acoustic width 2
         payload = {
             "command": command,
             "model": {"type": "viscoelastic", "lam": 1.2, "mu": 0.5,
-                      "grid": {"dim": 2, "cells": [4, 4], "dt": 1e-2, "t_end": 0.02}},
-            "source": {"type": "ricker", "center": [0.5, 0.5], "frequency": 8.0},
+                      "grid": {"dim": dim, "cells": [4] * dim, "dt": 1e-2, "t_end": 0.02}},
+            "source": {"type": "ricker", "center": [0.5] * dim, "frequency": 8.0},
+            "output": str(tmp_path / "out"),
         }
-        if command == "forward":
-            payload["sampler"] = {"receivers": [[0.5, 0.5]]}
+        if command != "check":
+            payload["sampler"] = {"receivers": [[0.5] * dim]}
+        if command == "gradient":
+            payload["observed"] = str(tmp_path / "observed.csv")
         self.expect_config_error(tmp_path, capsys, payload, "config.model.type")
 
     def test_check_names_a_configured_sampler(self, tmp_path, capsys):
@@ -546,6 +549,16 @@ class TestFlagOverrides:
         assert main(["simulate", "--config", path, flag, value]) == 0
         assert getattr(seen[0], key) == configured
         assert getattr(seen[1], key) == (value if key == "output" else int(value))
+
+    def test_jobs_flag_below_one_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran with --jobs 0"))
+        path = write_config(tmp_path, {
+            "command": "simulate",
+            "model": base_model(cells=20),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+        })
+        assert main(["simulate", "--config", path, "--jobs", "0"]) == 2
+        assert "config error: --jobs" in capsys.readouterr().err
 
 
 class TestStudyMedium:
@@ -604,7 +617,7 @@ class TestStudyMedium:
 
 
 class TestSchemes:
-    """gradient and check run the midpoint adjoint; every command names a bad scheme."""
+    """Implicit midpoint is the one scheme; every command names any other, RK4 included."""
 
     def payload(self, command, scheme):
         return {
@@ -622,6 +635,7 @@ class TestSchemes:
         assert main([command, "--config", path]) == 2
         captured = capsys.readouterr()
         assert "config error: config.integrator.scheme" in captured.err
+        assert "RK4 was removed" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["gradient", "check"])
@@ -633,9 +647,8 @@ class TestSchemes:
         self.expect_scheme_error(tmp_path, capsys, command, "euler")
 
     @pytest.mark.parametrize("command", ["simulate", "forward", "study"])
-    def test_rk4_accepted_for_forward_solves(self, tmp_path, command):
-        path = write_config(tmp_path, self.payload(command, "rk4"))
-        assert parse_config(path).integrator.scheme == "rk4"
+    def test_rk4_rejected_for_forward_solves(self, tmp_path, capsys, command):
+        self.expect_scheme_error(tmp_path, capsys, command, "rk4")
 
 
 def test_check_samples_no_symbol_speed_outside_1d(tmp_path, monkeypatch):

@@ -15,9 +15,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import roughwave as rw
-from conftest import count_calls
+from conftest import count_calls, time_reversed_system
 from roughwave.cli import parse_config, run_checks
-from roughwave.evolution import step_residuals, time_reversed_system
+from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
 from roughwave.operators import memory_series
