@@ -270,6 +270,19 @@ class TestCommands:
         assert payload["schedule"] == [2.0]
         assert set(payload["series"]) == {"level0_derivative_bound", "level1_derivative_bound"}
 
+    def test_cfl_violation_exits_nonzero(self, tmp_path, capsys):
+        # the RK4 config whose dt broke its CFL bound now stops at the scheme check
+        path = write_config(tmp_path, {
+            "command": "simulate",
+            "model": base_model(cells=100, dt=8e-3, t_end=0.1),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 5.0},
+            "integrator": {"scheme": "rk4"},
+            "output": str(tmp_path / "out"),
+        })
+        assert main(["simulate", "--config", path]) == 2
+        assert "config error: config.integrator.scheme" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"command": "simulate"})
         assert main(["simulate", "--config", path]) == 2
