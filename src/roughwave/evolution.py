@@ -9,10 +9,11 @@ where the memory value R_{n+1/2} is the convolution of the piecewise-linear
 interpolant of the discrete states, evaluated at the half step.  For Prony
 kernels that value is linear in (history, u_n, u_{n+1}) through the exact
 exponential recursion, so the whole step stays one sparse solve with a
-constant matrix, factorized once per system.  Because <P ubar, ubar> = 0 to
-round-off, the scheme conserves the quadratic energy exactly when
-B = R = f = 0, which is the sharpest testable analogue of the continuous
-energy identity.
+constant matrix, factorized once per system.  That matrix stores no zeros,
+and its fill-reducing ordering depends only on the grid dimension (see
+``StepOperators``).  Because <P ubar, ubar> = 0 to round-off, the scheme
+conserves the quadratic energy exactly when B = R = f = 0, which is the
+sharpest testable analogue of the continuous energy identity.
 """
 
 from __future__ import annotations
