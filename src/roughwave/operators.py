@@ -441,7 +441,8 @@ class StepOperators:
         if system.grid.dim == 1:
             self.lu = spla.splu(c.tocsc())
         else:
-            self.lu = spla.splu(c.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+            self.lu = spla.splu(c.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                options={"SymmetricMode": True})
         self.n_state = system.n_state
 
     def new_aux(self) -> list[np.ndarray]:
