@@ -519,19 +519,33 @@ def unit_directions(dim: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+# most matrices one stacked eigvalsh of the symbol sweeps solves at once
+EIG_STACK_ROWS = 1 << 15
+
+
+def symbol_stacks(system: DiscreteSystem, n_blocks: int):
+    """p(xi) over the sampled ``unit_directions``, stacked (directions, k, k) in
+    chunks small enough that a stack times ``n_blocks`` cell blocks stays
+    within ``EIG_STACK_ROWS`` matrices (one direction at least)."""
+    dirs = unit_directions(system.grid.dim)
+    step = max(1, EIG_STACK_ROWS // n_blocks)
+    for start in range(0, len(dirs), step):
+        xi = dirs[start:start + step]
+        yield sum(x[:, None, None] * pm for x, pm in zip(xi.T, system.skew.p_matrices))
+
+
 def max_symbol_speed(system: DiscreteSystem) -> float:
     """Largest characteristic speed of the symbol over cells and directions.
 
     Solves the generalized eigenproblem of p(xi) against each distinct mass
     block (rough media are mostly piecewise constant) on the sampled
-    ``unit_directions``.
+    ``unit_directions``, one stacked ``eigvalsh`` per ``symbol_stacks`` chunk.
     """
-    dirs = unit_directions(system.grid.dim)
+    k = system.k
     vals, vecs = np.linalg.eigh(np.unique(system.mass.blocks, axis=0))
     inv_sqrt = np.einsum("cik,ck,cjk->cij", vecs, 1.0 / np.sqrt(vals), vecs)
     speed = 0.0
-    for xi in dirs:
-        p = sum(x * pm for x, pm in zip(xi, system.skew.p_matrices))
-        sym = np.einsum("cij,jk,ckl->cil", inv_sqrt, p, inv_sqrt)
-        speed = max(speed, float(np.abs(np.linalg.eigvalsh(sym)).max()))
+    for p in symbol_stacks(system, len(inv_sqrt)):
+        sym = np.einsum("cij,djk,ckl->dcil", inv_sqrt, p, inv_sqrt)
+        speed = max(speed, float(np.abs(np.linalg.eigvalsh(sym.reshape(-1, k, k))).max()))
     return speed

@@ -40,6 +40,7 @@ from .operators import (
     acoustic_p_matrices,
     assemble_system,
     max_symbol_speed,
+    symbol_stacks,
     unit_directions,
 )
 
@@ -397,14 +398,14 @@ def slowness_pencil_min_eig(system: DiscreteSystem, tau: float) -> float:
     tau * c <= 1.  So the minimum over cells changes sign at
     tau = 1/max_wavespeed in every medium: positive below, negative above.
     Sweeping tau across that value is the two-sided check of the
-    finite-speed slowness bound.  Only the distinct cell blocks are solved.
+    finite-speed slowness bound.  Only the distinct cell blocks are solved,
+    one stacked ``eigvalsh`` per ``symbol_stacks`` chunk of directions.
     """
-    dirs = unit_directions(system.grid.dim)
     blocks = np.unique(system.mass.blocks, axis=0)
     worst = np.inf
-    for xi in dirs:
-        p = sum(x * pm for x, pm in zip(xi, system.skew.p_matrices))
-        worst = min(worst, float(np.linalg.eigvalsh(blocks - tau * p[None]).min()))
+    for p in symbol_stacks(system, len(blocks)):
+        pencil = (blocks[None] - tau * p[:, None]).reshape(-1, system.k, system.k)
+        worst = min(worst, float(np.linalg.eigvalsh(pencil).min()))
     return worst
 
 

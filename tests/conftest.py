@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import roughwave as rw
 import roughwave.operators
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel, kernel_values
+from roughwave.operators import block_apply, unit_directions
 from roughwave.sensitivity import adjoint_solve, dot_product_test
 
 
@@ -91,6 +93,90 @@ def assert_matches_oracle(system, src, sampler, rng):
     assert dot_product_test(system, traj, sampler, rng) <= 1e-13
 
 
+def per_step_series(system, traj):
+    """Per step: (u_{n+1} - u_n)/dt, the midpoint average and the Prony half-step
+    states, each computed on its own, as the sensitivity code did before it
+    filled blocks of steps."""
+    states, dt = traj.states, system.grid.dt
+    s_halves = (system.step_operators.replay(states)
+                if isinstance(system.kernel, PronyKernel) else repeat([]))
+    for u_prev, u_next, s_half in zip(states[:-1], states[1:], s_halves):
+        yield (u_next - u_prev) / dt, 0.5 * (u_prev + u_next), s_half
+
+
+def per_step_gradient(system, base, adjoint):
+    """(g_a, g_b, g_q) summed one per-cell outer product per step: the
+    contraction the blocked ``assemble_gradient`` replaced."""
+    n_cells, k = system.grid.n_cells, system.k
+    n_terms = system.kernel.n_terms if isinstance(system.kernel, PronyKernel) else 0
+    sums = np.zeros((2 + n_terms, n_cells, k, k))
+    for lam, (v, ubar, s_half) in zip(adjoint.states, per_step_series(system, base)):
+        series = np.reshape([v, ubar, *s_half], (-1, n_cells, k))
+        sums += np.einsum("ci,mcj->mcij", lam.reshape(n_cells, k), series)
+    sums *= system.grid.dt
+    sym = 0.5 * (sums + np.swapaxes(sums, 2, 3))
+    return sym[0], sums[1], tuple(sym[2:])
+
+
+def per_step_forcing(system, traj, pert):
+    """``perturbation_forcing`` from the per-step series, row by row."""
+    out = np.zeros((traj.n_steps, system.n_state))
+    for (v, ubar, s_half), row in zip(per_step_series(system, traj), out):
+        if pert.delta_a is not None:
+            row -= block_apply(pert.delta_a, v)
+        if pert.delta_b is not None:
+            row -= block_apply(pert.delta_b, ubar)
+        for dw, s in zip(pert.delta_weights or (), s_half):
+            row -= block_apply(dw, s)
+    return out
+
+
+def assert_gradient_matches_per_step(system, base, adjoint, report):
+    """Each gradient array within 1e-14 relative of the per-step contraction."""
+    ref_a, ref_b, ref_q = per_step_gradient(system, base, adjoint)
+    assert len(report.g_q) == len(ref_q)
+    for got, ref in zip((report.g_a, report.g_b, *report.g_q), (ref_a, ref_b, *ref_q)):
+        scale = np.abs(ref).max()
+        assert scale > 0
+        assert np.abs(got - ref).max() <= 1e-14 * scale
+
+
+def symbol_test_system(dim, medium):
+    """Acoustic system on 12 cells per axis in 2D, 4 in 3D: a two-layer medium
+    (two distinct cell blocks) or a per-cell random one (every block distinct,
+    so the direction sweep splits into several stacks)."""
+    g = rw.build_grid(dim, [{2: 12, 3: 4}[dim]] * dim, 1.0, 1e-3, 0.01)
+    if medium == "two_layer":
+        model = rw.two_layer_acoustic(g, kappa_left=1.0, kappa_right=4.0, interface=0.6)
+    else:
+        rng = np.random.default_rng(dim)
+        model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
+                                 rho=rng.uniform(0.5, 2.0, g.n_cells))
+    return rw.acoustics_system(model)
+
+
+def per_direction_symbol_speed(system):
+    """``max_symbol_speed`` with one ``eigvalsh`` per sampled direction."""
+    vals, vecs = np.linalg.eigh(np.unique(system.mass.blocks, axis=0))
+    inv_sqrt = np.einsum("cik,ck,cjk->cij", vecs, 1.0 / np.sqrt(vals), vecs)
+    speed = 0.0
+    for xi in unit_directions(system.grid.dim):
+        p = sum(x * pm for x, pm in zip(xi, system.skew.p_matrices))
+        sym = np.einsum("cij,jk,ckl->cil", inv_sqrt, p, inv_sqrt)
+        speed = max(speed, float(np.abs(np.linalg.eigvalsh(sym)).max()))
+    return speed
+
+
+def per_direction_pencil_min_eig(system, tau):
+    """``slowness_pencil_min_eig`` with one ``eigvalsh`` per sampled direction."""
+    blocks = np.unique(system.mass.blocks, axis=0)
+    worst = np.inf
+    for xi in unit_directions(system.grid.dim):
+        p = sum(x * pm for x, pm in zip(xi, system.skew.p_matrices))
+        worst = min(worst, float(np.linalg.eigvalsh(blocks - tau * p[None]).min()))
+    return worst
+
+
 def traced_peak(fn, *args):
     """Peak bytes that Python and numpy allocate while ``fn(*args)`` runs, result included."""
     tracemalloc.start()
@@ -113,6 +199,19 @@ def eigvalsh_rows(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return rows
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    calls = []
+    original = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughwave as rw
+from conftest import per_direction_symbol_speed, symbol_test_system
 from roughwave.errors import (
     InvalidArgumentError,
     InvalidCoefficientError,
@@ -14,6 +15,7 @@ from roughwave.errors import (
 )
 from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel, kernel_values
 from roughwave.operators import (
+    EIG_STACK_ROWS,
     acoustic_p_matrices,
     block_apply,
     block_diagonal,
@@ -336,7 +338,22 @@ class TestSymbolSpeed:
         system = rw.acoustics_system(model)
         eigvalsh_rows.clear()
         assert max_symbol_speed(system) == pytest.approx(2.0, rel=1e-12)
-        assert eigvalsh_rows == [2] * len(unit_directions(dim))
+        assert sum(eigvalsh_rows) == 2 * len(unit_directions(dim))
+
+    @pytest.mark.parametrize("medium", ["two_layer", "random"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_directions_equal_the_per_direction_loop(self, dim, medium):
+        system = symbol_test_system(dim, medium)
+        assert max_symbol_speed(system) == per_direction_symbol_speed(system)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacks_stay_within_the_row_cap(self, dim, eigvalsh_rows):
+        system = symbol_test_system(dim, "random")
+        eigvalsh_rows.clear()
+        max_symbol_speed(system)
+        assert sum(eigvalsh_rows) == system.grid.n_cells * len(unit_directions(dim))
+        assert len(eigvalsh_rows) > 1
+        assert max(eigvalsh_rows) <= EIG_STACK_ROWS
 
     def test_block_diagonal_layout(self):
         blocks = np.arange(8.0).reshape(2, 2, 2)

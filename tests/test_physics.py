@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import roughwave as rw
+from conftest import per_direction_pencil_min_eig, symbol_test_system
 from roughwave.errors import InvalidCoefficientError, UnsupportedConfigurationError
 from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel
 from roughwave.forward import build_sampler, sample_trajectory
@@ -19,7 +20,7 @@ from roughwave.physics import (
     ve_kernel_split,
 )
 from roughwave.evolution import step_residuals
-from roughwave.operators import unit_directions
+from roughwave.operators import EIG_STACK_ROWS, unit_directions
 from roughwave.experiments import fit_slope
 from roughwave.sensitivity import dot_product_test
 
@@ -121,7 +122,23 @@ class TestSlownessPencil:
         system = rw.acoustics_system(model)
         eigvalsh_rows.clear()
         assert slowness_pencil_min_eig(system, 0.45) > 0
-        assert eigvalsh_rows == [2] * len(unit_directions(dim))
+        assert sum(eigvalsh_rows) == 2 * len(unit_directions(dim))
+
+    @pytest.mark.parametrize("medium", ["two_layer", "random"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_directions_equal_the_per_direction_loop(self, dim, medium):
+        system = symbol_test_system(dim, medium)
+        for tau in (0.3, 0.9):
+            assert slowness_pencil_min_eig(system, tau) == per_direction_pencil_min_eig(system, tau)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacks_stay_within_the_row_cap(self, dim, eigvalsh_rows):
+        system = symbol_test_system(dim, "random")
+        eigvalsh_rows.clear()
+        slowness_pencil_min_eig(system, 0.45)
+        assert sum(eigvalsh_rows) == system.grid.n_cells * len(unit_directions(dim))
+        assert len(eigvalsh_rows) > 1
+        assert max(eigvalsh_rows) <= EIG_STACK_ROWS
 
 
 class TestKelvinElasticity:

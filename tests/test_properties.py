@@ -10,7 +10,10 @@ stored spatial operator is exactly antisymmetric, and with b = q = f = 0
 the midpoint step conserves the energy to round-off.  On random 2D and 3D
 media with random two-term Prony kernels, the zero-free step factor gives the
 forward and adjoint states of the zero-keeping oracle to round-off, with step
-residuals at round-off and a dot test within 1e-13.
+residuals at round-off and a dot test within 1e-13.  On random 1D to 3D
+media with a drawn number of steps, the gradient summed in blocks of
+``BLOCK_STEPS`` steps is within 1e-14 of the per-step sum, and the
+perturbation forcing equals the per-step formula bit for bit.
 """
 
 import numpy as np
@@ -18,11 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughwave as rw
-from conftest import assert_matches_oracle
+from conftest import assert_gradient_matches_per_step, assert_matches_oracle, per_step_forcing
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel
 from roughwave.forward import build_sampler
-from roughwave.sensitivity import dot_product_test, perturbation_forcing, random_perturbation
+from roughwave.sensitivity import (
+    BLOCK_STEPS,
+    adjoint_solve,
+    assemble_gradient,
+    dot_product_test,
+    perturbation_forcing,
+    random_perturbation,
+)
 
 N_STEPS = 20
 # cells per axis by dimension
@@ -30,14 +40,16 @@ CELLS = {1: (6, 40), 2: (6, 12), 3: (3, 6)}
 
 
 @st.composite
-def rough_media(draw, dims=(1, 2), prony=st.booleans()):
+def rough_media(draw, dims=(1, 2), prony=st.booleans(), n_steps=st.just(N_STEPS)):
     dim = draw(st.sampled_from(dims))
     cells = [draw(st.integers(*CELLS[dim])) for _ in range(dim)]
     boundary = draw(st.sampled_from(["periodic", "acoustic_free"]))
     prony = draw(prony)
+    n_steps = draw(n_steps)
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     dt = 0.5 / max(cells)
-    g = rw.build_grid(dim, cells, 1.0, dt, N_STEPS * dt)
+    g = rw.build_grid(dim, cells, 1.0, dt, n_steps * dt)
+    assert g.n_steps == n_steps
     model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
                              rho=rng.uniform(0.5, 2.0, g.n_cells))
     kernel = None
@@ -75,6 +87,20 @@ def test_midpoint_and_adjoint_identities(case):
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_zero_free_factor_matches_zero_keeping_oracle(case):
     assert_matches_oracle(*case)
+
+
+@given(case=rough_media(dims=(1, 2, 3), n_steps=st.integers(1, 2 * BLOCK_STEPS + 3)))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_blocked_contraction_matches_per_step_oracle(case):
+    system, src, sampler, rng = case
+    traj = rw.solve_causal(system, src)
+    residual = rw.SeismogramData(times=traj.times, receivers=sampler.receivers,
+                                 data=rng.standard_normal((sampler.n_channels, traj.times.size)))
+    adjoint = adjoint_solve(system, residual, sampler)
+    assert_gradient_matches_per_step(system, traj, adjoint, assemble_gradient(traj, adjoint, system))
+    pert = random_perturbation(system, rng)
+    assert np.array_equal(perturbation_forcing(system, traj, pert),
+                          per_step_forcing(system, traj, pert))
 
 
 @st.composite

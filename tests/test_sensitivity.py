@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import assert_gradient_matches_per_step, per_step_forcing, traced_peak
 
 import roughwave as rw
 from roughwave.errors import UnsupportedConfigurationError
@@ -10,6 +10,7 @@ from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel
 from roughwave.forward import build_sampler, sample_trajectory
 from roughwave.sensitivity import (
+    BLOCK_STEPS,
     CoefficientPerturbation,
     adjoint_solve,
     assemble_gradient,
@@ -261,6 +262,70 @@ class TestGradient:
         assert side["diagnostics"]["dot_product_residual"] <= 1e-8
 
 
+def random_trajectories(dim, prony, n_steps, seed=0):
+    """A random medium with n_steps steps, zero or two-term Prony memory, and
+    random base and adjoint states: the contraction reads any two series."""
+    rng = np.random.default_rng(seed)
+    g = rw.build_grid(dim, {1: [20], 2: [6, 5], 3: [3, 4, 3]}[dim], 1.0, 0.01, n_steps * 0.01)
+    assert g.n_steps == n_steps
+    model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
+                             rho=rng.uniform(0.5, 2.0, g.n_cells))
+    kernel = None
+    if prony:
+        eye = np.eye(dim + 1)
+        kernel = PronyKernel(weights=tuple(rng.uniform(0.0, 1.0, g.n_cells)[:, None, None] * eye
+                                           for _ in range(2)), taus=(0.05, 0.4))
+    system = rw.acoustics_system(model, kernel=kernel)
+    base, adjoint = (rw.Trajectory(grid=g, times=g.times(), mass=system.mass,
+                                   states=rng.standard_normal((n_steps + 1, system.n_state)))
+                     for _ in range(2))
+    return system, base, adjoint, rng
+
+
+STEP_COUNTS = [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3]
+
+
+class TestBlockedContraction:
+    """``assemble_gradient`` sums blocks of ``BLOCK_STEPS`` steps; the per-step
+    contraction it replaced (``conftest.per_step_gradient``) is its oracle."""
+
+    @pytest.mark.parametrize("n_steps", STEP_COUNTS)
+    @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_step_contraction(self, dim, prony, n_steps):
+        system, base, adjoint, _ = random_trajectories(dim, prony, n_steps)
+        report = assemble_gradient(base, adjoint, system)
+        assert len(report.g_q) == (2 if prony else 0)
+        assert_gradient_matches_per_step(system, base, adjoint, report)
+
+    @pytest.mark.parametrize("n_steps", STEP_COUNTS)
+    @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_forcing_equals_per_step_formula(self, dim, prony, n_steps):
+        system, base, _, rng = random_trajectories(dim, prony, n_steps)
+        pert = random_perturbation(system, rng)
+        assert np.array_equal(perturbation_forcing(system, base, pert),
+                              per_step_forcing(system, base, pert))
+
+    def test_zero_kernel_contraction_factors_nothing(self, splu_calls):
+        system, base, adjoint, _ = random_trajectories(2, False, BLOCK_STEPS + 1)
+        assemble_gradient(base, adjoint, system)
+        assert splu_calls == []
+        # a Prony contraction replays the memory recursion on the system's one factor
+        system, base, adjoint, _ = random_trajectories(2, True, BLOCK_STEPS + 1)
+        assemble_gradient(base, adjoint, system)
+        assemble_gradient(base, adjoint, system)
+        assert len(splu_calls) == 1
+
+    def test_rejects_a_trajectory_from_another_grid(self):
+        system, base, adjoint, _ = random_trajectories(1, False, 3)
+        other, *_ = random_trajectories(1, False, 4)
+        foreign = rw.Trajectory(grid=other.grid, times=base.times, states=base.states,
+                                mass=base.mass)
+        with pytest.raises(rw.GridMismatchError):
+            assemble_gradient(foreign, adjoint, system)
+
+
 class TestQuotientStudy:
     def test_zero_perturbation_all_zero(self):
         g, system, src, sampler = acoustic_setup(with_memory=False, t_end=0.15)
@@ -354,3 +419,13 @@ class TestMemory:
         system, traj, _, _, adjoint = prony_1d
         peak = traced_peak(assemble_gradient, traj, adjoint, system)
         assert peak <= 0.25 * traj.states.nbytes
+
+    def test_misfit_gradient_with_dot_test(self, prony_1d):
+        # the forward states, the forcing and states of the derivative: the misfit
+        # adjoint is freed before the dot test, and du before its adjoint solve
+        system, traj, sampler, residual, _ = prony_1d
+        observed = rw.SeismogramData(times=traj.times, data=residual.data,
+                                     receivers=residual.receivers)
+        peak = traced_peak(misfit_gradient, system, traj.source, sampler, observed,
+                           np.random.default_rng(6))
+        assert peak <= 3.5 * traj.states.nbytes

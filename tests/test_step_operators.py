@@ -12,7 +12,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import roughwave as rw
 from conftest import count_calls, time_reversed_system
@@ -22,19 +21,6 @@ from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
 from roughwave.operators import memory_series
 from roughwave.sensitivity import misfit_gradient, perturbed_system, random_perturbation
-
-
-@pytest.fixture
-def splu_calls(monkeypatch):
-    calls = []
-    original = spla.splu
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
-    return calls
 
 
 def prony_2d(cells=10, t_end=0.08):
