@@ -543,8 +543,8 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     # forward: sampler adjoint identity and forward linearity
     u = rng.standard_normal(system.n_state)
     r = rng.standard_normal(sampler.n_channels)
-    lhs = float(sampler.matrix @ u @ r)
-    rhs = float(u @ (sampler.matrix.T @ r))
+    lhs = float(forward.apply_sampler(sampler, u) @ r)
+    rhs = float(u @ forward.sampler_adjoint_source(sampler, r[:, None])[0])
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     record("sampler_adjoint_identity", rel <= 1e-12, f"relative gap = {rel:.1e}")
 

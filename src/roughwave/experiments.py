@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidArgumentError
-from .evolution import Trajectory, solve_causal
+from .evolution import Trajectory, solve_causal, sup_l2_distance
 from .fields import CoefficientField, Grid, SourceTerm, mollify_field, measure_distance
 from .forward import Sampler, build_sampler, sample_trajectory
 from .operators import assemble_system
@@ -278,7 +278,7 @@ def measure_convergence_study(
     for n in schedule:
         smooth = mollify_field(rough, n, boundary)
         traj = solve_causal(assemble_system(smooth, p_matrices, boundary), source)
-        sol_dist.append(float(np.sqrt(vol) * np.linalg.norm(traj.states - ref.states, axis=1).max()))
+        sol_dist.append(sup_l2_distance(traj.states, ref.states, vol))
         meas_dist.append(measure_distance(rough, smooth, eps))
         if sampler is not None:
             data = sample_trajectory(sampler, traj).data

@@ -15,6 +15,7 @@ import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +43,14 @@ class Sampler:
     @property
     def n_channels(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def gathered(self) -> tuple[np.ndarray, sp.csr_matrix]:
+        """The state entries the receivers read, sorted, and ``matrix`` restricted
+        to those columns: sampling and its transpose touch only them, so neither
+        reads or writes a whole state series."""
+        cols = np.unique(self.matrix.indices)
+        return cols, self.matrix[:, cols]
 
 
 @dataclass(frozen=True)
@@ -157,13 +166,15 @@ def build_sampler(
 def apply_sampler(sampler: Sampler, u: np.ndarray) -> np.ndarray:
     if u.shape != (sampler.matrix.shape[1],):
         raise InvalidArgumentError("state length does not match the sampler")
-    return sampler.matrix @ u
+    cols, gathered = sampler.gathered
+    return gathered @ u[cols]
 
 
 def sample_trajectory(sampler: Sampler, traj: Trajectory) -> SeismogramData:
     if traj.grid != sampler.grid:
         raise GridMismatchError("trajectory and sampler grids differ")
-    data = sampler.matrix @ traj.states.T
+    cols, gathered = sampler.gathered
+    data = gathered @ traj.states[:, cols].T
     return SeismogramData(times=traj.times, data=np.asarray(data), receivers=sampler.receivers,
                           tag=sampler.tag)
 
@@ -198,12 +209,21 @@ def forward_map_shots(
         return [f.result() for f in futures]
 
 
-def sampler_adjoint_source(sampler: Sampler, residual: SeismogramData | np.ndarray) -> np.ndarray:
-    """Transpose of the sampling map applied per step: (n_times, n_state)."""
+def gathered_adjoint_source(sampler: Sampler, residual: SeismogramData | np.ndarray) -> np.ndarray:
+    """Transpose of the sampling map applied per step, at the sampler's
+    ``gathered`` columns only: (n_times, n_columns)."""
     data = residual.data if isinstance(residual, SeismogramData) else np.asarray(residual)
     if data.shape[0] != sampler.n_channels:
         raise InvalidArgumentError("residual channel count does not match the sampler")
-    return np.asarray((sampler.matrix.T @ data).T)
+    return np.ascontiguousarray((sampler.gathered[1].T @ data).T)
+
+
+def sampler_adjoint_source(sampler: Sampler, residual: SeismogramData | np.ndarray) -> np.ndarray:
+    """Transpose of the sampling map applied per step: (n_times, n_state)."""
+    values = gathered_adjoint_source(sampler, residual)
+    out = np.zeros((len(values), sampler.matrix.shape[1]))
+    out[:, sampler.gathered[0]] = values
+    return out
 
 
 # ---------------------------------------------------------------------------

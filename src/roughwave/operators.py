@@ -13,10 +13,13 @@ with states is ``block_apply``.  Prony kernels convolve by an O(1)-per-step
 recursion that is exact for piecewise-linear input, tabulated kernels by
 the trapezoid rule (the brute-force oracle path).  ``memory_series`` is the
 one grid-time convolution, and evaluates a tabulated kernel once per call.
-``prony_advance`` is the one recursion step, and ``StepOperators`` holds
-the midpoint scheme's whole-step and half-step weight triples, or a
-tabulated kernel's blocks evaluated once; its ``replay`` reruns the
-recursion over stored states for step residuals and the sensitivity code.
+``prony_advance`` is the one recursion step, over all terms' states
+stacked as one (n_terms, n_state) array.  ``StepOperators`` holds the
+midpoint scheme's whole-step and half-step weight triples, or a tabulated
+kernel's blocks evaluated once, and the one sparse matrix that forms a
+step's right-hand side from u_n and the stacked Prony states; its
+``replay`` reruns the recursion over stored states for step residuals and
+the sensitivity code.
 """
 
 from __future__ import annotations
@@ -286,20 +289,25 @@ def exp_interval_weights(length: float, tau: float) -> tuple[float, float, float
 
 
 def prony_advance(
-    aux: Sequence[np.ndarray],
+    aux: np.ndarray | Sequence[np.ndarray],
     u_prev: np.ndarray,
     u_next: np.ndarray,
-    weights: Sequence[tuple[float, float, float]],
-) -> list[np.ndarray]:
+    weights: np.ndarray | Sequence[tuple[float, float, float]],
+) -> np.ndarray:
     """Advance the scalar-exponential auxiliary states over one interval.
 
-    Each state carries s_j(t) = integral_0^t exp(-(t-s)/tau_j) u(s) ds, and
-    ``weights`` holds one (E, w_old, w_new) triple per term, from
-    ``exp_interval_weights`` or ``StepOperators``.  The update integrates
+    Row j of ``aux`` carries s_j(t) = integral_0^t exp(-(t-s)/tau_j) u(s) ds,
+    and row j of ``weights`` its (E, w_old, w_new) triple, from
+    ``exp_interval_weights`` or ``StepOperators``; the result stacks the
+    advanced states as an (n_terms, n_state) array.  The update integrates
     the linear interpolant of u exactly, so for piecewise linear input the
     recursion reproduces the convolution with no quadrature error.
     """
-    return [e * s + w_old * u_prev + w_new * u_next for s, (e, w_old, w_new) in zip(aux, weights)]
+    e, w_old, w_new = np.reshape(weights, (-1, 3)).T[:, :, None]
+    out = e * np.asarray(aux)
+    out += w_old * u_prev
+    out += w_new * u_next
+    return out
 
 
 def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.ndarray:
@@ -314,7 +322,7 @@ def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.nda
         return out
     if isinstance(kernel, PronyKernel):
         weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
-        aux = [np.zeros(states.shape[1]) for _ in kernel.taus]
+        aux = np.zeros((kernel.n_terms, states.shape[1]))
         for m in range(1, states.shape[0]):
             aux = prony_advance(aux, states[m - 1], states[m], weights)
             for w, s in zip(kernel.weights, aux):
@@ -381,15 +389,20 @@ class StepOperators:
     """Factorized midpoint step pieces for one (system, dt) pair.
 
     The step solves C u_{n+1} = D u_n + memory history terms + f(t_half).
-    The same LU factorization serves the adjoint recursion through
-    transposed solves.  For a Prony kernel it holds, per term, the weight
-    matrix and the ``prony_advance`` triples over the whole step and to
-    the half step t_n + dt/2, where they act on (s_j(t_n), u_n, u_{n+1})
-    for the interpolant parameterized on the whole step: the one copy
-    every midpoint recursion reads.  A tabulated kernel is evaluated here
-    once, at 0, dt/2 and the history offsets.  No reference to the system
-    is kept, so a system and its cached operator never form a reference
-    cycle.
+    A Prony term j adds the history term -E_h,j W_j s_j(t_n), so
+    ``rhs_matrix`` = [D | -E_h,1 W_1 | ... | -E_h,J W_J] forms the right-hand
+    side from the stacked (1 + J, n_state) array (u_n; s_1(t_n); ...) in one
+    sparse product; without Prony terms it is D.  The same LU factorization
+    serves the adjoint recursion through transposed solves, and
+    ``adjoint_matrix`` = ``rhs_matrix``^T gives D^T lam and every
+    -E_h,j W_j^T lam in one product.  Per term it holds the weight matrix
+    and, as rows of (J, 3) arrays, the ``prony_advance`` triples over the
+    whole step and to the half step t_n + dt/2, where they act on
+    (s_j(t_n), u_n, u_{n+1}) for the interpolant parameterized on the whole
+    step: the one copy every midpoint recursion reads.  A tabulated kernel
+    is evaluated here once, at 0, dt/2 and the history offsets.  No
+    reference to the system is kept, so a system and its cached operator
+    never form a reference cycle.
 
     C and D store only true nonzeros (``block_diagonal`` drops the zeros of
     the cell blocks, and sparse sums drop exact cancellations), so SuperLU
@@ -411,8 +424,7 @@ class StepOperators:
         d = a_over_dt - 0.5 * k_mat
 
         self.weight_matrices: list[sp.csr_matrix] = []
-        self.step_weights: list[tuple[float, float, float]] = []
-        self.half_weights: list[tuple[float, float, float]] = []
+        step_weights, half_weights = [], []
         self._q_history: np.ndarray | None = None
         kern = system.kernel
         if isinstance(kern, PronyKernel):
@@ -424,8 +436,8 @@ class StepOperators:
                 c = c + w_new_h * weight_matrix
                 d = d - w_old_h * weight_matrix
                 self.weight_matrices.append(weight_matrix)
-                self.step_weights.append(exp_interval_weights(self.dt, tau))
-                self.half_weights.append((e_h, w_old_h, w_new_h))
+                step_weights.append(exp_interval_weights(self.dt, tau))
+                half_weights.append((e_h, w_old_h, w_new_h))
         elif isinstance(kern, TabulatedKernel):
             # q(0), q(dt/2) and the history offsets q(dt (j + 1/2)), j = 1 .. n_steps
             offsets = np.concatenate(([0.0, 0.5], np.arange(1, system.grid.n_steps + 1) + 0.5))
@@ -436,8 +448,13 @@ class StepOperators:
             c = c + block_diagonal(self._q_implicit)
             d = d - block_diagonal(self._q_explicit)
 
+        # one (E, w_old, w_new) row per Prony term
+        self.step_weights = np.reshape(step_weights, (-1, 3))
+        self.half_weights = np.reshape(half_weights, (-1, 3))
         self.c_matrix = c.tocsr()
-        self.d_matrix = d.tocsr()
+        self.rhs_matrix = sp.hstack(
+            [d, *(-e_h * wm for e_h, wm in zip(self.half_weights[:, 0], self.weight_matrices))],
+            format="csr")
         if system.grid.dim == 1:
             self.lu = spla.splu(c.tocsc())
         else:
@@ -445,14 +462,19 @@ class StepOperators:
                                 options={"SymmetricMode": True})
         self.n_state = system.n_state
 
-    def new_aux(self) -> list[np.ndarray]:
-        return [np.zeros(self.n_state) for _ in self.weight_matrices]
+    @property
+    def n_terms(self) -> int:
+        return len(self.weight_matrices)
 
-    def memory_history_rhs(self, aux: list[np.ndarray], history: np.ndarray, step: int) -> np.ndarray:
-        """Contribution of states up to t_n to R at the half step (moved to the RHS)."""
+    @cached_property
+    def adjoint_matrix(self) -> sp.csr_matrix:
+        """``rhs_matrix`` transposed, in CSR form: built on the first adjoint solve."""
+        return self.rhs_matrix.T.tocsr()
+
+    def memory_history_rhs(self, history: np.ndarray, step: int) -> np.ndarray:
+        """Contribution of a tabulated kernel's states up to t_n to R at the half step
+        (moved to the RHS): the trapezoid rule over ``history`` rows 0 .. step-1."""
         out = np.zeros(self.n_state)
-        for weight_matrix, (e_half, _, _), s in zip(self.weight_matrices, self.half_weights, aux):
-            out -= e_half * (weight_matrix @ s)
         if self._q_history is not None and step > 0:
             blocks = self._q_history[step - 1::-1]  # q(dt (step - m + 1/2)) for m = 0 .. step-1
             for m in range(step):
@@ -462,21 +484,21 @@ class StepOperators:
 
     def replay(self, states: np.ndarray):
         """Replay the step's Prony recursion over stored states t_0 .. t_N.  Per
-        step it yields the half-step states s_j(t_n + dt/2) as the step formed
-        them (bit-identical; empty without Prony terms)."""
-        aux = self.new_aux()
+        step it yields the (n_terms, n_state) half-step states s_j(t_n + dt/2)
+        as the step formed them (bit-identical; no rows without Prony terms)."""
+        aux = np.zeros((self.n_terms, self.n_state))
         for u_prev, u_next in zip(states[:-1], states[1:]):
             yield prony_advance(aux, u_prev, u_next, self.half_weights)
             aux = prony_advance(aux, u_prev, u_next, self.step_weights)
 
-    def half_step_memory(self, s_half: list[np.ndarray], u_prev: np.ndarray, u_next: np.ndarray,
+    def half_step_memory(self, s_half: np.ndarray, u_prev: np.ndarray, u_next: np.ndarray,
                          history: np.ndarray, step: int) -> np.ndarray:
         """R at the half step as the scheme saw it, from ``replay``'s states (for residuals)."""
         out = np.zeros(self.n_state)
         for weight_matrix, s in zip(self.weight_matrices, s_half):
             out += weight_matrix @ s
         if self._q_history is not None:
-            out -= self.memory_history_rhs([], history, step)
+            out -= self.memory_history_rhs(history, step)
             out += block_apply(self._q_explicit, u_prev) + block_apply(self._q_implicit, u_next)
         return out
 
@@ -523,14 +545,19 @@ def unit_directions(dim: int) -> np.ndarray:
 EIG_STACK_ROWS = 1 << 15
 
 
-def symbol_stacks(system: DiscreteSystem, n_blocks: int):
-    """p(xi) over the sampled ``unit_directions``, stacked (directions, k, k) in
-    chunks small enough that a stack times ``n_blocks`` cell blocks stays
-    within ``EIG_STACK_ROWS`` matrices (one direction at least)."""
-    dirs = unit_directions(system.grid.dim)
+def direction_stacks(dim: int, n_blocks: int):
+    """The sampled ``unit_directions`` in chunks small enough that a chunk times
+    ``n_blocks`` cell blocks stays within ``EIG_STACK_ROWS`` matrices (one
+    direction at least)."""
+    dirs = unit_directions(dim)
     step = max(1, EIG_STACK_ROWS // n_blocks)
     for start in range(0, len(dirs), step):
-        xi = dirs[start:start + step]
+        yield dirs[start:start + step]
+
+
+def symbol_stacks(system: DiscreteSystem, n_blocks: int):
+    """p(xi) over each ``direction_stacks`` chunk, stacked (directions, k, k)."""
+    for xi in direction_stacks(system.grid.dim, n_blocks):
         yield sum(x[:, None, None] * pm for x, pm in zip(xi.T, system.skew.p_matrices))
 
 

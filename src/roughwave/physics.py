@@ -39,9 +39,9 @@ from .operators import (
     DiscreteSystem,
     acoustic_p_matrices,
     assemble_system,
+    direction_stacks,
     max_symbol_speed,
     symbol_stacks,
-    unit_directions,
 )
 
 # Kelvin component order per dimension: diagonal entries first, then the
@@ -79,15 +79,16 @@ def elastic_p_matrices(dim: int) -> list[np.ndarray]:
 
 
 def strain_projector(xi: np.ndarray) -> np.ndarray:
-    """Kelvin vector columns of sym(xi (x) e_b); shape (kelvin_dim, dim)."""
+    """Kelvin vector columns of sym(xi (x) e_b); shape (kelvin_dim, dim), or
+    (n, kelvin_dim, dim) for n directions stacked as an (n, dim) array."""
     xi = np.asarray(xi, dtype=float)
-    dim = xi.size
+    dim = xi.shape[-1]
     pairs = _KELVIN_PAIRS[dim]
-    out = np.zeros((len(pairs), dim))
+    out = np.zeros((*xi.shape[:-1], len(pairs), dim))
     for row, (i, j) in enumerate(pairs):
         for b in range(dim):
-            val = 0.5 * (xi[i] * (j == b) + xi[j] * (i == b))
-            out[row, b] = val if i == j else np.sqrt(2.0) * val
+            val = 0.5 * (xi[..., i] * (j == b) + xi[..., j] * (i == b))
+            out[..., row, b] = val if i == j else np.sqrt(2.0) * val
     return out
 
 
@@ -369,20 +370,24 @@ def max_wavespeed(obj) -> float:
     Acoustics: max over cells of sqrt(kappa/rho).  Viscoelasticity: the
     quasi-p speed sqrt(lambda_max(Christoffel)/rho) maximized over cells and
     sampled unit directions (1-degree circle in 2D, 2048-point Fibonacci
-    sphere in 3D) -- a lower bound on the essential supremum.  Generic
-    systems fall back to the sampled symbol of the assembled operators.
+    sphere in 3D) -- a lower bound on the essential supremum.  Only the
+    distinct (Hooke, rho) cells are solved, one stacked ``eigvalsh`` per
+    ``direction_stacks`` chunk.  Generic systems fall back to the sampled
+    symbol of the assembled operators.
     """
     if isinstance(obj, AcousticModel):
         return float(np.sqrt(obj.kappa / obj.rho).max())
     if isinstance(obj, ViscoelasticModel):
-        dirs = unit_directions(obj.grid.dim)
-        hooke = np.linalg.inv(obj.gamma_elastic)
+        dim, m = obj.grid.dim, kelvin_dim(obj.grid.dim)
+        hooke = np.linalg.inv(obj.gamma_elastic).reshape(-1, m * m)
+        cells = np.unique(np.concatenate([hooke, obj.rho[:, None]], axis=1), axis=0)
+        hooke, rho = cells[:, :-1].reshape(-1, m, m), cells[:, -1]
         speed2 = 0.0
-        for xi in dirs:
+        for xi in direction_stacks(dim, len(cells)):
             l = strain_projector(xi)
-            chr_mat = np.einsum("mi,cmn,nj->cij", l, hooke, l)
-            eigs = np.linalg.eigvalsh(chr_mat).max(axis=1)
-            speed2 = max(speed2, float((eigs / obj.rho).max()))
+            chr_mat = np.einsum("dmi,cmn,dnj->dcij", l, hooke, l).reshape(-1, dim, dim)
+            eigs = np.linalg.eigvalsh(chr_mat).max(axis=1).reshape(len(xi), len(cells))
+            speed2 = max(speed2, float((eigs / rho).max()))
         return float(np.sqrt(speed2))
     if isinstance(obj, DiscreteSystem):
         return max_symbol_speed(obj)

@@ -22,8 +22,9 @@ specialized per cell):
 The sums run forward over blocks of ``BLOCK_STEPS`` time steps.  Each
 block holds v, ubar and the half-step states the stepper's ``replay``
 yields for those steps, and is contracted with the matching adjoint states
-as one batched product over cells.  The adjoint takes S^T r one step at a
-time, so no full series is built beside the trajectories themselves.
+as one batched product over cells.  The adjoint forms S^T r only at the
+state entries the receivers read, so no full series is built beside the
+trajectories themselves.
 These arrays are derivative representers in the trace pairing, not
 steepest-ascent directions; no descent machinery lives here.
 """
@@ -39,14 +40,14 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedConfigurationError,
 )
-from .evolution import Trajectory, solve_causal
+from .evolution import Trajectory, solve_causal, sup_l2_distance
 from .fields import PronyKernel, SourceTerm, ZeroKernel, write_field_array
 from .forward import (
     Sampler,
     SeismogramData,
     forward_map,
+    gathered_adjoint_source,
     sample_trajectory,
-    sampler_adjoint_source,
 )
 from .operators import (
     DiscreteSystem,
@@ -249,10 +250,12 @@ def adjoint_solve(
 ) -> Trajectory:
     """Adjoint state w: the transposed midpoint recursion driven by S^T r, step by step.
 
-    Equivalent to a time-reversed causal solve (t -> T - t flips P by
-    skew-symmetry and runs the memory recursion on the reversed kernel);
-    the terminal condition w = 0 for t > T holds by construction, and w is
-    returned on the original time axis.
+    Each step makes one sparse product, with the step operator's
+    ``adjoint_matrix``, and carries the adjoint Prony states as one
+    (n_terms, n_state) array.  Equivalent to a time-reversed causal solve
+    (t -> T - t flips P by skew-symmetry and runs the memory recursion on
+    the reversed kernel); the terminal condition w = 0 for t > T holds by
+    construction, and w is returned on the original time axis.
     """
     _require_sensitivity_kernel(system)
     grid = system.grid
@@ -260,19 +263,23 @@ def adjoint_solve(
     if residual.times.size != n_steps + 1:
         raise GridMismatchError("residual time axis does not match the system grid")
     ops = system.step_operators
+    cols = sampler.gathered[0]
+    injection = gathered_adjoint_source(sampler, residual)
+    e_full, w_old, w_new = ops.step_weights[:, :1], ops.step_weights[:, 1], ops.step_weights[:, 2]
     w = np.zeros((n_steps + 1, system.n_state))
     lam = np.zeros(system.n_state)
-    mu = ops.new_aux()
-    dT = ops.d_matrix.T.tocsr()
+    mu = np.zeros((ops.n_terms, system.n_state))  # the adjoint Prony states, one row per term
     for m in range(n_steps, 0, -1):
-        mu_new = [e_full * mu_j - e_half * (wm @ lam) for wm, (e_full, _, _), (e_half, _, _), mu_j
-                  in zip(ops.weight_matrices, ops.step_weights, ops.half_weights, mu)]
-        rhs = dT @ lam + sampler_adjoint_source(sampler, residual.data[:, m])
-        for (_, w_old, w_new), mu_prev_j, mu_new_j in zip(ops.step_weights, mu, mu_new):
-            rhs += w_old * mu_prev_j + w_new * mu_new_j
+        # rows: D^T lam, then -E_h,j W_j^T lam per Prony term
+        y = (ops.adjoint_matrix @ lam).reshape(-1, system.n_state)
+        rhs = y[0]
+        rhs[cols] += injection[m]
+        rhs += w_old @ mu
+        mu *= e_full
+        mu += y[1:]
+        rhs += w_new @ mu
         lam = ops.lu.solve(rhs, trans="T")
         w[m - 1] = lam
-        mu = mu_new
     return Trajectory(grid=grid, times=residual.times.copy(), states=w, mass=system.mass)
 
 
@@ -350,7 +357,7 @@ def dot_product_test(
     """
     pert = random_perturbation(system, rng)
     data_series = rng.standard_normal((sampler.n_channels, base.times.size))
-    s_du = sampler.matrix @ directional_derivative(system, base, pert).states.T
+    s_du = sample_trajectory(sampler, directional_derivative(system, base, pert)).data
     lhs = system.grid.dt * float(np.sum(data_series * s_du))
     residual = SeismogramData(times=base.times, data=data_series, receivers=sampler.receivers)
     rhs = -assemble_gradient(base, adjoint_solve(system, residual, sampler), system).pair(pert)
@@ -447,10 +454,6 @@ class QuotientStudy:
     derivative_norm: float
 
 
-def _sup_l2_distance(a: np.ndarray, b: np.ndarray, cell_volume: float) -> float:
-    return float(np.sqrt(cell_volume) * np.linalg.norm(a - b, axis=1).max())
-
-
 def quotient_study(
     system: DiscreteSystem,
     pert: CoefficientPerturbation,
@@ -478,7 +481,7 @@ def quotient_study(
             continue
         u_h = solve_causal(pert_system, source)
         quotient = (u_h.states - base.states) / float(h)
-        remainders.append(_sup_l2_distance(quotient, du.states, vol))
+        remainders.append(sup_l2_distance(quotient, du.states, vol))
         flagged.append(False)
     ok = [(float(h), r) for h, r, f in zip(h_schedule, remainders, flagged) if not f and r > 0]
     slope = np.nan

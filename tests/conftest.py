@@ -13,6 +13,7 @@ import roughwave.operators
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel, kernel_values
 from roughwave.operators import block_apply, unit_directions
+from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, strain_projector
 from roughwave.sensitivity import adjoint_solve, dot_product_test
 
 
@@ -91,6 +92,54 @@ def assert_matches_oracle(system, src, sampler, rng):
     w_ref = adjoint_solve(oracle, residual, sampler).states
     assert np.abs(w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
     assert dot_product_test(system, traj, sampler, rng) <= 1e-13
+
+
+def per_term_solve(system, source, forcing=None):
+    """States of the midpoint step as it was before one sparse product served it: D u_n,
+    then one product -E_h,j W_j s_j per Prony term, and the Prony states advanced as a
+    list of vectors.  D is the first block of ``rhs_matrix``."""
+    ops, grid = system.step_operators, system.grid
+    n = ops.n_state
+    d = ops.rhs_matrix[:, :n]
+    states = np.zeros((grid.n_steps + 1, n))
+    u, aux = states[0], [np.zeros(n) for _ in ops.weight_matrices]
+    for step, t in enumerate(grid.times()[:-1]):
+        memory = np.zeros(n)
+        for weight_matrix, (e_half, _, _), s in zip(ops.weight_matrices, ops.half_weights, aux):
+            memory -= e_half * (weight_matrix @ s)
+        memory += ops.memory_history_rhs(states, step)
+        rhs = d @ u
+        rhs += memory
+        if source is not None:
+            rhs += source.evaluate(t + 0.5 * grid.dt)
+        if forcing is not None:
+            rhs += forcing[step]
+        u_next = ops.lu.solve(rhs)
+        aux = [e * s + w_old * u + w_new * u_next
+               for s, (e, w_old, w_new) in zip(aux, ops.step_weights)]
+        u = states[step + 1] = u_next
+    return states
+
+
+def per_term_adjoint(system, residual, sampler):
+    """Adjoint states of the transposed step as it was before ``adjoint_matrix``: D^T
+    rebuilt per call, one product W_j lam per Prony term, and the sampled residual
+    injected through ``sampler.matrix.T`` at every step."""
+    ops = system.step_operators
+    n = ops.n_state
+    d_t = ops.rhs_matrix[:, :n].T.tocsr()
+    w = np.zeros((system.grid.n_steps + 1, n))
+    lam, mu = np.zeros(n), [np.zeros(n) for _ in ops.weight_matrices]
+    for m in range(system.grid.n_steps, 0, -1):
+        mu_new = [e_full * mu_j - e_half * (weight_matrix @ lam)
+                  for weight_matrix, (e_full, _, _), (e_half, _, _), mu_j
+                  in zip(ops.weight_matrices, ops.step_weights, ops.half_weights, mu)]
+        rhs = d_t @ lam + sampler.matrix.T @ residual.data[:, m]
+        for (_, w_old, w_new), mu_prev_j, mu_new_j in zip(ops.step_weights, mu, mu_new):
+            rhs += w_old * mu_prev_j + w_new * mu_new_j
+        lam = w[m - 1] = ops.lu.solve(rhs, trans="T")
+        mu = mu_new
+    return w
 
 
 def per_step_series(system, traj):
@@ -222,3 +271,34 @@ def energy_calls(monkeypatch):
 @pytest.fixture
 def interval_weight_calls(monkeypatch):
     return count_calls(monkeypatch, "exp_interval_weights")
+
+
+def viscoelastic_test_model(dim, medium):
+    """Isotropic viscoelastic model on 12 cells per axis in 2D, 4 in 3D: homogeneous,
+    two layers (two distinct cells) or per-cell random Lame parameters and density."""
+    g = rw.build_grid(dim, [{2: 12, 3: 4}[dim]] * dim, 1.0, 1e-3, 0.01)
+    rng = np.random.default_rng(dim)
+    if medium == "homogeneous":
+        lam, mu, rho = np.full(g.n_cells, 2.0), np.full(g.n_cells, 1.0), 1.25
+    elif medium == "two_layer":
+        right = g.centers()[:, 0] >= 0.6
+        lam, mu = np.where(right, 6.0, 2.0), np.where(right, 3.0, 1.0)
+        rho = np.where(right, 2.0, 1.0)
+    else:
+        lam, mu, rho = (rng.uniform(1.0, 4.0, g.n_cells), rng.uniform(0.5, 2.0, g.n_cells),
+                        rng.uniform(0.5, 2.0, g.n_cells))
+    ge = np.stack([isotropic_inverse_hooke(a, b, dim) for a, b in zip(lam, mu)])
+    return ViscoelasticModel(grid=g, rho=rho, gamma_elastic=ge)
+
+
+def per_direction_viscoelastic_speed(model):
+    """``max_wavespeed`` of a viscoelastic model with one Christoffel ``eigvalsh``
+    over every cell per sampled direction."""
+    hooke = np.linalg.inv(model.gamma_elastic)
+    speed2 = 0.0
+    for xi in unit_directions(model.grid.dim):
+        l = strain_projector(xi)
+        chr_mat = np.einsum("mi,cmn,nj->cij", l, hooke, l)
+        eigs = np.linalg.eigvalsh(chr_mat).max(axis=1)
+        speed2 = max(speed2, float((eigs / model.rho).max()))
+    return float(np.sqrt(speed2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import roughwave as rw
+from conftest import traced_peak
 from roughwave.errors import InvalidArgumentError, UnsupportedConfigurationError
 from roughwave.forward import (
     build_sampler,
@@ -185,6 +186,31 @@ class TestAdjointSource:
             lhs = float(rw.apply_sampler(s, u) @ r)
             rhs = float(u @ (s.matrix.T @ r))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
+
+
+class TestGatheredSampler:
+    @pytest.mark.parametrize("tag", ["pressure", "normal_velocity"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_the_full_matrix(self, dim, tag):
+        g, system = unit_acoustics({1: 40, 2: 9, 3: 5}[dim], dim=dim, dt=0.02, t_end=0.3)
+        rng = np.random.default_rng(dim)
+        s = build_sampler(rng.uniform(0.05, 0.95, (3, dim)), tag, g, dim + 1, normal=np.ones(dim))
+        cols, gathered = s.gathered
+        assert 0 < len(cols) < system.n_state
+        src = rw.make_ricker_source(g, dim + 1, [0.5] * dim, peak_frequency=4.0)
+        traj = rw.solve_causal(system, src)
+        states = traj.states
+        assert np.array_equal(sample_trajectory(s, traj).data, s.matrix @ states.T)
+        assert np.array_equal(rw.apply_sampler(s, states[-1]), s.matrix @ states[-1])
+        r = rng.standard_normal((s.n_channels, g.n_steps + 1))
+        assert np.array_equal(rw.sampler_adjoint_source(s, r), (s.matrix.T @ r).T)
+
+    def test_sampling_copies_no_series(self):
+        # 1D 400 cells x 400 steps; the full product copies the series to C order
+        g, system = unit_acoustics(400, dt=1e-3, t_end=0.4)
+        s = build_sampler([[0.3], [0.7]], "pressure", g, 2)
+        traj = rw.solve_causal(system, rw.make_ricker_source(g, 2, [0.5], peak_frequency=8.0))
+        assert traced_peak(sample_trajectory, s, traj) <= 0.05 * traj.states.nbytes
 
 
 class TestSeismogramIO:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import roughwave as rw
-from conftest import per_direction_pencil_min_eig, symbol_test_system
+from conftest import (
+    per_direction_pencil_min_eig,
+    per_direction_viscoelastic_speed,
+    symbol_test_system,
+    viscoelastic_test_model,
+)
 from roughwave.errors import InvalidCoefficientError, UnsupportedConfigurationError
 from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel
 from roughwave.forward import build_sampler, sample_trajectory
@@ -222,6 +227,19 @@ class TestViscoelastic:
             ge = np.tile(isotropic_inverse_hooke(lam, mu, dim), (g.n_cells, 1, 1))
             model = ViscoelasticModel(grid=g, rho=rho, gamma_elastic=ge)
             assert rw.max_wavespeed(model) == pytest.approx(expected, rel=5e-3)
+
+    @pytest.mark.parametrize("medium", ["homogeneous", "two_layer", "random"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_speed_equals_the_per_direction_loop(self, dim, medium):
+        model = viscoelastic_test_model(dim, medium)
+        assert rw.max_wavespeed(model) == per_direction_viscoelastic_speed(model)
+
+    @pytest.mark.parametrize("medium, n_distinct", [("homogeneous", 1), ("two_layer", 2)])
+    def test_speed_solves_distinct_cells_only(self, medium, n_distinct, eigvalsh_rows):
+        model = viscoelastic_test_model(2, medium)
+        eigvalsh_rows.clear()
+        rw.max_wavespeed(model)
+        assert sum(eigvalsh_rows) == n_distinct * len(unit_directions(2))
 
     def test_state_widths(self):
         for dim, k in ((1, 2), (2, 5), (3, 9)):

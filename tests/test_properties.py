@@ -13,7 +13,10 @@ forward and adjoint states of the zero-keeping oracle to round-off, with step
 residuals at round-off and a dot test within 1e-13.  On random 1D to 3D
 media with a drawn number of steps, the gradient summed in blocks of
 ``BLOCK_STEPS`` steps is within 1e-14 of the per-step sum, and the
-perturbation forcing equals the per-step formula bit for bit.
+perturbation forcing equals the per-step formula bit for bit.  On the same
+media, the step and its adjoint, one sparse product each per step, give
+the states of the per-term oracles within 1e-13, and bit for bit without
+memory.
 """
 
 import numpy as np
@@ -21,9 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughwave as rw
-from conftest import assert_gradient_matches_per_step, assert_matches_oracle, per_step_forcing
+from conftest import (
+    assert_gradient_matches_per_step,
+    assert_matches_oracle,
+    per_step_forcing,
+    per_term_adjoint,
+    per_term_solve,
+)
 from roughwave.evolution import step_residuals
-from roughwave.fields import PronyKernel
+from roughwave.fields import PronyKernel, ZeroKernel
 from roughwave.forward import build_sampler
 from roughwave.sensitivity import (
     BLOCK_STEPS,
@@ -101,6 +110,22 @@ def test_blocked_contraction_matches_per_step_oracle(case):
     pert = random_perturbation(system, rng)
     assert np.array_equal(perturbation_forcing(system, traj, pert),
                           per_step_forcing(system, traj, pert))
+
+
+@given(case=rough_media(dims=(1, 2, 3)))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_stacked_step_matches_per_term_oracle(case):
+    system, src, sampler, rng = case
+    exact = isinstance(system.kernel, ZeroKernel)
+    states, ref = rw.solve_causal(system, src).states, per_term_solve(system, src)
+    assert np.abs(states - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(states, ref) or not exact
+    residual = rw.SeismogramData(times=system.grid.times(), receivers=sampler.receivers,
+                                 data=rng.standard_normal((sampler.n_channels, N_STEPS + 1)))
+    w = adjoint_solve(system, residual, sampler).states
+    w_ref = per_term_adjoint(system, residual, sampler)
+    assert np.abs(w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
+    assert np.array_equal(w, w_ref) or not exact
 
 
 @st.composite

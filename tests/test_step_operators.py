@@ -14,13 +14,19 @@ import numpy as np
 import pytest
 
 import roughwave as rw
-from conftest import count_calls, time_reversed_system
+from conftest import count_calls, per_term_adjoint, per_term_solve, time_reversed_system
 from roughwave.cli import parse_config, run_checks
+from roughwave.errors import SolverError
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
 from roughwave.operators import memory_series
-from roughwave.sensitivity import misfit_gradient, perturbed_system, random_perturbation
+from roughwave.sensitivity import (
+    adjoint_solve,
+    misfit_gradient,
+    perturbed_system,
+    random_perturbation,
+)
 
 
 def prony_2d(cells=10, t_end=0.08):
@@ -37,6 +43,71 @@ def prony_2d(cells=10, t_end=0.08):
 def observed_for(system, src, sampler):
     seis = sample_trajectory(sampler, rw.solve_causal(system, src))
     return rw.SeismogramData(times=seis.times, data=0.8 * seis.data, receivers=seis.receivers)
+
+
+def stacked_step_case(dim, boundary, kernel):
+    """Random acoustic medium, 20 steps, with no memory, a two-term Prony kernel or a
+    tabulated one; a Ricker source and two pressure receivers."""
+    cells = {1: [30], 2: [9, 7], 3: [4, 5, 3]}[dim]
+    rng = np.random.default_rng(dim)
+    dt = 0.5 / max(cells)
+    g = rw.build_grid(dim, cells, 1.0, dt, 20 * dt)
+    model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
+                             rho=rng.uniform(0.5, 2.0, g.n_cells))
+    eye = np.eye(dim + 1)
+    if kernel == "prony":
+        kernel = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
+                                           for _ in range(2)), taus=(0.05, 0.5))
+    elif kernel == "tabulated":
+        samples = rng.uniform(0, 1, (30, g.n_cells))[:, :, None, None] * eye
+        kernel = TabulatedKernel(times=dt * np.arange(30), samples=samples)
+    system = rw.acoustics_system(model, boundary=boundary, kernel=kernel)
+    src = rw.make_ricker_source(g, dim + 1, [0.4] * dim, peak_frequency=1 / (4 * dt), delay=6 * dt)
+    sampler = build_sampler(rng.uniform(0.05, 0.95, (2, dim)).tolist(), "pressure", g, dim + 1)
+    return system, src, sampler, rng
+
+
+class TestStackedStep:
+    """One sparse product per step against the per-term oracles of ``conftest``."""
+
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_forward_and_adjoint_match_per_term_oracle(self, dim, boundary, kernel):
+        system, src, sampler, rng = stacked_step_case(dim, boundary, kernel)
+        states = rw.solve_causal(system, src).states
+        ref = per_term_solve(system, src)
+        scale = np.abs(ref).max()
+        assert scale > 0
+        assert np.abs(states - ref).max() <= 1e-13 * scale
+        if kernel is None:
+            assert np.array_equal(states, ref)
+        if kernel == "tabulated":
+            return
+        residual = rw.SeismogramData(times=system.grid.times(), receivers=sampler.receivers,
+                                     data=rng.standard_normal((2, system.grid.n_steps + 1)))
+        w = adjoint_solve(system, residual, sampler).states
+        w_ref = per_term_adjoint(system, residual, sampler)
+        assert np.abs(w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
+        if kernel is None:
+            assert np.array_equal(w, w_ref)
+
+    @pytest.mark.parametrize("kernel", [None, "prony"])
+    def test_adjoint_matrix_is_the_exact_transpose(self, kernel):
+        system, *_ = stacked_step_case(2, "periodic", kernel)
+        ops = system.step_operators
+        n_terms = 2 if kernel else 0
+        assert ops.rhs_matrix.shape == (ops.n_state, (1 + n_terms) * ops.n_state)
+        assert ops.adjoint_matrix.format == "csr"
+        assert (ops.adjoint_matrix != ops.rhs_matrix.T).nnz == 0
+        assert ops.adjoint_matrix is ops.adjoint_matrix
+
+    def test_non_finite_step_names_the_step(self):
+        system, src, *_ = stacked_step_case(2, "periodic", "prony")
+        forcing = np.zeros((system.grid.n_steps, system.n_state))
+        forcing[3, 5] = np.nan
+        with pytest.raises(SolverError, match="at step 3$"):
+            rw.solve_causal(system, src, forcing=forcing)
 
 
 class TestFactorCount:
