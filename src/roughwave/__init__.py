@@ -28,8 +28,6 @@ from .fields import (
 )
 from .operators import (
     DiscreteSystem,
-    MassOperator,
-    SkewOperator,
     acoustic_p_matrices,
     assemble_mass,
     assemble_skew,

@@ -20,7 +20,7 @@ from . import experiments, fields, forward, physics, sensitivity
 from .errors import ConfigError, InvalidArgumentError, RoughwaveError
 from .evolution import energy_identity_residual, export_energy_csv, export_snapshots, solve_causal
 from .fields import PronyKernel, SourceTerm, ZeroKernel, build_grid
-from .operators import DiscreteSystem
+from .operators import DiscreteSystem, block_apply
 
 COMMANDS = ("simulate", "forward", "gradient", "check", "study")
 
@@ -491,15 +491,16 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     for _ in range(20):
         u = rng.standard_normal(system.n_state)
         v = rng.standard_normal(system.n_state)
-        s = abs(_fsum_dot(system.skew.apply(u), v) + _fsum_dot(u, system.skew.apply(v)))
+        s = abs(_fsum_dot(system.skew @ u, v) + _fsum_dot(u, system.skew @ v))
         worst = max(worst, s / (np.linalg.norm(u) * np.linalg.norm(v)))
     record("skew_symmetry", worst <= 1e-12, f"max |<Pu,v>+<u,Pv>|/(|u||v|) = {worst:.2e}")
 
     rq = []
     for _ in range(20):
         u = rng.standard_normal(system.n_state)
-        rq.append(float(u @ system.mass.apply(u)) / float(u @ u))
-    lo, hi = system.mass.eig_lo, system.mass.eig_hi
+        rq.append(float(u @ block_apply(system.a_blocks, u)) / float(u @ u))
+    eigs = np.linalg.eigvalsh(system.a_blocks)
+    lo, hi = float(eigs.min()), float(eigs.max())
     ok = min(rq) >= lo - 1e-10 and max(rq) <= hi + 1e-10
     record("mass_rayleigh_bounds", ok, f"quotients in [{min(rq):.4g}, {max(rq):.4g}] vs [{lo:.4g}, {hi:.4g}]")
 

@@ -31,11 +31,11 @@ from .errors import (
     SolverError,
     UnsupportedConfigurationError,
 )
-from .fields import Grid, SourceTerm, ZeroKernel, _hat_weights, write_field_array
+from .fields import Grid, SourceTerm, TabulatedKernel, ZeroKernel, _hat_weights, write_field_array
 from .operators import (
     DiscreteSystem,
-    MassOperator,
     StepOperators,  # noqa: F401  (re-exported: callers import it from here)
+    block_apply,
     energy,
     memory_series,
     prony_advance,
@@ -47,13 +47,14 @@ class Trajectory:
     """Time-indexed solution states of one system.
 
     ``states`` holds every time level row-wise, t = 0 included.  The
-    energy series is computed from the states and ``mass`` on first read.
+    energy series is computed from the states and the system's mass blocks
+    ``a_blocks`` on first read.
     """
 
     grid: Grid
     times: np.ndarray
     states: np.ndarray
-    mass: MassOperator
+    a_blocks: np.ndarray
     source: SourceTerm | None = None
 
     @property
@@ -62,7 +63,7 @@ class Trajectory:
 
     @cached_property
     def energies(self) -> np.ndarray:
-        return np.array([energy(self.mass, u) for u in self.states])
+        return np.array([energy(self.a_blocks, self.grid.cell_volume, u) for u in self.states])
 
 
 def _source_at(source: SourceTerm | None, t: float, n_state: int) -> np.ndarray:
@@ -82,13 +83,16 @@ def _midpoint_solve(
     ops = system.step_operators
     times = grid.times()
     states = np.zeros((n_steps + 1, ops.n_state))
+    tabulated = isinstance(system.kernel, TabulatedKernel)  # the only kernel with a history term
 
     z = np.zeros((1 + ops.n_terms, ops.n_state))  # u_n and the Prony states s_j(t_n)
     z[0] = states[0] = u0
     for n in range(n_steps):
         rhs = ops.rhs_matrix @ z.ravel()
-        rhs += ops.memory_history_rhs(states, n)
-        rhs += _source_at(source, times[n] + 0.5 * dt, ops.n_state)
+        if tabulated:
+            rhs += ops.memory_history_rhs(states, n)
+        if source is not None:
+            rhs += source.evaluate(times[n] + 0.5 * dt)
         if forcing is not None:
             rhs += forcing[n]
         u_next = ops.lu.solve(rhs)
@@ -97,7 +101,7 @@ def _midpoint_solve(
         if ops.n_terms:
             z[1:] = prony_advance(z[1:], z[0], u_next, ops.step_weights)
         z[0] = states[n + 1] = u_next
-    return Trajectory(grid=grid, times=times, states=states, mass=system.mass, source=source)
+    return Trajectory(grid=grid, times=times, states=states, a_blocks=system.a_blocks, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,7 @@ def step_residuals(
     for n, s_half in enumerate(ops.replay(states)):
         u, un = states[n], states[n + 1]
         ubar = 0.5 * (u + un)
-        r = system.mass.apply((un - u) / dt) + system.skew.apply(ubar) + system.apply_b(ubar)
+        r = block_apply(system.a_blocks, (un - u) / dt) + system.skew @ ubar + system.apply_b(ubar)
         r += ops.half_step_memory(s_half, u, un, states, n)
         r -= _source_at(source, traj.times[n] + 0.5 * dt, system.n_state)
         if forcing is not None:

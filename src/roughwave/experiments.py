@@ -77,10 +77,8 @@ def cone_leak(traj: Trajectory, cone: ConeSpec) -> float:
         raise InvalidArgumentError("trajectory does not cover the cone's time window")
     centers = grid.centers()
     dist = np.linalg.norm(centers - np.asarray(cone.apex_x), axis=1)
-    states = traj.states.reshape(traj.states.shape[0], grid.n_cells, traj.mass.k)
-    density = 0.5 * grid.cell_volume * np.einsum(
-        "nci,cij,ncj->nc", states, traj.mass.blocks, states
-    )
+    states = traj.states.reshape(traj.states.shape[0], grid.n_cells, -1)
+    density = 0.5 * grid.cell_volume * np.einsum("nci,cij,ncj->nc", states, traj.a_blocks, states)
     quiet = cone.slowness * dist[None, :] + cone.apex_t - traj.times[:, None] >= 0
     total = float(density.sum())
     if total <= 0:

@@ -8,11 +8,12 @@ one-sided difference matrices exact negative transposes of each other.
 Either way the assembled operator satisfies <Pu, v> = -<u, Pv> to the
 last bit, which is what the discrete energy argument needs.
 
-A system holds b and the memory kernel q as per-cell blocks, whose product
-with states is ``block_apply``.  Prony kernels convolve by an O(1)-per-step
-recursion that is exact for piecewise-linear input, tabulated kernels by
-the trapezoid rule (the brute-force oracle path).  ``memory_series`` is the
-one grid-time convolution, and evaluates a tabulated kernel once per call.
+A system holds a, b and the memory kernel q as per-cell blocks, whose
+product with states is ``block_apply``, and the stencil as one matrix.
+Prony kernels convolve by an O(1)-per-step recursion that is exact for
+piecewise-linear input, tabulated kernels by the trapezoid rule (the
+brute-force oracle path).  ``memory_series`` is the one grid-time
+convolution, and evaluates a tabulated kernel once per call.
 ``prony_advance`` is the one recursion step, over all terms' states
 stacked as one (n_terms, n_state) array.  ``StepOperators`` holds the
 midpoint scheme's whole-step and half-step weight triples, or a tabulated
@@ -63,43 +64,8 @@ def block_apply(blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("cij,scj->sci", blocks, u.reshape(-1, n, k)).reshape(u.shape)
 
 
-# ---------------------------------------------------------------------------
-# mass operator
-# ---------------------------------------------------------------------------
-
-
-class MassOperator:
-    """Block-diagonal symmetric positive definite mass operator.
-
-    Stores one k-by-k block per cell together with cached inverses so
-    ``solve`` is a per-cell matrix product.
-    """
-
-    def __init__(self, blocks: np.ndarray, grid: Grid, k: int):
-        self.blocks = blocks
-        self.grid = grid
-        self.k = k
-        self._inv = np.linalg.inv(blocks)
-        eigs = np.linalg.eigvalsh(blocks)
-        self.eig_lo = float(eigs.min())
-        self.eig_hi = float(eigs.max())
-
-    @property
-    def n_state(self) -> int:
-        return self.grid.state_size(self.k)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return block_apply(self.blocks, u)
-
-    def solve(self, u: np.ndarray) -> np.ndarray:
-        return block_apply(self._inv, u)
-
-    def as_matrix(self) -> sp.csr_matrix:
-        return block_diagonal(self.blocks)
-
-
-def assemble_mass(f: CoefficientField) -> MassOperator:
-    """Mass operator from the a-part of a field.
+def assemble_mass(f: CoefficientField) -> np.ndarray:
+    """The mass blocks of a field: its a, checked symmetric positive definite.
 
     Raises if any cell block fails symmetry or positive definiteness,
     naming the cell.
@@ -112,14 +78,15 @@ def assemble_mass(f: CoefficientField) -> MassOperator:
         raise InvalidCoefficientError(
             f"non-SPD mass block in cell {int(mins.argmin())} (eigenvalue {mins.min():.3e})"
         )
-    return MassOperator(f.a, f.grid, f.k)
+    return f.a
 
 
-def energy(mass: MassOperator, u: np.ndarray) -> float:
+def energy(a_blocks: np.ndarray, cell_volume: float, u: np.ndarray) -> float:
     """Quadratic energy E = (1/2) <u, A u> in the volume-weighted inner product."""
-    if u.shape != (mass.n_state,):
-        raise InvalidArgumentError(f"state length {u.shape} does not match {mass.n_state}")
-    return 0.5 * mass.grid.cell_volume * float(u @ mass.apply(u))
+    n, k, _ = a_blocks.shape
+    if u.shape != (n * k,):
+        raise InvalidArgumentError(f"state length {u.shape} does not match {n * k}")
+    return 0.5 * cell_volume * float(u @ block_apply(a_blocks, u))
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +154,12 @@ def _axis_operator(grid: Grid, axis: int, mat1d: sp.spmatrix) -> sp.csr_matrix:
     return op
 
 
-@dataclass(frozen=True)
-class SkewOperator:
-    """Sparse discretization of p(grad) with exact matrix antisymmetry."""
-
-    matrix: sp.csr_matrix
-    p_matrices: tuple[np.ndarray, ...]
-    grid: Grid
-    k: int
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
-    @property
-    def n_state(self) -> int:
-        return self.grid.state_size(self.k)
-
-
 def assemble_skew(
     p_matrices: Sequence[np.ndarray],
     grid: Grid,
     boundary: str = PERIODIC,
     k: int | None = None,
-) -> SkewOperator:
+) -> sp.csr_matrix:
     """Assemble the centered-difference spatial operator.
 
     ``p_matrices`` are the constant symmetric k-by-k symbol matrices, one
@@ -249,7 +199,7 @@ def assemble_skew(
     else:
         raise InvalidArgumentError(f"unknown boundary {boundary!r}")
     total.sum_duplicates()
-    return SkewOperator(matrix=total, p_matrices=tuple(p_matrices), grid=grid, k=k)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +292,27 @@ def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.nda
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """The assembled evolution problem A u' + P u + B u + R[u] = f."""
+    """The assembled evolution problem A u' + P u + B u + R[u] = f.
 
-    mass: MassOperator
-    skew: SkewOperator
+    a, b and the kernel q are per-cell (n_cells, k, k) blocks, and P is the
+    one sparse matrix ``skew`` assembled from the symbol ``p_matrices``.
+    """
+
+    a_blocks: np.ndarray
+    skew: sp.csr_matrix
+    p_matrices: tuple[np.ndarray, ...]
     b_blocks: np.ndarray | None
     kernel: MemoryKernel
     grid: Grid
     k: int
 
     def __post_init__(self):
-        if self.mass.grid != self.grid or self.skew.grid != self.grid:
-            raise GridMismatchError("all operators must share the system grid")
-        if self.mass.k != self.k or self.skew.k != self.k:
-            raise GridMismatchError("all operators must share the state width")
         cells = (self.grid.n_cells, self.k, self.k)
+        if self.a_blocks.shape != cells:
+            raise GridMismatchError(f"a_blocks has shape {self.a_blocks.shape}, expected {cells}")
+        if self.skew.shape != (self.n_state, self.n_state):
+            raise GridMismatchError(
+                f"skew has shape {self.skew.shape}, expected {(self.n_state, self.n_state)}")
         for j, w in enumerate(self.kernel.weights if isinstance(self.kernel, PronyKernel) else ()):
             if w.shape != cells:
                 raise InvalidCoefficientError(f"Prony weight {j} has wrong shape {w.shape}")
@@ -366,9 +322,6 @@ class DiscreteSystem:
     @property
     def n_state(self) -> int:
         return self.grid.state_size(self.k)
-
-    def b_matrix(self) -> sp.csr_matrix | None:
-        return None if self.b_blocks is None else block_diagonal(self.b_blocks)
 
     def apply_b(self, u: np.ndarray) -> np.ndarray:
         if self.b_blocks is None:
@@ -415,11 +368,10 @@ class StepOperators:
 
     def __init__(self, system: DiscreteSystem, dt: float):
         self.dt = float(dt)
-        a_over_dt = system.mass.as_matrix() / self.dt
-        k_mat = system.skew.matrix
-        b_mat = system.b_matrix()
-        if b_mat is not None:
-            k_mat = k_mat + b_mat
+        a_over_dt = block_diagonal(system.a_blocks) / self.dt
+        k_mat = system.skew
+        if system.b_blocks is not None:
+            k_mat = k_mat + block_diagonal(system.b_blocks)
         c = a_over_dt + 0.5 * k_mat
         d = a_over_dt - 0.5 * k_mat
 
@@ -519,10 +471,12 @@ def assemble_system(
                 "no default stencil for k != dim + 1; pass symbol matrices explicitly"
             )
         p_matrices = acoustic_p_matrices(f.grid.dim)
-    mass = assemble_mass(f)
+    a = assemble_mass(f)
+    p_matrices = tuple(np.asarray(p, dtype=float) for p in p_matrices)
     skew = assemble_skew(p_matrices, f.grid, boundary, k=f.k)
     b = f.b if f.b is not None and np.abs(f.b).max() > 0 else None
-    return DiscreteSystem(mass=mass, skew=skew, b_blocks=b, kernel=f.kernel, grid=f.grid, k=f.k)
+    return DiscreteSystem(a_blocks=a, skew=skew, p_matrices=p_matrices, b_blocks=b,
+                          kernel=f.kernel, grid=f.grid, k=f.k)
 
 
 def unit_directions(dim: int) -> np.ndarray:
@@ -558,7 +512,7 @@ def direction_stacks(dim: int, n_blocks: int):
 def symbol_stacks(system: DiscreteSystem, n_blocks: int):
     """p(xi) over each ``direction_stacks`` chunk, stacked (directions, k, k)."""
     for xi in direction_stacks(system.grid.dim, n_blocks):
-        yield sum(x[:, None, None] * pm for x, pm in zip(xi.T, system.skew.p_matrices))
+        yield sum(x[:, None, None] * pm for x, pm in zip(xi.T, system.p_matrices))
 
 
 def max_symbol_speed(system: DiscreteSystem) -> float:
@@ -569,7 +523,7 @@ def max_symbol_speed(system: DiscreteSystem) -> float:
     ``unit_directions``, one stacked ``eigvalsh`` per ``symbol_stacks`` chunk.
     """
     k = system.k
-    vals, vecs = np.linalg.eigh(np.unique(system.mass.blocks, axis=0))
+    vals, vecs = np.linalg.eigh(np.unique(system.a_blocks, axis=0))
     inv_sqrt = np.einsum("cik,ck,cjk->cij", vecs, 1.0 / np.sqrt(vals), vecs)
     speed = 0.0
     for p in symbol_stacks(system, len(inv_sqrt)):

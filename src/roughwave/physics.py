@@ -406,7 +406,7 @@ def slowness_pencil_min_eig(system: DiscreteSystem, tau: float) -> float:
     finite-speed slowness bound.  Only the distinct cell blocks are solved,
     one stacked ``eigvalsh`` per ``symbol_stacks`` chunk of directions.
     """
-    blocks = np.unique(system.mass.blocks, axis=0)
+    blocks = np.unique(system.a_blocks, axis=0)
     worst = np.inf
     for p in symbol_stacks(system, len(blocks)):
         pencil = (blocks[None] - tau * p[:, None]).reshape(-1, system.k, system.k)

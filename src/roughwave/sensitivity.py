@@ -49,11 +49,8 @@ from .forward import (
     gathered_adjoint_source,
     sample_trajectory,
 )
-from .operators import (
-    DiscreteSystem,
-    MassOperator,
-    block_apply,
-)
+from .experiments import fit_slope
+from .operators import DiscreteSystem, block_apply
 
 
 @dataclass(frozen=True)
@@ -125,9 +122,9 @@ def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: f
     """System with coefficients (a + h da, b + h db, q + h dq); same stencil."""
     pert.validate(system)
     _require_sensitivity_kernel(system)
-    mass = system.mass
+    a = system.a_blocks
     if pert.delta_a is not None:
-        mass = MassOperator(system.mass.blocks + h * pert.delta_a, system.grid, system.k)
+        a = a + h * pert.delta_a
     b = system.b_blocks
     if pert.delta_b is not None:
         b = (b if b is not None else 0.0) + h * pert.delta_b
@@ -135,7 +132,7 @@ def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: f
     if pert.delta_weights is not None:  # validate() checked that the kernel is Prony
         kernel = PronyKernel(tuple(w + h * dw for w, dw in zip(kernel.weights, pert.delta_weights)),
                              kernel.taus)
-    return replace(system, mass=mass, b_blocks=b, kernel=kernel)
+    return replace(system, a_blocks=a, b_blocks=b, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +277,7 @@ def adjoint_solve(
         rhs += w_new @ mu
         lam = ops.lu.solve(rhs, trans="T")
         w[m - 1] = lam
-    return Trajectory(grid=grid, times=residual.times.copy(), states=w, mass=system.mass)
+    return Trajectory(grid=grid, times=residual.times.copy(), states=w, a_blocks=system.a_blocks)
 
 
 def assemble_gradient(
@@ -404,7 +401,7 @@ def finite_difference_table(
     """
     n, k = system.grid.n_cells, system.k
     steps = (1e-1, 1e-2, 1e-3)
-    scale = float(np.abs(system.mass.blocks).max())
+    scale = float(np.abs(system.a_blocks).max())
     j_base = report.objective if report.objective is not None else 1.0
     noise_floor = 64 * np.finfo(float).eps * abs(j_base) / (min(steps) * scale)
     rows = []
@@ -473,7 +470,7 @@ def quotient_study(
     for h in h_schedule:
         try:
             pert_system = perturbed_system(system, pert, float(h))
-            if np.linalg.eigvalsh(pert_system.mass.blocks).min() <= 0.0:
+            if np.linalg.eigvalsh(pert_system.a_blocks).min() <= 0.0:
                 raise InvalidArgumentError("perturbed mass exits the admissible set")
         except (InvalidArgumentError, np.linalg.LinAlgError):
             remainders.append(np.nan)
@@ -483,16 +480,10 @@ def quotient_study(
         quotient = (u_h.states - base.states) / float(h)
         remainders.append(sup_l2_distance(quotient, du.states, vol))
         flagged.append(False)
-    ok = [(float(h), r) for h, r, f in zip(h_schedule, remainders, flagged) if not f and r > 0]
-    slope = np.nan
-    if len(ok) >= 2:
-        hs = np.log([h for h, _ in ok])
-        rs = np.log([r for _, r in ok])
-        slope = float(np.polyfit(hs, rs, 1)[0])
     return QuotientStudy(
         remainders=tuple(remainders),
         flagged=tuple(flagged),
-        slope=slope,
+        slope=fit_slope(h_schedule, remainders),
         derivative_norm=du_norm,
     )
 

@@ -35,9 +35,8 @@ def count_calls(monkeypatch, name):
 
 def time_reversed_system(system):
     """System with the spatial operator negated (the substitution t -> T - t)."""
-    skew = replace(system.skew, matrix=(-system.skew.matrix).tocsr(),
-                   p_matrices=tuple(-p for p in system.skew.p_matrices))
-    return replace(system, skew=skew)
+    return replace(system, skew=(-system.skew).tocsr(),
+                   p_matrices=tuple(-p for p in system.p_matrices))
 
 
 def _dense_block_diagonal(blocks):
@@ -51,10 +50,10 @@ def zero_keeping_step_matrix(system):
     """The midpoint step matrix C summed from dense cell blocks, so that it keeps their
     stored zeros: the assembly the zero-free ``StepOperators`` replaced."""
     ops = system.step_operators
-    k_mat = system.skew.matrix
+    k_mat = system.skew
     if system.b_blocks is not None:
         k_mat = k_mat + _dense_block_diagonal(system.b_blocks)
-    c = (_dense_block_diagonal(system.mass.blocks) / ops.dt + 0.5 * k_mat).tocsc()
+    c = (_dense_block_diagonal(system.a_blocks) / ops.dt + 0.5 * k_mat).tocsc()
     if isinstance(system.kernel, PronyKernel):
         for w, (_, _, w_new_half) in zip(system.kernel.weights, ops.half_weights):
             c = (c + w_new_half * _dense_block_diagonal(w)).tocsc()
@@ -206,11 +205,11 @@ def symbol_test_system(dim, medium):
 
 def per_direction_symbol_speed(system):
     """``max_symbol_speed`` with one ``eigvalsh`` per sampled direction."""
-    vals, vecs = np.linalg.eigh(np.unique(system.mass.blocks, axis=0))
+    vals, vecs = np.linalg.eigh(np.unique(system.a_blocks, axis=0))
     inv_sqrt = np.einsum("cik,ck,cjk->cij", vecs, 1.0 / np.sqrt(vals), vecs)
     speed = 0.0
     for xi in unit_directions(system.grid.dim):
-        p = sum(x * pm for x, pm in zip(xi, system.skew.p_matrices))
+        p = sum(x * pm for x, pm in zip(xi, system.p_matrices))
         sym = np.einsum("cij,jk,ckl->cil", inv_sqrt, p, inv_sqrt)
         speed = max(speed, float(np.abs(np.linalg.eigvalsh(sym)).max()))
     return speed
@@ -218,10 +217,10 @@ def per_direction_symbol_speed(system):
 
 def per_direction_pencil_min_eig(system, tau):
     """``slowness_pencil_min_eig`` with one ``eigvalsh`` per sampled direction."""
-    blocks = np.unique(system.mass.blocks, axis=0)
+    blocks = np.unique(system.a_blocks, axis=0)
     worst = np.inf
     for xi in unit_directions(system.grid.dim):
-        p = sum(x * pm for x, pm in zip(xi, system.skew.p_matrices))
+        p = sum(x * pm for x, pm in zip(xi, system.p_matrices))
         worst = min(worst, float(np.linalg.eigvalsh(blocks - tau * p[None]).min()))
     return worst
 

@@ -60,13 +60,13 @@ def test_criterion_1_skew_symmetry():
     pairs_per = 100 // len(configs) + 1
     total = 0
     for sk in configs:
-        assert abs(sk.matrix + sk.matrix.T).max() == 0.0  # stored antisymmetry
+        assert abs(sk + sk.T).max() == 0.0  # stored antisymmetry
         for _ in range(pairs_per):
             if total >= 100:
                 break
-            u = rng.standard_normal(sk.n_state)
-            v = rng.standard_normal(sk.n_state)
-            gap = abs(fsum_dot(sk.apply(u), v) + fsum_dot(u, sk.apply(v)))
+            u = rng.standard_normal(sk.shape[0])
+            v = rng.standard_normal(sk.shape[0])
+            gap = abs(fsum_dot(sk @ u, v) + fsum_dot(u, sk @ v))
             worst = max(worst, gap / (np.linalg.norm(u) * np.linalg.norm(v)))
             total += 1
     elapsed = time.time() - start

@@ -143,15 +143,16 @@ def rk4_oracle(system, source, forcing=None):
     taus = np.array(getattr(kernel, "taus", ()))
     weights = kernel.weights if taus.size else ()
     dt = grid.dt
+    a_inv = np.linalg.inv(system.a_blocks)
 
     def rate(t, y, f_extra):
         u, s = y[0], y[1:]
         f = np.zeros(system.n_state) if source is None else source.evaluate(t)
         if f_extra is not None:
             f = f + f_extra
-        f = f - system.skew.apply(u) - system.apply_b(u) - sum(
+        f = f - system.skew @ u - system.apply_b(u) - sum(
             block_apply(w, s_j) for w, s_j in zip(weights, s))
-        return np.vstack([system.mass.solve(f), u - s / taus[:, None]])
+        return np.vstack([block_apply(a_inv, f), u - s / taus[:, None]])
 
     y = np.zeros((1 + taus.size, system.n_state))
     states = [y[0]]
@@ -305,14 +306,16 @@ class TestEnergiesOnRead:
         energies = traj.energies
         assert len(energy_calls) == traj.n_steps + 1
         assert traj.energies is energies
-        assert np.array_equal(energies, [energy(system.mass, u) for u in traj.states])
+        assert np.array_equal(energies, [energy(system.a_blocks, g.cell_volume, u)
+                                         for u in traj.states])
 
     def test_smoothed_energies_use_the_system_mass(self, energy_calls):
         g, system = homogeneous_acoustics(cells=40, dt=2e-3, t_end=0.05)
         src = rw.make_ricker_source(g, 2, [0.5], peak_frequency=8.0)
         out = smooth_trajectory(rw.solve_causal(system, src), 3)
         assert energy_calls == []
-        assert np.array_equal(out.energies, [energy(system.mass, u) for u in out.states])
+        assert np.array_equal(out.energies, [energy(system.a_blocks, g.cell_volume, u)
+                                             for u in out.states])
 
 
 class TestSmoothing:
@@ -329,7 +332,7 @@ class TestSmoothing:
         states = traj.states.copy()
         states[:] = 1.5
         frozen = rw.Trajectory(grid=traj.grid, times=traj.times, states=states,
-                               mass=system.mass)
+                               a_blocks=system.a_blocks)
         out = smooth_trajectory(frozen, 4)
         np.testing.assert_allclose(out.states[5:-5], 1.5, rtol=1e-14)
 
@@ -346,7 +349,7 @@ class TestSmoothing:
             smoothed = smooth_trajectory(traj, max(2, int(window_time / dt)))
             # ||u|| + ||P u|| in the volume-weighted norm
             graph_norm = np.linalg.norm(smoothed.states, axis=1) + np.linalg.norm(
-                system.skew.matrix @ smoothed.states.T, axis=0)
+                system.skew @ smoothed.states.T, axis=0)
             maxima.append(np.sqrt(g.cell_volume) * graph_norm.max())
         assert maxima[1] <= 1.3 * maxima[0]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import roughwave as rw
 from conftest import per_direction_symbol_speed, symbol_test_system
 from roughwave.errors import (
+    GridMismatchError,
     InvalidArgumentError,
     InvalidCoefficientError,
     UnsupportedConfigurationError,
@@ -46,24 +48,17 @@ class TestMass:
     def test_identity_coefficients(self):
         f = CoefficientField(grid=rw.build_grid(1, [16], 1.0, 1e-3, 0.1), k=2,
                              a=np.tile(np.eye(2), (16, 1, 1)))
-        m = rw.assemble_mass(f)
+        a = rw.assemble_mass(f)
+        assert a is f.a  # the field's blocks, checked, not copied
         u = np.arange(32.0)
-        np.testing.assert_array_equal(m.apply(u), u)
+        np.testing.assert_array_equal(block_apply(a, u), u)
 
     def test_acoustic_cell_block(self):
         # kappa = 4, rho = 1 maps to the cell block diag(0.25, 1, 1, 1)
         g = rw.build_grid(3, [2, 2, 2], 1.0, 1e-3, 0.01)
         model = rw.AcousticModel(grid=g, kappa=4.0, rho=1.0)
-        m = rw.assemble_mass(model.coefficient_field())
-        np.testing.assert_allclose(m.blocks[0], np.diag([0.25, 1.0, 1.0, 1.0]))
-
-    def test_apply_solve_roundtrip(self):
-        f = random_spd_field(30, 3, seed=5)
-        m = rw.assemble_mass(f)
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal(m.n_state)
-        back = m.solve(m.apply(u))
-        assert np.abs(back - u).max() <= 1e-12 * np.abs(u).max()
+        a = rw.assemble_mass(model.coefficient_field())
+        np.testing.assert_allclose(a[0], np.diag([0.25, 1.0, 1.0, 1.0]))
 
     def test_non_spd_names_cell(self):
         g = rw.build_grid(1, [8], 1.0, 1e-3, 0.1)
@@ -78,8 +73,8 @@ class TestMass:
         rng = np.random.default_rng(3)
         kappa = 1.0 + rng.random(12)
         rho = 0.5 + rng.random(12)
-        m = rw.assemble_mass(rw.AcousticModel(grid=g, kappa=kappa, rho=rho).coefficient_field())
-        eigs = np.sort(np.linalg.eigvalsh(m.blocks), axis=1)
+        a = rw.assemble_mass(rw.AcousticModel(grid=g, kappa=kappa, rho=rho).coefficient_field())
+        eigs = np.sort(np.linalg.eigvalsh(a), axis=1)
         expect = np.sort(np.stack([1.0 / kappa, rho], axis=1), axis=1)
         np.testing.assert_allclose(eigs, expect, rtol=1e-13)
 
@@ -87,18 +82,19 @@ class TestMass:
     @settings(max_examples=20, deadline=None)
     def test_rayleigh_quotients_within_bounds(self, seed):
         f = random_spd_field(20, 2, seed=seed)
-        m = rw.assemble_mass(f)
+        a = rw.assemble_mass(f)
         rng = np.random.default_rng(seed + 1)
-        u = rng.standard_normal(m.n_state)
-        q = float(u @ m.apply(u)) / float(u @ u)
-        assert m.eig_lo - 1e-10 <= q <= m.eig_hi + 1e-10
+        u = rng.standard_normal(f.grid.state_size(2))
+        q = float(u @ block_apply(a, u)) / float(u @ u)
+        eigs = np.linalg.eigvalsh(a)
+        assert eigs.min() - 1e-10 <= q <= eigs.max() + 1e-10
 
 
 class TestSkew:
     def test_1d_periodic_centered_difference_exact_antisymmetry(self):
         g = rw.build_grid(1, [32], 1.0, 1e-3, 0.1)
         sk = rw.assemble_skew([np.array([[1.0]])], g, "periodic")
-        dense = sk.matrix.toarray()
+        dense = sk.toarray()
         np.testing.assert_array_equal(dense, -dense.T)
         # interior stencil is the plain centered difference
         assert dense[5, 6] == pytest.approx(0.5 / g.h[0])
@@ -108,7 +104,7 @@ class TestSkew:
         g = rw.build_grid(2, [8, 8], 1.0, 1e-3, 0.1)
         sk = rw.assemble_skew(acoustic_p_matrices(2), g, "periodic")
         u = np.tile(np.array([3.0, -1.0, 2.0]), g.n_cells)
-        assert np.abs(sk.apply(u)).max() == 0.0
+        assert np.abs(sk @ u).max() == 0.0
 
     def test_plane_wave_symbol(self):
         # discrete Fourier modes are exact eigenvectors of the circulant
@@ -120,7 +116,7 @@ class TestSkew:
             wave = np.exp(2j * np.pi * mode * x)
             for pol, lam_sign in ((np.array([1.0, -1.0]), +1), (np.array([1.0, 1.0]), -1)):
                 state = (wave[:, None] * pol).ravel()
-                out = sk.matrix @ state.real + 1j * (sk.matrix @ state.imag)
+                out = sk @ state.real + 1j * (sk @ state.imag)
                 lam = lam_sign * 1j * np.sin(2 * np.pi * mode * g.h[0]) / g.h[0]
                 assert np.abs(out - lam * state).max() < 1e-11
 
@@ -131,16 +127,16 @@ class TestSkew:
         sk = rw.assemble_skew(acoustic_p_matrices(dim), g, boundary)
         rng = np.random.default_rng(42)
         for _ in range(10):
-            u = rng.standard_normal(sk.n_state)
-            v = rng.standard_normal(sk.n_state)
-            s = abs(fsum_dot(sk.apply(u), v) + fsum_dot(u, sk.apply(v)))
+            u = rng.standard_normal(sk.shape[0])
+            v = rng.standard_normal(sk.shape[0])
+            s = abs(fsum_dot(sk @ u, v) + fsum_dot(u, sk @ v))
             assert s <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
 
     def test_stored_matrix_exactly_antisymmetric(self):
         g = rw.build_grid(2, [9, 7], 1.0, 1e-3, 0.1)
         for boundary in ("periodic", "acoustic_free"):
             sk = rw.assemble_skew(acoustic_p_matrices(2), g, boundary)
-            assert abs(sk.matrix + sk.matrix.T).max() == 0.0
+            assert abs(sk + sk.T).max() == 0.0
 
     def test_rejects_asymmetric_symbol(self):
         g = rw.build_grid(1, [16], 1.0, 1e-3, 0.1)
@@ -222,6 +218,24 @@ class TestMemory:
                                                               samples=np.ones((2, 4, 1, 1))))
 
 
+class TestDiscreteSystem:
+    def test_holds_the_field_blocks_and_one_stencil_matrix(self):
+        f = random_spd_field(6, 2)
+        system = rw.assemble_system(f)
+        assert system.a_blocks is f.a
+        assert system.skew.shape == (12, 12)
+        np.testing.assert_array_equal(system.p_matrices[0], acoustic_p_matrices(1)[0])
+
+    def test_rejects_coefficients_of_the_wrong_shape(self):
+        system = rw.assemble_system(random_spd_field(6, 2))
+        with pytest.raises(GridMismatchError, match=r"a_blocks has shape \(5, 2, 2\)"):
+            dataclasses.replace(system, a_blocks=system.a_blocks[:5])
+        with pytest.raises(GridMismatchError, match=r"a_blocks has shape \(6, 3, 3\)"):
+            dataclasses.replace(system, a_blocks=np.tile(np.eye(3), (6, 1, 1)))
+        with pytest.raises(GridMismatchError, match=r"skew has shape \(10, 10\)"):
+            dataclasses.replace(system, skew=system.skew[:10, :10])
+
+
 class TestIntervalWeights:
     @staticmethod
     def reference(alpha: float) -> tuple[float, float, float]:
@@ -287,34 +301,34 @@ class TestPronyAdvance:
 class TestEnergy:
     def test_zero_state(self):
         f = random_spd_field(10, 2)
-        m = rw.assemble_mass(f)
-        assert energy(m, np.zeros(m.n_state)) == 0.0
+        a = rw.assemble_mass(f)
+        assert energy(a, f.grid.cell_volume, np.zeros(f.grid.state_size(2))) == 0.0
 
     def test_one_cell_acoustic_example(self):
         # kappa = rho = 1, p = 2, v = 0, unit cell volume: E = 2
         g = rw.build_grid(1, [2], 2.0, 1e-3, 0.1)  # h = 1 per cell
         model = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0)
-        m = rw.assemble_mass(model.coefficient_field())
-        u = np.zeros(m.n_state)
+        a = rw.assemble_mass(model.coefficient_field())
+        u = np.zeros(g.state_size(2))
         u[0] = 2.0  # pressure in the first cell
-        assert energy(m, u) == pytest.approx(2.0)
+        assert energy(a, g.cell_volume, u) == pytest.approx(2.0)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_energy_norm_equivalence(self, seed):
         f = random_spd_field(16, 2, seed=seed)
-        m = rw.assemble_mass(f)
+        a = rw.assemble_mass(f)
         rng = np.random.default_rng(seed)
-        u = rng.standard_normal(m.n_state)
-        norm2 = m.grid.cell_volume * float(u @ u)
-        e = energy(m, u)
+        u = rng.standard_normal(f.grid.state_size(2))
+        norm2 = f.grid.cell_volume * float(u @ u)
+        e = energy(a, f.grid.cell_volume, u)
         assert 0.5 * f.c_lo * norm2 - 1e-12 <= e <= 0.5 * f.c_hi * norm2 + 1e-12
 
     def test_dimension_mismatch(self):
         f = random_spd_field(10, 2)
-        m = rw.assemble_mass(f)
+        a = rw.assemble_mass(f)
         with pytest.raises(InvalidArgumentError):
-            energy(m, np.zeros(7))
+            energy(a, f.grid.cell_volume, np.zeros(7))
 
 
 class TestSymbolSpeed:

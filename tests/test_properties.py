@@ -145,7 +145,7 @@ def memory_free_media(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_stored_skew_operator_is_antisymmetric(case):
     system, _ = case
-    p = system.skew.matrix
+    p = system.skew
     assert p.nnz > 0
     assert abs(p + p.T).max() == 0
 

@@ -187,8 +187,8 @@ class TestGradient:
         u[1, 0] = 0.3  # (u1 - u0)/dt = 3 in cell 0, component 0
         w = np.zeros((2, system.n_state))
         w[0, 0] = 2.0
-        base = rw.Trajectory(grid=g, times=times, states=u, mass=system.mass)
-        adj = rw.Trajectory(grid=g, times=times, states=w, mass=system.mass)
+        base = rw.Trajectory(grid=g, times=times, states=u, a_blocks=system.a_blocks)
+        adj = rw.Trajectory(grid=g, times=times, states=w, a_blocks=system.a_blocks)
         report = rw.assemble_gradient(base, adj, system)
         assert report.g_a[0, 0, 0] == pytest.approx(0.6)
 
@@ -241,7 +241,8 @@ class TestGradient:
         residual = rw.SeismogramData(times=g.times(), data=data, receivers=sampler.receivers)
         w = rw.adjoint_solve(system, residual, sampler)
         assert energy_calls == []
-        assert np.array_equal(w.energies, [rw.energy(system.mass, u) for u in w.states])
+        assert np.array_equal(w.energies, [rw.energy(system.a_blocks, g.cell_volume, u)
+                                           for u in w.states])
 
     def test_report_export(self, tmp_path):
         g, system, src, sampler = acoustic_setup(t_end=0.2)
@@ -276,7 +277,7 @@ def random_trajectories(dim, prony, n_steps, seed=0):
         kernel = PronyKernel(weights=tuple(rng.uniform(0.0, 1.0, g.n_cells)[:, None, None] * eye
                                            for _ in range(2)), taus=(0.05, 0.4))
     system = rw.acoustics_system(model, kernel=kernel)
-    base, adjoint = (rw.Trajectory(grid=g, times=g.times(), mass=system.mass,
+    base, adjoint = (rw.Trajectory(grid=g, times=g.times(), a_blocks=system.a_blocks,
                                    states=rng.standard_normal((n_steps + 1, system.n_state)))
                      for _ in range(2))
     return system, base, adjoint, rng
@@ -321,7 +322,7 @@ class TestBlockedContraction:
         system, base, adjoint, _ = random_trajectories(1, False, 3)
         other, *_ = random_trajectories(1, False, 4)
         foreign = rw.Trajectory(grid=other.grid, times=base.times, states=base.states,
-                                mass=base.mass)
+                                a_blocks=base.a_blocks)
         with pytest.raises(rw.GridMismatchError):
             assemble_gradient(foreign, adjoint, system)
 
@@ -335,7 +336,7 @@ class TestQuotientStudy:
     def test_bound_exit_flagged_not_fatal(self):
         g, system, src, sampler = acoustic_setup(with_memory=False, t_end=0.15)
         bump = np.zeros((g.n_cells, 2, 2))
-        bump[10] = -2.0 * system.mass.blocks[10]  # h = 1 destroys positivity
+        bump[10] = -2.0 * system.a_blocks[10]  # h = 1 destroys positivity
         study = quotient_study(system, CoefficientPerturbation(delta_a=bump), src,
                                [1.0, 1e-2])
         assert study.flagged[0] is True
@@ -372,8 +373,7 @@ class TestPerturbedSystem:
         pert = random_perturbation(system, rng, scale=0.01)
         newsys = perturbed_system(system, pert, 0.5)
         assert newsys.skew is system.skew
-        np.testing.assert_allclose(newsys.mass.blocks,
-                                   system.mass.blocks + 0.5 * pert.delta_a)
+        np.testing.assert_allclose(newsys.a_blocks, system.a_blocks + 0.5 * pert.delta_a)
         kern = newsys.kernel
         np.testing.assert_allclose(
             kern.weights[0],

@@ -128,8 +128,8 @@ class TestZeroFreeStructure:
         system = assemble_system(model.coefficient_field(
             kernel=two_term_prony(rng, model.grid.n_cells, model.k), b=b))
         ops = system.step_operators
-        pieces = [system.mass.as_matrix(), system.b_matrix(), ops.c_matrix, ops.rhs_matrix,
-                  *ops.weight_matrices]
+        pieces = [block_diagonal(system.a_blocks), block_diagonal(system.b_blocks), ops.c_matrix,
+                  ops.rhs_matrix, *ops.weight_matrices]
         assert len(pieces) == 6
         assert [stored_zeros(m) for m in pieces] == [0] * 6
 

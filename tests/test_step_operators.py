@@ -102,6 +102,26 @@ class TestStackedStep:
         assert (ops.adjoint_matrix != ops.rhs_matrix.T).nnz == 0
         assert ops.adjoint_matrix is ops.adjoint_matrix
 
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    def test_only_a_tabulated_kernel_adds_a_history(self, kernel, monkeypatch):
+        system, src, *_ = stacked_step_case(1, "periodic", kernel)
+        ops = system.step_operators
+        history = type(ops).memory_history_rhs
+        calls = []
+
+        def counted(self, states, step):
+            calls.append(step)
+            return history(self, states, step)
+
+        monkeypatch.setattr(type(ops), "memory_history_rhs", counted)
+        forcing = np.random.default_rng(4).standard_normal((system.grid.n_steps, system.n_state))
+        forced = rw.solve_causal(system, None, forcing=forcing)  # no source: forcing only
+        rw.solve_causal(system, src)
+        steps = list(range(system.grid.n_steps))
+        assert calls == (2 * steps if kernel == "tabulated" else [])
+        if kernel is None:
+            assert np.array_equal(forced.states, per_term_solve(system, None, forcing))
+
     def test_non_finite_step_names_the_step(self):
         system, src, *_ = stacked_step_case(2, "periodic", "prony")
         forcing = np.zeros((system.grid.n_steps, system.n_state))
