@@ -63,8 +63,7 @@ from .forward import (
 from .sensitivity import (
     CoefficientPerturbation,
     GradientReport,
-    adjoint_solve,
-    assemble_gradient,
+    adjoint_gradient,
     directional_derivative,
     misfit_gradient,
     objective,

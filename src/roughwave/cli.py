@@ -571,7 +571,7 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                f"|du(2m) - 2 du(m)| = {lin:.1e}")
 
         rel = sensitivity.dot_product_test(system, traj, sampler, rng)
-        record("adjoint_dot_product", rel <= 1e-8, f"relative error = {rel:.2e}")
+        record("adjoint_dot_product", rel <= 1e-12, f"relative error = {rel:.2e}")
 
         obs = forward.sample_trajectory(sampler, traj)
         report = sensitivity.misfit_gradient(system, src, sampler, obs)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -76,32 +77,42 @@ def _midpoint_solve(
     system: DiscreteSystem,
     source: SourceTerm | None,
     u0: np.ndarray,
-    forcing: np.ndarray | None,
-) -> Trajectory:
+    forcing: np.ndarray | Iterable[np.ndarray] | None,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """States t_0 .. t_N, or only their ``columns`` entries (the rest of a state
+    is dropped after its step); ``forcing`` is an array of rows or yields them."""
+    if source is not None and source.grid != system.grid:
+        raise GridMismatchError("source and system grids differ")
     grid = system.grid
     dt, n_steps = grid.dt, grid.n_steps
+    if isinstance(forcing, np.ndarray) and forcing.shape != (n_steps, system.n_state):
+        raise InvalidArgumentError(
+            f"forcing must have shape {(n_steps, system.n_state)}, got {forcing.shape}")
     ops = system.step_operators
     times = grid.times()
-    states = np.zeros((n_steps + 1, ops.n_state))
     tabulated = isinstance(system.kernel, TabulatedKernel)  # the only kernel with a history term
+    keep = slice(None) if columns is None or tabulated else columns  # a history reads all of u
+    states = np.zeros((n_steps + 1, u0[keep].size))
+    rows = None if forcing is None else iter(forcing)
 
     z = np.zeros((1 + ops.n_terms, ops.n_state))  # u_n and the Prony states s_j(t_n)
-    z[0] = states[0] = u0
+    z[0], states[0] = u0, u0[keep]
     for n in range(n_steps):
         rhs = ops.rhs_matrix @ z.ravel()
         if tabulated:
             rhs += ops.memory_history_rhs(states, n)
         if source is not None:
             rhs += source.evaluate(times[n] + 0.5 * dt)
-        if forcing is not None:
-            rhs += forcing[n]
+        if rows is not None:
+            rhs += next(rows)
         u_next = ops.lu.solve(rhs)
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
         if ops.n_terms:
             z[1:] = prony_advance(z[1:], z[0], u_next, ops.step_weights)
-        z[0] = states[n + 1] = u_next
-    return Trajectory(grid=grid, times=times, states=states, a_blocks=system.a_blocks, source=source)
+        z[0], states[n + 1] = u_next, u_next[keep]
+    return states[:, columns] if tabulated and columns is not None else states
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +123,15 @@ def _midpoint_solve(
 def solve_causal(
     system: DiscreteSystem,
     source: SourceTerm | None,
-    forcing: np.ndarray | None = None,
+    forcing: np.ndarray | Iterable[np.ndarray] | None = None,
 ) -> Trajectory:
     """Causal solve: u = 0 at t = 0, driven by the source (and/or an
-    explicit per-step forcing array sampled at half steps).
+    explicit per-step forcing sampled at half steps: an (n_steps, n_state)
+    array, or an iterable that yields its rows in step order).
     """
-    if source is not None and source.grid != system.grid:
-        raise GridMismatchError("source and system grids differ")
-    shape = (system.grid.n_steps, system.n_state)
-    if forcing is not None and forcing.shape != shape:
-        raise InvalidArgumentError(f"forcing must have shape {shape}, got {forcing.shape}")
-    return _midpoint_solve(system, source, np.zeros(system.n_state), forcing)
+    states = _midpoint_solve(system, source, np.zeros(system.n_state), forcing)
+    return Trajectory(grid=system.grid, times=system.grid.times(), states=states,
+                      a_blocks=system.a_blocks, source=source)
 
 
 def solve_ivp(
@@ -142,7 +151,9 @@ def solve_ivp(
         )
     if u0.shape != (system.n_state,):
         raise InvalidArgumentError("u0 must be a flat state vector")
-    return _midpoint_solve(system, source, u0.astype(float), None)
+    states = _midpoint_solve(system, source, u0.astype(float), None)
+    return Trajectory(grid=system.grid, times=system.grid.times(), states=states,
+                      a_blocks=system.a_blocks, source=source)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ stacked as one (n_terms, n_state) array.  ``StepOperators`` holds the
 midpoint scheme's whole-step and half-step weight triples, or a tabulated
 kernel's blocks evaluated once, and the one sparse matrix that forms a
 step's right-hand side from u_n and the stacked Prony states; its
-``replay`` reruns the recursion over stored states for step residuals and
-the sensitivity code.
+``replay`` reruns the recursion over stored states for step residuals.
 """
 
 from __future__ import annotations

@@ -4,40 +4,43 @@ Discretize-then-optimize: the adjoint recursion is the exact transpose of
 the implicit-midpoint forward recursion (including the Prony memory
 recursion), so the discrete identity
 
-    dt * sum_m <r_m, (S du)_m>  =  -<perturbation, g(w(r))>
+    dt * sum_m <r_m, (S du)_m>  =  -<perturbation, g(lam(r))>
 
-holds to round-off for any data series r, where w(r) is the transposed
+holds to round-off for any data series r, where lam(r) is the transposed
 solve driven by S^T r and g the bilinear contraction below.  With
 r = d - F (the misfit residual), g is exactly the derivative of
 J = (1/2) dt sum ||F - d||^2, i.e. dJ . (da, db, dq) = <(da, db, dq), g>.
 
-The contraction pairs the integrator's internal half-step derivative
-v_n = (u_{n+1} - u_n)/dt with the adjoint state (the trace pairing,
-specialized per cell):
+Per cell, g sums dt lam_n (x) x_n over steps n < N, with x_n the step's
+(u_{n+1} - u_n)/dt for g_a, ubar_n for g_b and s_half_jn for g_qj.  Regrouped
+onto the stored states u_m, with lam_{-1} = lam_N = 0 and a Prony term's
+whole-step and half-step weights (E, w_old, w_new), (E_h, w_old_h, w_new_h):
 
-    g_a[cell]  = dt sum_n sym(w_n (x) v_n)[cell]
-    g_b[cell]  = dt sum_n (w_n (x) ubar_n)[cell]
-    g_qj[cell] = dt sum_n sym(w_n (x) s_half_jn)[cell]   (Prony weights only)
+    g_a  = dt sum_m sym((lam_{m-1} - lam_m)/dt (x) u_m)
+    g_b  = dt sum_m 1/2 (lam_{m-1} + lam_m) (x) u_m
+    g_qj = dt sum_m sym((w_old_h lam_m + w_new_h lam_{m-1}
+                         + E_h (w_old rho_m + w_new rho_{m-1})) (x) u_m)
+    rho_{m-1} = lam_m + E rho_m,   rho_N = 0 (stable: E <= 1),
 
-The sums run forward over blocks of ``BLOCK_STEPS`` time steps.  Each
-block holds v, ubar and the half-step states the stepper's ``replay``
-yields for those steps, and is contracted with the matching adjoint states
-as one batched product over cells.  The adjoint forms S^T r only at the
-state entries the receivers read, so no full series is built beside the
-trajectories themselves.
-These arrays are derivative representers in the trace pairing, not
-steepest-ascent directions; no descent machinery lives here.
+dropping the rho_{-1} term at m = 0, since no step precedes u_0.  So the
+backward sweep forms every coefficient as it goes, storing no adjoint
+series and replaying no forward recursion; the linearized forcing is
+regrouped and streamed the same way.  These arrays are derivative
+representers in the trace pairing, not steepest-ascent directions.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     GridMismatchError,
     InvalidArgumentError,
+    SolverError,
     UnsupportedConfigurationError,
 )
 from .evolution import Trajectory, solve_causal, sup_l2_distance
@@ -48,9 +51,10 @@ from .forward import (
     forward_map,
     gathered_adjoint_source,
     sample_trajectory,
+    sampled_solve,
 )
 from .experiments import fit_slope
-from .operators import DiscreteSystem, block_apply
+from .operators import DiscreteSystem, block_diagonal, prony_advance
 
 
 @dataclass(frozen=True)
@@ -136,63 +140,45 @@ def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: f
 
 
 # ---------------------------------------------------------------------------
-# trajectory-derived steps
+# the linearized problem
 # ---------------------------------------------------------------------------
 
 
-# time steps per contraction block; the block buffer holds (2 + n_terms) * BLOCK_STEPS
-# states.  A 2D 64^2, 300-step, two-term Prony contraction takes 0.12-0.13 s with
-# blocks of 8 to 32 steps, 0.18 s with 4 or 64, and 0.41 s one step at a time.
-BLOCK_STEPS = 16
-
-
-def _step_blocks(system: DiscreteSystem, traj: Trajectory):
-    """Per block of up to ``BLOCK_STEPS`` steps: its first step index and a
-    (2 + n_terms, T, n_state) view holding, row per step, (u_{n+1} - u_n)/dt,
-    the midpoint average and the Prony half-step states of the stepper's
-    ``replay``, bit-identical to the forward pass.  One buffer is refilled for
-    every block, so a block is valid until the next one is drawn."""
-    if traj.grid != system.grid:
-        raise GridMismatchError("trajectory was not produced on this system's grid")
-    states, dt = traj.states, system.grid.dt
-    n_terms = system.kernel.n_terms if isinstance(system.kernel, PronyKernel) else 0
-    s_halves = system.step_operators.replay(states) if n_terms else None
-    buffer = np.empty((2 + n_terms, BLOCK_STEPS, system.n_state))
-    for start in range(0, traj.n_steps, BLOCK_STEPS):
-        stop = min(start + BLOCK_STEPS, traj.n_steps)
-        block = buffer[:, :stop - start]
-        v, ubar = block[0], block[1]
-        np.subtract(states[start + 1:stop + 1], states[start:stop], out=v)
-        v /= dt
-        np.add(states[start:stop], states[start + 1:stop + 1], out=ubar)
-        ubar *= 0.5
-        if n_terms:
-            for row in range(stop - start):
-                block[2:, row] = next(s_halves)
-        yield start, block
-
-
-def perturbation_forcing(
+def linearized_forcing(
     system: DiscreteSystem,
-    traj: Trajectory,
+    base: Trajectory,
     pert: CoefficientPerturbation,
-) -> np.ndarray:
-    """Right-hand side of the linearized problem: -(dA u' + dB u + dR[u]).
-
-    Sampled the way the midpoint stepper consumes it (one row per step).
+):
+    """Rows of the linearized right-hand side -(dA u' + dB u + dR[u]), one per
+    step, as a generator: row n is -[M_old | M_new | E_h,1 dW_1 | ...] times
+    the stacked (u_n, u_{n+1}, s_1(t_n), ...), with M_old = -dA/dt + dB/2 +
+    sum_j w_old_h,j dW_j and M_new = dA/dt + dB/2 + sum_j w_new_h,j dW_j; the
+    base Prony states s_j advance once per step.
     """
     pert.validate(system)
     _require_sensitivity_kernel(system)
-    out = np.zeros((traj.n_steps, system.n_state))
-    for start, (v, ubar, *s_half) in _step_blocks(system, traj):
-        for n, row in enumerate(out[start:start + len(v)]):
-            if pert.delta_a is not None:
-                row -= block_apply(pert.delta_a, v[n])
-            if pert.delta_b is not None:
-                row -= block_apply(pert.delta_b, ubar[n])
-            for dw, s in zip(pert.delta_weights or (), s_half):
-                row -= block_apply(dw, s[n])
-    return out
+    if base.grid != system.grid:
+        raise GridMismatchError("trajectory was not produced on this system's grid")
+    ops, dt = system.step_operators, system.grid.dt
+    da, db = (np.zeros_like(system.a_blocks) if d is None else d
+              for d in (pert.delta_a, pert.delta_b))
+    dws = pert.delta_weights or ()
+    e_h, w_old_h, w_new_h = ops.half_weights.T
+    blocks = [0.5 * db - da / dt + sum(w * dw for w, dw in zip(w_old_h, dws)),
+              0.5 * db + da / dt + sum(w * dw for w, dw in zip(w_new_h, dws)),
+              *(e * dw for e, dw in zip(e_h, dws))]
+    matrix = sp.hstack([block_diagonal(-b) for b in blocks], format="csr")
+
+    def rows():
+        z = np.zeros((len(blocks), system.n_state))  # u_n, u_{n+1} and the s_j(t_n)
+        for u_prev, u_next in zip(base.states[:-1], base.states[1:]):
+            z[0], z[1] = u_prev, u_next
+            row = matrix @ z.ravel()
+            if dws:
+                z[2:] = prony_advance(z[2:], u_prev, u_next, ops.step_weights)
+            yield row
+
+    return rows()
 
 
 def directional_derivative(
@@ -203,16 +189,13 @@ def directional_derivative(
     """Gateaux derivative of the solution in the given coefficient direction.
 
     Solves the same evolution problem with the perturbation-assembled
-    right-hand side (implicit midpoint); linear in the perturbation by
-    construction.
+    right-hand side (implicit midpoint), streamed row by row from
+    ``linearized_forcing``; linear in the perturbation by construction.
     """
     if base.source is not None and base.source.smoothness < 2:
-        import warnings
-
         warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
                       "in the continuum limit", stacklevel=2)
-    forcing = perturbation_forcing(system, base, pert)
-    return solve_causal(system, None, forcing=forcing)
+    return solve_causal(system, None, forcing=linearized_forcing(system, base, pert))
 
 
 # ---------------------------------------------------------------------------
@@ -240,70 +223,69 @@ def objective(
     return objective_from_data(forward_map(system, source, sampler), observed)
 
 
-def adjoint_solve(
+# steps per contraction block, so the coefficient buffer holds <= (2 + n_terms) * BLOCK_STEPS states.
+# A 300-step 2D 64^2 two-term Prony sweep: 0.32-0.35 s on one core at 16-64, 0.55 s at 1 step.
+BLOCK_STEPS = 16
+
+
+def adjoint_gradient(
     system: DiscreteSystem,
+    base: Trajectory,
     residual: SeismogramData,
     sampler: Sampler,
-) -> Trajectory:
-    """Adjoint state w: the transposed midpoint recursion driven by S^T r, step by step.
+) -> GradientReport:
+    """Per-cell gradients from one transposed midpoint sweep driven by S^T r.
 
-    Each step makes one sparse product, with the step operator's
-    ``adjoint_matrix``, and carries the adjoint Prony states as one
-    (n_terms, n_state) array.  Equivalent to a time-reversed causal solve
-    (t -> T - t flips P by skew-symmetry and runs the memory recursion on
-    the reversed kernel); the terminal condition w = 0 for t > T holds by
-    construction, and w is returned on the original time axis.
+    A step is one product with ``adjoint_matrix`` and one transposed solve,
+    the adjoint Prony states carried as one (n_terms, n_state) array.  The
+    sweep forms the coefficients of each u_m (module docstring) and every
+    ``BLOCK_STEPS`` steps contracts them with strided views of ``base.states``
+    in one matmul batched over series and cells.  With the misfit residual
+    d - F, dJ . pert = report.pair(pert) exactly.
     """
     _require_sensitivity_kernel(system)
     grid = system.grid
-    n_steps = grid.n_steps
-    if residual.times.size != n_steps + 1:
-        raise GridMismatchError("residual time axis does not match the system grid")
+    n_steps, n_cells, k, n_state, dt = grid.n_steps, grid.n_cells, system.k, system.n_state, grid.dt
+    if base.grid != grid or residual.times.size != n_steps + 1:
+        raise GridMismatchError("base trajectory or residual is not on this system's grid")
     ops = system.step_operators
-    cols = sampler.gathered[0]
     injection = gathered_adjoint_source(sampler, residual)
-    e_full, w_old, w_new = ops.step_weights[:, :1], ops.step_weights[:, 1], ops.step_weights[:, 2]
-    w = np.zeros((n_steps + 1, system.n_state))
-    lam = np.zeros(system.n_state)
-    mu = np.zeros((ops.n_terms, system.n_state))  # the adjoint Prony states, one row per term
-    for m in range(n_steps, 0, -1):
-        # rows: D^T lam, then -E_h,j W_j^T lam per Prony term
-        y = (ops.adjoint_matrix @ lam).reshape(-1, system.n_state)
-        rhs = y[0]
-        rhs[cols] += injection[m]
-        rhs += w_old @ mu
-        mu *= e_full
-        mu += y[1:]
-        rhs += w_new @ mu
-        lam = ops.lu.solve(rhs, trans="T")
-        w[m - 1] = lam
-    return Trajectory(grid=grid, times=residual.times.copy(), states=w, a_blocks=system.a_blocks)
-
-
-def assemble_gradient(
-    base: Trajectory,
-    adjoint: Trajectory,
-    system: DiscreteSystem,
-) -> GradientReport:
-    """Contract the base and adjoint trajectories into per-cell gradients.
-
-    With the adjoint driven by the misfit residual d - F, the result is the
-    derivative of J: dJ . pert = report.pair(pert), exactly in the discrete
-    sense.  The sum runs forward over blocks of ``BLOCK_STEPS`` steps: per
-    block, one matmul batched over series and cells multiplies (k, T) adjoint
-    rows by (T, k) series rows, read through strided views without copies.
-    g_a and the kernel gradients are symmetrized per cell.
-    """
-    if base.states.shape != adjoint.states.shape:
-        raise GridMismatchError("base and adjoint trajectories are misaligned")
-    n_cells, k = system.grid.n_cells, system.k
-    n_terms = system.kernel.n_terms if isinstance(system.kernel, PronyKernel) else 0
-    sums = np.zeros((2 + n_terms, n_cells, k, k))  # g_a, g_b, g_q...
-    for start, block in _step_blocks(system, base):
-        steps = block.shape[1]
-        lam = adjoint.states[start:start + steps].reshape(steps, n_cells, k).transpose(1, 2, 0)
-        sums += np.matmul(lam, block.reshape(len(block), steps, n_cells, k).transpose(0, 2, 1, 3))
-    sums *= system.grid.dt
+    (e_full, w_old, w_new), (e_h, w_old_h, w_new_h) = (
+        weights.T[:, :, None] for weights in (ops.step_weights, ops.half_weights))
+    lam = np.zeros(n_state)  # lam_m, from lam_N = 0
+    mu = np.zeros((ops.n_terms, n_state))  # the adjoint Prony states, one row per term
+    rho = np.zeros((ops.n_terms, n_state))  # rho_m, from rho_N = 0
+    coef = np.empty((2 + ops.n_terms, min(BLOCK_STEPS, n_steps + 1), n_state))  # g_a, g_b, g_q
+    sums = np.zeros((2 + ops.n_terms, n_cells, k, k))
+    for stop in range(n_steps + 1, 0, -BLOCK_STEPS):
+        start = max(stop - BLOCK_STEPS, 0)
+        for m in range(stop - 1, start - 1, -1):
+            lam_prev = np.zeros(n_state)  # lam_{m-1}, and lam_{-1} = 0
+            if m:
+                y = (ops.adjoint_matrix @ lam).reshape(-1, n_state)  # D^T lam, -E_h,j W_j^T lam
+                rhs = y[0]
+                rhs[sampler.gathered[0]] += injection[m]
+                rhs += w_old[:, 0] @ mu
+                mu *= e_full
+                mu += y[1:]
+                rhs += w_new[:, 0] @ mu
+                lam_prev = ops.lu.solve(rhs, trans="T")
+            row = coef[:, m - start]
+            row[0] = (lam_prev - lam) / dt
+            row[1] = 0.5 * (lam_prev + lam)
+            if ops.n_terms:
+                row[2:] = e_h * w_old * rho + w_old_h * lam + w_new_h * lam_prev
+                rho = lam + e_full * rho  # rho_{m-1}
+                if m:
+                    row[2:] += e_h * w_new * rho
+            lam = lam_prev
+        u = base.states[start:stop]
+        if not np.all(np.isfinite(u)):
+            bad = start + int(np.argmin(np.isfinite(u).all(axis=1)))
+            raise SolverError(f"base trajectory has a non-finite state at step {bad}")
+        block = coef[:, :stop - start].reshape(-1, stop - start, n_cells, k).transpose(0, 2, 3, 1)
+        sums += np.matmul(block, u.reshape(-1, n_cells, k).transpose(1, 0, 2))
+    sums *= dt
     sym = 0.5 * (sums + np.swapaxes(sums, 2, 3))
     return GradientReport(g_a=sym[0], g_b=sums[1], g_q=tuple(sym[2:]))
 
@@ -315,7 +297,7 @@ def misfit_gradient(
     observed: SeismogramData,
     dot_test_rng: np.random.Generator | None = None,
 ) -> GradientReport:
-    """Full gradient workflow: forward solve, residual, adjoint, contraction.
+    """Full gradient workflow: forward solve, residual, adjoint sweep with contraction.
 
     With ``dot_test_rng`` it also runs the randomized dot-product self-test.
     Every solve uses implicit midpoint, whose exact transpose the adjoint is.
@@ -323,13 +305,9 @@ def misfit_gradient(
     traj = solve_causal(system, source)
     predicted = sample_trajectory(sampler, traj)
     j_value = objective_from_data(predicted, observed)
-    residual = SeismogramData(
-        times=predicted.times,
-        data=observed.data - predicted.data,
-        receivers=predicted.receivers,
-        tag=predicted.tag,
-    )
-    report = assemble_gradient(traj, adjoint_solve(system, residual, sampler), system)
+    residual = SeismogramData(times=predicted.times, data=observed.data - predicted.data,
+                              receivers=predicted.receivers, tag=predicted.tag)
+    report = adjoint_gradient(system, traj, residual, sampler)
     report.objective = j_value
     if np.abs(residual.data).max() == 0.0:
         # zero-residual fixed point: the gradient vanishes identically
@@ -348,16 +326,17 @@ def dot_product_test(
 ) -> float:
     """Relative error of the discrete adjoint identity on one random instance.
 
-    Checks dt * sum_m <r_m, (S du)_m> against -<pert, g(w(r))> for a
+    Checks dt * sum_m <r_m, (S du)_m> against -<pert, g(lam(r))> for a
     ``random_perturbation`` and a standard-normal data series r; with exact
-    transposition both sides agree to solver round-off.
+    transposition both sides agree to solver round-off.  The derivative
+    solve keeps only the sampled columns of its states.
     """
     pert = random_perturbation(system, rng)
     data_series = rng.standard_normal((sampler.n_channels, base.times.size))
-    s_du = sample_trajectory(sampler, directional_derivative(system, base, pert)).data
+    s_du = sampled_solve(system, None, sampler, forcing=linearized_forcing(system, base, pert)).data
     lhs = system.grid.dt * float(np.sum(data_series * s_du))
     residual = SeismogramData(times=base.times, data=data_series, receivers=sampler.receivers)
-    rhs = -assemble_gradient(base, adjoint_solve(system, residual, sampler), system).pair(pert)
+    rhs = -adjoint_gradient(system, base, residual, sampler).pair(pert)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / denom
 

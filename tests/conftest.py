@@ -14,7 +14,8 @@ from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel, kernel_values
 from roughwave.operators import block_apply, unit_directions
 from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, strain_projector
-from roughwave.sensitivity import adjoint_solve, dot_product_test
+from roughwave.forward import gathered_adjoint_source
+from roughwave.sensitivity import GradientReport, dot_product_test, linearized_forcing
 
 
 def count_calls(monkeypatch, name):
@@ -141,10 +142,35 @@ def per_term_adjoint(system, residual, sampler):
     return w
 
 
+def adjoint_solve(system, residual, sampler):
+    """Adjoint states w_0 .. w_N of the transposed midpoint recursion driven by S^T r,
+    kept as a trajectory: the series that ``adjoint_gradient`` contracts as it goes and
+    does not store.  One sparse product with ``adjoint_matrix`` per step, and the adjoint
+    Prony states carried as one (n_terms, n_state) array."""
+    grid = system.grid
+    ops = system.step_operators
+    cols = sampler.gathered[0]
+    injection = gathered_adjoint_source(sampler, residual)
+    e_full, w_old, w_new = ops.step_weights[:, :1], ops.step_weights[:, 1], ops.step_weights[:, 2]
+    w = np.zeros((grid.n_steps + 1, system.n_state))
+    lam = np.zeros(system.n_state)
+    mu = np.zeros((ops.n_terms, system.n_state))
+    for m in range(grid.n_steps, 0, -1):
+        y = (ops.adjoint_matrix @ lam).reshape(-1, system.n_state)
+        rhs = y[0]
+        rhs[cols] += injection[m]
+        rhs += w_old @ mu
+        mu *= e_full
+        mu += y[1:]
+        rhs += w_new @ mu
+        lam = w[m - 1] = ops.lu.solve(rhs, trans="T")
+    return rw.Trajectory(grid=grid, times=residual.times.copy(), states=w,
+                         a_blocks=system.a_blocks)
+
+
 def per_step_series(system, traj):
     """Per step: (u_{n+1} - u_n)/dt, the midpoint average and the Prony half-step
-    states, each computed on its own, as the sensitivity code did before it
-    filled blocks of steps."""
+    states, each computed on its own from ``StepOperators.replay``."""
     states, dt = traj.states, system.grid.dt
     s_halves = (system.step_operators.replay(states)
                 if isinstance(system.kernel, PronyKernel) else repeat([]))
@@ -153,8 +179,9 @@ def per_step_series(system, traj):
 
 
 def per_step_gradient(system, base, adjoint):
-    """(g_a, g_b, g_q) summed one per-cell outer product per step: the
-    contraction the blocked ``assemble_gradient`` replaced."""
+    """(g_a, g_b, g_q) summed one per-cell outer product of a stored adjoint state with
+    the step's half-step values per step: the unregrouped sums that ``adjoint_gradient``
+    regroups onto the base states."""
     n_cells, k = system.grid.n_cells, system.k
     n_terms = system.kernel.n_terms if isinstance(system.kernel, PronyKernel) else 0
     sums = np.zeros((2 + n_terms, n_cells, k, k))
@@ -163,11 +190,12 @@ def per_step_gradient(system, base, adjoint):
         sums += np.einsum("ci,mcj->mcij", lam.reshape(n_cells, k), series)
     sums *= system.grid.dt
     sym = 0.5 * (sums + np.swapaxes(sums, 2, 3))
-    return sym[0], sums[1], tuple(sym[2:])
+    return GradientReport(g_a=sym[0], g_b=sums[1], g_q=tuple(sym[2:]))
 
 
 def per_step_forcing(system, traj, pert):
-    """``perturbation_forcing`` from the per-step series, row by row."""
+    """The linearized forcing -(dA v_n + dB ubar_n + sum_j dW_j s_half_jn), row by row
+    from the per-step series: the unregrouped form of ``linearized_forcing``."""
     out = np.zeros((traj.n_steps, system.n_state))
     for (v, ubar, s_half), row in zip(per_step_series(system, traj), out):
         if pert.delta_a is not None:
@@ -179,14 +207,24 @@ def per_step_forcing(system, traj, pert):
     return out
 
 
-def assert_gradient_matches_per_step(system, base, adjoint, report):
-    """Each gradient array within 1e-14 relative of the per-step contraction."""
-    ref_a, ref_b, ref_q = per_step_gradient(system, base, adjoint)
-    assert len(report.g_q) == len(ref_q)
-    for got, ref in zip((report.g_a, report.g_b, *report.g_q), (ref_a, ref_b, *ref_q)):
-        scale = np.abs(ref).max()
+def assert_gradient_matches_per_step(system, base, residual, sampler, report):
+    """Each gradient array within 1e-14 relative of the per-step contraction of the
+    oracle's stored adjoint series."""
+    ref = per_step_gradient(system, base, adjoint_solve(system, residual, sampler))
+    assert len(report.g_q) == len(ref.g_q)
+    for got, want in zip((report.g_a, report.g_b, *report.g_q), (ref.g_a, ref.g_b, *ref.g_q)):
+        scale = np.abs(want).max()
         assert scale > 0
-        assert np.abs(got - ref).max() <= 1e-14 * scale
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
+
+def assert_forcing_matches_per_step(system, base, pert):
+    """Each streamed ``linearized_forcing`` row within 1e-14 of the largest entry of its
+    ``per_step_forcing`` row."""
+    ref = per_step_forcing(system, base, pert)
+    rows = np.array(list(linearized_forcing(system, base, pert)))
+    assert rows.shape == ref.shape
+    assert np.all(np.abs(rows - ref).max(axis=1) <= 1e-14 * np.abs(ref).max(axis=1))
 
 
 def symbol_test_system(dim, medium):

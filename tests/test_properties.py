@@ -11,12 +11,13 @@ the midpoint step conserves the energy to round-off.  On random 2D and 3D
 media with random two-term Prony kernels, the zero-free step factor gives the
 forward and adjoint states of the zero-keeping oracle to round-off, with step
 residuals at round-off and a dot test within 1e-13.  On random 1D to 3D
-media with a drawn number of steps, the gradient summed in blocks of
-``BLOCK_STEPS`` steps is within 1e-14 of the per-step sum, and the
-perturbation forcing equals the per-step formula bit for bit.  On the same
-media, the step and its adjoint, one sparse product each per step, give
-the states of the per-term oracles within 1e-13, and bit for bit without
-memory.
+media with a drawn number of steps, the gradient that the adjoint sweep
+regroups onto the base states and sums in blocks of ``BLOCK_STEPS`` steps
+is within 1e-14 of the per-step contraction of the stored adjoint series,
+and each streamed forcing row within 1e-14 of its per-step formula.  On
+the same media, the step and its adjoint, one sparse product each per
+step, give the states of the per-term oracles within 1e-13, and bit for
+bit without memory.
 """
 
 import numpy as np
@@ -25,6 +26,8 @@ from hypothesis import strategies as st
 
 import roughwave as rw
 from conftest import (
+    adjoint_solve,
+    assert_forcing_matches_per_step,
     assert_gradient_matches_per_step,
     assert_matches_oracle,
     per_step_forcing,
@@ -36,10 +39,8 @@ from roughwave.fields import PronyKernel, ZeroKernel
 from roughwave.forward import build_sampler
 from roughwave.sensitivity import (
     BLOCK_STEPS,
-    adjoint_solve,
-    assemble_gradient,
+    adjoint_gradient,
     dot_product_test,
-    perturbation_forcing,
     random_perturbation,
 )
 
@@ -86,7 +87,7 @@ def test_midpoint_and_adjoint_identities(case):
 
     pert = random_perturbation(system, rng)
     du = rw.directional_derivative(system, traj, pert)
-    forcing = perturbation_forcing(system, traj, pert)
+    forcing = per_step_forcing(system, traj, pert)
     assert step_residuals(du, system, forcing=forcing).max() <= 1e-10 * np.abs(du.states).max()
 
     assert dot_product_test(system, traj, sampler, rng) <= 1e-12
@@ -100,16 +101,14 @@ def test_zero_free_factor_matches_zero_keeping_oracle(case):
 
 @given(case=rough_media(dims=(1, 2, 3), n_steps=st.integers(1, 2 * BLOCK_STEPS + 3)))
 @settings(max_examples=20, deadline=None, derandomize=True)
-def test_blocked_contraction_matches_per_step_oracle(case):
+def test_adjoint_gradient_matches_per_step_oracle(case):
     system, src, sampler, rng = case
     traj = rw.solve_causal(system, src)
     residual = rw.SeismogramData(times=traj.times, receivers=sampler.receivers,
                                  data=rng.standard_normal((sampler.n_channels, traj.times.size)))
-    adjoint = adjoint_solve(system, residual, sampler)
-    assert_gradient_matches_per_step(system, traj, adjoint, assemble_gradient(traj, adjoint, system))
-    pert = random_perturbation(system, rng)
-    assert np.array_equal(perturbation_forcing(system, traj, pert),
-                          per_step_forcing(system, traj, pert))
+    report = adjoint_gradient(system, traj, residual, sampler)
+    assert_gradient_matches_per_step(system, traj, residual, sampler, report)
+    assert_forcing_matches_per_step(system, traj, random_perturbation(system, rng))
 
 
 @given(case=rough_media(dims=(1, 2, 3)))

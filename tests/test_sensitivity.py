@@ -2,23 +2,29 @@ import json
 
 import numpy as np
 import pytest
-from conftest import assert_gradient_matches_per_step, per_step_forcing, traced_peak
+from conftest import (
+    adjoint_solve,
+    assert_forcing_matches_per_step,
+    assert_gradient_matches_per_step,
+    count_calls,
+    per_step_forcing,
+    traced_peak,
+)
 
 import roughwave as rw
-from roughwave.errors import UnsupportedConfigurationError
+from roughwave.errors import SolverError, UnsupportedConfigurationError
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel
-from roughwave.forward import build_sampler, sample_trajectory
+from roughwave.forward import build_sampler, sample_trajectory, sampled_solve
 from roughwave.sensitivity import (
     BLOCK_STEPS,
     CoefficientPerturbation,
-    adjoint_solve,
-    assemble_gradient,
+    adjoint_gradient,
     dot_product_test,
     finite_difference_table,
+    linearized_forcing,
     misfit_gradient,
     objective_from_data,
-    perturbation_forcing,
     perturbed_system,
     quotient_study,
     random_perturbation,
@@ -71,7 +77,7 @@ class TestDirectionalDerivative:
         src = rw.make_ricker_source(g, 3, [0.4, 0.5], peak_frequency=6.0)
         base = rw.solve_causal(system, src)
         pert = random_perturbation(system, np.random.default_rng(2))
-        forcing = perturbation_forcing(system, base, pert)
+        forcing = per_step_forcing(system, base, pert)
         du = rw.directional_derivative(system, base, pert)
         scale = np.abs(du.states).max()
         assert step_residuals(du, system, forcing=forcing).max() <= 1e-12 * scale
@@ -116,20 +122,22 @@ class TestObjective:
 
 
 class TestAdjoint:
-    def test_zero_residual_zero_adjoint(self):
+    def test_zero_residual_sweep_gives_zero_gradient(self):
         g, system, src, sampler = acoustic_setup(t_end=0.2)
+        base = rw.solve_causal(system, src)
         residual = rw.SeismogramData(times=g.times(), data=np.zeros((2, g.n_steps + 1)),
                                      receivers=sampler.receivers)
-        w = rw.adjoint_solve(system, residual, sampler)
-        assert np.abs(w.states).max() == 0.0
+        report = adjoint_gradient(system, base, residual, sampler)
+        for grad in (report.g_a, report.g_b, *report.g_q):
+            assert np.abs(grad).max() == 0.0
 
-    def test_terminal_condition(self):
+    def test_oracle_terminal_condition(self):
         g, system, src, sampler = acoustic_setup(t_end=0.2)
         rng = np.random.default_rng(0)
         residual = rw.SeismogramData(times=g.times(),
                                      data=rng.standard_normal((2, g.n_steps + 1)),
                                      receivers=sampler.receivers)
-        w = rw.adjoint_solve(system, residual, sampler)
+        w = adjoint_solve(system, residual, sampler)
         assert np.abs(w.states[-1]).max() == 0.0
 
     @pytest.mark.parametrize("with_memory", [False, True])
@@ -171,26 +179,32 @@ class TestAdjoint:
         residual = rw.SeismogramData(times=g.times(), data=np.zeros((1, g.n_steps + 1)),
                                      receivers=np.zeros((1, 1)))
         sampler = build_sampler([[0.5]], "pressure", g, 2)
+        base = rw.Trajectory(grid=g, times=g.times(), a_blocks=system.a_blocks,
+                             states=np.zeros((g.n_steps + 1, system.n_state)))
         with pytest.raises(UnsupportedConfigurationError):
-            rw.adjoint_solve(system, residual, sampler)
+            rw.adjoint_gradient(system, base, residual, sampler)
 
 
 class TestGradient:
     def test_one_cell_one_step_arithmetic(self):
-        # u' = 3, w = 2, dt = 0.1: g_a = dt * w * u' = 0.6
+        # one step: lam_0 = C^-T S^T r_1, g_a = sym(lam_0 (x) (u_1 - u_0)) and
+        # g_b = dt lam_0 (x) (u_0 + u_1)/2, per cell
         g = rw.build_grid(1, [2], 1.0, 0.1, 0.1)
         model = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0)
         system = rw.acoustics_system(model)
-        k = system.k
         times = g.times()
         u = np.zeros((2, system.n_state))
         u[1, 0] = 0.3  # (u1 - u0)/dt = 3 in cell 0, component 0
-        w = np.zeros((2, system.n_state))
-        w[0, 0] = 2.0
         base = rw.Trajectory(grid=g, times=times, states=u, a_blocks=system.a_blocks)
-        adj = rw.Trajectory(grid=g, times=times, states=w, a_blocks=system.a_blocks)
-        report = rw.assemble_gradient(base, adj, system)
-        assert report.g_a[0, 0, 0] == pytest.approx(0.6)
+        sampler = build_sampler([[0.25]], "pressure", g, system.k)  # cell 0's center
+        residual = rw.SeismogramData(times=times, data=np.array([[0.0, 2.0]]),
+                                     receivers=sampler.receivers)
+        lam0 = np.linalg.solve(system.step_operators.c_matrix.toarray().T, [2.0, 0.0, 0.0, 0.0])
+        assert lam0[0] != 0.0
+        report = rw.adjoint_gradient(system, base, residual, sampler)
+        assert report.g_a[0, 0, 0] == pytest.approx(0.3 * lam0[0], rel=1e-14)
+        assert report.g_b[0, 0, 0] == pytest.approx(0.1 * 0.15 * lam0[0], rel=1e-14)
+        assert report.g_a[0, 1, 0] == pytest.approx(0.5 * 0.3 * lam0[1], rel=1e-14)
 
     def test_gradient_symmetry_exact(self):
         g, system, src, sampler = acoustic_setup(t_end=0.2)
@@ -239,7 +253,7 @@ class TestGradient:
         g, system, src, sampler = acoustic_setup(cells=60, t_end=0.1)
         data = np.random.default_rng(3).standard_normal((sampler.n_channels, g.n_steps + 1))
         residual = rw.SeismogramData(times=g.times(), data=data, receivers=sampler.receivers)
-        w = rw.adjoint_solve(system, residual, sampler)
+        w = adjoint_solve(system, residual, sampler)
         assert energy_calls == []
         assert np.array_equal(w.energies, [rw.energy(system.a_blocks, g.cell_volume, u)
                                            for u in w.states])
@@ -263,9 +277,10 @@ class TestGradient:
         assert side["diagnostics"]["dot_product_residual"] <= 1e-8
 
 
-def random_trajectories(dim, prony, n_steps, seed=0):
-    """A random medium with n_steps steps, zero or two-term Prony memory, and
-    random base and adjoint states: the contraction reads any two series."""
+def random_case(dim, boundary, prony, n_steps, seed=0):
+    """A random medium with n_steps steps, zero or two-term Prony memory, a random base
+    trajectory (the sweep reads any state series), two pressure receivers and a random
+    residual."""
     rng = np.random.default_rng(seed)
     g = rw.build_grid(dim, {1: [20], 2: [6, 5], 3: [3, 4, 3]}[dim], 1.0, 0.01, n_steps * 0.01)
     assert g.n_steps == n_steps
@@ -276,55 +291,91 @@ def random_trajectories(dim, prony, n_steps, seed=0):
         eye = np.eye(dim + 1)
         kernel = PronyKernel(weights=tuple(rng.uniform(0.0, 1.0, g.n_cells)[:, None, None] * eye
                                            for _ in range(2)), taus=(0.05, 0.4))
-    system = rw.acoustics_system(model, kernel=kernel)
-    base, adjoint = (rw.Trajectory(grid=g, times=g.times(), a_blocks=system.a_blocks,
-                                   states=rng.standard_normal((n_steps + 1, system.n_state)))
-                     for _ in range(2))
-    return system, base, adjoint, rng
+    system = rw.acoustics_system(model, boundary=boundary, kernel=kernel)
+    base = rw.Trajectory(grid=g, times=g.times(), a_blocks=system.a_blocks,
+                         states=rng.standard_normal((n_steps + 1, system.n_state)))
+    sampler = build_sampler(rng.uniform(0.05, 0.95, (2, dim)).tolist(), "pressure", g, dim + 1)
+    residual = rw.SeismogramData(times=g.times(), receivers=sampler.receivers,
+                                 data=rng.standard_normal((2, n_steps + 1)))
+    return system, base, residual, sampler, rng
 
 
 STEP_COUNTS = [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3]
+BOUNDARIES = ["periodic", "acoustic_free"]
 
 
-class TestBlockedContraction:
-    """``assemble_gradient`` sums blocks of ``BLOCK_STEPS`` steps; the per-step
-    contraction it replaced (``conftest.per_step_gradient``) is its oracle."""
+class TestAdjointGradient:
+    """``adjoint_gradient`` forms the regrouped coefficients in its sweep and sums blocks
+    of ``BLOCK_STEPS`` steps; the per-step contraction of the stored adjoint series
+    (``conftest.per_step_gradient`` of ``conftest.adjoint_solve``) is its oracle, and
+    ``conftest.per_step_forcing`` that of ``linearized_forcing``."""
 
     @pytest.mark.parametrize("n_steps", STEP_COUNTS)
     @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_per_step_contraction(self, dim, prony, n_steps):
-        system, base, adjoint, _ = random_trajectories(dim, prony, n_steps)
-        report = assemble_gradient(base, adjoint, system)
+    def test_matches_per_step_oracle(self, dim, boundary, prony, n_steps):
+        system, base, residual, sampler, _ = random_case(dim, boundary, prony, n_steps)
+        report = adjoint_gradient(system, base, residual, sampler)
         assert len(report.g_q) == (2 if prony else 0)
-        assert_gradient_matches_per_step(system, base, adjoint, report)
+        assert_gradient_matches_per_step(system, base, residual, sampler, report)
 
     @pytest.mark.parametrize("n_steps", STEP_COUNTS)
     @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_forcing_equals_per_step_formula(self, dim, prony, n_steps):
-        system, base, _, rng = random_trajectories(dim, prony, n_steps)
-        pert = random_perturbation(system, rng)
-        assert np.array_equal(perturbation_forcing(system, base, pert),
-                              per_step_forcing(system, base, pert))
+    def test_forcing_rows_match_per_step_formula(self, dim, boundary, prony, n_steps):
+        system, base, _, _, rng = random_case(dim, boundary, prony, n_steps)
+        assert_forcing_matches_per_step(system, base, random_perturbation(system, rng))
 
-    def test_zero_kernel_contraction_factors_nothing(self, splu_calls):
-        system, base, adjoint, _ = random_trajectories(2, False, BLOCK_STEPS + 1)
-        assemble_gradient(base, adjoint, system)
-        assert splu_calls == []
-        # a Prony contraction replays the memory recursion on the system's one factor
-        system, base, adjoint, _ = random_trajectories(2, True, BLOCK_STEPS + 1)
-        assemble_gradient(base, adjoint, system)
-        assemble_gradient(base, adjoint, system)
-        assert len(splu_calls) == 1
+    @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
+    def test_streamed_dot_test_samples_match_the_stored_derivative(self, prony):
+        system, _, _, sampler, rng = random_case(2, "periodic", prony, BLOCK_STEPS + 1)
+        src = rw.make_ricker_source(system.grid, 3, [0.4, 0.5], peak_frequency=6.0)
+        base = rw.solve_causal(system, src)
+        pert = random_perturbation(system, rng)
+        streamed = sampled_solve(system, None, sampler,
+                                 forcing=linearized_forcing(system, base, pert)).data
+        ref = sample_trajectory(sampler, rw.directional_derivative(system, base, pert)).data
+        assert np.abs(ref).max() > 0
+        assert np.abs(streamed - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_sweep_reuses_the_system_factor(self, splu_calls):
+        for prony in (False, True):
+            system, base, residual, sampler, _ = random_case(2, "periodic", prony, BLOCK_STEPS + 1)
+            adjoint_gradient(system, base, residual, sampler)
+            adjoint_gradient(system, base, residual, sampler)
+        assert len(splu_calls) == 2
 
     def test_rejects_a_trajectory_from_another_grid(self):
-        system, base, adjoint, _ = random_trajectories(1, False, 3)
-        other, *_ = random_trajectories(1, False, 4)
+        system, base, residual, sampler, rng = random_case(1, "periodic", False, 3)
+        other, *_ = random_case(1, "periodic", False, 4)
         foreign = rw.Trajectory(grid=other.grid, times=base.times, states=base.states,
                                 a_blocks=base.a_blocks)
         with pytest.raises(rw.GridMismatchError):
-            assemble_gradient(foreign, adjoint, system)
+            adjoint_gradient(system, foreign, residual, sampler)
+        with pytest.raises(rw.GridMismatchError):
+            linearized_forcing(system, foreign, random_perturbation(system, rng))
+
+    @pytest.mark.parametrize("step", [0, BLOCK_STEPS, 2 * BLOCK_STEPS + 3])
+    def test_non_finite_base_state_names_the_step(self, step):
+        system, base, residual, sampler, _ = random_case(2, "periodic", True, 2 * BLOCK_STEPS + 3)
+        base.states[step, 7] = np.nan
+        with pytest.raises(SolverError, match=f"non-finite state at step {step}$"):
+            adjoint_gradient(system, base, residual, sampler)
+
+    def test_dot_tested_gradient_advances_prony_states_three_times_per_step(self, monkeypatch):
+        # once each for the forward solve, the base states the forcing carries and the
+        # linearized solve: no replay of the forward recursion
+        g, system, src, sampler = acoustic_setup(cells=40, t_end=0.05)
+        observed = rw.forward_map(system, src, sampler)
+        observed = rw.SeismogramData(times=observed.times, data=0.5 * observed.data,
+                                     receivers=observed.receivers)
+        calls = count_calls(monkeypatch, "prony_advance")
+        report = misfit_gradient(system, src, sampler, observed,
+                                 dot_test_rng=np.random.default_rng(1))
+        assert report.diagnostics["dot_product_residual"] <= 1e-12
+        assert len(calls) == 3 * g.n_steps
 
 
 class TestQuotientStudy:
@@ -381,8 +432,8 @@ class TestPerturbedSystem:
 
 
 class TestMemory:
-    """The sensitivity solves build no full-series intermediates: their peak
-    allocation, in units of one stored trajectory, stays near what they return."""
+    """A gradient stores no series but the forward states: peak allocations, in units of
+    one stored trajectory, stay near what each function returns."""
 
     @pytest.fixture(scope="class")
     def prony_1d(self):
@@ -400,32 +451,38 @@ class TestMemory:
         residual = rw.SeismogramData(times=traj.times,
                                      data=rng.standard_normal((2, traj.times.size)),
                                      receivers=sampler.receivers)
-        adjoint = adjoint_solve(system, residual, sampler)
+        adjoint_gradient(system, traj, residual, sampler)  # builds the cached adjoint matrix
         assert g.n_steps == 400
-        return system, traj, sampler, residual, adjoint
+        return system, traj, sampler, residual
 
-    def test_adjoint_solve(self, prony_1d):
-        system, traj, sampler, residual, _ = prony_1d
-        peak = traced_peak(adjoint_solve, system, residual, sampler)
-        assert peak <= 1.25 * traj.states.nbytes
+    def test_forward_map(self, prony_1d):
+        system, traj, sampler, _ = prony_1d
+        peak = traced_peak(rw.forward_map, system, traj.source, sampler)
+        assert peak <= 0.1 * traj.states.nbytes
 
-    def test_perturbation_forcing(self, prony_1d):
-        system, traj, *_ = prony_1d
-        pert = random_perturbation(system, np.random.default_rng(5))
-        peak = traced_peak(perturbation_forcing, system, traj, pert)
-        assert peak <= 1.25 * traj.states.nbytes
-
-    def test_assemble_gradient(self, prony_1d):
-        system, traj, _, _, adjoint = prony_1d
-        peak = traced_peak(assemble_gradient, traj, adjoint, system)
+    def test_adjoint_gradient(self, prony_1d):
+        system, traj, sampler, residual = prony_1d
+        peak = traced_peak(adjoint_gradient, system, traj, residual, sampler)
         assert peak <= 0.25 * traj.states.nbytes
 
+    def test_dot_product_test(self, prony_1d):
+        # the derivative solve keeps only its samples and the sweep only its blocks
+        system, traj, sampler, _ = prony_1d
+        peak = traced_peak(dot_product_test, system, traj, sampler, np.random.default_rng(7))
+        assert peak <= 0.5 * traj.states.nbytes
+
+    def test_directional_derivative(self, prony_1d):
+        # the derivative's states and nothing of its size beside them
+        system, traj, *_ = prony_1d
+        pert = random_perturbation(system, np.random.default_rng(5))
+        peak = traced_peak(rw.directional_derivative, system, traj, pert)
+        assert peak <= 1.25 * traj.states.nbytes
+
     def test_misfit_gradient_with_dot_test(self, prony_1d):
-        # the forward states, the forcing and states of the derivative: the misfit
-        # adjoint is freed before the dot test, and du before its adjoint solve
-        system, traj, sampler, residual, _ = prony_1d
+        # the forward states; the sweep and the sampled derivative solve add little
+        system, traj, sampler, residual = prony_1d
         observed = rw.SeismogramData(times=traj.times, data=residual.data,
                                      receivers=residual.receivers)
         peak = traced_peak(misfit_gradient, system, traj.source, sampler, observed,
                            np.random.default_rng(6))
-        assert peak <= 3.5 * traj.states.nbytes
+        assert peak <= 1.5 * traj.states.nbytes

@@ -14,15 +14,20 @@ import numpy as np
 import pytest
 
 import roughwave as rw
-from conftest import count_calls, per_term_adjoint, per_term_solve, time_reversed_system
+from conftest import (
+    adjoint_solve,
+    count_calls,
+    per_term_adjoint,
+    per_term_solve,
+    time_reversed_system,
+)
 from roughwave.cli import parse_config, run_checks
 from roughwave.errors import SolverError
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel
-from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
+from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory, sampled_solve
 from roughwave.operators import memory_series
 from roughwave.sensitivity import (
-    adjoint_solve,
     misfit_gradient,
     perturbed_system,
     random_perturbation,
@@ -128,6 +133,22 @@ class TestStackedStep:
         forcing[3, 5] = np.nan
         with pytest.raises(SolverError, match="at step 3$"):
             rw.solve_causal(system, src, forcing=forcing)
+
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sampled_solve_equals_sampling_the_stored_states(self, dim, kernel):
+        # the step loop keeps only the sampled columns (a tabulated history keeps all)
+        system, src, sampler, rng = stacked_step_case(dim, "periodic", kernel)
+        forcing = rng.standard_normal((system.grid.n_steps, system.n_state))
+        for source, rows, array in ((src, None, None), (None, forcing, forcing),
+                                    (None, iter(forcing), forcing)):
+            got = sampled_solve(system, source, sampler, forcing=rows)
+            ref = sample_trajectory(sampler, rw.solve_causal(system, source, forcing=array))
+            assert np.abs(ref.data).max() > 0
+            np.testing.assert_array_equal(got.data, ref.data)
+            np.testing.assert_array_equal(got.times, ref.times)
+        np.testing.assert_array_equal(rw.forward_map(system, src, sampler).data,
+                                      sample_trajectory(sampler, rw.solve_causal(system, src)).data)
 
 
 class TestFactorCount:
