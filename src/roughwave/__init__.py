@@ -38,7 +38,6 @@ from .operators import (
 from .evolution import (
     Trajectory,
     energy_identity_residual,
-    smooth_trajectory,
     solve_causal,
     solve_ivp,
 )
@@ -72,10 +71,8 @@ from .sensitivity import (
 from .experiments import (
     ConeSpec,
     StudyReport,
-    advection_oracle,
     cone_from_speed,
     cone_leak,
-    dalembert_pressure,
     measure_convergence_study,
     trace_regularity_probe,
 )

@@ -20,7 +20,7 @@ energy identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -32,7 +32,7 @@ from .errors import (
     SolverError,
     UnsupportedConfigurationError,
 )
-from .fields import Grid, SourceTerm, TabulatedKernel, ZeroKernel, _hat_weights, write_field_array
+from .fields import Grid, SourceTerm, TabulatedKernel, ZeroKernel, write_field_array
 from .operators import (
     DiscreteSystem,
     StepOperators,  # noqa: F401  (re-exported: callers import it from here)
@@ -232,25 +232,6 @@ def sup_l2_distance(a: np.ndarray, b: np.ndarray, cell_volume: float) -> float:
         rows = slice(start, start + DISTANCE_ROWS)
         norms[rows] = np.linalg.norm(a[rows] - b[rows], axis=1)
     return float(np.sqrt(cell_volume) * norms.max())
-
-
-def smooth_trajectory(traj: Trajectory, window: int) -> Trajectory:
-    """Discrete time-convolution with a unit-mass hat of the given window.
-
-    ``window`` counts steps; a window of one step is the identity.  Ends are
-    handled by edge replication, so a constant-in-time tail is unchanged on
-    its interior.  Energies are computed from the smoothed states.
-    """
-    if window < 1:
-        raise InvalidArgumentError("window must be >= 1 step")
-    half = window - 1
-    if half == 0:
-        return traj
-    padded = np.pad(traj.states, ((half, half), (0, 0)), mode="edge")
-    out = np.zeros_like(traj.states)
-    for off, wj in zip(range(2 * half + 1), _hat_weights(half)):
-        out += wj * padded[off : off + traj.states.shape[0]]
-    return replace(traj, states=out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Executable probes of the continuum theory at desk scale.
 
-Ships the independent oracles (1D advection by characteristics, the
-d'Alembert two-way splitting for homogeneous acoustics), the finite-speed
-cone-leak measurement, the convergence-in-measure study over mollification
-schedules, and the trace-regularity refinement probe.  Oracles here never
-call the solver internals they are checking.
+Holds the finite-speed cone-leak measurement, the convergence-in-measure
+study over mollification schedules, and the trace-regularity refinement
+probe, with the study report they fill.  The closed-form references the
+solver is checked against (advection by characteristics, the d'Alembert
+splitting) are test oracles and live in ``tests/oracles.py``.
 
 The continuum finite-speed statement ("the solution vanishes outside the
 cone") becomes a leak tolerance: discrete stencils and implicit solves have
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidArgumentError
 from .evolution import Trajectory, solve_causal, sup_l2_distance
@@ -84,110 +83,6 @@ def cone_leak(traj: Trajectory, cone: ConeSpec) -> float:
     if total <= 0:
         return 0.0
     return float(density[quiet].sum()) / total
-
-
-# ---------------------------------------------------------------------------
-# advection oracle
-# ---------------------------------------------------------------------------
-
-
-def advection_oracle(c: float, f: Callable[[float, float], float], t: float, x: float,
-                     t_lower: float = 0.0, points: int | None = None) -> float:
-    """Closed-form 1D advection solution u = c * integral f(s, x + c(t-s)) ds.
-
-    Adaptive quadrature of the characteristic integral; ``points`` switches
-    to a fixed-resolution Simpson rule for highly oscillatory right-hand
-    sides where adaptivity thrashes.
-    """
-    if c <= 0:
-        raise InvalidArgumentError("advection speed must be positive")
-    if t <= t_lower:
-        return 0.0
-    if points:
-        s = np.linspace(t_lower, t, points if points % 2 else points + 1)
-        vals = np.array([f(si, x + c * (t - si)) for si in s])
-        from scipy.integrate import simpson
-
-        return c * float(simpson(vals, x=s))
-    val, _ = quad(lambda s: f(s, x + c * (t - s)), t_lower, t, limit=400)
-    return c * val
-
-
-_CHI_NORM: list[float] = []
-
-
-def smooth_bump(y) -> np.ndarray:
-    """Unit-mass C-infinity bump supported on [-1, 1]."""
-    if not _CHI_NORM:
-        norm, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1, 1, limit=200)
-        _CHI_NORM.append(norm)
-    y = np.asarray(y, dtype=float)
-    inside = np.abs(y) < 1.0
-    out = np.zeros_like(y)
-    ys = np.where(inside, y, 0.0)
-    out = np.where(inside, np.exp(-1.0 / (1.0 - ys * ys)) / _CHI_NORM[0], 0.0)
-    return out
-
-
-def oscillatory_rhs(eps: float) -> Callable[[float, float], float]:
-    """The high-frequency family f_eps(t, x) = cos((x+t)/eps) chi(x+t) chi(x)."""
-
-    def f(t: float, x: float) -> float:
-        return float(np.cos((x + t) / eps) * smooth_bump(x + t) * smooth_bump(x))
-
-    return f
-
-
-def oscillatory_response_magnitude(c: float, eps: float, t: float) -> float:
-    """Max |u[c, f_eps](t, x)| over 201 points x in [-1 - c t, 1], via
-    quadrature of the characteristic integral (vectorized Simpson sized to
-    the oscillation).
-
-    For c away from 1 this decays like eps / |c - 1|.  The family is not
-    causal, so the integral runs over the full support of the bump factors.
-    """
-    from scipy.integrate import simpson
-
-    cycles = abs(1.0 - c) * 2.0 / (2.0 * np.pi * eps) + 2.0
-    n_pts = (max(801, int(64 * cycles))) | 1
-    worst = 0.0
-    for x in np.linspace(-1.0 - c * t, 1.0, 201):
-        # tau-support of chi(x + c (t - tau)): |x + c(t - tau)| < 1
-        lo = t - (1.0 - x) / c
-        hi = min(t, t - (-1.0 - x) / c)
-        if hi <= lo:
-            continue
-        s = np.linspace(lo, hi, n_pts)
-        y = x + c * (t - s)
-        vals = np.cos((y + s) / eps) * smooth_bump(y + s) * smooth_bump(y)
-        worst = max(worst, abs(c * float(simpson(vals, x=s))))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# homogeneous acoustics oracle (characteristics / d'Alembert splitting)
-# ---------------------------------------------------------------------------
-
-
-def dalembert_pressure(kappa: float, rho: float, g: Callable[[float, float], float],
-                       t: float, x: float, points: int = 2001) -> float:
-    """Pressure of homogeneous 1D acoustics with a pressure-equation source.
-
-    For (1/kappa) p_t + v_x = g, rho v_t + p_x = 0 at rest before onset, the
-    characteristic variables p +/- Z v advect at +/- c and
-
-        p(x, t) = (kappa / 2) integral_0^t [g(s, x - c (t-s)) + g(s, x + c (t-s))] ds
-
-    with c = sqrt(kappa/rho).  Fixed-resolution Simpson quadrature.
-    """
-    if t <= 0:
-        return 0.0
-    c = np.sqrt(kappa / rho)
-    s = np.linspace(0.0, t, points if points % 2 else points + 1)
-    vals = np.array([g(si, x - c * (t - si)) + g(si, x + c * (t - si)) for si in s])
-    from scipy.integrate import simpson
-
-    return 0.5 * kappa * float(simpson(vals, x=s))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +183,7 @@ def measure_convergence_study(
     if sampler is not None:
         series["seismogram_distance"] = tuple(seis_dist)
     decreasing = all(b < a for a, b in zip(sol_dist, sol_dist[1:]))
-    report = StudyReport(
+    return StudyReport(
         name="measure_convergence",
         schedule=tuple(float(n) for n in schedule),
         series=series,
@@ -297,7 +192,6 @@ def measure_convergence_study(
         passed=decreasing and sol_dist[-1] <= 0.25 * sol_dist[0],
         notes=f"threshold eps = {eps:.6g}",
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

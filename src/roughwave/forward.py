@@ -286,10 +286,12 @@ def load_seismogram_binary(basepath: str) -> SeismogramData:
 
 
 def load_observed_data(path: str) -> SeismogramData:
-    """Observed-data import in either supported format (by extension)."""
-    if str(path).endswith(".csv"):
-        return load_seismogram_csv(path)
+    """Observed-data import in either supported format (by extension), finite samples only."""
     base = str(path)
-    if base.endswith(".rwf"):
-        base = base[: -len(".rwf")]
-    return load_seismogram_binary(base)
+    seis = (load_seismogram_csv(base) if base.endswith(".csv")
+            else load_seismogram_binary(base.removesuffix(".rwf")))
+    bad = np.argwhere(~np.isfinite(seis.data))
+    if bad.size:
+        raise InvalidArgumentError(
+            "{}: non-finite sample at channel {}, time index {}".format(base, *bad[0]))
+    return seis

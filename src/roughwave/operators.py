@@ -18,8 +18,9 @@ convolution, and evaluates a tabulated kernel once per call.
 stacked as one (n_terms, n_state) array.  ``StepOperators`` holds the
 midpoint scheme's whole-step and half-step weight triples, or a tabulated
 kernel's blocks evaluated once, and the one sparse matrix that forms a
-step's right-hand side from u_n and the stacked Prony states; its
-``replay`` reruns the recursion over stored states for step residuals.
+step's right-hand side from u_n and the stacked Prony states.  The
+convolution, the step's ``replay`` and the linearized forcing read the one
+rerun of the recursion over stored states, ``prony_steps``.
 """
 
 from __future__ import annotations
@@ -259,6 +260,17 @@ def prony_advance(
     return out
 
 
+def prony_steps(states: np.ndarray, weights: np.ndarray | Sequence[tuple[float, float, float]]):
+    """Per step n over stored states t_0 .. t_N, the stacked Prony states (s_j(t_n),
+    s_j(t_{n+1})) that ``prony_advance`` with one ``weights`` row per term carries from
+    s_j(0) = 0: one advance per step pulled, none without terms."""
+    aux = np.zeros((len(weights), states.shape[1]))
+    for u_prev, u_next in zip(states[:-1], states[1:]):
+        advanced = prony_advance(aux, u_prev, u_next, weights) if len(weights) else aux
+        yield aux, advanced
+        aux = advanced
+
+
 def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.ndarray:
     """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N).
 
@@ -271,11 +283,9 @@ def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.nda
         return out
     if isinstance(kernel, PronyKernel):
         weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
-        aux = np.zeros((kernel.n_terms, states.shape[1]))
-        for m in range(1, states.shape[0]):
-            aux = prony_advance(aux, states[m - 1], states[m], weights)
+        for row, (_, aux) in zip(out[1:], prony_steps(states, weights)):
             for w, s in zip(kernel.weights, aux):
-                out[m] += block_apply(w, s)
+                row += block_apply(w, s)
         return out
     blocks = kernel_values(kernel, dt * np.arange(states.shape[0]), *kernel.samples.shape[1:3])
     for m in range(1, states.shape[0]):
@@ -437,10 +447,9 @@ class StepOperators:
         """Replay the step's Prony recursion over stored states t_0 .. t_N.  Per
         step it yields the (n_terms, n_state) half-step states s_j(t_n + dt/2)
         as the step formed them (bit-identical; no rows without Prony terms)."""
-        aux = np.zeros((self.n_terms, self.n_state))
-        for u_prev, u_next in zip(states[:-1], states[1:]):
+        for u_prev, u_next, (aux, _) in zip(states[:-1], states[1:],
+                                            prony_steps(states, self.step_weights)):
             yield prony_advance(aux, u_prev, u_next, self.half_weights)
-            aux = prony_advance(aux, u_prev, u_next, self.step_weights)
 
     def half_step_memory(self, s_half: np.ndarray, u_prev: np.ndarray, u_next: np.ndarray,
                          history: np.ndarray, step: int) -> np.ndarray:

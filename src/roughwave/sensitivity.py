@@ -54,7 +54,7 @@ from .forward import (
     sampled_solve,
 )
 from .experiments import fit_slope
-from .operators import DiscreteSystem, block_diagonal, prony_advance
+from .operators import DiscreteSystem, block_diagonal, prony_steps
 
 
 @dataclass(frozen=True)
@@ -169,16 +169,10 @@ def linearized_forcing(
               *(e * dw for e, dw in zip(e_h, dws))]
     matrix = sp.hstack([block_diagonal(-b) for b in blocks], format="csr")
 
-    def rows():
-        z = np.zeros((len(blocks), system.n_state))  # u_n, u_{n+1} and the s_j(t_n)
-        for u_prev, u_next in zip(base.states[:-1], base.states[1:]):
-            z[0], z[1] = u_prev, u_next
-            row = matrix @ z.ravel()
-            if dws:
-                z[2:] = prony_advance(z[2:], u_prev, u_next, ops.step_weights)
-            yield row
-
-    return rows()
+    states = base.states
+    steps = zip(states[:-1], states[1:], prony_steps(states, ops.step_weights[:len(dws)]))
+    z = np.empty(len(blocks) * system.n_state)  # u_n, u_{n+1} and the s_j(t_n), stacked
+    return (matrix @ np.concatenate((u_prev, u_next, *s), out=z) for u_prev, u_next, (s, _) in steps)
 
 
 def directional_derivative(
@@ -204,11 +198,14 @@ def directional_derivative(
 
 
 def objective_from_data(predicted: SeismogramData, observed: SeismogramData) -> float:
-    """J = (1/2) sum over receivers and steps of dt (F - d)^2."""
+    """J = (1/2) sum over receivers and steps of dt (F - d)^2, of finite series only."""
     if predicted.data.shape != observed.data.shape or not np.allclose(
         predicted.times, observed.times, rtol=1e-10, atol=1e-14
     ):
         raise GridMismatchError("predicted and observed data axes differ")
+    for name, series in (("predicted", predicted), ("observed", observed)):
+        if not np.all(np.isfinite(series.data)):
+            raise InvalidArgumentError(f"{name} data hold a non-finite sample")
     dt = predicted.dt
     return 0.5 * dt * float(np.sum((predicted.data - observed.data) ** 2))
 

@@ -1,0 +1,135 @@
+"""Closed-form references that the solver is checked against.
+
+The 1D advection solution by its characteristic integral, the oscillatory
+counterexample family built on it, the d'Alembert two-way splitting for
+homogeneous 1D acoustics, and a hat-window time smoothing of a trajectory.
+None of them calls the solver internals it checks.
+"""
+
+from dataclasses import replace
+from typing import Callable
+
+import numpy as np
+from scipy.integrate import quad, simpson
+
+from roughwave.errors import InvalidArgumentError
+from roughwave.evolution import Trajectory
+from roughwave.fields import _hat_weights
+
+
+# ---------------------------------------------------------------------------
+# advection oracle
+# ---------------------------------------------------------------------------
+
+
+def advection_oracle(c: float, f: Callable[[float, float], float], t: float, x: float,
+                     t_lower: float = 0.0, points: int | None = None) -> float:
+    """Closed-form 1D advection solution u = c * integral f(s, x + c(t-s)) ds.
+
+    Adaptive quadrature of the characteristic integral; ``points`` switches
+    to a fixed-resolution Simpson rule for highly oscillatory right-hand
+    sides where adaptivity thrashes.
+    """
+    if c <= 0:
+        raise InvalidArgumentError("advection speed must be positive")
+    if t <= t_lower:
+        return 0.0
+    if points:
+        s = np.linspace(t_lower, t, points if points % 2 else points + 1)
+        vals = np.array([f(si, x + c * (t - si)) for si in s])
+        return c * float(simpson(vals, x=s))
+    val, _ = quad(lambda s: f(s, x + c * (t - s)), t_lower, t, limit=400)
+    return c * val
+
+
+# mass of exp(-1 / (1 - s^2)) on [-1, 1]
+_CHI_NORM = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1, 1, limit=200)[0]
+
+
+def smooth_bump(y) -> np.ndarray:
+    """Unit-mass C-infinity bump supported on [-1, 1]."""
+    y = np.asarray(y, dtype=float)
+    inside = np.abs(y) < 1.0
+    ys = np.where(inside, y, 0.0)
+    return np.where(inside, np.exp(-1.0 / (1.0 - ys * ys)) / _CHI_NORM, 0.0)
+
+
+def oscillatory_rhs(eps: float) -> Callable[[float, float], float]:
+    """The high-frequency family f_eps(t, x) = cos((x+t)/eps) chi(x+t) chi(x)."""
+
+    def f(t: float, x: float) -> float:
+        return float(np.cos((x + t) / eps) * smooth_bump(x + t) * smooth_bump(x))
+
+    return f
+
+
+def oscillatory_response_magnitude(c: float, eps: float, t: float) -> float:
+    """Max |u[c, f_eps](t, x)| over 201 points x in [-1 - c t, 1], via
+    quadrature of the characteristic integral (vectorized Simpson sized to
+    the oscillation).
+
+    For c away from 1 this decays like eps / |c - 1|.  The family is not
+    causal, so the integral runs over the full support of the bump factors.
+    """
+    cycles = abs(1.0 - c) * 2.0 / (2.0 * np.pi * eps) + 2.0
+    n_pts = (max(801, int(64 * cycles))) | 1
+    worst = 0.0
+    for x in np.linspace(-1.0 - c * t, 1.0, 201):
+        # tau-support of chi(x + c (t - tau)): |x + c(t - tau)| < 1
+        lo = t - (1.0 - x) / c
+        hi = min(t, t - (-1.0 - x) / c)
+        if hi <= lo:
+            continue
+        s = np.linspace(lo, hi, n_pts)
+        y = x + c * (t - s)
+        vals = np.cos((y + s) / eps) * smooth_bump(y + s) * smooth_bump(y)
+        worst = max(worst, abs(c * float(simpson(vals, x=s))))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# homogeneous acoustics oracle (characteristics / d'Alembert splitting)
+# ---------------------------------------------------------------------------
+
+
+def dalembert_pressure(kappa: float, rho: float, g: Callable[[float, float], float],
+                       t: float, x: float, points: int = 2001) -> float:
+    """Pressure of homogeneous 1D acoustics with a pressure-equation source.
+
+    For (1/kappa) p_t + v_x = g, rho v_t + p_x = 0 at rest before onset, the
+    characteristic variables p +/- Z v advect at +/- c and
+
+        p(x, t) = (kappa / 2) integral_0^t [g(s, x - c (t-s)) + g(s, x + c (t-s))] ds
+
+    with c = sqrt(kappa/rho).  Fixed-resolution Simpson quadrature.
+    """
+    if t <= 0:
+        return 0.0
+    c = np.sqrt(kappa / rho)
+    s = np.linspace(0.0, t, points if points % 2 else points + 1)
+    vals = np.array([g(si, x - c * (t - si)) + g(si, x + c * (t - si)) for si in s])
+    return 0.5 * kappa * float(simpson(vals, x=s))
+
+
+# ---------------------------------------------------------------------------
+# time smoothing
+# ---------------------------------------------------------------------------
+
+
+def smooth_trajectory(traj: Trajectory, window: int) -> Trajectory:
+    """Discrete time-convolution with a unit-mass hat of the given window.
+
+    ``window`` counts steps; a window of one step is the identity.  Ends are
+    handled by edge replication, so a constant-in-time tail is unchanged on
+    its interior.  Energies are computed from the smoothed states.
+    """
+    if window < 1:
+        raise InvalidArgumentError("window must be >= 1 step")
+    half = window - 1
+    if half == 0:
+        return traj
+    padded = np.pad(traj.states, ((half, half), (0, 0)), mode="edge")
+    out = np.zeros_like(traj.states)
+    for off, wj in zip(range(2 * half + 1), _hat_weights(half)):
+        out += wj * padded[off : off + traj.states.shape[0]]
+    return replace(traj, states=out)

@@ -10,14 +10,8 @@ import time
 
 import numpy as np
 import roughwave as rw
-from roughwave.experiments import (
-    advection_oracle,
-    cone_from_speed,
-    cone_leak,
-    fit_slope,
-    measure_convergence_study,
-    oscillatory_response_magnitude,
-)
+from oracles import advection_oracle, oscillatory_response_magnitude
+from roughwave.experiments import cone_from_speed, cone_leak, fit_slope, measure_convergence_study
 from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel, ricker_wavelet
 from roughwave.forward import build_sampler, sample_trajectory
 from roughwave.operators import acoustic_p_matrices, assemble_system

@@ -383,6 +383,25 @@ class TestInputErrors:
             "output": str(tmp_path / "out"),
         }, "config.observed")
 
+    def test_observed_data_with_a_nan_sample(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sensitivity, "misfit_gradient",
+                            lambda *args, **kwargs: pytest.fail("solved before checking"))
+        path = str(tmp_path / "observed.csv")
+        data = np.ones((1, 51))
+        data[0, 7] = np.nan
+        save_seismogram_csv(SeismogramData(times=1e-3 * np.arange(51), data=data,
+                                           receivers=np.zeros((1, 1))), path)
+        self.expect_config_error(tmp_path, capsys, {
+            "command": "gradient",
+            "model": base_model(cells=20, t_end=0.05),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
+            "observed": path,
+            "output": str(tmp_path / "out"),
+        }, f"config.observed: cannot read {path!r}: {path}: non-finite sample at channel 0, "
+           "time index 7")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_observed_file(self, tmp_path, capsys):
         self.expect_config_error(tmp_path, capsys, {
             "command": "gradient",

@@ -3,17 +3,17 @@ import pytest
 
 import roughwave as rw
 from conftest import time_reversed_system, traced_peak
+from oracles import advection_oracle, dalembert_pressure, smooth_trajectory
 from roughwave.errors import UnsupportedConfigurationError
 from roughwave.evolution import (
     DISTANCE_ROWS,
     export_energy_csv,
     export_snapshots,
-    smooth_trajectory,
     solve_ivp,
     step_residuals,
     sup_l2_distance,
 )
-from roughwave.experiments import advection_oracle, dalembert_pressure, fit_slope
+from roughwave.experiments import fit_slope
 from roughwave.fields import CoefficientField, PronyKernel, ricker_wavelet
 from roughwave.operators import assemble_system, block_apply, energy
 

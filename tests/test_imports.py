@@ -1,10 +1,14 @@
-"""Every module-level import in ``src/roughwave`` is used by its module.
+"""Every module-level import in ``src/roughwave`` is used by its module, and
+``import roughwave`` loads no scipy subpackage that the solver does not run.
 
 Lines marked ``# noqa`` are deliberate re-exports.  ``__init__`` exists to
 re-export, so it is not checked.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,14 @@ def test_checker_flags_an_unused_import(tmp_path):
     module.write_text("import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\n"
                       "print(dumps({}))\n")
     assert unused_imports(module) == ["loads (line 3)", "os (line 1)"]
+
+
+def test_package_import_loads_no_quadrature_optimization_or_special_functions():
+    # the solver needs scipy.sparse and scipy.linalg; quadrature is for test oracles
+    unwanted = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    probe = f"import sys, roughwave; print(*(m for m in {unwanted!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughwave as rw
-from conftest import per_direction_symbol_speed, symbol_test_system
+from conftest import count_calls, per_direction_symbol_speed, symbol_test_system
 from roughwave.errors import (
     GridMismatchError,
     InvalidArgumentError,
@@ -26,6 +26,7 @@ from roughwave.operators import (
     max_symbol_speed,
     memory_series,
     prony_advance,
+    prony_steps,
     unit_directions,
 )
 
@@ -292,6 +293,22 @@ class TestPronyAdvance:
             errs.append(abs(aux[0][0] - oracle))
         assert errs[-1] < errs[0]
         assert errs[-1] < 5e-6
+
+    def test_steps_chain_the_recursion_advancing_once_per_step(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        states = rng.standard_normal((6, 4))
+        weights = np.array([exp_interval_weights(0.01, tau) for tau in (0.05, 1.0)])
+        calls = count_calls(monkeypatch, "prony_advance")
+        steps = list(prony_steps(states, weights))
+        assert len(steps) == len(calls) == 5
+        aux = np.zeros((2, 4))
+        for (s_now, s_next), u_prev, u_next in zip(steps, states[:-1], states[1:]):
+            assert np.array_equal(s_now, aux)
+            aux = prony_advance(aux, u_prev, u_next, weights)
+            assert np.array_equal(s_next, aux)
+        calls.clear()
+        assert [s.shape for pair in prony_steps(states, weights[:0]) for s in pair] == [(0, 4)] * 10
+        assert calls == []
 
     def test_rejects_bad_tau(self):
         with pytest.raises(InvalidArgumentError):

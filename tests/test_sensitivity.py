@@ -12,7 +12,7 @@ from conftest import (
 )
 
 import roughwave as rw
-from roughwave.errors import SolverError, UnsupportedConfigurationError
+from roughwave.errors import InvalidArgumentError, SolverError, UnsupportedConfigurationError
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel
 from roughwave.forward import build_sampler, sample_trajectory, sampled_solve
@@ -119,6 +119,17 @@ class TestObjective:
         j1 = objective_from_data(zero, data)
         j3 = objective_from_data(zero, scaled)
         assert j3 == pytest.approx(9.0 * j1, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_in_either_series_rejected(self, bad):
+        times = np.array([0.0, 1.0, 2.0])
+        clean = rw.SeismogramData(times=times, data=np.ones((2, 3)), receivers=np.zeros((2, 1)))
+        dirty = rw.SeismogramData(times=times, data=np.ones((2, 3)), receivers=np.zeros((2, 1)))
+        dirty.data[1, 2] = bad
+        with pytest.raises(InvalidArgumentError, match="observed data hold a non-finite"):
+            objective_from_data(clean, dirty)
+        with pytest.raises(InvalidArgumentError, match="predicted data hold a non-finite"):
+            objective_from_data(dirty, clean)
 
 
 class TestAdjoint:
