@@ -75,14 +75,15 @@ def _source_at(source: SourceTerm | None, t: float, n_state: int) -> np.ndarray:
 
 def _midpoint_solve(
     system: DiscreteSystem,
-    source: SourceTerm | None,
+    sources: list[SourceTerm | None],
     u0: np.ndarray,
     forcing: np.ndarray | Iterable[np.ndarray] | None,
     columns: np.ndarray | None = None,
 ) -> np.ndarray:
-    """States t_0 .. t_N, or only their ``columns`` entries (the rest of a state
-    is dropped after its step); ``forcing`` is an array of rows or yields them."""
-    if source is not None and source.grid != system.grid:
+    """States t_0 .. t_N, (n_steps + 1, n_state, n_shots), of the shots that are the
+    columns of ``u0``, one source (or None) each, stepped together (one ``lu.solve``
+    per step), or only their ``columns`` rows; ``forcing`` rows go to every shot."""
+    if any(s is not None and s.grid != system.grid for s in sources):
         raise GridMismatchError("source and system grids differ")
     grid = system.grid
     dt, n_steps = grid.dt, grid.n_steps
@@ -93,19 +94,20 @@ def _midpoint_solve(
     times = grid.times()
     tabulated = isinstance(system.kernel, TabulatedKernel)  # the only kernel with a history term
     keep = slice(None) if columns is None or tabulated else columns  # a history reads all of u
-    states = np.zeros((n_steps + 1, u0[keep].size))
+    states = np.zeros((n_steps + 1, *u0[keep].shape))
     rows = None if forcing is None else iter(forcing)
 
-    z = np.zeros((1 + ops.n_terms, ops.n_state))  # u_n and the Prony states s_j(t_n)
+    z = np.zeros((1 + ops.n_terms, *u0.shape))  # u_n and the Prony states s_j(t_n)
     z[0], states[0] = u0, u0[keep]
     for n in range(n_steps):
-        rhs = ops.rhs_matrix @ z.ravel()
+        rhs = ops.rhs_matrix @ z.reshape(-1, u0.shape[1])
         if tabulated:
             rhs += ops.memory_history_rhs(states, n)
-        if source is not None:
-            rhs += source.evaluate(times[n] + 0.5 * dt)
+        for col, source in enumerate(sources):
+            if source is not None:
+                rhs[:, col] += source.evaluate(times[n] + 0.5 * dt)
         if rows is not None:
-            rhs += next(rows)
+            rhs += next(rows)[:, None]
         u_next = ops.lu.solve(rhs)
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
@@ -129,7 +131,7 @@ def solve_causal(
     explicit per-step forcing sampled at half steps: an (n_steps, n_state)
     array, or an iterable that yields its rows in step order).
     """
-    states = _midpoint_solve(system, source, np.zeros(system.n_state), forcing)
+    states = _midpoint_solve(system, [source], np.zeros((system.n_state, 1)), forcing)[..., 0]
     return Trajectory(grid=system.grid, times=system.grid.times(), states=states,
                       a_blocks=system.a_blocks, source=source)
 
@@ -151,7 +153,7 @@ def solve_ivp(
         )
     if u0.shape != (system.n_state,):
         raise InvalidArgumentError("u0 must be a flat state vector")
-    states = _midpoint_solve(system, source, u0.astype(float), None)
+    states = _midpoint_solve(system, [source], u0.astype(float)[:, None], None)[..., 0]
     return Trajectory(grid=system.grid, times=system.grid.times(), states=states,
                       a_blocks=system.a_blocks, source=source)
 

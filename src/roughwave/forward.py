@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -179,16 +178,31 @@ def sample_trajectory(sampler: Sampler, traj: Trajectory) -> SeismogramData:
                           tag=sampler.tag)
 
 
+def _sampled_shots(system: DiscreteSystem, sources: list[SourceTerm | None], sampler: Sampler,
+                   forcing=None) -> list[SeismogramData]:
+    """The seismograms of one causal solve with ``sources`` as its columns, keeping
+    only the sampler's ``gathered`` columns of each state as it steps."""
+    if system.grid != sampler.grid:
+        raise GridMismatchError("system and sampler grids differ")
+    cols, gathered = sampler.gathered
+    u0 = np.zeros((system.n_state, len(sources)))
+    states = _midpoint_solve(system, sources, u0, forcing, cols)
+    return [SeismogramData(times=system.grid.times(), data=gathered @ shot.T,
+                           receivers=sampler.receivers, tag=sampler.tag)
+            for shot in np.moveaxis(states, 2, 0)]
+
+
 def sampled_solve(system: DiscreteSystem, source: SourceTerm | None, sampler: Sampler,
                   forcing=None) -> SeismogramData:
     """``sample_trajectory`` of ``solve_causal``, bit for bit, keeping only the
     sampler's ``gathered`` columns of each state as it steps."""
-    if system.grid != sampler.grid:
-        raise GridMismatchError("system and sampler grids differ")
-    cols, gathered = sampler.gathered
-    data = gathered @ _midpoint_solve(system, source, np.zeros(system.n_state), forcing, cols).T
-    return SeismogramData(times=system.grid.times(), data=np.asarray(data),
-                          receivers=sampler.receivers, tag=sampler.tag)
+    return _sampled_shots(system, [source], sampler, forcing)[0]
+
+
+def _warn_if_rough(source: SourceTerm) -> None:
+    if source.smoothness < 2:
+        warnings.warn("source wavelet declares fewer than two continuous derivatives; the "
+                      "forward map is continuous but not differentiable there", stacklevel=3)
 
 
 def forward_map(
@@ -197,12 +211,7 @@ def forward_map(
     sampler: Sampler,
 ) -> SeismogramData:
     """The data-prediction map: causal solve composed with the trace operator."""
-    if source.smoothness < 2:
-        warnings.warn(
-            "source wavelet declares fewer than two continuous derivatives; "
-            "the forward map is continuous but not differentiable there",
-            stacklevel=2,
-        )
+    _warn_if_rough(source)
     return sampled_solve(system, source, sampler)
 
 
@@ -212,12 +221,12 @@ def forward_map_shots(
     sampler: Sampler,
     jobs: int = 1,
 ) -> list[SeismogramData]:
-    """Independent forward solves per source; results in source order."""
-    if jobs <= 1 or len(sources) <= 1:
-        return [forward_map(system, s, sampler) for s in sources]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(forward_map, system, s, sampler) for s in sources]
-        return [f.result() for f in futures]
+    """``forward_map`` of every source, in source order and bit for bit: the shots
+    step together as the columns of one solve, with one ``lu.solve`` per step.
+    ``jobs`` changes nothing; it stays only while perfbench's forward workload passes it."""
+    for source in sources:
+        _warn_if_rough(source)
+    return _sampled_shots(system, sources, sampler) if sources else []
 
 
 def gathered_adjoint_source(sampler: Sampler, residual: SeismogramData | np.ndarray) -> np.ndarray:

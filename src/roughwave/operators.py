@@ -249,11 +249,11 @@ def prony_advance(
     Row j of ``aux`` carries s_j(t) = integral_0^t exp(-(t-s)/tau_j) u(s) ds,
     and row j of ``weights`` its (E, w_old, w_new) triple, from
     ``exp_interval_weights`` or ``StepOperators``; the result stacks the
-    advanced states as an (n_terms, n_state) array.  The update integrates
-    the linear interpolant of u exactly, so for piecewise linear input the
-    recursion reproduces the convolution with no quadrature error.
+    advanced states as an (n_terms, *u.shape) array (u may carry shot axes).
+    The update integrates the linear interpolant of u exactly, so for piecewise
+    linear input the recursion reproduces the convolution with no quadrature error.
     """
-    e, w_old, w_new = np.reshape(weights, (-1, 3)).T[:, :, None]
+    e, w_old, w_new = np.reshape(weights, (-1, 3)).T.reshape(3, -1, *[1] * np.ndim(u_prev))
     out = e * np.asarray(aux)
     out += w_old * u_prev
     out += w_new * u_next
@@ -434,13 +434,14 @@ class StepOperators:
 
     def memory_history_rhs(self, history: np.ndarray, step: int) -> np.ndarray:
         """Contribution of a tabulated kernel's states up to t_n to R at the half step
-        (moved to the RHS): the trapezoid rule over ``history`` rows 0 .. step-1."""
-        out = np.zeros(self.n_state)
+        (moved to the RHS): the trapezoid rule over ``history`` rows 0 .. step-1.  A
+        row is a state, or states of several shots as the columns of (n_state, n_shots)."""
+        out = np.zeros(history.shape[1:])
         if self._q_history is not None and step > 0:
             blocks = self._q_history[step - 1::-1]  # q(dt (step - m + 1/2)) for m = 0 .. step-1
             for m in range(step):
                 # m = 0 is the endpoint of the trapezoid
-                out -= (0.5 * self.dt if m == 0 else self.dt) * block_apply(blocks[m], history[m])
+                out -= (0.5 * self.dt if m == 0 else self.dt) * block_apply(blocks[m], history[m].T).T
         return out
 
     def replay(self, states: np.ndarray):

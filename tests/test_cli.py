@@ -123,6 +123,27 @@ class TestParseConfig:
         assert parse_config(path) == parse_config(write_config(tmp_path, payload, "plain.json"))
         assert main(["simulate", "--config", path]) == 0
 
+    def test_source_folds_into_sources(self, tmp_path):
+        spec = {"type": "ricker", "center": [0.5], "frequency": 8.0}
+        payload = {"command": "simulate", "model": base_model()}
+        one = parse_config(write_config(tmp_path, {**payload, "source": spec}))
+        assert one.sources == [spec]
+        assert one == parse_config(write_config(tmp_path, {**payload, "sources": [spec]}, "list.json"))
+        assert not hasattr(one, "source") and not hasattr(one, "jobs")
+
+    def test_jobs_key_is_ignored(self, tmp_path):
+        payload = {
+            "command": "forward",
+            "model": base_model(cells=40, t_end=0.1),
+            "sources": [{"type": "ricker", "center": [x], "frequency": 8.0} for x in (0.3, 0.6)],
+            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
+        }
+        for name, extra in (("plain", {}), ("jobs", {"jobs": 4})):
+            path = write_config(tmp_path, {**payload, **extra, "output": str(tmp_path / name)},
+                                f"{name}.json")
+            assert main(["forward", "--config", path]) == 0
+        assert tree_digest(tmp_path / "jobs") == tree_digest(tmp_path / "plain")
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.json")
@@ -214,6 +235,29 @@ class TestCommands:
             }, name=f"{out}.json")
             assert main(["forward", "--config", path]) == 0
         assert tree_digest(tmp_path / "run1") == tree_digest(tmp_path / "run2")
+
+    def test_gradient_fails_above_the_dot_product_bound(self, tmp_path, monkeypatch):
+        fwd = write_config(tmp_path, {
+            "command": "forward",
+            "model": base_model(cells=20, t_end=0.05),
+            "source": {"type": "ricker", "center": [0.3], "frequency": 8.0},
+            "sampler": {"tag": "pressure", "receivers": [[0.6]]},
+            "output": str(tmp_path / "fwd"),
+        }, name="fwd.json")
+        assert main(["forward", "--config", fwd]) == 0
+        grad = write_config(tmp_path, {
+            "command": "gradient",
+            "model": {**base_model(cells=20, t_end=0.05), "kappa": 1.1},
+            "source": {"type": "ricker", "center": [0.3], "frequency": 8.0},
+            "sampler": {"tag": "pressure", "receivers": [[0.6]]},
+            "observed": str(tmp_path / "fwd" / "seismogram_000.csv"),
+            "output": str(tmp_path / "grad"),
+        }, name="grad.json")
+        assert main(["gradient", "--config", grad]) == 0
+        monkeypatch.setattr(sensitivity, "dot_product_test", lambda *args, **kwargs: 1e-10)
+        assert main(["gradient", "--config", grad]) == 3
+        diag = json.loads((tmp_path / "grad" / "gradient_diagnostics.json").read_text())
+        assert diag["diagnostics"]["dot_product_residual"] == 1e-10
 
     def test_check_passes_on_homogeneous_acoustics(self, tmp_path):
         path = write_config(tmp_path, {
@@ -412,6 +456,35 @@ class TestInputErrors:
             "output": str(tmp_path / "out"),
         }, "config.observed")
 
+    @pytest.mark.parametrize("command", ["simulate", "forward", "gradient"])
+    def test_source_and_sources_together_named(self, tmp_path, capsys, command):
+        spec = {"type": "ricker", "center": [0.5], "frequency": 8.0}
+        self.expect_config_error(tmp_path, capsys, {
+            "command": command,
+            "model": base_model(cells=20, t_end=0.01),
+            "source": spec,
+            "sources": [spec, {**spec, "center": [0.3]}],
+            "sampler": {"receivers": [[0.7]]},
+            "observed": ["a.csv", "b.csv"],
+            "output": str(tmp_path / "out"),
+        }, "config.sources: give 'source' or 'sources', not both")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    def test_one_shot_commands_reject_several_sources(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        monkeypatch.setattr(evolution, "_midpoint_solve",
+                            lambda *args, **kwargs: pytest.fail("solved before checking"))
+        spec = {"type": "ricker", "center": [0.5], "frequency": 8.0}
+        self.expect_config_error(tmp_path, capsys, {
+            "command": command,
+            "model": base_model(cells=20, t_end=0.01),
+            "sources": [spec, {**spec, "center": [0.3]}],
+            "study": {"kind": "measure_convergence"},
+            "output": str(tmp_path / "out"),
+        }, f"config.sources: {command} runs one source, got 2")
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def malformed(case):
         payload = {
@@ -448,9 +521,6 @@ class TestInputErrors:
         (("seed", "abc"), "config.seed"),
         (("leak_tolerance", "tiny"), "config.leak_tolerance"),
         (("snapshot_every", "often"), "config.snapshot_every"),
-        (("jobs", "many"), "config.jobs"),
-        (("jobs", 0), "config.jobs"),
-        (("jobs", -2), "config.jobs"),
         (("source.footprint_width", 0), "config.source.footprint_width"),
         (("source.footprint_width", -0.1), "config.source.footprint_width"),
         (("source.delay", -0.1), "config.source.delay"),
@@ -499,7 +569,7 @@ class TestInputErrors:
          "config.sampler.normal"),
         (("check", {"receivers": [[1.5]]}), "config.sampler.receivers"),
     ], ids=["source", "sources", "kernel", "integrator", "seed", "leak_tolerance",
-            "snapshot_every", "jobs", "jobs_zero", "jobs_negative", "footprint_width_zero",
+            "snapshot_every", "footprint_width_zero",
             "footprint_width_negative", "delay_negative", "leak_tolerance_negative",
             "trace_receivers", "boundary", "center",
             "receivers", "kappa", "trace_kernel", "trace_viscoelastic", "amplitude", "onset",
@@ -561,12 +631,11 @@ class TestInputErrors:
 
 
 class TestFlagOverrides:
-    """--out, --seed and --jobs win over the config's values."""
+    """--out and --seed win over the config's values."""
 
     @pytest.mark.parametrize("flag, value, key, configured", [
         ("--out", "elsewhere", "output", "configured"),
         ("--seed", "5", "seed", 1),
-        ("--jobs", "3", "jobs", 1),
     ])
     def test_flag_wins(self, tmp_path, monkeypatch, flag, value, key, configured):
         seen = []
@@ -582,15 +651,18 @@ class TestFlagOverrides:
         assert getattr(seen[0], key) == configured
         assert getattr(seen[1], key) == (value if key == "output" else int(value))
 
-    def test_jobs_flag_below_one_named(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran with --jobs 0"))
+    def test_jobs_flag_is_gone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran with --jobs"))
         path = write_config(tmp_path, {
-            "command": "simulate",
+            "command": "forward",
             "model": base_model(cells=20),
             "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "sampler": {"receivers": [[0.7]]},
         })
-        assert main(["simulate", "--config", path, "--jobs", "0"]) == 2
-        assert "config error: --jobs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", "--config", path, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestStudyMedium:
@@ -623,7 +695,7 @@ class TestStudyMedium:
             medium, system = build_system(cfg)
             expected = measure_convergence_study(
                 medium.coefficient_field(kernel=system.kernel),
-                build_source(cfg.source, system), [4, 8, 16],
+                build_source(cfg.sources[0], system), [4, 8, 16],
                 boundary=model.get("boundary", "periodic"))
             expected.save(str(tmp_path / f"{name}_library"))
             assert report == (tmp_path / f"{name}_library.json").read_bytes()

@@ -6,7 +6,6 @@ from conftest import traced_peak
 from roughwave.errors import InvalidArgumentError, UnsupportedConfigurationError
 from roughwave.forward import (
     build_sampler,
-    forward_map_shots,
     load_seismogram_csv,
     sample_trajectory,
     save_seismogram_csv,
@@ -132,15 +131,6 @@ class TestForwardMap:
             gaps.append(np.abs(data - ref).max())
         assert gaps[-1] < gaps[0]
         assert gaps[-1] <= 0.5 * gaps[0]
-
-    def test_shots_parallel_matches_serial(self):
-        g, system = unit_acoustics(50, t_end=0.15)
-        s = build_sampler([[0.7]], "pressure", g, 2)
-        sources = [rw.make_ricker_source(g, 2, [x], peak_frequency=8.0) for x in (0.3, 0.4, 0.5)]
-        serial = forward_map_shots(system, sources, s, jobs=1)
-        parallel = forward_map_shots(system, sources, s, jobs=3)
-        for a, b in zip(serial, parallel):
-            np.testing.assert_array_equal(a.data, b.data)
 
     def test_trace_derivative_bounded_for_smooth_wavelet(self):
         # smoothness s = 2 wavelet: first time-derivative of the trace stays

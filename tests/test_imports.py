@@ -1,5 +1,6 @@
-"""Every module-level import in ``src/roughwave`` is used by its module, and
-``import roughwave`` loads no scipy subpackage that the solver does not run.
+"""Every module-level import in ``src/roughwave`` is used by its module,
+``import roughwave`` loads no scipy subpackage that the solver does not run,
+and no module imports a concurrency library.
 
 Lines marked ``# noqa`` are deliberate re-exports.  ``__init__`` exists to
 re-export, so it is not checked.
@@ -55,3 +56,29 @@ def test_package_import_loads_no_quadrature_optimization_or_special_functions():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == []
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every module an ``import`` statement anywhere in the file names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_no_module_imports_a_concurrency_library():
+    # shots step together as the columns of one solve, so the package runs on one thread
+    banned = ("concurrent", "threading", "multiprocessing")
+    offenders = {p.name: sorted(m for m in imported_modules(p) if m.split(".")[0] in banned)
+                 for p in sorted(SRC.glob("*.py"))}
+    assert {name: mods for name, mods in offenders.items() if mods} == {}
+
+
+def test_concurrency_check_sees_nested_imports(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def f():\n    from concurrent.futures import ThreadPoolExecutor\n"
+                      "    import threading, json\n")
+    assert imported_modules(module) == {"concurrent.futures", "threading", "json"}

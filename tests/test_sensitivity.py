@@ -375,6 +375,14 @@ class TestAdjointGradient:
         with pytest.raises(SolverError, match=f"non-finite state at step {step}$"):
             adjoint_gradient(system, base, residual, sampler)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_residual_sample_named_before_solving(self, bad, monkeypatch):
+        system, base, residual, sampler, _ = random_case(1, "periodic", True, 2 * BLOCK_STEPS + 3)
+        residual.data[1, 9] = residual.data[1, 30] = bad
+        monkeypatch.setattr(system.step_operators, "lu", None)  # any solve would raise
+        with pytest.raises(InvalidArgumentError, match="sample at channel 1, time index 9$"):
+            adjoint_gradient(system, base, residual, sampler)
+
     def test_dot_tested_gradient_advances_prony_states_three_times_per_step(self, monkeypatch):
         # once each for the forward solve, the base states the forcing carries and the
         # linearized solve: no replay of the forward recursion

@@ -7,7 +7,6 @@ read ``DiscreteSystem.step_operators``; copies of a system build their own.
 import dataclasses
 import gc
 import json
-import sys
 import weakref
 
 import numpy as np
@@ -258,17 +257,53 @@ class TestCopies:
             gc.enable()
 
 
-def test_threads_share_one_factor():
-    system, _, sampler = prony_2d(cells=8)
-    sources = [rw.make_ricker_source(system.grid, 3, [x, 0.5], peak_frequency=8.0)
-               for x in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)]
-    serial = forward_map_shots(dataclasses.replace(system), sources, sampler, jobs=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        parallel = forward_map_shots(system, sources, sampler, jobs=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(parallel) == len(sources)
-    for a, b in zip(serial, parallel):
-        np.testing.assert_array_equal(a.data, b.data)
+class TestShots:
+    """Shots step together as the columns of one midpoint solve."""
+
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_to_one_forward_map_per_shot(self, dim, boundary, kernel):
+        system, src, sampler, _ = stacked_step_case(dim, boundary, kernel)
+        sources = [dataclasses.replace(src, footprint=scale * src.footprint)
+                   for scale in (1.0, -0.5, 2.0)]
+        sources.append(rw.make_ricker_source(system.grid, dim + 1, [0.7] * dim,
+                                             peak_frequency=1 / (4 * system.grid.dt)))
+        shots = forward_map_shots(system, sources, sampler)
+        assert len(shots) == len(sources)
+        for seis, source in zip(shots, sources):
+            alone = rw.forward_map(system, source, sampler)
+            assert np.array_equal(seis.data, alone.data)
+            assert np.array_equal(seis.times, alone.times)
+
+    @pytest.mark.parametrize("n_shots", [1, 2, 5])
+    def test_one_factor_and_one_solve_per_step(self, splu_calls, n_shots):
+        system, _, sampler = prony_2d(cells=8)
+        ops = system.step_operators
+        lu, solves = ops.lu, []
+
+        class CountingLU:
+            def solve(self, rhs, trans="N"):
+                solves.append(rhs.shape)
+                return lu.solve(rhs, trans)
+
+        ops.lu = CountingLU()
+        sources = [rw.make_ricker_source(system.grid, 3, [x, 0.5], peak_frequency=8.0)
+                   for x in np.linspace(0.2, 0.7, n_shots)]
+        forward_map_shots(system, sources, sampler)
+        assert len(splu_calls) == 1
+        assert solves == [(system.n_state, n_shots)] * system.grid.n_steps
+
+    def test_no_sources_no_solve(self, splu_calls):
+        system, _, sampler = prony_2d(cells=8)
+        assert forward_map_shots(system, [], sampler) == []
+        assert splu_calls == []
+
+    def test_each_rough_source_warns(self):
+        system, _, sampler = prony_2d(cells=8)
+        sources = [rw.make_burst_source(system.grid, 3, [x, 0.5], frequency=8.0, smoothness=s)
+                   for x, s in ((0.3, 1), (0.5, 3), (0.6, 1))]
+        with pytest.warns(UserWarning, match="not differentiable") as record:
+            forward_map_shots(system, sources, sampler)
+        assert len(record) == 2
+        assert {w.filename for w in record} == {__file__}
