@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -73,16 +73,16 @@ def _source_at(source: SourceTerm | None, t: float, n_state: int) -> np.ndarray:
     return source.evaluate(t)
 
 
-def _midpoint_solve(
+def _midpoint_steps(
     system: DiscreteSystem,
     sources: list[SourceTerm | None],
     u0: np.ndarray,
     forcing: np.ndarray | Iterable[np.ndarray] | None,
-    columns: np.ndarray | None = None,
-) -> np.ndarray:
-    """States t_0 .. t_N, (n_steps + 1, n_state, n_shots), of the shots that are the
+) -> Iterator[np.ndarray]:
+    """Yield the states u_1 .. u_N, (n_state, n_shots), of the shots that are the
     columns of ``u0``, one source (or None) each, stepped together (one ``lu.solve``
-    per step), or only their ``columns`` rows; ``forcing`` rows go to every shot."""
+    per step); ``forcing`` rows go to every shot.  Only a tabulated kernel, the one
+    kernel with a history term, makes it keep past states."""
     if any(s is not None and s.grid != system.grid for s in sources):
         raise GridMismatchError("source and system grids differ")
     grid = system.grid
@@ -92,17 +92,18 @@ def _midpoint_solve(
             f"forcing must have shape {(n_steps, system.n_state)}, got {forcing.shape}")
     ops = system.step_operators
     times = grid.times()
-    tabulated = isinstance(system.kernel, TabulatedKernel)  # the only kernel with a history term
-    keep = slice(None) if columns is None or tabulated else columns  # a history reads all of u
-    states = np.zeros((n_steps + 1, *u0[keep].shape))
+    history = None
+    if isinstance(system.kernel, TabulatedKernel):
+        history = np.zeros((n_steps + 1, *u0.shape))
+        history[0] = u0
     rows = None if forcing is None else iter(forcing)
 
     z = np.zeros((1 + ops.n_terms, *u0.shape))  # u_n and the Prony states s_j(t_n)
-    z[0], states[0] = u0, u0[keep]
+    z[0] = u0
     for n in range(n_steps):
         rhs = ops.rhs_matrix @ z.reshape(-1, u0.shape[1])
-        if tabulated:
-            rhs += ops.memory_history_rhs(states, n)
+        if history is not None:
+            rhs += ops.memory_history_rhs(history, n)
         for col, source in enumerate(sources):
             if source is not None:
                 rhs[:, col] += source.evaluate(times[n] + 0.5 * dt)
@@ -113,8 +114,27 @@ def _midpoint_solve(
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
         if ops.n_terms:
             z[1:] = prony_advance(z[1:], z[0], u_next, ops.step_weights)
-        z[0], states[n + 1] = u_next, u_next[keep]
-    return states[:, columns] if tabulated and columns is not None else states
+        z[0] = u_next
+        if history is not None:
+            history[n + 1] = u_next
+        yield u_next
+
+
+def _midpoint_solve(
+    system: DiscreteSystem,
+    sources: list[SourceTerm | None],
+    u0: np.ndarray,
+    forcing: np.ndarray | Iterable[np.ndarray] | None,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """States t_0 .. t_N, (n_steps + 1, n_state, n_shots), of ``_midpoint_steps``,
+    or only their ``columns`` rows."""
+    keep = slice(None) if columns is None else columns
+    states = np.empty((system.grid.n_steps + 1, *u0[keep].shape))
+    states[0] = u0[keep]
+    for n, u in enumerate(_midpoint_steps(system, sources, u0, forcing), 1):
+        states[n] = u[keep]
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +237,6 @@ def step_residuals(
             r -= forcing[n]
         out[n] = np.linalg.norm(r)
     return out
-
-
-# state rows per block of ``sup_l2_distance``
-DISTANCE_ROWS = 64
-
-
-def sup_l2_distance(a: np.ndarray, b: np.ndarray, cell_volume: float) -> float:
-    """max_n sqrt(cell_volume) ||a_n - b_n|| over the rows of two state series.
-
-    The row norms are formed ``DISTANCE_ROWS`` rows at a time, bit-identical
-    to one norm over the whole difference, which is never held.
-    """
-    norms = np.empty(len(a))
-    for start in range(0, len(a), DISTANCE_ROWS):
-        rows = slice(start, start + DISTANCE_ROWS)
-        norms[rows] = np.linalg.norm(a[rows] - b[rows], axis=1)
-    return float(np.sqrt(cell_volume) * norms.max())
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .evolution import Trajectory, solve_causal, sup_l2_distance
+from .errors import GridMismatchError, InvalidArgumentError
+from .evolution import Trajectory, _midpoint_steps
 from .fields import CoefficientField, Grid, SourceTerm, mollify_field, measure_distance
-from .forward import Sampler, build_sampler, sample_trajectory
+from .forward import Sampler, _sampled_shots, build_sampler
 from .operators import assemble_system
 from .physics import AcousticModel, acoustics_system
 
@@ -159,29 +159,38 @@ def measure_convergence_study(
     continuity follows from coefficient convergence in measure.
     """
     schedule = [int(n) for n in schedule]
+    if sampler is not None and sampler.grid != rough.grid:
+        raise GridMismatchError("sampler and field grids differ")
     if len(schedule) < 3 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidArgumentError("schedule must be at least 3 strictly increasing integers")
     spread = float(rough.a.max(axis=0).max() - rough.a.min(axis=0).min())
     eps = 0.25 * spread if spread > 0 else 0.25
-    system = assemble_system(rough, p_matrices, boundary)
-    ref = solve_causal(system, source)
-    vol = rough.grid.cell_volume
-    sol_dist, meas_dist, seis_dist = [], [], []
-    ref_data = sample_trajectory(sampler, ref).data if sampler is not None else None
-    for n in schedule:
-        smooth = mollify_field(rough, n, boundary)
-        traj = solve_causal(assemble_system(smooth, p_matrices, boundary), source)
-        sol_dist.append(sup_l2_distance(traj.states, ref.states, vol))
-        meas_dist.append(measure_distance(rough, smooth, eps))
-        if sampler is not None:
-            data = sample_trajectory(sampler, traj).data
-            seis_dist.append(float(np.abs(data - ref_data).max()))
+    smooths = [mollify_field(rough, n, boundary) for n in schedule]
+    meas_dist = [measure_distance(rough, smooth, eps) for smooth in smooths]
+    systems = [assemble_system(f, p_matrices, boundary) for f in (rough, *smooths)]
+    n_state, n_steps = systems[0].n_state, rough.grid.n_steps
+    cols = sampler.gathered[0] if sampler is not None else np.arange(0)
+    u0 = np.zeros((n_state, 1))
+    # per step: each mollified state's distance to the rough one, and every
+    # system's sampled columns; no state series is kept
+    sup = np.zeros(len(schedule))
+    diff = np.empty((len(schedule), n_state))
+    kept = np.zeros((len(systems), n_steps + 1, cols.size))
+    steps = zip(*(_midpoint_steps(system, [source], u0, None) for system in systems))
+    for n, (ref, *smooth) in enumerate(steps, 1):
+        for row, u in zip(diff, smooth):
+            np.subtract(u[:, 0], ref[:, 0], out=row)
+        np.maximum(sup, np.linalg.norm(diff, axis=1), out=sup)
+        for sampled, u in zip(kept, (ref, *smooth)):
+            sampled[n] = u[cols, 0]
+    sol_dist = [float(np.sqrt(rough.grid.cell_volume) * d) for d in sup]
     series = {
         "solution_distance": tuple(sol_dist),
         "measure_distance": tuple(meas_dist),
     }
     if sampler is not None:
-        series["seismogram_distance"] = tuple(seis_dist)
+        ref_data, *data = (sampler.gathered[1] @ sampled.T for sampled in kept)
+        series["seismogram_distance"] = tuple(float(np.abs(d - ref_data).max()) for d in data)
     decreasing = all(b < a for a, b in zip(sol_dist, sol_dist[1:]))
     return StudyReport(
         name="measure_convergence",
@@ -235,14 +244,14 @@ def trace_regularity_probe(
     for _ in range(refinements):
         levels.append(refine_acoustic_model(levels[-1], 2))
     bounds = np.zeros((len(levels), len(smoothness_schedule)))
-    for j, s in enumerate(smoothness_schedule):
-        for i, level_model in enumerate(levels):
-            grid = level_model.grid
-            system = acoustics_system(level_model, boundary)
-            traj = solve_causal(system, source_factory(grid, s))
-            sampler = build_sampler(receivers, "pressure", grid, system.k)
-            data = sample_trajectory(sampler, traj).data
-            bounds[i, j] = seismogram_derivative_bound(data, grid.dt, s - 1)
+    for i, level_model in enumerate(levels):
+        grid = level_model.grid
+        system = acoustics_system(level_model, boundary)
+        sampler = build_sampler(receivers, "pressure", grid, system.k)
+        shots = _sampled_shots(system, [source_factory(grid, s) for s in smoothness_schedule],
+                               sampler)
+        for j, (s, seis) in enumerate(zip(smoothness_schedule, shots)):
+            bounds[i, j] = seismogram_derivative_bound(seis.data, grid.dt, s - 1)
     grown = (bounds[0] > 0) & (bounds[-1] > bound_slack * bounds[0])
     return StudyReport(
         name="trace_regularity",

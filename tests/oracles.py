@@ -2,8 +2,9 @@
 
 The 1D advection solution by its characteristic integral, the oscillatory
 counterexample family built on it, the d'Alembert two-way splitting for
-homogeneous 1D acoustics, and a hat-window time smoothing of a trajectory.
-None of them calls the solver internals it checks.
+homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, and
+the convergence study's series from stored trajectories.  None of them
+calls the solver internals it checks.
 """
 
 from dataclasses import replace
@@ -13,8 +14,10 @@ import numpy as np
 from scipy.integrate import quad, simpson
 
 from roughwave.errors import InvalidArgumentError
-from roughwave.evolution import Trajectory
-from roughwave.fields import _hat_weights
+from roughwave.evolution import Trajectory, solve_causal
+from roughwave.fields import _hat_weights, measure_distance, mollify_field
+from roughwave.forward import sample_trajectory
+from roughwave.operators import assemble_system
 
 
 # ---------------------------------------------------------------------------
@@ -133,3 +136,45 @@ def smooth_trajectory(traj: Trajectory, window: int) -> Trajectory:
     for off, wj in zip(range(2 * half + 1), _hat_weights(half)):
         out += wj * padded[off : off + traj.states.shape[0]]
     return replace(traj, states=out)
+
+
+# ---------------------------------------------------------------------------
+# store-then-compare convergence study
+# ---------------------------------------------------------------------------
+
+
+# state rows per block of ``sup_l2_distance``
+DISTANCE_ROWS = 64
+
+
+def sup_l2_distance(a: np.ndarray, b: np.ndarray, cell_volume: float) -> float:
+    """max_n sqrt(cell_volume) ||a_n - b_n|| over the rows of two state series.
+
+    The row norms are formed ``DISTANCE_ROWS`` rows at a time, bit-identical
+    to one norm over the whole difference, which is never held.
+    """
+    norms = np.empty(len(a))
+    for start in range(0, len(a), DISTANCE_ROWS):
+        rows = slice(start, start + DISTANCE_ROWS)
+        norms[rows] = np.linalg.norm(a[rows] - b[rows], axis=1)
+    return float(np.sqrt(cell_volume) * norms.max())
+
+
+def stored_convergence_series(rough, source, schedule, boundary="periodic", sampler=None) -> dict:
+    """The series of ``measure_convergence_study`` from stored trajectories: every
+    field solved with ``solve_causal``, then ``sup_l2_distance`` and, with a
+    sampler, ``sample_trajectory``."""
+    spread = float(rough.a.max(axis=0).max() - rough.a.min(axis=0).min())
+    eps = 0.25 * spread if spread > 0 else 0.25
+    ref = solve_causal(assemble_system(rough, None, boundary), source)
+    series = {"solution_distance": [], "measure_distance": [], "seismogram_distance": []}
+    for n in schedule:
+        smooth = mollify_field(rough, n, boundary)
+        traj = solve_causal(assemble_system(smooth, None, boundary), source)
+        series["solution_distance"].append(
+            sup_l2_distance(traj.states, ref.states, rough.grid.cell_volume))
+        series["measure_distance"].append(measure_distance(rough, smooth, eps))
+        if sampler is not None:
+            gap = sample_trajectory(sampler, traj).data - sample_trajectory(sampler, ref).data
+            series["seismogram_distance"].append(float(np.abs(gap).max()))
+    return {name: tuple(values) for name, values in series.items() if values}

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from oracles import stored_convergence_series
 
 from roughwave import cli, evolution, sensitivity
 from roughwave.cli import (
@@ -701,6 +702,34 @@ class TestStudyMedium:
             assert report == (tmp_path / f"{name}_library.json").read_bytes()
             reports.append(report)
         assert len(set(reports)) == 3
+
+    @pytest.mark.parametrize("kernel", [None, {"type": "prony", "terms": [
+        {"scale": 5.0, "tau": 0.05}, {"scale": 2.0, "tau": 0.5}]}], ids=["zero", "prony"])
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_measure_convergence_equal_to_the_stored_oracle(self, tmp_path, dim, boundary, kernel):
+        grid = {"dim": dim, "cells": {1: [48], 2: [12, 10]}[dim], "extent": 1.0, "dt": 0.01,
+                "t_end": 0.2}
+        path = write_config(tmp_path, {
+            "command": "study",
+            "model": {"type": "acoustic", "grid": grid, "rho": 1.0, "boundary": boundary,
+                      "kappa": {"two_layer": {"left": 1.0, "right": 4.0, "interface": 0.6}},
+                      **({"kernel": kernel} if kernel else {})},
+            "source": {"type": "ricker", "center": [0.3] * dim, "frequency": 6.0},
+            "study": {"kind": "measure_convergence", "schedule": [2, 4, 8]},
+            "output": str(tmp_path / "out"),
+        })
+        main(["study", "--config", path])
+        series = json.loads((tmp_path / "out" / "study_measure_convergence.json").read_text())["series"]
+        cfg = parse_config(path)
+        medium, system = build_system(cfg)
+        expected = stored_convergence_series(medium.coefficient_field(kernel=system.kernel),
+                                             build_source(cfg.sources[0], system), [2, 4, 8],
+                                             boundary)
+        assert sorted(series) == sorted(expected)
+        for name, values in expected.items():
+            assert np.array_equal(series[name], values), name
+        assert min(series["solution_distance"]) > 0
 
     def test_trace_regularity_on_configured_boundary(self, tmp_path):
         from roughwave.experiments import trace_regularity_probe

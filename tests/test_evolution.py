@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 import roughwave as rw
-from conftest import time_reversed_system, traced_peak
+from conftest import time_reversed_system
 from oracles import advection_oracle, dalembert_pressure, smooth_trajectory
 from roughwave.errors import UnsupportedConfigurationError
-from roughwave.evolution import (
-    DISTANCE_ROWS,
-    export_energy_csv,
-    export_snapshots,
-    solve_ivp,
-    step_residuals,
-    sup_l2_distance,
-)
+from roughwave.evolution import export_energy_csv, export_snapshots, solve_ivp, step_residuals
 from roughwave.experiments import fit_slope
 from roughwave.fields import CoefficientField, PronyKernel, ricker_wavelet
 from roughwave.operators import assemble_system, block_apply, energy
@@ -364,20 +357,6 @@ class TestSmoothing:
             d2u = np.diff(traj.states, n=2, axis=0) / dt**2
             maxima.append(np.sqrt(g.cell_volume) * np.linalg.norm(d2u, axis=1).max())
         assert maxima[1] <= 1.3 * maxima[0]
-
-
-class TestSupL2Distance:
-    @pytest.mark.parametrize("rows", [1, DISTANCE_ROWS - 1, DISTANCE_ROWS, DISTANCE_ROWS + 1, 200])
-    def test_equals_one_norm_over_the_difference(self, rows):
-        rng = np.random.default_rng(rows)
-        a, b = rng.standard_normal((2, rows, 300))
-        ref = float(np.sqrt(0.01) * np.linalg.norm(a - b, axis=1).max())
-        assert sup_l2_distance(a, b, 0.01) == ref
-
-    def test_holds_no_difference_series(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((2, 1000, 400))
-        assert traced_peak(sup_l2_distance, a, b, 1.0) <= 0.2 * a.nbytes
 
 
 class TestExports:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from conftest import traced_peak
+from oracles import stored_convergence_series
 
 import roughwave as rw
-from roughwave.errors import InvalidArgumentError
+from roughwave.errors import GridMismatchError, InvalidArgumentError
 from roughwave.experiments import (
     ConeSpec,
     StudyReport,
@@ -14,7 +16,29 @@ from roughwave.experiments import (
     seismogram_derivative_bound,
     trace_regularity_probe,
 )
+from roughwave.fields import PronyKernel, TabulatedKernel
+from roughwave.forward import sample_trajectory
 from roughwave.operators import assemble_system
+
+
+def study_case(dim, kernel):
+    """Two-layer acoustic field, 24 steps, with no memory, a two-term Prony kernel or a
+    tabulated one; a Ricker source and two pressure receivers."""
+    cells = {1: [40], 2: [10, 8]}[dim]
+    dt = 0.5 / max(cells)
+    g = rw.build_grid(dim, cells, 1.0, dt, 24 * dt)
+    rng = np.random.default_rng(dim)
+    eye = np.eye(dim + 1)
+    if kernel == "prony":
+        kernel = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
+                                           for _ in range(2)), taus=(0.05, 0.5))
+    elif kernel == "tabulated":
+        samples = rng.uniform(0, 1, (30, g.n_cells))[:, :, None, None] * eye
+        kernel = TabulatedKernel(times=dt * np.arange(30), samples=samples)
+    field = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.55).coefficient_field(kernel=kernel)
+    src = rw.make_ricker_source(g, dim + 1, [0.3] * dim, peak_frequency=1 / (8 * dt))
+    sampler = rw.build_sampler(rng.uniform(0.05, 0.95, (2, dim)).tolist(), "pressure", g, dim + 1)
+    return field, src, sampler
 
 
 class TestConeLeak:
@@ -97,6 +121,47 @@ class TestMeasureConvergence:
         measure_convergence_study(field, src, [4, 8, 16])
         assert energy_calls == []
 
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_series_equal_to_the_stored_oracle(self, dim, boundary, kernel):
+        field, src, sampler = study_case(dim, kernel)
+        schedule = [2, 4, 8]
+        for with_sampler in (None, sampler):
+            report = measure_convergence_study(field, src, schedule, boundary=boundary,
+                                               sampler=with_sampler)
+            expected = stored_convergence_series(field, src, schedule, boundary, with_sampler)
+            assert sorted(report.series) == sorted(expected)
+            for name, values in expected.items():
+                assert np.array_equal(report.series[name], values), name
+            assert max(report.series["solution_distance"]) > 0
+
+    def test_one_factor_per_solve(self, splu_calls):
+        field, src, sampler = study_case(1, "prony")
+        measure_convergence_study(field, src, [2, 4, 8, 16], sampler=sampler)
+        assert len(splu_calls) == 5
+
+    def test_holds_no_state_series(self):
+        # the solves step together and keep one distance per step and the sampled
+        # columns; what stays is one step operator per system and the samples
+        # (0.07 of a series here), against about 3 series when every solve is stored
+        g = rw.build_grid(1, [1000], 1.0, 5e-4, 1.0)
+        field = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6).coefficient_field()
+        src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=6.0)
+        sampler = rw.build_sampler([[0.45], [0.8]], "pressure", g, 2)
+        series_bytes = (g.n_steps + 1) * 2 * g.n_cells * 8
+        peak = traced_peak(measure_convergence_study, field, src, [4, 8, 16, 32], None,
+                           "periodic", sampler)
+        assert peak <= 0.1 * series_bytes
+
+    def test_sampler_on_another_grid_named_before_solving(self, splu_calls):
+        field, src, _ = study_case(1, None)
+        other = rw.build_grid(1, [20], 1.0, 1e-2, 0.1)
+        sampler = rw.build_sampler([[0.5]], "pressure", other, 2)
+        with pytest.raises(GridMismatchError, match="sampler"):
+            measure_convergence_study(field, src, [2, 4, 8], sampler=sampler)
+        assert splu_calls == []
+
     def test_schedule_validation(self):
         g = rw.build_grid(1, [40], 1.0, 2e-3, 0.1)
         field = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0).coefficient_field()
@@ -161,6 +226,30 @@ class TestTraceRegularity:
         rows = (tmp_path / "trace.csv").read_text().splitlines()
         assert rows[0] == "parameter," + ",".join(sorted(levels))
         assert [row.split(",")[0] for row in rows[1:]] == ["1.0", "2.0", "3.0"]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    def test_one_solve_per_level_equal_to_per_class_solves(self, splu_calls, boundary):
+        # a level's smoothness classes are the columns of one solve on its system
+        g = rw.build_grid(1, [40], 1.0, 5e-3, 0.4)
+        model = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6)
+
+        def factory(grid, s):
+            return rw.make_burst_source(grid, 2, [0.35], frequency=5.0, smoothness=s)
+
+        schedule, refinements = (1, 2, 3), 2
+        report = trace_regularity_probe(model, [[0.6]], factory, smoothness_schedule=schedule,
+                                        refinements=refinements, boundary=boundary)
+        assert len(splu_calls) == refinements + 1
+        level = model
+        for i in range(refinements + 1):
+            system = rw.acoustics_system(level, boundary)
+            sampler = rw.build_sampler([[0.6]], "pressure", level.grid, 2)
+            for s, bound in zip(schedule, report.series[f"level{i}_derivative_bound"]):
+                traj = rw.solve_causal(system, factory(level.grid, s))
+                data = sample_trajectory(sampler, traj).data
+                assert bound == seismogram_derivative_bound(data, level.grid.dt, s - 1)
+                assert bound > 0
+            level = refine_acoustic_model(level, 2)
 
     def test_refine_model_preserves_medium(self):
         g = rw.build_grid(1, [10], 1.0, 1e-3, 0.01)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import traced_peak
 from oracles import (
+    DISTANCE_ROWS,
     advection_oracle,
     dalembert_pressure,
     oscillatory_response_magnitude,
     oscillatory_rhs,
     smooth_bump,
+    sup_l2_distance,
 )
 from roughwave.errors import InvalidArgumentError
 
@@ -53,3 +56,17 @@ class TestDalembert:
         # constant integrand is just kappa * t
         val = dalembert_pressure(2.0, 1.0, lambda s, y: 1.0, 0.5, 0.0, points=401)
         assert val == pytest.approx(2.0 * 0.5, rel=1e-12)
+
+
+class TestSupL2Distance:
+    @pytest.mark.parametrize("rows", [1, DISTANCE_ROWS - 1, DISTANCE_ROWS, DISTANCE_ROWS + 1, 200])
+    def test_equals_one_norm_over_the_difference(self, rows):
+        rng = np.random.default_rng(rows)
+        a, b = rng.standard_normal((2, rows, 300))
+        ref = float(np.sqrt(0.01) * np.linalg.norm(a - b, axis=1).max())
+        assert sup_l2_distance(a, b, 0.01) == ref
+
+    def test_holds_no_difference_series(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 1000, 400))
+        assert traced_peak(sup_l2_distance, a, b, 1.0) <= 0.2 * a.nbytes

@@ -10,6 +10,7 @@ from conftest import (
     per_step_forcing,
     traced_peak,
 )
+from oracles import sup_l2_distance
 
 import roughwave as rw
 from roughwave.errors import InvalidArgumentError, SolverError, UnsupportedConfigurationError
@@ -412,6 +413,30 @@ class TestQuotientStudy:
         assert study.flagged[0] is True
         assert study.flagged[1] is False
         assert np.isnan(study.remainders[0])
+
+    def test_remainders_equal_to_stored_quotients(self):
+        g, system, src, _ = acoustic_setup(t_end=0.15)
+        pert = random_perturbation(system, np.random.default_rng(2))
+        h_sched = [30.0, 1e-1, 1e-2, 1e-2, 1e-3]
+        study = quotient_study(system, pert, src, h_sched)
+        base = rw.solve_causal(system, src)
+        du = rw.directional_derivative(system, base, pert)
+        vol = g.cell_volume
+        assert study.flagged == (True, False, False, False, False)
+        assert np.isnan(study.remainders[0])
+        for h, remainder in zip(h_sched[1:], study.remainders[1:]):
+            u_h = rw.solve_causal(perturbed_system(system, pert, h), src)
+            assert remainder == sup_l2_distance((u_h.states - base.states) / h, du.states, vol)
+        assert study.derivative_norm == float(
+            np.sqrt(vol) * np.linalg.norm(du.states, axis=1).max())
+
+    def test_holds_no_perturbed_series(self):
+        # base and du are stored; the u_h step together, one distance per step each
+        g, system, src, _ = acoustic_setup(cells=400, t_end=0.4)
+        pert = random_perturbation(system, np.random.default_rng(5))
+        series_bytes = (g.n_steps + 1) * system.n_state * 8
+        peak = traced_peak(quotient_study, system, pert, src, [1e-1, 1e-2, 1e-3])
+        assert peak <= 2.5 * series_bytes
 
     def test_rough_wavelet_degrades_quotient(self):
         # loss-of-derivative: an s = 1 wavelet slows the remainder decay

@@ -8,6 +8,7 @@ import dataclasses
 import gc
 import json
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from conftest import (
     per_term_adjoint,
     per_term_solve,
     time_reversed_system,
+    traced_peak,
 )
 from roughwave.cli import parse_config, run_checks
 from roughwave.errors import SolverError
-from roughwave.evolution import step_residuals
+from roughwave.evolution import _midpoint_solve, _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory, sampled_solve
 from roughwave.operators import memory_series
@@ -307,3 +309,43 @@ class TestShots:
             forward_map_shots(system, sources, sampler)
         assert len(record) == 2
         assert {w.filename for w in record} == {__file__}
+
+
+class TestMidpointSteps:
+    """``_midpoint_steps`` yields the states one step at a time; ``_midpoint_solve``
+    collects all of them or only some of their rows."""
+
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_columns_only_solve_equal_to_the_full_one(self, dim, kernel):
+        system, src, sampler, _ = stacked_step_case(dim, "acoustic_free", kernel)
+        sources = [src, None, dataclasses.replace(src, footprint=-2.0 * src.footprint)]
+        u0 = np.zeros((system.n_state, len(sources)))
+        full = _midpoint_solve(system, sources, u0, None)
+        cols = sampler.gathered[0]
+        assert np.array_equal(_midpoint_solve(system, sources, u0, None, cols), full[:, cols])
+        steps = list(_midpoint_steps(system, sources, u0, None))
+        assert len(steps) == system.grid.n_steps
+        assert all(np.array_equal(u, row) for u, row in zip(steps, full[1:]))
+        assert np.array_equal(full[..., 0], rw.solve_causal(system, src).states)
+        assert np.abs(full[..., 0]).max() > 0
+
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    def test_only_a_tabulated_kernel_keeps_past_states(self, kernel):
+        g = rw.build_grid(1, [400], 1.0, 2.5e-3, 0.5)
+        eye = np.eye(2)
+        if kernel == "prony":
+            kernel = PronyKernel(weights=(0.3 * np.tile(eye, (g.n_cells, 1, 1)),), taus=(0.1,))
+        elif kernel == "tabulated":
+            kernel = TabulatedKernel(times=g.dt * np.arange(4),
+                                     samples=0.3 * np.tile(eye, (4, g.n_cells, 1, 1)))
+        system = rw.acoustics_system(rw.AcousticModel(grid=g, kappa=1.0, rho=1.0), kernel=kernel)
+        src = rw.make_ricker_source(g, 2, [0.4], peak_frequency=6.0)
+        system.step_operators  # built outside the traced steps
+        series_bytes = (g.n_steps + 1) * system.n_state * 8
+        u0 = np.zeros((system.n_state, 1))
+        peak = traced_peak(lambda: deque(_midpoint_steps(system, [src], u0, None), maxlen=0))
+        if isinstance(kernel, TabulatedKernel):
+            assert peak >= series_bytes
+        else:
+            assert peak <= 0.1 * series_bytes
