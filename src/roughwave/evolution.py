@@ -201,12 +201,10 @@ def energy_identity_residual(
     source = source if source is not None else traj.source
     vol = system.grid.cell_volume
     dt = system.grid.dt
-    states = traj.states
-    mem = memory_series(system.kernel, states, dt)
     g = np.zeros(traj.times.size)
-    for n in range(traj.times.size):
-        rhs = -system.apply_b(states[n]) - mem[n] + _source_at(source, traj.times[n], system.n_state)
-        g[n] = vol * float(rhs @ states[n])
+    for n, (u, mem) in enumerate(zip(traj.states, memory_series(system.kernel, traj.states, dt))):
+        rhs = -system.apply_b(u) - mem + _source_at(source, traj.times[n], system.n_state)
+        g[n] = vol * float(rhs @ u)
     de = np.diff(traj.energies)
     return de - 0.5 * dt * (g[:-1] + g[1:])
 

@@ -63,11 +63,16 @@ def cone_from_speed(apex_x, apex_t: float, speed: float, margin: float = 0.1) ->
     return ConeSpec(apex_x=apex, apex_t=float(apex_t), slowness=1.0 / ((1.0 + margin) * speed))
 
 
+# time rows per block of ``cone_leak``'s energy density
+LEAK_ROWS = 16
+
+
 def cone_leak(traj: Trajectory, cone: ConeSpec) -> float:
     """Fraction of total trajectory energy inside the claimed-quiet region.
 
-    Energy density is the per-cell quadratic form (1/2) vol u^T a u; the
-    0/0 case of an identically zero trajectory reports leak 0.
+    Energy density is the per-cell quadratic form (1/2) vol u^T a u, filled
+    ``LEAK_ROWS`` time rows at a time; the 0/0 case of an identically zero
+    trajectory reports leak 0.
     """
     grid = traj.grid
     if len(cone.apex_x) != grid.dim:
@@ -77,12 +82,23 @@ def cone_leak(traj: Trajectory, cone: ConeSpec) -> float:
     centers = grid.centers()
     dist = np.linalg.norm(centers - np.asarray(cone.apex_x), axis=1)
     states = traj.states.reshape(traj.states.shape[0], grid.n_cells, -1)
-    density = 0.5 * grid.cell_volume * np.einsum("nci,cij,ncj->nc", states, traj.a_blocks, states)
-    quiet = cone.slowness * dist[None, :] + cone.apex_t - traj.times[:, None] >= 0
+    blocks = [slice(start, start + LEAK_ROWS) for start in range(0, len(states), LEAK_ROWS)]
+    density = np.empty(states.shape[:2])
+    for rows in blocks:
+        np.einsum("nci,cij,ncj->nc", states[rows], traj.a_blocks, states[rows], out=density[rows])
+    density *= 0.5 * grid.cell_volume
     total = float(density.sum())
     if total <= 0:
         return 0.0
-    return float(density[quiet].sum()) / total
+    # the quiet entries move, in order, to the front of ``density`` a block at a
+    # time; a block's entries land at or before it, so later blocks stay intact
+    reach = cone.slowness * dist[None, :] + cone.apex_t
+    flat, n_quiet = density.reshape(-1), 0
+    for rows in blocks:
+        kept = density[rows][reach - traj.times[rows, None] >= 0]
+        flat[n_quiet:n_quiet + kept.size] = kept
+        n_quiet += kept.size
+    return float(flat[:n_quiet].sum()) / total
 
 
 # ---------------------------------------------------------------------------

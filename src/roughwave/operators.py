@@ -13,14 +13,15 @@ product with states is ``block_apply``, and the stencil as one matrix.
 Prony kernels convolve by an O(1)-per-step recursion that is exact for
 piecewise-linear input, tabulated kernels by the trapezoid rule (the
 brute-force oracle path).  ``memory_series`` is the one grid-time
-convolution, and evaluates a tabulated kernel once per call.
+convolution, yielded one time row at a time, and evaluates a tabulated
+kernel once per call.
 ``prony_advance`` is the one recursion step, over all terms' states
 stacked as one (n_terms, n_state) array.  ``StepOperators`` holds the
 midpoint scheme's whole-step and half-step weight triples, or a tabulated
 kernel's blocks evaluated once, and the one sparse matrix that forms a
 step's right-hand side from u_n and the stacked Prony states.  The
 convolution, the step's ``replay`` and the linearized forcing read the one
-rerun of the recursion over stored states, ``prony_steps``.
+rerun of the recursion over state rows, ``prony_steps``, which streams.
 """
 
 from __future__ import annotations
@@ -260,38 +261,46 @@ def prony_advance(
     return out
 
 
-def prony_steps(states: np.ndarray, weights: np.ndarray | Sequence[tuple[float, float, float]]):
-    """Per step n over stored states t_0 .. t_N, the stacked Prony states (s_j(t_n),
-    s_j(t_{n+1})) that ``prony_advance`` with one ``weights`` row per term carries from
-    s_j(0) = 0: one advance per step pulled, none without terms."""
-    aux = np.zeros((len(weights), states.shape[1]))
-    for u_prev, u_next in zip(states[:-1], states[1:]):
+def prony_steps(states, weights: np.ndarray | Sequence[tuple[float, float, float]]):
+    """Per step n over state rows t_0 .. t_N (a stored array, or any iterable that
+    yields them in order), the stacked Prony states (s_j(t_n), s_j(t_{n+1})) that
+    ``prony_advance`` with one ``weights`` row per term carries from s_j(0) = 0: one
+    advance per step pulled, none without terms."""
+    rows = iter(states)
+    u_prev = next(rows)
+    aux = np.zeros((len(weights), u_prev.shape[0]))
+    for u_next in rows:
         advanced = prony_advance(aux, u_prev, u_next, weights) if len(weights) else aux
         yield aux, advanced
-        aux = advanced
+        aux, u_prev = advanced, u_next
 
 
-def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float) -> np.ndarray:
-    """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N).
+def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float):
+    """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N), one row per
+    time, as a generator: no series of R is held.
 
-    Prony kernels run the exact recursion once over the whole series;
-    tabulated kernels are evaluated once on the grid times and apply the
-    trapezoid rule at each time.
+    Prony kernels run the exact recursion once over the states; tabulated
+    kernels are evaluated once on the grid times and apply the trapezoid rule
+    at each time.
     """
-    out = np.zeros_like(states)
+    yield np.zeros(states.shape[1])
     if isinstance(kernel, ZeroKernel):
-        return out
-    if isinstance(kernel, PronyKernel):
+        for _ in states[1:]:
+            yield np.zeros(states.shape[1])
+    elif isinstance(kernel, PronyKernel):
         weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
-        for row, (_, aux) in zip(out[1:], prony_steps(states, weights)):
+        for _, aux in prony_steps(states, weights):
+            row = np.zeros(states.shape[1])
             for w, s in zip(kernel.weights, aux):
                 row += block_apply(w, s)
-        return out
-    blocks = kernel_values(kernel, dt * np.arange(states.shape[0]), *kernel.samples.shape[1:3])
-    for m in range(1, states.shape[0]):
-        for i in range(m + 1):
-            out[m] += (0.5 * dt if i in (0, m) else dt) * block_apply(blocks[m - i], states[i])
-    return out
+            yield row
+    else:
+        blocks = kernel_values(kernel, dt * np.arange(states.shape[0]), *kernel.samples.shape[1:3])
+        for m in range(1, states.shape[0]):
+            row = np.zeros(states.shape[1])
+            for i in range(m + 1):
+                row += (0.5 * dt if i in (0, m) else dt) * block_apply(blocks[m - i], states[i])
+            yield row
 
 
 # ---------------------------------------------------------------------------

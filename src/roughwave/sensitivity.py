@@ -31,8 +31,10 @@ representers in the trace pairing, not steepest-ascent directions.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -146,19 +148,22 @@ def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: f
 
 def linearized_forcing(
     system: DiscreteSystem,
-    base: Trajectory,
+    base: Trajectory | Iterable[np.ndarray],
     pert: CoefficientPerturbation,
 ):
     """Rows of the linearized right-hand side -(dA u' + dB u + dR[u]), one per
     step, as a generator: row n is -[M_old | M_new | E_h,1 dW_1 | ...] times
     the stacked (u_n, u_{n+1}, s_1(t_n), ...), with M_old = -dA/dt + dB/2 +
     sum_j w_old_h,j dW_j and M_new = dA/dt + dB/2 + sum_j w_new_h,j dW_j; the
-    base Prony states s_j advance once per step.
+    base Prony states s_j advance once per step.  ``base`` is the base
+    trajectory, or its rows t_0 .. t_N in order, pulled as the rows are.
     """
     pert.validate(system)
     _require_sensitivity_kernel(system)
-    if base.grid != system.grid:
-        raise GridMismatchError("trajectory was not produced on this system's grid")
+    if isinstance(base, Trajectory):
+        if base.grid != system.grid:
+            raise GridMismatchError("trajectory was not produced on this system's grid")
+        base = base.states
     ops, dt = system.step_operators, system.grid.dt
     da, db = (np.zeros_like(system.a_blocks) if d is None else d
               for d in (pert.delta_a, pert.delta_b))
@@ -169,10 +174,25 @@ def linearized_forcing(
               *(e * dw for e, dw in zip(e_h, dws))]
     matrix = sp.hstack([block_diagonal(-b) for b in blocks], format="csr")
 
-    states = base.states
-    steps = zip(states[:-1], states[1:], prony_steps(states, ops.step_weights[:len(dws)]))
+    rows, recursion = itertools.tee(base)
+    steps = zip(itertools.pairwise(rows), prony_steps(recursion, ops.step_weights[:len(dws)]))
     z = np.empty(len(blocks) * system.n_state)  # u_n, u_{n+1} and the s_j(t_n), stacked
-    return (matrix @ np.concatenate((u_prev, u_next, *s), out=z) for u_prev, u_next, (s, _) in steps)
+    return (matrix @ np.concatenate((u_prev, u_next, *s), out=z) for (u_prev, u_next), (s, _) in steps)
+
+
+def derivative_steps(
+    system: DiscreteSystem,
+    source: SourceTerm | None,
+    base: Trajectory | Iterable[np.ndarray],
+    pert: CoefficientPerturbation,
+) -> Iterator[np.ndarray]:
+    """The states du_1 .. du_N, (n_state, 1) each, of the derivative about the base
+    solve driven by ``source``, as they step; ``base`` as in ``linearized_forcing``."""
+    if source is not None and source.smoothness < 2:
+        warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
+                      "in the continuum limit", stacklevel=3)
+    return _midpoint_steps(system, [None], np.zeros((system.n_state, 1)),
+                           linearized_forcing(system, base, pert))
 
 
 def directional_derivative(
@@ -186,10 +206,11 @@ def directional_derivative(
     right-hand side (implicit midpoint), streamed row by row from
     ``linearized_forcing``; linear in the perturbation by construction.
     """
-    if base.source is not None and base.source.smoothness < 2:
-        warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
-                      "in the continuum limit", stacklevel=2)
-    return solve_causal(system, None, forcing=linearized_forcing(system, base, pert))
+    states = np.zeros((system.grid.n_steps + 1, system.n_state))
+    for row, du in zip(states[1:], derivative_steps(system, base.source, base, pert)):
+        row[:] = du[:, 0]
+    return Trajectory(grid=system.grid, times=system.grid.times(), states=states,
+                      a_blocks=system.a_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +467,6 @@ def quotient_study(
     Rows where the perturbed coefficients leave the admissible set (lose
     positive definiteness) are flagged rather than fatal.
     """
-    base = solve_causal(system, source)
-    du = directional_derivative(system, base, pert)
     vol = system.grid.cell_volume
     remainders, flagged = [np.nan] * len(h_schedule), [True] * len(h_schedule)
     admissible = []  # (row of the table, h, perturbed system)
@@ -459,17 +478,22 @@ def quotient_study(
         except (InvalidArgumentError, np.linalg.LinAlgError):
             continue
         admissible.append((i, float(h), pert_system))
-    # the u_h step together; per step, each quotient's distance to du, and du's norm
+    # the base, du and the u_h step together, du's forcing pulling base rows as
+    # the base steps; per step, each quotient's distance to du, and du's norm
     sup = np.zeros(len(admissible) + 1)
     rows = np.empty((len(admissible) + 1, system.n_state))
     u0 = np.zeros((system.n_state, 1))
-    steps = zip(du.states[1:], *(_midpoint_steps(s, [source], u0, None) for _, _, s in admissible))
-    for n, (du_n, *u_hs) in enumerate(steps, 1):
+    base = (u[:, 0] for u in itertools.chain([u0], _midpoint_steps(system, [source], u0, None)))
+    base, base_forcing = itertools.tee(base)
+    next(base)
+    steps = zip(base, derivative_steps(system, source, base_forcing, pert),
+                *(_midpoint_steps(s, [source], u0, None) for _, _, s in admissible))
+    for base_n, du_n, *u_hs in steps:
         for row, u_h, (_, h, _) in zip(rows, u_hs, admissible):
-            np.subtract(u_h[:, 0], base.states[n], out=row)
+            np.subtract(u_h[:, 0], base_n, out=row)
             row /= h
-            row -= du_n
-        rows[-1] = du_n
+            row -= du_n[:, 0]
+        rows[-1] = du_n[:, 0]
         np.maximum(sup, np.linalg.norm(rows, axis=1), out=sup)
     *distances, du_norm = np.sqrt(vol) * sup
     for (i, _, _), d in zip(admissible, distances):

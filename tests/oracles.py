@@ -2,9 +2,11 @@
 
 The 1D advection solution by its characteristic integral, the oscillatory
 counterexample family built on it, the d'Alembert two-way splitting for
-homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, and
-the convergence study's series from stored trajectories.  None of them
-calls the solver internals it checks.
+homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, the
+memory convolution stacked over a whole series, the convergence study's
+series from stored trajectories, and the ``check`` suite's repeat and
+linearity comparisons from stored trajectories.  None of them calls the
+solver internals it checks.
 """
 
 from dataclasses import replace
@@ -15,9 +17,17 @@ from scipy.integrate import quad, simpson
 
 from roughwave.errors import InvalidArgumentError
 from roughwave.evolution import Trajectory, solve_causal
-from roughwave.fields import _hat_weights, measure_distance, mollify_field
+from roughwave.fields import (
+    PronyKernel,
+    ZeroKernel,
+    _hat_weights,
+    kernel_values,
+    measure_distance,
+    mollify_field,
+)
 from roughwave.forward import sample_trajectory
-from roughwave.operators import assemble_system
+from roughwave.operators import assemble_system, block_apply, exp_interval_weights, prony_steps
+from roughwave.sensitivity import CoefficientPerturbation, linearized_forcing, random_perturbation
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +146,54 @@ def smooth_trajectory(traj: Trajectory, window: int) -> Trajectory:
     for off, wj in zip(range(2 * half + 1), _hat_weights(half)):
         out += wj * padded[off : off + traj.states.shape[0]]
     return replace(traj, states=out)
+
+
+# ---------------------------------------------------------------------------
+# stacked memory convolution
+# ---------------------------------------------------------------------------
+
+
+def stacked_memory_series(kernel, states: np.ndarray, dt: float) -> np.ndarray:
+    """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N), stacked in
+    one array: the Prony recursion once over the series, or a tabulated kernel
+    evaluated once on the grid times with the trapezoid rule at each time."""
+    out = np.zeros_like(states)
+    if isinstance(kernel, ZeroKernel):
+        return out
+    if isinstance(kernel, PronyKernel):
+        weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
+        for row, (_, aux) in zip(out[1:], prony_steps(states, weights)):
+            for w, s in zip(kernel.weights, aux):
+                row += block_apply(w, s)
+        return out
+    blocks = kernel_values(kernel, dt * np.arange(states.shape[0]), *kernel.samples.shape[1:3])
+    for m in range(1, states.shape[0]):
+        for i in range(m + 1):
+            out[m] += (0.5 * dt if i in (0, m) else dt) * block_apply(blocks[m - i], states[i])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# store-then-compare check comparisons
+# ---------------------------------------------------------------------------
+
+
+def stored_repeat_gap(system, traj: Trajectory) -> float:
+    """max |u - u'| between ``traj`` and a second stored causal solve."""
+    return float(np.abs(traj.states - solve_causal(system, traj.source).states).max())
+
+
+def stored_derivative_linearity(system, traj: Trajectory, rng) -> tuple[float, float]:
+    """max |du(2m) - 2 du(m)| and max |du(2m)| for ``random_perturbation`` m, from two
+    stored derivative solves, each driven by its whole linearized forcing as one array."""
+    pert = random_perturbation(system, rng)
+    pert2 = CoefficientPerturbation(
+        delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
+        delta_weights=None if pert.delta_weights is None
+        else tuple(2 * w for w in pert.delta_weights))
+    du, du2 = (solve_causal(system, None, forcing=np.array(list(linearized_forcing(
+        system, traj, p)))).states for p in (pert, pert2))
+    return float(np.abs(du2 - 2 * du).max()), float(np.abs(du2).max())
 
 
 # ---------------------------------------------------------------------------

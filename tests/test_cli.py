@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
-from oracles import stored_convergence_series
+from conftest import traced_peak
+from oracles import stored_convergence_series, stored_derivative_linearity, stored_repeat_gap
 
 from roughwave import cli, evolution, sensitivity
 from roughwave.cli import (
@@ -17,7 +19,8 @@ from roughwave.cli import (
     run_checks,
 )
 from roughwave.errors import ConfigError
-from roughwave.fields import build_grid
+from roughwave.evolution import solve_causal
+from roughwave.fields import build_grid, make_ricker_source
 from roughwave.forward import SeismogramData, load_observed_data, save_seismogram_csv
 from roughwave.physics import AcousticModel, save_model
 from roughwave.sensitivity import misfit_gradient
@@ -815,3 +818,49 @@ def test_check_passes_on_the_readme_two_layer_medium(tmp_path, capsys):
     })
     assert main(["check", "--config", path]) == 0
     assert "slowness_pencil_two_sided: PASS" in capsys.readouterr().out
+
+
+def check_config(tmp_path, dim, kernel, cells, dt, t_end):
+    """A two-layer acoustic ``check`` config with no memory or a two-term Prony kernel."""
+    model = {"type": "acoustic",
+             "grid": {"dim": dim, "cells": [cells] * dim, "extent": 1.0, "dt": dt, "t_end": t_end},
+             "kappa": {"two_layer": {"left": 1.0, "right": 4.0, "interface": 0.6}}, "rho": 1.0}
+    if kernel == "prony":
+        model["kernel"] = {"type": "prony", "terms": [{"scale": 0.4, "tau": 0.05},
+                                                      {"scale": 0.2, "tau": 0.3}]}
+    return parse_config(write_config(tmp_path, {
+        "command": "check", "model": model, "seed": 2,
+        "sampler": {"tag": "pressure", "receivers": [[0.7] * dim, [0.25] * dim]}}))
+
+
+class TestCheckHoldsOneTrajectory:
+    @pytest.mark.parametrize("kernel", ["zero", "prony"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_streamed_comparisons_equal_stored_ones(self, tmp_path, dim, kernel):
+        _, system = build_system(check_config(tmp_path, dim, kernel, 40 if dim == 1 else 10,
+                                              1e-2, 0.3))
+        src = make_ricker_source(system.grid, dim + 1, [0.5] * dim, peak_frequency=6.0, onset=0.02)
+        traj = solve_causal(system, src)
+        assert cli._repeat_gap(system, traj) == stored_repeat_gap(system, traj) == 0.0
+        # a trajectory that is not its source's solve: the gap is that of two solves
+        other = dataclasses.replace(traj, source=dataclasses.replace(src, footprint=3 * src.footprint))
+        gap = cli._repeat_gap(system, other)
+        assert gap > 0 and gap == stored_repeat_gap(system, other)
+        lin, top = cli._derivative_linearity(system, traj, np.random.default_rng(4))
+        assert top > 0
+        assert (lin, top) == stored_derivative_linearity(system, traj, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("kernel", ["zero", "prony"])
+    @pytest.mark.parametrize("dim, bound", [(2, 1.5), (1, 1.65)])
+    def test_traced_peak_in_stored_series(self, tmp_path, dim, bound, kernel):
+        # 2D 24^2 x 400 steps and 1D 400 x 1000 (the parent held about 6 series).  In 1D
+        # the cone leak's (N + 1, n_cells) energy density, half a series, sits beside the
+        # trajectory: the leak is summed over it whole, as it always was
+        cfg = check_config(tmp_path, dim, kernel, *((24, 1e-3, 0.4) if dim == 2 else (400, 5e-4, 0.5)))
+        _, system = build_system(cfg)
+        assert system.grid.n_steps == (400 if dim == 2 else 1000)
+        series_bytes = (system.grid.n_steps + 1) * system.n_state * 8
+        results = []
+        peak = traced_peak(lambda: results.extend(run_checks(cfg)))
+        assert results and all(ok for _, ok, _ in results)
+        assert peak <= bound * series_bytes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import roughwave as rw
-from conftest import time_reversed_system
+from conftest import time_reversed_system, traced_peak
 from oracles import advection_oracle, dalembert_pressure, smooth_trajectory
 from roughwave.errors import UnsupportedConfigurationError
 from roughwave.evolution import export_energy_csv, export_snapshots, solve_ivp, step_residuals
@@ -275,6 +275,18 @@ class TestEnergyIdentity:
             res = rw.energy_identity_residual(traj, system, src)
             relative.append(np.abs(res).max() / traj.energies.max())
         assert relative[1] <= relative[0] / 3
+
+    @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
+    def test_holds_no_memory_series(self, prony):
+        # R(t_n) is read one row at a time, none stacked (the energies are read first)
+        g = rw.build_grid(1, [400], 1.0, 1e-3, 0.4)
+        kern = PronyKernel(weights=(np.tile(0.4 * np.eye(2), (400, 1, 1)),), taus=(0.3,))
+        system = rw.acoustics_system(rw.AcousticModel(grid=g, kappa=1.2, rho=0.9),
+                                     kernel=kern if prony else None)
+        src = rw.make_ricker_source(g, 2, [0.45], peak_frequency=4.0)
+        traj = rw.solve_causal(system, src)
+        assert traj.energies.size == 401
+        assert traced_peak(rw.energy_identity_residual, traj, system, src) <= 0.1 * traj.states.nbytes
 
     def test_energy_bound_constant_stable_under_refinement(self):
         ratios = []

@@ -6,6 +6,7 @@ from oracles import stored_convergence_series
 import roughwave as rw
 from roughwave.errors import GridMismatchError, InvalidArgumentError
 from roughwave.experiments import (
+    LEAK_ROWS,
     ConeSpec,
     StudyReport,
     cone_from_speed,
@@ -68,6 +69,28 @@ class TestConeLeak:
         traj = rw.solve_causal(system, src)
         bad = ConeSpec(apex_x=(0.5,), apex_t=1.5 / 5.0, slowness=1.1)
         assert cone_leak(traj, bad) > 0.3
+
+    @pytest.mark.parametrize("cone", [ConeSpec((0.5,), 0.0, 1.0 / 1.1), ConeSpec((0.4,), 0.05, 0.2),
+                                      ConeSpec((0.7,), 0.02, 3.0)], ids=["quiet", "intruding", "wide"])
+    def test_block_fill_equals_the_whole_array_sums(self, cone):
+        # 2 * LEAK_ROWS + 7 time rows; the leak is the same float as from one density
+        g, system, src = self.setup_solution(t_end=(2 * LEAK_ROWS + 6) * 0.5 / 200)
+        traj = rw.solve_causal(system, src)
+        assert traj.states.shape[0] == 2 * LEAK_ROWS + 7
+        states = traj.states.reshape(-1, g.n_cells, 2)
+        density = 0.5 * g.cell_volume * np.einsum("nci,cij,ncj->nc", states, traj.a_blocks, states)
+        dist = np.abs(g.centers()[:, 0] - cone.apex_x[0])
+        quiet = cone.slowness * dist[None, :] + cone.apex_t - traj.times[:, None] >= 0
+        assert 0 < quiet.sum() < quiet.size
+        assert cone_leak(traj, cone) == float(density[quiet].sum()) / float(density.sum())
+
+    def test_holds_the_density_and_block_temporaries(self):
+        # 1D: the (N+1, n_cells) density is half a series; a block of LEAK_ROWS of the
+        # 401 rows adds 0.09 at most
+        g, system, src = self.setup_solution(cells=400, t_end=0.5)
+        traj = rw.solve_causal(system, src)
+        cone = ConeSpec(apex_x=(0.5,), apex_t=0.3, slowness=1.1)
+        assert traced_peak(cone_leak, traj, cone) <= 0.6 * traj.states.nbytes
 
     def test_validation(self):
         g, system, src = self.setup_solution()

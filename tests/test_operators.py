@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import roughwave as rw
 from conftest import count_calls, per_direction_symbol_speed, symbol_test_system
+from oracles import stacked_memory_series
 from roughwave.errors import (
     GridMismatchError,
     InvalidArgumentError,
@@ -154,15 +155,17 @@ class TestMemory:
     def test_zero_kernel(self):
         op = rw.ZeroKernel()
         hist = np.ones((21, 8))
-        assert np.abs(memory_series(op, hist, 1e-2)[20]).max() == 0.0
+        rows = list(memory_series(op, hist, 1e-2))
+        assert len(rows) == 21 and all(np.abs(row).max() == 0.0 for row in rows)
 
     def test_prony_step_response_closed_form(self):
         # q = exp(-t) I, u = 1 for t >= 0: R(t) = 1 - exp(-t), exact for the
         # recursion at grid times
         op = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(1.0,))
         hist = np.ones((101, 4))
+        rows = list(memory_series(op, hist, 0.01))
         for idx in (10, 50, 100):
-            r = memory_series(op, hist, 0.01)[idx]
+            r = rows[idx]
             assert r[0] == pytest.approx(1.0 - np.exp(-0.01 * idx), abs=1e-13)
 
     def test_tabulated_matches_prony_second_order(self):
@@ -176,8 +179,8 @@ class TestMemory:
             tab = TabulatedKernel(times=dt * np.arange(2 * m + 1),
                                   samples=np.exp(-dt * np.arange(2 * m + 1))[:, None, None, None]
                                   * np.ones((1, 4, 1, 1)))
-            r1 = memory_series(prony, hist, dt)[m]
-            r2 = memory_series(tab, hist, dt)[m]
+            r1 = list(memory_series(prony, hist, dt))[m]
+            r2 = list(memory_series(tab, hist, dt))[m]
             errs.append(np.abs(r1 - r2).max())
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 1.9
@@ -190,7 +193,7 @@ class TestMemory:
         # samples at 0.7 dt cover 11 steps of the 25-step history; q is zero beyond
         kernel = TabulatedKernel(times=0.7 * dt * np.arange(17), samples=q + q.swapaxes(2, 3))
         states = rng.standard_normal((26, n * k))
-        got = memory_series(kernel, states, dt)
+        got = list(memory_series(kernel, states, dt))
         assert np.abs(got[0]).max() == 0.0
         for m in range(1, states.shape[0]):
             row = np.zeros(n * k)
@@ -200,14 +203,30 @@ class TestMemory:
                 row += weight * block_apply(q_lag, states[i])
             assert np.array_equal(got[m], row), m
 
+    @pytest.mark.parametrize("kind", ["zero", "prony", "tabulated"])
+    def test_rows_equal_the_stacked_series(self, kind):
+        rng = np.random.default_rng(3)
+        n, k, dt = 6, 2, 0.01
+        q = rng.standard_normal((17, n, k, k))
+        q = q + q.swapaxes(2, 3)
+        kernel = {"zero": rw.ZeroKernel(),
+                  "prony": PronyKernel(weights=(q[0], q[1]), taus=(0.05, 0.4)),
+                  "tabulated": TabulatedKernel(times=0.7 * dt * np.arange(17), samples=q)}[kind]
+        states = rng.standard_normal((30, n * k))
+        rows = list(memory_series(kernel, states, dt))
+        stacked = stacked_memory_series(kernel, states, dt)
+        assert len(rows) == len(stacked)
+        for row, ref in zip(rows, stacked):
+            assert np.array_equal(row, ref)
+
     def test_causality_wrt_future_history(self):
         op = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(0.5,))
         rng = np.random.default_rng(1)
         hist = rng.standard_normal((40, 4))
-        r = memory_series(op, hist, 0.01)[20]
+        r = list(memory_series(op, hist, 0.01))[20]
         hist2 = hist.copy()
         hist2[21:] = 99.0
-        r2 = memory_series(op, hist2, 0.01)[20]
+        r2 = list(memory_series(op, hist2, 0.01))[20]
         np.testing.assert_array_equal(r, r2)
 
     def test_system_rejects_a_kernel_of_the_wrong_cell_shape(self):
@@ -309,6 +328,16 @@ class TestPronyAdvance:
         calls.clear()
         assert [s.shape for pair in prony_steps(states, weights[:0]) for s in pair] == [(0, 4)] * 10
         assert calls == []
+
+    def test_steps_read_rows_from_any_iterable(self):
+        rng = np.random.default_rng(1)
+        states = rng.standard_normal((7, 4))
+        weights = np.array([exp_interval_weights(0.01, tau) for tau in (0.05, 1.0)])
+        stored = list(prony_steps(states, weights))
+        streamed = list(prony_steps((row.copy() for row in states), weights))
+        assert len(streamed) == len(stored) == 6
+        for (s_now, s_next), (r_now, r_next) in zip(streamed, stored):
+            assert np.array_equal(s_now, r_now) and np.array_equal(s_next, r_next)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(InvalidArgumentError):

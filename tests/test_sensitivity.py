@@ -21,6 +21,7 @@ from roughwave.sensitivity import (
     BLOCK_STEPS,
     CoefficientPerturbation,
     adjoint_gradient,
+    derivative_steps,
     dot_product_test,
     finite_difference_table,
     linearized_forcing,
@@ -352,6 +353,15 @@ class TestAdjointGradient:
         assert np.abs(ref).max() > 0
         assert np.abs(streamed - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
+    def test_forcing_reads_base_rows_from_any_iterable(self, prony):
+        system, base, _, _, rng = random_case(2, "acoustic_free", prony, BLOCK_STEPS + 1)
+        pert = random_perturbation(system, rng)
+        stored = list(linearized_forcing(system, base, pert))
+        streamed = list(linearized_forcing(system, (u.copy() for u in base.states), pert))
+        assert len(streamed) == len(stored) == BLOCK_STEPS + 1
+        assert all(np.array_equal(a, b) for a, b in zip(streamed, stored))
+
     def test_sweep_reuses_the_system_factor(self, splu_calls):
         for prony in (False, True):
             system, base, residual, sampler, _ = random_case(2, "periodic", prony, BLOCK_STEPS + 1)
@@ -431,12 +441,17 @@ class TestQuotientStudy:
             np.sqrt(vol) * np.linalg.norm(du.states, axis=1).max())
 
     def test_holds_no_perturbed_series(self):
-        # base and du are stored; the u_h step together, one distance per step each
-        g, system, src, _ = acoustic_setup(cells=400, t_end=0.4)
-        pert = random_perturbation(system, np.random.default_rng(5))
-        series_bytes = (g.n_steps + 1) * system.n_state * 8
-        peak = traced_peak(quotient_study, system, pert, src, [1e-1, 1e-2, 1e-3])
-        assert peak <= 2.5 * series_bytes
+        # the base, du and the u_h step together, one distance per step each.  What
+        # is held is mostly the step operators of the three perturbed systems, about
+        # 0.15 MB each at 400 cells: 0.54 series at 400 steps, and no more at 1600
+        peaks = []
+        for t_end in (0.4, 1.6):
+            g, system, src, _ = acoustic_setup(cells=400, t_end=t_end)
+            pert = random_perturbation(system, np.random.default_rng(5))
+            series_bytes = (g.n_steps + 1) * system.n_state * 8
+            peaks.append(traced_peak(quotient_study, system, pert, src, [1e-1, 1e-2, 1e-3]))
+            assert peaks[-1] <= (0.6 if g.n_steps == 400 else 0.2) * series_bytes
+        assert g.n_steps == 1600 and peaks[1] <= 1.05 * peaks[0]
 
     def test_rough_wavelet_degrades_quotient(self):
         # loss-of-derivative: an s = 1 wavelet slows the remainder decay
@@ -459,6 +474,20 @@ class TestQuotientStudy:
                 study = quotient_study(system, pert, src, h_sched)
             rel_remainders[s] = study.remainders[-1] / study.derivative_norm
         assert rel_remainders[4] <= rel_remainders[1] * 1.5
+
+
+class TestDerivativeSteps:
+    def test_equal_the_stored_derivative_and_warn_on_a_rough_source(self):
+        g, system, _, _ = acoustic_setup()
+        src = rw.make_burst_source(g, 2, [0.3], frequency=5.0, smoothness=1, amplitude=10.0)
+        base = rw.solve_causal(system, src)
+        pert = random_perturbation(system, np.random.default_rng(4))
+        with pytest.warns(UserWarning, match="smoothness < 2"):
+            du = rw.directional_derivative(system, base, pert)
+        with pytest.warns(UserWarning, match="smoothness < 2"):
+            steps = list(derivative_steps(system, src, base, pert))
+        assert len(steps) == g.n_steps
+        assert all(np.array_equal(u[:, 0], ref) for u, ref in zip(steps, du.states[1:]))
 
 
 class TestPerturbedSystem:

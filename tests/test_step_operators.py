@@ -209,7 +209,7 @@ class TestTabulatedKernel:
         del calls[:]
         assert np.abs(step_residuals(traj, system)).max() <= 1e-12
         assert len(calls) == 0
-        memory_series(kernel, traj.states, g.dt)
+        list(memory_series(kernel, traj.states, g.dt))
         assert len(calls) == 1
 
 
