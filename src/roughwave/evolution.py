@@ -78,11 +78,16 @@ def _midpoint_steps(
     sources: list[SourceTerm | None],
     u0: np.ndarray,
     forcing: np.ndarray | Iterable[np.ndarray] | None,
+    start: int = 0,
 ) -> Iterator[np.ndarray]:
-    """Yield the states u_1 .. u_N, (n_state, n_shots), of the shots that are the
-    columns of ``u0``, one source (or None) each, stepped together (one ``lu.solve``
-    per step); ``forcing`` rows go to every shot.  Only a tabulated kernel, the one
-    kernel with a history term, makes it keep past states."""
+    """Yield the carries z_{start+1} .. z_N, (1 + n_terms, n_state, n_shots), of the shots
+    that are the columns of ``u0``, one source (or None) each, stepped together (one
+    ``lu.solve`` per step).  A carry stacks the state u_n (``z[0]``) and the Prony states
+    s_j(t_n); a fresh one is yielded per step.  ``u0`` is the state at t_start with zero
+    Prony states, (n_state, n_shots), or a carry that this generator yielded at t_start,
+    from which the solve resumes bit for bit.  ``forcing`` rows, for steps ``start`` on,
+    go to every shot, or per shot as (n_state, n_shots).  Only a tabulated kernel, the
+    one kernel with a history term, makes it keep past states, so it cannot resume."""
     if any(s is not None and s.grid != system.grid for s in sources):
         raise GridMismatchError("source and system grids differ")
     grid = system.grid
@@ -91,33 +96,41 @@ def _midpoint_steps(
         raise InvalidArgumentError(
             f"forcing must have shape {(n_steps, system.n_state)}, got {forcing.shape}")
     ops = system.step_operators
-    times = grid.times()
+    z = u0
+    if u0.ndim == 2:
+        z = np.zeros((1 + ops.n_terms, *u0.shape))
+        z[0] = u0
     history = None
     if isinstance(system.kernel, TabulatedKernel):
-        history = np.zeros((n_steps + 1, *u0.shape))
-        history[0] = u0
-    rows = None if forcing is None else iter(forcing)
-
-    z = np.zeros((1 + ops.n_terms, *u0.shape))  # u_n and the Prony states s_j(t_n)
-    z[0] = u0
-    for n in range(n_steps):
-        rhs = ops.rhs_matrix @ z.reshape(-1, u0.shape[1])
+        if start:
+            raise UnsupportedConfigurationError(
+                f"a solve with a tabulated kernel cannot resume at step {start}: "
+                "the kernel's history is not in the carry")
+        history = np.zeros((n_steps + 1, *z.shape[1:]))
+        history[0] = z[0]
+    times = grid.times()
+    rows = None if forcing is None else iter(forcing[start:] if isinstance(forcing, np.ndarray)
+                                             else forcing)
+    for n in range(start, n_steps):
+        rhs = ops.rhs_matrix @ z.reshape(-1, z.shape[2])
         if history is not None:
             rhs += ops.memory_history_rhs(history, n)
         for col, source in enumerate(sources):
             if source is not None:
                 rhs[:, col] += source.evaluate(times[n] + 0.5 * dt)
         if rows is not None:
-            rhs += next(rows)[:, None]
+            row = next(rows)
+            rhs += row if row.ndim == 2 else row[:, None]
         u_next = ops.lu.solve(rhs)
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
         if ops.n_terms:
-            z[1:] = prony_advance(z[1:], z[0], u_next, ops.step_weights)
-        z[0] = u_next
+            z = np.concatenate((u_next[None], prony_advance(z[1:], z[0], u_next, ops.step_weights)))
+        else:
+            z = u_next[None]
         if history is not None:
             history[n + 1] = u_next
-        yield u_next
+        yield z
 
 
 def _midpoint_solve(
@@ -132,8 +145,8 @@ def _midpoint_solve(
     keep = slice(None) if columns is None else columns
     states = np.empty((system.grid.n_steps + 1, *u0[keep].shape))
     states[0] = u0[keep]
-    for n, u in enumerate(_midpoint_steps(system, sources, u0, forcing), 1):
-        states[n] = u[keep]
+    for n, z in enumerate(_midpoint_steps(system, sources, u0, forcing), 1):
+        states[n] = z[0][keep]
     return states
 
 

@@ -194,11 +194,11 @@ def measure_convergence_study(
     kept = np.zeros((len(systems), n_steps + 1, cols.size))
     steps = zip(*(_midpoint_steps(system, [source], u0, None) for system in systems))
     for n, (ref, *smooth) in enumerate(steps, 1):
-        for row, u in zip(diff, smooth):
-            np.subtract(u[:, 0], ref[:, 0], out=row)
+        for row, z in zip(diff, smooth):
+            np.subtract(z[0, :, 0], ref[0, :, 0], out=row)
         np.maximum(sup, np.linalg.norm(diff, axis=1), out=sup)
-        for sampled, u in zip(kept, (ref, *smooth)):
-            sampled[n] = u[cols, 0]
+        for sampled, z in zip(kept, (ref, *smooth)):
+            sampled[n] = z[0, cols, 0]
     sol_dist = [float(np.sqrt(rough.grid.cell_volume) * d) for d in sup]
     series = {
         "solution_distance": tuple(sol_dist),

@@ -364,9 +364,9 @@ class StepOperators:
     ``rhs_matrix`` = [D | -E_h,1 W_1 | ... | -E_h,J W_J] forms the right-hand
     side from the stacked (1 + J, n_state) array (u_n; s_1(t_n); ...) in one
     sparse product; without Prony terms it is D.  The same LU factorization
-    serves the adjoint recursion through transposed solves, and
-    ``adjoint_matrix`` = ``rhs_matrix``^T gives D^T lam and every
-    -E_h,j W_j^T lam in one product.  Per term it holds the weight matrix
+    serves the adjoint recursion through transposed solves, and the product
+    with ``rhs_matrix``^T, a CSC view of the same arrays, gives D^T lam and
+    every -E_h,j W_j^T lam at once.  Per term it holds the weight matrix
     and, as rows of (J, 3) arrays, the ``prony_advance`` triples over the
     whole step and to the half step t_n + dt/2, where they act on
     (s_j(t_n), u_n, u_{n+1}) for the interpolant parameterized on the whole
@@ -435,11 +435,6 @@ class StepOperators:
     @property
     def n_terms(self) -> int:
         return len(self.weight_matrices)
-
-    @cached_property
-    def adjoint_matrix(self) -> sp.csr_matrix:
-        """``rhs_matrix`` transposed, in CSR form: built on the first adjoint solve."""
-        return self.rhs_matrix.T.tocsr()
 
     def memory_history_rhs(self, history: np.ndarray, step: int) -> np.ndarray:
         """Contribution of a tabulated kernel's states up to t_n to R at the half step

@@ -25,8 +25,11 @@ whole-step and half-step weights (E, w_old, w_new), (E_h, w_old_h, w_new_h):
 dropping the rho_{-1} term at m = 0, since no step precedes u_0.  So the
 backward sweep forms every coefficient as it goes, storing no adjoint
 series and replaying no forward recursion; the linearized forcing is
-regrouped and streamed the same way.  These arrays are derivative
-representers in the trace pairing, not steepest-ascent directions.
+regrouped and streamed the same way.  ``misfit_gradient`` stores no
+forward series either: it keeps one carry (u_n, s_j(t_n)) per contraction
+block and recomputes each block's states once, bit for bit, as the sweep
+reaches it.  These arrays are derivative representers in the trace
+pairing, not steepest-ascent directions.
 """
 
 from __future__ import annotations
@@ -45,14 +48,13 @@ from .errors import (
     SolverError,
     UnsupportedConfigurationError,
 )
-from .evolution import Trajectory, _midpoint_steps, solve_causal
+from .evolution import Trajectory, _midpoint_steps
 from .fields import PronyKernel, SourceTerm, ZeroKernel, write_field_array
 from .forward import (
     Sampler,
     SeismogramData,
     forward_map,
     gathered_adjoint_source,
-    sample_trajectory,
     sampled_solve,
 )
 from .experiments import fit_slope
@@ -154,30 +156,34 @@ def linearized_forcing(
     """Rows of the linearized right-hand side -(dA u' + dB u + dR[u]), one per
     step, as a generator: row n is -[M_old | M_new | E_h,1 dW_1 | ...] times
     the stacked (u_n, u_{n+1}, s_1(t_n), ...), with M_old = -dA/dt + dB/2 +
-    sum_j w_old_h,j dW_j and M_new = dA/dt + dB/2 + sum_j w_new_h,j dW_j; the
-    base Prony states s_j advance once per step.  ``base`` is the base
-    trajectory, or its rows t_0 .. t_N in order, pulled as the rows are.
+    sum_j w_old_h,j dW_j and M_new = dA/dt + dB/2 + sum_j w_new_h,j dW_j.
+    ``base`` is the base trajectory, or its carries z_0 .. z_N in order, each
+    the (1 + n_terms, n_state) stack (u_n, s_1(t_n), ...) of one shot's
+    ``_midpoint_steps`` carry, pulled as the rows are.  The base Prony states
+    are read from the carries; a trajectory is replayed into carries once.
     """
     pert.validate(system)
     _require_sensitivity_kernel(system)
+    ops, dt = system.step_operators, system.grid.dt
+    dws = pert.delta_weights or ()
     if isinstance(base, Trajectory):
         if base.grid != system.grid:
             raise GridMismatchError("trajectory was not produced on this system's grid")
-        base = base.states
-    ops, dt = system.step_operators, system.grid.dt
+        states, weights = base.states, ops.step_weights[:len(dws)]  # the terms read below
+        base = itertools.chain(
+            [np.concatenate((states[:1], np.zeros((len(weights), system.n_state))))],
+            (np.concatenate((u[None], s))
+             for u, (_, s) in zip(states[1:], prony_steps(states, weights))))
     da, db = (np.zeros_like(system.a_blocks) if d is None else d
               for d in (pert.delta_a, pert.delta_b))
-    dws = pert.delta_weights or ()
     e_h, w_old_h, w_new_h = ops.half_weights.T
     blocks = [0.5 * db - da / dt + sum(w * dw for w, dw in zip(w_old_h, dws)),
               0.5 * db + da / dt + sum(w * dw for w, dw in zip(w_new_h, dws)),
               *(e * dw for e, dw in zip(e_h, dws))]
     matrix = sp.hstack([block_diagonal(-b) for b in blocks], format="csr")
-
-    rows, recursion = itertools.tee(base)
-    steps = zip(itertools.pairwise(rows), prony_steps(recursion, ops.step_weights[:len(dws)]))
-    z = np.empty(len(blocks) * system.n_state)  # u_n, u_{n+1} and the s_j(t_n), stacked
-    return (matrix @ np.concatenate((u_prev, u_next, *s), out=z) for (u_prev, u_next), (s, _) in steps)
+    stacked = np.empty(len(blocks) * system.n_state)  # u_n, u_{n+1} and the s_j(t_n)
+    return (matrix @ np.concatenate((z[0], z_next[0], *z[1:len(blocks) - 1]), out=stacked)
+            for z, z_next in itertools.pairwise(base))
 
 
 def derivative_steps(
@@ -191,8 +197,9 @@ def derivative_steps(
     if source is not None and source.smoothness < 2:
         warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
                       "in the continuum limit", stacklevel=3)
-    return _midpoint_steps(system, [None], np.zeros((system.n_state, 1)),
-                           linearized_forcing(system, base, pert))
+    steps = _midpoint_steps(system, [None], np.zeros((system.n_state, 1)),
+                            linearized_forcing(system, base, pert))
+    return (z[0] for z in steps)
 
 
 def directional_derivative(
@@ -245,9 +252,91 @@ def objective(
 # round-off keeps it below 5e-14 on every configuration of the test suite
 DOT_PRODUCT_BOUND = 1e-12
 
-# steps per contraction block, so the coefficient buffer holds <= (2 + n_terms) * BLOCK_STEPS states.
-# A 300-step 2D 64^2 two-term Prony sweep: 0.32-0.35 s on one core at 16-64, 0.55 s at 1 step.
+# steps per contraction block, so the coefficient buffer holds <= (2 + n_terms) * BLOCK_STEPS
+# states; also the interval between the carries that ``misfit_gradient`` keeps of its forward
+# solve.  A 300-step 2D 64^2 two-term Prony sweep: 0.32-0.35 s on one core at 16-64, 0.55 s at 1.
 BLOCK_STEPS = 16
+
+
+def _block_bounds(n_steps: int) -> list[tuple[int, int]]:
+    """(start, stop) of the contraction blocks of time levels 0 .. n_steps, from the top."""
+    return [(max(stop - BLOCK_STEPS, 0), stop) for stop in range(n_steps + 1, 0, -BLOCK_STEPS)]
+
+
+def _adjoint_sweep(system: DiscreteSystem, injection: np.ndarray, cols: np.ndarray,
+                   coef: np.ndarray) -> Iterator[None]:
+    """One transposed midpoint sweep, from lam_N = 0, driven by the gathered
+    ``injection`` at the columns ``cols``.  For each block of ``_block_bounds``, from
+    the top, it writes the coefficients of u_start .. u_{stop-1} (module docstring)
+    to ``coef`` rows 0 .. stop - start - 1, then yields.  A step is one product with
+    ``rhs_matrix``^T, giving D^T lam and every -E_h,j W_j^T lam, and one transposed
+    solve; the adjoint Prony states are carried as one (n_terms, n_state) array."""
+    ops, dt, n_state = system.step_operators, system.grid.dt, system.n_state
+    transposed = ops.rhs_matrix.T  # a CSC view of the same arrays
+    (e_full, w_old, w_new), (e_h, w_old_h, w_new_h) = (
+        weights.T[:, :, None] for weights in (ops.step_weights, ops.half_weights))
+    old_h, new_h = e_h * w_old, e_h * w_new
+    lam = np.zeros(n_state)  # lam_m, from lam_N = 0
+    mu = np.zeros((ops.n_terms, n_state))  # the adjoint Prony states, one row per term
+    rho = np.zeros((ops.n_terms, n_state))  # rho_m, from rho_N = 0
+    for start, stop in _block_bounds(system.grid.n_steps):
+        for m in range(stop - 1, start - 1, -1):
+            if m:
+                y = (transposed @ lam).reshape(-1, n_state)
+                rhs = y[0]
+                rhs[cols] += injection[m]
+                rhs += w_old[:, 0] @ mu
+                mu *= e_full
+                mu += y[1:]
+                rhs += w_new[:, 0] @ mu
+                lam_prev = ops.lu.solve(rhs, trans="T")  # lam_{m-1}
+            else:
+                lam_prev = np.zeros(n_state)  # lam_{-1} = 0
+            # in place, each sum in the order of the module docstring
+            row = coef[:, m - start]
+            np.subtract(lam_prev, lam, out=row[0])
+            row[0] /= dt
+            np.add(lam_prev, lam, out=row[1])
+            row[1] *= 0.5
+            if ops.n_terms:
+                np.multiply(old_h, rho, out=row[2:])
+                row[2:] += w_old_h * lam
+                row[2:] += w_new_h * lam_prev
+                rho *= e_full
+                rho += lam  # rho_{m-1}
+                if m:
+                    row[2:] += new_h * rho
+            lam = lam_prev
+        yield
+
+
+def _contract(system: DiscreteSystem, base_blocks: Iterable[tuple[int, int, np.ndarray]],
+              sampler: Sampler, injections: list[np.ndarray]) -> list[GradientReport]:
+    """The gradients of one ``_adjoint_sweep`` per gathered injection.  ``base_blocks``
+    yields (start, stop, u_start .. u_{stop-1}) for each block of ``_block_bounds``, from
+    the top.  Over a block the sweeps fill one coefficient buffer in turn, and each
+    contracts it with the block's states in one matmul batched over series and cells."""
+    grid, ops = system.grid, system.step_operators
+    n_cells, k = grid.n_cells, system.k
+    coef = np.empty((2 + ops.n_terms, min(BLOCK_STEPS, grid.n_steps + 1), system.n_state))
+    sums = [np.zeros((2 + ops.n_terms, n_cells, k, k)) for _ in injections]  # one per report
+    sweeps = [_adjoint_sweep(system, injection, sampler.gathered[0], coef)
+              for injection in injections]
+    for start, stop, u in base_blocks:
+        if not np.all(np.isfinite(u)):
+            bad = start + int(np.argmin(np.isfinite(u).all(axis=1)))
+            raise SolverError(f"base trajectory has a non-finite state at step {bad}")
+        states = u.reshape(-1, n_cells, k).transpose(1, 0, 2)
+        block = coef[:, :stop - start].reshape(-1, stop - start, n_cells, k).transpose(0, 2, 3, 1)
+        for total, sweep in zip(sums, sweeps):
+            next(sweep)
+            total += np.matmul(block, states)
+    reports = []
+    for total in sums:
+        total *= grid.dt
+        sym = 0.5 * (total + np.swapaxes(total, 2, 3))
+        reports.append(GradientReport(g_a=sym[0], g_b=total[1], g_q=tuple(sym[2:])))
+    return reports
 
 
 def adjoint_gradient(
@@ -258,62 +347,96 @@ def adjoint_gradient(
 ) -> GradientReport:
     """Per-cell gradients from one transposed midpoint sweep driven by S^T r.
 
-    A step is one product with ``adjoint_matrix`` and one transposed solve,
-    the adjoint Prony states carried as one (n_terms, n_state) array.  The
+    A step is one product with ``rhs_matrix``^T and one transposed solve.  The
     sweep forms the coefficients of each u_m (module docstring) and every
     ``BLOCK_STEPS`` steps contracts them with strided views of ``base.states``
     in one matmul batched over series and cells.  With the misfit residual
     d - F, dJ . pert = report.pair(pert) exactly.
     """
     _require_sensitivity_kernel(system)
-    grid = system.grid
-    n_steps, n_cells, k, n_state, dt = grid.n_steps, grid.n_cells, system.k, system.n_state, grid.dt
-    if base.grid != grid or residual.times.size != n_steps + 1:
+    n_steps = system.grid.n_steps
+    if base.grid != system.grid or residual.times.size != n_steps + 1:
         raise GridMismatchError("base trajectory or residual is not on this system's grid")
     bad = np.argwhere(~np.isfinite(residual.data))
     if bad.size:
         raise InvalidArgumentError("residual has a non-finite sample at channel {}, "
                                    "time index {}".format(*bad[0]))
-    ops = system.step_operators
-    injection = gathered_adjoint_source(sampler, residual)
-    (e_full, w_old, w_new), (e_h, w_old_h, w_new_h) = (
-        weights.T[:, :, None] for weights in (ops.step_weights, ops.half_weights))
-    lam = np.zeros(n_state)  # lam_m, from lam_N = 0
-    mu = np.zeros((ops.n_terms, n_state))  # the adjoint Prony states, one row per term
-    rho = np.zeros((ops.n_terms, n_state))  # rho_m, from rho_N = 0
-    coef = np.empty((2 + ops.n_terms, min(BLOCK_STEPS, n_steps + 1), n_state))  # g_a, g_b, g_q
-    sums = np.zeros((2 + ops.n_terms, n_cells, k, k))
-    for stop in range(n_steps + 1, 0, -BLOCK_STEPS):
-        start = max(stop - BLOCK_STEPS, 0)
-        for m in range(stop - 1, start - 1, -1):
-            lam_prev = np.zeros(n_state)  # lam_{m-1}, and lam_{-1} = 0
-            if m:
-                y = (ops.adjoint_matrix @ lam).reshape(-1, n_state)  # D^T lam, -E_h,j W_j^T lam
-                rhs = y[0]
-                rhs[sampler.gathered[0]] += injection[m]
-                rhs += w_old[:, 0] @ mu
-                mu *= e_full
-                mu += y[1:]
-                rhs += w_new[:, 0] @ mu
-                lam_prev = ops.lu.solve(rhs, trans="T")
-            row = coef[:, m - start]
-            row[0] = (lam_prev - lam) / dt
-            row[1] = 0.5 * (lam_prev + lam)
-            if ops.n_terms:
-                row[2:] = e_h * w_old * rho + w_old_h * lam + w_new_h * lam_prev
-                rho = lam + e_full * rho  # rho_{m-1}
-                if m:
-                    row[2:] += e_h * w_new * rho
-            lam = lam_prev
-        u = base.states[start:stop]
-        if not np.all(np.isfinite(u)):
-            bad = start + int(np.argmin(np.isfinite(u).all(axis=1)))
-            raise SolverError(f"base trajectory has a non-finite state at step {bad}")
-        block = coef[:, :stop - start].reshape(-1, stop - start, n_cells, k).transpose(0, 2, 3, 1)
-        sums += np.matmul(block, u.reshape(-1, n_cells, k).transpose(1, 0, 2))
-    sums *= dt
-    sym = 0.5 * (sums + np.swapaxes(sums, 2, 3))
-    return GradientReport(g_a=sym[0], g_b=sums[1], g_q=tuple(sym[2:]))
+    blocks = ((start, stop, base.states[start:stop]) for start, stop in _block_bounds(n_steps))
+    return _contract(system, blocks, sampler, [gathered_adjoint_source(sampler, residual)])[0]
+
+
+def _gradient_forward(system: DiscreteSystem, source: SourceTerm, sampler: Sampler,
+                      pert: CoefficientPerturbation | None):
+    """The forward solve of a gradient.  It keeps the sampler's gathered columns of its
+    states, (n_steps + 1, n_columns, n_solves); the carry, (1 + n_terms, n_state, 1),
+    at the start of every block of ``_block_bounds`` but the top one, from the bottom;
+    and the top block's states.  With ``pert`` the derivative solve about the base steps
+    as a second column, one step behind, since its forcing row n reads the base carry at
+    t_{n+1}; its last step runs alone, resumed from its carry."""
+    if system.grid != sampler.grid:
+        raise GridMismatchError("system and sampler grids differ")
+    n_steps, n_state, n_terms = system.grid.n_steps, system.n_state, system.step_operators.n_terms
+    cols = sampler.gathered[0]
+    (top_start, _), *lower = _block_bounds(n_steps)
+    starts = {start for start, _ in lower}
+    sources, forcing = [source], None
+    if pert is not None:
+        def base_carries():  # z_0, then each base carry as the solve below yields it
+            yield z0[..., 0]
+            while True:
+                yield latest
+
+        derivative_rows = linearized_forcing(system, base_carries(), pert)
+
+        def forcing():
+            row = np.zeros((n_state, 2))
+            yield row  # the derivative waits one step: no forcing on its zero state
+            for f in derivative_rows:
+                row[:, 1] = f
+                yield row
+
+        sources, forcing = [source, None], forcing()
+    z0 = np.zeros((1 + n_terms, n_state, len(sources)))
+    kept = np.zeros((n_steps + 1, cols.size, len(sources)))
+    carries, top = [], np.empty((n_steps + 1 - top_start, n_state))
+    for n, z in enumerate(itertools.chain([z0], _midpoint_steps(system, sources, z0, forcing))):
+        kept[n, :, 0] = z[0, cols, 0]
+        if n in starts:
+            carries.append(z[..., :1].copy())
+        if n >= top_start:
+            top[n - top_start] = z[0, :, 0]
+        if pert is not None:
+            latest = z[..., 0]  # the base carry of the step last taken
+            if n > 1:
+                kept[n - 1, :, 1] = z[0, cols, 1]  # du_{n-1}
+    if pert is not None:
+        last = _midpoint_steps(system, [None], z[..., 1:], [next(derivative_rows)], n_steps - 1)
+        kept[n_steps, :, 1] = next(last)[0, cols, 0]
+    return kept, carries, top
+
+
+def _recomputed_blocks(system: DiscreteSystem, source: SourceTerm, carries: list[np.ndarray],
+                       top: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The base blocks of ``_contract``, from the top: the top one as the forward solve
+    kept it, and each lower one recomputed once from the carry kept at its start, into
+    the top one's buffer."""
+    (start, stop), *lower = _block_bounds(system.grid.n_steps)
+    yield start, stop, top
+    for (start, stop), carry in zip(lower, reversed(carries)):
+        rows = top[:stop - start]
+        rows[0] = carry[0, :, 0]
+        for row, z in zip(rows[1:], _midpoint_steps(system, [source], carry, None, start)):
+            row[:] = z[0, :, 0]
+        yield start, stop, rows
+
+
+def _adjoint_identity_error(system: DiscreteSystem, data_series: np.ndarray, s_du: np.ndarray,
+                            report: GradientReport, pert: CoefficientPerturbation) -> float:
+    """Relative gap between dt * sum_m <r_m, (S du)_m> and -<pert, g(lam(r))>."""
+    lhs = system.grid.dt * float(np.sum(data_series * s_du))
+    rhs = -report.pair(pert)
+    denom = max(abs(lhs), abs(rhs), 1e-300)
+    return abs(lhs - rhs) / denom
 
 
 def misfit_gradient(
@@ -325,22 +448,34 @@ def misfit_gradient(
 ) -> GradientReport:
     """Full gradient workflow: forward solve, residual, adjoint sweep with contraction.
 
-    With ``dot_test_rng`` it also runs the randomized dot-product self-test.
-    Every solve uses implicit midpoint, whose exact transpose the adjoint is.
+    The forward solve keeps its sampled data and one carry per contraction block, not
+    its states; the sweep recomputes each block's base states once from its carry.
+    With ``dot_test_rng`` it also runs ``dot_product_test``, bit for bit: the
+    derivative solve steps with the forward solve, and its adjoint sweep contracts
+    the same recomputed blocks.  Every solve uses implicit midpoint, whose exact
+    transpose the adjoint is.
     """
-    traj = solve_causal(system, source)
-    predicted = sample_trajectory(sampler, traj)
+    _require_sensitivity_kernel(system)
+    pert = None if dot_test_rng is None else random_perturbation(system, dot_test_rng)
+    kept, carries, top = _gradient_forward(system, source, sampler, pert)
+    times, gathered = system.grid.times(), sampler.gathered[1]
+    predicted = SeismogramData(times=times, data=gathered @ kept[:, :, 0].T,
+                               receivers=sampler.receivers, tag=sampler.tag)
     j_value = objective_from_data(predicted, observed)
-    residual = SeismogramData(times=predicted.times, data=observed.data - predicted.data,
-                              receivers=predicted.receivers, tag=predicted.tag)
-    report = adjoint_gradient(system, traj, residual, sampler)
+    residual = observed.data - predicted.data
+    injections = [gathered_adjoint_source(sampler, residual)]
+    if pert is not None:
+        data_series = dot_test_rng.standard_normal((sampler.n_channels, times.size))
+        injections.append(gathered_adjoint_source(sampler, data_series))
+    report, *dot = _contract(system, _recomputed_blocks(system, source, carries, top), sampler,
+                             injections)
     report.objective = j_value
-    if np.abs(residual.data).max() == 0.0:
+    if np.abs(residual).max() == 0.0:
         # zero-residual fixed point: the gradient vanishes identically
         report.diagnostics["zero_residual"] = True
-    if dot_test_rng is not None:
-        rel = dot_product_test(system, traj, sampler, rng=dot_test_rng)
-        report.diagnostics["dot_product_residual"] = rel
+    if pert is not None:
+        report.diagnostics["dot_product_residual"] = _adjoint_identity_error(
+            system, data_series, gathered @ kept[:, :, 1].T, dot[0], pert)
     return report
 
 
@@ -360,11 +495,9 @@ def dot_product_test(
     pert = random_perturbation(system, rng)
     data_series = rng.standard_normal((sampler.n_channels, base.times.size))
     s_du = sampled_solve(system, None, sampler, forcing=linearized_forcing(system, base, pert)).data
-    lhs = system.grid.dt * float(np.sum(data_series * s_du))
     residual = SeismogramData(times=base.times, data=data_series, receivers=sampler.receivers)
-    rhs = -adjoint_gradient(system, base, residual, sampler).pair(pert)
-    denom = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / denom
+    report = adjoint_gradient(system, base, residual, sampler)
+    return _adjoint_identity_error(system, data_series, s_du, report, pert)
 
 
 def random_perturbation(
@@ -478,19 +611,25 @@ def quotient_study(
         except (InvalidArgumentError, np.linalg.LinAlgError):
             continue
         admissible.append((i, float(h), pert_system))
-    # the base, du and the u_h step together, du's forcing pulling base rows as
-    # the base steps; per step, each quotient's distance to du, and du's norm
+    # du and the u_h step together, du's forcing pulling the base carries as the base
+    # steps; per step, each quotient's distance to du, and du's norm
     sup = np.zeros(len(admissible) + 1)
     rows = np.empty((len(admissible) + 1, system.n_state))
     u0 = np.zeros((system.n_state, 1))
-    base = (u[:, 0] for u in itertools.chain([u0], _midpoint_steps(system, [source], u0, None)))
-    base, base_forcing = itertools.tee(base)
-    next(base)
-    steps = zip(base, derivative_steps(system, source, base_forcing, pert),
+    base_n = np.zeros((1 + system.step_operators.n_terms, system.n_state))
+
+    def base_carries():  # z_0 .. z_N; once du_n is out, its forcing has pulled z_n
+        nonlocal base_n
+        yield base_n
+        for z in _midpoint_steps(system, [source], u0, None):
+            base_n = z[..., 0]
+            yield base_n
+
+    steps = zip(derivative_steps(system, source, base_carries(), pert),
                 *(_midpoint_steps(s, [source], u0, None) for _, _, s in admissible))
-    for base_n, du_n, *u_hs in steps:
-        for row, u_h, (_, h, _) in zip(rows, u_hs, admissible):
-            np.subtract(u_h[:, 0], base_n, out=row)
+    for du_n, *u_hs in steps:
+        for row, z_h, (_, h, _) in zip(rows, u_hs, admissible):
+            np.subtract(z_h[0, :, 0], base_n[0], out=row)
             row /= h
             row -= du_n[:, 0]
         rows[-1] = du_n[:, 0]

@@ -122,9 +122,9 @@ def per_term_solve(system, source, forcing=None):
 
 
 def per_term_adjoint(system, residual, sampler):
-    """Adjoint states of the transposed step as it was before ``adjoint_matrix``: D^T
-    rebuilt per call, one product W_j lam per Prony term, and the sampled residual
-    injected through ``sampler.matrix.T`` at every step."""
+    """Adjoint states of the transposed step as it was before one product with
+    ``rhs_matrix``^T served it: D^T rebuilt per call, one product W_j lam per Prony term,
+    and the sampled residual injected through ``sampler.matrix.T`` at every step."""
     ops = system.step_operators
     n = ops.n_state
     d_t = ops.rhs_matrix[:, :n].T.tocsr()
@@ -145,7 +145,7 @@ def per_term_adjoint(system, residual, sampler):
 def adjoint_solve(system, residual, sampler):
     """Adjoint states w_0 .. w_N of the transposed midpoint recursion driven by S^T r,
     kept as a trajectory: the series that ``adjoint_gradient`` contracts as it goes and
-    does not store.  One sparse product with ``adjoint_matrix`` per step, and the adjoint
+    does not store.  One sparse product with ``rhs_matrix``^T per step, and the adjoint
     Prony states carried as one (n_terms, n_state) array."""
     grid = system.grid
     ops = system.step_operators
@@ -156,7 +156,7 @@ def adjoint_solve(system, residual, sampler):
     lam = np.zeros(system.n_state)
     mu = np.zeros((ops.n_terms, system.n_state))
     for m in range(grid.n_steps, 0, -1):
-        y = (ops.adjoint_matrix @ lam).reshape(-1, system.n_state)
+        y = (ops.rhs_matrix.T @ lam).reshape(-1, system.n_state)
         rhs = y[0]
         rhs[cols] += injection[m]
         rhs += w_old @ mu

@@ -4,9 +4,10 @@ The 1D advection solution by its characteristic integral, the oscillatory
 counterexample family built on it, the d'Alembert two-way splitting for
 homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, the
 memory convolution stacked over a whole series, the convergence study's
-series from stored trajectories, and the ``check`` suite's repeat and
-linearity comparisons from stored trajectories.  None of them calls the
-solver internals it checks.
+series from stored trajectories, the ``check`` suite's repeat and
+linearity comparisons from stored trajectories, and the gradient of a
+stored forward trajectory.  None of them calls the solver internals it
+checks.
 """
 
 from dataclasses import replace
@@ -25,9 +26,16 @@ from roughwave.fields import (
     measure_distance,
     mollify_field,
 )
-from roughwave.forward import sample_trajectory
+from roughwave.forward import SeismogramData, sample_trajectory
 from roughwave.operators import assemble_system, block_apply, exp_interval_weights, prony_steps
-from roughwave.sensitivity import CoefficientPerturbation, linearized_forcing, random_perturbation
+from roughwave.sensitivity import (
+    CoefficientPerturbation,
+    adjoint_gradient,
+    dot_product_test,
+    linearized_forcing,
+    objective_from_data,
+    random_perturbation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +202,23 @@ def stored_derivative_linearity(system, traj: Trajectory, rng) -> tuple[float, f
     du, du2 = (solve_causal(system, None, forcing=np.array(list(linearized_forcing(
         system, traj, p)))).states for p in (pert, pert2))
     return float(np.abs(du2 - 2 * du).max()), float(np.abs(du2).max())
+
+
+def stored_misfit_gradient(system, source, sampler, observed, dot_test_rng=None):
+    """``misfit_gradient`` from a stored forward trajectory: ``solve_causal``, then
+    ``adjoint_gradient`` and, with ``dot_test_rng``, ``dot_product_test`` on it."""
+    traj = solve_causal(system, source)
+    predicted = sample_trajectory(sampler, traj)
+    residual = SeismogramData(times=predicted.times, data=observed.data - predicted.data,
+                              receivers=predicted.receivers, tag=predicted.tag)
+    report = adjoint_gradient(system, traj, residual, sampler)
+    report.objective = objective_from_data(predicted, observed)
+    if np.abs(residual.data).max() == 0.0:
+        report.diagnostics["zero_residual"] = True
+    if dot_test_rng is not None:
+        report.diagnostics["dot_product_residual"] = dot_product_test(system, traj, sampler,
+                                                                      dot_test_rng)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,8 @@ class TestCommands:
             "output": str(tmp_path / "grad"),
         }, name="grad.json")
         assert main(["gradient", "--config", grad]) == 0
-        monkeypatch.setattr(sensitivity, "dot_product_test", lambda *args, **kwargs: 1e-10)
+        # the relative gap that both the stand-alone and the fused dot test report
+        monkeypatch.setattr(sensitivity, "_adjoint_identity_error", lambda *args: 1e-10)
         assert main(["gradient", "--config", grad]) == 3
         diag = json.loads((tmp_path / "grad" / "gradient_diagnostics.json").read_text())
         assert diag["diagnostics"]["dot_product_residual"] == 1e-10

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,11 +11,11 @@ from conftest import (
     per_step_forcing,
     traced_peak,
 )
-from oracles import sup_l2_distance
+from oracles import stored_misfit_gradient, sup_l2_distance
 
 import roughwave as rw
 from roughwave.errors import InvalidArgumentError, SolverError, UnsupportedConfigurationError
-from roughwave.evolution import step_residuals
+from roughwave.evolution import _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel
 from roughwave.forward import build_sampler, sample_trajectory, sampled_solve
 from roughwave.sensitivity import (
@@ -354,12 +355,21 @@ class TestAdjointGradient:
         assert np.abs(streamed - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
-    def test_forcing_reads_base_rows_from_any_iterable(self, prony):
-        system, base, _, _, rng = random_case(2, "acoustic_free", prony, BLOCK_STEPS + 1)
+    def test_forcing_reads_the_carried_prony_states(self, prony):
+        # the rows from the carries a solve yields equal those from its stored
+        # trajectory, whose Prony states are replayed
+        system, _, _, _, rng = random_case(2, "acoustic_free", prony, BLOCK_STEPS + 1)
+        src = rw.make_ricker_source(system.grid, 3, [0.4, 0.5], peak_frequency=6.0)
+        base = rw.solve_causal(system, src)
         pert = random_perturbation(system, rng)
+        u0 = np.zeros((system.n_state, 1))
+        carries = itertools.chain(
+            [np.zeros((1 + system.step_operators.n_terms, system.n_state))],
+            (z[..., 0] for z in _midpoint_steps(system, [src], u0, None)))
         stored = list(linearized_forcing(system, base, pert))
-        streamed = list(linearized_forcing(system, (u.copy() for u in base.states), pert))
+        streamed = list(linearized_forcing(system, carries, pert))
         assert len(streamed) == len(stored) == BLOCK_STEPS + 1
+        assert np.abs(stored[-1]).max() > 0
         assert all(np.array_equal(a, b) for a, b in zip(streamed, stored))
 
     def test_sweep_reuses_the_system_factor(self, splu_calls):
@@ -371,13 +381,16 @@ class TestAdjointGradient:
 
     def test_rejects_a_trajectory_from_another_grid(self):
         system, base, residual, sampler, rng = random_case(1, "periodic", False, 3)
-        other, *_ = random_case(1, "periodic", False, 4)
+        other, _, _, other_sampler, _ = random_case(1, "periodic", False, 4)
         foreign = rw.Trajectory(grid=other.grid, times=base.times, states=base.states,
                                 a_blocks=base.a_blocks)
         with pytest.raises(rw.GridMismatchError):
             adjoint_gradient(system, foreign, residual, sampler)
         with pytest.raises(rw.GridMismatchError):
             linearized_forcing(system, foreign, random_perturbation(system, rng))
+        src = rw.make_ricker_source(system.grid, 2, [0.4], peak_frequency=6.0)
+        with pytest.raises(rw.GridMismatchError, match="system and sampler grids differ"):
+            misfit_gradient(system, src, other_sampler, residual)
 
     @pytest.mark.parametrize("step", [0, BLOCK_STEPS, 2 * BLOCK_STEPS + 3])
     def test_non_finite_base_state_names_the_step(self, step):
@@ -394,9 +407,11 @@ class TestAdjointGradient:
         with pytest.raises(InvalidArgumentError, match="sample at channel 1, time index 9$"):
             adjoint_gradient(system, base, residual, sampler)
 
-    def test_dot_tested_gradient_advances_prony_states_three_times_per_step(self, monkeypatch):
-        # once each for the forward solve, the base states the forcing carries and the
-        # linearized solve: no replay of the forward recursion
+    def test_dot_tested_gradient_advances_prony_states_only_as_it_solves(self, monkeypatch):
+        # once per step of the forward solve, whose second column is the linearized
+        # solve, once for the latter's last step, and once per step recomputed from a
+        # carry below the top block: the forcing reads the carried base states, so
+        # nothing is replayed
         g, system, src, sampler = acoustic_setup(cells=40, t_end=0.05)
         observed = rw.forward_map(system, src, sampler)
         observed = rw.SeismogramData(times=observed.times, data=0.5 * observed.data,
@@ -405,7 +420,38 @@ class TestAdjointGradient:
         report = misfit_gradient(system, src, sampler, observed,
                                  dot_test_rng=np.random.default_rng(1))
         assert report.diagnostics["dot_product_residual"] <= 1e-12
-        assert len(calls) == 3 * g.n_steps
+        n_blocks = -(-(g.n_steps + 1) // BLOCK_STEPS)
+        assert (g.n_steps, n_blocks) == (50, 4)
+        recomputed = g.n_steps + 1 - BLOCK_STEPS - (n_blocks - 1)
+        assert len(calls) == g.n_steps + 1 + recomputed
+
+
+class TestCheckpointedGradient:
+    """``misfit_gradient`` keeps one carry per block, recomputes each block below the top
+    one once for both adjoint sweeps and steps the dot test's derivative with its forward
+    solve; the gradient of a stored forward trajectory (``oracles.stored_misfit_gradient``)
+    is its oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n_steps", STEP_COUNTS)
+    @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_the_stored_trajectory_gradient(self, dim, boundary, prony, n_steps):
+        system, base, residual, sampler, _ = random_case(dim, boundary, prony, n_steps)
+        src = rw.make_ricker_source(system.grid, dim + 1, [0.4] * dim, peak_frequency=6.0)
+        observed = rw.SeismogramData(times=base.times, data=residual.data,
+                                     receivers=residual.receivers)
+        for dot in (None, 3):
+            rngs = [None if dot is None else np.random.default_rng(dot) for _ in range(2)]
+            got = misfit_gradient(system, src, sampler, observed, rngs[0])
+            want = stored_misfit_gradient(system, src, sampler, observed, rngs[1])
+            assert len(got.g_q) == len(want.g_q) == (2 if prony else 0)
+            for a, b in zip((got.g_a, got.g_b, *got.g_q), (want.g_a, want.g_b, *want.g_q)):
+                assert np.abs(b).max() > 0
+                assert np.array_equal(a, b)
+            assert got.objective == want.objective > 0
+            assert got.diagnostics == want.diagnostics
+            assert ("dot_product_residual" in got.diagnostics) == (dot is not None)
 
 
 class TestQuotientStudy:
@@ -505,8 +551,9 @@ class TestPerturbedSystem:
 
 
 class TestMemory:
-    """A gradient stores no series but the forward states: peak allocations, in units of
-    one stored trajectory, stay near what each function returns."""
+    """A gradient stores no state series, only a carry per block of its forward solve:
+    peak allocations, in units of one stored trajectory, stay near what each function
+    returns."""
 
     @pytest.fixture(scope="class")
     def prony_1d(self):
@@ -524,7 +571,7 @@ class TestMemory:
         residual = rw.SeismogramData(times=traj.times,
                                      data=rng.standard_normal((2, traj.times.size)),
                                      receivers=sampler.receivers)
-        adjoint_gradient(system, traj, residual, sampler)  # builds the cached adjoint matrix
+        adjoint_gradient(system, traj, residual, sampler)  # builds the sampler's cached columns
         assert g.n_steps == 400
         return system, traj, sampler, residual
 
@@ -552,10 +599,19 @@ class TestMemory:
         assert peak <= 1.25 * traj.states.nbytes
 
     def test_misfit_gradient_with_dot_test(self, prony_1d):
-        # the forward states; the sweep and the sampled derivative solve add little
+        # the carries, 3 / BLOCK_STEPS of a series, the two sweeps' coefficient buffer and
+        # recomputed block, and the sampled data: 0.58 series measured
         system, traj, sampler, residual = prony_1d
         observed = rw.SeismogramData(times=traj.times, data=residual.data,
                                      receivers=residual.receivers)
         peak = traced_peak(misfit_gradient, system, traj.source, sampler, observed,
                            np.random.default_rng(6))
-        assert peak <= 1.5 * traj.states.nbytes
+        assert peak <= 0.8 * traj.states.nbytes
+
+    def test_misfit_gradient(self, prony_1d):
+        # the same without the derivative column and the second sweep: 0.49 series measured
+        system, traj, sampler, residual = prony_1d
+        observed = rw.SeismogramData(times=traj.times, data=residual.data,
+                                     receivers=residual.receivers)
+        peak = traced_peak(misfit_gradient, system, traj.source, sampler, observed)
+        assert peak <= 0.6 * traj.states.nbytes

@@ -23,12 +23,13 @@ from conftest import (
     traced_peak,
 )
 from roughwave.cli import parse_config, run_checks
-from roughwave.errors import SolverError
+from roughwave.errors import SolverError, UnsupportedConfigurationError
 from roughwave.evolution import _midpoint_solve, _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory, sampled_solve
 from roughwave.operators import memory_series
 from roughwave.sensitivity import (
+    BLOCK_STEPS,
     misfit_gradient,
     perturbed_system,
     random_perturbation,
@@ -99,14 +100,17 @@ class TestStackedStep:
             assert np.array_equal(w, w_ref)
 
     @pytest.mark.parametrize("kernel", [None, "prony"])
-    def test_adjoint_matrix_is_the_exact_transpose(self, kernel):
-        system, *_ = stacked_step_case(2, "periodic", kernel)
+    def test_transposed_product_equals_the_stored_transpose(self, kernel):
+        # the adjoint's product with the CSC view rhs_matrix.T, bit for bit that of
+        # the transpose stored in CSR form, on random lam
+        system, _, _, rng = stacked_step_case(2, "periodic", kernel)
         ops = system.step_operators
         n_terms = 2 if kernel else 0
         assert ops.rhs_matrix.shape == (ops.n_state, (1 + n_terms) * ops.n_state)
-        assert ops.adjoint_matrix.format == "csr"
-        assert (ops.adjoint_matrix != ops.rhs_matrix.T).nnz == 0
-        assert ops.adjoint_matrix is ops.adjoint_matrix
+        stored = ops.rhs_matrix.T.tocsr()
+        for _ in range(5):
+            lam = rng.standard_normal(ops.n_state)
+            assert np.array_equal(ops.rhs_matrix.T @ lam, stored @ lam)
 
     @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
     def test_only_a_tabulated_kernel_adds_a_history(self, kernel, monkeypatch):
@@ -312,8 +316,9 @@ class TestShots:
 
 
 class TestMidpointSteps:
-    """``_midpoint_steps`` yields the states one step at a time; ``_midpoint_solve``
-    collects all of them or only some of their rows."""
+    """``_midpoint_steps`` yields the carries (u_n, s_j(t_n)) one step at a time and can
+    resume from any of them; ``_midpoint_solve`` collects all states or only some of
+    their rows."""
 
     @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -326,9 +331,37 @@ class TestMidpointSteps:
         assert np.array_equal(_midpoint_solve(system, sources, u0, None, cols), full[:, cols])
         steps = list(_midpoint_steps(system, sources, u0, None))
         assert len(steps) == system.grid.n_steps
-        assert all(np.array_equal(u, row) for u, row in zip(steps, full[1:]))
+        assert all(np.array_equal(z[0], row) for z, row in zip(steps, full[1:]))
         assert np.array_equal(full[..., 0], rw.solve_causal(system, src).states)
         assert np.abs(full[..., 0]).max() > 0
+
+    @pytest.mark.parametrize("kernel", [None, "prony"])
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_resumes_bit_for_bit_from_a_yielded_carry(self, dim, boundary, kernel):
+        system, src, _, rng = stacked_step_case(dim, boundary, kernel)
+        n_steps, n_terms = system.grid.n_steps, system.step_operators.n_terms
+        sources = [src, None]
+        u0 = np.zeros((system.n_state, len(sources)))
+        forcing = rng.standard_normal((n_steps, system.n_state))
+        carries = [np.zeros((1 + n_terms, *u0.shape)),
+                   *_midpoint_steps(system, sources, u0, forcing)]
+        assert carries[-1].shape == (1 + (2 if kernel else 0), *u0.shape)
+        assert np.all(np.abs(carries[-1]).max(axis=(1, 2)) > 0)
+        for start in (0, 1, BLOCK_STEPS, n_steps - 1):
+            rows = iter(forcing[start:])
+            for resumed in (_midpoint_steps(system, sources, carries[start], forcing, start),
+                            _midpoint_steps(system, sources, carries[start], rows, start)):
+                resumed = list(resumed)
+                assert len(resumed) == n_steps - start
+                assert all(np.array_equal(z, ref) for z, ref in zip(resumed, carries[start + 1:]))
+
+    def test_a_tabulated_kernel_cannot_resume(self):
+        system, src, *_ = stacked_step_case(1, "periodic", "tabulated")
+        u0 = np.zeros((system.n_state, 1))
+        z1 = next(_midpoint_steps(system, [src], u0, None))
+        with pytest.raises(UnsupportedConfigurationError, match="tabulated kernel cannot resume"):
+            next(_midpoint_steps(system, [src], z1, None, 1))
 
     @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
     def test_only_a_tabulated_kernel_keeps_past_states(self, kernel):
