@@ -178,25 +178,24 @@ def sample_trajectory(sampler: Sampler, traj: Trajectory) -> SeismogramData:
                           tag=sampler.tag)
 
 
-def _sampled_shots(system: DiscreteSystem, sources: list[SourceTerm | None], sampler: Sampler,
-                   forcing=None) -> list[SeismogramData]:
+def _sampled_shots(system: DiscreteSystem, sources: list[SourceTerm],
+                   sampler: Sampler) -> list[SeismogramData]:
     """The seismograms of one causal solve with ``sources`` as its columns, keeping
     only the sampler's ``gathered`` columns of each state as it steps."""
     if system.grid != sampler.grid:
         raise GridMismatchError("system and sampler grids differ")
     cols, gathered = sampler.gathered
     u0 = np.zeros((system.n_state, len(sources)))
-    states = _midpoint_solve(system, sources, u0, forcing, cols)
+    states = _midpoint_solve(system, sources, u0, None, cols)
     return [SeismogramData(times=system.grid.times(), data=gathered @ shot.T,
                            receivers=sampler.receivers, tag=sampler.tag)
             for shot in np.moveaxis(states, 2, 0)]
 
 
-def sampled_solve(system: DiscreteSystem, source: SourceTerm | None, sampler: Sampler,
-                  forcing=None) -> SeismogramData:
+def sampled_solve(system: DiscreteSystem, source: SourceTerm, sampler: Sampler) -> SeismogramData:
     """``sample_trajectory`` of ``solve_causal``, bit for bit, keeping only the
     sampler's ``gathered`` columns of each state as it steps."""
-    return _sampled_shots(system, [source], sampler, forcing)[0]
+    return _sampled_shots(system, [source], sampler)[0]
 
 
 def _warn_if_rough(source: SourceTerm) -> None:

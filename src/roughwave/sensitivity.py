@@ -55,7 +55,6 @@ from .forward import (
     SeismogramData,
     forward_map,
     gathered_adjoint_source,
-    sampled_solve,
 )
 from .experiments import fit_slope
 from .operators import DiscreteSystem, block_diagonal, prony_steps
@@ -107,15 +106,22 @@ class GradientReport:
     diagnostics: dict = field(default_factory=dict)
 
     def pair(self, pert: CoefficientPerturbation) -> float:
-        """<perturbation, gradient> in the per-cell trace pairing."""
+        """<perturbation, gradient> in the per-cell trace pairing.  Each given entry
+        must have its gradient's shape, and ``delta_weights`` one entry per term."""
+        dws = pert.delta_weights
+        if dws is not None and len(dws) != len(self.g_q):
+            raise InvalidArgumentError(f"delta_weights has {len(dws)} terms; the report has "
+                                       f"{len(self.g_q)}")
         total = 0.0
-        if pert.delta_a is not None:
-            total += float(np.sum(pert.delta_a * self.g_a))
-        if pert.delta_b is not None:
-            total += float(np.sum(pert.delta_b * self.g_b))
-        if pert.delta_weights is not None:
-            for dw, g in zip(pert.delta_weights, self.g_q):
-                total += float(np.sum(dw * g))
+        for name, d, g in (("delta_a", pert.delta_a, self.g_a), ("delta_b", pert.delta_b, self.g_b),
+                           *((f"delta_weights[{j}]", dw, g)
+                             for j, (dw, g) in enumerate(zip(dws or (), self.g_q)))):
+            if d is None:
+                continue
+            if np.shape(d) != g.shape:
+                raise InvalidArgumentError(f"{name} has shape {np.shape(d)}; the gradient has "
+                                           f"{g.shape}")
+            total += float(np.sum(d * g))
         return total
 
 
@@ -450,9 +456,13 @@ def misfit_gradient(
 
     The forward solve keeps its sampled data and one carry per contraction block, not
     its states; the sweep recomputes each block's base states once from its carry.
-    With ``dot_test_rng`` it also runs ``dot_product_test``, bit for bit: the
-    derivative solve steps with the forward solve, and its adjoint sweep contracts
-    the same recomputed blocks.  Every solve uses implicit midpoint, whose exact
+    With ``dot_test_rng`` it also runs the adjoint-state dot test on one random
+    instance: it draws a ``random_perturbation``, then a standard-normal data series
+    r, and records in ``diagnostics["dot_product_residual"]`` the relative gap
+    between dt * sum_m <r_m, (S du)_m> and -<pert, g(lam(r))>, which exact
+    transposition keeps at solver round-off.  The derivative solve steps as a
+    second column of the forward solve, and the adjoint sweep of r contracts the
+    same recomputed blocks.  Every solve uses implicit midpoint, whose exact
     transpose the adjoint is.
     """
     _require_sensitivity_kernel(system)
@@ -477,27 +487,6 @@ def misfit_gradient(
         report.diagnostics["dot_product_residual"] = _adjoint_identity_error(
             system, data_series, gathered @ kept[:, :, 1].T, dot[0], pert)
     return report
-
-
-def dot_product_test(
-    system: DiscreteSystem,
-    base: Trajectory,
-    sampler: Sampler,
-    rng: np.random.Generator,
-) -> float:
-    """Relative error of the discrete adjoint identity on one random instance.
-
-    Checks dt * sum_m <r_m, (S du)_m> against -<pert, g(lam(r))> for a
-    ``random_perturbation`` and a standard-normal data series r; with exact
-    transposition both sides agree to solver round-off.  The derivative
-    solve keeps only the sampled columns of its states.
-    """
-    pert = random_perturbation(system, rng)
-    data_series = rng.standard_normal((sampler.n_channels, base.times.size))
-    s_du = sampled_solve(system, None, sampler, forcing=linearized_forcing(system, base, pert)).data
-    residual = SeismogramData(times=base.times, data=data_series, receivers=sampler.receivers)
-    report = adjoint_gradient(system, base, residual, sampler)
-    return _adjoint_identity_error(system, data_series, s_du, report, pert)
 
 
 def random_perturbation(

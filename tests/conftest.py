@@ -10,12 +10,13 @@ import scipy.sparse.linalg as spla
 
 import roughwave as rw
 import roughwave.operators
+from oracles import dot_product_test
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel, kernel_values
 from roughwave.operators import block_apply, unit_directions
 from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, strain_projector
 from roughwave.forward import gathered_adjoint_source
-from roughwave.sensitivity import GradientReport, dot_product_test, linearized_forcing
+from roughwave.sensitivity import GradientReport, linearized_forcing
 
 
 def count_calls(monkeypatch, name):

@@ -5,9 +5,9 @@ counterexample family built on it, the d'Alembert two-way splitting for
 homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, the
 memory convolution stacked over a whole series, the convergence study's
 series from stored trajectories, the ``check`` suite's repeat and
-linearity comparisons from stored trajectories, and the gradient of a
-stored forward trajectory.  None of them calls the solver internals it
-checks.
+linearity comparisons from stored trajectories, and the gradient and
+adjoint-state dot test of a stored forward trajectory.  None of them calls
+the solver internals it checks.
 """
 
 from dataclasses import replace
@@ -30,8 +30,8 @@ from roughwave.forward import SeismogramData, sample_trajectory
 from roughwave.operators import assemble_system, block_apply, exp_interval_weights, prony_steps
 from roughwave.sensitivity import (
     CoefficientPerturbation,
+    _adjoint_identity_error,
     adjoint_gradient,
-    dot_product_test,
     linearized_forcing,
     objective_from_data,
     random_perturbation,
@@ -202,6 +202,22 @@ def stored_derivative_linearity(system, traj: Trajectory, rng) -> tuple[float, f
     du, du2 = (solve_causal(system, None, forcing=np.array(list(linearized_forcing(
         system, traj, p)))).states for p in (pert, pert2))
     return float(np.abs(du2 - 2 * du).max()), float(np.abs(du2).max())
+
+
+def dot_product_test(system, base: Trajectory, sampler, rng) -> float:
+    """Relative error of the discrete adjoint identity on one random instance, from the
+    stored trajectory ``base``: dt * sum_m <r_m, (S du)_m> against -<pert, g(lam(r))>
+    for a ``random_perturbation`` and then a standard-normal data series r, drawn from
+    ``rng`` in that order.  S du samples a stored derivative solve and g(lam(r)) is
+    ``adjoint_gradient`` on ``base``; with exact transposition both sides agree to
+    solver round-off."""
+    pert = random_perturbation(system, rng)
+    data_series = rng.standard_normal((sampler.n_channels, base.times.size))
+    du = solve_causal(system, None, forcing=linearized_forcing(system, base, pert))
+    s_du = sample_trajectory(sampler, du).data
+    residual = SeismogramData(times=base.times, data=data_series, receivers=sampler.receivers)
+    report = adjoint_gradient(system, base, residual, sampler)
+    return _adjoint_identity_error(system, data_series, s_du, report, pert)
 
 
 def stored_misfit_gradient(system, source, sampler, observed, dot_test_rng=None):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import roughwave as rw
-from oracles import advection_oracle, oscillatory_response_magnitude
+from oracles import advection_oracle, dot_product_test, oscillatory_response_magnitude
 from roughwave.experiments import cone_from_speed, cone_leak, fit_slope, measure_convergence_study
 from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel, ricker_wavelet
 from roughwave.forward import build_sampler, sample_trajectory
@@ -23,7 +23,6 @@ from roughwave.physics import (
 )
 from roughwave.sensitivity import (
     CoefficientPerturbation,
-    dot_product_test,
     finite_difference_table,
     misfit_gradient,
     quotient_study,

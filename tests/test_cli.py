@@ -852,6 +852,27 @@ class TestCheckHoldsOneTrajectory:
         assert (lin, top) == stored_derivative_linearity(system, traj, np.random.default_rng(4))
 
     @pytest.mark.parametrize("kernel", ["zero", "prony"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dot_test_runs_through_the_shipped_gradient(self, tmp_path, monkeypatch, dim, kernel):
+        # one dot-tested ``misfit_gradient``, the path ``gradient`` ships, and no sweep over
+        # a stored trajectory
+        calls = {"misfit_gradient": [], "adjoint_gradient": []}
+
+        def counted(fn, seen):
+            def call(*args, **kwargs):
+                seen.append(kwargs)
+                return fn(*args, **kwargs)
+            return call
+
+        for name, seen in calls.items():
+            monkeypatch.setattr(sensitivity, name, counted(getattr(sensitivity, name), seen))
+        results = run_checks(check_config(tmp_path, dim, kernel, 40 if dim == 1 else 10, 1e-2, 0.3))
+        assert calls["adjoint_gradient"] == []
+        [kwargs] = calls["misfit_gradient"]
+        assert isinstance(kwargs.get("dot_test_rng"), np.random.Generator)
+        assert [ok for name, ok, _ in results if name == "adjoint_dot_product"] == [True]
+
+    @pytest.mark.parametrize("kernel", ["zero", "prony"])
     @pytest.mark.parametrize("dim, bound", [(2, 1.5), (1, 1.65)])
     def test_traced_peak_in_stored_series(self, tmp_path, dim, bound, kernel):
         # 2D 24^2 x 400 steps and 1D 400 x 1000 (the parent held about 6 series).  In 1D

@@ -8,6 +8,7 @@ from conftest import (
     symbol_test_system,
     viscoelastic_test_model,
 )
+from oracles import dot_product_test
 from roughwave.errors import InvalidCoefficientError, UnsupportedConfigurationError
 from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel
 from roughwave.forward import build_sampler, sample_trajectory
@@ -27,7 +28,6 @@ from roughwave.physics import (
 from roughwave.evolution import step_residuals
 from roughwave.operators import EIG_STACK_ROWS, block_apply, unit_directions
 from roughwave.experiments import fit_slope
-from roughwave.sensitivity import dot_product_test
 
 
 class TestAcoustics:

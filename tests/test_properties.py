@@ -34,13 +34,13 @@ from conftest import (
     per_term_adjoint,
     per_term_solve,
 )
+from oracles import dot_product_test
 from roughwave.evolution import step_residuals
 from roughwave.fields import PronyKernel, ZeroKernel
 from roughwave.forward import build_sampler
 from roughwave.sensitivity import (
     BLOCK_STEPS,
     adjoint_gradient,
-    dot_product_test,
     random_perturbation,
 )
 

@@ -11,19 +11,19 @@ from conftest import (
     per_step_forcing,
     traced_peak,
 )
-from oracles import stored_misfit_gradient, sup_l2_distance
+from oracles import dot_product_test, stored_misfit_gradient, sup_l2_distance
 
 import roughwave as rw
 from roughwave.errors import InvalidArgumentError, SolverError, UnsupportedConfigurationError
 from roughwave.evolution import _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel
-from roughwave.forward import build_sampler, sample_trajectory, sampled_solve
+from roughwave.forward import build_sampler, sample_trajectory
 from roughwave.sensitivity import (
     BLOCK_STEPS,
     CoefficientPerturbation,
+    GradientReport,
     adjoint_gradient,
     derivative_steps,
-    dot_product_test,
     finite_difference_table,
     linearized_forcing,
     misfit_gradient,
@@ -343,18 +343,6 @@ class TestAdjointGradient:
         assert_forcing_matches_per_step(system, base, random_perturbation(system, rng))
 
     @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
-    def test_streamed_dot_test_samples_match_the_stored_derivative(self, prony):
-        system, _, _, sampler, rng = random_case(2, "periodic", prony, BLOCK_STEPS + 1)
-        src = rw.make_ricker_source(system.grid, 3, [0.4, 0.5], peak_frequency=6.0)
-        base = rw.solve_causal(system, src)
-        pert = random_perturbation(system, rng)
-        streamed = sampled_solve(system, None, sampler,
-                                 forcing=linearized_forcing(system, base, pert)).data
-        ref = sample_trajectory(sampler, rw.directional_derivative(system, base, pert)).data
-        assert np.abs(ref).max() > 0
-        assert np.abs(streamed - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("prony", [False, True], ids=["zero", "prony"])
     def test_forcing_reads_the_carried_prony_states(self, prony):
         # the rows from the carries a solve yields equal those from its stored
         # trajectory, whose Prony states are replayed
@@ -550,6 +538,22 @@ class TestPerturbedSystem:
             system.kernel.weights[0] + 0.5 * pert.delta_weights[0])
 
 
+class TestGradientReportPair:
+    @pytest.mark.parametrize("pert, name", [
+        (CoefficientPerturbation(delta_weights=(np.ones((4, 2, 2)),)), "delta_weights"),
+        (CoefficientPerturbation(delta_weights=(np.ones((4, 2, 2)),) * 3), "delta_weights"),
+        (CoefficientPerturbation(delta_a=np.ones((1, 2, 2))), "delta_a"),
+        (CoefficientPerturbation(delta_b=np.ones((4, 2))), "delta_b"),
+        (CoefficientPerturbation(delta_weights=(np.ones((4, 2, 2)), np.ones((2, 2)))),
+         r"delta_weights\[1\]"),
+    ], ids=["one_term", "three_terms", "one_cell_delta_a", "flat_delta_b", "flat_weight"])
+    def test_rejects_a_perturbation_that_does_not_fit(self, pert, name):
+        # a two-term report on 4 cells: an unchecked zip or broadcast would pair 16.0 or 32.0
+        g = np.ones((4, 2, 2))
+        with pytest.raises(InvalidArgumentError, match=name):
+            GradientReport(g_a=g, g_b=g, g_q=(g, g)).pair(pert)
+
+
 class TestMemory:
     """A gradient stores no state series, only a carry per block of its forward solve:
     peak allocations, in units of one stored trajectory, stay near what each function
@@ -584,12 +588,6 @@ class TestMemory:
         system, traj, sampler, residual = prony_1d
         peak = traced_peak(adjoint_gradient, system, traj, residual, sampler)
         assert peak <= 0.25 * traj.states.nbytes
-
-    def test_dot_product_test(self, prony_1d):
-        # the derivative solve keeps only its samples and the sweep only its blocks
-        system, traj, sampler, _ = prony_1d
-        peak = traced_peak(dot_product_test, system, traj, sampler, np.random.default_rng(7))
-        assert peak <= 0.5 * traj.states.nbytes
 
     def test_directional_derivative(self, prony_1d):
         # the derivative's states and nothing of its size beside them
