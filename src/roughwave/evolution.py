@@ -16,6 +16,19 @@ dimension (see ``StepOperators``).  Because <P ubar, ubar> = 0 to
 round-off, the scheme conserves the quadratic energy exactly when
 B = R = f = 0, which is the sharpest testable analogue of the continuous
 energy identity.
+
+The factor holds one LU per connected component of the step (see
+``operators.StepFactor``), so a solve pays only for the components it
+reaches.  Without a forcing and a tabulated history, only the components
+of the starting carry and the sources' footprints can become nonzero; a
+point source on a periodic even grid reaches one parity class of 2^dim, and
+the step loop then forms and solves that class's unknowns alone, yielding
+full-size carries whose other entries are 0.0.  Its states are the floats of
+stepping every unknown, since each solve uses the same component factors
+and each row of the right-hand side the same entries in the same order.
+Smooth footprints, forced solves (the linearized forcing) and adjoint
+sweeps driven by interpolating receivers reach every class; they solve all
+of them, skipping any component block that is all zero.
 """
 
 from __future__ import annotations
@@ -87,7 +100,9 @@ def _midpoint_steps(
     Prony states, (n_state, n_shots), or a carry that this generator yielded at t_start,
     from which the solve resumes bit for bit.  ``forcing`` rows, for steps ``start`` on,
     go to every shot, or per shot as (n_state, n_shots).  Only a tabulated kernel, the
-    one kernel with a history term, makes it keep past states, so it cannot resume."""
+    one kernel with a history term, makes it keep past states, so it cannot resume.
+    Without either, when the carry and the footprints reach only some components of
+    ``lu``, it steps their unknowns alone (module docstring)."""
     if any(s is not None and s.grid != system.grid for s in sources):
         raise GridMismatchError("source and system grids differ")
     grid = system.grid
@@ -108,20 +123,32 @@ def _midpoint_steps(
                 "the kernel's history is not in the carry")
         history = np.zeros((n_steps + 1, *z.shape[1:]))
         history[0] = z[0]
+    components, unknowns, rhs_matrix = None, slice(None), ops.rhs_matrix
+    if forcing is None and history is None:
+        reached = z.any(axis=(0, 2))
+        for source in sources:
+            if source is not None:
+                reached |= source.footprint != 0
+        touched = np.unique(ops.lu.labels[reached])
+        if touched.size < ops.lu.n_components:
+            components = tuple(touched.tolist())
+            unknowns, rhs_matrix = ops.restricted(components)
+            z = z[:, unknowns]
+    shots = [(col, source, source.footprint[unknowns])
+             for col, source in enumerate(sources) if source is not None]
     times = grid.times()
     rows = None if forcing is None else iter(forcing[start:] if isinstance(forcing, np.ndarray)
                                              else forcing)
     for n in range(start, n_steps):
-        rhs = ops.rhs_matrix @ z.reshape(-1, z.shape[2])
+        rhs = rhs_matrix @ z.reshape(-1, z.shape[2])
         if history is not None:
             rhs += ops.memory_history_rhs(history, n)
-        for col, source in enumerate(sources):
-            if source is not None:
-                rhs[:, col] += source.evaluate(times[n] + 0.5 * dt)
+        for col, source, footprint in shots:
+            rhs[:, col] += source.evaluate(times[n] + 0.5 * dt, footprint)
         if rows is not None:
             row = next(rows)
             rhs += row if row.ndim == 2 else row[:, None]
-        u_next = ops.lu.solve(rhs)
+        u_next = ops.lu.solve(rhs, components=components)
         if not np.all(np.isfinite(u_next)):
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
         if ops.n_terms:
@@ -130,7 +157,12 @@ def _midpoint_steps(
             z = u_next[None]
         if history is not None:
             history[n + 1] = u_next
-        yield z
+        if components is None:
+            yield z
+        else:
+            carry = np.zeros((z.shape[0], ops.n_state, z.shape[2]))
+            carry[:, unknowns] = z
+            yield carry
 
 
 def _midpoint_solve(

@@ -429,10 +429,13 @@ class SourceTerm:
         if self.smoothness < 1:
             raise InvalidArgumentError("declared smoothness must be >= 1")
 
-    def evaluate(self, t: float) -> np.ndarray:
+    def evaluate(self, t: float, footprint: np.ndarray | None = None) -> np.ndarray:
+        """f(t); given ``footprint``, this source's footprint gathered at some rows,
+        f(t) at those rows."""
+        footprint = self.footprint if footprint is None else footprint
         if t < self.onset:
-            return np.zeros_like(self.footprint)
-        return float(self.wavelet(np.float64(t))) * self.footprint
+            return np.zeros_like(footprint)
+        return float(self.wavelet(np.float64(t))) * footprint
 
 
 def _make_footprint(grid: Grid, k: int, center, component: int, width: float | None) -> np.ndarray:

@@ -22,6 +22,17 @@ kernel's blocks evaluated once, and the one sparse matrix that forms a
 step's right-hand side from u_n and the stacked Prony states.  The
 convolution, the step's ``replay`` and the linearized forcing read the one
 rerun of the recursion over state rows, ``prony_steps``, which streams.
+
+The step matrix falls apart into connected components when nothing couples
+them, and ``StepFactor`` factors each on its own, on first use.  On a
+periodic grid with an even cell count per axis the centered stencil couples
+a cell's pressure only to velocities of its neighbours, so C splits into
+2^dim parity classes, as long as the cell blocks keep a cell's classes apart
+(scalar kappa and rho do; the acoustic mass, b and Prony blocks are
+diagonal).  The acoustic_free closure couples a wall cell's pressure to its
+own velocity and joins the classes, and so does an odd count on an axis
+(the wrap joins its two parities); C is then one component, factored as a
+whole.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     GridMismatchError,
@@ -356,6 +368,80 @@ class DiscreteSystem:
         return StepOperators(self, self.grid.dt)
 
 
+class StepFactor:
+    """SuperLU factors of a step matrix, one per connected component of its
+    unknowns, each made on first use.
+
+    ``labels`` names each unknown's component, and the matrix couples no two
+    of them.  ``order`` groups the unknowns by component, ascending within
+    each, and component c's factor is that of the matrix restricted to its
+    unknowns, made by ``splu`` with ``options``; a single component factors
+    the matrix itself.  ``solve`` serves every right-hand side: it takes the
+    rows into component order, solves each component block that is not all
+    zero (a zero block's solution is zero, and its factor is never made) and
+    takes the rows back.  ``L`` and ``U`` join every component's factor block
+    diagonally, so their nnz is the fill.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, labels: np.ndarray, **options):
+        self.matrix, self.labels, self.options = matrix, np.asarray(labels), options
+        self.order = np.argsort(self.labels, kind="stable")
+        self.inverse = np.empty_like(self.order)
+        self.inverse[self.order] = np.arange(self.order.size)
+        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(self.labels))))
+        self._factors: list[spla.SuperLU | None] = [None] * (len(self.bounds) - 1)
+
+    @property
+    def n_components(self) -> int:
+        return len(self._factors)
+
+    def unknowns(self, components: Sequence[int]) -> np.ndarray:
+        """The unknowns of ``components`` (ascending), grouped as ``solve`` takes them."""
+        return self.order[np.isin(self.labels[self.order], components)]
+
+    def _factor(self, component: int) -> spla.SuperLU:
+        if self._factors[component] is None:
+            block = self.matrix
+            if self.n_components > 1:
+                rows = self.order[self.bounds[component]:self.bounds[component + 1]]
+                block = block[rows][:, rows]
+            self._factors[component] = spla.splu(block.tocsc(), **self.options)
+        return self._factors[component]
+
+    def solve(self, rhs: np.ndarray, trans: str = "N",
+              components: Sequence[int] | None = None) -> np.ndarray:
+        """x with C x = rhs (C^T x = rhs for ``trans="T"``), rows (and columns) as
+        ``rhs``.  With ``components`` (ascending), ``rhs`` and x hold only their
+        ``unknowns``, and the other components are zero."""
+        if components is None:
+            if self.n_components == 1:
+                return self._factor(0).solve(rhs, trans)
+            blocks = np.take(rhs, self.order, axis=0)
+            return np.take(self._solve_blocks(blocks, range(self.n_components), trans),
+                           self.inverse, axis=0)
+        if len(components) == 1 and rhs.any():
+            return self._factor(components[0]).solve(rhs, trans)
+        return self._solve_blocks(rhs.copy(), components, trans)
+
+    def _solve_blocks(self, blocks: np.ndarray, components: Sequence[int], trans: str) -> np.ndarray:
+        """Overwrite each component's block of ``blocks`` with its solution."""
+        start = 0
+        for c in components:
+            stop = start + self.bounds[c + 1] - self.bounds[c]
+            block = blocks[start:stop]
+            block[...] = self._factor(c).solve(block, trans) if block.any() else 0.0
+            start = stop
+        return blocks
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        return sp.block_diag([self._factor(c).L for c in range(self.n_components)], format="csc")
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return sp.block_diag([self._factor(c).U for c in range(self.n_components)], format="csc")
+
+
 class StepOperators:
     """Factorized midpoint step pieces for one (system, dt) pair.
 
@@ -382,6 +468,12 @@ class StepOperators:
     symmetric mode, since C is structurally symmetric there (cell-local
     blocks plus a skew difference operator).  That ordering fills 2-4x less
     than COLAMD in 2D and 3D but 160x more in 1D.
+
+    ``lu`` is a ``StepFactor`` over the connected components of the union
+    pattern of C and every block of ``rhs_matrix``, labelled once here; each
+    component is factored, with that ordering, when a solve first reaches it.
+    ``restricted`` gives the right-hand side of a step on some components
+    alone, for solves that reach no others.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
@@ -425,16 +517,35 @@ class StepOperators:
         self.rhs_matrix = sp.hstack(
             [d, *(-e_h * wm for e_h, wm in zip(self.half_weights[:, 0], self.weight_matrices))],
             format="csr")
-        if system.grid.dim == 1:
-            self.lu = spla.splu(c.tocsc())
-        else:
-            self.lu = spla.splu(c.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                options={"SymmetricMode": True})
-        self.n_state = system.n_state
+        self.n_state = n = system.n_state
+        # C beside rhs_matrix, every column folded onto its unknown: the union pattern
+        links = sp.hstack([self.c_matrix, self.rhs_matrix], format="csr")
+        links.indices %= n
+        _, labels = connected_components(
+            sp.csr_matrix((links.data, links.indices, links.indptr), shape=(n, n)), directed=False)
+        ordering = {} if system.grid.dim == 1 else {
+            "permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+        self.lu = StepFactor(self.c_matrix, labels, **ordering)
+        self._restricted: dict[tuple[int, ...], tuple[np.ndarray, sp.csr_matrix]] = {}
 
     @property
     def n_terms(self) -> int:
         return len(self.weight_matrices)
+
+    def restricted(self, components: tuple[int, ...]) -> tuple[np.ndarray, sp.csr_matrix]:
+        """The ``lu.unknowns`` of ``components`` and ``rhs_matrix`` on them alone: its
+        rows there, and in every block its columns there, made once per component set.
+        Each row keeps its entries in their order, so its product is the same float."""
+        if components not in self._restricted:
+            rows = self.lu.unknowns(components)
+            position = np.zeros(self.n_state, dtype=rows.dtype)
+            position[rows] = np.arange(rows.size)
+            full = self.rhs_matrix[rows]
+            block, col = np.divmod(full.indices, self.n_state)
+            self._restricted[components] = rows, sp.csr_matrix(
+                (full.data, block * rows.size + position[col], full.indptr),
+                shape=(rows.size, (1 + self.n_terms) * rows.size))
+        return self._restricted[components]
 
     def memory_history_rhs(self, history: np.ndarray, step: int) -> np.ndarray:
         """Contribution of a tabulated kernel's states up to t_n to R at the half step

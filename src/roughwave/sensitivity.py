@@ -188,7 +188,8 @@ def linearized_forcing(
               *(e * dw for e, dw in zip(e_h, dws))]
     matrix = sp.hstack([block_diagonal(-b) for b in blocks], format="csr")
     stacked = np.empty(len(blocks) * system.n_state)  # u_n, u_{n+1} and the s_j(t_n)
-    return (matrix @ np.concatenate((z[0], z_next[0], *z[1:len(blocks) - 1]), out=stacked)
+    n_read = len(dws)  # the rows read do not keep the blocks alive
+    return (matrix @ np.concatenate((z[0], z_next[0], *z[1:1 + n_read]), out=stacked)
             for z, z_next in itertools.pairwise(base))
 
 

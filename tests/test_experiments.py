@@ -160,6 +160,8 @@ class TestMeasureConvergence:
             assert max(report.series["solution_distance"]) > 0
 
     def test_one_factor_per_solve(self, splu_calls):
+        # the periodic 40-cell step matrix splits into two parity classes, and the point
+        # source reaches one: each of the five solves factors that one class
         field, src, sampler = study_case(1, "prony")
         measure_convergence_study(field, src, [2, 4, 8, 16], sampler=sampler)
         assert len(splu_calls) == 5
@@ -262,6 +264,8 @@ class TestTraceRegularity:
         schedule, refinements = (1, 2, 3), 2
         report = trace_regularity_probe(model, [[0.6]], factory, smoothness_schedule=schedule,
                                         refinements=refinements, boundary=boundary)
+        # one factor per level: the one component of acoustic_free, or the one parity
+        # class of the periodic grid that the point sources reach
         assert len(splu_calls) == refinements + 1
         level = model
         for i in range(refinements + 1):

@@ -7,15 +7,21 @@ defaults; forward states, adjoint states, step residuals and the dot test
 must agree with it to round-off.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import roughwave as rw
-from conftest import assert_matches_oracle, zero_keeping_step_matrix
+from conftest import assert_matches_oracle, oracle_system, per_term_solve, zero_keeping_step_matrix
+from oracles import dot_product_test
+from roughwave.evolution import _midpoint_solve
 from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import build_sampler
-from roughwave.operators import assemble_system, block_diagonal
+from roughwave.operators import StepFactor, assemble_system, block_diagonal
 from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, kelvin_dim
+from roughwave.sensitivity import adjoint_gradient, misfit_gradient, random_perturbation
 
 N_STEPS = 20
 CELLS = {1: [40], 2: [12, 12], 3: [6, 6, 6]}
@@ -28,12 +34,15 @@ def two_term_prony(rng, n_cells, k):
                        taus=(rng.uniform(0.02, 0.1), rng.uniform(0.2, 1.0)))
 
 
-def rough_acoustic(dim, rng):
-    cells = CELLS[dim]
+def random_acoustic(cells, rng):
     dt = 0.5 / max(cells)
-    g = rw.build_grid(dim, cells, 1.0, dt, N_STEPS * dt)
+    g = rw.build_grid(len(cells), cells, 1.0, dt, N_STEPS * dt)
     return rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
                             rho=rng.uniform(0.5, 2.0, g.n_cells))
+
+
+def rough_acoustic(dim, rng):
+    return random_acoustic(CELLS[dim], rng)
 
 
 def pressure_case(system, rng):
@@ -95,8 +104,54 @@ class TestOracleEquivalence:
         system = assemble_system(model.coefficient_field(kernel=kernel, b=b))
         assert_matches_oracle(system, *pressure_case(system, rng), rng)
 
+    def test_two_components_2d(self):
+        # an odd count on one axis joins its parity classes: two components
+        rng = np.random.default_rng(12)
+        system = rw.acoustics_system(random_acoustic([23, 24], rng),
+                                     kernel=two_term_prony(rng, 23 * 24, 3))
+        assert system.step_operators.lu.n_components == 2
+        assert_matches_oracle(system, *pressure_case(system, rng), rng)
+
+    def test_eight_components_3d(self):
+        rng = np.random.default_rng(13)
+        system = rw.acoustics_system(random_acoustic([6, 6, 6], rng))
+        assert system.step_operators.lu.n_components == 8
+        assert_matches_oracle(system, *pressure_case(system, rng), rng)
+
+    def test_two_shots_in_different_classes(self):
+        rng = np.random.default_rng(14)
+        system = rw.acoustics_system(random_acoustic([12, 12], rng),
+                                     kernel=two_term_prony(rng, 144, 3))
+        g, lu = system.grid, system.step_operators.lu
+        sources = [rw.make_ricker_source(g, 3, center, peak_frequency=1.0 / (4.0 * g.dt),
+                                         delay=6.0 * g.dt) for center in ([0.3, 0.5], [0.38, 0.5])]
+        assert len({int(lu.labels[s.footprint.argmax()]) for s in sources}) == 2
+        _, sampler = pressure_case(system, rng)
+        oracle = oracle_system(system)
+        u0 = np.zeros((system.n_state, 2))
+        states = _midpoint_solve(system, sources, u0, None)
+        ref = _midpoint_solve(oracle, sources, u0, None)
+        assert np.abs(states - ref).max() <= 1e-13 * np.abs(ref).max()
+        for shot, src in enumerate(sources):
+            np.testing.assert_array_equal(states[..., shot], rw.solve_causal(system, src).states)
+            traj = rw.Trajectory(grid=g, times=g.times(), states=states[..., shot],
+                                 a_blocks=system.a_blocks, source=src)
+            assert dot_product_test(system, traj, sampler, rng) <= 1e-13
+
+    def test_initial_state_in_two_classes(self):
+        rng = np.random.default_rng(15)
+        system = rw.acoustics_system(random_acoustic([12, 12], rng))
+        lu = system.step_operators.lu
+        u0 = np.zeros(system.n_state)
+        u0[[3 * 40, 3 * 53]] = 1.0, -0.5  # pressures of cells (3, 4) and (4, 5)
+        assert len(set(lu.labels[u0 != 0].tolist())) == 2
+        _, sampler = pressure_case(system, rng)
+        assert_matches_oracle(system, u0, sampler, rng)
+
     def test_step_25x_past_cfl(self):
-        rng = np.random.default_rng(10)
+        # seed 10 drew a dot test whose sums cancel 950-fold, so that round-off alone
+        # moves it by ~2e-13 (the oracle's own factor gives 5.6e-13 there)
+        rng = np.random.default_rng(11)
         model = rough_acoustic(2, rng)
         dt = 25.0 * model.grid.h[0] / rw.max_wavespeed(model)
         g = rw.build_grid(2, CELLS[2], 1.0, dt, N_STEPS * dt)
@@ -143,3 +198,117 @@ class TestZeroFreeStructure:
         system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.5))
         lu = system.step_operators.lu
         assert lu.L.nnz + lu.U.nnz <= bound
+
+
+PARITY_CELLS = {1: [40], 2: [12, 12], 3: [6, 6, 6]}
+
+
+def parity_case(cells, boundary="periodic", footprint_width=None):
+    """Two-layer acoustic medium, no memory, 20 steps; a Ricker point source (or a
+    Gaussian footprint of the given width) and two pressure receivers."""
+    dim = len(cells)
+    dt = 0.5 / max(cells)
+    g = rw.build_grid(dim, cells, 1.0, dt, N_STEPS * dt)
+    system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0, interface=0.6), boundary)
+    src = rw.make_ricker_source(g, dim + 1, [0.3] * dim, peak_frequency=1.0 / (4.0 * dt),
+                                delay=6.0 * dt, footprint_width=footprint_width)
+    return system, src, build_sampler([[0.7] * dim, [0.45] * dim], "pressure", g, dim + 1)
+
+
+def reached_components(system, states):
+    """The components of the step factor that hold a nonzero entry of ``states``."""
+    return set(system.step_operators.lu.labels[np.any(states != 0, axis=0)].tolist())
+
+
+class TestParityClasses:
+    """On a periodic grid with an even count per axis the centered stencil splits the
+    step matrix into 2^dim parity classes; a solve factors and steps only the classes
+    it reaches, and every solve of a system uses the same component factors."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_point_source_factors_and_fills_one_class(self, splu_calls, dim):
+        system, src, _ = parity_case(PARITY_CELLS[dim])
+        lu = system.step_operators.lu
+        assert lu.n_components == 2**dim
+        states = rw.solve_causal(system, src).states
+        (reached,) = reached_components(system, states)
+        assert len(splu_calls) == 1
+        unexcited = states[:, lu.labels != reached]
+        assert np.all(unexcited == 0.0) and not np.signbit(unexcited).any()
+
+    @pytest.mark.parametrize("cells, boundary", [([12, 12], "acoustic_free"),
+                                                 ([13, 13], "periodic"), ([41], "periodic")],
+                             ids=["acoustic_free", "odd-2d", "odd-1d"])
+    def test_one_component_solves_as_the_whole_factor(self, splu_calls, cells, boundary):
+        system, src, _ = parity_case(cells, boundary)
+        ops = system.step_operators
+        assert ops.lu.n_components == 1
+        states = rw.solve_causal(system, src).states
+        whole = dataclasses.replace(system)
+        ordering = {} if len(cells) == 1 else {"permc_spec": "MMD_AT_PLUS_A",
+                                               "options": {"SymmetricMode": True}}
+        whole.step_operators.lu = spla.splu(ops.c_matrix.tocsc(), **ordering)
+        assert np.array_equal(states, per_term_solve(whole, src))
+        assert len(splu_calls) == 2
+
+    def test_smooth_footprint_forcing_and_adjoint_reach_every_class(self, splu_calls):
+        system, src, sampler = parity_case([12, 12], footprint_width=0.1)
+        traj = rw.solve_causal(system, src)
+        assert reached_components(system, traj.states) == {0, 1, 2, 3}
+        assert len(splu_calls) == 4
+        point, point_src, _ = parity_case([12, 12])
+        base = rw.solve_causal(point, point_src)
+        assert len(reached_components(point, base.states)) == 1
+        pert = random_perturbation(point, np.random.default_rng(0))
+        assert reached_components(point, rw.directional_derivative(point, base, pert).states) == {
+            0, 1, 2, 3}
+        assert len(splu_calls) == 8
+        swept, swept_src, _ = parity_case([12, 12])
+        residual = rw.SeismogramData(times=traj.times, receivers=sampler.receivers,
+                                     data=np.random.default_rng(1).standard_normal((2, N_STEPS + 1)))
+        adjoint_gradient(swept, rw.solve_causal(swept, swept_src), residual, sampler)
+        assert len(splu_calls) == 12
+
+    @pytest.mark.parametrize("prony", [False, True])
+    def test_stepping_one_class_equals_stepping_all(self, prony):
+        # a zero forcing makes the solve step every unknown; the states are the same floats
+        system, src, _ = parity_case([12, 12])
+        if prony:
+            system = dataclasses.replace(system, kernel=two_term_prony(np.random.default_rng(2),
+                                                                       144, 3))
+        restricted = rw.solve_causal(system, src).states
+        full = rw.solve_causal(system, src, forcing=np.zeros((N_STEPS, system.n_state))).states
+        assert len(reached_components(system, restricted)) == 1
+        assert np.array_equal(restricted, full)
+
+    def test_zero_right_hand_sides_are_not_solved(self, monkeypatch):
+        # before the source's onset every step's right-hand side is zero
+        system, _, _ = parity_case([12, 12])
+        g = system.grid
+        src = rw.make_ricker_source(g, 3, [0.3, 0.3], peak_frequency=1.0 / (4.0 * g.dt),
+                                    onset=10 * g.dt)
+        solved, factor = [], StepFactor._factor
+
+        class Counting:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs, trans="N"):
+                solved.append(rhs.shape)
+                return self.lu.solve(rhs, trans)
+
+        monkeypatch.setattr(StepFactor, "_factor", lambda lu, c: Counting(factor(lu, c)))
+        states = rw.solve_causal(system, src).states
+        assert np.all(states[:11] == 0.0) and np.abs(states[11]).max() > 0
+        assert solved == [(system.n_state // 4, 1)] * (N_STEPS - 10)
+
+    def test_zero_residual_sweep_solves_no_block(self, splu_calls):
+        system, src, sampler = parity_case([12, 12])
+        observed = rw.forward_map(system, src, sampler)
+        report = misfit_gradient(system, src, sampler, observed)
+        assert report.objective == 0.0 and report.diagnostics["zero_residual"]
+        # the forward solves and the block recomputes factor the source's class; the
+        # sweep, all zero, factors and solves nothing
+        assert len(splu_calls) == 1
+        for g in (report.g_a, report.g_b):
+            assert np.all(g == 0.0) and not np.signbit(g).any()
