@@ -17,18 +17,19 @@ round-off, the scheme conserves the quadratic energy exactly when
 B = R = f = 0, which is the sharpest testable analogue of the continuous
 energy identity.
 
-The factor holds one LU per connected component of the step (see
+In 1D the factor holds one LU per connected component of the step (see
 ``operators.StepFactor``), so a solve pays only for the components it
-reaches.  Without a forcing and a tabulated history, only the components
-of the starting carry and the sources' footprints can become nonzero; a
-point source on a periodic even grid reaches one parity class of 2^dim, and
+reaches.  Without a forcing and a tabulated history, only the components of
+the starting carry and the sources' footprints can become nonzero; a point
+source on a periodic even grid reaches one of the two parity classes, and
 the step loop then forms and solves that class's unknowns alone, yielding
-full-size carries whose other entries are 0.0.  Its states are the floats of
-stepping every unknown, since each solve uses the same component factors
-and each row of the right-hand side the same entries in the same order.
-Smooth footprints, forced solves (the linearized forcing) and adjoint
-sweeps driven by interpolating receivers reach every class; they solve all
-of them, skipping any component block that is all zero.
+full-size carries whose other entries are +0.0.  Its states are the floats
+of stepping every unknown, since each solve uses the same component factors
+and each row of the right-hand side sums the same entries in the same
+order.  Smooth footprints, forced solves (the linearized forcing) and
+adjoint sweeps driven by interpolating receivers reach both classes; they
+solve each component block that is not all zero.  In 2D and 3D every solve
+uses the factor of the whole step matrix.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _midpoint_steps(
         history = np.zeros((n_steps + 1, *z.shape[1:]))
         history[0] = z[0]
     components, unknowns, rhs_matrix = None, slice(None), ops.rhs_matrix
-    if forcing is None and history is None:
+    if forcing is None and history is None and ops.lu.n_components > 1:
         reached = z.any(axis=(0, 2))
         for source in sources:
             if source is not None:
@@ -134,6 +135,10 @@ def _midpoint_steps(
             components = tuple(touched.tolist())
             unknowns, rhs_matrix = ops.restricted(components)
             z = z[:, unknowns]
+            # where z's entries go in the flattened full-size carry (one fancy index
+            # over all rows scatters several times faster than one per row)
+            slots = ((np.arange(z.shape[0])[:, None, None] * ops.n_state + unknowns[:, None])
+                     * z.shape[2] + np.arange(z.shape[2])).ravel()
     shots = [(col, source, source.footprint[unknowns])
              for col, source in enumerate(sources) if source is not None]
     times = grid.times()
@@ -161,7 +166,7 @@ def _midpoint_steps(
             yield z
         else:
             carry = np.zeros((z.shape[0], ops.n_state, z.shape[2]))
-            carry[:, unknowns] = z
+            carry.reshape(-1)[slots] = z.reshape(-1)
             yield carry
 
 

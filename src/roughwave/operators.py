@@ -24,15 +24,15 @@ convolution, the step's ``replay`` and the linearized forcing read the one
 rerun of the recursion over state rows, ``prony_steps``, which streams.
 
 The step matrix falls apart into connected components when nothing couples
-them, and ``StepFactor`` factors each on its own, on first use.  On a
-periodic grid with an even cell count per axis the centered stencil couples
-a cell's pressure only to velocities of its neighbours, so C splits into
-2^dim parity classes, as long as the cell blocks keep a cell's classes apart
-(scalar kappa and rho do; the acoustic mass, b and Prony blocks are
-diagonal).  The acoustic_free closure couples a wall cell's pressure to its
-own velocity and joins the classes, and so does an odd count on an axis
-(the wrap joins its two parities); C is then one component, factored as a
-whole.
+them.  On a periodic grid with an even cell count per axis the centered
+stencil couples a cell's pressure only to velocities of its neighbours, so C
+splits into 2^dim parity classes, as long as the cell blocks keep a cell's
+classes apart (scalar kappa and rho do; the acoustic mass, b and Prony
+blocks are diagonal).  The acoustic_free closure couples a wall cell's
+pressure to its own velocity and joins the classes, and so does an odd
+count on an axis (the wrap joins its two parities).  In 1D ``StepFactor``
+factors a component on its own when a solve reaches it alone; in 2D and 3D
+the step matrix is factored as a whole (see ``StepOperators``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     GridMismatchError,
@@ -372,19 +371,21 @@ class StepFactor:
     """SuperLU factors of a step matrix, one per connected component of its
     unknowns, each made on first use.
 
-    ``labels`` names each unknown's component, and the matrix couples no two
-    of them.  ``order`` groups the unknowns by component, ascending within
-    each, and component c's factor is that of the matrix restricted to its
-    unknowns, made by ``splu`` with ``options``; a single component factors
-    the matrix itself.  ``solve`` serves every right-hand side: it takes the
-    rows into component order, solves each component block that is not all
-    zero (a zero block's solution is zero, and its factor is never made) and
-    takes the rows back.  ``L`` and ``U`` join every component's factor block
-    diagonally, so their nnz is the fill.
+    ``labels`` names each unknown's component (one component if omitted), and
+    the matrix couples no two of them.  ``order`` groups the unknowns by
+    component, ascending within each, and component c's factor is that of the
+    matrix restricted to its unknowns, made by ``splu`` with ``options``; a
+    single component factors the matrix itself.  ``solve`` serves every
+    right-hand side: over all unknowns it takes the rows into component
+    order, solves each component block that is not all zero (a zero block's
+    solution is +0.0, and its factor is never made) and takes the rows back.
+    ``L`` and ``U`` join every component's factor block diagonally, so their
+    nnz is the fill.
     """
 
-    def __init__(self, matrix: sp.spmatrix, labels: np.ndarray, **options):
-        self.matrix, self.labels, self.options = matrix, np.asarray(labels), options
+    def __init__(self, matrix: sp.spmatrix, labels: np.ndarray | None = None, **options):
+        self.matrix, self.options = matrix, options
+        self.labels = np.zeros(matrix.shape[0], dtype=int) if labels is None else np.asarray(labels)
         self.order = np.argsort(self.labels, kind="stable")
         self.inverse = np.empty_like(self.order)
         self.inverse[self.order] = np.arange(self.order.size)
@@ -413,25 +414,20 @@ class StepFactor:
         """x with C x = rhs (C^T x = rhs for ``trans="T"``), rows (and columns) as
         ``rhs``.  With ``components`` (ascending), ``rhs`` and x hold only their
         ``unknowns``, and the other components are zero."""
-        if components is None:
-            if self.n_components == 1:
-                return self._factor(0).solve(rhs, trans)
+        if components is None and self.n_components > 1:
             blocks = np.take(rhs, self.order, axis=0)
-            return np.take(self._solve_blocks(blocks, range(self.n_components), trans),
+            return np.take(self.solve(blocks, trans, range(self.n_components)),
                            self.inverse, axis=0)
-        if len(components) == 1 and rhs.any():
-            return self._factor(components[0]).solve(rhs, trans)
-        return self._solve_blocks(rhs.copy(), components, trans)
-
-    def _solve_blocks(self, blocks: np.ndarray, components: Sequence[int], trans: str) -> np.ndarray:
-        """Overwrite each component's block of ``blocks`` with its solution."""
-        start = 0
+        if components is None or len(components) == 1:
+            if not rhs.any():
+                return np.zeros(rhs.shape)
+            return self._factor(0 if components is None else components[0]).solve(rhs, trans)
+        out, start = np.empty(rhs.shape), 0
         for c in components:
             stop = start + self.bounds[c + 1] - self.bounds[c]
-            block = blocks[start:stop]
-            block[...] = self._factor(c).solve(block, trans) if block.any() else 0.0
+            out[start:stop] = self.solve(rhs[start:stop], trans, (c,))
             start = stop
-        return blocks
+        return out
 
     @property
     def L(self) -> sp.csc_matrix:
@@ -469,11 +465,17 @@ class StepOperators:
     blocks plus a skew difference operator).  That ordering fills 2-4x less
     than COLAMD in 2D and 3D but 160x more in 1D.
 
-    ``lu`` is a ``StepFactor`` over the connected components of the union
-    pattern of C and every block of ``rhs_matrix``, labelled once here; each
-    component is factored, with that ordering, when a solve first reaches it.
+    ``lu`` is a ``StepFactor``.  In 1D it holds a factor per connected
+    component of the union pattern of C and every block of ``rhs_matrix``,
+    labelled once here, each made when a solve first reaches it, and
     ``restricted`` gives the right-hand side of a step on some components
-    alone, for solves that reach no others.
+    alone, for solves that reach no others.  In 2D and 3D C is factored as a
+    whole, as one component.  There the ordering runs in symmetric mode,
+    where SuperLU does not postorder the elimination tree and its relaxed
+    supernodes depend on how the components' columns interleave: factored
+    apart, the components solve to other round-off than the whole factor,
+    and a 2D adjoint dot test 25x past the CFL step, whose sums cancel
+    950-fold, reads 1.6e-13 on them against the whole factor's 4.1e-14.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
@@ -518,14 +520,20 @@ class StepOperators:
             [d, *(-e_h * wm for e_h, wm in zip(self.half_weights[:, 0], self.weight_matrices))],
             format="csr")
         self.n_state = n = system.n_state
-        # C beside rhs_matrix, every column folded onto its unknown: the union pattern
-        links = sp.hstack([self.c_matrix, self.rhs_matrix], format="csr")
-        links.indices %= n
-        _, labels = connected_components(
-            sp.csr_matrix((links.data, links.indices, links.indptr), shape=(n, n)), directed=False)
-        ordering = {} if system.grid.dim == 1 else {
-            "permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
-        self.lu = StepFactor(self.c_matrix, labels, **ordering)
+        if system.grid.dim == 1:
+            # imported here: 2D and 3D runs never label, and the module stays ~2 MB resident
+            from scipy.sparse.csgraph import connected_components
+
+            # C beside rhs_matrix, every column folded onto its unknown: the union pattern
+            links = sp.hstack([self.c_matrix, self.rhs_matrix], format="csr")
+            links.indices %= n
+            _, labels = connected_components(
+                sp.csr_matrix((links.data, links.indices, links.indptr), shape=(n, n)),
+                directed=False)
+            self.lu = StepFactor(self.c_matrix, labels)
+        else:
+            self.lu = StepFactor(self.c_matrix, permc_spec="MMD_AT_PLUS_A",
+                                 options={"SymmetricMode": True})
         self._restricted: dict[tuple[int, ...], tuple[np.ndarray, sp.csr_matrix]] = {}
 
     @property

@@ -73,7 +73,7 @@ def oracle_system(system):
     oracle = replace(system)
     c = zero_keeping_step_matrix(oracle)
     assert abs(c - oracle.step_operators.c_matrix).max() == 0
-    oracle.step_operators.lu = StepFactor(c, np.zeros(c.shape[0], dtype=int))
+    oracle.step_operators.lu = StepFactor(c)
     return oracle
 
 

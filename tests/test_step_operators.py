@@ -154,17 +154,13 @@ class TestStackedStep:
 
 
 class TestFactorCount:
-    # a periodic 2D grid with even cell counts splits the step matrix into four parity
-    # classes; the adjoint sweeps, driven by interpolating receivers, reach all four,
-    # and each component is factored once
     def test_gradient_with_dot_test_factors_once(self, splu_calls):
         system, src, sampler = prony_2d()
         observed = observed_for(system, src, sampler)
         report = misfit_gradient(system, src, sampler, observed,
                                  dot_test_rng=np.random.default_rng(0))
         assert report.diagnostics["dot_product_residual"] <= 1e-12
-        assert system.step_operators.lu.n_components == 4
-        assert len(splu_calls) == 4
+        assert len(splu_calls) == 1
 
     def test_check_suite_factors_once(self, tmp_path, splu_calls):
         path = tmp_path / "check.json"
@@ -179,7 +175,7 @@ class TestFactorCount:
         }))
         results = run_checks(parse_config(str(path)))
         assert all(ok for _, ok, _ in results)
-        assert len(splu_calls) == 4
+        assert len(splu_calls) == 1
 
 
 class TestPronyWeights:
@@ -285,28 +281,20 @@ class TestShots:
 
     @pytest.mark.parametrize("n_shots", [1, 2, 5])
     def test_one_factor_and_one_solve_per_step(self, splu_calls, n_shots):
-        # one factor per parity class that the sources reach, and per step one block
-        # solve of that class's unknowns
         system, _, sampler = prony_2d(cells=8)
         lu, solves = system.step_operators.lu, []
         solve = lu.solve
 
         def counting(rhs, trans="N", components=None):
-            solves.append((rhs.shape, components))
+            solves.append(rhs.shape)
             return solve(rhs, trans, components)
 
         lu.solve = counting
-        xs = np.linspace(0.2, 0.7, n_shots)
-        sources = [rw.make_ricker_source(system.grid, 3, [x, 0.5], peak_frequency=8.0) for x in xs]
+        sources = [rw.make_ricker_source(system.grid, 3, [x, 0.5], peak_frequency=8.0)
+                   for x in np.linspace(0.2, 0.7, n_shots)]
         forward_map_shots(system, sources, sampler)
-        # the pressure of cell (i, j) lies in the class of (i mod 2, j mod 2), and every
-        # source sits in row j = 4: at i = 1 and 5 for two shots, at i = 1 .. 5 for five
-        n_classes = {1: 1, 2: 1, 5: 2}[n_shots]
-        assert len({system.grid.nearest_cell([x, 0.5]) // 8 % 2 for x in xs}) == n_classes
-        reached = tuple(sorted({int(lu.labels[s.footprint.argmax()]) for s in sources}))
-        assert len(splu_calls) == len(reached) == n_classes
-        assert solves == ([((n_classes * system.n_state // 4, n_shots), reached)]
-                          * system.grid.n_steps)
+        assert len(splu_calls) == 1
+        assert solves == [(system.n_state, n_shots)] * system.grid.n_steps
 
     def test_no_sources_no_solve(self, splu_calls):
         system, _, sampler = prony_2d(cells=8)
