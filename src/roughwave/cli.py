@@ -476,8 +476,9 @@ def _fsum_dot(x: np.ndarray, y: np.ndarray) -> float:
 
 def _repeat_gap(system: DiscreteSystem, traj) -> float:
     """max |u_n - u'_n| between ``traj`` and its causal solve repeated step by step."""
-    repeat = evolution._midpoint_steps(system, [traj.source], np.zeros((system.n_state, 1)), None)
-    return max(float(np.abs(u - z[0, :, 0]).max()) for u, z in zip(traj.states[1:], repeat))
+    repeat = evolution._midpoint_steps([system], [traj.source], np.zeros((system.n_state, 1)),
+                                       None)
+    return max(float(np.abs(u - z[0, 0, :, 0]).max()) for u, z in zip(traj.states[1:], repeat))
 
 
 def _derivative_linearity(system: DiscreteSystem, traj, rng) -> tuple[float, float]:

@@ -30,15 +30,26 @@ order.  Smooth footprints, forced solves (the linearized forcing) and
 adjoint sweeps driven by interpolating receivers reach both classes; they
 solve each component block that is not all zero.  In 2D and 3D every solve
 uses the factor of the whole step matrix.
+
+Independent systems on one grid step as one batch, as the convergence and
+quotient studies step their solves.  They share the kernel class and the
+Prony relaxation times, and per step make one sparse product with the block
+diagonal of their right-hand-side matrices, one evaluation per distinct
+source, and one solve per system on its own factor.  Each system's states
+are the floats of stepping it alone: its factor is the same, and every row
+of the block diagonal sums the same entries in the same order.  A batch
+steps only the reached components when its systems label their components
+alike; otherwise it steps every unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     GridMismatchError,
@@ -87,85 +98,123 @@ def _source_at(source: SourceTerm | None, t: float, n_state: int) -> np.ndarray:
     return source.evaluate(t)
 
 
+def _block_diagonal_rows(matrices: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """The block diagonal of CSR matrices of one shape, each row's entries in their
+    stored order, so that a product sums every row as the matrix it came from does."""
+    if len(matrices) == 1:
+        return matrices[0]
+    (rows, cols), starts = matrices[0].shape, np.cumsum([0] + [m.nnz for m in matrices])
+    return sp.csr_matrix(
+        (np.concatenate([m.data for m in matrices]),
+         np.concatenate([m.indices + i * cols for i, m in enumerate(matrices)]),
+         np.concatenate([[0], *(m.indptr[1:] + start for m, start in zip(matrices, starts))])),
+        shape=(len(matrices) * rows, len(matrices) * cols))
+
+
 def _midpoint_steps(
-    system: DiscreteSystem,
+    systems: Sequence[DiscreteSystem],
     sources: list[SourceTerm | None],
     u0: np.ndarray,
     forcing: np.ndarray | Iterable[np.ndarray] | None,
     start: int = 0,
 ) -> Iterator[np.ndarray]:
-    """Yield the carries z_{start+1} .. z_N, (1 + n_terms, n_state, n_shots), of the shots
-    that are the columns of ``u0``, one source (or None) each, stepped together (one
-    ``lu.solve`` per step).  A carry stacks the state u_n (``z[0]``) and the Prony states
-    s_j(t_n); a fresh one is yielded per step.  ``u0`` is the state at t_start with zero
-    Prony states, (n_state, n_shots), or a carry that this generator yielded at t_start,
-    from which the solve resumes bit for bit.  ``forcing`` rows, for steps ``start`` on,
-    go to every shot, or per shot as (n_state, n_shots).  Only a tabulated kernel, the
-    one kernel with a history term, makes it keep past states, so it cannot resume.
-    Without either, when the carry and the footprints reach only some components of
-    ``lu``, it steps their unknowns alone (module docstring)."""
-    if any(s is not None and s.grid != system.grid for s in sources):
+    """Yield the carries z_{start+1} .. z_N, (n_systems, 1 + n_terms, n_state, n_shots),
+    of independent ``systems`` on one grid stepped as one batch (module docstring), each
+    on the shots that are the columns of ``u0``, one source (or None) each.  Per system
+    a carry stacks the state u_n (``z[i, 0]``) and the Prony states s_j(t_n); a fresh
+    one is yielded per step.  ``u0`` is the state at t_start with zero Prony states,
+    (n_state, n_shots), shared by every system, or a carry that this generator yielded
+    at t_start, from which the solve resumes bit for bit.  ``forcing`` rows, for steps
+    ``start`` on, go to every system and shot, or per shot as (n_state, n_shots).  Only
+    a tabulated kernel, the one kernel with a history term, makes it keep past states,
+    one history per system, so it cannot resume.  Without either, when the carry and
+    the footprints reach only some components of ``lu`` and every system labels its
+    components alike, it steps their unknowns alone."""
+    first = systems[0]
+    grid = first.grid
+    if any(s.grid != grid or s.k != first.k for s in systems):
+        raise GridMismatchError("the systems of a batch differ in grid or state width")
+    if any(s is not None and s.grid != grid for s in sources):
         raise GridMismatchError("source and system grids differ")
-    grid = system.grid
     dt, n_steps = grid.dt, grid.n_steps
-    if isinstance(forcing, np.ndarray) and forcing.shape != (n_steps, system.n_state):
+    if isinstance(forcing, np.ndarray) and forcing.shape != (n_steps, first.n_state):
         raise InvalidArgumentError(
-            f"forcing must have shape {(n_steps, system.n_state)}, got {forcing.shape}")
-    ops = system.step_operators
+            f"forcing must have shape {(n_steps, first.n_state)}, got {forcing.shape}")
+    step_ops = [s.step_operators for s in systems]
+    ops = step_ops[0]
+    # one Prony recursion serves the batch: its weights are those of dt and the taus
+    if any(type(s.kernel) is not type(first.kernel)
+           or not np.array_equal(o.step_weights, ops.step_weights)
+           for s, o in zip(systems, step_ops)):
+        raise UnsupportedConfigurationError(
+            "the systems of a batch differ in kernel class or Prony relaxation times")
     z = u0
     if u0.ndim == 2:
-        z = np.zeros((1 + ops.n_terms, *u0.shape))
-        z[0] = u0
+        z = np.zeros((len(systems), 1 + ops.n_terms, *u0.shape))
+        z[:, 0] = u0
     history = None
-    if isinstance(system.kernel, TabulatedKernel):
+    if isinstance(first.kernel, TabulatedKernel):
         if start:
             raise UnsupportedConfigurationError(
                 f"a solve with a tabulated kernel cannot resume at step {start}: "
                 "the kernel's history is not in the carry")
-        history = np.zeros((n_steps + 1, *z.shape[1:]))
-        history[0] = z[0]
-    components, unknowns, rhs_matrix = None, slice(None), ops.rhs_matrix
-    if forcing is None and history is None and ops.lu.n_components > 1:
-        reached = z.any(axis=(0, 2))
+        history = np.zeros((len(systems), n_steps + 1, *z.shape[2:]))
+        history[:, 0] = z[:, 0]
+    components, unknowns = None, slice(None)
+    rhs_matrices = [o.rhs_matrix for o in step_ops]
+    if (forcing is None and history is None and ops.lu.n_components > 1
+            and all(np.array_equal(o.lu.labels, ops.lu.labels) for o in step_ops[1:])):
+        reached = z.any(axis=(0, 1, 3))
         for source in sources:
             if source is not None:
                 reached |= source.footprint != 0
         touched = np.unique(ops.lu.labels[reached])
         if touched.size < ops.lu.n_components:
             components = tuple(touched.tolist())
-            unknowns, rhs_matrix = ops.restricted(components)
-            z = z[:, unknowns]
+            unknowns = ops.restricted(components)[0]
+            rhs_matrices = [o.restricted(components)[1] for o in step_ops]
+            z = z[:, :, unknowns]
             # where z's entries go in the flattened full-size carry (one fancy index
             # over all rows scatters several times faster than one per row)
-            slots = ((np.arange(z.shape[0])[:, None, None] * ops.n_state + unknowns[:, None])
-                     * z.shape[2] + np.arange(z.shape[2])).ravel()
-    shots = [(col, source, source.footprint[unknowns])
-             for col, source in enumerate(sources) if source is not None]
+            slots = ((np.arange(z.shape[0] * z.shape[1])[:, None, None] * ops.n_state
+                      + unknowns[:, None]) * z.shape[3] + np.arange(z.shape[3])).ravel()
+    rhs_matrix = _block_diagonal_rows(rhs_matrices)
+    shots = {}  # each distinct source once: its footprint on the unknowns, and its columns
+    for col, source in enumerate(sources):
+        if source is not None:
+            shots.setdefault(id(source), (source, source.footprint[unknowns], []))[2].append(col)
     times = grid.times()
     rows = None if forcing is None else iter(forcing[start:] if isinstance(forcing, np.ndarray)
                                              else forcing)
     for n in range(start, n_steps):
-        rhs = rhs_matrix @ z.reshape(-1, z.shape[2])
+        rhs = (rhs_matrix @ z.reshape(-1, z.shape[3])).reshape(z.shape[0], -1, z.shape[3])
         if history is not None:
-            rhs += ops.memory_history_rhs(history, n)
-        for col, source, footprint in shots:
-            rhs[:, col] += source.evaluate(times[n] + 0.5 * dt, footprint)
+            for r, o, past in zip(rhs, step_ops, history):
+                r += o.memory_history_rhs(past, n)
+        for source, footprint, cols in shots.values():
+            f = source.evaluate(times[n] + 0.5 * dt, footprint)
+            for col in cols:
+                rhs[:, :, col] += f
         if rows is not None:
             row = next(rows)
             rhs += row if row.ndim == 2 else row[:, None]
-        u_next = ops.lu.solve(rhs, components=components)
-        if not np.all(np.isfinite(u_next)):
+        u_next = np.empty(rhs.shape)
+        for o, r, u in zip(step_ops, rhs, u_next):
+            u[...] = o.lu.solve(r, components=components)
+        if not np.isfinite(u_next).all():
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
         if ops.n_terms:
-            z = np.concatenate((u_next[None], prony_advance(z[1:], z[0], u_next, ops.step_weights)))
+            # prony_advance takes the terms first
+            s_next = prony_advance(z[:, 1:].swapaxes(0, 1), z[:, 0], u_next, ops.step_weights)
+            z = np.concatenate((u_next[:, None], s_next.swapaxes(0, 1)), axis=1)
         else:
-            z = u_next[None]
+            z = u_next[:, None]
         if history is not None:
-            history[n + 1] = u_next
+            history[:, n + 1] = u_next
         if components is None:
             yield z
         else:
-            carry = np.zeros((z.shape[0], ops.n_state, z.shape[2]))
+            carry = np.zeros((*z.shape[:2], ops.n_state, z.shape[3]))
             carry.reshape(-1)[slots] = z.reshape(-1)
             yield carry
 
@@ -182,8 +231,8 @@ def _midpoint_solve(
     keep = slice(None) if columns is None else columns
     states = np.empty((system.grid.n_steps + 1, *u0[keep].shape))
     states[0] = u0[keep]
-    for n, z in enumerate(_midpoint_steps(system, sources, u0, forcing), 1):
-        states[n] = z[0][keep]
+    for n, z in enumerate(_midpoint_steps([system], sources, u0, forcing), 1):
+        states[n] = z[0, 0][keep]
     return states
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import GridMismatchError, InvalidArgumentError
 from .evolution import Trajectory, _midpoint_steps
 from .fields import CoefficientField, Grid, SourceTerm, mollify_field, measure_distance
 from .forward import Sampler, _sampled_shots, build_sampler
-from .operators import assemble_system
+from .operators import assemble_damping, assemble_mass, assemble_system
 from .physics import AcousticModel, acoustics_system
 
 
@@ -174,6 +174,9 @@ def measure_convergence_study(
     sampler is given, the seismogram max-norm gap, quantifying how solution
     continuity follows from coefficient convergence in measure.
     """
+    for n in schedule:
+        if not float(n).is_integer():
+            raise InvalidArgumentError(f"schedule entry {n!r} is not an integer")
     schedule = [int(n) for n in schedule]
     if sampler is not None and sampler.grid != rough.grid:
         raise GridMismatchError("sampler and field grids differ")
@@ -183,22 +186,23 @@ def measure_convergence_study(
     eps = 0.25 * spread if spread > 0 else 0.25
     smooths = [mollify_field(rough, n, boundary) for n in schedule]
     meas_dist = [measure_distance(rough, smooth, eps) for smooth in smooths]
-    systems = [assemble_system(f, p_matrices, boundary) for f in (rough, *smooths)]
-    n_state, n_steps = systems[0].n_state, rough.grid.n_steps
+    # the mollified systems share the rough one's stencil, assembled once
+    reference = assemble_system(rough, p_matrices, boundary)
+    systems = [reference, *(replace(reference, a_blocks=assemble_mass(f),
+                                    b_blocks=assemble_damping(f), kernel=f.kernel)
+                            for f in smooths)]
+    n_state, n_steps = reference.n_state, rough.grid.n_steps
     cols = sampler.gathered[0] if sampler is not None else np.arange(0)
     u0 = np.zeros((n_state, 1))
-    # per step: each mollified state's distance to the rough one, and every
-    # system's sampled columns; no state series is kept
+    # the solves step as one batch; per step: each mollified state's distance to the
+    # rough one, and every system's sampled columns; no state series is kept
     sup = np.zeros(len(schedule))
     diff = np.empty((len(schedule), n_state))
     kept = np.zeros((len(systems), n_steps + 1, cols.size))
-    steps = zip(*(_midpoint_steps(system, [source], u0, None) for system in systems))
-    for n, (ref, *smooth) in enumerate(steps, 1):
-        for row, z in zip(diff, smooth):
-            np.subtract(z[0, :, 0], ref[0, :, 0], out=row)
+    for n, z in enumerate(_midpoint_steps(systems, [source], u0, None), 1):
+        np.subtract(z[1:, 0, :, 0], z[0, 0, :, 0], out=diff)
         np.maximum(sup, np.linalg.norm(diff, axis=1), out=sup)
-        for sampled, z in zip(kept, (ref, *smooth)):
-            sampled[n] = z[0, cols, 0]
+        kept[:, n] = z[:, 0, cols, 0]
     sol_dist = [float(np.sqrt(rough.grid.cell_volume) * d) for d in sup]
     series = {
         "solution_distance": tuple(sol_dist),

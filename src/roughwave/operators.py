@@ -93,6 +93,11 @@ def assemble_mass(f: CoefficientField) -> np.ndarray:
     return f.a
 
 
+def assemble_damping(f: CoefficientField) -> np.ndarray | None:
+    """The damping blocks of a field: its b, or None when b is absent or zero."""
+    return f.b if f.b is not None and np.abs(f.b).max() > 0 else None
+
+
 def energy(a_blocks: np.ndarray, cell_volume: float, u: np.ndarray) -> float:
     """Quadratic energy E = (1/2) <u, A u> in the volume-weighted inner product."""
     n, k, _ = a_blocks.shape
@@ -606,9 +611,8 @@ def assemble_system(
     a = assemble_mass(f)
     p_matrices = tuple(np.asarray(p, dtype=float) for p in p_matrices)
     skew = assemble_skew(p_matrices, f.grid, boundary, k=f.k)
-    b = f.b if f.b is not None and np.abs(f.b).max() > 0 else None
-    return DiscreteSystem(a_blocks=a, skew=skew, p_matrices=p_matrices, b_blocks=b,
-                          kernel=f.kernel, grid=f.grid, k=f.k)
+    return DiscreteSystem(a_blocks=a, skew=skew, p_matrices=p_matrices,
+                          b_blocks=assemble_damping(f), kernel=f.kernel, grid=f.grid, k=f.k)
 
 
 def unit_directions(dim: int) -> np.ndarray:

@@ -164,8 +164,8 @@ def linearized_forcing(
     the stacked (u_n, u_{n+1}, s_1(t_n), ...), with M_old = -dA/dt + dB/2 +
     sum_j w_old_h,j dW_j and M_new = dA/dt + dB/2 + sum_j w_new_h,j dW_j.
     ``base`` is the base trajectory, or its carries z_0 .. z_N in order, each
-    the (1 + n_terms, n_state) stack (u_n, s_1(t_n), ...) of one shot's
-    ``_midpoint_steps`` carry, pulled as the rows are.  The base Prony states
+    the (1 + n_terms, n_state) stack (u_n, s_1(t_n), ...) of one system and
+    shot of a ``_midpoint_steps`` carry, pulled as the rows are.  The base Prony states
     are read from the carries; a trajectory is replayed into carries once.
     """
     pert.validate(system)
@@ -204,9 +204,9 @@ def derivative_steps(
     if source is not None and source.smoothness < 2:
         warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
                       "in the continuum limit", stacklevel=3)
-    steps = _midpoint_steps(system, [None], np.zeros((system.n_state, 1)),
+    steps = _midpoint_steps([system], [None], np.zeros((system.n_state, 1)),
                             linearized_forcing(system, base, pert))
-    return (z[0] for z in steps)
+    return (z[0, 0] for z in steps)
 
 
 def directional_derivative(
@@ -375,7 +375,7 @@ def adjoint_gradient(
 def _gradient_forward(system: DiscreteSystem, source: SourceTerm, sampler: Sampler,
                       pert: CoefficientPerturbation | None):
     """The forward solve of a gradient.  It keeps the sampler's gathered columns of its
-    states, (n_steps + 1, n_columns, n_solves); the carry, (1 + n_terms, n_state, 1),
+    states, (n_steps + 1, n_columns, n_solves); the carry, (1, 1 + n_terms, n_state, 1),
     at the start of every block of ``_block_bounds`` but the top one, from the bottom;
     and the top block's states.  With ``pert`` the derivative solve about the base steps
     as a second column, one step behind, since its forcing row n reads the base carry at
@@ -389,7 +389,7 @@ def _gradient_forward(system: DiscreteSystem, source: SourceTerm, sampler: Sampl
     sources, forcing = [source], None
     if pert is not None:
         def base_carries():  # z_0, then each base carry as the solve below yields it
-            yield z0[..., 0]
+            yield z0[0, ..., 0]
             while True:
                 yield latest
 
@@ -403,22 +403,22 @@ def _gradient_forward(system: DiscreteSystem, source: SourceTerm, sampler: Sampl
                 yield row
 
         sources, forcing = [source, None], forcing()
-    z0 = np.zeros((1 + n_terms, n_state, len(sources)))
+    z0 = np.zeros((1, 1 + n_terms, n_state, len(sources)))
     kept = np.zeros((n_steps + 1, cols.size, len(sources)))
     carries, top = [], np.empty((n_steps + 1 - top_start, n_state))
-    for n, z in enumerate(itertools.chain([z0], _midpoint_steps(system, sources, z0, forcing))):
-        kept[n, :, 0] = z[0, cols, 0]
+    for n, z in enumerate(itertools.chain([z0], _midpoint_steps([system], sources, z0, forcing))):
+        kept[n, :, 0] = z[0, 0, cols, 0]
         if n in starts:
             carries.append(z[..., :1].copy())
         if n >= top_start:
-            top[n - top_start] = z[0, :, 0]
+            top[n - top_start] = z[0, 0, :, 0]
         if pert is not None:
-            latest = z[..., 0]  # the base carry of the step last taken
+            latest = z[0, ..., 0]  # the base carry of the step last taken
             if n > 1:
-                kept[n - 1, :, 1] = z[0, cols, 1]  # du_{n-1}
+                kept[n - 1, :, 1] = z[0, 0, cols, 1]  # du_{n-1}
     if pert is not None:
-        last = _midpoint_steps(system, [None], z[..., 1:], [next(derivative_rows)], n_steps - 1)
-        kept[n_steps, :, 1] = next(last)[0, cols, 0]
+        last = _midpoint_steps([system], [None], z[..., 1:], [next(derivative_rows)], n_steps - 1)
+        kept[n_steps, :, 1] = next(last)[0, 0, cols, 0]
     return kept, carries, top
 
 
@@ -431,9 +431,9 @@ def _recomputed_blocks(system: DiscreteSystem, source: SourceTerm, carries: list
     yield start, stop, top
     for (start, stop), carry in zip(lower, reversed(carries)):
         rows = top[:stop - start]
-        rows[0] = carry[0, :, 0]
-        for row, z in zip(rows[1:], _midpoint_steps(system, [source], carry, None, start)):
-            row[:] = z[0, :, 0]
+        rows[0] = carry[0, 0, :, 0]
+        for row, z in zip(rows[1:], _midpoint_steps([system], [source], carry, None, start)):
+            row[:] = z[0, 0, :, 0]
         yield start, stop, rows
 
 
@@ -601,25 +601,22 @@ def quotient_study(
         except (InvalidArgumentError, np.linalg.LinAlgError):
             continue
         admissible.append((i, float(h), pert_system))
-    # du and the u_h step together, du's forcing pulling the base carries as the base
-    # steps; per step, each quotient's distance to du, and du's norm
+    # the base and the u_h step as one batch, and du beside it, its forcing pulling the
+    # batch's base carries; per step, each quotient's distance to du, and du's norm
     sup = np.zeros(len(admissible) + 1)
     rows = np.empty((len(admissible) + 1, system.n_state))
-    u0 = np.zeros((system.n_state, 1))
-    base_n = np.zeros((1 + system.step_operators.n_terms, system.n_state))
+    batch = [system, *(s for _, _, s in admissible)]
+    z = np.zeros((len(batch), 1 + system.step_operators.n_terms, system.n_state, 1))
 
     def base_carries():  # z_0 .. z_N; once du_n is out, its forcing has pulled z_n
-        nonlocal base_n
-        yield base_n
-        for z in _midpoint_steps(system, [source], u0, None):
-            base_n = z[..., 0]
-            yield base_n
+        nonlocal z
+        yield z[0, ..., 0]
+        for z in _midpoint_steps(batch, [source], np.zeros((system.n_state, 1)), None):
+            yield z[0, ..., 0]
 
-    steps = zip(derivative_steps(system, source, base_carries(), pert),
-                *(_midpoint_steps(s, [source], u0, None) for _, _, s in admissible))
-    for du_n, *u_hs in steps:
-        for row, z_h, (_, h, _) in zip(rows, u_hs, admissible):
-            np.subtract(z_h[0, :, 0], base_n[0], out=row)
+    for du_n in derivative_steps(system, source, base_carries(), pert):
+        for row, z_h, (_, h, _) in zip(rows, z[1:], admissible):
+            np.subtract(z_h[0, :, 0], z[0, 0, :, 0], out=row)
             row /= h
             row -= du_n[:, 0]
         rows[-1] = du_n[:, 0]

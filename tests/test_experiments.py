@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from conftest import traced_peak
 from oracles import stored_convergence_series
 
 import roughwave as rw
+from roughwave import evolution, experiments
 from roughwave.errors import GridMismatchError, InvalidArgumentError
 from roughwave.experiments import (
     LEAK_ROWS,
@@ -17,6 +21,7 @@ from roughwave.experiments import (
     seismogram_derivative_bound,
     trace_regularity_probe,
 )
+from roughwave.evolution import _midpoint_steps
 from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import sample_trajectory
 from roughwave.operators import assemble_system
@@ -166,6 +171,47 @@ class TestMeasureConvergence:
         measure_convergence_study(field, src, [2, 4, 8, 16], sampler=sampler)
         assert len(splu_calls) == 5
 
+    def test_one_evaluation_product_and_solve_per_system_per_step(self, monkeypatch):
+        # the five solves step as one batch: per step one source evaluation, one
+        # right-hand-side product and one SuperLU solve per system (on its own factor)
+        field, src, sampler = study_case(1, "prony")
+        evaluations, products, solves = [], [], []
+        evaluate, block_diagonal = rw.SourceTerm.evaluate, evolution._block_diagonal_rows
+        splu = spla.splu
+
+        def counting_evaluate(source, *args):
+            evaluations.append(source)
+            return evaluate(source, *args)
+
+        class CountingProducts:
+            def __init__(self, matrices):
+                self.matrix = block_diagonal(matrices)
+
+            def __matmul__(self, carry):
+                products.append(carry.shape)
+                return self.matrix @ carry
+
+        class CountingSolves:
+            def __init__(self, *args, **kwargs):
+                self.lu = splu(*args, **kwargs)
+
+            def solve(self, rhs, trans="N"):
+                solves.append(self)
+                return self.lu.solve(rhs, trans)
+
+        monkeypatch.setattr(rw.SourceTerm, "evaluate", counting_evaluate)
+        monkeypatch.setattr(evolution, "_block_diagonal_rows", CountingProducts)
+        monkeypatch.setattr(spla, "splu", CountingSolves)
+        measure_convergence_study(field, src, [2, 4, 8, 16], sampler=sampler)
+        n_steps = field.grid.n_steps
+        assert evaluations == [src] * n_steps
+        # the point source reaches one parity class: 40 of each system's 80 unknowns,
+        # each with its two Prony states
+        assert products == [(5 * 3 * 40, 1)] * n_steps
+        factors = set(solves)
+        assert len(factors) == 5
+        assert all(solves.count(lu) == n_steps for lu in factors)
+
     def test_holds_no_state_series(self):
         # the solves step together and keep one distance per step and the sampled
         # columns; what stays is one step operator per system and the samples
@@ -195,6 +241,56 @@ class TestMeasureConvergence:
             measure_convergence_study(field, src, [4, 8])
         with pytest.raises(InvalidArgumentError):
             measure_convergence_study(field, src, [8, 4, 16])
+
+    def test_non_integral_schedule_entry_named(self, splu_calls):
+        field, src, _ = study_case(1, None)
+        with pytest.raises(InvalidArgumentError, match="schedule entry 8.2 is not an integer"):
+            measure_convergence_study(field, src, [4, 8.2, 16.7])
+        assert splu_calls == []
+        # integral floats are integers
+        as_floats = measure_convergence_study(field, src, [4.0, 8.0, 16.0])
+        as_ints = measure_convergence_study(field, src, [4, 8, 16])
+        assert as_floats.schedule == as_ints.schedule == (4.0, 8.0, 16.0)
+        assert as_floats.series == as_ints.series
+
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    def test_mollified_systems_share_the_assembled_stencil(self, monkeypatch, boundary, kernel):
+        # each mollified system is the rough one with its own mass, b and kernel, and
+        # solves as the system assembled from its field
+        rough, src, _ = study_case(1, kernel)
+        damped = np.zeros_like(rough.a)
+        damped[:8] = 0.3 * np.eye(2)  # damping on a few cells: mollified, it spreads
+        batches = []
+
+        def recording(systems, *args):
+            batches.append(systems)
+            return _midpoint_steps(systems, *args)
+
+        monkeypatch.setattr(experiments, "_midpoint_steps", recording)
+        schedule = [2, 4, 8]
+        for b in (damped, None, 0 * damped):  # b = 0 assembles as no b
+            f = dataclasses.replace(rough, b=b, c_b=None)
+            measure_convergence_study(f, src, schedule, boundary=boundary)
+            first, *smooth = batches.pop()
+            assert all(s.skew is first.skew and s.p_matrices is first.p_matrices for s in smooth)
+            for system, g in zip((first, *smooth),
+                                 (f, *(rw.mollify_field(f, n, boundary) for n in schedule))):
+                expected = assemble_system(g, None, boundary)
+                assert (system.b_blocks is None) == (b is None or not b.any())
+                assert (expected.b_blocks is None) == (system.b_blocks is None)
+                for name in ("a_blocks", "b_blocks"):
+                    assert np.array_equal(getattr(system, name), getattr(expected, name))
+                assert type(system.kernel) is type(expected.kernel)
+                for got, want in zip(dataclasses.astuple(system.kernel),
+                                     dataclasses.astuple(expected.kernel)):
+                    assert np.array_equal(got, want)
+                assert (system.skew != expected.skew).nnz == 0
+                for name in ("c_matrix", "rhs_matrix"):
+                    got = getattr(system.step_operators, name)
+                    want = getattr(expected.step_operators, name)
+                    for part in ("data", "indices", "indptr"):
+                        assert np.array_equal(getattr(got, part), getattr(want, part)), name
 
 
 class TestTraceRegularity:

@@ -14,6 +14,7 @@ from conftest import (
 from oracles import dot_product_test, stored_misfit_gradient, sup_l2_distance
 
 import roughwave as rw
+from roughwave.experiments import fit_slope
 from roughwave.errors import InvalidArgumentError, SolverError, UnsupportedConfigurationError
 from roughwave.evolution import _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel
@@ -47,6 +48,47 @@ def acoustic_setup(cells=120, t_end=0.3, with_memory=True, seed=0, amplitude=20.
     src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=8.0, amplitude=amplitude)
     sampler = build_sampler([[0.7], [0.55]], "pressure", g, 2)
     return g, system, src, sampler
+
+
+def zipped_quotient_study(system, pert, source, h_schedule):
+    """``quotient_study`` with one step generator per solve, zipped: du pulls the base
+    carries from the base's own generator, and each u_h steps in its own."""
+    vol = system.grid.cell_volume
+    remainders, flagged = [np.nan] * len(h_schedule), [True] * len(h_schedule)
+    admissible = []
+    for i, h in enumerate(h_schedule):
+        try:
+            pert_system = perturbed_system(system, pert, float(h))
+            if np.linalg.eigvalsh(pert_system.a_blocks).min() <= 0.0:
+                continue
+        except (InvalidArgumentError, np.linalg.LinAlgError):
+            continue
+        admissible.append((i, float(h), pert_system))
+    sup = np.zeros(len(admissible) + 1)
+    rows = np.empty((len(admissible) + 1, system.n_state))
+    u0 = np.zeros((system.n_state, 1))
+    base_n = np.zeros((1 + system.step_operators.n_terms, system.n_state))
+
+    def base_carries():
+        nonlocal base_n
+        yield base_n
+        for z in _midpoint_steps([system], [source], u0, None):
+            base_n = z[0, ..., 0]
+            yield base_n
+
+    steps = zip(derivative_steps(system, source, base_carries(), pert),
+                *(_midpoint_steps([s], [source], u0, None) for _, _, s in admissible))
+    for du_n, *u_hs in steps:
+        for row, z_h, (_, h, _) in zip(rows, u_hs, admissible):
+            np.subtract(z_h[0, 0, :, 0], base_n[0], out=row)
+            row /= h
+            row -= du_n[:, 0]
+        rows[-1] = du_n[:, 0]
+        np.maximum(sup, np.linalg.norm(rows, axis=1), out=sup)
+    *distances, du_norm = np.sqrt(vol) * sup
+    for (i, _, _), d in zip(admissible, distances):
+        remainders[i], flagged[i] = float(d), False
+    return remainders, flagged, fit_slope(h_schedule, remainders), float(du_norm)
 
 
 class TestDirectionalDerivative:
@@ -353,7 +395,7 @@ class TestAdjointGradient:
         u0 = np.zeros((system.n_state, 1))
         carries = itertools.chain(
             [np.zeros((1 + system.step_operators.n_terms, system.n_state))],
-            (z[..., 0] for z in _midpoint_steps(system, [src], u0, None)))
+            (z[0, ..., 0] for z in _midpoint_steps([system], [src], u0, None)))
         stored = list(linearized_forcing(system, base, pert))
         streamed = list(linearized_forcing(system, carries, pert))
         assert len(streamed) == len(stored) == BLOCK_STEPS + 1
@@ -473,6 +515,37 @@ class TestQuotientStudy:
             assert remainder == sup_l2_distance((u_h.states - base.states) / h, du.states, vol)
         assert study.derivative_norm == float(
             np.sqrt(vol) * np.linalg.norm(du.states, axis=1).max())
+
+    @pytest.mark.parametrize("case", ["bump-1d", "random-1d", "prony-2d"])
+    def test_equal_to_one_generator_per_solve(self, case):
+        # the batch steps the base and every u_h.  A diagonal bump keeps the parity
+        # classes apart, so the 1D batch steps the one class the point source reaches;
+        # a random perturbation joins them, and the batch steps every unknown
+        if case == "prony-2d":
+            g = rw.build_grid(2, [8, 6], 1.0, 5e-3, 0.06)
+            kernel = PronyKernel(weights=(np.tile(0.4 * np.eye(3), (g.n_cells, 1, 1)),
+                                          np.tile(0.15 * np.eye(3), (g.n_cells, 1, 1))),
+                                 taus=(0.07, 0.3))
+            model = rw.two_layer_acoustic(g, kappa_left=1.0, kappa_right=3.0, interface=0.6)
+            system = rw.acoustics_system(model, kernel=kernel)
+            src = rw.make_ricker_source(g, 3, [0.4, 0.5], peak_frequency=6.0)
+        else:
+            g, system, src, _ = acoustic_setup(cells=60, t_end=0.1)
+        rng = np.random.default_rng(3)
+        if case == "bump-1d":
+            bump = np.zeros((g.n_cells, 2, 2))
+            bump[20:30] = np.diag([0.4, 0.2])
+            pert = CoefficientPerturbation(delta_a=bump)
+        else:
+            pert = random_perturbation(system, rng)
+        h_sched = [30.0, 1e-1, 1e-2, 1e-3]
+        study = quotient_study(system, pert, src, h_sched)
+        remainders, flagged, slope, du_norm = zipped_quotient_study(system, pert, src, h_sched)
+        assert np.array_equal(study.remainders, remainders, equal_nan=True)
+        assert study.flagged == tuple(flagged)
+        assert np.array_equal(study.slope, slope, equal_nan=True)
+        assert study.derivative_norm == du_norm > 0
+        assert not all(flagged)
 
     def test_holds_no_perturbed_series(self):
         # the base, du and the u_h step together, one distance per step each.  What

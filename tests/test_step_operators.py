@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import roughwave as rw
+from roughwave import evolution
 from conftest import (
     adjoint_solve,
     count_calls,
@@ -23,9 +24,9 @@ from conftest import (
     traced_peak,
 )
 from roughwave.cli import parse_config, run_checks
-from roughwave.errors import SolverError, UnsupportedConfigurationError
+from roughwave.errors import GridMismatchError, SolverError, UnsupportedConfigurationError
 from roughwave.evolution import _midpoint_solve, _midpoint_steps, step_residuals
-from roughwave.fields import PronyKernel, TabulatedKernel
+from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory, sampled_solve
 from roughwave.operators import memory_series
 from roughwave.sensitivity import (
@@ -325,9 +326,9 @@ class TestMidpointSteps:
         full = _midpoint_solve(system, sources, u0, None)
         cols = sampler.gathered[0]
         assert np.array_equal(_midpoint_solve(system, sources, u0, None, cols), full[:, cols])
-        steps = list(_midpoint_steps(system, sources, u0, None))
+        steps = list(_midpoint_steps([system], sources, u0, None))
         assert len(steps) == system.grid.n_steps
-        assert all(np.array_equal(z[0], row) for z, row in zip(steps, full[1:]))
+        assert all(np.array_equal(z[0, 0], row) for z, row in zip(steps, full[1:]))
         assert np.array_equal(full[..., 0], rw.solve_causal(system, src).states)
         assert np.abs(full[..., 0]).max() > 0
 
@@ -340,14 +341,14 @@ class TestMidpointSteps:
         sources = [src, None]
         u0 = np.zeros((system.n_state, len(sources)))
         forcing = rng.standard_normal((n_steps, system.n_state))
-        carries = [np.zeros((1 + n_terms, *u0.shape)),
-                   *_midpoint_steps(system, sources, u0, forcing)]
-        assert carries[-1].shape == (1 + (2 if kernel else 0), *u0.shape)
-        assert np.all(np.abs(carries[-1]).max(axis=(1, 2)) > 0)
+        carries = [np.zeros((1, 1 + n_terms, *u0.shape)),
+                   *_midpoint_steps([system], sources, u0, forcing)]
+        assert carries[-1].shape == (1, 1 + (2 if kernel else 0), *u0.shape)
+        assert np.all(np.abs(carries[-1]).max(axis=(0, 2, 3)) > 0)
         for start in (0, 1, BLOCK_STEPS, n_steps - 1):
             rows = iter(forcing[start:])
-            for resumed in (_midpoint_steps(system, sources, carries[start], forcing, start),
-                            _midpoint_steps(system, sources, carries[start], rows, start)):
+            for resumed in (_midpoint_steps([system], sources, carries[start], forcing, start),
+                            _midpoint_steps([system], sources, carries[start], rows, start)):
                 resumed = list(resumed)
                 assert len(resumed) == n_steps - start
                 assert all(np.array_equal(z, ref) for z, ref in zip(resumed, carries[start + 1:]))
@@ -355,9 +356,9 @@ class TestMidpointSteps:
     def test_a_tabulated_kernel_cannot_resume(self):
         system, src, *_ = stacked_step_case(1, "periodic", "tabulated")
         u0 = np.zeros((system.n_state, 1))
-        z1 = next(_midpoint_steps(system, [src], u0, None))
+        z1 = next(_midpoint_steps([system], [src], u0, None))
         with pytest.raises(UnsupportedConfigurationError, match="tabulated kernel cannot resume"):
-            next(_midpoint_steps(system, [src], z1, None, 1))
+            next(_midpoint_steps([system], [src], z1, None, 1))
 
     @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
     def test_only_a_tabulated_kernel_keeps_past_states(self, kernel):
@@ -373,8 +374,125 @@ class TestMidpointSteps:
         system.step_operators  # built outside the traced steps
         series_bytes = (g.n_steps + 1) * system.n_state * 8
         u0 = np.zeros((system.n_state, 1))
-        peak = traced_peak(lambda: deque(_midpoint_steps(system, [src], u0, None), maxlen=0))
+        peak = traced_peak(lambda: deque(_midpoint_steps([system], [src], u0, None), maxlen=0))
         if isinstance(kernel, TabulatedKernel):
             assert peak >= series_bytes
         else:
             assert peak <= 0.1 * series_bytes
+
+
+def batch_case(case, kernel, n_systems=3):
+    """``n_systems`` random acoustic media on one grid, 12 steps, each with no memory, a
+    two-term Prony kernel (shared relaxation times) or a tabulated one, and a Ricker
+    source.  ``restricted-1d`` is periodic with an even count and a point source, so a
+    batch steps one parity class; ``free-odd-1d`` (acoustic_free, odd count, smooth
+    footprint) and ``2d`` step every unknown, and so does ``mixed-labels-1d``, whose
+    last system couples each cell's pressure and velocity through b, which joins the
+    parity classes that the others keep apart."""
+    dim = 2 if case == "2d" else 1
+    cells = {"restricted-1d": [40], "free-odd-1d": [41], "2d": [8, 6],
+             "mixed-labels-1d": [40]}[case]
+    boundary = "acoustic_free" if case == "free-odd-1d" else "periodic"
+    rng = np.random.default_rng(len(case))
+    dt = 0.5 / max(cells)
+    g = rw.build_grid(dim, cells, 1.0, dt, 12 * dt)
+    eye = np.eye(dim + 1)
+    systems = []
+    for _ in range(n_systems):
+        model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
+                                 rho=rng.uniform(0.5, 2.0, g.n_cells))
+        memory = None
+        if kernel == "prony":
+            memory = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
+                                               for _ in range(2)), taus=(0.05, 0.5))
+        elif kernel == "tabulated":
+            samples = rng.uniform(0, 1, (20, g.n_cells))[:, :, None, None] * eye
+            memory = TabulatedKernel(times=dt * np.arange(20), samples=samples)
+        systems.append(rw.acoustics_system(model, boundary=boundary, kernel=memory))
+    if case == "mixed-labels-1d":
+        coupling = np.tile([[0.2, 0.1], [0.1, 0.2]], (g.n_cells, 1, 1))
+        systems[-1] = dataclasses.replace(systems[-1], b_blocks=coupling)
+    width = 0.05 if case == "free-odd-1d" else None
+    src = rw.make_ricker_source(g, dim + 1, [0.4] * dim, peak_frequency=1 / (4 * dt),
+                                delay=4 * dt, footprint_width=width)
+    return systems, src, rng
+
+
+class TestBatchedSteps:
+    """Independent systems stepped as one batch yield, bit for bit, the carries of
+    stepping each system alone."""
+
+    CASES = ["restricted-1d", "free-odd-1d", "2d", "mixed-labels-1d"]
+
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_equal_to_one_generator_per_system(self, monkeypatch, case, kernel):
+        systems, src, _ = batch_case(case, kernel)
+        sources = [src, None, src]  # two columns of one source: one evaluation per step
+        u0 = np.zeros((systems[0].n_state, len(sources)))
+        alone = [list(_midpoint_steps([s], sources, u0, None)) for s in systems]
+        evaluations, evaluate = [], rw.SourceTerm.evaluate
+        monkeypatch.setattr(rw.SourceTerm, "evaluate",
+                            lambda *args: evaluations.append(args) or evaluate(*args))
+        products, block_diagonal = [], evolution._block_diagonal_rows
+
+        def recording(matrices):
+            matrix = block_diagonal(matrices)
+            products.append(matrix.shape)
+            return matrix
+
+        monkeypatch.setattr(evolution, "_block_diagonal_rows", recording)
+        batch = list(_midpoint_steps(systems, sources, u0, None))
+        n_steps, n_terms = systems[0].grid.n_steps, systems[0].step_operators.n_terms
+        assert len(batch) == n_steps
+        assert len(evaluations) == n_steps
+        for i, steps in enumerate(alone):
+            assert all(np.array_equal(z[i:i + 1], ref) for z, ref in zip(batch, steps))
+        assert batch[-1].shape == (len(systems), 1 + n_terms, systems[0].n_state, len(sources))
+        assert np.all(np.abs(batch[-1][:, 0, :, 0]).max(axis=1) > 0)
+        assert np.array_equal(batch[-1][..., 0], batch[-1][..., 2])
+        assert not batch[-1][..., 1].any()
+        # the point source reaches one parity class: when the systems label their
+        # classes alike and no history is kept, the batch steps that class alone
+        n_unknowns = systems[0].n_state // (2 if case == "restricted-1d" and kernel != "tabulated"
+                                            else 1)
+        assert products == [(len(systems) * n_unknowns, len(systems) * (1 + n_terms) * n_unknowns)]
+
+    @pytest.mark.parametrize("kernel", [None, "prony"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_per_column_forcing_and_resuming(self, case, kernel):
+        systems, src, rng = batch_case(case, kernel)
+        n_steps, n_state = systems[0].grid.n_steps, systems[0].n_state
+        sources = [src, None]
+        u0 = np.zeros((n_state, 2))
+        rows = list(rng.standard_normal((n_steps, n_state, 2)))
+        for forcing in (None, rows):
+            def feed(start=0):
+                return None if forcing is None else iter(forcing[start:])
+
+            batch = [np.zeros((len(systems), 1 + systems[0].step_operators.n_terms, n_state, 2)),
+                     *_midpoint_steps(systems, sources, u0, feed())]
+            for i, system in enumerate(systems):
+                alone = _midpoint_steps([system], sources, u0, feed())
+                assert all(np.array_equal(z[i:i + 1], ref) for z, ref in zip(batch[1:], alone))
+            # the second column is driven by the forcing alone
+            assert (np.abs(batch[-1][:, 0, :, 1]).max() > 0) == (forcing is not None)
+            for start in (1, 5, n_steps - 1):
+                resumed = list(_midpoint_steps(systems, sources, batch[start], feed(start), start))
+                assert len(resumed) == n_steps - start
+                assert all(np.array_equal(z, ref) for z, ref in zip(resumed, batch[start + 1:]))
+
+    def test_systems_must_share_grid_and_relaxation_times(self):
+        systems, src, _ = batch_case("restricted-1d", "prony", n_systems=2)
+        u0 = np.zeros((systems[0].n_state, 1))
+        g = systems[0].grid
+        other_grid = rw.build_grid(1, [40], 1.0, 0.5 * g.dt, g.n_steps * g.dt)
+        on_other_grid = rw.acoustics_system(rw.AcousticModel(grid=other_grid, kappa=1.0, rho=1.0))
+        with pytest.raises(GridMismatchError, match="systems of a batch differ in grid"):
+            next(_midpoint_steps([systems[0], on_other_grid], [src], u0, None))
+        kernel = systems[1].kernel
+        slower = dataclasses.replace(systems[1], kernel=PronyKernel(kernel.weights, (0.05, 0.6)))
+        no_memory = dataclasses.replace(systems[1], kernel=ZeroKernel())
+        for other in (slower, no_memory):
+            with pytest.raises(UnsupportedConfigurationError, match="Prony relaxation times"):
+                next(_midpoint_steps([systems[0], other], [src], u0, None))
