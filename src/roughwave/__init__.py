@@ -63,10 +63,8 @@ from .sensitivity import (
     CoefficientPerturbation,
     GradientReport,
     adjoint_gradient,
-    directional_derivative,
     misfit_gradient,
     objective,
-    quotient_study,
 )
 from .experiments import (
     ConeSpec,

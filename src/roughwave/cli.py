@@ -573,7 +573,7 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     record("sampler_adjoint_identity", rel <= 1e-12, f"relative gap = {rel:.1e}")
 
     seis1 = forward.sample_trajectory(sampler, traj)
-    seis3 = forward.sampled_solve(system, dc_replace(src, footprint=3.0 * src.footprint), sampler)
+    seis3 = forward.forward_map(system, dc_replace(src, footprint=3.0 * src.footprint), sampler)
     lin = float(np.abs(seis3.data - 3.0 * seis1.data).max())
     record("forward_linearity", lin <= 1e-10 * max(1.0, float(np.abs(seis3.data).max())),
            f"|F(3f) - 3F(f)| = {lin:.1e}")

@@ -31,9 +31,9 @@ adjoint sweeps driven by interpolating receivers reach both classes; they
 solve each component block that is not all zero.  In 2D and 3D every solve
 uses the factor of the whole step matrix.
 
-Independent systems on one grid step as one batch, as the convergence and
-quotient studies step their solves.  They share the kernel class and the
-Prony relaxation times, and per step make one sparse product with the block
+Independent systems on one grid step as one batch, as the convergence
+study steps its solves.  They share the kernel class and the Prony
+relaxation times, and per step make one sparse product with the block
 diagonal of their right-hand-side matrices, one evaluation per distinct
 source, and one solve per system on its own factor.  Each system's states
 are the floats of stepping it alone: its factor is the same, and every row

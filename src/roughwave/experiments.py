@@ -49,16 +49,19 @@ class ConeSpec:
     slowness: float
 
     def __post_init__(self):
-        if self.slowness <= 0:
-            raise InvalidArgumentError("cone slowness must be positive")
+        if not (np.isfinite(self.slowness) and self.slowness > 0):
+            raise InvalidArgumentError("cone slowness must be finite and positive, "
+                                       f"got {self.slowness!r}")
 
 
 def cone_from_speed(apex_x, apex_t: float, speed: float, margin: float = 0.1) -> ConeSpec:
     """Cone tracking the front at speed * (1 + margin): slowness below the
     medium slowness bound by the safety factor, so the quiet claim is robust.
     """
-    if speed <= 0:
-        raise InvalidArgumentError("speed must be positive")
+    if not (np.isfinite(speed) and speed > 0):
+        raise InvalidArgumentError(f"speed must be finite and positive, got {speed!r}")
+    if not margin > -1:
+        raise InvalidArgumentError(f"margin must exceed -1, got {margin!r}")
     apex = tuple(float(x) for x in (apex_x if np.iterable(apex_x) else [apex_x]))
     return ConeSpec(apex_x=apex, apex_t=float(apex_t), slowness=1.0 / ((1.0 + margin) * speed))
 
@@ -162,7 +165,6 @@ def measure_convergence_study(
     rough: CoefficientField,
     source: SourceTerm,
     schedule: Sequence[int],
-    p_matrices=None,
     boundary: str = "periodic",
     sampler: Sampler | None = None,
 ) -> StudyReport:
@@ -187,7 +189,7 @@ def measure_convergence_study(
     smooths = [mollify_field(rough, n, boundary) for n in schedule]
     meas_dist = [measure_distance(rough, smooth, eps) for smooth in smooths]
     # the mollified systems share the rough one's stencil, assembled once
-    reference = assemble_system(rough, p_matrices, boundary)
+    reference = assemble_system(rough, boundary=boundary)
     systems = [reference, *(replace(reference, a_blocks=assemble_mass(f),
                                     b_blocks=assemble_damping(f), kernel=f.kernel)
                             for f in smooths)]
@@ -256,9 +258,12 @@ def trace_regularity_probe(
     ``source_factory(grid, s)`` builds a wavelet of smoothness class s on
     each refined grid.  The report's schedule is the smoothness classes, and
     series ``level{i}_derivative_bound`` holds the bound of each class on
-    refinement level i (0 the coarsest).  Passing means every class's bound
-    grows by at most a factor 1.25 from the coarsest to the finest level.
+    refinement level i (0 the coarsest, ``refinements`` >= 1 the finest).
+    Passing means every class's bound grows by at most a factor 1.25 from
+    the coarsest to the finest level.
     """
+    if refinements < 1:
+        raise InvalidArgumentError(f"refinements must be at least 1, got {refinements!r}")
     bound_slack = 1.25
     levels = [model]
     for _ in range(refinements):

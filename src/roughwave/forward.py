@@ -192,12 +192,6 @@ def _sampled_shots(system: DiscreteSystem, sources: list[SourceTerm],
             for shot in np.moveaxis(states, 2, 0)]
 
 
-def sampled_solve(system: DiscreteSystem, source: SourceTerm, sampler: Sampler) -> SeismogramData:
-    """``sample_trajectory`` of ``solve_causal``, bit for bit, keeping only the
-    sampler's ``gathered`` columns of each state as it steps."""
-    return _sampled_shots(system, [source], sampler)[0]
-
-
 def _warn_if_rough(source: SourceTerm) -> None:
     if source.smoothness < 2:
         warnings.warn("source wavelet declares fewer than two continuous derivatives; the "
@@ -209,9 +203,11 @@ def forward_map(
     source: SourceTerm,
     sampler: Sampler,
 ) -> SeismogramData:
-    """The data-prediction map: causal solve composed with the trace operator."""
+    """The data-prediction map: causal solve composed with the trace operator.  It is
+    ``sample_trajectory`` of ``solve_causal``, bit for bit, keeping only the sampler's
+    ``gathered`` columns of each state as it steps."""
     _warn_if_rough(source)
-    return sampled_solve(system, source, sampler)
+    return _sampled_shots(system, [source], sampler)[0]
 
 
 def forward_map_shots(

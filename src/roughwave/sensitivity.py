@@ -56,7 +56,6 @@ from .forward import (
     forward_map,
     gathered_adjoint_source,
 )
-from .experiments import fit_slope
 from .operators import DiscreteSystem, block_diagonal, prony_steps
 
 
@@ -207,24 +206,6 @@ def derivative_steps(
     steps = _midpoint_steps([system], [None], np.zeros((system.n_state, 1)),
                             linearized_forcing(system, base, pert))
     return (z[0, 0] for z in steps)
-
-
-def directional_derivative(
-    system: DiscreteSystem,
-    base: Trajectory,
-    pert: CoefficientPerturbation,
-) -> Trajectory:
-    """Gateaux derivative of the solution in the given coefficient direction.
-
-    Solves the same evolution problem with the perturbation-assembled
-    right-hand side (implicit midpoint), streamed row by row from
-    ``linearized_forcing``; linear in the perturbation by construction.
-    """
-    states = np.zeros((system.grid.n_steps + 1, system.n_state))
-    for row, du in zip(states[1:], derivative_steps(system, base.source, base, pert)):
-        row[:] = du[:, 0]
-    return Trajectory(grid=system.grid, times=system.grid.times(), states=states,
-                      a_blocks=system.a_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -508,128 +489,6 @@ def random_perturbation(
             dws.append(0.5 * (w + np.swapaxes(w, 1, 2)))
         dw = tuple(dws)
     return CoefficientPerturbation(delta_a=da, delta_b=db, delta_weights=dw)
-
-
-def finite_difference_table(
-    system: DiscreteSystem,
-    source: SourceTerm,
-    sampler: Sampler,
-    observed: SeismogramData,
-    report: GradientReport,
-    n_bumps: int,
-    rng: np.random.Generator,
-) -> list[dict]:
-    """Central-difference checks of J along random single-cell bumps.
-
-    Each row sweeps the three FD steps and keeps the pair-consistent one
-    (the classic bias/round-off tradeoff); ``rel_error`` compares it to the
-    adjoint gradient pairing.  Bumps in cells the wavefield never reaches
-    make both sides vanish; when both sit below the cancellation noise floor
-    of the J evaluations the row is marked ``below_noise`` with zero error.
-    """
-    n, k = system.grid.n_cells, system.k
-    steps = (1e-1, 1e-2, 1e-3)
-    scale = float(np.abs(system.a_blocks).max())
-    j_base = report.objective if report.objective is not None else 1.0
-    noise_floor = 64 * np.finfo(float).eps * abs(j_base) / (min(steps) * scale)
-    rows = []
-    for b in range(n_bumps):
-        cell = int(rng.integers(n))
-        part = "a" if b % 2 == 0 else "b"
-        m = rng.standard_normal((k, k))
-        block = np.zeros((n, k, k))
-        block[cell] = 0.5 * (m + m.T) if part == "a" else m
-        pert = (
-            CoefficientPerturbation(delta_a=block)
-            if part == "a"
-            else CoefficientPerturbation(delta_b=block)
-        )
-        predicted = report.pair(pert)
-        fd_values = []
-        for h in steps:
-            hh = h * scale
-            j_plus = objective(perturbed_system(system, pert, hh), source, sampler, observed)
-            j_minus = objective(perturbed_system(system, pert, -hh), source, sampler, observed)
-            fd_values.append((j_plus - j_minus) / (2 * hh))
-        gaps = [abs(fd_values[i] - fd_values[i + 1]) for i in range(len(fd_values) - 1)]
-        best = fd_values[int(np.argmin(gaps)) + 1]
-        below_noise = max(abs(best), abs(predicted)) <= noise_floor
-        denom = max(abs(best), abs(predicted), 1e-300)
-        rows.append({
-            "cell": cell, "part": part, "fd": best, "adjoint": predicted,
-            "rel_error": 0.0 if below_noise else abs(best - predicted) / denom,
-            "below_noise": below_noise,
-            "fd_sweep": fd_values,
-        })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Newton-quotient study
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientStudy:
-    """Remainder table of the Newton quotient against the Gateaux derivative."""
-
-    remainders: tuple[float, ...]
-    flagged: tuple[bool, ...]
-    slope: float
-    derivative_norm: float
-
-
-def quotient_study(
-    system: DiscreteSystem,
-    pert: CoefficientPerturbation,
-    source: SourceTerm,
-    h_schedule,
-) -> QuotientStudy:
-    """Tabulate ||(u_h - u)/h - du|| over the h schedule.
-
-    Rows where the perturbed coefficients leave the admissible set (lose
-    positive definiteness) are flagged rather than fatal.
-    """
-    vol = system.grid.cell_volume
-    remainders, flagged = [np.nan] * len(h_schedule), [True] * len(h_schedule)
-    admissible = []  # (row of the table, h, perturbed system)
-    for i, h in enumerate(h_schedule):
-        try:
-            pert_system = perturbed_system(system, pert, float(h))
-            if np.linalg.eigvalsh(pert_system.a_blocks).min() <= 0.0:
-                raise InvalidArgumentError("perturbed mass exits the admissible set")
-        except (InvalidArgumentError, np.linalg.LinAlgError):
-            continue
-        admissible.append((i, float(h), pert_system))
-    # the base and the u_h step as one batch, and du beside it, its forcing pulling the
-    # batch's base carries; per step, each quotient's distance to du, and du's norm
-    sup = np.zeros(len(admissible) + 1)
-    rows = np.empty((len(admissible) + 1, system.n_state))
-    batch = [system, *(s for _, _, s in admissible)]
-    z = np.zeros((len(batch), 1 + system.step_operators.n_terms, system.n_state, 1))
-
-    def base_carries():  # z_0 .. z_N; once du_n is out, its forcing has pulled z_n
-        nonlocal z
-        yield z[0, ..., 0]
-        for z in _midpoint_steps(batch, [source], np.zeros((system.n_state, 1)), None):
-            yield z[0, ..., 0]
-
-    for du_n in derivative_steps(system, source, base_carries(), pert):
-        for row, z_h, (_, h, _) in zip(rows, z[1:], admissible):
-            np.subtract(z_h[0, :, 0], z[0, 0, :, 0], out=row)
-            row /= h
-            row -= du_n[:, 0]
-        rows[-1] = du_n[:, 0]
-        np.maximum(sup, np.linalg.norm(rows, axis=1), out=sup)
-    *distances, du_norm = np.sqrt(vol) * sup
-    for (i, _, _), d in zip(admissible, distances):
-        remainders[i], flagged[i] = float(d), False
-    return QuotientStudy(
-        remainders=tuple(remainders),
-        flagged=tuple(flagged),
-        slope=fit_slope(h_schedule, remainders),
-        derivative_norm=float(du_norm),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ counterexample family built on it, the d'Alembert two-way splitting for
 homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, the
 memory convolution stacked over a whole series, the convergence study's
 series from stored trajectories, the ``check`` suite's repeat and
-linearity comparisons from stored trajectories, and the gradient and
-adjoint-state dot test of a stored forward trajectory.  None of them calls
-the solver internals it checks.
+linearity comparisons from stored trajectories, the gradient and
+adjoint-state dot test of a stored forward trajectory, the derivative of a
+stored trajectory (``stored_derivative``), and the two checks of the
+derivative: the Newton-quotient study (``quotient_study``) and central
+differences of the objective against the gradient
+(``finite_difference_table``).  None of them calls the solver internals it
+checks.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -18,6 +22,7 @@ from scipy.integrate import quad, simpson
 
 from roughwave.errors import InvalidArgumentError
 from roughwave.evolution import Trajectory, solve_causal
+from roughwave.experiments import fit_slope
 from roughwave.fields import (
     PronyKernel,
     ZeroKernel,
@@ -33,7 +38,9 @@ from roughwave.sensitivity import (
     _adjoint_identity_error,
     adjoint_gradient,
     linearized_forcing,
+    objective,
     objective_from_data,
+    perturbed_system,
     random_perturbation,
 )
 
@@ -191,16 +198,21 @@ def stored_repeat_gap(system, traj: Trajectory) -> float:
     return float(np.abs(traj.states - solve_causal(system, traj.source).states).max())
 
 
+def stored_derivative(system, base: Trajectory, pert) -> Trajectory:
+    """The Gateaux derivative of the solution about the stored trajectory ``base`` in
+    the direction ``pert``: a causal solve driven by the linearized forcing alone."""
+    return solve_causal(system, None, forcing=linearized_forcing(system, base, pert))
+
+
 def stored_derivative_linearity(system, traj: Trajectory, rng) -> tuple[float, float]:
     """max |du(2m) - 2 du(m)| and max |du(2m)| for ``random_perturbation`` m, from two
-    stored derivative solves, each driven by its whole linearized forcing as one array."""
+    stored derivative solves."""
     pert = random_perturbation(system, rng)
     pert2 = CoefficientPerturbation(
         delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
         delta_weights=None if pert.delta_weights is None
         else tuple(2 * w for w in pert.delta_weights))
-    du, du2 = (solve_causal(system, None, forcing=np.array(list(linearized_forcing(
-        system, traj, p)))).states for p in (pert, pert2))
+    du, du2 = (stored_derivative(system, traj, p).states for p in (pert, pert2))
     return float(np.abs(du2 - 2 * du).max()), float(np.abs(du2).max())
 
 
@@ -208,13 +220,12 @@ def dot_product_test(system, base: Trajectory, sampler, rng) -> float:
     """Relative error of the discrete adjoint identity on one random instance, from the
     stored trajectory ``base``: dt * sum_m <r_m, (S du)_m> against -<pert, g(lam(r))>
     for a ``random_perturbation`` and then a standard-normal data series r, drawn from
-    ``rng`` in that order.  S du samples a stored derivative solve and g(lam(r)) is
+    ``rng`` in that order.  S du samples ``stored_derivative`` and g(lam(r)) is
     ``adjoint_gradient`` on ``base``; with exact transposition both sides agree to
     solver round-off."""
     pert = random_perturbation(system, rng)
     data_series = rng.standard_normal((sampler.n_channels, base.times.size))
-    du = solve_causal(system, None, forcing=linearized_forcing(system, base, pert))
-    s_du = sample_trajectory(sampler, du).data
+    s_du = sample_trajectory(sampler, stored_derivative(system, base, pert)).data
     residual = SeismogramData(times=base.times, data=data_series, receivers=sampler.receivers)
     report = adjoint_gradient(system, base, residual, sampler)
     return _adjoint_identity_error(system, data_series, s_du, report, pert)
@@ -277,3 +288,94 @@ def stored_convergence_series(rough, source, schedule, boundary="periodic", samp
             gap = sample_trajectory(sampler, traj).data - sample_trajectory(sampler, ref).data
             series["seismogram_distance"].append(float(np.abs(gap).max()))
     return {name: tuple(values) for name, values in series.items() if values}
+
+
+# ---------------------------------------------------------------------------
+# derivative checks: Newton quotients and finite differences
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuotientStudy:
+    """Remainder table of the Newton quotient against the Gateaux derivative."""
+
+    remainders: tuple[float, ...]
+    flagged: tuple[bool, ...]
+    slope: float
+    derivative_norm: float
+
+
+def quotient_study(system, pert, source, h_schedule) -> QuotientStudy:
+    """Tabulate sup_n ||(u_h - u)/h - du|| over the h schedule, from stored solves of
+    the base, of each ``perturbed_system`` and of ``stored_derivative``.
+
+    Rows where the perturbed coefficients leave the admissible set (lose
+    positive definiteness) are flagged rather than fatal.
+    """
+    vol = system.grid.cell_volume
+    base = solve_causal(system, source)
+    du = stored_derivative(system, base, pert)
+    remainders, flagged = [np.nan] * len(h_schedule), [True] * len(h_schedule)
+    for i, h in enumerate(map(float, h_schedule)):
+        try:
+            pert_system = perturbed_system(system, pert, h)
+            if np.linalg.eigvalsh(pert_system.a_blocks).min() <= 0.0:
+                continue
+        except (InvalidArgumentError, np.linalg.LinAlgError):
+            continue
+        u_h = solve_causal(pert_system, source)
+        remainders[i] = sup_l2_distance((u_h.states - base.states) / h, du.states, vol)
+        flagged[i] = False
+    return QuotientStudy(
+        remainders=tuple(remainders),
+        flagged=tuple(flagged),
+        slope=fit_slope(h_schedule, remainders),
+        derivative_norm=float(np.sqrt(vol) * np.linalg.norm(du.states, axis=1).max()),
+    )
+
+
+def finite_difference_table(system, source, sampler, observed, report, n_bumps: int,
+                            rng) -> list[dict]:
+    """Central-difference checks of J along random single-cell bumps.
+
+    Each row sweeps the three FD steps and keeps the pair-consistent one
+    (the classic bias/round-off tradeoff); ``rel_error`` compares it to the
+    adjoint gradient pairing.  Bumps in cells the wavefield never reaches
+    make both sides vanish; when both sit below the cancellation noise floor
+    of the J evaluations the row is marked ``below_noise`` with zero error.
+    """
+    n, k = system.grid.n_cells, system.k
+    steps = (1e-1, 1e-2, 1e-3)
+    scale = float(np.abs(system.a_blocks).max())
+    j_base = report.objective if report.objective is not None else 1.0
+    noise_floor = 64 * np.finfo(float).eps * abs(j_base) / (min(steps) * scale)
+    rows = []
+    for b in range(n_bumps):
+        cell = int(rng.integers(n))
+        part = "a" if b % 2 == 0 else "b"
+        m = rng.standard_normal((k, k))
+        block = np.zeros((n, k, k))
+        block[cell] = 0.5 * (m + m.T) if part == "a" else m
+        pert = (
+            CoefficientPerturbation(delta_a=block)
+            if part == "a"
+            else CoefficientPerturbation(delta_b=block)
+        )
+        predicted = report.pair(pert)
+        fd_values = []
+        for h in steps:
+            hh = h * scale
+            j_plus = objective(perturbed_system(system, pert, hh), source, sampler, observed)
+            j_minus = objective(perturbed_system(system, pert, -hh), source, sampler, observed)
+            fd_values.append((j_plus - j_minus) / (2 * hh))
+        gaps = [abs(fd_values[i] - fd_values[i + 1]) for i in range(len(fd_values) - 1)]
+        best = fd_values[int(np.argmin(gaps)) + 1]
+        below_noise = max(abs(best), abs(predicted)) <= noise_floor
+        denom = max(abs(best), abs(predicted), 1e-300)
+        rows.append({
+            "cell": cell, "part": part, "fd": best, "adjoint": predicted,
+            "rel_error": 0.0 if below_noise else abs(best - predicted) / denom,
+            "below_noise": below_noise,
+            "fd_sweep": fd_values,
+        })
+    return rows

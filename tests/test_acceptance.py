@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 import roughwave as rw
-from oracles import advection_oracle, dot_product_test, oscillatory_response_magnitude
+from oracles import (
+    advection_oracle,
+    dot_product_test,
+    finite_difference_table,
+    oscillatory_response_magnitude,
+    quotient_study,
+)
 from roughwave.experiments import cone_from_speed, cone_leak, fit_slope, measure_convergence_study
 from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel, ricker_wavelet
 from roughwave.forward import build_sampler, sample_trajectory
@@ -21,12 +27,7 @@ from roughwave.physics import (
     kelvin_dim,
     kernel_split_reconstruction_error,
 )
-from roughwave.sensitivity import (
-    CoefficientPerturbation,
-    finite_difference_table,
-    misfit_gradient,
-    quotient_study,
-)
+from roughwave.sensitivity import CoefficientPerturbation, misfit_gradient
 
 
 def report(number, passed, detail):

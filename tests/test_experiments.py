@@ -107,6 +107,22 @@ class TestConeLeak:
         with pytest.raises(InvalidArgumentError):
             cone_leak(traj, ConeSpec(apex_x=(0.5,), apex_t=9.0, slowness=1.0))
 
+    @pytest.mark.parametrize("speed, margin, name", [
+        (np.nan, 0.1, "speed"), (np.inf, 0.1, "speed"),
+        (1.0, -1.0, "margin"), (1.0, -2.0, "margin"), (1.0, np.nan, "margin"),
+    ])
+    def test_cone_from_speed_rejects_a_cone_with_no_finite_positive_slowness(
+            self, speed, margin, name):
+        # a NaN slowness makes every quiet test false, so the leak would read exactly 0.0,
+        # a pass; margin -1 divides by zero
+        with pytest.raises(InvalidArgumentError, match=name):
+            cone_from_speed([0.5], 0.0, speed, margin=margin)
+
+    @pytest.mark.parametrize("slowness", [np.nan, np.inf])
+    def test_cone_rejects_a_slowness_that_is_not_finite_and_positive(self, slowness):
+        with pytest.raises(InvalidArgumentError, match="slowness"):
+            ConeSpec(apex_x=(0.5,), apex_t=0.0, slowness=slowness)
+
 
 class TestMeasureConvergence:
     def test_constant_field_roundoff(self):
@@ -221,8 +237,8 @@ class TestMeasureConvergence:
         src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=6.0)
         sampler = rw.build_sampler([[0.45], [0.8]], "pressure", g, 2)
         series_bytes = (g.n_steps + 1) * 2 * g.n_cells * 8
-        peak = traced_peak(measure_convergence_study, field, src, [4, 8, 16, 32], None,
-                           "periodic", sampler)
+        peak = traced_peak(measure_convergence_study, field, src, [4, 8, 16, 32], "periodic",
+                           sampler)
         assert peak <= 0.1 * series_bytes
 
     def test_sampler_on_another_grid_named_before_solving(self, splu_calls):
@@ -319,6 +335,19 @@ class TestTraceRegularity:
         report = trace_regularity_probe(model, [[0.7]], factory,
                                         smoothness_schedule=(2,), refinements=1)
         assert max(max(bounds) for bounds in report.series.values()) == 0.0
+
+    @pytest.mark.parametrize("refinements", [0, -3])
+    def test_fewer_than_one_refinement_rejected(self, refinements, splu_calls):
+        # with no refined level the coarsest is also the finest, and nothing can grow
+        g = rw.build_grid(1, [20], 1.0, 1e-2, 0.2)
+        model = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0)
+
+        def factory(grid, s):
+            return rw.make_burst_source(grid, 2, [0.35], frequency=5.0, smoothness=s)
+
+        with pytest.raises(InvalidArgumentError, match="refinements"):
+            trace_regularity_probe(model, [[0.7]], factory, refinements=refinements)
+        assert splu_calls == []
 
     @pytest.mark.parametrize("refinements", [1, 3])
     def test_report_rows_are_smoothness_classes(self, tmp_path, refinements):

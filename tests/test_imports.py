@@ -1,6 +1,7 @@
 """Every module-level import in ``src/roughwave`` is used by its module,
 ``import roughwave`` loads no scipy subpackage that the solver does not run,
-and no module imports a concurrency library.
+no module imports a concurrency library, and every module imports only the
+package modules below it in ``LAYERS``.
 
 Lines marked ``# noqa`` are deliberate re-exports.  ``__init__`` exists to
 re-export, so it is not checked.
@@ -82,3 +83,42 @@ def test_concurrency_check_sees_nested_imports(tmp_path):
     module.write_text("def f():\n    from concurrent.futures import ThreadPoolExecutor\n"
                       "    import threading, json\n")
     assert imported_modules(module) == {"concurrent.futures", "threading", "json"}
+
+
+# the package's modules from the bottom up: each may import only those before it
+LAYERS = ("errors", "fields", "operators", "evolution", "forward", "physics", "sensitivity",
+          "experiments", "cli", "__main__")
+
+
+def package_imports(path: Path) -> set[str]:
+    """The ``roughwave`` modules that an import anywhere in the file names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("roughwave."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("roughwave."))
+    return names
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in MODULES) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("layer", range(len(LAYERS)), ids=LAYERS)
+def test_module_imports_only_lower_layers(layer):
+    above = package_imports(SRC / f"{LAYERS[layer]}.py") - set(LAYERS[:layer])
+    assert sorted(above) == []
+
+
+def test_layer_check_sees_nested_and_absolute_imports(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from . import fields, cli\nfrom .errors import RoughwaveError\n"
+                      "def f():\n    from .experiments import fit_slope\n"
+                      "    import roughwave.physics, json\n    from roughwave.forward import x\n")
+    assert package_imports(module) == {"fields", "cli", "errors", "experiments", "physics",
+                                       "forward"}

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,15 @@ from conftest import (
     per_step_forcing,
     traced_peak,
 )
-from oracles import dot_product_test, stored_misfit_gradient, sup_l2_distance
+from oracles import (
+    dot_product_test,
+    finite_difference_table,
+    quotient_study,
+    stored_derivative,
+    stored_misfit_gradient,
+)
 
 import roughwave as rw
-from roughwave.experiments import fit_slope
 from roughwave.errors import InvalidArgumentError, SolverError, UnsupportedConfigurationError
 from roughwave.evolution import _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel
@@ -25,12 +31,10 @@ from roughwave.sensitivity import (
     GradientReport,
     adjoint_gradient,
     derivative_steps,
-    finite_difference_table,
     linearized_forcing,
     misfit_gradient,
     objective_from_data,
     perturbed_system,
-    quotient_study,
     random_perturbation,
     save_gradient_report,
 )
@@ -50,52 +54,11 @@ def acoustic_setup(cells=120, t_end=0.3, with_memory=True, seed=0, amplitude=20.
     return g, system, src, sampler
 
 
-def zipped_quotient_study(system, pert, source, h_schedule):
-    """``quotient_study`` with one step generator per solve, zipped: du pulls the base
-    carries from the base's own generator, and each u_h steps in its own."""
-    vol = system.grid.cell_volume
-    remainders, flagged = [np.nan] * len(h_schedule), [True] * len(h_schedule)
-    admissible = []
-    for i, h in enumerate(h_schedule):
-        try:
-            pert_system = perturbed_system(system, pert, float(h))
-            if np.linalg.eigvalsh(pert_system.a_blocks).min() <= 0.0:
-                continue
-        except (InvalidArgumentError, np.linalg.LinAlgError):
-            continue
-        admissible.append((i, float(h), pert_system))
-    sup = np.zeros(len(admissible) + 1)
-    rows = np.empty((len(admissible) + 1, system.n_state))
-    u0 = np.zeros((system.n_state, 1))
-    base_n = np.zeros((1 + system.step_operators.n_terms, system.n_state))
-
-    def base_carries():
-        nonlocal base_n
-        yield base_n
-        for z in _midpoint_steps([system], [source], u0, None):
-            base_n = z[0, ..., 0]
-            yield base_n
-
-    steps = zip(derivative_steps(system, source, base_carries(), pert),
-                *(_midpoint_steps([s], [source], u0, None) for _, _, s in admissible))
-    for du_n, *u_hs in steps:
-        for row, z_h, (_, h, _) in zip(rows, u_hs, admissible):
-            np.subtract(z_h[0, 0, :, 0], base_n[0], out=row)
-            row /= h
-            row -= du_n[:, 0]
-        rows[-1] = du_n[:, 0]
-        np.maximum(sup, np.linalg.norm(rows, axis=1), out=sup)
-    *distances, du_norm = np.sqrt(vol) * sup
-    for (i, _, _), d in zip(admissible, distances):
-        remainders[i], flagged[i] = float(d), False
-    return remainders, flagged, fit_slope(h_schedule, remainders), float(du_norm)
-
-
 class TestDirectionalDerivative:
     def test_zero_perturbation(self):
         g, system, src, sampler = acoustic_setup()
         base = rw.solve_causal(system, src)
-        du = rw.directional_derivative(system, base, CoefficientPerturbation())
+        du = stored_derivative(system, base, CoefficientPerturbation())
         assert np.abs(du.states).max() == 0.0
 
     def test_linearity_in_perturbation(self):
@@ -106,8 +69,8 @@ class TestDirectionalDerivative:
         pert2 = CoefficientPerturbation(
             delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
             delta_weights=tuple(2 * w for w in pert.delta_weights))
-        du = rw.directional_derivative(system, base, pert)
-        du2 = rw.directional_derivative(system, base, pert2)
+        du = stored_derivative(system, base, pert)
+        du2 = stored_derivative(system, base, pert2)
         assert np.abs(du2.states - 2 * du.states).max() <= 1e-11 * np.abs(du2.states).max()
 
     def test_step_residuals_see_the_perturbation_forcing(self):
@@ -123,7 +86,7 @@ class TestDirectionalDerivative:
         base = rw.solve_causal(system, src)
         pert = random_perturbation(system, np.random.default_rng(2))
         forcing = per_step_forcing(system, base, pert)
-        du = rw.directional_derivative(system, base, pert)
+        du = stored_derivative(system, base, pert)
         scale = np.abs(du.states).max()
         assert step_residuals(du, system, forcing=forcing).max() <= 1e-12 * scale
         assert step_residuals(du, system).max() > 1e-3 * scale
@@ -500,66 +463,6 @@ class TestQuotientStudy:
         assert study.flagged[1] is False
         assert np.isnan(study.remainders[0])
 
-    def test_remainders_equal_to_stored_quotients(self):
-        g, system, src, _ = acoustic_setup(t_end=0.15)
-        pert = random_perturbation(system, np.random.default_rng(2))
-        h_sched = [30.0, 1e-1, 1e-2, 1e-2, 1e-3]
-        study = quotient_study(system, pert, src, h_sched)
-        base = rw.solve_causal(system, src)
-        du = rw.directional_derivative(system, base, pert)
-        vol = g.cell_volume
-        assert study.flagged == (True, False, False, False, False)
-        assert np.isnan(study.remainders[0])
-        for h, remainder in zip(h_sched[1:], study.remainders[1:]):
-            u_h = rw.solve_causal(perturbed_system(system, pert, h), src)
-            assert remainder == sup_l2_distance((u_h.states - base.states) / h, du.states, vol)
-        assert study.derivative_norm == float(
-            np.sqrt(vol) * np.linalg.norm(du.states, axis=1).max())
-
-    @pytest.mark.parametrize("case", ["bump-1d", "random-1d", "prony-2d"])
-    def test_equal_to_one_generator_per_solve(self, case):
-        # the batch steps the base and every u_h.  A diagonal bump keeps the parity
-        # classes apart, so the 1D batch steps the one class the point source reaches;
-        # a random perturbation joins them, and the batch steps every unknown
-        if case == "prony-2d":
-            g = rw.build_grid(2, [8, 6], 1.0, 5e-3, 0.06)
-            kernel = PronyKernel(weights=(np.tile(0.4 * np.eye(3), (g.n_cells, 1, 1)),
-                                          np.tile(0.15 * np.eye(3), (g.n_cells, 1, 1))),
-                                 taus=(0.07, 0.3))
-            model = rw.two_layer_acoustic(g, kappa_left=1.0, kappa_right=3.0, interface=0.6)
-            system = rw.acoustics_system(model, kernel=kernel)
-            src = rw.make_ricker_source(g, 3, [0.4, 0.5], peak_frequency=6.0)
-        else:
-            g, system, src, _ = acoustic_setup(cells=60, t_end=0.1)
-        rng = np.random.default_rng(3)
-        if case == "bump-1d":
-            bump = np.zeros((g.n_cells, 2, 2))
-            bump[20:30] = np.diag([0.4, 0.2])
-            pert = CoefficientPerturbation(delta_a=bump)
-        else:
-            pert = random_perturbation(system, rng)
-        h_sched = [30.0, 1e-1, 1e-2, 1e-3]
-        study = quotient_study(system, pert, src, h_sched)
-        remainders, flagged, slope, du_norm = zipped_quotient_study(system, pert, src, h_sched)
-        assert np.array_equal(study.remainders, remainders, equal_nan=True)
-        assert study.flagged == tuple(flagged)
-        assert np.array_equal(study.slope, slope, equal_nan=True)
-        assert study.derivative_norm == du_norm > 0
-        assert not all(flagged)
-
-    def test_holds_no_perturbed_series(self):
-        # the base, du and the u_h step together, one distance per step each.  What
-        # is held is mostly the step operators of the three perturbed systems, about
-        # 0.15 MB each at 400 cells: 0.54 series at 400 steps, and no more at 1600
-        peaks = []
-        for t_end in (0.4, 1.6):
-            g, system, src, _ = acoustic_setup(cells=400, t_end=t_end)
-            pert = random_perturbation(system, np.random.default_rng(5))
-            series_bytes = (g.n_steps + 1) * system.n_state * 8
-            peaks.append(traced_peak(quotient_study, system, pert, src, [1e-1, 1e-2, 1e-3]))
-            assert peaks[-1] <= (0.6 if g.n_steps == 400 else 0.2) * series_bytes
-        assert g.n_steps == 1600 and peaks[1] <= 1.05 * peaks[0]
-
     def test_rough_wavelet_degrades_quotient(self):
         # loss-of-derivative: an s = 1 wavelet slows the remainder decay
         # relative to a smooth s = 4 wavelet (qualitative comparison)
@@ -571,14 +474,10 @@ class TestQuotientStudy:
         pert = CoefficientPerturbation(delta_a=bump)
         h_sched = [1e-1, 1e-2]
         rel_remainders = {}
-        import warnings
-
         for s in (1, 4):
             src = rw.make_burst_source(g, 2, [0.3], frequency=5.0, smoothness=s,
                                        amplitude=10.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # s = 1 is deliberate
-                study = quotient_study(system, pert, src, h_sched)
+            study = quotient_study(system, pert, src, h_sched)
             rel_remainders[s] = study.remainders[-1] / study.derivative_norm
         assert rel_remainders[4] <= rel_remainders[1] * 1.5
 
@@ -589,8 +488,9 @@ class TestDerivativeSteps:
         src = rw.make_burst_source(g, 2, [0.3], frequency=5.0, smoothness=1, amplitude=10.0)
         base = rw.solve_causal(system, src)
         pert = random_perturbation(system, np.random.default_rng(4))
-        with pytest.warns(UserWarning, match="smoothness < 2"):
-            du = rw.directional_derivative(system, base, pert)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            du = stored_derivative(system, base, pert)
         with pytest.warns(UserWarning, match="smoothness < 2"):
             steps = list(derivative_steps(system, src, base, pert))
         assert len(steps) == g.n_steps
@@ -666,7 +566,7 @@ class TestMemory:
         # the derivative's states and nothing of its size beside them
         system, traj, *_ = prony_1d
         pert = random_perturbation(system, np.random.default_rng(5))
-        peak = traced_peak(rw.directional_derivative, system, traj, pert)
+        peak = traced_peak(stored_derivative, system, traj, pert)
         assert peak <= 1.25 * traj.states.nbytes
 
     def test_misfit_gradient_with_dot_test(self, prony_1d):
