@@ -34,12 +34,21 @@ uses the factor of the whole step matrix.
 Independent systems on one grid step as one batch, as the convergence
 study steps its solves.  They share the kernel class and the Prony
 relaxation times, and per step make one sparse product with the block
-diagonal of their right-hand-side matrices, one evaluation per distinct
-source, and one solve per system on its own factor.  Each system's states
-are the floats of stepping it alone: its factor is the same, and every row
-of the block diagonal sums the same entries in the same order.  A batch
-steps only the reached components when its systems label their components
-alike; otherwise it steps every unknown.
+diagonal of their right-hand-side matrices and one evaluation per distinct
+source.  A batch steps only the reached components when its systems label
+their components alike; otherwise it steps every unknown.  When it steps
+one component, as a point source on a periodic even grid makes it, the
+batch makes one factor, of the block diagonal of the systems' blocks of
+that component in system order, and per step one solve; a system whose
+right-hand side is all zero gets +0.0, as stepping it alone skips that
+solve.  On these 1D parity-class blocks COLAMD orders the block diagonal
+as it orders each block, so the batch factor is the blocks' own factors.
+Every other batch makes one solve per system on its own factor: there the
+block diagonal's ordering is not each block's (COLAMD ordered 3 of 4
+blocks of a 200-cell acoustic_free batch differently, and in 2D and 3D the
+minimum-degree blocks solve to other round-off).  Either way each system's
+states are the floats of stepping it alone: its factor is the same, and
+every row of the block diagonal sums the same entries in the same order.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ from .errors import (
 from .fields import Grid, SourceTerm, TabulatedKernel, ZeroKernel, write_field_array
 from .operators import (
     DiscreteSystem,
+    StepFactor,
     StepOperators,  # noqa: F401  (re-exported: callers import it from here)
     block_apply,
     energy,
@@ -129,7 +139,11 @@ def _midpoint_steps(
     a tabulated kernel, the one kernel with a history term, makes it keep past states,
     one history per system, so it cannot resume.  Without either, when the carry and
     the footprints reach only some components of ``lu`` and every system labels its
-    components alike, it steps their unknowns alone."""
+    components alike, it steps their unknowns alone, and a batch that reaches one
+    component solves it on one factor of the block diagonal of the systems' blocks;
+    otherwise it makes one solve per system on its own factor."""
+    if u0.shape[-1] == 0:
+        raise InvalidArgumentError("u0 has no columns: a solve steps at least one shot")
     first = systems[0]
     grid = first.grid
     if any(s.grid != grid or s.k != first.k for s in systems):
@@ -178,6 +192,10 @@ def _midpoint_steps(
             # over all rows scatters several times faster than one per row)
             slots = ((np.arange(z.shape[0] * z.shape[1])[:, None, None] * ops.n_state
                       + unknowns[:, None]) * z.shape[3] + np.arange(z.shape[3])).ravel()
+    batch_lu = None
+    if components is not None and len(components) == 1 and len(systems) > 1:
+        batch_lu = StepFactor(sp.block_diag([o.lu.block(components[0]) for o in step_ops],
+                                            format="csc"), **ops.lu.options)
     rhs_matrix = _block_diagonal_rows(rhs_matrices)
     shots = {}  # each distinct source once: its footprint on the unknowns, and its columns
     for col, source in enumerate(sources):
@@ -198,9 +216,13 @@ def _midpoint_steps(
         if rows is not None:
             row = next(rows)
             rhs += row if row.ndim == 2 else row[:, None]
-        u_next = np.empty(rhs.shape)
-        for o, r, u in zip(step_ops, rhs, u_next):
-            u[...] = o.lu.solve(r, components=components)
+        if batch_lu is None:
+            u_next = np.empty(rhs.shape)
+            for o, r, u in zip(step_ops, rhs, u_next):
+                u[...] = o.lu.solve(r, components=components)
+        else:
+            u_next = batch_lu.solve(rhs.reshape(-1, rhs.shape[2])).reshape(rhs.shape)
+            u_next[~rhs.any(axis=(1, 2))] = 0.0
         if not np.isfinite(u_next).all():
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
         if ops.n_terms:

@@ -264,6 +264,8 @@ def trace_regularity_probe(
     """
     if refinements < 1:
         raise InvalidArgumentError(f"refinements must be at least 1, got {refinements!r}")
+    if len(smoothness_schedule) == 0:
+        raise InvalidArgumentError("smoothness_schedule must name at least one smoothness class")
     bound_slack = 1.25
     levels = [model]
     for _ in range(refinements):

@@ -405,13 +405,17 @@ class StepFactor:
         """The unknowns of ``components`` (ascending), grouped as ``solve`` takes them."""
         return self.order[np.isin(self.labels[self.order], components)]
 
+    def block(self, component: int) -> sp.csc_matrix:
+        """The matrix on ``component``'s unknowns alone, the matrix its factor is of."""
+        block = self.matrix
+        if self.n_components > 1:
+            rows = self.order[self.bounds[component]:self.bounds[component + 1]]
+            block = block[rows][:, rows]
+        return block.tocsc()
+
     def _factor(self, component: int) -> spla.SuperLU:
         if self._factors[component] is None:
-            block = self.matrix
-            if self.n_components > 1:
-                rows = self.order[self.bounds[component]:self.bounds[component + 1]]
-                block = block[rows][:, rows]
-            self._factors[component] = spla.splu(block.tocsc(), **self.options)
+            self._factors[component] = spla.splu(self.block(component), **self.options)
         return self._factors[component]
 
     def solve(self, rhs: np.ndarray, trans: str = "N",

@@ -180,16 +180,16 @@ class TestMeasureConvergence:
                 assert np.array_equal(report.series[name], values), name
             assert max(report.series["solution_distance"]) > 0
 
-    def test_one_factor_per_solve(self, splu_calls):
+    def test_one_factor_per_study(self, splu_calls):
         # the periodic 40-cell step matrix splits into two parity classes, and the point
-        # source reaches one: each of the five solves factors that one class
+        # source reaches one: the five solves factor that class once, as one block diagonal
         field, src, sampler = study_case(1, "prony")
         measure_convergence_study(field, src, [2, 4, 8, 16], sampler=sampler)
-        assert len(splu_calls) == 5
+        assert len(splu_calls) == 1
 
-    def test_one_evaluation_product_and_solve_per_system_per_step(self, monkeypatch):
+    def test_one_evaluation_product_and_solve_per_step(self, monkeypatch):
         # the five solves step as one batch: per step one source evaluation, one
-        # right-hand-side product and one SuperLU solve per system (on its own factor)
+        # right-hand-side product and one SuperLU solve on the batch's one factor
         field, src, sampler = study_case(1, "prony")
         evaluations, products, solves = [], [], []
         evaluate, block_diagonal = rw.SourceTerm.evaluate, evolution._block_diagonal_rows
@@ -224,9 +224,8 @@ class TestMeasureConvergence:
         # the point source reaches one parity class: 40 of each system's 80 unknowns,
         # each with its two Prony states
         assert products == [(5 * 3 * 40, 1)] * n_steps
-        factors = set(solves)
-        assert len(factors) == 5
-        assert all(solves.count(lu) == n_steps for lu in factors)
+        assert len(set(solves)) == 1
+        assert len(solves) == n_steps
 
     def test_holds_no_state_series(self):
         # the solves step together and keep one distance per step and the sampled
@@ -347,6 +346,18 @@ class TestTraceRegularity:
 
         with pytest.raises(InvalidArgumentError, match="refinements"):
             trace_regularity_probe(model, [[0.7]], factory, refinements=refinements)
+        assert splu_calls == []
+
+    def test_empty_smoothness_schedule_rejected(self, splu_calls):
+        # no class means no column to solve for, and no bound to compare
+        g = rw.build_grid(1, [20], 1.0, 1e-2, 0.2)
+        model = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0)
+
+        def factory(grid, s):
+            return rw.make_burst_source(grid, 2, [0.35], frequency=5.0, smoothness=s)
+
+        with pytest.raises(InvalidArgumentError, match="smoothness_schedule"):
+            trace_regularity_probe(model, [[0.7]], factory, smoothness_schedule=())
         assert splu_calls == []
 
     @pytest.mark.parametrize("refinements", [1, 3])

@@ -24,11 +24,17 @@ from conftest import (
     traced_peak,
 )
 from roughwave.cli import parse_config, run_checks
-from roughwave.errors import GridMismatchError, SolverError, UnsupportedConfigurationError
+from roughwave.errors import (
+    GridMismatchError,
+    InvalidArgumentError,
+    SolverError,
+    UnsupportedConfigurationError,
+)
 from roughwave.evolution import _midpoint_solve, _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
-from roughwave.operators import memory_series
+from roughwave.operators import StepFactor, memory_series
+from roughwave.physics import ViscoelasticModel
 from roughwave.sensitivity import (
     BLOCK_STEPS,
     misfit_gradient,
@@ -384,13 +390,14 @@ def batch_case(case, kernel, n_systems=3):
     two-term Prony kernel (shared relaxation times) or a tabulated one, and a Ricker
     source.  ``restricted-1d`` is periodic with an even count and a point source, so a
     batch steps one parity class; ``free-odd-1d`` (acoustic_free, odd count, smooth
-    footprint) and ``2d`` step every unknown, and so does ``mixed-labels-1d``, whose
-    last system couples each cell's pressure and velocity through b, which joins the
-    parity classes that the others keep apart."""
+    footprint), ``free-1d`` (acoustic_free), ``odd-1d`` (periodic, odd count) and ``2d``
+    step every unknown, and so does ``mixed-labels-1d``, whose last system couples each
+    cell's pressure and velocity through b, which joins the parity classes that the
+    others keep apart."""
     dim = 2 if case == "2d" else 1
-    cells = {"restricted-1d": [40], "free-odd-1d": [41], "2d": [8, 6],
-             "mixed-labels-1d": [40]}[case]
-    boundary = "acoustic_free" if case == "free-odd-1d" else "periodic"
+    cells = {"restricted-1d": [40], "free-odd-1d": [41], "free-1d": [40], "odd-1d": [41],
+             "2d": [8, 6], "mixed-labels-1d": [40]}[case]
+    boundary = "acoustic_free" if case.startswith("free") else "periodic"
     rng = np.random.default_rng(len(case))
     dt = 0.5 / max(cells)
     g = rw.build_grid(dim, cells, 1.0, dt, 12 * dt)
@@ -416,19 +423,30 @@ def batch_case(case, kernel, n_systems=3):
     return systems, src, rng
 
 
+def recording_solvers(monkeypatch):
+    """Every ``StepFactor`` that a solve runs on, once per call."""
+    solvers, solve = [], StepFactor.solve
+    monkeypatch.setattr(StepFactor, "solve",
+                        lambda self, *args, **kwargs: solvers.append(self)
+                        or solve(self, *args, **kwargs))
+    return solvers
+
+
 class TestBatchedSteps:
     """Independent systems stepped as one batch yield, bit for bit, the carries of
     stepping each system alone."""
 
-    CASES = ["restricted-1d", "free-odd-1d", "2d", "mixed-labels-1d"]
+    CASES = ["restricted-1d", "free-odd-1d", "free-1d", "odd-1d", "2d", "mixed-labels-1d"]
 
     @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
     @pytest.mark.parametrize("case", CASES)
-    def test_equal_to_one_generator_per_system(self, monkeypatch, case, kernel):
+    def test_equal_to_one_generator_per_system(self, monkeypatch, splu_calls, case, kernel):
         systems, src, _ = batch_case(case, kernel)
         sources = [src, None, src]  # two columns of one source: one evaluation per step
         u0 = np.zeros((systems[0].n_state, len(sources)))
         alone = [list(_midpoint_steps([s], sources, u0, None)) for s in systems]
+        factored_alone = len(splu_calls)
+        solvers = recording_solvers(monkeypatch)
         evaluations, evaluate = [], rw.SourceTerm.evaluate
         monkeypatch.setattr(rw.SourceTerm, "evaluate",
                             lambda *args: evaluations.append(args) or evaluate(*args))
@@ -451,10 +469,16 @@ class TestBatchedSteps:
         assert np.array_equal(batch[-1][..., 0], batch[-1][..., 2])
         assert not batch[-1][..., 1].any()
         # the point source reaches one parity class: when the systems label their
-        # classes alike and no history is kept, the batch steps that class alone
-        n_unknowns = systems[0].n_state // (2 if case == "restricted-1d" and kernel != "tabulated"
-                                            else 1)
+        # classes alike and no history is kept, the batch steps that class alone, on
+        # one factor of the block diagonal of their class blocks; every other batch
+        # solves on the systems' own factors, which stepping alone has already made
+        one_class = case == "restricted-1d" and kernel != "tabulated"
+        n_unknowns = systems[0].n_state // (2 if one_class else 1)
         assert products == [(len(systems) * n_unknowns, len(systems) * (1 + n_terms) * n_unknowns)]
+        assert len(splu_calls) - factored_alone == (1 if one_class else 0)
+        own = {id(s.step_operators.lu) for s in systems}
+        assert ({id(lu) for lu in solvers} & own) == (set() if one_class else own)
+        assert len(set(solvers)) == (1 if one_class else len(systems))
 
     @pytest.mark.parametrize("kernel", [None, "prony"])
     @pytest.mark.parametrize("case", CASES)
@@ -494,3 +518,89 @@ class TestBatchedSteps:
         for other in (slower, no_memory):
             with pytest.raises(UnsupportedConfigurationError, match="Prony relaxation times"):
                 next(_midpoint_steps([systems[0], other], [src], u0, None))
+
+    def test_a_solve_with_no_columns_rejected(self, splu_calls):
+        systems, _, _ = batch_case("restricted-1d", None, n_systems=2)
+        with pytest.raises(InvalidArgumentError, match="u0 has no columns"):
+            next(_midpoint_steps(systems, [], np.zeros((systems[0].n_state, 0)), None))
+        assert splu_calls == []
+
+
+def parity_batch(cells, kernel, medium, n_systems=3):
+    """``n_systems`` 1D media on a periodic grid of an even number of ``cells``, 16
+    steps of dt = 2.5 h, and a point Ricker source, which reaches one parity class.
+    ``medium`` is ``two_layer`` or ``random`` acoustics, with no memory or a two-term
+    Prony kernel (shared relaxation times), or ``viscoelastic``: random Prony
+    relaxation of the stress, whose damping acts on the stress alone and keeps the
+    classes apart."""
+    rng = np.random.default_rng(cells)
+    # past the CFL step: partial pivoting then leaves negative pivots in U, which
+    # turn a zero right-hand side into -0.0 unless the solve is skipped
+    dt = 2.5 / cells
+    g = rw.build_grid(1, [cells], 1.0, dt, 16 * dt)
+    taus = (0.05, 0.5)
+    systems = []
+    for i in range(n_systems):
+        if medium == "viscoelastic":
+            weights = tuple(rng.uniform(0.1, 0.5, (g.n_cells, 1, 1)) for _ in taus)
+            model = ViscoelasticModel(grid=g, rho=rng.uniform(0.5, 2.0, g.n_cells),
+                                      gamma_elastic=rng.uniform(1.0, 3.0, (g.n_cells, 1, 1)),
+                                      gamma_kernel=PronyKernel(weights=weights, taus=taus))
+            systems.append(rw.viscoelastic_system(model))
+            continue
+        if medium == "two_layer":
+            model = rw.two_layer_acoustic(g, 1.0 + i, 4.0 - i, interface=0.55)
+        else:
+            model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
+                                     rho=rng.uniform(0.5, 2.0, g.n_cells))
+        memory = None
+        if kernel == "prony":
+            memory = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None]
+                                               * np.eye(2) for _ in taus), taus=taus)
+        systems.append(rw.acoustics_system(model, kernel=memory))
+    src = rw.make_ricker_source(g, 2, [0.4], peak_frequency=1 / (4 * dt), delay=4 * dt)
+    return systems, src
+
+
+class TestBatchFactor:
+    """A batch that steps one parity class solves it on one factor of the block
+    diagonal of the systems' class blocks, and yields the carries of stepping each
+    system alone, bit for bit; a single system solves on its own factor."""
+
+    @pytest.mark.parametrize("cells, kernel, medium", [
+        *((cells, kernel, medium) for cells in (4, 10, 64) for kernel in (None, "prony")
+          for medium in ("two_layer", "random")),
+        (4, "prony", "viscoelastic"), (30, "prony", "viscoelastic")])
+    def test_equal_to_each_system_alone(self, splu_calls, monkeypatch, cells, kernel, medium):
+        systems, src = parity_batch(cells, kernel, medium,
+                                    n_systems=2 if medium == "viscoelastic" else 3)
+        solvers = recording_solvers(monkeypatch)
+        sources = [src, None, src]
+        u0 = np.zeros((systems[0].n_state, len(sources)))
+        batch = list(_midpoint_steps(systems, sources, u0, None))
+        # one factor and one solve per step, on none of the systems' own factors
+        assert len(splu_calls) == 1 and len(solvers) == len(batch) and len(set(solvers)) == 1
+        assert all(solvers[0] is not s.step_operators.lu for s in systems)
+        for i, system in enumerate(systems):
+            alone = list(_midpoint_steps([system], sources, u0, None))
+            assert all(np.array_equal(z[i:i + 1], ref) for z, ref in zip(batch, alone))
+        assert np.abs(batch[-1][:, 0, :, 0]).max(axis=1).min() > 0
+        # resumed from a carry in which the second system is all zero and no source
+        # drives it: its block stays +0.0 while the others step on
+        start = len(batch) // 2
+        carry = batch[start - 1].copy()
+        carry[1] = 0.0
+        resumed = list(_midpoint_steps(systems, [None] * 3, carry, None, start))
+        for i, system in enumerate(systems):
+            alone = _midpoint_steps([system], [None] * 3, carry[i:i + 1], None, start)
+            assert all(np.array_equal(z[i:i + 1], ref) for z, ref in zip(resumed, alone))
+        assert all(not z[1].any() and not np.signbit(z[1]).any() for z in resumed)
+        assert np.abs(resumed[-1][0]).max() > 0
+
+    @pytest.mark.parametrize("case", ["restricted-1d", "2d"])
+    def test_a_single_system_solves_on_its_own_factor(self, splu_calls, monkeypatch, case):
+        systems, src, _ = batch_case(case, "prony", n_systems=1)
+        solvers = recording_solvers(monkeypatch)
+        _midpoint_solve(systems[0], [src], np.zeros((systems[0].n_state, 1)), None)
+        assert len(splu_calls) == 1
+        assert solvers and all(lu is systems[0].step_operators.lu for lu in solvers)
