@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -469,9 +470,36 @@ def _cmd_study(cfg: RunConfig) -> int:
 
 
 def _fsum_dot(x: np.ndarray, y: np.ndarray) -> float:
-    import math
-
-    return math.fsum((x * y).tolist())
+    """sum(x * y) of float64 vectors, correctly rounded: ``math.fsum((x * y).tolist())``
+    without the list.  Each product is m 2^e with 2^52 <= |m 2^53| < 2^53; the integer
+    m 2^53 splits into a high part (27 bits and sign) and a low part (26 bits), and
+    ``bincount`` sums each per exponent, exactly in float64 while there are at most 2^26
+    terms.  The exact total is one Python int times a power of two, rounded once by int
+    to float conversion or true division, both correctly rounded in CPython (subnormals
+    included).  A product that is not finite, a total that could near the overflow
+    threshold, and an exact total of 0 (whose sign fsum decides) go to ``math.fsum``."""
+    p = x * y
+    if not 0 < p.size <= 1 << 26 or not np.isfinite(p).all():
+        return math.fsum(p.tolist())
+    m, e = np.frexp(p)
+    e = e.astype(np.intp)
+    e_lo, e_hi = int(e.min()), int(e.max())
+    if e_hi + p.size.bit_length() > 1022:  # sum |p| may reach 2^1022
+        return math.fsum(p.tolist())
+    e -= e_lo
+    m *= 2.0 ** 27
+    hi = np.floor(m)
+    m -= hi
+    m *= 2.0 ** 26
+    hi_sums = np.bincount(e, weights=hi).tolist()
+    lo_sums = np.bincount(e, weights=m).tolist()
+    total = 0
+    for k in range(len(hi_sums)):
+        total += ((int(hi_sums[k]) << 26) + int(lo_sums[k])) << k
+    if total == 0:
+        return math.fsum(p.tolist())
+    scale = e_lo - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
 def _repeat_gap(system: DiscreteSystem, traj) -> float:
@@ -519,19 +547,19 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         worst = max(worst, s / (np.linalg.norm(u) * np.linalg.norm(v)))
     record("skew_symmetry", worst <= 1e-12, f"max |<Pu,v>+<u,Pv>|/(|u||v|) = {worst:.2e}")
 
+    # the model's mass blocks are system.a_blocks: one spectrum serves both bound checks
+    f0 = model.coefficient_field()
+    eig0 = np.linalg.eigvalsh(f0.a)
     rq = []
     for _ in range(20):
         u = rng.standard_normal(system.n_state)
         rq.append(float(u @ block_apply(system.a_blocks, u)) / float(u @ u))
-    eigs = np.linalg.eigvalsh(system.a_blocks)
-    lo, hi = float(eigs.min()), float(eigs.max())
+    lo, hi = float(eig0.min()), float(eig0.max())
     ok = min(rq) >= lo - 1e-10 and max(rq) <= hi + 1e-10
     record("mass_rayleigh_bounds", ok, f"quotients in [{min(rq):.4g}, {max(rq):.4g}] vs [{lo:.4g}, {hi:.4g}]")
 
     # fields: mollifier preservation + measure pseudo-metric
-    f0 = model.coefficient_field()
     sm = mollify_field(f0, 4, _boundary(cfg, model))
-    eig0 = np.linalg.eigvalsh(f0.a)
     eig1 = np.linalg.eigvalsh(sm.a)
     ok = eig1.min() >= eig0.min() - 1e-12 and eig1.max() <= eig0.max() + 1e-12
     record("mollify_preserves_bounds", ok,

@@ -144,6 +144,10 @@ def _midpoint_steps(
     otherwise it makes one solve per system on its own factor."""
     if u0.shape[-1] == 0:
         raise InvalidArgumentError("u0 has no columns: a solve steps at least one shot")
+    if len(sources) != u0.shape[-1]:
+        raise InvalidArgumentError(
+            f"sources has {len(sources)} entries for the {u0.shape[-1]} columns of u0: "
+            "one source (or None) per shot")
     first = systems[0]
     grid = first.grid
     if any(s.grid != grid or s.k != first.k for s in systems):

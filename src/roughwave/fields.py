@@ -327,20 +327,27 @@ def _hat_weights(half_width: int) -> np.ndarray:
 
 
 def _mollify_array(arr: np.ndarray, grid: Grid, n: int, boundary: str) -> np.ndarray:
-    """Tensor-product hat smoothing of a per-cell array (see ``mollify_field``)."""
+    """Tensor-product hat smoothing of a per-cell array (see ``mollify_field``).  An
+    entry that is zero in every cell (the off-diagonal of a diagonal block) smooths to
+    +0.0, so only the other entries are summed."""
     spatial = arr.reshape(*grid.shape, -1)
+    axes = [axis for axis in range(grid.dim) if grid.shape[axis] // n]
+    if not axes:
+        return arr
+    live = spatial.any(axis=tuple(range(grid.dim)))
     mode = "wrap" if boundary == "periodic" else "symmetric"
-    for axis in range(grid.dim):
+    part = spatial[..., live]
+    for axis in axes:
         size, half = grid.shape[axis], grid.shape[axis] // n
-        if half == 0:
-            continue
-        pad = [(half, half) if a == axis else (0, 0) for a in range(spatial.ndim)]
-        padded = np.pad(spatial, pad, mode=mode)
-        acc = np.zeros_like(spatial)
+        pad = [(half, half) if a == axis else (0, 0) for a in range(part.ndim)]
+        padded = np.pad(part, pad, mode=mode)
+        acc = np.zeros_like(part)
         for off, wj in zip(range(-half, half + 1), _hat_weights(half)):
             acc += wj * padded[(slice(None),) * axis + (slice(half - off, half - off + size),)]
-        spatial = acc
-    return spatial.reshape(arr.shape)
+        part = acc
+    out = np.zeros_like(spatial)
+    out[..., live] = part
+    return out.reshape(arr.shape)
 
 
 def mollify_field(f: CoefficientField, n: int, boundary: str = "periodic") -> CoefficientField:

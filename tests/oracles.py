@@ -3,9 +3,11 @@
 The 1D advection solution by its characteristic integral, the oscillatory
 counterexample family built on it, the d'Alembert two-way splitting for
 homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, the
-memory convolution stacked over a whole series, the convergence study's
-series from stored trajectories, the ``check`` suite's repeat and
-linearity comparisons from stored trajectories, the gradient and
+mollifier's hat smoothing summed over every block entry
+(``full_width_mollify``), the exactly rounded dot product by ``math.fsum``
+(``fsum_dot``), the memory convolution stacked over a whole series, the
+convergence study's series from stored trajectories, the ``check`` suite's
+repeat and linearity comparisons from stored trajectories, the gradient and
 adjoint-state dot test of a stored forward trajectory, the derivative of a
 stored trajectory (``stored_derivative``), and the two checks of the
 derivative: the Newton-quotient study (``quotient_study``) and central
@@ -14,6 +16,7 @@ differences of the objective against the gradient
 checks.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -161,6 +164,30 @@ def smooth_trajectory(traj: Trajectory, window: int) -> Trajectory:
     for off, wj in zip(range(2 * half + 1), _hat_weights(half)):
         out += wj * padded[off : off + traj.states.shape[0]]
     return replace(traj, states=out)
+
+
+def fsum_dot(x, y) -> float:
+    """sum(x * y), correctly rounded, through a Python list and ``math.fsum``."""
+    return math.fsum((np.asarray(x) * np.asarray(y)).tolist())
+
+
+def full_width_mollify(arr: np.ndarray, grid, n: int, boundary: str) -> np.ndarray:
+    """The tensor-product hat smoothing of ``mollify_field`` on one per-cell array,
+    summed over every entry of the blocks, entries that are zero in every cell
+    included."""
+    spatial = arr.reshape(*grid.shape, -1)
+    mode = "wrap" if boundary == "periodic" else "symmetric"
+    for axis in range(grid.dim):
+        size, half = grid.shape[axis], grid.shape[axis] // n
+        if half == 0:
+            continue
+        pad = [(half, half) if a == axis else (0, 0) for a in range(spatial.ndim)]
+        padded = np.pad(spatial, pad, mode=mode)
+        acc = np.zeros_like(spatial)
+        for off, wj in zip(range(-half, half + 1), _hat_weights(half)):
+            acc += wj * padded[(slice(None),) * axis + (slice(half - off, half - off + size),)]
+        spatial = acc
+    return spatial.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ lines and metrics.  Every tolerance is pinned here; nothing is deferred to
 later calibration.
 """
 
-import math
 import time
 
 import numpy as np
@@ -14,6 +13,7 @@ from oracles import (
     advection_oracle,
     dot_product_test,
     finite_difference_table,
+    fsum_dot,
     oscillatory_response_magnitude,
     quotient_study,
 )
@@ -33,10 +33,6 @@ from roughwave.sensitivity import CoefficientPerturbation, misfit_gradient
 def report(number, passed, detail):
     print(f"\nACCEPTANCE {number}: {'PASS' if passed else 'FAIL'} -- {detail}")
     assert passed, detail
-
-
-def fsum_dot(x, y):
-    return math.fsum((np.asarray(x) * np.asarray(y)).tolist())
 
 
 def test_criterion_1_skew_symmetry():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import roughwave as rw
+from oracles import full_width_mollify
 from roughwave.errors import (
     GridMismatchError,
     InvalidArgumentError,
@@ -142,6 +143,41 @@ class TestMollify:
             eig_out = np.linalg.eigvalsh(out.a)
             assert eig_out.min() >= eig_in.min() - 1e-12
             assert eig_out.max() <= eig_in.max() + 1e-12
+
+    @pytest.mark.parametrize("kernel", ["zero", "prony", "tabulated"])
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equal_to_the_full_width_sum(self, dim, boundary, kernel):
+        # diagonal blocks skip their off-diagonal entries; the sums of the others, and
+        # the +0.0 written for the skipped ones, match the full-width sum bit for bit
+        cells = {1: [24], 2: [10, 7], 3: [6, 5, 4]}[dim]
+        g = rw.build_grid(dim, cells, 1.0, 1e-3, 0.01)
+        rng = np.random.default_rng(dim)
+        model = rw.AcousticModel(grid=g, kappa=1.0 + rng.random(g.n_cells),
+                                 rho=1.0 + rng.random(g.n_cells))
+        k, eye = model.k, np.eye(model.k)
+        b = -0.0 * np.ones((g.n_cells, k, k))  # -0.0 off the diagonal, a gapped diagonal on it
+        b[:, eye == 1] = np.where(rng.random((g.n_cells, k)) < 0.5, 0.0, rng.random((g.n_cells, k)))
+        prony = PronyKernel(weights=(rng.random(g.n_cells)[:, None, None] * eye,
+                                     np.tile(0.2 * eye, (g.n_cells, 1, 1))), taus=(0.1, 0.3))
+        tabulated = TabulatedKernel(times=np.array([0.0, 0.5, 1.0]),
+                                    samples=rng.random((3, g.n_cells, 1, 1)) * eye)
+        q = {"zero": None, "prony": prony, "tabulated": tabulated}[kernel]
+        f = model.coefficient_field(kernel=q, b=b)
+        for n in (1, 2, 3, 8):
+            out = rw.mollify_field(f, n, boundary)
+            a = full_width_mollify(f.a, g, n, boundary)
+            pairs = [(out.a, 0.5 * (a + np.swapaxes(a, 1, 2))),
+                     (out.b, full_width_mollify(f.b, g, n, boundary))]
+            if kernel == "prony":
+                pairs += [(w, full_width_mollify(w0, g, n, boundary))
+                          for w, w0 in zip(out.kernel.weights, prony.weights)]
+            elif kernel == "tabulated":
+                pairs += [(s, full_width_mollify(s0, g, n, boundary))
+                          for s, s0 in zip(out.kernel.samples, tabulated.samples)]
+            for got, want in pairs:
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_distance_to_mollification_nonincreasing_in_n(self):
         f = step_field(96)

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import roughwave as rw
 from conftest import count_calls, per_direction_symbol_speed, symbol_test_system
-from oracles import stacked_memory_series
+from oracles import fsum_dot, stacked_memory_series
 from roughwave.errors import (
     GridMismatchError,
     InvalidArgumentError,
@@ -40,10 +39,6 @@ def random_spd_field(n_cells, k, seed=0):
     a = 0.5 * (a + np.swapaxes(a, 1, 2))
     g = rw.build_grid(1, [n_cells], 1.0, 1e-3, 0.1)
     return CoefficientField(grid=g, k=k, a=a)
-
-
-def fsum_dot(x, y):
-    return math.fsum((np.asarray(x) * np.asarray(y)).tolist())
 
 
 class TestMass:

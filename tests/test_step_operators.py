@@ -525,6 +525,20 @@ class TestBatchedSteps:
             next(_midpoint_steps(systems, [], np.zeros((systems[0].n_state, 0)), None))
         assert splu_calls == []
 
+    def test_more_sources_than_columns_rejected(self, splu_calls):
+        systems, src, _ = batch_case("restricted-1d", None, n_systems=2)
+        with pytest.raises(InvalidArgumentError, match="sources has 3 entries for the 1 columns"):
+            next(_midpoint_steps(systems, [src] * 3, np.zeros((systems[0].n_state, 1)), None))
+        assert splu_calls == []
+
+    def test_fewer_sources_than_carry_columns_rejected(self):
+        # a carry's columns are its last axis, whatever its leading ones
+        systems, src, _ = batch_case("restricted-1d", None, n_systems=2)
+        carry = next(_midpoint_steps(systems, [src, None], np.zeros((systems[0].n_state, 2)),
+                                     None))
+        with pytest.raises(InvalidArgumentError, match="sources has 1 entries for the 2 columns"):
+            next(_midpoint_steps(systems, [None], carry, None, start=1))
+
 
 def parity_batch(cells, kernel, medium, n_systems=3):
     """``n_systems`` 1D media on a periodic grid of an even number of ``cells``, 16
