@@ -19,36 +19,33 @@ energy identity.
 
 In 1D the factor holds one LU per connected component of the step (see
 ``operators.StepFactor``), so a solve pays only for the components it
-reaches.  Without a forcing and a tabulated history, only the components of
-the starting carry and the sources' footprints can become nonzero; a point
-source on a periodic even grid reaches one of the two parity classes, and
-the step loop then forms and solves that class's unknowns alone, yielding
-full-size carries whose other entries are +0.0.  Its states are the floats
-of stepping every unknown, since each solve uses the same component factors
-and each row of the right-hand side sums the same entries in the same
-order.  Smooth footprints, forced solves (the linearized forcing) and
-adjoint sweeps driven by interpolating receivers reach both classes; they
-solve each component block that is not all zero.  In 2D and 3D every solve
-uses the factor of the whole step matrix.
+reaches.  Without a forcing and a tabulated history only the components of
+the starting carry and the sources' footprints become nonzero.  When they
+are one component, as a point source on a periodic even grid makes them,
+each step forms and solves that component's rows alone and writes them into
+the full-size carry, whose other entries stay +0.0: the floats of stepping
+every unknown, since the solve uses the same component factor and each row
+of the right-hand side sums the same entries in the same order.  Every
+other solve steps every unknown and solves each component block that is
+not all zero.  In 2D and 3D every solve uses the whole step matrix's factor.
 
 Independent systems on one grid step as one batch, as the convergence
 study steps its solves.  They share the kernel class and the Prony
 relaxation times, and per step make one sparse product with the block
 diagonal of their right-hand-side matrices and one evaluation per distinct
-source.  A batch steps only the reached components when its systems label
-their components alike; otherwise it steps every unknown.  When it steps
-one component, as a point source on a periodic even grid makes it, the
-batch makes one factor, of the block diagonal of the systems' blocks of
-that component in system order, and per step one solve; a system whose
-right-hand side is all zero gets +0.0, as stepping it alone skips that
-solve.  On these 1D parity-class blocks COLAMD orders the block diagonal
-as it orders each block, so the batch factor is the blocks' own factors.
-Every other batch makes one solve per system on its own factor: there the
-block diagonal's ordering is not each block's (COLAMD ordered 3 of 4
-blocks of a 200-cell acoustic_free batch differently, and in 2D and 3D the
-minimum-degree blocks solve to other round-off).  Either way each system's
-states are the floats of stepping it alone: its factor is the same, and
-every row of the block diagonal sums the same entries in the same order.
+source.  A batch that reaches one component, of systems that label their
+components alike, makes one factor, of the block diagonal of the systems'
+blocks of that component in system order, and per step one solve; a system
+whose right-hand side is all zero gets +0.0, as stepping it alone skips
+that solve.  On these 1D parity-class blocks COLAMD orders the block
+diagonal as it orders each block, so the batch factor is the blocks' own
+factors.  Every other batch makes one solve per system on its own factor:
+there the block diagonal's ordering is not each block's (COLAMD ordered 3
+of 4 blocks of a 200-cell acoustic_free batch differently, and in 2D and 3D
+the minimum-degree blocks solve to other round-off).  Either way each
+system's states are the floats of stepping it alone: its factor is the
+same, and every row of the block diagonal sums the same entries in the
+same order.
 """
 
 from __future__ import annotations
@@ -137,11 +134,9 @@ def _midpoint_steps(
     at t_start, from which the solve resumes bit for bit.  ``forcing`` rows, for steps
     ``start`` on, go to every system and shot, or per shot as (n_state, n_shots).  Only
     a tabulated kernel, the one kernel with a history term, makes it keep past states,
-    one history per system, so it cannot resume.  Without either, when the carry and
-    the footprints reach only some components of ``lu`` and every system labels its
-    components alike, it steps their unknowns alone, and a batch that reaches one
-    component solves it on one factor of the block diagonal of the systems' blocks;
-    otherwise it makes one solve per system on its own factor."""
+    one history per system, so it cannot resume.  Without either, a step that reaches
+    one component of ``lu`` (module docstring) forms its rows alone (``component_rhs``)
+    and writes their solve into the full-size carry; otherwise it steps every unknown."""
     if u0.shape[-1] == 0:
         raise InvalidArgumentError("u0 has no columns: a solve steps at least one shot")
     if len(sources) != u0.shape[-1]:
@@ -178,7 +173,7 @@ def _midpoint_steps(
                 "the kernel's history is not in the carry")
         history = np.zeros((len(systems), n_steps + 1, *z.shape[2:]))
         history[:, 0] = z[:, 0]
-    components, unknowns = None, slice(None)
+    component, unknowns = None, slice(None)
     rhs_matrices = [o.rhs_matrix for o in step_ops]
     if (forcing is None and history is None and ops.lu.n_components > 1
             and all(np.array_equal(o.lu.labels, ops.lu.labels) for o in step_ops[1:])):
@@ -187,18 +182,13 @@ def _midpoint_steps(
             if source is not None:
                 reached |= source.footprint != 0
         touched = np.unique(ops.lu.labels[reached])
-        if touched.size < ops.lu.n_components:
-            components = tuple(touched.tolist())
-            unknowns = ops.restricted(components)[0]
-            rhs_matrices = [o.restricted(components)[1] for o in step_ops]
-            z = z[:, :, unknowns]
-            # where z's entries go in the flattened full-size carry (one fancy index
-            # over all rows scatters several times faster than one per row)
-            slots = ((np.arange(z.shape[0] * z.shape[1])[:, None, None] * ops.n_state
-                      + unknowns[:, None]) * z.shape[3] + np.arange(z.shape[3])).ravel()
+        if touched.size == 1:
+            component = int(touched[0])
+            unknowns = ops.lu.rows[component]
+            rhs_matrices = [o.component_rhs[component] for o in step_ops]
     batch_lu = None
-    if components is not None and len(components) == 1 and len(systems) > 1:
-        batch_lu = StepFactor(sp.block_diag([o.lu.block(components[0]) for o in step_ops],
+    if component is not None and len(systems) > 1:
+        batch_lu = StepFactor(sp.block_diag([o.lu.block(component) for o in step_ops],
                                             format="csc"), **ops.lu.options)
     rhs_matrix = _block_diagonal_rows(rhs_matrices)
     shots = {}  # each distinct source once: its footprint on the unknowns, and its columns
@@ -220,12 +210,12 @@ def _midpoint_steps(
         if rows is not None:
             row = next(rows)
             rhs += row if row.ndim == 2 else row[:, None]
+        u_next = np.zeros((len(systems), *z.shape[2:]))
         if batch_lu is None:
-            u_next = np.empty(rhs.shape)
             for o, r, u in zip(step_ops, rhs, u_next):
-                u[...] = o.lu.solve(r, components=components)
+                u[unknowns] = o.lu.solve(r, component=component)
         else:
-            u_next = batch_lu.solve(rhs.reshape(-1, rhs.shape[2])).reshape(rhs.shape)
+            u_next[:, unknowns] = batch_lu.solve(rhs.reshape(-1, rhs.shape[2])).reshape(rhs.shape)
             u_next[~rhs.any(axis=(1, 2))] = 0.0
         if not np.isfinite(u_next).all():
             raise SolverError(f"implicit midpoint produced non-finite state at step {n}")
@@ -237,12 +227,7 @@ def _midpoint_steps(
             z = u_next[:, None]
         if history is not None:
             history[:, n + 1] = u_next
-        if components is None:
-            yield z
-        else:
-            carry = np.zeros((*z.shape[:2], ops.n_state, z.shape[3]))
-            carry.reshape(-1)[slots] = z.reshape(-1)
-            yield carry
+        yield z
 
 
 def _midpoint_solve(

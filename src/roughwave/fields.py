@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -474,28 +473,17 @@ def make_ricker_source(
     component: int = 0,
     delay: float | None = None,
     footprint_width: float | None = None,
-    max_speed: float | None = None,
 ) -> SourceTerm:
     """Causal Ricker source at ``center`` acting on one state component.
 
     The pulse peaks ``delay`` after onset (default 1.5 periods, which makes
     the gated amplitude at onset ~1e-10 of the peak, so causality is exact
-    while smoothness is preserved to round-off).  When ``max_speed`` is
-    given, warns if the grid resolves fewer than ~10 cells per wavelength.
+    while smoothness is preserved to round-off).
     """
     if peak_frequency <= 0:
         raise InvalidArgumentError("peak frequency must be positive")
     if onset < 0:
         raise InvalidArgumentError("onset must be >= 0")
-    if max_speed is not None:
-        wavelength = max_speed / peak_frequency
-        cells = wavelength / max(grid.h)
-        if cells < 10:
-            warnings.warn(
-                f"Ricker at {peak_frequency} Hz resolves only {cells:.1f} cells per "
-                "wavelength at the fastest speed; expect dispersion error",
-                stacklevel=2,
-            )
     t_peak = onset + (1.5 / peak_frequency if delay is None else delay)
     foot = amplitude * _make_footprint(grid, k, center, component, footprint_width)
     return SourceTerm(

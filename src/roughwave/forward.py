@@ -125,10 +125,17 @@ def build_sampler(
     elif tag == NORMAL_VELOCITY:
         if normal is None:
             raise InvalidArgumentError("normal_velocity sampling needs a normal field")
-        normal = np.asarray(normal, dtype=float)
-        if normal.ndim == 1:
-            normal = np.broadcast_to(normal, (n_rec, grid.dim))
+        normal = np.atleast_2d(np.asarray(normal, dtype=float))
+        if normal.ndim != 2 or normal.shape[0] not in (1, n_rec) or normal.shape[1] != grid.dim:
+            raise InvalidArgumentError(
+                f"normal_velocity needs one normal of {grid.dim} coordinate(s) or one per "
+                f"receiver, got shape {normal.shape} for {n_rec} receivers")
+        normal = np.broadcast_to(normal, (n_rec, grid.dim))
         norms = np.linalg.norm(normal, axis=1, keepdims=True)
+        usable = (norms[:, 0] > 0) & np.isfinite(norms[:, 0])
+        if not usable.all():
+            raise InvalidArgumentError(
+                f"the normal of receiver {int(usable.argmin())} is zero or not finite")
         normal = normal / norms
         m_rows = np.zeros((n_rec, 1, k))
         m_rows[:, 0, 1:] = normal

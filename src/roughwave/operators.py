@@ -31,8 +31,8 @@ classes apart (scalar kappa and rho do; the acoustic mass, b and Prony
 blocks are diagonal).  The acoustic_free closure couples a wall cell's
 pressure to its own velocity and joins the classes, and so does an odd
 count on an axis (the wrap joins its two parities).  In 1D ``StepFactor``
-factors a component on its own when a solve reaches it alone; in 2D and 3D
-the step matrix is factored as a whole (see ``StepOperators``).
+factors each component when a solve first reaches it; in 2D and 3D the step
+matrix is factored as a whole (see ``StepOperators``).
 """
 
 from __future__ import annotations
@@ -377,39 +377,31 @@ class StepFactor:
     unknowns, each made on first use.
 
     ``labels`` names each unknown's component (one component if omitted), and
-    the matrix couples no two of them.  ``order`` groups the unknowns by
-    component, ascending within each, and component c's factor is that of the
-    matrix restricted to its unknowns, made by ``splu`` with ``options``; a
-    single component factors the matrix itself.  ``solve`` serves every
-    right-hand side: over all unknowns it takes the rows into component
-    order, solves each component block that is not all zero (a zero block's
-    solution is +0.0, and its factor is never made) and takes the rows back.
-    ``L`` and ``U`` join every component's factor block diagonally, so their
-    nnz is the fill.
+    the matrix couples no two of them.  ``rows[c]`` holds component c's
+    unknowns in ascending order, and its factor is that of the matrix on
+    those rows and columns, made by ``splu`` with ``options``; a single
+    component factors the matrix itself.  ``solve`` over all unknowns solves
+    each component's rows that are not all zero (a zero block's solution is
+    +0.0, and its factor is never made); ``solve`` of one component takes and
+    gives that component's rows alone.  ``L`` and ``U`` join every
+    component's factor block diagonally, so their nnz is the fill.
     """
 
     def __init__(self, matrix: sp.spmatrix, labels: np.ndarray | None = None, **options):
         self.matrix, self.options = matrix, options
         self.labels = np.zeros(matrix.shape[0], dtype=int) if labels is None else np.asarray(labels)
-        self.order = np.argsort(self.labels, kind="stable")
-        self.inverse = np.empty_like(self.order)
-        self.inverse[self.order] = np.arange(self.order.size)
-        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(self.labels))))
-        self._factors: list[spla.SuperLU | None] = [None] * (len(self.bounds) - 1)
+        self.rows = [np.flatnonzero(self.labels == c) for c in range(self.labels.max() + 1)]
+        self._factors: list[spla.SuperLU | None] = [None] * len(self.rows)
 
     @property
     def n_components(self) -> int:
-        return len(self._factors)
-
-    def unknowns(self, components: Sequence[int]) -> np.ndarray:
-        """The unknowns of ``components`` (ascending), grouped as ``solve`` takes them."""
-        return self.order[np.isin(self.labels[self.order], components)]
+        return len(self.rows)
 
     def block(self, component: int) -> sp.csc_matrix:
-        """The matrix on ``component``'s unknowns alone, the matrix its factor is of."""
+        """The matrix on ``component``'s rows and columns, the matrix its factor is of."""
         block = self.matrix
         if self.n_components > 1:
-            rows = self.order[self.bounds[component]:self.bounds[component + 1]]
+            rows = self.rows[component]
             block = block[rows][:, rows]
         return block.tocsc()
 
@@ -418,25 +410,19 @@ class StepFactor:
             self._factors[component] = spla.splu(self.block(component), **self.options)
         return self._factors[component]
 
-    def solve(self, rhs: np.ndarray, trans: str = "N",
-              components: Sequence[int] | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, trans: str = "N", component: int | None = None) -> np.ndarray:
         """x with C x = rhs (C^T x = rhs for ``trans="T"``), rows (and columns) as
-        ``rhs``.  With ``components`` (ascending), ``rhs`` and x hold only their
-        ``unknowns``, and the other components are zero."""
-        if components is None and self.n_components > 1:
-            blocks = np.take(rhs, self.order, axis=0)
-            return np.take(self.solve(blocks, trans, range(self.n_components)),
-                           self.inverse, axis=0)
-        if components is None or len(components) == 1:
-            if not rhs.any():
-                return np.zeros(rhs.shape)
-            return self._factor(0 if components is None else components[0]).solve(rhs, trans)
-        out, start = np.empty(rhs.shape), 0
-        for c in components:
-            stop = start + self.bounds[c + 1] - self.bounds[c]
-            out[start:stop] = self.solve(rhs[start:stop], trans, (c,))
-            start = stop
-        return out
+        ``rhs``.  With ``component``, ``rhs`` and x hold only its ``rows``."""
+        if component is None and self.n_components > 1:
+            out = np.zeros(rhs.shape)
+            for c, rows in enumerate(self.rows):
+                block = rhs[rows]
+                if block.any():
+                    out[rows] = self._factor(c).solve(block, trans)
+            return out
+        if not rhs.any():
+            return np.zeros(rhs.shape)
+        return self._factor(component or 0).solve(rhs, trans)
 
     @property
     def L(self) -> sp.csc_matrix:
@@ -477,8 +463,8 @@ class StepOperators:
     ``lu`` is a ``StepFactor``.  In 1D it holds a factor per connected
     component of the union pattern of C and every block of ``rhs_matrix``,
     labelled once here, each made when a solve first reaches it, and
-    ``restricted`` gives the right-hand side of a step on some components
-    alone, for solves that reach no others.  In 2D and 3D C is factored as a
+    ``component_rhs`` holds each component's rows of ``rhs_matrix``, for steps
+    that reach that component alone.  In 2D and 3D C is factored as a
     whole, as one component.  There the ordering runs in symmetric mode,
     where SuperLU does not postorder the elimination tree and its relaxed
     supernodes depend on how the components' columns interleave: factored
@@ -543,26 +529,16 @@ class StepOperators:
         else:
             self.lu = StepFactor(self.c_matrix, permc_spec="MMD_AT_PLUS_A",
                                  options={"SymmetricMode": True})
-        self._restricted: dict[tuple[int, ...], tuple[np.ndarray, sp.csr_matrix]] = {}
 
     @property
     def n_terms(self) -> int:
         return len(self.weight_matrices)
 
-    def restricted(self, components: tuple[int, ...]) -> tuple[np.ndarray, sp.csr_matrix]:
-        """The ``lu.unknowns`` of ``components`` and ``rhs_matrix`` on them alone: its
-        rows there, and in every block its columns there, made once per component set.
+    @cached_property
+    def component_rhs(self) -> list[sp.csr_matrix]:
+        """Per ``lu`` component, ``rhs_matrix``'s rows of its unknowns over all columns.
         Each row keeps its entries in their order, so its product is the same float."""
-        if components not in self._restricted:
-            rows = self.lu.unknowns(components)
-            position = np.zeros(self.n_state, dtype=rows.dtype)
-            position[rows] = np.arange(rows.size)
-            full = self.rhs_matrix[rows]
-            block, col = np.divmod(full.indices, self.n_state)
-            self._restricted[components] = rows, sp.csr_matrix(
-                (full.data, block * rows.size + position[col], full.indptr),
-                shape=(rows.size, (1 + self.n_terms) * rows.size))
-        return self._restricted[components]
+        return [self.rhs_matrix[rows] for rows in self.lu.rows]
 
     def memory_history_rhs(self, history: np.ndarray, step: int) -> np.ndarray:
         """Contribution of a tabulated kernel's states up to t_n to R at the half step

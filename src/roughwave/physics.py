@@ -248,6 +248,10 @@ class ViscoelasticModel:
                 f"gamma_elastic is not elliptic: eigenvalue {eigs.min():.3e} "
                 f"in cell {int(eigs.min(axis=1).argmin())}"
             )
+        kern = self.gamma_kernel
+        if isinstance(kern, TabulatedKernel) and len(kern.times) < 3:  # ve_kernel_split reads 3
+            raise InvalidCoefficientError(
+                f"a tabulated gamma_kernel needs at least 3 samples, got {len(kern.times)}")
         lo, hi = float(np.abs(eigs).min()), float(np.abs(eigs).max())
         if self.g_lo is None:
             object.__setattr__(self, "g_lo", lo)

@@ -26,9 +26,9 @@ from roughwave.cli import (
 )
 from roughwave.errors import ConfigError
 from roughwave.evolution import solve_causal
-from roughwave.fields import build_grid, make_ricker_source
+from roughwave.fields import TabulatedKernel, build_grid, make_ricker_source, save_kernel
 from roughwave.forward import SeismogramData, load_observed_data, save_seismogram_csv
-from roughwave.physics import AcousticModel, save_model
+from roughwave.physics import AcousticModel, ViscoelasticModel, save_model
 from roughwave.sensitivity import misfit_gradient
 
 
@@ -410,6 +410,24 @@ class TestInputErrors:
         self.save_acoustic(tmp_path, "other", 30)
         os.replace(tmp_path / "other_kappa.rwf", tmp_path / "model_kappa.rwf")
         self.expect_config_error(tmp_path, capsys, payload, "config.model.path")
+
+    def test_viscoelastic_model_with_two_kernel_samples(self, tmp_path, capsys):
+        grid = build_grid(1, [20], 1.0, 1e-3, 0.3)
+        base = str(tmp_path / "model")
+        save_model(ViscoelasticModel(grid=grid, rho=1.0, gamma_elastic=np.ones((20, 1, 1))), base)
+        with open(f"{base}.json") as fh:
+            manifest = json.load(fh)
+        short = TabulatedKernel(times=np.array([0.0, 1e-3]), samples=np.full((2, 20, 1, 1), 0.1))
+        manifest["kernel"] = save_kernel(short, base, "gamma", grid, 1)
+        with open(f"{base}.json", "w") as fh:
+            json.dump(manifest, fh)
+        payload = {"command": "simulate", "model": {"path": base},
+                   "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+                   "output": str(tmp_path / "out")}
+        path = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: config.model.path" in err and "at least 3 samples, got 2" in err
 
     def test_kernel_term_not_an_object(self, tmp_path, capsys):
         self.expect_config_error(tmp_path, capsys, {

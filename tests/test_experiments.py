@@ -204,7 +204,7 @@ class TestMeasureConvergence:
                 self.matrix = block_diagonal(matrices)
 
             def __matmul__(self, carry):
-                products.append(carry.shape)
+                products.append((self.matrix.shape[0], *carry.shape))
                 return self.matrix @ carry
 
         class CountingSolves:
@@ -221,9 +221,9 @@ class TestMeasureConvergence:
         measure_convergence_study(field, src, [2, 4, 8, 16], sampler=sampler)
         n_steps = field.grid.n_steps
         assert evaluations == [src] * n_steps
-        # the point source reaches one parity class: 40 of each system's 80 unknowns,
-        # each with its two Prony states
-        assert products == [(5 * 3 * 40, 1)] * n_steps
+        # the point source reaches one parity class: the product forms 40 of each
+        # system's 80 rows from its full-size carry, u_n and its two Prony states
+        assert products == [(5 * 40, 5 * 3 * 80, 1)] * n_steps
         assert len(set(solves)) == 1
         assert len(solves) == n_steps
 

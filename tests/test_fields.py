@@ -270,11 +270,6 @@ class TestSources:
                         limit=400, epsabs=1e-13)
         assert abs(val) < max(1e-11, 10 * err)
 
-    def test_resolution_warning(self):
-        g = rw.build_grid(1, [20], 1.0, 1e-3, 0.1)
-        with pytest.warns(UserWarning, match="cells per wavelength"):
-            rw.make_ricker_source(g, 2, [0.5], peak_frequency=10.0, max_speed=3.0)
-
     def test_burst_smoothness_window(self):
         g = rw.build_grid(1, [32], 1.0, 1e-3, 0.5)
         src = rw.make_burst_source(g, 2, [0.5], frequency=4.0, smoothness=3, onset=0.1)

@@ -46,6 +46,29 @@ class TestBuildSampler:
         assert np.abs(mat[:, :, 2]).max() == 0.0  # no v_2
         assert np.abs(mat[:, :, 1]).max() > 0.0
 
+    @pytest.mark.parametrize("normal, receiver", [
+        ((0.0, 0.0), 0), ([[1.0, 0.0], [0.0, 0.0]], 1), ([[0.6, 0.8], [np.nan, 1.0]], 1),
+        ([[np.inf, 0.0], [1.0, 0.0]], 0)], ids=["shared-zero", "zero", "nan", "inf"])
+    def test_unusable_normal_names_its_receiver(self, normal, receiver):
+        g = rw.build_grid(2, [8, 8], 1.0, 1e-3, 0.01)
+        with pytest.raises(InvalidArgumentError, match=f"normal of receiver {receiver} is zero"):
+            build_sampler([[0.5, 0.3], [0.5, 0.7]], "normal_velocity", g, 3, normal=normal)
+
+    @pytest.mark.parametrize("normal", [[[1.0, 0.0]] * 3, [[1.0, 0.0, 0.0]] * 2, (1.0,),
+                                        [[[1.0, 0.0]]]], ids=["three", "3d", "1d", "3-axes"])
+    def test_normals_neither_one_nor_one_per_receiver(self, normal):
+        g = rw.build_grid(2, [8, 8], 1.0, 1e-3, 0.01)
+        with pytest.raises(InvalidArgumentError, match="one normal of 2 coordinate"):
+            build_sampler([[0.5, 0.3], [0.5, 0.7]], "normal_velocity", g, 3, normal=normal)
+
+    def test_one_normal_per_receiver_or_shared(self):
+        g = rw.build_grid(2, [8, 8], 1.0, 1e-3, 0.01)
+        receivers = [[0.5, 0.3], [0.5, 0.7]]
+        shared = build_sampler(receivers, "normal_velocity", g, 3, normal=(3.0, 4.0))
+        for normal in ([[3.0, 4.0]], [[0.6, 0.8], [0.6, 0.8]]):
+            alike = build_sampler(receivers, "normal_velocity", g, 3, normal=normal)
+            assert (alike.matrix != shared.matrix).nnz == 0
+
     def test_receiver_outside_domain(self):
         g, system = unit_acoustics(10)
         with pytest.raises(InvalidArgumentError, match="outside"):

@@ -208,6 +208,20 @@ class TestViscoelastic:
             taus=(0.5, 1.5))
         assert kernel_split_reconstruction_error(self.make_model(kernel=kern)) <= 1e-8
 
+    @pytest.mark.parametrize("n_samples", [2, 3])
+    def test_tabulated_gamma_needs_three_samples(self, n_samples):
+        # the split's one-sided differences read three samples
+        m = kelvin_dim(2)
+        kern = TabulatedKernel(times=0.01 * np.arange(n_samples),
+                               samples=np.tile(0.3 * np.eye(m), (n_samples, 16, 1, 1)))
+        if n_samples < 3:
+            with pytest.raises(InvalidCoefficientError, match="at least 3 samples, got 2"):
+                self.make_model(kernel=kern)
+        else:
+            model = self.make_model(kernel=kern)
+            assert kernel_split_reconstruction_error(model) == 0.0  # constant: q = 0
+            assert rw.viscoelastic_system(model).kernel.times.size == 3
+
     def test_tabulated_reconstruction_second_order(self):
         m = kelvin_dim(2)
         errs, deltas = [], [0.02, 0.01, 0.005]

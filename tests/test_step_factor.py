@@ -17,7 +17,7 @@ import roughwave as rw
 from conftest import assert_matches_oracle, oracle_system, per_term_solve, zero_keeping_step_matrix
 from oracles import dot_product_test, stored_derivative
 from roughwave.evolution import _midpoint_solve
-from roughwave.fields import PronyKernel, TabulatedKernel
+from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel
 from roughwave.forward import build_sampler
 from roughwave.operators import StepFactor, assemble_system, block_diagonal
 from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, kelvin_dim
@@ -202,6 +202,26 @@ def reached_components(system, states):
     return set(system.step_operators.lu.labels[np.any(states != 0, axis=0)].tolist())
 
 
+def two_pair_case(prony, n_reached):
+    """k = 4 on a periodic 40-cell grid: two decoupled acoustic pairs (p1, v1, p2, v2)
+    with block-diagonal symbols and rough diagonal mass (and Prony) blocks, so the step
+    matrix splits into 4 parity classes.  The Ricker point source drives p1 of one
+    cell, and with ``n_reached`` = 2 also p2 of that cell, with another amplitude."""
+    rng = np.random.default_rng(16 + prony)
+    dt = 0.5 / 40
+    g = rw.build_grid(1, [40], 1.0, dt, N_STEPS * dt)
+    pair = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    symbol = np.zeros((4, 4))
+    symbol[:2, :2] = symbol[2:, 2:] = pair
+    a = rng.uniform(0.5, 2.0, (g.n_cells, 4))[:, :, None] * np.eye(4)
+    kernel = two_term_prony(rng, g.n_cells, 4) if prony else ZeroKernel()
+    system = assemble_system(rw.CoefficientField(grid=g, k=4, a=a, kernel=kernel), [symbol])
+    src = rw.make_ricker_source(g, 4, [0.3], peak_frequency=1.0 / (4.0 * dt), delay=6.0 * dt)
+    if n_reached == 2:
+        src = dataclasses.replace(src, footprint=src.footprint - 0.5 * np.roll(src.footprint, 2))
+    return system, src
+
+
 class TestParityClasses:
     """On a periodic grid with an even count per axis the centered stencil splits the
     step matrix into 2^dim parity classes.  In 1D a solve factors and steps only the
@@ -263,6 +283,32 @@ class TestParityClasses:
         full = rw.solve_causal(system, src, forcing=np.zeros((N_STEPS, system.n_state))).states
         assert len(reached_components(system, restricted)) == 1
         assert np.array_equal(restricted, full)
+
+    @pytest.mark.parametrize("prony", [False, True], ids=["no_memory", "prony"])
+    @pytest.mark.parametrize("n_reached", [1, 2])
+    def test_four_classes_step_as_every_unknown(self, splu_calls, prony, n_reached):
+        # one class reached steps its rows alone, two of four step every unknown; either
+        # way the states are the floats of stepping every unknown, and a class that is
+        # not reached is never factored
+        system, src = two_pair_case(prony, n_reached)
+        lu = system.step_operators.lu
+        assert lu.n_components == 4
+        states = rw.solve_causal(system, src).states
+        reached = reached_components(system, states)
+        assert len(reached) == n_reached
+        assert len(splu_calls) == n_reached
+        full = rw.solve_causal(system, src, forcing=np.zeros((N_STEPS, system.n_state))).states
+        assert np.array_equal(states, full)
+        assert len(splu_calls) == n_reached
+        unreached = states[:, ~np.isin(lu.labels, sorted(reached))]
+        assert np.all(unreached == 0.0) and not np.signbit(unreached).any()
+        if n_reached == 2:
+            # the pairs are decoupled: each is the one-class solve of its own part
+            one_class = two_pair_case(prony, 1)[1]
+            other = dataclasses.replace(src, footprint=src.footprint - one_class.footprint)
+            parts = [rw.solve_causal(system, part).states for part in (one_class, other)]
+            assert np.array_equal(states, parts[0] + parts[1])
+            assert len(splu_calls) == n_reached
 
     @pytest.mark.parametrize("cells", [[40], [12, 12]], ids=["1d", "2d"])
     def test_zero_right_hand_sides_are_not_solved(self, monkeypatch, cells):

@@ -290,9 +290,9 @@ class TestShots:
         lu, solves = system.step_operators.lu, []
         solve = lu.solve
 
-        def counting(rhs, trans="N", components=None):
+        def counting(rhs, trans="N", component=None):
             solves.append(rhs.shape)
-            return solve(rhs, trans, components)
+            return solve(rhs, trans, component)
 
         lu.solve = counting
         sources = [rw.make_ricker_source(system.grid, 3, [x, 0.5], peak_frequency=8.0)
@@ -469,12 +469,14 @@ class TestBatchedSteps:
         assert np.array_equal(batch[-1][..., 0], batch[-1][..., 2])
         assert not batch[-1][..., 1].any()
         # the point source reaches one parity class: when the systems label their
-        # classes alike and no history is kept, the batch steps that class alone, on
-        # one factor of the block diagonal of their class blocks; every other batch
-        # solves on the systems' own factors, which stepping alone has already made
+        # classes alike and no history is kept, the batch forms that class's rows of
+        # the full-size carries alone and solves them on one factor of the block
+        # diagonal of their class blocks; every other batch solves on the systems' own
+        # factors, which stepping alone has already made
         one_class = case == "restricted-1d" and kernel != "tabulated"
-        n_unknowns = systems[0].n_state // (2 if one_class else 1)
-        assert products == [(len(systems) * n_unknowns, len(systems) * (1 + n_terms) * n_unknowns)]
+        n_state = systems[0].n_state
+        n_rows = n_state // (2 if one_class else 1)
+        assert products == [(len(systems) * n_rows, len(systems) * (1 + n_terms) * n_state)]
         assert len(splu_calls) - factored_alone == (1 if one_class else 0)
         own = {id(s.step_operators.lu) for s in systems}
         assert ({id(lu) for lu in solvers} & own) == (set() if one_class else own)
