@@ -70,7 +70,8 @@ from .experiments import (
     ConeSpec,
     StudyReport,
     cone_from_speed,
-    cone_leak,
+    density_leak,
+    energy_density,
     measure_convergence_study,
     trace_regularity_probe,
 )

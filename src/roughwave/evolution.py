@@ -6,9 +6,10 @@ t_n -> t_{n+1} it enforces
     A (u_{n+1} - u_n)/dt + (P + B) (u_n + u_{n+1})/2 + R_{n+1/2} = f(t_{n+1/2}),
 
 where the memory value R_{n+1/2} is the convolution of the piecewise-linear
-interpolant of the discrete states, evaluated at the half step.  For Prony
-kernels that value is linear in (history, u_n, u_{n+1}) through the exact
-exponential recursion, so the whole step stays one sparse solve with a
+interpolant of the discrete states, evaluated at the half step.  A system's
+kernel is a Prony sum (a tabulated one is fitted when the system is made),
+so that value is linear in (s_j(t_n), u_n, u_{n+1}) through the exact
+exponential recursion, and the whole step stays one sparse solve with a
 constant matrix, factorized once per system, and its right-hand side one
 sparse product with u_n and the stacked Prony states.  The step matrix
 stores no zeros, and its fill-reducing ordering depends only on the grid
@@ -19,15 +20,15 @@ energy identity.
 
 In 1D the factor holds one LU per connected component of the step (see
 ``operators.StepFactor``), so a solve pays only for the components it
-reaches.  Without a forcing and a tabulated history only the components of
-the starting carry and the sources' footprints become nonzero.  When they
-are one component, as a point source on a periodic even grid makes them,
-each step forms and solves that component's rows alone and writes them into
-the full-size carry, whose other entries stay +0.0: the floats of stepping
-every unknown, since the solve uses the same component factor and each row
-of the right-hand side sums the same entries in the same order.  Every
-other solve steps every unknown and solves each component block that is
-not all zero.  In 2D and 3D every solve uses the whole step matrix's factor.
+reaches.  Without a forcing only the components of the starting carry and
+the sources' footprints become nonzero.  When they are one component, as a
+point source on a periodic even grid makes them, each step forms and solves
+that component's rows alone and writes them into the full-size carry, whose
+other entries stay +0.0: the floats of stepping every unknown, since the
+solve uses the same component factor and each row of the right-hand side
+sums the same entries in the same order.  Every other solve steps every
+unknown and solves each component block that is not all zero.  In 2D and 3D
+every solve uses the whole step matrix's factor.
 
 Independent systems on one grid step as one batch, as the convergence
 study steps its solves.  They share the kernel class and the Prony
@@ -63,7 +64,7 @@ from .errors import (
     SolverError,
     UnsupportedConfigurationError,
 )
-from .fields import Grid, SourceTerm, TabulatedKernel, ZeroKernel, write_field_array
+from .fields import Grid, SourceTerm, ZeroKernel, write_field_array
 from .operators import (
     DiscreteSystem,
     StepFactor,
@@ -132,11 +133,11 @@ def _midpoint_steps(
     one is yielded per step.  ``u0`` is the state at t_start with zero Prony states,
     (n_state, n_shots), shared by every system, or a carry that this generator yielded
     at t_start, from which the solve resumes bit for bit.  ``forcing`` rows, for steps
-    ``start`` on, go to every system and shot, or per shot as (n_state, n_shots).  Only
-    a tabulated kernel, the one kernel with a history term, makes it keep past states,
-    one history per system, so it cannot resume.  Without either, a step that reaches
-    one component of ``lu`` (module docstring) forms its rows alone (``component_rhs``)
-    and writes their solve into the full-size carry; otherwise it steps every unknown."""
+    ``start`` on, go to every system and shot, or per shot as (n_state, n_shots).  No
+    past state is kept: the carry is all that a step reads.  Without a forcing, a step
+    that reaches one component of ``lu`` (module docstring) forms its rows alone
+    (``component_rhs``) and writes their solve into the full-size carry; otherwise it
+    steps every unknown."""
     if u0.shape[-1] == 0:
         raise InvalidArgumentError("u0 has no columns: a solve steps at least one shot")
     if len(sources) != u0.shape[-1]:
@@ -165,17 +166,9 @@ def _midpoint_steps(
     if u0.ndim == 2:
         z = np.zeros((len(systems), 1 + ops.n_terms, *u0.shape))
         z[:, 0] = u0
-    history = None
-    if isinstance(first.kernel, TabulatedKernel):
-        if start:
-            raise UnsupportedConfigurationError(
-                f"a solve with a tabulated kernel cannot resume at step {start}: "
-                "the kernel's history is not in the carry")
-        history = np.zeros((len(systems), n_steps + 1, *z.shape[2:]))
-        history[:, 0] = z[:, 0]
     component, unknowns = None, slice(None)
     rhs_matrices = [o.rhs_matrix for o in step_ops]
-    if (forcing is None and history is None and ops.lu.n_components > 1
+    if (forcing is None and ops.lu.n_components > 1
             and all(np.array_equal(o.lu.labels, ops.lu.labels) for o in step_ops[1:])):
         reached = z.any(axis=(0, 1, 3))
         for source in sources:
@@ -200,9 +193,6 @@ def _midpoint_steps(
                                              else forcing)
     for n in range(start, n_steps):
         rhs = (rhs_matrix @ z.reshape(-1, z.shape[3])).reshape(z.shape[0], -1, z.shape[3])
-        if history is not None:
-            for r, o, past in zip(rhs, step_ops, history):
-                r += o.memory_history_rhs(past, n)
         for source, footprint, cols in shots.values():
             f = source.evaluate(times[n] + 0.5 * dt, footprint)
             for col in cols:
@@ -225,8 +215,6 @@ def _midpoint_steps(
             z = np.concatenate((u_next[:, None], s_next.swapaxes(0, 1)), axis=1)
         else:
             z = u_next[:, None]
-        if history is not None:
-            history[:, n + 1] = u_next
         yield z
 
 
@@ -339,7 +327,7 @@ def step_residuals(
         u, un = states[n], states[n + 1]
         ubar = 0.5 * (u + un)
         r = block_apply(system.a_blocks, (un - u) / dt) + system.skew @ ubar + system.apply_b(ubar)
-        r += ops.half_step_memory(s_half, u, un, states, n)
+        r += ops.half_step_memory(s_half)
         r -= _source_at(source, traj.times[n] + 0.5 * dt, system.n_state)
         if forcing is not None:
             r -= forcing[n]

@@ -1,10 +1,11 @@
 """Executable probes of the continuum theory at desk scale.
 
-Holds the finite-speed cone-leak measurement, the convergence-in-measure
-study over mollification schedules, and the trace-regularity refinement
-probe, with the study report they fill.  The closed-form references the
-solver is checked against (advection by characteristics, the d'Alembert
-splitting) are test oracles and live in ``tests/oracles.py``.
+Holds the finite-speed cone-leak measurement (one energy density per
+trajectory serves every cone), the convergence-in-measure study over
+mollification schedules, and the trace-regularity refinement probe, with
+the study report they fill.  The closed-form references the solver is
+checked against (advection by characteristics, the d'Alembert splitting)
+are test oracles and live in ``tests/oracles.py``.
 
 The continuum finite-speed statement ("the solution vanishes outside the
 cone") becomes a leak tolerance: discrete stencils and implicit solves have
@@ -66,39 +67,42 @@ def cone_from_speed(apex_x, apex_t: float, speed: float, margin: float = 0.1) ->
     return ConeSpec(apex_x=apex, apex_t=float(apex_t), slowness=1.0 / ((1.0 + margin) * speed))
 
 
-# time rows per block of ``cone_leak``'s energy density
+# time rows per block of ``energy_density``
 LEAK_ROWS = 16
 
 
-def cone_leak(traj: Trajectory, cone: ConeSpec) -> float:
-    """Fraction of total trajectory energy inside the claimed-quiet region.
-
-    Energy density is the per-cell quadratic form (1/2) vol u^T a u, filled
-    ``LEAK_ROWS`` time rows at a time; the 0/0 case of an identically zero
-    trajectory reports leak 0.
-    """
+def energy_density(traj: Trajectory) -> np.ndarray:
+    """Per-cell energy (1/2) vol u^T a u of every state, (N + 1, n_cells), filled
+    ``LEAK_ROWS`` time rows at a time."""
     grid = traj.grid
-    if len(cone.apex_x) != grid.dim:
-        raise InvalidArgumentError("cone apex dimension does not match the grid")
-    if traj.times[-1] < cone.apex_t:
-        raise InvalidArgumentError("trajectory does not cover the cone's time window")
-    centers = grid.centers()
-    dist = np.linalg.norm(centers - np.asarray(cone.apex_x), axis=1)
     states = traj.states.reshape(traj.states.shape[0], grid.n_cells, -1)
-    blocks = [slice(start, start + LEAK_ROWS) for start in range(0, len(states), LEAK_ROWS)]
     density = np.empty(states.shape[:2])
-    for rows in blocks:
+    for start in range(0, len(states), LEAK_ROWS):
+        rows = slice(start, start + LEAK_ROWS)
         np.einsum("nci,cij,ncj->nc", states[rows], traj.a_blocks, states[rows], out=density[rows])
     density *= 0.5 * grid.cell_volume
+    return density
+
+
+def density_leak(density: np.ndarray, grid: Grid, cone: ConeSpec) -> float:
+    """Fraction of the total of an ``energy_density`` inside the cone's claimed-quiet
+    region; the 0/0 case of an identically zero density reports leak 0.  The quiet
+    entries move, in order, to the front of ``density``, which is left reordered."""
+    if len(cone.apex_x) != grid.dim:
+        raise InvalidArgumentError("cone apex dimension does not match the grid")
+    times = grid.times()
+    if times[-1] < cone.apex_t:
+        raise InvalidArgumentError("trajectory does not cover the cone's time window")
     total = float(density.sum())
     if total <= 0:
         return 0.0
-    # the quiet entries move, in order, to the front of ``density`` a block at a
-    # time; a block's entries land at or before it, so later blocks stay intact
+    dist = np.linalg.norm(grid.centers() - np.asarray(cone.apex_x), axis=1)
     reach = cone.slowness * dist[None, :] + cone.apex_t
+    # a block's quiet entries land at or before it, so later blocks stay intact
     flat, n_quiet = density.reshape(-1), 0
-    for rows in blocks:
-        kept = density[rows][reach - traj.times[rows, None] >= 0]
+    for start in range(0, len(density), LEAK_ROWS):
+        rows = slice(start, start + LEAK_ROWS)
+        kept = density[rows][reach - times[rows, None] >= 0]
         flat[n_quiet:n_quiet + kept.size] = kept
         n_quiet += kept.size
     return float(flat[:n_quiet].sum()) / total

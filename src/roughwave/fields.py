@@ -226,6 +226,46 @@ def kernel_values(kernel: MemoryKernel, times: np.ndarray, n_cells: int, k: int)
     return out
 
 
+# the largest miss of ``prony_fit`` on its grid, relative to the kernel's peak: the fits of
+# the tabulated kernels of the test suite miss by at most 3.0e-3
+PRONY_FIT_BOUND = 1e-2
+
+
+def prony_fit(kernel: TabulatedKernel, dt: float, horizon: float) -> PronyKernel:
+    """The Prony kernel that a least-squares fit gives for a tabulated kernel read up to
+    ``horizon`` by steps of ``dt``, as the trapezoid rule reads it: linearly
+    interpolated, zero past the last sample.
+
+    The fit grid is uniform with spacing h, the sample spacing or dt / 2 if that is
+    coarser (the trapezoid reads q only at multiples of dt / 2), continued with zeros
+    to the first point at or past ``horizon``, of length T; so it has at most
+    2 horizon / dt + 2 points however finely the kernel is sampled.  Its relaxation
+    times are log-spaced from h to 4 T, five per decade, and shared by every cell
+    entry: one product of all columns with the design's pseudo-inverse, whose
+    singular values below 1e-6 of the largest are dropped (that keeps the weights
+    within a few hundred times the peak).  A fit that misses the grid by more than
+    ``PRONY_FIT_BOUND`` of the kernel's peak is an error that names the worst cell.
+    """
+    h = max(float(kernel.times[1] - kernel.times[0]), 0.5 * dt)
+    times = h * np.arange(max(2, int(np.ceil(horizon / h - 1e-9)) + 1))
+    _, n_cells, k, _ = kernel.samples.shape
+    target = kernel_values(kernel, times, n_cells, k).reshape(times.size, -1)
+    peak = max(float(target.max()), -float(target.min()), np.finfo(float).tiny)
+    longest = 4.0 * times[-1]
+    taus = np.geomspace(h, longest, int(np.ceil(5 * np.log10(longest / h))) + 1)
+    design = np.exp(-times[:, None] / taus)
+    fit = np.linalg.pinv(design, rcond=1e-6) @ target
+    target -= design @ fit  # the miss, in place
+    miss = np.abs(target, out=target).reshape(times.size, n_cells, -1).max(axis=(0, 2)) / peak
+    fit = fit.reshape(taus.size, n_cells, k, k)
+    if miss.max() > PRONY_FIT_BOUND:
+        raise InvalidCoefficientError(
+            f"the Prony fit of the tabulated kernel misses it by {miss.max():.2e} of its peak "
+            f"in cell {int(miss.argmax())} (bound {PRONY_FIT_BOUND:g})")
+    # the columns of q_ij and q_ji are one target; the mean makes each weight exactly symmetric
+    return PronyKernel(weights=tuple(0.5 * (fit + fit.swapaxes(2, 3))), taus=tuple(taus.tolist()))
+
+
 def kernel_l1_bound(kernel: MemoryKernel) -> float:
     """Upper bound on the L1-in-time norm of the per-cell operator norm of q."""
     if isinstance(kernel, ZeroKernel):

@@ -9,19 +9,18 @@ Either way the assembled operator satisfies <Pu, v> = -<u, Pv> to the
 last bit, which is what the discrete energy argument needs.
 
 A system holds a, b and the memory kernel q as per-cell blocks, whose
-product with states is ``block_apply``, and the stencil as one matrix.
-Prony kernels convolve by an O(1)-per-step recursion that is exact for
-piecewise-linear input, tabulated kernels by the trapezoid rule (the
-brute-force oracle path).  ``memory_series`` is the one grid-time
-convolution, yielded one time row at a time, and evaluates a tabulated
-kernel once per call.
-``prony_advance`` is the one recursion step, over all terms' states
+product with states is ``block_apply``, and the stencil as one matrix.  Its
+kernel is a Prony sum, or zero: a tabulated kernel is replaced by its
+``fields.prony_fit`` when the system is made.  Prony kernels convolve by an
+O(1)-per-step recursion that is exact for piecewise-linear input, and
+``memory_series`` is the one grid-time convolution, yielded one time row at
+a time.  ``prony_advance`` is the one recursion step, over all terms' states
 stacked as one (n_terms, n_state) array.  ``StepOperators`` holds the
-midpoint scheme's whole-step and half-step weight triples, or a tabulated
-kernel's blocks evaluated once, and the one sparse matrix that forms a
-step's right-hand side from u_n and the stacked Prony states.  The
-convolution, the step's ``replay`` and the linearized forcing read the one
-rerun of the recursion over state rows, ``prony_steps``, which streams.
+midpoint scheme's whole-step and half-step weight triples and the one sparse
+matrix that forms a step's right-hand side from u_n and the stacked Prony
+states.  The convolution, the step's ``replay`` and the linearized forcing
+read the one rerun of the recursion over state rows, ``prony_steps``, which
+streams.
 
 The step matrix falls apart into connected components when nothing couples
 them.  On a periodic grid with an even cell count per axis the centered
@@ -59,7 +58,7 @@ from .fields import (
     PronyKernel,
     TabulatedKernel,
     ZeroKernel,
-    kernel_values,
+    prony_fit,
 )
 
 
@@ -291,32 +290,17 @@ def prony_steps(states, weights: np.ndarray | Sequence[tuple[float, float, float
         aux, u_prev = advanced, u_next
 
 
-def memory_series(kernel: MemoryKernel, states: np.ndarray, dt: float):
+def memory_series(kernel: ZeroKernel | PronyKernel, states: np.ndarray, dt: float):
     """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N), one row per
-    time, as a generator: no series of R is held.
-
-    Prony kernels run the exact recursion once over the states; tabulated
-    kernels are evaluated once on the grid times and apply the trapezoid rule
-    at each time.
-    """
+    time, as a generator: no series of R is held.  The exact Prony recursion runs
+    once over the states (no terms for a zero kernel)."""
+    terms = [] if isinstance(kernel, ZeroKernel) else list(zip(kernel.weights, kernel.taus))
     yield np.zeros(states.shape[1])
-    if isinstance(kernel, ZeroKernel):
-        for _ in states[1:]:
-            yield np.zeros(states.shape[1])
-    elif isinstance(kernel, PronyKernel):
-        weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
-        for _, aux in prony_steps(states, weights):
-            row = np.zeros(states.shape[1])
-            for w, s in zip(kernel.weights, aux):
-                row += block_apply(w, s)
-            yield row
-    else:
-        blocks = kernel_values(kernel, dt * np.arange(states.shape[0]), *kernel.samples.shape[1:3])
-        for m in range(1, states.shape[0]):
-            row = np.zeros(states.shape[1])
-            for i in range(m + 1):
-                row += (0.5 * dt if i in (0, m) else dt) * block_apply(blocks[m - i], states[i])
-            yield row
+    for _, aux in prony_steps(states, [exp_interval_weights(dt, tau) for _, tau in terms]):
+        row = np.zeros(states.shape[1])
+        for (w, _), s in zip(terms, aux):
+            row += block_apply(w, s)
+        yield row
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +313,9 @@ class DiscreteSystem:
     """The assembled evolution problem A u' + P u + B u + R[u] = f.
 
     a, b and the kernel q are per-cell (n_cells, k, k) blocks, and P is the
-    one sparse matrix ``skew`` assembled from the symbol ``p_matrices``.
+    one sparse matrix ``skew`` assembled from the symbol ``p_matrices``.  A
+    tabulated kernel is replaced here by its ``fields.prony_fit`` up to the
+    grid's last time, so ``kernel`` is a ``ZeroKernel`` or a ``PronyKernel``.
     """
 
     a_blocks: np.ndarray
@@ -347,11 +333,14 @@ class DiscreteSystem:
         if self.skew.shape != (self.n_state, self.n_state):
             raise GridMismatchError(
                 f"skew has shape {self.skew.shape}, expected {(self.n_state, self.n_state)}")
+        if isinstance(self.kernel, TabulatedKernel):
+            if self.kernel.samples.shape[1:] != cells:
+                raise InvalidCoefficientError("tabulated kernel has wrong per-cell shape")
+            dt, n_steps = self.grid.dt, self.grid.n_steps
+            object.__setattr__(self, "kernel", prony_fit(self.kernel, dt, dt * n_steps))
         for j, w in enumerate(self.kernel.weights if isinstance(self.kernel, PronyKernel) else ()):
             if w.shape != cells:
                 raise InvalidCoefficientError(f"Prony weight {j} has wrong shape {w.shape}")
-        if isinstance(self.kernel, TabulatedKernel) and self.kernel.samples.shape[1:] != cells:
-            raise InvalidCoefficientError("tabulated kernel has wrong per-cell shape")
 
     @property
     def n_state(self) -> int:
@@ -436,8 +425,8 @@ class StepFactor:
 class StepOperators:
     """Factorized midpoint step pieces for one (system, dt) pair.
 
-    The step solves C u_{n+1} = D u_n + memory history terms + f(t_half).
-    A Prony term j adds the history term -E_h,j W_j s_j(t_n), so
+    The step solves C u_{n+1} = D u_n + memory terms + f(t_half).  A Prony
+    term j adds the memory term -E_h,j W_j s_j(t_n), so
     ``rhs_matrix`` = [D | -E_h,1 W_1 | ... | -E_h,J W_J] forms the right-hand
     side from the stacked (1 + J, n_state) array (u_n; s_1(t_n); ...) in one
     sparse product; without Prony terms it is D.  The same LU factorization
@@ -447,10 +436,9 @@ class StepOperators:
     and, as rows of (J, 3) arrays, the ``prony_advance`` triples over the
     whole step and to the half step t_n + dt/2, where they act on
     (s_j(t_n), u_n, u_{n+1}) for the interpolant parameterized on the whole
-    step: the one copy every midpoint recursion reads.  A tabulated kernel
-    is evaluated here once, at 0, dt/2 and the history offsets.  No
-    reference to the system is kept, so a system and its cached operator
-    never form a reference cycle.
+    step: the one copy every midpoint recursion reads.  No reference to the
+    system is kept, so a system and its cached operator never form a
+    reference cycle.
 
     C and D store only true nonzeros (``block_diagonal`` drops the zeros of
     the cell blocks, and sparse sums drop exact cancellations), so SuperLU
@@ -484,7 +472,6 @@ class StepOperators:
 
         self.weight_matrices: list[sp.csr_matrix] = []
         step_weights, half_weights = [], []
-        self._q_history: np.ndarray | None = None
         kern = system.kernel
         if isinstance(kern, PronyKernel):
             for w, tau in zip(kern.weights, kern.taus):
@@ -497,15 +484,6 @@ class StepOperators:
                 self.weight_matrices.append(weight_matrix)
                 step_weights.append(exp_interval_weights(self.dt, tau))
                 half_weights.append((e_h, w_old_h, w_new_h))
-        elif isinstance(kern, TabulatedKernel):
-            # q(0), q(dt/2) and the history offsets q(dt (j + 1/2)), j = 1 .. n_steps
-            offsets = np.concatenate(([0.0, 0.5], np.arange(1, system.grid.n_steps + 1) + 0.5))
-            q = kernel_values(kern, self.dt * offsets, system.grid.n_cells, system.k)
-            self._q_history = q[2:]
-            self._q_implicit = (self.dt / 8.0) * q[0]  # acts on u_{n+1}
-            self._q_explicit = 0.75 * self.dt * q[1] + self._q_implicit  # acts on u_n
-            c = c + block_diagonal(self._q_implicit)
-            d = d - block_diagonal(self._q_explicit)
 
         # one (E, w_old, w_new) row per Prony term
         self.step_weights = np.reshape(step_weights, (-1, 3))
@@ -540,18 +518,6 @@ class StepOperators:
         Each row keeps its entries in their order, so its product is the same float."""
         return [self.rhs_matrix[rows] for rows in self.lu.rows]
 
-    def memory_history_rhs(self, history: np.ndarray, step: int) -> np.ndarray:
-        """Contribution of a tabulated kernel's states up to t_n to R at the half step
-        (moved to the RHS): the trapezoid rule over ``history`` rows 0 .. step-1.  A
-        row is a state, or states of several shots as the columns of (n_state, n_shots)."""
-        out = np.zeros(history.shape[1:])
-        if self._q_history is not None and step > 0:
-            blocks = self._q_history[step - 1::-1]  # q(dt (step - m + 1/2)) for m = 0 .. step-1
-            for m in range(step):
-                # m = 0 is the endpoint of the trapezoid
-                out -= (0.5 * self.dt if m == 0 else self.dt) * block_apply(blocks[m], history[m].T).T
-        return out
-
     def replay(self, states: np.ndarray):
         """Replay the step's Prony recursion over stored states t_0 .. t_N.  Per
         step it yields the (n_terms, n_state) half-step states s_j(t_n + dt/2)
@@ -560,15 +526,11 @@ class StepOperators:
                                             prony_steps(states, self.step_weights)):
             yield prony_advance(aux, u_prev, u_next, self.half_weights)
 
-    def half_step_memory(self, s_half: np.ndarray, u_prev: np.ndarray, u_next: np.ndarray,
-                         history: np.ndarray, step: int) -> np.ndarray:
+    def half_step_memory(self, s_half: np.ndarray) -> np.ndarray:
         """R at the half step as the scheme saw it, from ``replay``'s states (for residuals)."""
         out = np.zeros(self.n_state)
         for weight_matrix, s in zip(self.weight_matrices, s_half):
             out += weight_matrix @ s
-        if self._q_history is not None:
-            out -= self.memory_history_rhs(history, step)
-            out += block_apply(self._q_explicit, u_prev) + block_apply(self._q_implicit, u_next)
         return out
 
 

@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .evolution import Trajectory, _midpoint_steps
-from .fields import PronyKernel, SourceTerm, ZeroKernel, write_field_array
+from .fields import PronyKernel, SourceTerm, write_field_array
 from .forward import (
     Sampler,
     SeismogramData,
@@ -96,7 +96,12 @@ class CoefficientPerturbation:
 
 @dataclass
 class GradientReport:
-    """Per-coefficient derivative representers plus verification diagnostics."""
+    """Per-coefficient derivative representers plus verification diagnostics.
+
+    ``g_q`` has one entry per Prony term of the system's kernel, so a system made
+    from a tabulated kernel has one per term of its fit, with the relaxation
+    times held fixed.
+    """
 
     g_a: np.ndarray
     g_b: np.ndarray
@@ -124,17 +129,9 @@ class GradientReport:
         return total
 
 
-def _require_sensitivity_kernel(system: DiscreteSystem) -> None:
-    if not isinstance(system.kernel, (ZeroKernel, PronyKernel)):
-        raise UnsupportedConfigurationError(
-            "sensitivity solves support zero or Prony memory kernels only"
-        )
-
-
 def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: float) -> DiscreteSystem:
     """System with coefficients (a + h da, b + h db, q + h dq); same stencil."""
     pert.validate(system)
-    _require_sensitivity_kernel(system)
     a = system.a_blocks
     if pert.delta_a is not None:
         a = a + h * pert.delta_a
@@ -168,7 +165,6 @@ def linearized_forcing(
     are read from the carries; a trajectory is replayed into carries once.
     """
     pert.validate(system)
-    _require_sensitivity_kernel(system)
     ops, dt = system.step_operators, system.grid.dt
     dws = pert.delta_weights or ()
     if isinstance(base, Trajectory):
@@ -341,7 +337,6 @@ def adjoint_gradient(
     in one matmul batched over series and cells.  With the misfit residual
     d - F, dJ . pert = report.pair(pert) exactly.
     """
-    _require_sensitivity_kernel(system)
     n_steps = system.grid.n_steps
     if base.grid != system.grid or residual.times.size != n_steps + 1:
         raise GridMismatchError("base trajectory or residual is not on this system's grid")
@@ -447,7 +442,6 @@ def misfit_gradient(
     same recomputed blocks.  Every solve uses implicit midpoint, whose exact
     transpose the adjoint is.
     """
-    _require_sensitivity_kernel(system)
     pert = None if dot_test_rng is None else random_perturbation(system, dot_test_rng)
     kept, carries, top = _gradient_forward(system, source, sampler, pert)
     times, gathered = system.grid.times(), sampler.gathered[1]

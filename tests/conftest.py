@@ -13,7 +13,7 @@ import roughwave as rw
 import roughwave.operators
 from oracles import dot_product_test
 from roughwave.evolution import step_residuals
-from roughwave.fields import PronyKernel, TabulatedKernel, kernel_values
+from roughwave.fields import PronyKernel
 from roughwave.operators import StepFactor, block_apply, unit_directions
 from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, strain_projector
 from roughwave.forward import gathered_adjoint_source
@@ -34,6 +34,25 @@ def count_calls(monkeypatch, name):
         if module_name.split(".")[0] == "roughwave" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _tabulated(times, profile, amplitudes, k):
+    return rw.TabulatedKernel(times=times, samples=profile[:, None, None, None]
+                              * np.asarray(amplitudes)[None, :, None, None] * np.eye(k))
+
+
+def damped_oscillation(times, amplitudes, k):
+    """Tabulated kernel a_c e^{-t/0.2} (1 + 0.5 cos 12 t) I_k in cell c, sampled at
+    ``times``, which should resolve the oscillation for ``prony_fit`` to hold."""
+    return _tabulated(times, np.exp(-times / 0.2) * (1.0 + 0.5 * np.cos(12.0 * times)),
+                      amplitudes, k)
+
+
+def two_relaxations(times, amplitudes, k):
+    """Tabulated kernel a_c (e^{-t/0.05} + e^{-t/0.5}) I_k in cell c, sampled at
+    ``times``: the two-term Prony kernel of the stepping tests, which ``prony_fit``
+    fits from coarse samples too."""
+    return _tabulated(times, np.exp(-times / 0.05) + np.exp(-times / 0.5), amplitudes, k)
 
 
 def time_reversed_system(system):
@@ -60,9 +79,6 @@ def zero_keeping_step_matrix(system):
     if isinstance(system.kernel, PronyKernel):
         for w, (_, _, w_new_half) in zip(system.kernel.weights, ops.half_weights):
             c = (c + w_new_half * _dense_block_diagonal(w)).tocsc()
-    elif isinstance(system.kernel, TabulatedKernel):
-        q0 = kernel_values(system.kernel, np.zeros(1), system.grid.n_cells, system.k)[0]
-        c = (c + _dense_block_diagonal((ops.dt / 8.0) * q0)).tocsc()
     return c
 
 
@@ -122,7 +138,6 @@ def per_term_solve(system, source, forcing=None):
         memory = np.zeros(n)
         for weight_matrix, (e_half, _, _), s in zip(ops.weight_matrices, ops.half_weights, aux):
             memory -= e_half * (weight_matrix @ s)
-        memory += ops.memory_history_rhs(states, step)
         rhs = d @ u
         rhs += memory
         if source is not None:

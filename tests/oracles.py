@@ -6,7 +6,8 @@ homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, the
 mollifier's hat smoothing summed over every block entry
 (``full_width_mollify``), the exactly rounded dot product by ``math.fsum``
 (``fsum_dot``), the memory convolution stacked over a whole series, the
-convergence study's series from stored trajectories, the ``check`` suite's
+convergence study's series from stored trajectories, the trapezoid stepper
+of a tabulated kernel (``trapezoid_solve``), the ``check`` suite's
 repeat and linearity comparisons from stored trajectories, the gradient and
 adjoint-state dot test of a stored forward trajectory, the derivative of a
 stored trajectory (``stored_derivative``), and the two checks of the
@@ -22,12 +23,14 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad, simpson
+from scipy.sparse.linalg import splu
 
 from roughwave.errors import InvalidArgumentError
 from roughwave.evolution import Trajectory, solve_causal
 from roughwave.experiments import fit_slope
 from roughwave.fields import (
     PronyKernel,
+    TabulatedKernel,
     ZeroKernel,
     _hat_weights,
     kernel_values,
@@ -35,7 +38,13 @@ from roughwave.fields import (
     mollify_field,
 )
 from roughwave.forward import SeismogramData, sample_trajectory
-from roughwave.operators import assemble_system, block_apply, exp_interval_weights, prony_steps
+from roughwave.operators import (
+    assemble_system,
+    block_apply,
+    block_diagonal,
+    exp_interval_weights,
+    prony_steps,
+)
 from roughwave.sensitivity import (
     CoefficientPerturbation,
     _adjoint_identity_error,
@@ -213,6 +222,40 @@ def stacked_memory_series(kernel, states: np.ndarray, dt: float) -> np.ndarray:
         for i in range(m + 1):
             out[m] += (0.5 * dt if i in (0, m) else dt) * block_apply(blocks[m - i], states[i])
     return out
+
+
+def trapezoid_solve(system, kernel: TabulatedKernel, source, forcing=None) -> np.ndarray:
+    """States t_0 .. t_N of the causal midpoint solve of ``system`` with the tabulated
+    ``kernel`` in place of its own, R_{n+1/2} by the trapezoid rule over the piecewise
+    linear states, q linearly interpolated and zero past its last sample: the
+    reference of ``prony_fit``.  The half interval [t_n, t_{n+1/2}] reads q(0) and
+    q(dt/2); each earlier u_m, m < n, reads q(dt (n - m + 1/2)), with weight dt/2 at
+    m = 0 and dt otherwise, and u_n adds the last whole interval's dt/2 q(dt/2)."""
+    grid, k = system.grid, system.k
+    dt, n_steps, n_cells = grid.dt, grid.n_steps, grid.n_cells
+    ops = replace(system, kernel=ZeroKernel()).step_operators
+    offsets = np.concatenate(([0.0, 0.5], np.arange(1, n_steps + 1) + 0.5))
+    q = kernel_values(kernel, dt * offsets, n_cells, k)
+    q_new = (dt / 8.0) * q[0]  # acts on u_{n+1}
+    q_old = 0.75 * dt * q[1] + q_new  # acts on u_n
+    lu = splu((ops.c_matrix + block_diagonal(q_new)).tocsc())
+    d = ops.rhs_matrix - block_diagonal(q_old)
+    # per cell, q(dt (l + 3/2)) as a (k, lag, k) array: u_{n-1-l} reads lag l
+    lags = np.ascontiguousarray(q[2:].transpose(1, 2, 0, 3))
+    states = np.zeros((n_steps + 1, system.n_state))
+    for n, t in enumerate(grid.times()[:-1]):
+        rhs = d @ states[n]
+        if n:
+            past = states[n - 1::-1].reshape(n, n_cells, k) * dt
+            past[-1] *= 0.5  # u_0
+            rhs -= np.matmul(lags[:, :, :n].reshape(n_cells, k, n * k),
+                             past.transpose(1, 0, 2).reshape(n_cells, n * k, 1)).ravel()
+        if source is not None:
+            rhs += source.evaluate(t + 0.5 * dt)
+        if forcing is not None:
+            rhs += forcing[n]
+        states[n + 1] = lu.solve(rhs)
+    return states
 
 
 # ---------------------------------------------------------------------------

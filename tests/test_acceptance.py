@@ -17,7 +17,13 @@ from oracles import (
     oscillatory_response_magnitude,
     quotient_study,
 )
-from roughwave.experiments import cone_from_speed, cone_leak, fit_slope, measure_convergence_study
+from roughwave.experiments import (
+    cone_from_speed,
+    density_leak,
+    energy_density,
+    fit_slope,
+    measure_convergence_study,
+)
 from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel, ricker_wavelet
 from roughwave.forward import build_sampler, sample_trajectory
 from roughwave.operators import acoustic_p_matrices, assemble_system
@@ -146,7 +152,7 @@ def test_criterion_5_finite_speed():
         src = rw.make_ricker_source(g, 2, [src_x], peak_frequency=5.0)
         traj = rw.solve_causal(system, src)
         cone = cone_from_speed([src_x], 0.0, rw.max_wavespeed(model), margin=0.1)
-        return cone_leak(traj, cone)
+        return density_leak(energy_density(traj), g, cone)
 
     homog = leak(400, False, 0.5)
     homog_fine = leak(800, False, 0.5)

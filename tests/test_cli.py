@@ -14,7 +14,7 @@ from oracles import (
     stored_repeat_gap,
 )
 
-from roughwave import cli, evolution, sensitivity
+from roughwave import cli, evolution, experiments, sensitivity
 from roughwave.cli import (
     COMMANDS,
     build_sampler_from_spec,
@@ -896,12 +896,22 @@ class TestCheckHoldsOneTrajectory:
         assert isinstance(kwargs.get("dot_test_rng"), np.random.Generator)
         assert [ok for name, ok, _ in results if name == "adjoint_dot_product"] == [True]
 
+    def test_one_energy_density_serves_both_cones(self, tmp_path, monkeypatch):
+        densities = []
+        build = experiments.energy_density
+        monkeypatch.setattr(experiments, "energy_density",
+                            lambda traj: densities.append(traj.times.size) or build(traj))
+        results = run_checks(check_config(tmp_path, 1, "zero", 40, 1e-2, 0.3))
+        assert densities == [31]
+        assert [ok for name, ok, _ in results if name == "cone_two_sided"] == [True]
+
     @pytest.mark.parametrize("kernel", ["zero", "prony"])
-    @pytest.mark.parametrize("dim, bound", [(2, 1.5), (1, 1.65)])
+    @pytest.mark.parametrize("dim, bound", [(2, 1.5), (1, 1.6)])
     def test_traced_peak_in_stored_series(self, tmp_path, dim, bound, kernel):
         # 2D 24^2 x 400 steps and 1D 400 x 1000 (the parent held about 6 series).  In 1D
-        # the cone leak's (N + 1, n_cells) energy density, half a series, sits beside the
-        # trajectory: the leak is summed over it whole, as it always was
+        # one (N + 1, n_cells) energy density, half a series, serves both cones: it is
+        # built beside the trajectory, which is then released, and each leak is summed
+        # over it whole, as it always was
         cfg = check_config(tmp_path, dim, kernel, *((24, 1e-3, 0.4) if dim == 2 else (400, 5e-4, 0.5)))
         _, system = build_system(cfg)
         assert system.grid.n_steps == (400 if dim == 2 else 1000)

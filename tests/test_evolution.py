@@ -1,14 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import roughwave as rw
-from conftest import time_reversed_system, traced_peak
-from oracles import advection_oracle, dalembert_pressure, smooth_trajectory
+from conftest import damped_oscillation, time_reversed_system, traced_peak, two_relaxations
+from oracles import advection_oracle, dalembert_pressure, smooth_trajectory, trapezoid_solve
 from roughwave.errors import UnsupportedConfigurationError
 from roughwave.evolution import export_energy_csv, export_snapshots, solve_ivp, step_residuals
 from roughwave.experiments import fit_slope
 from roughwave.fields import CoefficientField, PronyKernel, ricker_wavelet
 from roughwave.operators import assemble_system, block_apply, energy
+from roughwave.physics import (
+    ViscoelasticModel,
+    isotropic_inverse_hooke,
+    kelvin_dim,
+    ve_kernel_split,
+)
 
 
 def homogeneous_acoustics(cells=120, dt=1e-3, t_end=0.3, kappa=1.0, rho=1.0, extent=1.0):
@@ -96,11 +104,14 @@ class TestCausalSolve:
 
 
 class TestTabulatedMidpoint:
+    """A tabulated kernel steps as the Prony fit that its system made; the trapezoid
+    stepper of ``oracles.trapezoid_solve`` is the reference."""
+
     @staticmethod
     def gap_to_prony(cells, steps, t_end=0.3):
-        """Tabulated and Prony solves of the kernel 2 exp(-t / 0.1) I sampled at
-        the step times: their relative gap, then the tabulated system, solve
-        and source."""
+        """The kernel 2 exp(-t / 0.1) I sampled at the step times: the relative gaps of
+        the fitted solve and of the trapezoid oracle to the Prony solve, then the
+        fitted system, its solve and the source."""
         dt = t_end / steps
         g = rw.build_grid(1, [cells], 1.0, dt, t_end)
         model = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6)
@@ -113,15 +124,80 @@ class TestTabulatedMidpoint:
             rw.acoustics_system(model, kernel=PronyKernel(weights=(weight,), taus=(0.1,))), src)
         system = rw.acoustics_system(model, kernel=tabulated)
         traj = rw.solve_causal(system, src)
-        gap = np.abs(traj.states - prony.states).max() / np.abs(prony.states).max()
-        return gap, system, traj, src
+        scale = np.abs(prony.states).max()
+        trapezoid = trapezoid_solve(rw.acoustics_system(model), tabulated, src)
+        return (np.abs(traj.states - prony.states).max() / scale,
+                np.abs(trapezoid - prony.states).max() / scale, system, traj, src)
 
     def test_converges_to_prony_of_the_same_kernel(self):
-        coarse, system, traj, src = self.gap_to_prony(100, 150)
-        fine, *_ = self.gap_to_prony(200, 300)
+        fit, coarse, system, traj, src = self.gap_to_prony(100, 150)
+        _, fine, *_ = self.gap_to_prony(200, 300)
         assert coarse <= 1e-5
         assert fine <= coarse / 3
+        assert fit <= coarse / 10
         assert step_residuals(traj, system, src).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", [
+        "acoustic-1d", "acoustic-2d", "acoustic-3d", "exponential-1d", "unit-exponential-1d",
+        "two-relaxations-2d", "viscoelastic-1d", "viscoelastic-2d", "viscoelastic-3d",
+        "viscoelastic-exponential-2d"])
+    def test_within_a_tenth_of_the_trapezoid_dt_halving(self, case):
+        # the fitted solve's gap to the trapezoid oracle, against the gap between the
+        # oracle at dt and at dt / 2; two layers (kappa 1 | 3, or lambda 2 | 6)
+        kind, dim = case.rsplit("-", 1)
+        dim = int(dim[0])
+        cells, dt, t_end = {1: (100, 5e-3, 0.5), 2: (12, 1e-2, 0.3), 3: (6, 2e-2, 0.3)}[dim]
+        states = []
+        for step in (dt, dt / 2):
+            system, kernel, src = tabulated_case(kind, dim, cells, step, t_end)
+            if step == dt:
+                fitted = rw.solve_causal(system, src)
+                residual = step_residuals(fitted, system, src).max()
+            states.append(trapezoid_solve(replace(system, kernel=rw.ZeroKernel()), kernel, src))
+        scale = np.abs(states[0]).max()
+        halving = np.abs(states[1][::2] - states[0]).max() / scale
+        assert halving > 0
+        assert np.abs(fitted.states - states[0]).max() / scale <= halving / 10
+        assert residual <= 1e-12 * scale
+
+
+def tabulated_case(kind, dim, cells, dt, t_end):
+    """A system made from a tabulated kernel sampled every 0.01, the kernel as the
+    trapezoid oracle reads it (the split kernel of a viscoelastic gamma, embedded in
+    the stress block) and a Ricker source.  Acoustic kernels, with kappa 1 | 3:
+    ``acoustic`` 0.5 e^{-t/0.2} (1 + 0.5 cos 12 t) I, ``exponential`` 2 e^{-t/0.1} I,
+    ``unit-exponential`` e^{-t} I and ``two-relaxations`` e^{-t/0.05} + e^{-t/0.5} I.
+    Viscoelastic, with lambda 2 | 6 and mu 1: ``viscoelastic`` gamma(t) = 0.3
+    e^{-t/0.2} (1 + 0.5 cos 12 t) I and ``viscoelastic-exponential`` 0.3 e^{-t/0.2} I."""
+    g = rw.build_grid(dim, [cells] * dim, 1.0, dt, t_end)
+    t = 0.01 * np.arange(round(t_end / 0.01) + 3)
+    right = g.centers()[:, 0] >= 0.5
+    if kind.startswith("viscoelastic"):
+        m = kelvin_dim(dim)
+        profile = np.exp(-t / 0.2) * (1.0 if kind.endswith("exponential") else
+                                      1.0 + 0.5 * np.cos(12 * t))
+        gamma = rw.TabulatedKernel(times=t, samples=0.3 * profile[:, None, None, None]
+                                   * np.tile(np.eye(m), (t.size, g.n_cells, 1, 1)))
+        ge = np.stack([isotropic_inverse_hooke(lam, 1.0, dim) for lam in np.where(right, 6.0, 2.0)])
+        model = ViscoelasticModel(grid=g, rho=1.0, gamma_elastic=ge, gamma_kernel=gamma)
+        system = rw.viscoelastic_system(model)
+        q = ve_kernel_split(model)[1]
+        samples = np.zeros((t.size, g.n_cells, system.k, system.k))
+        samples[:, :, :m, :m] = q.samples
+        kernel = rw.TabulatedKernel(times=t, samples=samples)
+        src = rw.make_ricker_source(g, system.k, [0.3] * dim, peak_frequency=6.0, component=m)
+        return system, kernel, src
+    if kind == "acoustic":
+        kernel = damped_oscillation(t, np.full(g.n_cells, 0.5), dim + 1)
+    elif kind == "two-relaxations":
+        kernel = two_relaxations(t, np.ones(g.n_cells), dim + 1)
+    else:
+        scale, tau = (2.0, 0.1) if kind == "exponential" else (1.0, 1.0)
+        kernel = rw.TabulatedKernel(times=t, samples=scale * np.exp(-t / tau)[:, None, None, None]
+                                    * np.tile(np.eye(dim + 1), (t.size, g.n_cells, 1, 1)))
+    model = rw.AcousticModel(grid=g, kappa=np.where(right, 3.0, 1.0), rho=1.0)
+    src = rw.make_ricker_source(g, dim + 1, [0.3] * dim, peak_frequency=6.0)
+    return rw.acoustics_system(model, kernel=kernel), kernel, src
 
 
 def rk4_oracle(system, source, forcing=None):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import roughwave as rw
+from conftest import damped_oscillation
 from oracles import full_width_mollify
 from roughwave.errors import (
     GridMismatchError,
@@ -12,10 +13,13 @@ from roughwave.errors import (
     InvalidCoefficientError,
 )
 from roughwave.fields import (
+    PRONY_FIT_BOUND,
     CoefficientField,
     PronyKernel,
     TabulatedKernel,
+    kernel_values,
     load_coefficient_field,
+    prony_fit,
     read_field_array,
     ricker_wavelet,
     save_coefficient_field,
@@ -277,6 +281,59 @@ class TestSources:
         assert src.wavelet(0.05) == 0.0
         assert src.wavelet(0.36) == 0.0  # after one period
         assert src.wavelet(0.225) == pytest.approx(1.0)
+
+
+class TestPronyFit:
+    def test_fits_the_sample_grid_on_shared_relaxation_times(self):
+        times = 0.01 * np.arange(40)
+        kernel = damped_oscillation(times, [0.5, 1.0, 2.0], 2)
+        fit = prony_fit(kernel, 0.01, 0.3)
+        # five relaxation times per decade from the spacing to 4 x the fit grid's 0.3
+        assert fit.taus[0] == 0.01 and fit.taus[-1] == pytest.approx(1.2, rel=1e-14)
+        assert len(fit.taus) == int(np.ceil(5 * np.log10(120))) + 1
+        grid = times[:31]
+        miss = np.abs(kernel_values(fit, grid, 3, 2) - kernel_values(kernel, grid, 3, 2)).max()
+        assert miss <= 1e-3 * np.abs(kernel.samples).max()
+        for w in fit.weights:
+            assert np.array_equal(w, w.swapaxes(1, 2))
+
+    def test_a_kernel_sampled_finer_than_half_a_step_fits_on_half_steps(self):
+        # samples every 1e-3 read by steps of 0.02: the fit grid is 0.01 * arange(31), as
+        # for the same kernel sampled at 0.01, and not 301 points
+        fine = damped_oscillation(1e-3 * np.arange(400), [0.5, 1.0, 2.0], 2)
+        coarse = TabulatedKernel(times=0.01 * np.arange(40),
+                                 samples=kernel_values(fine, 0.01 * np.arange(40), 3, 2))
+        fit, ref = prony_fit(fine, 0.02, 0.3), prony_fit(coarse, 0.02, 0.3)
+        assert fit.taus == ref.taus and fit.taus[0] == 0.01
+        for w, w_ref in zip(fit.weights, ref.weights):
+            np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9 * np.abs(w_ref).max())
+
+    def test_reads_zero_past_the_last_sample(self):
+        # samples up to 0.1 of a kernel that is 1 there: the fit follows the drop to 0
+        times = 0.01 * np.arange(11)
+        kernel = TabulatedKernel(times=times, samples=np.ones((11, 1, 1, 1)))
+        with pytest.raises(InvalidCoefficientError, match="misses it by"):
+            prony_fit(kernel, 0.01, 0.5)
+        smooth = TabulatedKernel(times=times, samples=np.exp(-times / 0.01)[:, None, None, None])
+        fit = prony_fit(smooth, 0.01, 0.5)
+        tail = kernel_values(fit, 0.01 * np.arange(11, 51), 1, 1)
+        assert np.abs(tail).max() <= PRONY_FIT_BOUND
+
+    def test_a_miss_past_the_bound_names_the_worst_cell(self):
+        times = 0.01 * np.arange(30)
+        samples = np.exp(-times / 0.1)[:, None, None, None] * np.ones((1, 4, 1, 1))
+        samples[::2, 2] = -samples[::2, 2]  # sign flips at every sample in cell 2
+        with pytest.raises(InvalidCoefficientError, match="in cell 2 "):
+            prony_fit(TabulatedKernel(times=times, samples=samples), 0.01, 0.25)
+
+    def test_a_system_holds_the_fit_up_to_its_last_time(self):
+        g = rw.build_grid(1, [3], 1.0, 0.02, 0.3)
+        kernel = damped_oscillation(0.01 * np.arange(40), [0.5, 1.0, 2.0], 2)
+        model = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0)
+        system = rw.acoustics_system(model, kernel=kernel)
+        fit = prony_fit(kernel, g.dt, 0.3)
+        assert system.kernel.taus == fit.taus
+        assert all(np.array_equal(a, b) for a, b in zip(system.kernel.weights, fit.weights))
 
 
 class TestFieldValidation:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughwave as rw
-from conftest import count_calls, per_direction_symbol_speed, symbol_test_system
+from conftest import count_calls, damped_oscillation, per_direction_symbol_speed, symbol_test_system
 from oracles import fsum_dot, stacked_memory_series
 from roughwave.errors import (
     GridMismatchError,
@@ -15,7 +15,13 @@ from roughwave.errors import (
     InvalidCoefficientError,
     UnsupportedConfigurationError,
 )
-from roughwave.fields import CoefficientField, PronyKernel, TabulatedKernel, kernel_values
+from roughwave.fields import (
+    CoefficientField,
+    PronyKernel,
+    TabulatedKernel,
+    kernel_values,
+    prony_fit,
+)
 from roughwave.operators import (
     EIG_STACK_ROWS,
     acoustic_p_matrices,
@@ -163,7 +169,8 @@ class TestMemory:
             r = rows[idx]
             assert r[0] == pytest.approx(1.0 - np.exp(-0.01 * idx), abs=1e-13)
 
-    def test_tabulated_matches_prony_second_order(self):
+    def test_trapezoid_oracle_matches_prony_second_order(self):
+        # the trapezoid convolution of a tabulated kernel, the reference of its fit
         prony = PronyKernel(weights=(np.ones((4, 1, 1)),), taus=(1.0,))
         errs, dts = [], [0.04, 0.02, 0.01]
         rng = np.random.default_rng(0)
@@ -175,20 +182,20 @@ class TestMemory:
                                   samples=np.exp(-dt * np.arange(2 * m + 1))[:, None, None, None]
                                   * np.ones((1, 4, 1, 1)))
             r1 = list(memory_series(prony, hist, dt))[m]
-            r2 = list(memory_series(tab, hist, dt))[m]
+            r2 = stacked_memory_series(tab, hist, dt)[m]
             errs.append(np.abs(r1 - r2).max())
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 1.9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_tabulated_rows_match_the_per_index_trapezoid(self, seed):
+    def test_trapezoid_oracle_rows_match_the_per_index_trapezoid(self, seed):
         rng = np.random.default_rng(seed)
         n, k, dt = 5, 2, 0.01
         q = rng.standard_normal((17, n, k, k))
         # samples at 0.7 dt cover 11 steps of the 25-step history; q is zero beyond
         kernel = TabulatedKernel(times=0.7 * dt * np.arange(17), samples=q + q.swapaxes(2, 3))
         states = rng.standard_normal((26, n * k))
-        got = list(memory_series(kernel, states, dt))
+        got = stacked_memory_series(kernel, states, dt)
         assert np.abs(got[0]).max() == 0.0
         for m in range(1, states.shape[0]):
             row = np.zeros(n * k)
@@ -200,13 +207,15 @@ class TestMemory:
 
     @pytest.mark.parametrize("kind", ["zero", "prony", "tabulated"])
     def test_rows_equal_the_stacked_series(self, kind):
+        # a tabulated kernel convolves as its fit, the kernel a system holds
         rng = np.random.default_rng(3)
         n, k, dt = 6, 2, 0.01
         q = rng.standard_normal((17, n, k, k))
         q = q + q.swapaxes(2, 3)
-        kernel = {"zero": rw.ZeroKernel(),
-                  "prony": PronyKernel(weights=(q[0], q[1]), taus=(0.05, 0.4)),
-                  "tabulated": TabulatedKernel(times=0.7 * dt * np.arange(17), samples=q)}[kind]
+        kernel = {"zero": rw.ZeroKernel,
+                  "prony": lambda: PronyKernel(weights=(q[0], q[1]), taus=(0.05, 0.4)),
+                  "tabulated": lambda: prony_fit(damped_oscillation(
+                      0.7 * dt * np.arange(50), rng.uniform(0, 1, n), k), dt, 29 * dt)}[kind]()
         states = rng.standard_normal((30, n * k))
         rows = list(memory_series(kernel, states, dt))
         stacked = stacked_memory_series(kernel, states, dt)

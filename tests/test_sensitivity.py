@@ -9,6 +9,7 @@ from conftest import (
     assert_forcing_matches_per_step,
     assert_gradient_matches_per_step,
     count_calls,
+    damped_oscillation,
     per_step_forcing,
     traced_peak,
 )
@@ -21,12 +22,14 @@ from oracles import (
 )
 
 import roughwave as rw
-from roughwave.errors import InvalidArgumentError, SolverError, UnsupportedConfigurationError
+from roughwave.errors import InvalidArgumentError, SolverError
 from roughwave.evolution import _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel
 from roughwave.forward import build_sampler, sample_trajectory
+from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, kelvin_dim
 from roughwave.sensitivity import (
     BLOCK_STEPS,
+    DOT_PRODUCT_BOUND,
     CoefficientPerturbation,
     GradientReport,
     adjoint_gradient,
@@ -188,20 +191,40 @@ class TestAdjoint:
         sampler = build_sampler([[0.7]], "pressure", g, 2)
         assert dot_product_test(system, base, sampler, rng) <= 1e-10
 
-    def test_tabulated_kernel_rejected(self):
-        g = rw.build_grid(1, [16], 1.0, 1e-3, 0.05)
-        times = np.linspace(0, 0.2, 21)
-        samples = np.exp(-times)[:, None, None, None] * np.ones((1, 16, 2, 2))
-        field = rw.AcousticModel(grid=g, kappa=1.0, rho=1.0).coefficient_field(
-            kernel=rw.TabulatedKernel(times=times, samples=samples))
-        system = rw.assemble_system(field)
-        residual = rw.SeismogramData(times=g.times(), data=np.zeros((1, g.n_steps + 1)),
-                                     receivers=np.zeros((1, 1)))
-        sampler = build_sampler([[0.5]], "pressure", g, 2)
-        base = rw.Trajectory(grid=g, times=g.times(), a_blocks=system.a_blocks,
-                             states=np.zeros((g.n_steps + 1, system.n_state)))
-        with pytest.raises(UnsupportedConfigurationError):
-            rw.adjoint_gradient(system, base, residual, sampler)
+    @pytest.mark.filterwarnings("ignore:custom sampler")
+    @pytest.mark.parametrize("case", ["acoustic-1d", "acoustic-2d", "viscoelastic-2d"])
+    def test_dot_product_on_a_fitted_tabulated_kernel(self, case):
+        # a system made from a tabulated kernel (a viscoelastic gamma's, on the periodic
+        # grid) steps its Prony fit; its gradient has one g_q per fitted term
+        dim = int(case[-2])
+        g = rw.build_grid(dim, [{1: 100, 2: 16}[dim]] * dim, 1.0, 5e-3, 0.2)
+        t = 0.01 * np.arange(25)
+        if case.startswith("acoustic"):
+            system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0),
+                                         kernel=damped_oscillation(t, np.full(g.n_cells, 0.5),
+                                                                   dim + 1))
+            component, sampler = 0, build_sampler([[0.7] * dim], "pressure", g, dim + 1)
+        else:
+            m = component = kelvin_dim(dim)  # the source drives the first velocity
+            ge = np.stack([isotropic_inverse_hooke(lam, 1.0, dim)
+                           for lam in np.where(g.centers()[:, 0] >= 0.5, 6.0, 2.0)])
+            system = rw.viscoelastic_system(ViscoelasticModel(
+                grid=g, rho=1.0, gamma_elastic=ge,
+                gamma_kernel=damped_oscillation(t, np.full(g.n_cells, 0.3), m)))
+            velocity = np.zeros((1, system.k))
+            velocity[0, component] = 1.0
+            sampler = build_sampler([[0.7, 0.5]], "custom", g, system.k, weights=velocity)
+        assert isinstance(system.kernel, PronyKernel)
+        src = rw.make_ricker_source(g, system.k, [0.4] * dim, peak_frequency=8.0,
+                                    component=component)
+        seis = sample_trajectory(sampler, rw.solve_causal(system, src))
+        observed = rw.SeismogramData(times=seis.times, data=0.8 * seis.data,
+                                     receivers=seis.receivers, tag=seis.tag)
+        report = misfit_gradient(system, src, sampler, observed,
+                                 dot_test_rng=np.random.default_rng(2))
+        assert report.diagnostics["dot_product_residual"] <= DOT_PRODUCT_BOUND
+        assert len(report.g_q) == system.kernel.n_terms > 2
+        assert min(np.abs(gq).max() for gq in report.g_q) > 0
 
 
 class TestGradient:

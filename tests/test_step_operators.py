@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 import roughwave as rw
+import roughwave.fields
 from roughwave import evolution
 from conftest import (
     adjoint_solve,
-    count_calls,
+    damped_oscillation,
     per_term_adjoint,
     per_term_solve,
     time_reversed_system,
     traced_peak,
+    two_relaxations,
 )
 from roughwave.cli import parse_config, run_checks
 from roughwave.errors import (
@@ -31,7 +33,7 @@ from roughwave.errors import (
     UnsupportedConfigurationError,
 )
 from roughwave.evolution import _midpoint_solve, _midpoint_steps, step_residuals
-from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel
+from roughwave.fields import PronyKernel, ZeroKernel, kernel_values
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
 from roughwave.operators import StepFactor, memory_series
 from roughwave.physics import ViscoelasticModel
@@ -61,7 +63,7 @@ def observed_for(system, src, sampler):
 
 def stacked_step_case(dim, boundary, kernel):
     """Random acoustic medium, 20 steps, with no memory, a two-term Prony kernel or a
-    tabulated one; a Ricker source and two pressure receivers."""
+    tabulated one (which the system fits); a Ricker source and two pressure receivers."""
     cells = {1: [30], 2: [9, 7], 3: [4, 5, 3]}[dim]
     rng = np.random.default_rng(dim)
     dt = 0.5 / max(cells)
@@ -73,8 +75,7 @@ def stacked_step_case(dim, boundary, kernel):
         kernel = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
                                            for _ in range(2)), taus=(0.05, 0.5))
     elif kernel == "tabulated":
-        samples = rng.uniform(0, 1, (30, g.n_cells))[:, :, None, None] * eye
-        kernel = TabulatedKernel(times=dt * np.arange(30), samples=samples)
+        kernel = two_relaxations(dt * np.arange(30), rng.uniform(0, 1, g.n_cells), dim + 1)
     system = rw.acoustics_system(model, boundary=boundary, kernel=kernel)
     src = rw.make_ricker_source(g, dim + 1, [0.4] * dim, peak_frequency=1 / (4 * dt), delay=6 * dt)
     sampler = build_sampler(rng.uniform(0.05, 0.95, (2, dim)).tolist(), "pressure", g, dim + 1)
@@ -96,8 +97,6 @@ class TestStackedStep:
         assert np.abs(states - ref).max() <= 1e-13 * scale
         if kernel is None:
             assert np.array_equal(states, ref)
-        if kernel == "tabulated":
-            return
         residual = rw.SeismogramData(times=system.grid.times(), receivers=sampler.receivers,
                                      data=rng.standard_normal((2, system.grid.n_steps + 1)))
         w = adjoint_solve(system, residual, sampler).states
@@ -120,24 +119,14 @@ class TestStackedStep:
             assert np.array_equal(ops.rhs_matrix.T @ lam, stored @ lam)
 
     @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
-    def test_only_a_tabulated_kernel_adds_a_history(self, kernel, monkeypatch):
-        system, src, *_ = stacked_step_case(1, "periodic", kernel)
-        ops = system.step_operators
-        history = type(ops).memory_history_rhs
-        calls = []
-
-        def counted(self, states, step):
-            calls.append(step)
-            return history(self, states, step)
-
-        monkeypatch.setattr(type(ops), "memory_history_rhs", counted)
+    def test_forced_solve_matches_per_term_oracle(self, kernel):
+        system, *_ = stacked_step_case(1, "periodic", kernel)
         forcing = np.random.default_rng(4).standard_normal((system.grid.n_steps, system.n_state))
-        forced = rw.solve_causal(system, None, forcing=forcing)  # no source: forcing only
-        rw.solve_causal(system, src)
-        steps = list(range(system.grid.n_steps))
-        assert calls == (2 * steps if kernel == "tabulated" else [])
+        forced = rw.solve_causal(system, None, forcing=forcing).states  # forcing only
+        ref = per_term_solve(system, None, forcing)
+        assert np.abs(forced - ref).max() <= 1e-13 * np.abs(ref).max()
         if kernel is None:
-            assert np.array_equal(forced.states, per_term_solve(system, None, forcing))
+            assert np.array_equal(forced, ref)
 
     def test_non_finite_step_names_the_step(self):
         system, src, *_ = stacked_step_case(2, "periodic", "prony")
@@ -149,7 +138,7 @@ class TestStackedStep:
     @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_sampled_solve_equals_sampling_the_stored_states(self, dim, kernel):
-        # the step loop keeps only the sampled columns (a tabulated history keeps all)
+        # the step loop keeps only the sampled columns
         system, src, sampler, _ = stacked_step_case(dim, "periodic", kernel)
         got = rw.forward_map(system, src, sampler)
         ref = sample_trajectory(sampler, rw.solve_causal(system, src))
@@ -201,21 +190,21 @@ class TestPronyWeights:
 
 
 class TestTabulatedKernel:
-    def test_evaluated_once_per_operator_and_per_convolution(self, monkeypatch):
-        # 1D 50 cells, 100 steps; evaluating per step would read 100, 99 and 100
+    def test_evaluated_once_when_the_system_is_made(self, monkeypatch):
+        # the system holds the kernel's Prony fit: a solve, its residuals and the
+        # convolution of the system's kernel read no tabulated value
         g = rw.build_grid(1, [50], 1.0, 2e-3, 0.2)
-        rng = np.random.default_rng(4)
-        q = rng.standard_normal((60, g.n_cells, 2, 2))
-        kernel = TabulatedKernel(times=3e-3 * np.arange(60), samples=0.1 * (q + q.swapaxes(2, 3)))
+        kernel = damped_oscillation(3e-3 * np.arange(80), np.linspace(0.1, 1.0, g.n_cells), 2)
+        calls = []
+        monkeypatch.setattr(roughwave.fields, "kernel_values",
+                            lambda *args: calls.append(args) or kernel_values(*args))
         system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0), kernel=kernel)
+        assert len(calls) == 1 and isinstance(system.kernel, PronyKernel)
         src = rw.make_ricker_source(g, 2, [0.4], peak_frequency=8.0)
-        calls = count_calls(monkeypatch, "kernel_values")
         traj = rw.solve_causal(system, src)
-        assert g.n_steps == 100 and 1 <= len(calls) <= 2
-        del calls[:]
         assert np.abs(step_residuals(traj, system)).max() <= 1e-12
-        assert len(calls) == 0
-        list(memory_series(kernel, traj.states, g.dt))
+        list(memory_series(system.kernel, traj.states, g.dt))
+        assert dataclasses.replace(system).kernel is system.kernel
         assert len(calls) == 1
 
 
@@ -336,7 +325,7 @@ class TestMidpointSteps:
         assert np.array_equal(full[..., 0], rw.solve_causal(system, src).states)
         assert np.abs(full[..., 0]).max() > 0
 
-    @pytest.mark.parametrize("kernel", [None, "prony"])
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
     @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_resumes_bit_for_bit_from_a_yielded_carry(self, dim, boundary, kernel):
@@ -347,7 +336,8 @@ class TestMidpointSteps:
         forcing = rng.standard_normal((n_steps, system.n_state))
         carries = [np.zeros((1, 1 + n_terms, *u0.shape)),
                    *_midpoint_steps([system], sources, u0, forcing)]
-        assert carries[-1].shape == (1, 1 + (2 if kernel else 0), *u0.shape)
+        assert carries[-1].shape == (1, 1 + {None: 0, "prony": 2, "tabulated": n_terms}[kernel],
+                                     *u0.shape)
         assert np.all(np.abs(carries[-1]).max(axis=(0, 2, 3)) > 0)
         for start in (0, 1, BLOCK_STEPS, n_steps - 1):
             rows = iter(forcing[start:])
@@ -357,37 +347,32 @@ class TestMidpointSteps:
                 assert len(resumed) == n_steps - start
                 assert all(np.array_equal(z, ref) for z, ref in zip(resumed, carries[start + 1:]))
 
-    def test_a_tabulated_kernel_cannot_resume(self):
-        system, src, *_ = stacked_step_case(1, "periodic", "tabulated")
-        u0 = np.zeros((system.n_state, 1))
-        z1 = next(_midpoint_steps([system], [src], u0, None))
-        with pytest.raises(UnsupportedConfigurationError, match="tabulated kernel cannot resume"):
-            next(_midpoint_steps([system], [src], z1, None, 1))
-
-    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
-    def test_only_a_tabulated_kernel_keeps_past_states(self, kernel):
+    @pytest.mark.parametrize("kind", [None, "prony", "tabulated"])
+    def test_keeps_no_past_states(self, kind):
         g = rw.build_grid(1, [400], 1.0, 2.5e-3, 0.5)
         eye = np.eye(2)
-        if kernel == "prony":
-            kernel = PronyKernel(weights=(0.3 * np.tile(eye, (g.n_cells, 1, 1)),), taus=(0.1,))
-        elif kernel == "tabulated":
-            kernel = TabulatedKernel(times=g.dt * np.arange(4),
-                                     samples=0.3 * np.tile(eye, (4, g.n_cells, 1, 1)))
+        kernel = {"prony": PronyKernel(weights=(0.3 * np.tile(eye, (g.n_cells, 1, 1)),),
+                                       taus=(0.1,)),
+                  "tabulated": two_relaxations(0.05 * np.arange(12), np.full(g.n_cells, 0.3),
+                                               2)}.get(kind)
         system = rw.acoustics_system(rw.AcousticModel(grid=g, kappa=1.0, rho=1.0), kernel=kernel)
         src = rw.make_ricker_source(g, 2, [0.4], peak_frequency=6.0)
         system.step_operators  # built outside the traced steps
         series_bytes = (g.n_steps + 1) * system.n_state * 8
         u0 = np.zeros((system.n_state, 1))
         peak = traced_peak(lambda: deque(_midpoint_steps([system], [src], u0, None), maxlen=0))
-        if isinstance(kernel, TabulatedKernel):
-            assert peak >= series_bytes
+        if kind == "tabulated":
+            # the fit's carry holds 1 + n_terms states (11 here), a stored series 201
+            carry_bytes = (1 + system.step_operators.n_terms) * system.n_state * 8
+            assert peak <= 10 * carry_bytes < series_bytes
         else:
             assert peak <= 0.1 * series_bytes
 
 
 def batch_case(case, kernel, n_systems=3):
     """``n_systems`` random acoustic media on one grid, 12 steps, each with no memory, a
-    two-term Prony kernel (shared relaxation times) or a tabulated one, and a Ricker
+    two-term Prony kernel (shared relaxation times) or a tabulated one on one sample grid
+    (whose fits share theirs), and a Ricker
     source.  ``restricted-1d`` is periodic with an even count and a point source, so a
     batch steps one parity class; ``free-odd-1d`` (acoustic_free, odd count, smooth
     footprint), ``free-1d`` (acoustic_free), ``odd-1d`` (periodic, odd count) and ``2d``
@@ -411,8 +396,7 @@ def batch_case(case, kernel, n_systems=3):
             memory = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
                                                for _ in range(2)), taus=(0.05, 0.5))
         elif kernel == "tabulated":
-            samples = rng.uniform(0, 1, (20, g.n_cells))[:, :, None, None] * eye
-            memory = TabulatedKernel(times=dt * np.arange(20), samples=samples)
+            memory = two_relaxations(dt * np.arange(20), rng.uniform(0, 1, g.n_cells), dim + 1)
         systems.append(rw.acoustics_system(model, boundary=boundary, kernel=memory))
     if case == "mixed-labels-1d":
         coupling = np.tile([[0.2, 0.1], [0.1, 0.2]], (g.n_cells, 1, 1))
@@ -469,11 +453,11 @@ class TestBatchedSteps:
         assert np.array_equal(batch[-1][..., 0], batch[-1][..., 2])
         assert not batch[-1][..., 1].any()
         # the point source reaches one parity class: when the systems label their
-        # classes alike and no history is kept, the batch forms that class's rows of
+        # classes alike, the batch forms that class's rows of
         # the full-size carries alone and solves them on one factor of the block
         # diagonal of their class blocks; every other batch solves on the systems' own
         # factors, which stepping alone has already made
-        one_class = case == "restricted-1d" and kernel != "tabulated"
+        one_class = case == "restricted-1d"
         n_state = systems[0].n_state
         n_rows = n_state // (2 if one_class else 1)
         assert products == [(len(systems) * n_rows, len(systems) * (1 + n_terms) * n_state)]
@@ -482,7 +466,7 @@ class TestBatchedSteps:
         assert ({id(lu) for lu in solvers} & own) == (set() if one_class else own)
         assert len(set(solvers)) == (1 if one_class else len(systems))
 
-    @pytest.mark.parametrize("kernel", [None, "prony"])
+    @pytest.mark.parametrize("kernel", [None, "prony", "tabulated"])
     @pytest.mark.parametrize("case", CASES)
     def test_per_column_forcing_and_resuming(self, case, kernel):
         systems, src, rng = batch_case(case, kernel)
