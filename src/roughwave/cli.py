@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evolution, experiments, fields, forward, physics, sensitivity
+from . import checks, experiments, fields, forward, physics, sensitivity
 from .errors import ConfigError, InvalidArgumentError, RoughwaveError
 from .evolution import energy_identity_residual, export_energy_csv, export_snapshots, solve_causal
 from .fields import PronyKernel, SourceTerm, ZeroKernel, build_grid
-from .operators import DiscreteSystem, block_apply
+from .operators import DiscreteSystem
 
 COMMANDS = ("simulate", "forward", "gradient", "check", "study")
 
@@ -464,213 +463,14 @@ def _cmd_study(cfg: RunConfig) -> int:
     return 0 if report.passed else 3
 
 
-# ---------------------------------------------------------------------------
-# the `check` invariant suite
-# ---------------------------------------------------------------------------
-
-
-def _fsum_dot(x: np.ndarray, y: np.ndarray) -> float:
-    """sum(x * y) of float64 vectors, correctly rounded: ``math.fsum((x * y).tolist())``
-    without the list.  Each product is m 2^e with 2^52 <= |m 2^53| < 2^53; the integer
-    m 2^53 splits into a high part (27 bits and sign) and a low part (26 bits), and
-    ``bincount`` sums each per exponent, exactly in float64 while there are at most 2^26
-    terms.  The exact total is one Python int times a power of two, rounded once by int
-    to float conversion or true division, both correctly rounded in CPython (subnormals
-    included).  A product that is not finite, a total that could near the overflow
-    threshold, and an exact total of 0 (whose sign fsum decides) go to ``math.fsum``."""
-    p = x * y
-    if not 0 < p.size <= 1 << 26 or not np.isfinite(p).all():
-        return math.fsum(p.tolist())
-    m, e = np.frexp(p)
-    e = e.astype(np.intp)
-    e_lo, e_hi = int(e.min()), int(e.max())
-    if e_hi + p.size.bit_length() > 1022:  # sum |p| may reach 2^1022
-        return math.fsum(p.tolist())
-    e -= e_lo
-    m *= 2.0 ** 27
-    hi = np.floor(m)
-    m -= hi
-    m *= 2.0 ** 26
-    hi_sums = np.bincount(e, weights=hi).tolist()
-    lo_sums = np.bincount(e, weights=m).tolist()
-    total = 0
-    for k in range(len(hi_sums)):
-        total += ((int(hi_sums[k]) << 26) + int(lo_sums[k])) << k
-    if total == 0:
-        return math.fsum(p.tolist())
-    scale = e_lo - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
-
-
-def _repeat_gap(system: DiscreteSystem, traj) -> float:
-    """max |u_n - u'_n| between ``traj`` and its causal solve repeated step by step."""
-    repeat = evolution._midpoint_steps([system], [traj.source], np.zeros((system.n_state, 1)),
-                                       None)
-    return max(float(np.abs(u - z[0, 0, :, 0]).max()) for u, z in zip(traj.states[1:], repeat))
-
-
-def _derivative_linearity(system: DiscreteSystem, traj, rng) -> tuple[float, float]:
-    """max |du(2m) - 2 du(m)| and max |du(2m)| for a random perturbation m, the two
-    derivative solves stepped together."""
-    pert = sensitivity.random_perturbation(system, rng)
-    pert2 = sensitivity.CoefficientPerturbation(
-        delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
-        delta_weights=pert.delta_weights and tuple(2 * w for w in pert.delta_weights))
-    steps = zip(*(sensitivity.derivative_steps(system, traj.source, traj, p) for p in (pert, pert2)))
-    lin, top = zip(*((np.abs(du2 - 2 * du1).max(), np.abs(du2).max()) for du1, du2 in steps))
-    return float(max(lin)), float(max(top))
-
-
-def run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    """Exercise every module invariant at desk scale on the configured system."""
-    from dataclasses import replace as dc_replace
-
-    from .evolution import step_residuals
-    from .fields import make_ricker_source, mollify_field
-
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_check(cfg: RunConfig) -> int:
     model, system = _acoustic_system(cfg, "sampler tags")
-    grid, k = system.grid, system.k
+    grid = system.grid
     center = [grid.origin[a] + 0.5 * grid.extent[a] for a in range(grid.dim)]
     sampler = build_sampler_from_spec(cfg.sampler or {"receivers": [center]}, system)
-    results: list[tuple[str, bool, str]] = []
-
-    def record(name: str, ok: bool, detail: str):
-        results.append((name, bool(ok), detail))
-
-    # operators: skew-symmetry, mass bounds
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(system.n_state)
-        v = rng.standard_normal(system.n_state)
-        s = abs(_fsum_dot(system.skew @ u, v) + _fsum_dot(u, system.skew @ v))
-        worst = max(worst, s / (np.linalg.norm(u) * np.linalg.norm(v)))
-    record("skew_symmetry", worst <= 1e-12, f"max |<Pu,v>+<u,Pv>|/(|u||v|) = {worst:.2e}")
-
-    # the model's mass blocks are system.a_blocks: one spectrum serves both bound checks
-    f0 = model.coefficient_field()
-    eig0 = np.linalg.eigvalsh(f0.a)
-    rq = []
-    for _ in range(20):
-        u = rng.standard_normal(system.n_state)
-        rq.append(float(u @ block_apply(system.a_blocks, u)) / float(u @ u))
-    lo, hi = float(eig0.min()), float(eig0.max())
-    ok = min(rq) >= lo - 1e-10 and max(rq) <= hi + 1e-10
-    record("mass_rayleigh_bounds", ok, f"quotients in [{min(rq):.4g}, {max(rq):.4g}] vs [{lo:.4g}, {hi:.4g}]")
-
-    # fields: mollifier preservation + measure pseudo-metric
-    sm = mollify_field(f0, 4, _boundary(cfg, model))
-    eig1 = np.linalg.eigvalsh(sm.a)
-    ok = eig1.min() >= eig0.min() - 1e-12 and eig1.max() <= eig0.max() + 1e-12
-    record("mollify_preserves_bounds", ok,
-           f"[{eig1.min():.4g}, {eig1.max():.4g}] within [{eig0.min():.4g}, {eig0.max():.4g}]")
-    eps = 0.1 * max(float(f0.a.max() - f0.a.min()), 1e-3)
-    d13 = fields.measure_distance(f0, sm, 2 * eps)
-    d12 = fields.measure_distance(f0, f0, eps)
-    d23 = fields.measure_distance(f0, sm, eps)
-    record("measure_pseudo_metric", d13 <= d12 + d23 + 1e-15 and d12 == 0.0,
-           f"d(f,g;2e)={d13:.4g} <= {d12 + d23:.4g}")
-
-    # evolution: causality, determinism, conservation, identity residual
-    duration = grid.dt * grid.n_steps
-    peak_frequency = max(4.0 / max(grid.extent), 3.0 / duration)
-    src = make_ricker_source(grid, k, center, peak_frequency=peak_frequency,
-                             onset=0.05 * duration, amplitude=1.0)
-    traj = solve_causal(system, src)
-    n_quiet = int(np.count_nonzero(traj.times < src.onset))
-    quiet = float(np.abs(traj.states[:n_quiet]).max()) if n_quiet else 0.0
-    record("solve_causality", quiet == 0.0, f"max |u| before onset = {quiet:.1e}")
-
-    gap = _repeat_gap(system, traj)
-    record("solve_determinism", gap <= 1e-14, f"repeat-solve gap = {gap:.1e}")
-
-    res = np.abs(step_residuals(traj, system, src)).max()
-    bound = max(1.0, float(traj.states.max()), float(-traj.states.min()))
-    record("step_residuals", res <= 1e-8 * bound, f"max half-step equation residual = {res:.2e}")
-
-    eres = np.abs(energy_identity_residual(traj, system, src)).max()
-    scale = max(traj.energies.max(), 1e-30)
-    record("energy_identity", eres <= 2e-2 * scale, f"max residual {eres:.2e} vs energy {scale:.2e}")
-
-    # forward: sampler adjoint identity and forward linearity
-    u = rng.standard_normal(system.n_state)
-    r = rng.standard_normal(sampler.n_channels)
-    lhs = float(forward.apply_sampler(sampler, u) @ r)
-    rhs = float(u @ forward.sampler_adjoint_source(sampler, r[:, None])[0])
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    record("sampler_adjoint_identity", rel <= 1e-12, f"relative gap = {rel:.1e}")
-
-    seis1 = forward.sample_trajectory(sampler, traj)
-    seis3 = forward.forward_map(system, dc_replace(src, footprint=3.0 * src.footprint), sampler)
-    lin = float(np.abs(seis3.data - 3.0 * seis1.data).max())
-    record("forward_linearity", lin <= 1e-10 * max(1.0, float(np.abs(seis3.data).max())),
-           f"|F(3f) - 3F(f)| = {lin:.1e}")
-
-    # sensitivity: linearity, then (after the trajectory is released) the dot product and
-    # gradient symmetry, from one dot-tested gradient at zero residual
-    lin, top = _derivative_linearity(system, traj, rng)
-    record("derivative_linearity", lin <= 1e-10 * max(1.0, top), f"|du(2m) - 2 du(m)| = {lin:.1e}")
-
-    # experiments: two-sided cone check (the intruding cone is anchored at the
-    # emission peak so the pulse delay cannot mask the overlap); the sampled
-    # symbol speed is only needed, and only cheap, in 1D.  Both leaks read one
-    # energy density; the trajectory is released first, and before the gradient
-    # solves its own.
-    speed = physics.max_wavespeed(system) if grid.dim == 1 else 0.0
-    density = experiments.energy_density(traj) if speed > 0 else None
-    del traj
-    if speed > 0:
-        quiet = experiments.cone_from_speed(center, src.onset, speed, margin=0.1)
-        leak_quiet = experiments.density_leak(density.copy(), grid, quiet)
-        fast = experiments.ConeSpec(apex_x=tuple(center), apex_t=src.onset + 1.5 / peak_frequency,
-                                    slowness=(1.1 / speed))
-        leak_fast = experiments.density_leak(density, grid, fast)
-        del density
-
-    report = sensitivity.misfit_gradient(system, src, sampler, seis1, dot_test_rng=rng)
-    rel = report.diagnostics["dot_product_residual"]
-    record("adjoint_dot_product", rel <= sensitivity.DOT_PRODUCT_BOUND, f"relative error = {rel:.2e}")
-    sym = float(np.abs(report.g_a - np.swapaxes(report.g_a, 1, 2)).max())
-    zero = float(np.abs(report.g_a).max() + np.abs(report.g_b).max()
-                 + sum(np.abs(g).max() for g in report.g_q))
-    record("gradient_symmetry", sym == 0.0, f"asymmetry = {sym:.1e}")
-    record("zero_residual_zero_gradient", report.objective == 0.0 and zero == 0.0,
-           f"J = {report.objective:.1e}, |g| = {zero:.1e}")
-
-    if speed > 0:
-        record("cone_two_sided", leak_quiet <= cfg.leak_tolerance and leak_fast > 1e-3,
-               f"quiet leak {leak_quiet:.2e} vs intruding leak {leak_fast:.2e}")
-
-        tau0 = 1.0 / speed
-        inside = physics.slowness_pencil_min_eig(system, 0.95 * tau0)
-        outside = physics.slowness_pencil_min_eig(system, 1.05 * tau0)
-        record("slowness_pencil_two_sided", outside < 0 <= inside + 1e-12,
-               f"min eig at 0.95/c: {inside:.2e}, at 1.05/c: {outside:.2e}")
-
-    # physics: viscoelastic split and Christoffel speed
-    ve_grid = build_grid(1, [8], 1.0, 1e-3, 1e-2)
-    m = physics.kelvin_dim(1)
-    gamma_e = np.tile(physics.isotropic_inverse_hooke(1.2, 0.0, 1), (ve_grid.n_cells, 1, 1))
-    kern = PronyKernel(weights=(np.tile(0.3 * np.eye(m), (ve_grid.n_cells, 1, 1)),), taus=(0.5,))
-    ve = physics.ViscoelasticModel(grid=ve_grid, rho=1.0, gamma_elastic=gamma_e, gamma_kernel=kern)
-    err = physics.kernel_split_reconstruction_error(ve)
-    record("ve_kernel_split", err <= 1e-8, f"reconstruction error = {err:.2e}")
-
-    grid2 = build_grid(2, [4, 4], 1.0, 1e-3, 1e-2)
-    lam_mu_rho = (2.0, 1.0, 1.25)
-    gamma_e2 = np.tile(physics.isotropic_inverse_hooke(lam_mu_rho[0], lam_mu_rho[1], 2),
-                       (grid2.n_cells, 1, 1))
-    ve2 = physics.ViscoelasticModel(grid=grid2, rho=lam_mu_rho[2], gamma_elastic=gamma_e2)
-    cp = physics.max_wavespeed(ve2)
-    cp_ref = np.sqrt((lam_mu_rho[0] + 2 * lam_mu_rho[1]) / lam_mu_rho[2])
-    record("christoffel_quasi_p", abs(cp - cp_ref) / cp_ref <= 5e-3,
-           f"sampled {cp:.6g} vs closed form {cp_ref:.6g}")
-
-    return results
-
-
-def _cmd_check(cfg: RunConfig) -> int:
-    results = run_checks(cfg)
+    # every row before the first print: a property that raises prints nothing
+    results = list(checks.run_checks(model, system, sampler, _boundary(cfg, model), cfg.seed,
+                                     cfg.leak_tolerance))
     failed = 0
     for name, ok, detail in results:
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")

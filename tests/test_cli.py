@@ -1,20 +1,12 @@
-import dataclasses
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
 import pytest
-from conftest import traced_peak
-from oracles import (
-    fsum_dot,
-    stored_convergence_series,
-    stored_derivative_linearity,
-    stored_repeat_gap,
-)
+from oracles import stored_convergence_series
 
-from roughwave import cli, evolution, experiments, sensitivity
+from roughwave import cli, evolution, sensitivity
 from roughwave.cli import (
     COMMANDS,
     build_sampler_from_spec,
@@ -22,11 +14,9 @@ from roughwave.cli import (
     build_system,
     main,
     parse_config,
-    run_checks,
 )
 from roughwave.errors import ConfigError
-from roughwave.evolution import solve_causal
-from roughwave.fields import TabulatedKernel, build_grid, make_ricker_source, save_kernel
+from roughwave.fields import TabulatedKernel, build_grid, save_kernel
 from roughwave.forward import SeismogramData, load_observed_data, save_seismogram_csv
 from roughwave.physics import AcousticModel, ViscoelasticModel, save_model
 from roughwave.sensitivity import misfit_gradient
@@ -278,21 +268,6 @@ class TestCommands:
             "seed": 11,
         })
         assert main(["check", "--config", path]) == 0
-
-    def test_check_results_cover_all_modules(self, tmp_path):
-        path = write_config(tmp_path, {
-            "command": "check",
-            "model": base_model(cells=80, t_end=0.3),
-            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
-        })
-        results = run_checks(parse_config(path))
-        names = {name for name, _, _ in results}
-        assert {"skew_symmetry", "mass_rayleigh_bounds", "mollify_preserves_bounds",
-                "solve_causality", "energy_identity", "sampler_adjoint_identity",
-                "adjoint_dot_product", "gradient_symmetry", "cone_two_sided",
-                "slowness_pencil_two_sided", "ve_kernel_split",
-                "christoffel_quasi_p"} <= names
-        assert all(ok for _, ok, _ in results)
 
     def test_study_command(self, tmp_path):
         path = write_config(tmp_path, {
@@ -812,23 +787,6 @@ class TestSchemes:
         self.expect_scheme_error(tmp_path, capsys, command, "rk4")
 
 
-def test_check_samples_no_symbol_speed_outside_1d(tmp_path, monkeypatch):
-    import roughwave.physics
-
-    calls = []
-    monkeypatch.setattr(roughwave.physics, "max_symbol_speed",
-                        lambda *args, **kwargs: calls.append(args) or 1.0)
-    path = write_config(tmp_path, {
-        "command": "check",
-        "model": {**base_model(), "grid": {"dim": 2, "cells": [8, 8], "extent": 1.0,
-                                           "dt": 1.25e-2, "t_end": 0.1}},
-        "sampler": {"tag": "pressure", "receivers": [[0.7, 0.3]]},
-    })
-    names = {name for name, _, _ in run_checks(parse_config(path))}
-    assert calls == []
-    assert "cone_two_sided" not in names and "adjoint_dot_product" in names
-
-
 def test_check_passes_on_the_readme_two_layer_medium(tmp_path, capsys):
     # kappa 1 | 4 at x = 0.6: the slowness pencil changes sign at the fast layer
     path = write_config(tmp_path, {
@@ -843,193 +801,3 @@ def test_check_passes_on_the_readme_two_layer_medium(tmp_path, capsys):
     })
     assert main(["check", "--config", path]) == 0
     assert "slowness_pencil_two_sided: PASS" in capsys.readouterr().out
-
-
-def check_config(tmp_path, dim, kernel, cells, dt, t_end):
-    """A two-layer acoustic ``check`` config with no memory or a two-term Prony kernel."""
-    model = {"type": "acoustic",
-             "grid": {"dim": dim, "cells": [cells] * dim, "extent": 1.0, "dt": dt, "t_end": t_end},
-             "kappa": {"two_layer": {"left": 1.0, "right": 4.0, "interface": 0.6}}, "rho": 1.0}
-    if kernel == "prony":
-        model["kernel"] = {"type": "prony", "terms": [{"scale": 0.4, "tau": 0.05},
-                                                      {"scale": 0.2, "tau": 0.3}]}
-    return parse_config(write_config(tmp_path, {
-        "command": "check", "model": model, "seed": 2,
-        "sampler": {"tag": "pressure", "receivers": [[0.7] * dim, [0.25] * dim]}}))
-
-
-class TestCheckHoldsOneTrajectory:
-    @pytest.mark.parametrize("kernel", ["zero", "prony"])
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_streamed_comparisons_equal_stored_ones(self, tmp_path, dim, kernel):
-        _, system = build_system(check_config(tmp_path, dim, kernel, 40 if dim == 1 else 10,
-                                              1e-2, 0.3))
-        src = make_ricker_source(system.grid, dim + 1, [0.5] * dim, peak_frequency=6.0, onset=0.02)
-        traj = solve_causal(system, src)
-        assert cli._repeat_gap(system, traj) == stored_repeat_gap(system, traj) == 0.0
-        # a trajectory that is not its source's solve: the gap is that of two solves
-        other = dataclasses.replace(traj, source=dataclasses.replace(src, footprint=3 * src.footprint))
-        gap = cli._repeat_gap(system, other)
-        assert gap > 0 and gap == stored_repeat_gap(system, other)
-        lin, top = cli._derivative_linearity(system, traj, np.random.default_rng(4))
-        assert top > 0
-        assert (lin, top) == stored_derivative_linearity(system, traj, np.random.default_rng(4))
-
-    @pytest.mark.parametrize("kernel", ["zero", "prony"])
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_dot_test_runs_through_the_shipped_gradient(self, tmp_path, monkeypatch, dim, kernel):
-        # one dot-tested ``misfit_gradient``, the path ``gradient`` ships, and no sweep over
-        # a stored trajectory
-        calls = {"misfit_gradient": [], "adjoint_gradient": []}
-
-        def counted(fn, seen):
-            def call(*args, **kwargs):
-                seen.append(kwargs)
-                return fn(*args, **kwargs)
-            return call
-
-        for name, seen in calls.items():
-            monkeypatch.setattr(sensitivity, name, counted(getattr(sensitivity, name), seen))
-        results = run_checks(check_config(tmp_path, dim, kernel, 40 if dim == 1 else 10, 1e-2, 0.3))
-        assert calls["adjoint_gradient"] == []
-        [kwargs] = calls["misfit_gradient"]
-        assert isinstance(kwargs.get("dot_test_rng"), np.random.Generator)
-        assert [ok for name, ok, _ in results if name == "adjoint_dot_product"] == [True]
-
-    def test_one_energy_density_serves_both_cones(self, tmp_path, monkeypatch):
-        densities = []
-        build = experiments.energy_density
-        monkeypatch.setattr(experiments, "energy_density",
-                            lambda traj: densities.append(traj.times.size) or build(traj))
-        results = run_checks(check_config(tmp_path, 1, "zero", 40, 1e-2, 0.3))
-        assert densities == [31]
-        assert [ok for name, ok, _ in results if name == "cone_two_sided"] == [True]
-
-    @pytest.mark.parametrize("kernel", ["zero", "prony"])
-    @pytest.mark.parametrize("dim, bound", [(2, 1.5), (1, 1.6)])
-    def test_traced_peak_in_stored_series(self, tmp_path, dim, bound, kernel):
-        # 2D 24^2 x 400 steps and 1D 400 x 1000 (the parent held about 6 series).  In 1D
-        # one (N + 1, n_cells) energy density, half a series, serves both cones: it is
-        # built beside the trajectory, which is then released, and each leak is summed
-        # over it whole, as it always was
-        cfg = check_config(tmp_path, dim, kernel, *((24, 1e-3, 0.4) if dim == 2 else (400, 5e-4, 0.5)))
-        _, system = build_system(cfg)
-        assert system.grid.n_steps == (400 if dim == 2 else 1000)
-        series_bytes = (system.grid.n_steps + 1) * system.n_state * 8
-        results = []
-        peak = traced_peak(lambda: results.extend(run_checks(cfg)))
-        assert results and all(ok for _, ok, _ in results)
-        assert peak <= bound * series_bytes
-
-
-def fsum_case(case):
-    """Vectors x, y whose products exercise one corner of an exactly rounded sum."""
-    rng = np.random.default_rng(len(case))
-
-    def spread(n):  # magnitudes over 10^-150 .. 10^150
-        return rng.standard_normal(n) * 10.0 ** rng.integers(-150, 151, n)
-
-    if case == "spread":
-        return spread(3000), spread(3000)
-    if case == "cancellation":  # every product has its negation; a 1e-300 remainder
-        x, y = spread(1000), spread(1000)
-        order = rng.permutation(2001)
-        return (np.concatenate([x, x, [1e-150]])[order],
-                np.concatenate([y, -y, [1e-150]])[order])
-    if case == "subnormal":  # products below 2^-1022, some below 2^-1074 (0.0)
-        return rng.standard_normal(500) * 1e-160, rng.standard_normal(500) * 1e-160
-    if case == "above-1e300":
-        return (rng.choice([-1.0, 1.0], 100) * rng.uniform(1, 10, 100) * 1e150,
-                rng.uniform(1, 10, 100) * 1e150)
-    if case == "ties-and-zeros":  # dyadic terms, half of them +-0.0
-        x = rng.integers(-2**20, 2**20, 400) * 2.0 ** rng.integers(-80, 20, 400)
-        x[rng.random(400) < 0.5] = rng.choice([0.0, -0.0])
-        return x, rng.choice([-1.0, 1.0, 0.5, 2.0 ** -53], 400)
-    if case == "one":
-        return np.array([-3.5e-7]), np.array([1.25])
-    if case == "long":
-        return rng.standard_normal(20000), rng.standard_normal(20000)
-    raise ValueError(case)
-
-
-class TestFsumDot:
-    """``cli._fsum_dot`` against ``math.fsum`` of the product list, bit for bit."""
-
-    @staticmethod
-    def counted_fsum(monkeypatch):
-        calls, fsum = [], math.fsum
-        monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
-        return calls
-
-    @staticmethod
-    def assert_same(got, want):
-        assert got == want and math.copysign(1, got) == math.copysign(1, want)
-
-    @pytest.mark.parametrize("case", ["spread", "cancellation", "subnormal", "above-1e300",
-                                      "ties-and-zeros", "one", "long"])
-    def test_equal_to_fsum(self, monkeypatch, case):
-        x, y = fsum_case(case)
-        want = fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        got = cli._fsum_dot(x, y)
-        assert calls == []  # summed by the kernel, not by the fallback
-        self.assert_same(got, want)
-
-    @pytest.mark.parametrize("x, y", [
-        ([1.0, 2.0 ** -53], [1.0, 1.0]),  # a tie, to even below
-        ([1.0 + 2.0 ** -52, 2.0 ** -53], [1.0, 1.0]),  # a tie, to even above
-        ([-1.0, 2.0 ** -53, 2.0 ** -106], [1.0, -1.0, -1.0]),  # just past a tie
-        ([2.0 ** -1074, 2.0 ** -1074, 3.0], [1.0, 1.0, 2.0 ** -1074]),  # subnormal sum
-        ([1e300, 1e-300, -1e300], [1e5, 1.0, 1e5]),
-        ([1.5, 2.0 ** -60, -1.5], [1.0, 1.0, 1.0]),
-    ])
-    def test_ties_and_extremes(self, monkeypatch, x, y):
-        x, y = np.array(x), np.array(y)
-        want = fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        self.assert_same(cli._fsum_dot(x, y), want)
-        assert calls == []
-
-    @pytest.mark.parametrize("x, y", [
-        ([], []),
-        ([0.0, -0.0, -0.0], [1.0, 1.0, 1.0]),
-        ([-0.0, -0.0], [1.0, 1.0]),
-        ([1.5, -1.5], [3.0, 3.0]),
-    ])
-    def test_zero_totals_keep_the_sign_fsum_gives(self, monkeypatch, x, y):
-        # fsum decides the sign of a zero total, and that has changed between versions
-        want = fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        self.assert_same(cli._fsum_dot(np.array(x), np.array(y)), want)
-        assert calls == [1]
-
-    @pytest.mark.parametrize("x", [[1.0, np.nan], [np.inf, -1e300], [1.0, -np.inf]])
-    def test_a_product_that_is_not_finite_takes_the_fallback(self, monkeypatch, x):
-        x, y = np.array(x), np.array([2.0, 3.0])
-        want = fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        got = cli._fsum_dot(x, y)
-        assert calls == [1]
-        assert (math.isnan(got) and math.isnan(want)) or got == want
-
-    def test_overflow_raises_as_fsum_does(self, monkeypatch):
-        # the partial sums pass DBL_MAX though the total does not
-        x, y = np.array([1e308, 1e308, -1e308]), np.ones(3)
-        with pytest.raises(OverflowError) as want:
-            fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        with pytest.raises(OverflowError) as got:
-            cli._fsum_dot(x, y)
-        assert calls == [1] and str(got.value) == str(want.value)
-        with pytest.raises(ValueError):  # inf - inf
-            cli._fsum_dot(np.array([np.inf, -np.inf]), np.ones(2))
-
-
-@pytest.mark.parametrize("kernel", ["zero", "prony"])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_check_mass_blocks_are_the_models(tmp_path, dim, kernel):
-    # one spectrum serves mass_rayleigh_bounds (system.a_blocks) and
-    # mollify_preserves_bounds (the model's field)
-    model, system = build_system(check_config(tmp_path, dim, kernel, 40 if dim == 1 else 10,
-                                              1e-2, 0.3))
-    assert np.array_equal(model.coefficient_field().a, system.a_blocks)

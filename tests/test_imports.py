@@ -87,7 +87,7 @@ def test_concurrency_check_sees_nested_imports(tmp_path):
 
 # the package's modules from the bottom up: each may import only those before it
 LAYERS = ("errors", "fields", "operators", "evolution", "forward", "physics", "sensitivity",
-          "experiments", "cli", "__main__")
+          "experiments", "checks", "cli", "__main__")
 
 
 def package_imports(path: Path) -> set[str]:

@@ -5,7 +5,7 @@ import re
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src" / "roughwave"
 MODULES = ("fields", "operators", "evolution", "physics", "forward", "sensitivity", "experiments",
-           "cli")
+           "checks", "cli")
 
 
 def test_python_quickstart_runs(capsys):

@@ -25,7 +25,7 @@ from conftest import (
     traced_peak,
     two_relaxations,
 )
-from roughwave.cli import parse_config, run_checks
+from roughwave.cli import main
 from roughwave.errors import (
     GridMismatchError,
     InvalidArgumentError,
@@ -167,8 +167,7 @@ class TestFactorCount:
             "sampler": {"tag": "pressure", "receivers": [[0.7, 0.5]]},
             "seed": 3,
         }))
-        results = run_checks(parse_config(str(path)))
-        assert all(ok for _, ok, _ in results)
+        assert main(["check", "--config", str(path)]) == 0
         assert len(splu_calls) == 1
 
 
