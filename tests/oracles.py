@@ -4,20 +4,18 @@ The 1D advection solution by its characteristic integral, the oscillatory
 counterexample family built on it, the d'Alembert two-way splitting for
 homogeneous 1D acoustics, a hat-window time smoothing of a trajectory, the
 mollifier's hat smoothing summed over every block entry
-(``full_width_mollify``), the exactly rounded dot product by ``math.fsum``
-(``fsum_dot``), the memory convolution stacked over a whole series, the
-convergence study's series from stored trajectories, the trapezoid stepper
-of a tabulated kernel (``trapezoid_solve``), the ``check`` suite's
-repeat and linearity comparisons from stored trajectories, the gradient and
-adjoint-state dot test of a stored forward trajectory, the derivative of a
-stored trajectory (``stored_derivative``), and the two checks of the
-derivative: the Newton-quotient study (``quotient_study``) and central
-differences of the objective against the gradient
+(``full_width_mollify``), the memory convolution stacked over a whole
+series, the convergence study's series from stored trajectories, the
+trapezoid stepper of a tabulated kernel (``trapezoid_solve``), the ``check``
+suite's repeat and linearity comparisons from stored trajectories, the
+gradient and adjoint-state dot test of a stored forward trajectory, the
+derivative of a stored trajectory (``stored_derivative``), and the two
+checks of the derivative: the Newton-quotient study (``quotient_study``) and
+central differences of the objective against the gradient
 (``finite_difference_table``).  None of them calls the solver internals it
 checks.
 """
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -173,11 +171,6 @@ def smooth_trajectory(traj: Trajectory, window: int) -> Trajectory:
     for off, wj in zip(range(2 * half + 1), _hat_weights(half)):
         out += wj * padded[off : off + traj.states.shape[0]]
     return replace(traj, states=out)
-
-
-def fsum_dot(x, y) -> float:
-    """sum(x * y), correctly rounded, through a Python list and ``math.fsum``."""
-    return math.fsum((np.asarray(x) * np.asarray(y)).tolist())
 
 
 def full_width_mollify(arr: np.ndarray, grid, n: int, boundary: str) -> np.ndarray:

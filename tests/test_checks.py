@@ -4,14 +4,13 @@ code and can fail, and what the suite holds in memory."""
 import dataclasses
 import importlib.util
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import traced_peak
-from oracles import fsum_dot, stored_derivative_linearity, stored_repeat_gap
+from oracles import stored_derivative_linearity, stored_repeat_gap
 
 from roughwave import checks, experiments, sensitivity
 from roughwave.checks import run_checks
@@ -88,6 +87,24 @@ def check_config(tmp_path, dim, kernel, cells, dt, t_end):
         "sampler": {"tag": "pressure", "receivers": [[0.7] * dim, [0.25] * dim]}})
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_skew_symmetry_fails_on_one_perturbed_entry(tmp_path, dim):
+    # P + P^T is summed on the stored matrix, so one entry off by one ulp fails
+    cfg = check_config(tmp_path, dim, "zero", 40 if dim == 1 else 10, 1e-2, 0.3)
+    model, system = build_system(cfg)
+    sampler = build_sampler_from_spec(cfg.sampler, system)
+
+    def skew_row(system):
+        return next(run_checks(model, system, sampler, "periodic", cfg.seed, cfg.leak_tolerance))
+
+    assert skew_row(system) == ("skew_symmetry", True, "max |P + P^T| = 0.0e+00")
+    skew = system.skew.copy()
+    skew.data[skew.nnz // 2] *= 1 + 2.0 ** -52
+    name, ok, detail = skew_row(dataclasses.replace(system, skew=skew))
+    assert (name, ok) == ("skew_symmetry", False)
+    assert detail != "max |P + P^T| = 0.0e+00"
+
+
 class TestCheckHoldsOneTrajectory:
     @pytest.mark.parametrize("kernel", ["zero", "prony"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -150,109 +167,6 @@ class TestCheckHoldsOneTrajectory:
         peak = traced_peak(lambda: results.extend(check_rows(cfg)))
         assert results and all(ok for _, ok, _ in results)
         assert peak <= bound * series_bytes
-
-
-def fsum_case(case):
-    """Vectors x, y whose products exercise one corner of an exactly rounded sum."""
-    rng = np.random.default_rng(len(case))
-
-    def spread(n):  # magnitudes over 10^-150 .. 10^150
-        return rng.standard_normal(n) * 10.0 ** rng.integers(-150, 151, n)
-
-    if case == "spread":
-        return spread(3000), spread(3000)
-    if case == "cancellation":  # every product has its negation; a 1e-300 remainder
-        x, y = spread(1000), spread(1000)
-        order = rng.permutation(2001)
-        return (np.concatenate([x, x, [1e-150]])[order],
-                np.concatenate([y, -y, [1e-150]])[order])
-    if case == "subnormal":  # products below 2^-1022, some below 2^-1074 (0.0)
-        return rng.standard_normal(500) * 1e-160, rng.standard_normal(500) * 1e-160
-    if case == "above-1e300":
-        return (rng.choice([-1.0, 1.0], 100) * rng.uniform(1, 10, 100) * 1e150,
-                rng.uniform(1, 10, 100) * 1e150)
-    if case == "ties-and-zeros":  # dyadic terms, half of them +-0.0
-        x = rng.integers(-2**20, 2**20, 400) * 2.0 ** rng.integers(-80, 20, 400)
-        x[rng.random(400) < 0.5] = rng.choice([0.0, -0.0])
-        return x, rng.choice([-1.0, 1.0, 0.5, 2.0 ** -53], 400)
-    if case == "one":
-        return np.array([-3.5e-7]), np.array([1.25])
-    if case == "long":
-        return rng.standard_normal(20000), rng.standard_normal(20000)
-    raise ValueError(case)
-
-
-class TestFsumDot:
-    """``checks._fsum_dot`` against ``math.fsum`` of the product list, bit for bit."""
-
-    @staticmethod
-    def counted_fsum(monkeypatch):
-        calls, fsum = [], math.fsum
-        monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
-        return calls
-
-    @staticmethod
-    def assert_same(got, want):
-        assert got == want and math.copysign(1, got) == math.copysign(1, want)
-
-    @pytest.mark.parametrize("case", ["spread", "cancellation", "subnormal", "above-1e300",
-                                      "ties-and-zeros", "one", "long"])
-    def test_equal_to_fsum(self, monkeypatch, case):
-        x, y = fsum_case(case)
-        want = fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        got = checks._fsum_dot(x, y)
-        assert calls == []  # summed by the kernel, not by the fallback
-        self.assert_same(got, want)
-
-    @pytest.mark.parametrize("x, y", [
-        ([1.0, 2.0 ** -53], [1.0, 1.0]),  # a tie, to even below
-        ([1.0 + 2.0 ** -52, 2.0 ** -53], [1.0, 1.0]),  # a tie, to even above
-        ([-1.0, 2.0 ** -53, 2.0 ** -106], [1.0, -1.0, -1.0]),  # just past a tie
-        ([2.0 ** -1074, 2.0 ** -1074, 3.0], [1.0, 1.0, 2.0 ** -1074]),  # subnormal sum
-        ([1e300, 1e-300, -1e300], [1e5, 1.0, 1e5]),
-        ([1.5, 2.0 ** -60, -1.5], [1.0, 1.0, 1.0]),
-    ])
-    def test_ties_and_extremes(self, monkeypatch, x, y):
-        x, y = np.array(x), np.array(y)
-        want = fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        self.assert_same(checks._fsum_dot(x, y), want)
-        assert calls == []
-
-    @pytest.mark.parametrize("x, y", [
-        ([], []),
-        ([0.0, -0.0, -0.0], [1.0, 1.0, 1.0]),
-        ([-0.0, -0.0], [1.0, 1.0]),
-        ([1.5, -1.5], [3.0, 3.0]),
-    ])
-    def test_zero_totals_keep_the_sign_fsum_gives(self, monkeypatch, x, y):
-        # fsum decides the sign of a zero total, and that has changed between versions
-        want = fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        self.assert_same(checks._fsum_dot(np.array(x), np.array(y)), want)
-        assert calls == [1]
-
-    @pytest.mark.parametrize("x", [[1.0, np.nan], [np.inf, -1e300], [1.0, -np.inf]])
-    def test_a_product_that_is_not_finite_takes_the_fallback(self, monkeypatch, x):
-        x, y = np.array(x), np.array([2.0, 3.0])
-        want = fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        got = checks._fsum_dot(x, y)
-        assert calls == [1]
-        assert (math.isnan(got) and math.isnan(want)) or got == want
-
-    def test_overflow_raises_as_fsum_does(self, monkeypatch):
-        # the partial sums pass DBL_MAX though the total does not
-        x, y = np.array([1e308, 1e308, -1e308]), np.ones(3)
-        with pytest.raises(OverflowError) as want:
-            fsum_dot(x, y)
-        calls = self.counted_fsum(monkeypatch)
-        with pytest.raises(OverflowError) as got:
-            checks._fsum_dot(x, y)
-        assert calls == [1] and str(got.value) == str(want.value)
-        with pytest.raises(ValueError):  # inf - inf
-            checks._fsum_dot(np.array([np.inf, -np.inf]), np.ones(2))
 
 
 @pytest.mark.parametrize("kernel", ["zero", "prony"])
