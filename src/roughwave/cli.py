@@ -143,7 +143,7 @@ def parse_config(path: str) -> RunConfig:
         observed=observed,
         study=raw.get("study"),
         output=_optional(raw, "output", str, "out"),
-        seed=_optional(raw, "seed", int, 0),
+        seed=_nonnegative(_optional(raw, "seed", int, 0), "config.seed"),
         leak_tolerance=_nonnegative(_optional(raw, "leak_tolerance", float, 1e-6),
                                     "config.leak_tolerance"),
         snapshot_every=_positive(_optional(raw, "snapshot_every", int, 10), "config.snapshot_every"),
@@ -206,7 +206,8 @@ def _build_kernel(model: dict, grid: fields.Grid, width: int):
         weights, taus = [], []
         for term in _need(spec, "terms", list, "config.model.kernel"):
             scale = float(_need(term, "scale", (int, float), "config.model.kernel.terms"))
-            taus.append(float(_need(term, "tau", (int, float), "config.model.kernel.terms")))
+            tau = _need(term, "tau", (int, float), "config.model.kernel.terms")
+            taus.append(float(_positive(tau, "config.model.kernel.terms")))
             weights.append(np.tile(scale * np.eye(width), (grid.n_cells, 1, 1)))
         return PronyKernel(weights=tuple(weights), taus=tuple(taus))
     raise ConfigError("kernel type must be 'zero' or 'prony'", field="config.model.kernel.type")
@@ -272,8 +273,8 @@ def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
     kind = spec.get("type", "ricker")
     grid, k = system.grid, system.k
     center = _need(spec, "center", list, "config.source")
-    if len(center) != grid.dim:
-        raise ConfigError(f"expected {grid.dim} coordinate(s), got {len(center)}",
+    if not _is_point(center, grid.dim):
+        raise ConfigError(f"expected {grid.dim} coordinate(s), got {center}",
                           field="config.source.center")
     component = _optional(spec, "component", int, 0, "config.source")
     if not 0 <= component < k:
@@ -297,7 +298,8 @@ def build_source(spec: dict, system: DiscreteSystem) -> SourceTerm:
         return fields.make_burst_source(
             frequency=_positive(_need(spec, "frequency", float, "config.source"),
                                 "config.source.frequency"),
-            smoothness=_optional(spec, "smoothness", int, 2, "config.source"), **common,
+            smoothness=_positive(_optional(spec, "smoothness", int, 2, "config.source"),
+                                 "config.source.smoothness"), **common,
         )
     raise ConfigError("source type must be 'ricker' or 'burst'", field="config.source.type")
 
@@ -515,7 +517,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output = args.out
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _nonnegative(args.seed, "--seed")
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

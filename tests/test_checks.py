@@ -12,7 +12,7 @@ import pytest
 from conftest import traced_peak
 from oracles import stored_derivative_linearity, stored_repeat_gap
 
-from roughwave import checks, experiments, sensitivity
+from roughwave import checks, cli, experiments, sensitivity
 from roughwave.checks import run_checks
 from roughwave.cli import build_sampler_from_spec, build_system, parse_config
 from roughwave.evolution import solve_causal
@@ -25,24 +25,24 @@ def check_rows(cfg):
     """``run_checks`` on a parsed ``check`` config, its inputs built as ``check`` builds them."""
     model, system = build_system(cfg)
     sampler = build_sampler_from_spec(cfg.sampler, system)
-    return list(run_checks(model, system, sampler, cfg.model.get("boundary", "periodic"),
-                           cfg.seed, cfg.leak_tolerance))
+    return list(run_checks(model, system, sampler, cli._boundary(cfg, model), cfg.seed,
+                           cfg.leak_tolerance))
 
 
-def write_config(tmp_path, payload):
+def parsed_config(tmp_path, payload):
     path = tmp_path / "check.json"
     path.write_text(json.dumps(payload))
     return parse_config(str(path))
 
 
-def homogeneous_1d(cells=100, t_end=0.3, dt=1e-3):
+def homogeneous_1d(cells=100, t_end=0.3):
     return {"type": "acoustic",
-            "grid": {"dim": 1, "cells": [cells], "extent": 1.0, "dt": dt, "t_end": t_end},
+            "grid": {"dim": 1, "cells": [cells], "extent": 1.0, "dt": 1e-3, "t_end": t_end},
             "kappa": 1.0, "rho": 1.0}
 
 
 def test_check_results_cover_all_modules(tmp_path):
-    cfg = write_config(tmp_path, {
+    cfg = parsed_config(tmp_path, {
         "command": "check",
         "model": homogeneous_1d(cells=80, t_end=0.3),
         "sampler": {"tag": "pressure", "receivers": [[0.7]]},
@@ -63,7 +63,7 @@ def test_check_samples_no_symbol_speed_outside_1d(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(roughwave.physics, "max_symbol_speed",
                         lambda *args, **kwargs: calls.append(args) or 1.0)
-    cfg = write_config(tmp_path, {
+    cfg = parsed_config(tmp_path, {
         "command": "check",
         "model": {**homogeneous_1d(), "grid": {"dim": 2, "cells": [8, 8], "extent": 1.0,
                                                "dt": 1.25e-2, "t_end": 0.1}},
@@ -82,7 +82,7 @@ def check_config(tmp_path, dim, kernel, cells, dt, t_end):
     if kernel == "prony":
         model["kernel"] = {"type": "prony", "terms": [{"scale": 0.4, "tau": 0.05},
                                                       {"scale": 0.2, "tau": 0.3}]}
-    return write_config(tmp_path, {
+    return parsed_config(tmp_path, {
         "command": "check", "model": model, "seed": 2,
         "sampler": {"tag": "pressure", "receivers": [[0.7] * dim, [0.25] * dim]}})
 

@@ -411,6 +411,21 @@ class TestInputErrors:
             "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
         }, "config.model.kernel.terms")
 
+    @pytest.mark.parametrize("command", ["check", "gradient"])
+    def test_negative_seed_in_the_config(self, tmp_path, capsys, command):
+        self.expect_config_error(tmp_path, capsys, {
+            "command": command, "model": base_model(cells=20, t_end=0.05),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
+            "observed": str(tmp_path / "observed.csv"), "seed": -1,
+        }, "config.seed")
+
+    def test_negative_seed_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran with a negative seed"))
+        path = write_config(tmp_path, {"command": "check", "model": base_model(cells=20)})
+        assert main(["check", "--config", path, "--seed", "-1"]) == 2
+        assert "config error: --seed: expected a number >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("channels, n_times, dt", [(2, 51, 1e-3), (1, 2, 1e-3),
                                                        (1, 50, 1e-3), (1, 51, 2e-3)])
     def test_observed_data_that_does_not_fit_the_run(self, tmp_path, capsys, monkeypatch,
@@ -533,6 +548,8 @@ class TestInputErrors:
         (("model.boundary", "dirichlet"), "config.model.boundary"),
         (("source", {"type": "ricker", "center": [0.5, 0.5], "frequency": 8.0}),
          "config.source.center"),
+        (("source", {"type": "ricker", "center": ["a"], "frequency": 8.0}),
+         "config.source.center"),
         (("receivers", [[0.5, 0.2]]), "config.sampler.receivers"),
         (("model.kappa", -1), "config.model.kappa"),
         (("trace_regularity", {"sampler": {"receivers": [[0.7]]},
@@ -575,7 +592,7 @@ class TestInputErrors:
     ], ids=["source", "sources", "kernel", "integrator", "seed", "leak_tolerance",
             "snapshot_every", "footprint_width_zero",
             "footprint_width_negative", "delay_negative", "leak_tolerance_negative",
-            "trace_receivers", "boundary", "center",
+            "trace_receivers", "boundary", "center", "center_type",
             "receivers", "kappa", "trace_kernel", "trace_viscoelastic", "amplitude", "onset",
             "component", "component_range", "footprint_width", "delay", "burst_smoothness",
             "extent", "origin", "interface", "axis", "mu", "output", "refinements",
@@ -599,9 +616,17 @@ class TestInputErrors:
         (("model.grid.dim", 4), "config.model.grid.dim"),
         (("snapshot_every", 0), "config.snapshot_every"),
         (("study.frequency", 0), "config.study.frequency"),
+        (("source", {"type": "burst", "center": [0.5], "frequency": 8.0, "smoothness": 0}),
+         "config.source.smoothness"),
+        (("model.kernel", {"type": "prony", "terms": [{"scale": 0.2, "tau": 0}]}),
+         "config.model.kernel.terms"),
+        (("model.kernel", {"type": "prony", "terms": [{"scale": 0.2, "tau": 0.1},
+                                                      {"scale": 0.2, "tau": -0.1}]}),
+         "config.model.kernel.terms"),
     ], ids=["burst_frequency_zero", "burst_frequency_negative", "ricker_frequency", "onset",
             "dt", "t_end", "extent", "cells_one", "cells_type", "cells_count", "dim",
-            "snapshot_every", "study_frequency"])
+            "snapshot_every", "study_frequency", "burst_smoothness_zero", "tau_zero",
+            "tau_negative"])
     def test_out_of_range_entry_named(self, tmp_path, capsys, monkeypatch, case, where):
         monkeypatch.setattr(evolution, "_midpoint_solve",
                             lambda *args, **kwargs: pytest.fail("solved before checking"))
