@@ -19,7 +19,6 @@ from .fields import (
     PronyKernel,
     SourceTerm,
     TabulatedKernel,
-    ZeroKernel,
     build_grid,
     make_burst_source,
     make_ricker_source,

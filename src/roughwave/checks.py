@@ -32,7 +32,7 @@ def _derivative_linearity(system: DiscreteSystem, traj, rng) -> tuple[float, flo
     pert = sensitivity.random_perturbation(system, rng)
     pert2 = sensitivity.CoefficientPerturbation(
         delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
-        delta_weights=pert.delta_weights and tuple(2 * w for w in pert.delta_weights))
+        delta_weights=tuple(2 * w for w in pert.delta_weights))
     steps = zip(*(sensitivity.derivative_steps(system, traj.source, traj, p) for p in (pert, pert2)))
     lin, top = zip(*((np.abs(du2 - 2 * du1).max(), np.abs(du2).max()) for du1, du2 in steps))
     return float(max(lin)), float(max(top))

@@ -19,7 +19,7 @@ import numpy as np
 from . import checks, experiments, fields, forward, physics, sensitivity
 from .errors import ConfigError, InvalidArgumentError, RoughwaveError
 from .evolution import energy_identity_residual, export_energy_csv, export_snapshots, solve_causal
-from .fields import PronyKernel, SourceTerm, ZeroKernel, build_grid
+from .fields import PronyKernel, SourceTerm, build_grid
 from .operators import DiscreteSystem
 
 COMMANDS = ("simulate", "forward", "gradient", "check", "study")
@@ -45,12 +45,21 @@ def _need(cfg: dict, key: str, kind, where: str):
     if key not in cfg:
         raise ConfigError("required field is missing", field=f"{where}.{key}")
     value = cfg[key]
+    if (kind in (int, float) or isinstance(kind, tuple)) and _not_a_number(value):
+        raise ConfigError(f"expected a finite number, got {value!r:.40}", field=f"{where}.{key}")
     if kind is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, kind):
         raise ConfigError(f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
                           field=f"{where}.{key}")
     return value
+
+
+def _not_a_number(value) -> bool:
+    """What ``json`` reads as a number but is none here: true, false, NaN, +-Infinity, and
+    literals past the float range (1e400 reads as inf, 1 and 400 zeros as an int)."""
+    return isinstance(value, bool) or (isinstance(value, (int, float))
+                                       and not abs(value) <= sys.float_info.max)
 
 
 def _optional(cfg: dict, key: str, kind, default, where: str = "config"):
@@ -74,7 +83,7 @@ def _nonnegative(value, where: str):
 
 def _is_point(value, dim: int) -> bool:
     return (isinstance(value, list) and len(value) == dim
-            and all(isinstance(x, (int, float)) for x in value))
+            and all(isinstance(x, (int, float)) and not _not_a_number(x) for x in value))
 
 
 def _per_axis(cfg: dict, key: str, default, dim: int, where: str):
@@ -174,6 +183,8 @@ def _build_grid(spec: dict) -> fields.Grid:
 
 
 def _per_cell(spec, grid: fields.Grid, what: str) -> np.ndarray:
+    if _not_a_number(spec) or isinstance(spec, list) and not _is_point(spec, len(spec)):
+        raise ConfigError(f"expected finite numbers, got {spec!r:.60}", field=what)
     if isinstance(spec, (int, float)):
         arr = np.full(grid.n_cells, float(spec))
     elif isinstance(spec, list):
@@ -201,7 +212,7 @@ def _build_kernel(model: dict, grid: fields.Grid, width: int):
     acoustic state width, or the Kelvin stress width for viscoelasticity)."""
     spec = _optional(model, "kernel", dict, None, "config.model")
     if not spec or spec.get("type", "zero") == "zero":
-        return None
+        return PronyKernel()
     if spec["type"] == "prony":
         weights, taus = [], []
         for term in _need(spec, "terms", list, "config.model.kernel"):
@@ -413,7 +424,7 @@ def _cmd_gradient(cfg: RunConfig) -> int:
 def _increasing(study: dict, key: str, default: list, min_len: int) -> list:
     """``config.study[key]``: at least ``min_len`` strictly increasing integers >= 1."""
     values = _optional(study, key, list, default, "config.study")
-    if len(values) < min_len or not all(isinstance(v, int) and v >= 1 for v in values) or any(
+    if len(values) < min_len or not all(type(v) is int and v >= 1 for v in values) or any(
             b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"expected at least {min_len} strictly increasing integers >= 1",
                           field=f"config.study.{key}")
@@ -433,7 +444,7 @@ def _cmd_study(cfg: RunConfig) -> int:
             boundary=_boundary(cfg, model),
         )
     elif kind == "trace_regularity":
-        if not isinstance(system.kernel, ZeroKernel):
+        if system.kernel.n_terms:
             raise ConfigError("trace_regularity studies need a memory-free medium",
                               field="config.model.kernel")
         from_study = cfg.study.get("receivers") or not cfg.sampler

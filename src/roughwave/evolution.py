@@ -7,16 +7,16 @@ t_n -> t_{n+1} it enforces
 
 where the memory value R_{n+1/2} is the convolution of the piecewise-linear
 interpolant of the discrete states, evaluated at the half step.  A system's
-kernel is a Prony sum (a tabulated one is fitted when the system is made),
-so that value is linear in (s_j(t_n), u_n, u_{n+1}) through the exact
-exponential recursion, and the whole step stays one sparse solve with a
-constant matrix, factorized once per system, and its right-hand side one
-sparse product with u_n and the stacked Prony states.  The step matrix
-stores no zeros, and its fill-reducing ordering depends only on the grid
-dimension (see ``StepOperators``).  Because <P ubar, ubar> = 0 to
-round-off, the scheme conserves the quadratic energy exactly when
-B = R = f = 0, which is the sharpest testable analogue of the continuous
-energy identity.
+kernel is a Prony sum (a tabulated one is fitted when the system is made, and
+no memory is the sum with no terms), so that value is linear in
+(s_j(t_n), u_n, u_{n+1}) through the exact exponential recursion, and the
+whole step stays one sparse solve with a constant matrix, factorized once per
+system, and its right-hand side one sparse product with u_n and the stacked
+Prony states.  The step matrix stores no zeros, and its fill-reducing
+ordering depends only on the grid dimension (see ``StepOperators``).
+Because <P ubar, ubar> = 0 to round-off, the scheme conserves the quadratic
+energy exactly when B = R = f = 0, which is the sharpest testable analogue
+of the continuous energy identity.
 
 In 1D the factor holds one LU per connected component of the step (see
 ``operators.StepFactor``), so a solve pays only for the components it
@@ -31,8 +31,8 @@ unknown and solves each component block that is not all zero.  In 2D and 3D
 every solve uses the whole step matrix's factor.
 
 Independent systems on one grid step as one batch, as the convergence
-study steps its solves.  They share the kernel class and the Prony
-relaxation times, and per step make one sparse product with the block
+study steps its solves.  They share the Prony relaxation times (the zero
+kernel has none), and per step make one sparse product with the block
 diagonal of their right-hand-side matrices and one evaluation per distinct
 source.  A batch that reaches one component, of systems that label their
 components alike, makes one factor, of the block diagonal of the systems'
@@ -64,7 +64,7 @@ from .errors import (
     SolverError,
     UnsupportedConfigurationError,
 )
-from .fields import Grid, SourceTerm, ZeroKernel, write_field_array
+from .fields import Grid, SourceTerm, write_field_array
 from .operators import (
     DiscreteSystem,
     StepFactor,
@@ -157,11 +157,10 @@ def _midpoint_steps(
     step_ops = [s.step_operators for s in systems]
     ops = step_ops[0]
     # one Prony recursion serves the batch: its weights are those of dt and the taus
-    if any(type(s.kernel) is not type(first.kernel)
-           or not np.array_equal(o.step_weights, ops.step_weights)
-           for s, o in zip(systems, step_ops)):
+    # (an empty (0, 3) array for no memory, which equals no other)
+    if any(not np.array_equal(o.step_weights, ops.step_weights) for o in step_ops):
         raise UnsupportedConfigurationError(
-            "the systems of a batch differ in kernel class or Prony relaxation times")
+            "the systems of a batch differ in Prony relaxation times (or in having memory)")
     z = u0
     if u0.ndim == 2:
         z = np.zeros((len(systems), 1 + ops.n_terms, *u0.shape))
@@ -264,7 +263,7 @@ def solve_ivp(
     Only defined for memory-free systems: with a convolution term, initial
     data do not determine solutions.
     """
-    if not isinstance(system.kernel, ZeroKernel):
+    if system.kernel.n_terms:
         raise UnsupportedConfigurationError(
             "initial-value solves require a zero memory kernel; with memory, "
             "initial data do not determine the solution"

@@ -3,7 +3,8 @@
 Coefficients are piecewise constant: one symmetric k-by-k matrix per grid
 cell for the principal part ``a``, one (general) k-by-k matrix per cell for
 the lower-order part ``b``, and a causal matrix-valued relaxation kernel
-``q(t)`` per cell.  Cells are flattened in C order; a state vector of width
+``q(t)`` per cell, a Prony sum or tabulated; ``PronyKernel()``, the sum with
+no terms, is q = 0.  Cells are flattened in C order; a state vector of width
 k on a grid with ``n`` cells is a flat float64 array of length ``n * k``
 whose ``(cell, component)`` view is ``u.reshape(n, k)``.
 
@@ -148,18 +149,14 @@ def build_grid(
 
 
 @dataclass(frozen=True)
-class ZeroKernel:
-    """No memory: q(t) = 0."""
-
-
-@dataclass(frozen=True)
 class PronyKernel:
     """q(t) = sum_j c_j exp(-t / tau_j) for t >= 0, with per-cell symmetric
     weight matrices c_j of shape (n_cells, k, k) and relaxation times tau_j > 0.
+    ``PronyKernel()``, the sum with no terms, is q = 0: no memory.
     """
 
-    weights: tuple[np.ndarray, ...]
-    taus: tuple[float, ...]
+    weights: tuple[np.ndarray, ...] = ()
+    taus: tuple[float, ...] = ()
 
     def __post_init__(self):
         if len(self.weights) != len(self.taus):
@@ -198,7 +195,14 @@ class TabulatedKernel:
         _require_symmetric(self.samples, "tabulated kernel sample")
 
 
-MemoryKernel = ZeroKernel | PronyKernel | TabulatedKernel
+MemoryKernel = PronyKernel | TabulatedKernel
+
+
+def require_kernel(kernel, name: str = "kernel") -> None:
+    """Reject anything but a memory kernel; ``PronyKernel()`` is the zero kernel."""
+    if not isinstance(kernel, MemoryKernel):
+        raise InvalidCoefficientError(f"{name} must be a PronyKernel or a TabulatedKernel "
+                                      f"(PronyKernel() for no memory), got {kernel!r}")
 
 
 def kernel_values(kernel: MemoryKernel, times: np.ndarray, n_cells: int, k: int) -> np.ndarray:
@@ -209,8 +213,6 @@ def kernel_values(kernel: MemoryKernel, times: np.ndarray, n_cells: int, k: int)
     """
     times = np.asarray(times, dtype=float)
     out = np.zeros((times.size, n_cells, k, k))
-    if isinstance(kernel, ZeroKernel):
-        return out
     if isinstance(kernel, PronyKernel):
         for w, tau in zip(kernel.weights, kernel.taus):
             decay = np.where(times >= 0, np.exp(-np.maximum(times, 0.0) / tau), 0.0)
@@ -268,8 +270,6 @@ def prony_fit(kernel: TabulatedKernel, dt: float, horizon: float) -> PronyKernel
 
 def kernel_l1_bound(kernel: MemoryKernel) -> float:
     """Upper bound on the L1-in-time norm of the per-cell operator norm of q."""
-    if isinstance(kernel, ZeroKernel):
-        return 0.0
     if isinstance(kernel, PronyKernel):
         total = 0.0
         for w, tau in zip(kernel.weights, kernel.taus):
@@ -305,7 +305,7 @@ class CoefficientField:
     k: int
     a: np.ndarray
     b: np.ndarray | None = None
-    kernel: MemoryKernel = field(default_factory=ZeroKernel)
+    kernel: MemoryKernel = field(default_factory=PronyKernel)
     c_lo: float | None = None
     c_hi: float | None = None
     c_b: float | None = None
@@ -352,6 +352,7 @@ class CoefficientField:
                 raise InvalidCoefficientError(f"b operator norm {bnorm:.6g} exceeds bound {self.c_b}")
         elif self.c_b is None:
             object.__setattr__(self, "c_b", 0.0)
+        require_kernel(self.kernel)
         qb = kernel_l1_bound(self.kernel)
         if self.c_q is None:
             object.__setattr__(self, "c_q", qb)
@@ -410,7 +411,7 @@ def mollify_field(f: CoefficientField, n: int, boundary: str = "periodic") -> Co
             weights=tuple(_mollify_array(w, f.grid, n, boundary) for w in kernel.weights),
             taus=kernel.taus,
         )
-    elif isinstance(kernel, TabulatedKernel):
+    else:
         sm = np.stack([_mollify_array(s, f.grid, n, boundary) for s in kernel.samples])
         kernel = TabulatedKernel(times=kernel.times, samples=sm)
     return CoefficientField(
@@ -635,20 +636,21 @@ def grid_from_metadata(meta: dict) -> Grid:
                 dt=meta["dt"], n_steps=meta["n_steps"], origin=tuple(meta["origin"]))
 
 
-def save_kernel(kernel: MemoryKernel | None, basepath: str, stem: str, grid: Grid,
+def save_kernel(kernel: MemoryKernel, basepath: str, stem: str, grid: Grid,
                 width: int) -> dict:
     """Write a kernel's per-cell files and return its JSON spec: Prony weight
     j in ``{basepath}_{stem}{j}.rwf``, tabulated samples in
-    ``{basepath}_{stem}.rwf`` as per-cell (n_times, width, width) rows.
+    ``{basepath}_{stem}.rwf`` as per-cell (n_times, width, width) rows.  The
+    Prony sum with no terms writes no file and the spec ``{"type": "zero"}``.
     """
-    if isinstance(kernel, PronyKernel):
-        for j, w in enumerate(kernel.weights):
-            write_field_array(f"{basepath}_{stem}{j}.rwf", grid, width, w)
-        return {"type": "prony", "taus": list(kernel.taus)}
     if isinstance(kernel, TabulatedKernel):
         write_field_array(f"{basepath}_{stem}.rwf", grid, width, np.moveaxis(kernel.samples, 0, 1))
         return {"type": "tabulated", "times": kernel.times.tolist()}
-    return {"type": "zero"}
+    if not kernel.n_terms:
+        return {"type": "zero"}
+    for j, w in enumerate(kernel.weights):
+        write_field_array(f"{basepath}_{stem}{j}.rwf", grid, width, w)
+    return {"type": "prony", "taus": list(kernel.taus)}
 
 
 def load_kernel(spec: dict, basepath: str, stem: str, grid: Grid, width: int) -> MemoryKernel:
@@ -664,7 +666,7 @@ def load_kernel(spec: dict, basepath: str, stem: str, grid: Grid, width: int) ->
         return TabulatedKernel(times=times, samples=np.moveaxis(rows, 1, 0))
     if kind != "zero":
         raise InvalidArgumentError(f"{basepath}.json: unknown kernel type {kind!r}")
-    return ZeroKernel()
+    return PronyKernel()
 
 
 def save_coefficient_field(f: CoefficientField, basepath: str) -> None:

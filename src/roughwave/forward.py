@@ -263,8 +263,11 @@ def save_seismogram_csv(seis: SeismogramData, path) -> None:
 
 
 def load_seismogram_csv(path) -> SeismogramData:
-    raw = np.genfromtxt(path, delimiter=",", skip_header=1)
-    raw = np.atleast_2d(raw)
+    with warnings.catch_warnings():  # an empty table is named below
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    if raw.shape[0] < 1 or raw.shape[1] < 2:
+        raise InvalidArgumentError(f"{path}: no rows of a time and at least one channel")
     times = raw[:, 0]
     data = raw[:, 1:].T
     return SeismogramData(times=times, data=data, receivers=np.zeros((data.shape[0], 1)))

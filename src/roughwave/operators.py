@@ -8,19 +8,19 @@ one-sided difference matrices exact negative transposes of each other.
 Either way the assembled operator satisfies <Pu, v> = -<u, Pv> to the
 last bit, which is what the discrete energy argument needs.
 
-A system holds a, b and the memory kernel q as per-cell blocks, whose
-product with states is ``block_apply``, and the stencil as one matrix.  Its
-kernel is a Prony sum, or zero: a tabulated kernel is replaced by its
-``fields.prony_fit`` when the system is made.  Prony kernels convolve by an
-O(1)-per-step recursion that is exact for piecewise-linear input, and
-``memory_series`` is the one grid-time convolution, yielded one time row at
-a time.  ``prony_advance`` is the one recursion step, over all terms' states
-stacked as one (n_terms, n_state) array.  ``StepOperators`` holds the
-midpoint scheme's whole-step and half-step weight triples and the one sparse
-matrix that forms a step's right-hand side from u_n and the stacked Prony
-states.  The convolution, the step's ``replay`` and the linearized forcing
-read the one rerun of the recursion over state rows, ``prony_steps``, which
-streams.
+A system holds a, b and the memory kernel q as per-cell blocks, whose product
+with states is ``block_apply``, and the stencil as one matrix.  Its kernel is
+a Prony sum, ``PronyKernel()`` (no terms) for no memory: a tabulated kernel
+is replaced by its ``fields.prony_fit`` when the system is made.  Prony
+kernels convolve by an O(1)-per-step recursion that is exact for
+piecewise-linear input, and ``memory_series`` is the one grid-time
+convolution, yielded one time row at a time.  ``prony_advance`` is the one
+recursion step, over all terms' states stacked as one (n_terms, n_state)
+array.  ``StepOperators`` holds the midpoint scheme's whole-step and
+half-step weight triples and the one sparse matrix that forms a step's
+right-hand side from u_n and the stacked Prony states.  The convolution, the
+step's ``replay`` and the linearized forcing read the one rerun of the
+recursion over state rows, ``prony_steps``, which streams.
 
 The step matrix falls apart into connected components when nothing couples
 them.  On a periodic grid with an even cell count per axis the centered
@@ -57,7 +57,6 @@ from .fields import (
     MemoryKernel,
     PronyKernel,
     TabulatedKernel,
-    ZeroKernel,
     prony_fit,
 )
 
@@ -290,15 +289,14 @@ def prony_steps(states, weights: np.ndarray | Sequence[tuple[float, float, float
         aux, u_prev = advanced, u_next
 
 
-def memory_series(kernel: ZeroKernel | PronyKernel, states: np.ndarray, dt: float):
+def memory_series(kernel: PronyKernel, states: np.ndarray, dt: float):
     """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N), one row per
     time, as a generator: no series of R is held.  The exact Prony recursion runs
-    once over the states (no terms for a zero kernel)."""
-    terms = [] if isinstance(kernel, ZeroKernel) else list(zip(kernel.weights, kernel.taus))
+    once over the states (no terms for the zero kernel)."""
     yield np.zeros(states.shape[1])
-    for _, aux in prony_steps(states, [exp_interval_weights(dt, tau) for _, tau in terms]):
+    for _, aux in prony_steps(states, [exp_interval_weights(dt, tau) for tau in kernel.taus]):
         row = np.zeros(states.shape[1])
-        for (w, _), s in zip(terms, aux):
+        for w, s in zip(kernel.weights, aux):
             row += block_apply(w, s)
         yield row
 
@@ -315,7 +313,8 @@ class DiscreteSystem:
     a, b and the kernel q are per-cell (n_cells, k, k) blocks, and P is the
     one sparse matrix ``skew`` assembled from the symbol ``p_matrices``.  A
     tabulated kernel is replaced here by its ``fields.prony_fit`` up to the
-    grid's last time, so ``kernel`` is a ``ZeroKernel`` or a ``PronyKernel``.
+    grid's last time, so ``kernel`` is always a ``PronyKernel``; ``PronyKernel()``,
+    the sum with no terms, is no memory.
     """
 
     a_blocks: np.ndarray
@@ -338,7 +337,7 @@ class DiscreteSystem:
                 raise InvalidCoefficientError("tabulated kernel has wrong per-cell shape")
             dt, n_steps = self.grid.dt, self.grid.n_steps
             object.__setattr__(self, "kernel", prony_fit(self.kernel, dt, dt * n_steps))
-        for j, w in enumerate(self.kernel.weights if isinstance(self.kernel, PronyKernel) else ()):
+        for j, w in enumerate(self.kernel.weights):
             if w.shape != cells:
                 raise InvalidCoefficientError(f"Prony weight {j} has wrong shape {w.shape}")
 
@@ -473,17 +472,16 @@ class StepOperators:
         self.weight_matrices: list[sp.csr_matrix] = []
         step_weights, half_weights = [], []
         kern = system.kernel
-        if isinstance(kern, PronyKernel):
-            for w, tau in zip(kern.weights, kern.taus):
-                e_h, i0, i1 = exp_interval_weights(self.dt / 2.0, tau)
-                w_new_h = 0.5 * i1
-                w_old_h = (i0 + i1) - w_new_h
-                weight_matrix = block_diagonal(w)
-                c = c + w_new_h * weight_matrix
-                d = d - w_old_h * weight_matrix
-                self.weight_matrices.append(weight_matrix)
-                step_weights.append(exp_interval_weights(self.dt, tau))
-                half_weights.append((e_h, w_old_h, w_new_h))
+        for w, tau in zip(kern.weights, kern.taus):
+            e_h, i0, i1 = exp_interval_weights(self.dt / 2.0, tau)
+            w_new_h = 0.5 * i1
+            w_old_h = (i0 + i1) - w_new_h
+            weight_matrix = block_diagonal(w)
+            c = c + w_new_h * weight_matrix
+            d = d - w_old_h * weight_matrix
+            self.weight_matrices.append(weight_matrix)
+            step_weights.append(exp_interval_weights(self.dt, tau))
+            half_weights.append((e_h, w_old_h, w_new_h))
 
         # one (E, w_old, w_new) row per Prony term
         self.step_weights = np.reshape(step_weights, (-1, 3))

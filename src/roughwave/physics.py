@@ -16,7 +16,7 @@ both acting on the stress block only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,11 +27,11 @@ from .fields import (
     MemoryKernel,
     PronyKernel,
     TabulatedKernel,
-    ZeroKernel,
     grid_from_metadata,
     grid_metadata,
     load_kernel,
     read_cells,
+    require_kernel,
     save_kernel,
     write_field_array,
 )
@@ -169,18 +169,15 @@ class AcousticModel:
             blocks[:, j, j] = self.rho
         return blocks
 
-    def coefficient_field(self, kernel: MemoryKernel | None = None,
+    def coefficient_field(self, kernel: MemoryKernel = PronyKernel(),
                           b: np.ndarray | None = None) -> CoefficientField:
-        return CoefficientField(
-            grid=self.grid, k=self.k, a=self.mass_blocks(), b=b,
-            kernel=kernel if kernel is not None else ZeroKernel(),
-        )
+        return CoefficientField(grid=self.grid, k=self.k, a=self.mass_blocks(), b=b, kernel=kernel)
 
 
 def acoustics_system(
     model: AcousticModel,
     boundary: str = "periodic",
-    kernel: MemoryKernel | None = None,
+    kernel: MemoryKernel = PronyKernel(),
 ) -> DiscreteSystem:
     """Assemble the acoustic system (B = 0; R = 0 unless a kernel is given)."""
     return assemble_system(
@@ -217,13 +214,13 @@ class ViscoelasticModel:
     matrix per cell in Kelvin components, shape (n_cells, m, m); the
     4-index symmetries are exactly the symmetry of that matrix.
     ``gamma_kernel`` is the memory part gamma(t) on the same blocks
-    (Prony or tabulated), or None for pure elasticity.
+    (Prony or tabulated); ``PronyKernel()``, the default, is pure elasticity.
     """
 
     grid: Grid
     rho: np.ndarray
     gamma_elastic: np.ndarray
-    gamma_kernel: PronyKernel | TabulatedKernel | None = None
+    gamma_kernel: MemoryKernel = field(default_factory=PronyKernel)
     g_lo: float | None = None
     g_hi: float | None = None
 
@@ -249,6 +246,7 @@ class ViscoelasticModel:
                 f"in cell {int(eigs.min(axis=1).argmin())}"
             )
         kern = self.gamma_kernel
+        require_kernel(kern, "gamma_kernel")
         if isinstance(kern, TabulatedKernel) and len(kern.times) < 3:  # ve_kernel_split reads 3
             raise InvalidCoefficientError(
                 f"a tabulated gamma_kernel needs at least 3 samples, got {len(kern.times)}")
@@ -280,10 +278,8 @@ def ve_kernel_split(model: ViscoelasticModel) -> tuple[np.ndarray, MemoryKernel]
     """
     n, m = model.grid.n_cells, model.m
     kern = model.gamma_kernel
-    if kern is None:
-        return np.zeros((n, m, m)), ZeroKernel()
     if isinstance(kern, PronyKernel):
-        b = np.sum(kern.weights, axis=0)
+        b = np.sum(np.reshape(kern.weights, (-1, n, m, m)), axis=0)
         q = PronyKernel(
             weights=tuple(-w / tau for w, tau in zip(kern.weights, kern.taus)),
             taus=kern.taus,
@@ -309,12 +305,10 @@ def kernel_split_reconstruction_error(model: ViscoelasticModel) -> float:
     where the O(dt^2) behavior shows up.
     """
     kern = model.gamma_kernel
-    if kern is None:
-        return 0.0
     b, q = ve_kernel_split(model)
     if isinstance(kern, PronyKernel):
         err = 0.0
-        for t in np.linspace(0.0, 3.0 * max(kern.taus), 40):
+        for t in np.linspace(0.0, 3.0 * max(kern.taus, default=0.0), 40):
             gamma_t = sum(w * np.exp(-t / tau) for w, tau in zip(kern.weights, kern.taus))
             integral = sum(w * (np.exp(-t / tau) - 1.0) for w, tau in zip(kern.weights, kern.taus))
             err = max(err, float(np.abs(b + integral - gamma_t).max()))
@@ -347,18 +341,14 @@ def viscoelastic_system(model: ViscoelasticModel, boundary: str = "periodic") ->
     if np.abs(b_small).max() > 0:
         b = np.zeros((n, k, k))
         b[:, :m, :m] = b_small
-    kernel: MemoryKernel = ZeroKernel()
-    if isinstance(q_small, PronyKernel):
-        weights = []
-        for w in q_small.weights:
-            emb = np.zeros((n, k, k))
-            emb[:, :m, :m] = w
-            weights.append(emb)
-        kernel = PronyKernel(weights=tuple(weights), taus=q_small.taus)
-    elif isinstance(q_small, TabulatedKernel):
+    if isinstance(q_small, TabulatedKernel):
         samples = np.zeros((q_small.times.size, n, k, k))
         samples[:, :, :m, :m] = q_small.samples
-        kernel = TabulatedKernel(times=q_small.times, samples=samples)
+        kernel: MemoryKernel = TabulatedKernel(times=q_small.times, samples=samples)
+    else:
+        weights = np.zeros((q_small.n_terms, n, k, k))
+        weights[:, :, :m, :m] = np.reshape(q_small.weights, (-1, n, m, m))
+        kernel = PronyKernel(weights=tuple(weights), taus=q_small.taus)
     f = CoefficientField(grid=model.grid, k=k, a=a, b=b, kernel=kernel)
     return assemble_system(f, elastic_p_matrices(dim), boundary=boundary)
 
@@ -462,7 +452,7 @@ def load_model(basepath: str):
         kernel = load_kernel(manifest.get("kernel", {}), basepath, "gamma", grid, m)
         return ViscoelasticModel(
             grid=grid, rho=rho, gamma_elastic=read_cells(f"{basepath}_gamma_e.rwf", grid, m, (m, m)),
-            gamma_kernel=None if isinstance(kernel, ZeroKernel) else kernel,
+            gamma_kernel=kernel,
             g_lo=bounds.get("g_lo"), g_hi=bounds.get("g_hi"),
         )
     raise InvalidArgumentError(f"unknown model type {manifest['type']!r}")

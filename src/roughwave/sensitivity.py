@@ -46,7 +46,6 @@ from .errors import (
     GridMismatchError,
     InvalidArgumentError,
     SolverError,
-    UnsupportedConfigurationError,
 )
 from .evolution import Trajectory, _midpoint_steps
 from .fields import PronyKernel, SourceTerm, write_field_array
@@ -83,10 +82,6 @@ class CoefficientPerturbation:
             ):
                 raise InvalidArgumentError("delta_a must be symmetric per cell")
         if self.delta_weights is not None:
-            if not isinstance(system.kernel, PronyKernel):
-                raise UnsupportedConfigurationError(
-                    "kernel perturbations are defined for Prony kernels only"
-                )
             if len(self.delta_weights) != system.kernel.n_terms:
                 raise InvalidArgumentError("one delta weight per Prony term required")
             for j, w in enumerate(self.delta_weights):
@@ -139,7 +134,7 @@ def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: f
     if pert.delta_b is not None:
         b = (b if b is not None else 0.0) + h * pert.delta_b
     kernel = system.kernel
-    if pert.delta_weights is not None:  # validate() checked that the kernel is Prony
+    if pert.delta_weights is not None:  # validate() checked one per term
         kernel = PronyKernel(tuple(w + h * dw for w, dw in zip(kernel.weights, pert.delta_weights)),
                              kernel.taus)
     return replace(system, a_blocks=a, b_blocks=b, kernel=kernel)
@@ -475,14 +470,11 @@ def random_perturbation(
     da = rng.standard_normal((n, k, k)) * scale
     da = 0.5 * (da + np.swapaxes(da, 1, 2))
     db = rng.standard_normal((n, k, k)) * scale
-    dw = None
-    if isinstance(system.kernel, PronyKernel):
-        dws = []
-        for _ in system.kernel.taus:
-            w = rng.standard_normal((n, k, k)) * scale
-            dws.append(0.5 * (w + np.swapaxes(w, 1, 2)))
-        dw = tuple(dws)
-    return CoefficientPerturbation(delta_a=da, delta_b=db, delta_weights=dw)
+    dws = []
+    for _ in system.kernel.taus:
+        w = rng.standard_normal((n, k, k)) * scale
+        dws.append(0.5 * (w + np.swapaxes(w, 1, 2)))
+    return CoefficientPerturbation(delta_a=da, delta_b=db, delta_weights=tuple(dws))
 
 
 # ---------------------------------------------------------------------------

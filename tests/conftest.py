@@ -1,7 +1,6 @@
 import sys
 import tracemalloc
 from dataclasses import replace
-from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,6 @@ import roughwave as rw
 import roughwave.operators
 from oracles import dot_product_test
 from roughwave.evolution import step_residuals
-from roughwave.fields import PronyKernel
 from roughwave.operators import StepFactor, block_apply, unit_directions
 from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, strain_projector
 from roughwave.forward import gathered_adjoint_source
@@ -76,9 +74,8 @@ def zero_keeping_step_matrix(system):
     if system.b_blocks is not None:
         k_mat = k_mat + _dense_block_diagonal(system.b_blocks)
     c = (_dense_block_diagonal(system.a_blocks) / ops.dt + 0.5 * k_mat).tocsc()
-    if isinstance(system.kernel, PronyKernel):
-        for w, (_, _, w_new_half) in zip(system.kernel.weights, ops.half_weights):
-            c = (c + w_new_half * _dense_block_diagonal(w)).tocsc()
+    for w, (_, _, w_new_half) in zip(system.kernel.weights, ops.half_weights):
+        c = (c + w_new_half * _dense_block_diagonal(w)).tocsc()
     return c
 
 
@@ -202,8 +199,7 @@ def per_step_series(system, traj):
     """Per step: (u_{n+1} - u_n)/dt, the midpoint average and the Prony half-step
     states, each computed on its own from ``StepOperators.replay``."""
     states, dt = traj.states, system.grid.dt
-    s_halves = (system.step_operators.replay(states)
-                if isinstance(system.kernel, PronyKernel) else repeat([]))
+    s_halves = system.step_operators.replay(states)
     for u_prev, u_next, s_half in zip(states[:-1], states[1:], s_halves):
         yield (u_next - u_prev) / dt, 0.5 * (u_prev + u_next), s_half
 
@@ -213,7 +209,7 @@ def per_step_gradient(system, base, adjoint):
     the step's half-step values per step: the unregrouped sums that ``adjoint_gradient``
     regroups onto the base states."""
     n_cells, k = system.grid.n_cells, system.k
-    n_terms = system.kernel.n_terms if isinstance(system.kernel, PronyKernel) else 0
+    n_terms = system.kernel.n_terms
     sums = np.zeros((2 + n_terms, n_cells, k, k))
     for lam, (v, ubar, s_half) in zip(adjoint.states, per_step_series(system, base)):
         series = np.reshape([v, ubar, *s_half], (-1, n_cells, k))

@@ -29,7 +29,6 @@ from roughwave.experiments import fit_slope
 from roughwave.fields import (
     PronyKernel,
     TabulatedKernel,
-    ZeroKernel,
     _hat_weights,
     kernel_values,
     measure_distance,
@@ -202,8 +201,6 @@ def stacked_memory_series(kernel, states: np.ndarray, dt: float) -> np.ndarray:
     one array: the Prony recursion once over the series, or a tabulated kernel
     evaluated once on the grid times with the trapezoid rule at each time."""
     out = np.zeros_like(states)
-    if isinstance(kernel, ZeroKernel):
-        return out
     if isinstance(kernel, PronyKernel):
         weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
         for row, (_, aux) in zip(out[1:], prony_steps(states, weights)):
@@ -226,7 +223,7 @@ def trapezoid_solve(system, kernel: TabulatedKernel, source, forcing=None) -> np
     m = 0 and dt otherwise, and u_n adds the last whole interval's dt/2 q(dt/2)."""
     grid, k = system.grid, system.k
     dt, n_steps, n_cells = grid.dt, grid.n_steps, grid.n_cells
-    ops = replace(system, kernel=ZeroKernel()).step_operators
+    ops = replace(system, kernel=PronyKernel()).step_operators
     offsets = np.concatenate(([0.0, 0.5], np.arange(1, n_steps + 1) + 0.5))
     q = kernel_values(kernel, dt * offsets, n_cells, k)
     q_new = (dt / 8.0) * q[0]  # acts on u_{n+1}
@@ -273,8 +270,7 @@ def stored_derivative_linearity(system, traj: Trajectory, rng) -> tuple[float, f
     pert = random_perturbation(system, rng)
     pert2 = CoefficientPerturbation(
         delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
-        delta_weights=None if pert.delta_weights is None
-        else tuple(2 * w for w in pert.delta_weights))
+        delta_weights=tuple(2 * w for w in pert.delta_weights))
     du, du2 = (stored_derivative(system, traj, p).states for p in (pert, pert2))
     return float(np.abs(du2 - 2 * du).max()), float(np.abs(du2).max())
 

@@ -475,6 +475,54 @@ class TestInputErrors:
             "output": str(tmp_path / "out"),
         }, "config.observed")
 
+    def test_header_only_observed_csv(self, tmp_path, capsys):
+        path = tmp_path / "observed.csv"
+        path.write_text("t,ch0\n")
+        self.expect_config_error(tmp_path, capsys, {
+            "command": "gradient",
+            "model": base_model(cells=20, t_end=0.05),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "sampler": {"tag": "pressure", "receivers": [[0.7]]},
+            "observed": str(path),
+            "output": str(tmp_path / "out"),
+        }, f"config.observed: cannot read {str(path)!r}: {path}: no rows")
+
+    # JSON text that Python's json reads as a number (true as 1; NaN, Infinity and
+    # 1e400 as floats) or as a list that is not flat numbers
+    @pytest.mark.parametrize("where, text", [
+        ("config.source.center", "[true]"),
+        ("config.seed", "true"),
+        ("config.model.kappa", '["a", 1.0]'),
+        ("config.model.kappa", json.dumps([[1.0, 1.0]] * 10)),
+        ("config.source.center", "[NaN]"),
+        ("config.source.amplitude", "NaN"),
+        ("config.source.frequency", "Infinity"),
+        ("config.model.kappa", "1e400"),
+        ("config.model.kappa", "1" + "0" * 400),
+        ("config.source.onset", "1" + "0" * 400),
+    ], ids=["center-true", "seed-true", "kappa-string", "kappa-nested", "center-nan",
+            "amplitude-nan", "frequency-infinity", "kappa-1e400", "kappa-int-past-float",
+            "onset-int-past-float"])
+    def test_config_numbers_are_finite_numbers(self, tmp_path, capsys, where, text):
+        payload = {"command": "simulate", "model": base_model(cells=20, t_end=0.05),
+                   "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+                   "output": str(tmp_path / "out")}
+        *section, key = where.split(".")[1:]
+        (payload[section[0]] if section else payload)[key] = "VALUE"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload).replace('"VALUE"', text))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"config error: {where}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_study_schedule_of_booleans(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, {
+            "command": "study", "model": base_model(cells=20, t_end=0.05),
+            "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+            "study": {"kind": "measure_convergence", "schedule": [True, 2, 3]},
+            "output": str(tmp_path / "out"),
+        }, "config.study.schedule")
+
     @pytest.mark.parametrize("command", ["simulate", "forward", "gradient"])
     def test_source_and_sources_together_named(self, tmp_path, capsys, command):
         spec = {"type": "ricker", "center": [0.5], "frequency": 8.0}

@@ -153,7 +153,7 @@ class TestTabulatedMidpoint:
             if step == dt:
                 fitted = rw.solve_causal(system, src)
                 residual = step_residuals(fitted, system, src).max()
-            states.append(trapezoid_solve(replace(system, kernel=rw.ZeroKernel()), kernel, src))
+            states.append(trapezoid_solve(replace(system, kernel=rw.PronyKernel()), kernel, src))
         scale = np.abs(states[0]).max()
         halving = np.abs(states[1][::2] - states[0]).max() / scale
         assert halving > 0
@@ -358,7 +358,7 @@ class TestEnergyIdentity:
         g = rw.build_grid(1, [400], 1.0, 1e-3, 0.4)
         kern = PronyKernel(weights=(np.tile(0.4 * np.eye(2), (400, 1, 1)),), taus=(0.3,))
         system = rw.acoustics_system(rw.AcousticModel(grid=g, kappa=1.2, rho=0.9),
-                                     kernel=kern if prony else None)
+                                     kernel=kern if prony else PronyKernel())
         src = rw.make_ricker_source(g, 2, [0.45], peak_frequency=4.0)
         traj = rw.solve_causal(system, src)
         assert traj.energies.size == 401

@@ -41,6 +41,8 @@ def study_case(dim, kernel):
                                            for _ in range(2)), taus=(0.05, 0.5))
     elif kernel == "tabulated":
         kernel = two_relaxations(dt * np.arange(30), rng.uniform(0, 1, g.n_cells), dim + 1)
+    else:
+        kernel = PronyKernel()
     field = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.55).coefficient_field(kernel=kernel)
     src = rw.make_ricker_source(g, dim + 1, [0.3] * dim, peak_frequency=1 / (8 * dt))
     sampler = rw.build_sampler(rng.uniform(0.05, 0.95, (2, dim)).tolist(), "pressure", g, dim + 1)

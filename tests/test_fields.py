@@ -19,6 +19,7 @@ from roughwave.fields import (
     TabulatedKernel,
     kernel_values,
     load_coefficient_field,
+    load_kernel,
     prony_fit,
     read_field_array,
     ricker_wavelet,
@@ -166,7 +167,7 @@ class TestMollify:
                                      np.tile(0.2 * eye, (g.n_cells, 1, 1))), taus=(0.1, 0.3))
         tabulated = TabulatedKernel(times=np.array([0.0, 0.5, 1.0]),
                                     samples=rng.random((3, g.n_cells, 1, 1)) * eye)
-        q = {"zero": None, "prony": prony, "tabulated": tabulated}[kernel]
+        q = {"zero": PronyKernel(), "prony": prony, "tabulated": tabulated}[kernel]
         f = model.coefficient_field(kernel=q, b=b)
         for n in (1, 2, 3, 8):
             out = rw.mollify_field(f, n, boundary)
@@ -361,6 +362,19 @@ class TestFieldValidation:
             TabulatedKernel(times=np.array([0.1, 0.2]), samples=np.zeros((2, 4, 1, 1)))
         with pytest.raises(InvalidArgumentError):
             PronyKernel(weights=(np.zeros((4, 1, 1)),), taus=(-1.0,))
+
+    def test_no_memory_is_the_prony_sum_with_no_terms(self, tmp_path):
+        g = rw.build_grid(1, [8], 1.0, 1e-3, 0.1)
+        assert CoefficientField(grid=g, k=2, a=np.tile(np.eye(2), (8, 1, 1))).kernel == PronyKernel()
+        # a zero spec names no file
+        assert load_kernel({"type": "zero"}, str(tmp_path / "absent"), "q", g, 2) == PronyKernel()
+        assert PronyKernel().n_terms == 0
+
+    @pytest.mark.parametrize("kernel", [None, 0.0, "zero"])
+    def test_only_a_kernel_is_a_kernel(self, kernel):
+        g = rw.build_grid(1, [8], 1.0, 1e-3, 0.1)
+        with pytest.raises(InvalidCoefficientError, match="^kernel must be a PronyKernel"):
+            CoefficientField(grid=g, k=2, a=np.tile(np.eye(2), (8, 1, 1)), kernel=kernel)
 
 
 class TestFieldIO:

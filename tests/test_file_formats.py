@@ -74,7 +74,7 @@ def write_fixture_files(root) -> list[str]:
     times = 0.125 * np.arange(4)
     samples = (0.5 - times)[:, None, None, None] * np.tile(np.eye(m), (n2, 1, 1))[None]
     kernels = {
-        "ve_zero": None,
+        "ve_zero": rw.PronyKernel(),
         "ve_prony": rw.PronyKernel(weights=weights, taus=(0.5, 0.25)),
         "ve_tabulated": rw.TabulatedKernel(times=times, samples=samples),
     }
@@ -132,10 +132,10 @@ class TestViscoelasticModelFiles:
         assert back.grid == model.grid
 
     def test_no_kernel_roundtrip(self, tmp_path):
-        model = self.make_model(None)
+        model = self.make_model(rw.PronyKernel())
         save_model(model, str(tmp_path / "ve"))
         back = load_model(str(tmp_path / "ve"))
-        assert back.gamma_kernel is None
+        assert back.gamma_kernel == rw.PronyKernel()
         assert (back.g_lo, back.g_hi) == (model.g_lo, model.g_hi)
         np.testing.assert_array_equal(back.gamma_elastic, model.gamma_elastic)
         assert sorted(os.listdir(tmp_path)) == ["ve.json", "ve_gamma_e.rwf", "ve_rho.rwf"]

@@ -155,7 +155,7 @@ class TestSkew:
 
 class TestMemory:
     def test_zero_kernel(self):
-        op = rw.ZeroKernel()
+        op = rw.PronyKernel()
         hist = np.ones((21, 8))
         rows = list(memory_series(op, hist, 1e-2))
         assert len(rows) == 21 and all(np.abs(row).max() == 0.0 for row in rows)
@@ -213,7 +213,7 @@ class TestMemory:
         n, k, dt = 6, 2, 0.01
         q = rng.standard_normal((17, n, k, k))
         q = q + q.swapaxes(2, 3)
-        kernel = {"zero": rw.ZeroKernel,
+        kernel = {"zero": rw.PronyKernel,
                   "prony": lambda: PronyKernel(weights=(q[0], q[1]), taus=(0.05, 0.4)),
                   "tabulated": lambda: prony_fit(damped_oscillation(
                       0.7 * dt * np.arange(50), rng.uniform(0, 1, n), k), dt, 29 * dt)}[kind]()

@@ -10,7 +10,7 @@ from conftest import (
 )
 from oracles import dot_product_test
 from roughwave.errors import InvalidCoefficientError, UnsupportedConfigurationError
-from roughwave.fields import PronyKernel, TabulatedKernel, ZeroKernel, prony_fit
+from roughwave.fields import PronyKernel, TabulatedKernel, prony_fit
 from roughwave.forward import build_sampler, sample_trajectory
 from roughwave.physics import (
     ViscoelasticModel,
@@ -37,7 +37,7 @@ class TestAcoustics:
         u = np.random.default_rng(0).standard_normal(system.n_state)
         np.testing.assert_array_equal(block_apply(system.a_blocks, u), u)
         assert system.b_blocks is None
-        assert isinstance(system.kernel, ZeroKernel)
+        assert system.kernel == PronyKernel()
 
     @pytest.mark.parametrize("dim,cells,k", [(1, [4], 2), (2, [3, 3], 3), (3, [2, 2, 2], 4)])
     def test_state_width(self, dim, cells, k):
@@ -77,6 +77,29 @@ class TestAcoustics:
         z1, z2 = 1.0, 2.0
         expected = (z2 - z1) / (z2 + z1)
         assert abs(reflected / incident - expected) / expected < 0.02
+
+
+class TestNoMemory:
+    """No memory is ``PronyKernel()``, the sum with no terms, and nothing else."""
+
+    def models(self):
+        g = rw.build_grid(2, [4, 4], 1.0, 1e-3, 0.01)
+        ge = np.tile(isotropic_inverse_hooke(2.0, 1.0, 2), (g.n_cells, 1, 1))
+        return (rw.AcousticModel(grid=g, kappa=2.0, rho=1.0),
+                lambda **kw: ViscoelasticModel(grid=g, rho=1.25, gamma_elastic=ge, **kw))
+
+    def test_defaults_are_the_empty_prony_sum(self):
+        acoustic, viscoelastic = self.models()
+        assert rw.acoustics_system(acoustic).kernel == PronyKernel()
+        assert acoustic.coefficient_field().kernel == PronyKernel()
+        assert viscoelastic().gamma_kernel == PronyKernel()
+
+    def test_none_is_not_a_kernel(self):
+        acoustic, viscoelastic = self.models()
+        with pytest.raises(InvalidCoefficientError, match="^kernel must be a PronyKernel"):
+            rw.acoustics_system(acoustic, kernel=None)
+        with pytest.raises(InvalidCoefficientError, match="^gamma_kernel must be a PronyKernel"):
+            viscoelastic(gamma_kernel=None)
 
 
 class TestWavespeedAcoustic:
@@ -177,7 +200,7 @@ class TestKelvinElasticity:
 
 
 class TestViscoelastic:
-    def make_model(self, kernel=None, dim=2, cells=None):
+    def make_model(self, kernel=PronyKernel(), dim=2, cells=None):
         cells = cells or [4] * dim
         g = rw.build_grid(dim, cells, 1.0, 1e-3, 0.01)
         ge = np.tile(isotropic_inverse_hooke(2.0, 1.0, dim), (g.n_cells, 1, 1))
@@ -186,7 +209,7 @@ class TestViscoelastic:
     def test_pure_elastic_has_no_lower_order_terms(self):
         system = rw.viscoelastic_system(self.make_model())
         assert system.b_blocks is None
-        assert isinstance(system.kernel, ZeroKernel)
+        assert system.kernel == PronyKernel()
 
     def test_prony_split_closed_form(self):
         # gamma(t) = c exp(-t/tau) I: b = c I and q(t) = -(c/tau) exp(-t/tau) I

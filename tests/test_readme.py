@@ -31,11 +31,15 @@ def defined_names(body) -> set[str]:
     return names
 
 
-def test_backticked_names_are_defined():
-    # Outside code fences: `module.name` must be defined in that module, and a
-    # call `name(...)` somewhere in the package (or in the class it is called
-    # on).  One-letter math such as `q(t)` and calls on other prefixes such as
-    # `u.reshape(...)` are not package names.
+def stale_names(readme: pathlib.Path) -> list[str]:
+    """Names that a README's backticked prose uses and src/roughwave does not define.
+
+    Outside code fences: `module.name` must be defined in that module, a call
+    `name(...)` somewhere in the package (or in the class it is called on), and a
+    bare CamelCase name such as `PronyKernel` somewhere in the package.  One-letter
+    math such as `q(t)` and calls on other prefixes such as `u.reshape(...)` are
+    not package names.
+    """
     top, members = {}, {}
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -43,7 +47,7 @@ def test_backticked_names_are_defined():
         members.update((node.name, defined_names(node.body)) for node in ast.walk(tree)
                        if isinstance(node, ast.ClassDef))
     everything = set().union(*top.values(), *members.values())
-    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    prose = re.sub(r"```.*?```", "", readme.read_text(), flags=re.S)
     stale = []
     for span in re.findall(r"`([^`]+)`", prose):
         for module, name in re.findall(rf"(?<![\w.])({'|'.join(MODULES)})\.(\w+)", span):
@@ -55,4 +59,19 @@ def test_backticked_names_are_defined():
                        else not owner and len(name) > 1 and name not in everything)
             if unknown:
                 stale.append(f"{chain}{name}(...)")
+        if re.fullmatch(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]+)+", span) and span not in everything:
+            stale.append(span)
+    return stale
+
+
+def test_backticked_names_are_defined():
+    stale = stale_names(README)
     assert not stale, f"README names what src/roughwave does not define: {stale}"
+
+
+def test_a_deleted_class_named_bare_is_stale(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text("No memory is `PronyKernel()`, a `PronyKernel` with no terms, not a\n"
+                      "`ZeroKernel`; `DiscreteSystem` holds it.  `NaN`, `CamelCase prose` and\n"
+                      "```\nZeroKernel\n```\n fenced code are not names.\n")
+    assert stale_names(readme) == ["ZeroKernel"]

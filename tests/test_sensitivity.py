@@ -48,7 +48,7 @@ def acoustic_setup(cells=120, t_end=0.3, with_memory=True, seed=0, amplitude=20.
     g = rw.build_grid(1, [cells], 1.0, 1e-3, t_end)
     model = rw.AcousticModel(grid=g, kappa=1.0 + 0.3 * rng.random(g.n_cells),
                              rho=1.0 + 0.2 * rng.random(g.n_cells))
-    kernel = None
+    kernel = PronyKernel()
     if with_memory:
         kernel = PronyKernel(weights=(np.tile(0.2 * np.eye(2), (g.n_cells, 1, 1)),), taus=(0.4,))
     system = rw.acoustics_system(model, kernel=kernel)
@@ -328,7 +328,7 @@ def random_case(dim, boundary, prony, n_steps, seed=0):
     assert g.n_steps == n_steps
     model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
                              rho=rng.uniform(0.5, 2.0, g.n_cells))
-    kernel = None
+    kernel = PronyKernel()
     if prony:
         eye = np.eye(dim + 1)
         kernel = PronyKernel(weights=tuple(rng.uniform(0.0, 1.0, g.n_cells)[:, None, None] * eye

@@ -23,7 +23,7 @@ from conftest import (
 )
 from oracles import dot_product_test, stored_derivative
 from roughwave.evolution import _midpoint_solve
-from roughwave.fields import PronyKernel, ZeroKernel
+from roughwave.fields import PronyKernel
 from roughwave.forward import build_sampler
 from roughwave.operators import StepFactor, assemble_system, block_diagonal
 from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, kelvin_dim
@@ -65,7 +65,7 @@ class TestOracleEquivalence:
     def test_rough_acoustic(self, dim, boundary, prony):
         rng = np.random.default_rng(100 * dim + 10 * prony + (boundary == "periodic"))
         model = rough_acoustic(dim, rng)
-        kernel = two_term_prony(rng, model.grid.n_cells, model.k) if prony else None
+        kernel = two_term_prony(rng, model.grid.n_cells, model.k) if prony else PronyKernel()
         system = rw.acoustics_system(model, boundary=boundary, kernel=kernel)
         if not prony:
             # the oracle's C keeps the dense blocks' zeros (adding a Prony term dropped them)
@@ -220,7 +220,7 @@ def two_pair_case(prony, n_reached):
     symbol = np.zeros((4, 4))
     symbol[:2, :2] = symbol[2:, 2:] = pair
     a = rng.uniform(0.5, 2.0, (g.n_cells, 4))[:, :, None] * np.eye(4)
-    kernel = two_term_prony(rng, g.n_cells, 4) if prony else ZeroKernel()
+    kernel = two_term_prony(rng, g.n_cells, 4) if prony else PronyKernel()
     system = assemble_system(rw.CoefficientField(grid=g, k=4, a=a, kernel=kernel), [symbol])
     src = rw.make_ricker_source(g, 4, [0.3], peak_frequency=1.0 / (4.0 * dt), delay=6.0 * dt)
     if n_reached == 2:

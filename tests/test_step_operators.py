@@ -33,7 +33,7 @@ from roughwave.errors import (
     UnsupportedConfigurationError,
 )
 from roughwave.evolution import _midpoint_solve, _midpoint_steps, step_residuals
-from roughwave.fields import PronyKernel, ZeroKernel, kernel_values
+from roughwave.fields import PronyKernel, kernel_values
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
 from roughwave.operators import StepFactor, memory_series
 from roughwave.physics import ViscoelasticModel
@@ -76,6 +76,8 @@ def stacked_step_case(dim, boundary, kernel):
                                            for _ in range(2)), taus=(0.05, 0.5))
     elif kernel == "tabulated":
         kernel = two_relaxations(dt * np.arange(30), rng.uniform(0, 1, g.n_cells), dim + 1)
+    else:
+        kernel = PronyKernel()
     system = rw.acoustics_system(model, boundary=boundary, kernel=kernel)
     src = rw.make_ricker_source(g, dim + 1, [0.4] * dim, peak_frequency=1 / (4 * dt), delay=6 * dt)
     sampler = build_sampler(rng.uniform(0.05, 0.95, (2, dim)).tolist(), "pressure", g, dim + 1)
@@ -353,7 +355,7 @@ class TestMidpointSteps:
         kernel = {"prony": PronyKernel(weights=(0.3 * np.tile(eye, (g.n_cells, 1, 1)),),
                                        taus=(0.1,)),
                   "tabulated": two_relaxations(0.05 * np.arange(12), np.full(g.n_cells, 0.3),
-                                               2)}.get(kind)
+                                               2)}.get(kind, PronyKernel())
         system = rw.acoustics_system(rw.AcousticModel(grid=g, kappa=1.0, rho=1.0), kernel=kernel)
         src = rw.make_ricker_source(g, 2, [0.4], peak_frequency=6.0)
         system.step_operators  # built outside the traced steps
@@ -390,7 +392,7 @@ def batch_case(case, kernel, n_systems=3):
     for _ in range(n_systems):
         model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
                                  rho=rng.uniform(0.5, 2.0, g.n_cells))
-        memory = None
+        memory = PronyKernel()
         if kernel == "prony":
             memory = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
                                                for _ in range(2)), taus=(0.05, 0.5))
@@ -499,7 +501,7 @@ class TestBatchedSteps:
             next(_midpoint_steps([systems[0], on_other_grid], [src], u0, None))
         kernel = systems[1].kernel
         slower = dataclasses.replace(systems[1], kernel=PronyKernel(kernel.weights, (0.05, 0.6)))
-        no_memory = dataclasses.replace(systems[1], kernel=ZeroKernel())
+        no_memory = dataclasses.replace(systems[1], kernel=PronyKernel())
         for other in (slower, no_memory):
             with pytest.raises(UnsupportedConfigurationError, match="Prony relaxation times"):
                 next(_midpoint_steps([systems[0], other], [src], u0, None))
@@ -552,7 +554,7 @@ def parity_batch(cells, kernel, medium, n_systems=3):
         else:
             model = rw.AcousticModel(grid=g, kappa=rng.uniform(0.5, 4.0, g.n_cells),
                                      rho=rng.uniform(0.5, 2.0, g.n_cells))
-        memory = None
+        memory = PronyKernel()
         if kernel == "prony":
             memory = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None]
                                                * np.eye(2) for _ in taus), taus=taus)
