@@ -7,12 +7,11 @@ t_n -> t_{n+1} it enforces
 
 where the memory value R_{n+1/2} is the convolution of the piecewise-linear
 interpolant of the discrete states, evaluated at the half step.  A system's
-kernel is a Prony sum (a tabulated one is fitted when the system is made, and
-no memory is the sum with no terms), so that value is linear in
-(s_j(t_n), u_n, u_{n+1}) through the exact exponential recursion, and the
-whole step stays one sparse solve with a constant matrix, factorized once per
-system, and its right-hand side one sparse product with u_n and the stacked
-Prony states.  The step matrix stores no zeros, and its fill-reducing
+kernel is a Prony sum (no memory is the sum with no terms), so that value is
+linear in (s_j(t_n), u_n, u_{n+1}) through the exact exponential recursion,
+and the whole step stays one sparse solve with a constant matrix, factorized
+once per system, and its right-hand side one sparse product with u_n and the
+stacked Prony states.  The step matrix stores no zeros, and its fill-reducing
 ordering depends only on the grid dimension (see ``StepOperators``).
 Because <P ubar, ubar> = 0 to round-off, the scheme conserves the quadratic
 energy exactly when B = R = f = 0, which is the sharpest testable analogue

@@ -3,8 +3,9 @@
 Coefficients are piecewise constant: one symmetric k-by-k matrix per grid
 cell for the principal part ``a``, one (general) k-by-k matrix per cell for
 the lower-order part ``b``, and a causal matrix-valued relaxation kernel
-``q(t)`` per cell, a Prony sum or tabulated; ``PronyKernel()``, the sum with
-no terms, is q = 0.  Cells are flattened in C order; a state vector of width
+``q(t)`` per cell, a Prony sum (``PronyKernel()``, the sum with no terms, is
+q = 0); samples of q, a ``TabulatedKernel``, become one only by ``prony_fit``.
+Cells are flattened in C order; a state vector of width
 k on a grid with ``n`` cells is a flat float64 array of length ``n * k``
 whose ``(cell, component)`` view is ``u.reshape(n, k)``.
 
@@ -15,7 +16,6 @@ convex per-cell average, so symmetry and spectral bounds of ``a`` survive.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -195,17 +195,21 @@ class TabulatedKernel:
         _require_symmetric(self.samples, "tabulated kernel sample")
 
 
-MemoryKernel = PronyKernel | TabulatedKernel
+def require_kernel(kernel, n_cells: int, k: int, name: str = "kernel") -> None:
+    """Reject anything but a Prony kernel on (n_cells, k, k) blocks, naming the field
+    ``name`` and the weight; ``PronyKernel()`` is the zero kernel."""
+    if not isinstance(kernel, PronyKernel):
+        raise InvalidCoefficientError(
+            f"{name} must be a PronyKernel (PronyKernel() for no memory; fields.prony_fit "
+            f"makes one of a TabulatedKernel), got {kernel!r}")
+    for j, w in enumerate(kernel.weights):
+        if w.shape != (n_cells, k, k):
+            raise InvalidCoefficientError(
+                f"{name} Prony weight {j} has wrong shape {w.shape}, expected {(n_cells, k, k)}")
 
 
-def require_kernel(kernel, name: str = "kernel") -> None:
-    """Reject anything but a memory kernel; ``PronyKernel()`` is the zero kernel."""
-    if not isinstance(kernel, MemoryKernel):
-        raise InvalidCoefficientError(f"{name} must be a PronyKernel or a TabulatedKernel "
-                                      f"(PronyKernel() for no memory), got {kernel!r}")
-
-
-def kernel_values(kernel: MemoryKernel, times: np.ndarray, n_cells: int, k: int) -> np.ndarray:
+def kernel_values(kernel: PronyKernel | TabulatedKernel, times: np.ndarray, n_cells: int,
+                  k: int) -> np.ndarray:
     """Evaluate q(t) on the given times; shape (n_times, n_cells, k, k).
 
     Tabulated kernels are linearly interpolated (zero beyond the last sample,
@@ -268,16 +272,13 @@ def prony_fit(kernel: TabulatedKernel, dt: float, horizon: float) -> PronyKernel
     return PronyKernel(weights=tuple(0.5 * (fit + fit.swapaxes(2, 3))), taus=tuple(taus.tolist()))
 
 
-def kernel_l1_bound(kernel: MemoryKernel) -> float:
+def kernel_l1_bound(kernel: PronyKernel) -> float:
     """Upper bound on the L1-in-time norm of the per-cell operator norm of q."""
-    if isinstance(kernel, PronyKernel):
-        total = 0.0
-        for w, tau in zip(kernel.weights, kernel.taus):
-            norms = np.linalg.norm(w, ord=2, axis=(1, 2))
-            total += tau * float(norms.max())
-        return total
-    norms = np.linalg.norm(kernel.samples, ord=2, axis=(2, 3)).max(axis=1)
-    return float(np.trapezoid(norms, kernel.times))
+    total = 0.0
+    for w, tau in zip(kernel.weights, kernel.taus):
+        norms = np.linalg.norm(w, ord=2, axis=(1, 2))
+        total += tau * float(norms.max())
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ class CoefficientField:
     k: int
     a: np.ndarray
     b: np.ndarray | None = None
-    kernel: MemoryKernel = field(default_factory=PronyKernel)
+    kernel: PronyKernel = field(default_factory=PronyKernel)
     c_lo: float | None = None
     c_hi: float | None = None
     c_b: float | None = None
@@ -352,7 +353,7 @@ class CoefficientField:
                 raise InvalidCoefficientError(f"b operator norm {bnorm:.6g} exceeds bound {self.c_b}")
         elif self.c_b is None:
             object.__setattr__(self, "c_b", 0.0)
-        require_kernel(self.kernel)
+        require_kernel(self.kernel, n, self.k)
         qb = kernel_l1_bound(self.kernel)
         if self.c_q is None:
             object.__setattr__(self, "c_q", qb)
@@ -405,15 +406,10 @@ def mollify_field(f: CoefficientField, n: int, boundary: str = "periodic") -> Co
     a = _mollify_array(f.a, f.grid, n, boundary)
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     b = None if f.b is None else _mollify_array(f.b, f.grid, n, boundary)
-    kernel = f.kernel
-    if isinstance(kernel, PronyKernel):
-        kernel = PronyKernel(
-            weights=tuple(_mollify_array(w, f.grid, n, boundary) for w in kernel.weights),
-            taus=kernel.taus,
-        )
-    else:
-        sm = np.stack([_mollify_array(s, f.grid, n, boundary) for s in kernel.samples])
-        kernel = TabulatedKernel(times=kernel.times, samples=sm)
+    kernel = PronyKernel(
+        weights=tuple(_mollify_array(w, f.grid, n, boundary) for w in f.kernel.weights),
+        taus=f.kernel.taus,
+    )
     return CoefficientField(
         grid=f.grid, k=f.k, a=a, b=b, kernel=kernel,
         c_lo=f.c_lo, c_hi=f.c_hi, c_b=f.c_b, c_q=f.c_q,
@@ -636,16 +632,12 @@ def grid_from_metadata(meta: dict) -> Grid:
                 dt=meta["dt"], n_steps=meta["n_steps"], origin=tuple(meta["origin"]))
 
 
-def save_kernel(kernel: MemoryKernel, basepath: str, stem: str, grid: Grid,
+def save_kernel(kernel: PronyKernel, basepath: str, stem: str, grid: Grid,
                 width: int) -> dict:
     """Write a kernel's per-cell files and return its JSON spec: Prony weight
-    j in ``{basepath}_{stem}{j}.rwf``, tabulated samples in
-    ``{basepath}_{stem}.rwf`` as per-cell (n_times, width, width) rows.  The
-    Prony sum with no terms writes no file and the spec ``{"type": "zero"}``.
+    j in ``{basepath}_{stem}{j}.rwf``.  The Prony sum with no terms writes no
+    file and the spec ``{"type": "zero"}``.
     """
-    if isinstance(kernel, TabulatedKernel):
-        write_field_array(f"{basepath}_{stem}.rwf", grid, width, np.moveaxis(kernel.samples, 0, 1))
-        return {"type": "tabulated", "times": kernel.times.tolist()}
     if not kernel.n_terms:
         return {"type": "zero"}
     for j, w in enumerate(kernel.weights):
@@ -653,8 +645,10 @@ def save_kernel(kernel: MemoryKernel, basepath: str, stem: str, grid: Grid,
     return {"type": "prony", "taus": list(kernel.taus)}
 
 
-def load_kernel(spec: dict, basepath: str, stem: str, grid: Grid, width: int) -> MemoryKernel:
-    """Inverse of ``save_kernel``."""
+def load_kernel(spec: dict, basepath: str, stem: str, grid: Grid, width: int) -> PronyKernel:
+    """Inverse of ``save_kernel``; a ``{"type": "tabulated", "times": [...]}`` spec,
+    per-cell (n_times, width, width) rows in ``{basepath}_{stem}.rwf``, loads as
+    their ``prony_fit`` on ``grid``."""
     kind = spec.get("type", "zero")
     if kind == "prony":
         weights = [read_cells(f"{basepath}_{stem}{j}.rwf", grid, width, (width, width))
@@ -663,39 +657,8 @@ def load_kernel(spec: dict, basepath: str, stem: str, grid: Grid, width: int) ->
     if kind == "tabulated":
         times = np.asarray(spec["times"])
         rows = read_cells(f"{basepath}_{stem}.rwf", grid, width, (times.size, width, width))
-        return TabulatedKernel(times=times, samples=np.moveaxis(rows, 1, 0))
+        tabulated = TabulatedKernel(times=times, samples=np.moveaxis(rows, 1, 0))
+        return prony_fit(tabulated, grid.dt, grid.dt * grid.n_steps)
     if kind != "zero":
         raise InvalidArgumentError(f"{basepath}.json: unknown kernel type {kind!r}")
     return PronyKernel()
-
-
-def save_coefficient_field(f: CoefficientField, basepath: str) -> None:
-    """Write a field as RWF1 binaries plus a human-readable JSON sidecar."""
-    write_field_array(f"{basepath}_a.rwf", f.grid, f.k, f.a)
-    sidecar = {
-        **grid_metadata(f.grid),
-        "k": f.k,
-        "bounds": {"c_lo": f.c_lo, "c_hi": f.c_hi, "c_b": f.c_b, "c_q": f.c_q},
-        "units": {"a": "dimensionless", "length": "domain units", "time": "domain units"},
-        "parts": ["a"],
-        "kernel": save_kernel(f.kernel, basepath, "q", f.grid, f.k),
-    }
-    if f.b is not None:
-        write_field_array(f"{basepath}_b.rwf", f.grid, f.k, f.b)
-        sidecar["parts"].append("b")
-    with open(f"{basepath}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def load_coefficient_field(basepath: str) -> CoefficientField:
-    with open(f"{basepath}.json") as fh:
-        sidecar = json.load(fh)
-    grid, k = grid_from_metadata(sidecar), sidecar["k"]
-    a = read_cells(f"{basepath}_a.rwf", grid, k, (k, k))
-    b = read_cells(f"{basepath}_b.rwf", grid, k, (k, k)) if "b" in sidecar["parts"] else None
-    bounds = sidecar["bounds"]
-    return CoefficientField(
-        grid=grid, k=k, a=a, b=b, kernel=load_kernel(sidecar["kernel"], basepath, "q", grid, k),
-        c_lo=bounds["c_lo"], c_hi=bounds["c_hi"], c_b=bounds["c_b"], c_q=bounds["c_q"],
-    )
-

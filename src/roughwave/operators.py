@@ -10,9 +10,9 @@ last bit, which is what the discrete energy argument needs.
 
 A system holds a, b and the memory kernel q as per-cell blocks, whose product
 with states is ``block_apply``, and the stencil as one matrix.  Its kernel is
-a Prony sum, ``PronyKernel()`` (no terms) for no memory: a tabulated kernel
-is replaced by its ``fields.prony_fit`` when the system is made.  Prony
-kernels convolve by an O(1)-per-step recursion that is exact for
+a Prony sum, ``PronyKernel()`` (no terms) for no memory; a sampled kernel is
+fitted by ``fields.prony_fit`` before any system sees it.  Prony kernels
+convolve by an O(1)-per-step recursion that is exact for
 piecewise-linear input, and ``memory_series`` is the one grid-time
 convolution, yielded one time row at a time.  ``prony_advance`` is the one
 recursion step, over all terms' states stacked as one (n_terms, n_state)
@@ -51,14 +51,7 @@ from .errors import (
     InvalidCoefficientError,
     UnsupportedConfigurationError,
 )
-from .fields import (
-    CoefficientField,
-    Grid,
-    MemoryKernel,
-    PronyKernel,
-    TabulatedKernel,
-    prony_fit,
-)
+from .fields import CoefficientField, Grid, PronyKernel, require_kernel
 
 
 def block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
@@ -311,17 +304,16 @@ class DiscreteSystem:
     """The assembled evolution problem A u' + P u + B u + R[u] = f.
 
     a, b and the kernel q are per-cell (n_cells, k, k) blocks, and P is the
-    one sparse matrix ``skew`` assembled from the symbol ``p_matrices``.  A
-    tabulated kernel is replaced here by its ``fields.prony_fit`` up to the
-    grid's last time, so ``kernel`` is always a ``PronyKernel``; ``PronyKernel()``,
-    the sum with no terms, is no memory.
+    one sparse matrix ``skew`` assembled from the symbol ``p_matrices``.
+    ``kernel`` is a ``PronyKernel``; ``PronyKernel()``, the sum with no terms,
+    is no memory.
     """
 
     a_blocks: np.ndarray
     skew: sp.csr_matrix
     p_matrices: tuple[np.ndarray, ...]
     b_blocks: np.ndarray | None
-    kernel: MemoryKernel
+    kernel: PronyKernel
     grid: Grid
     k: int
 
@@ -332,14 +324,7 @@ class DiscreteSystem:
         if self.skew.shape != (self.n_state, self.n_state):
             raise GridMismatchError(
                 f"skew has shape {self.skew.shape}, expected {(self.n_state, self.n_state)}")
-        if isinstance(self.kernel, TabulatedKernel):
-            if self.kernel.samples.shape[1:] != cells:
-                raise InvalidCoefficientError("tabulated kernel has wrong per-cell shape")
-            dt, n_steps = self.grid.dt, self.grid.n_steps
-            object.__setattr__(self, "kernel", prony_fit(self.kernel, dt, dt * n_steps))
-        for j, w in enumerate(self.kernel.weights):
-            if w.shape != cells:
-                raise InvalidCoefficientError(f"Prony weight {j} has wrong shape {w.shape}")
+        require_kernel(self.kernel, self.grid.n_cells, self.k)
 
     @property
     def n_state(self) -> int:

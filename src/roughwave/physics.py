@@ -10,7 +10,8 @@ stay symmetric.  State widths by dimension: 2 (1D), 5 (2D), 9 (3D).
 The relaxation kernel gamma(t) of the constitutive law splits as
 gamma = gamma_e * delta + gamma_mem; the induced lower-order coefficient
 is b = gamma_mem(0+) and the convolution kernel is q = d(gamma_mem)/dt,
-both acting on the stress block only.
+both acting on the stress block only.  gamma_mem is a Prony sum, so the
+split is exact: b = sum_j w_j, and q has the weights -w_j / tau_j.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .errors import InvalidArgumentError, InvalidCoefficientError, UnsupportedCo
 from .fields import (
     CoefficientField,
     Grid,
-    MemoryKernel,
     PronyKernel,
-    TabulatedKernel,
     grid_from_metadata,
     grid_metadata,
     load_kernel,
@@ -169,7 +168,7 @@ class AcousticModel:
             blocks[:, j, j] = self.rho
         return blocks
 
-    def coefficient_field(self, kernel: MemoryKernel = PronyKernel(),
+    def coefficient_field(self, kernel: PronyKernel = PronyKernel(),
                           b: np.ndarray | None = None) -> CoefficientField:
         return CoefficientField(grid=self.grid, k=self.k, a=self.mass_blocks(), b=b, kernel=kernel)
 
@@ -177,7 +176,7 @@ class AcousticModel:
 def acoustics_system(
     model: AcousticModel,
     boundary: str = "periodic",
-    kernel: MemoryKernel = PronyKernel(),
+    kernel: PronyKernel = PronyKernel(),
 ) -> DiscreteSystem:
     """Assemble the acoustic system (B = 0; R = 0 unless a kernel is given)."""
     return assemble_system(
@@ -213,14 +212,14 @@ class ViscoelasticModel:
     ``gamma_elastic`` holds the instantaneous (unrelaxed) inverse Hooke
     matrix per cell in Kelvin components, shape (n_cells, m, m); the
     4-index symmetries are exactly the symmetry of that matrix.
-    ``gamma_kernel`` is the memory part gamma(t) on the same blocks
-    (Prony or tabulated); ``PronyKernel()``, the default, is pure elasticity.
+    ``gamma_kernel`` is the memory part gamma(t) on the same blocks, a Prony
+    sum; ``PronyKernel()``, the default, is pure elasticity.
     """
 
     grid: Grid
     rho: np.ndarray
     gamma_elastic: np.ndarray
-    gamma_kernel: MemoryKernel = field(default_factory=PronyKernel)
+    gamma_kernel: PronyKernel = field(default_factory=PronyKernel)
     g_lo: float | None = None
     g_hi: float | None = None
 
@@ -245,11 +244,7 @@ class ViscoelasticModel:
                 f"gamma_elastic is not elliptic: eigenvalue {eigs.min():.3e} "
                 f"in cell {int(eigs.min(axis=1).argmin())}"
             )
-        kern = self.gamma_kernel
-        require_kernel(kern, "gamma_kernel")
-        if isinstance(kern, TabulatedKernel) and len(kern.times) < 3:  # ve_kernel_split reads 3
-            raise InvalidCoefficientError(
-                f"a tabulated gamma_kernel needs at least 3 samples, got {len(kern.times)}")
+        require_kernel(self.gamma_kernel, n, m, "gamma_kernel")
         lo, hi = float(np.abs(eigs).min()), float(np.abs(eigs).max())
         if self.g_lo is None:
             object.__setattr__(self, "g_lo", lo)
@@ -269,57 +264,34 @@ class ViscoelasticModel:
         return self.m + self.grid.dim
 
 
-def ve_kernel_split(model: ViscoelasticModel) -> tuple[np.ndarray, MemoryKernel]:
+def ve_kernel_split(model: ViscoelasticModel) -> tuple[np.ndarray, PronyKernel]:
     """Split the memory part of the relaxation law: gamma * dsigma/dt =
     b sigma + q * sigma with b = gamma(0+) and q = d(gamma)/dt for t > 0.
 
-    Returns per-cell b blocks (on the Kelvin stress space) and the kernel q
-    in the same representation family as gamma.
+    For gamma = sum_j w_j exp(-t / tau_j) that is b = sum_j w_j and the Prony
+    kernel q with weights -w_j / tau_j, exactly.  Returns the per-cell b blocks
+    (on the Kelvin stress space) and q.
     """
-    n, m = model.grid.n_cells, model.m
     kern = model.gamma_kernel
-    if isinstance(kern, PronyKernel):
-        b = np.sum(np.reshape(kern.weights, (-1, n, m, m)), axis=0)
-        q = PronyKernel(
-            weights=tuple(-w / tau for w, tau in zip(kern.weights, kern.taus)),
-            taus=kern.taus,
-        )
-        return b, q
-    # Tabulated: second-order differences, one-sided at the ends.
-    t = kern.times
-    dtk = t[1] - t[0]
-    g = kern.samples
-    q = np.zeros_like(g)
-    q[0] = (-3 * g[0] + 4 * g[1] - g[2]) / (2 * dtk)
-    q[1:-1] = (g[2:] - g[:-2]) / (2 * dtk)
-    q[-1] = (3 * g[-1] - 4 * g[-2] + g[-3]) / (2 * dtk)
-    return g[0].copy(), TabulatedKernel(times=t, samples=q)
+    b = np.sum(np.reshape(kern.weights, (-1, model.grid.n_cells, model.m, model.m)), axis=0)
+    q = PronyKernel(weights=tuple(-w / tau for w, tau in zip(kern.weights, kern.taus)),
+                    taus=kern.taus)
+    return b, q
 
 
 def kernel_split_reconstruction_error(model: ViscoelasticModel) -> float:
-    """Max entrywise error of b + integral_0^t q against gamma(t).
-
-    Prony kernels integrate in closed form (the identity is exact there) and
-    are checked at 40 times over three of the longest relaxation times;
-    tabulated kernels use the trapezoid rule on the sample grid, which is
-    where the O(dt^2) behavior shows up.
+    """Max entrywise error of b + integral_0^t q against gamma(t), integrated in
+    closed form and checked at 40 times over three of the longest relaxation
+    times (the identity is exact, so this is round-off).
     """
     kern = model.gamma_kernel
-    b, q = ve_kernel_split(model)
-    if isinstance(kern, PronyKernel):
-        err = 0.0
-        for t in np.linspace(0.0, 3.0 * max(kern.taus, default=0.0), 40):
-            gamma_t = sum(w * np.exp(-t / tau) for w, tau in zip(kern.weights, kern.taus))
-            integral = sum(w * (np.exp(-t / tau) - 1.0) for w, tau in zip(kern.weights, kern.taus))
-            err = max(err, float(np.abs(b + integral - gamma_t).max()))
-        return err
-    assert isinstance(q, TabulatedKernel)
-    t = kern.times
-    dtk = t[1] - t[0]
-    integral = np.zeros_like(q.samples)
-    integral[1:] = np.cumsum(0.5 * dtk * (q.samples[1:] + q.samples[:-1]), axis=0)
-    recon = b[None] + integral
-    return float(np.abs(recon - kern.samples).max())
+    b, _ = ve_kernel_split(model)
+    err = 0.0
+    for t in np.linspace(0.0, 3.0 * max(kern.taus, default=0.0), 40):
+        gamma_t = sum(w * np.exp(-t / tau) for w, tau in zip(kern.weights, kern.taus))
+        integral = sum(w * (np.exp(-t / tau) - 1.0) for w, tau in zip(kern.weights, kern.taus))
+        err = max(err, float(np.abs(b + integral - gamma_t).max()))
+    return err
 
 
 def viscoelastic_system(model: ViscoelasticModel, boundary: str = "periodic") -> DiscreteSystem:
@@ -341,14 +313,9 @@ def viscoelastic_system(model: ViscoelasticModel, boundary: str = "periodic") ->
     if np.abs(b_small).max() > 0:
         b = np.zeros((n, k, k))
         b[:, :m, :m] = b_small
-    if isinstance(q_small, TabulatedKernel):
-        samples = np.zeros((q_small.times.size, n, k, k))
-        samples[:, :, :m, :m] = q_small.samples
-        kernel: MemoryKernel = TabulatedKernel(times=q_small.times, samples=samples)
-    else:
-        weights = np.zeros((q_small.n_terms, n, k, k))
-        weights[:, :, :m, :m] = np.reshape(q_small.weights, (-1, n, m, m))
-        kernel = PronyKernel(weights=tuple(weights), taus=q_small.taus)
+    weights = np.zeros((q_small.n_terms, n, k, k))
+    weights[:, :, :m, :m] = np.reshape(q_small.weights, (-1, n, m, m))
+    kernel = PronyKernel(weights=tuple(weights), taus=q_small.taus)
     f = CoefficientField(grid=model.grid, k=k, a=a, b=b, kernel=kernel)
     return assemble_system(f, elastic_p_matrices(dim), boundary=boundary)
 

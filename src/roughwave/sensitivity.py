@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,7 +48,7 @@ from .errors import (
     SolverError,
 )
 from .evolution import Trajectory, _midpoint_steps
-from .fields import PronyKernel, SourceTerm, write_field_array
+from .fields import SourceTerm, write_field_array
 from .forward import (
     Sampler,
     SeismogramData,
@@ -93,9 +93,8 @@ class CoefficientPerturbation:
 class GradientReport:
     """Per-coefficient derivative representers plus verification diagnostics.
 
-    ``g_q`` has one entry per Prony term of the system's kernel, so a system made
-    from a tabulated kernel has one per term of its fit, with the relaxation
-    times held fixed.
+    ``g_q`` has one entry per Prony term of the system's kernel (for a fitted
+    kernel, one per term of its fit), with the relaxation times held fixed.
     """
 
     g_a: np.ndarray
@@ -122,22 +121,6 @@ class GradientReport:
                                            f"{g.shape}")
             total += float(np.sum(d * g))
         return total
-
-
-def perturbed_system(system: DiscreteSystem, pert: CoefficientPerturbation, h: float) -> DiscreteSystem:
-    """System with coefficients (a + h da, b + h db, q + h dq); same stencil."""
-    pert.validate(system)
-    a = system.a_blocks
-    if pert.delta_a is not None:
-        a = a + h * pert.delta_a
-    b = system.b_blocks
-    if pert.delta_b is not None:
-        b = (b if b is not None else 0.0) + h * pert.delta_b
-    kernel = system.kernel
-    if pert.delta_weights is not None:  # validate() checked one per term
-        kernel = PronyKernel(tuple(w + h * dw for w, dw in zip(kernel.weights, pert.delta_weights)),
-                             kernel.taus)
-    return replace(system, a_blocks=a, b_blocks=b, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------

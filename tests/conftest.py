@@ -1,3 +1,4 @@
+import json
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -51,6 +52,27 @@ def two_relaxations(times, amplitudes, k):
     ``times``: the two-term Prony kernel of the stepping tests, which ``prony_fit``
     fits from coarse samples too."""
     return _tabulated(times, np.exp(-times / 0.05) + np.exp(-times / 0.5), amplitudes, k)
+
+
+def fitted(kernel, grid):
+    """The Prony fit of a tabulated kernel up to the grid's last time, the kernel that a
+    field, a model or a system made from it holds."""
+    return rw.fields.prony_fit(kernel, grid.dt, grid.dt * grid.n_steps)
+
+
+def write_tabulated_gamma(basepath, times, samples):
+    """Give the saved viscoelastic model at ``basepath`` the tabulated gamma of
+    (n_times, n_cells, m, m) ``samples`` at ``times``: its per-cell rows and its
+    ``{"type": "tabulated"}`` spec, written by hand, since ``save_model`` writes only
+    Prony sums."""
+    with open(f"{basepath}.json") as fh:
+        manifest = json.load(fh)
+    grid = rw.fields.grid_from_metadata(manifest["grid"])
+    rw.fields.write_field_array(f"{basepath}_gamma.rwf", grid, samples.shape[-1],
+                                np.moveaxis(samples, 0, 1))
+    manifest["kernel"] = {"type": "tabulated", "times": np.asarray(times).tolist()}
+    with open(f"{basepath}.json", "w") as fh:
+        json.dump(manifest, fh)
 
 
 def time_reversed_system(system):

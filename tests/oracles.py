@@ -10,10 +10,10 @@ trapezoid stepper of a tabulated kernel (``trapezoid_solve``), the ``check``
 suite's repeat and linearity comparisons from stored trajectories, the
 gradient and adjoint-state dot test of a stored forward trajectory, the
 derivative of a stored trajectory (``stored_derivative``), and the two
-checks of the derivative: the Newton-quotient study (``quotient_study``) and
-central differences of the objective against the gradient
-(``finite_difference_table``).  None of them calls the solver internals it
-checks.
+checks of the derivative: the Newton-quotient study (``quotient_study``) of
+the coefficients bumped by ``perturbed_system`` and central differences of
+the objective against the gradient (``finite_difference_table``).  None of
+them calls the solver internals it checks.
 """
 
 from dataclasses import dataclass, replace
@@ -49,7 +49,6 @@ from roughwave.sensitivity import (
     linearized_forcing,
     objective,
     objective_from_data,
-    perturbed_system,
     random_perturbation,
 )
 
@@ -352,6 +351,22 @@ def stored_convergence_series(rough, source, schedule, boundary="periodic", samp
 # ---------------------------------------------------------------------------
 # derivative checks: Newton quotients and finite differences
 # ---------------------------------------------------------------------------
+
+
+def perturbed_system(system, pert: CoefficientPerturbation, h: float):
+    """System with coefficients (a + h da, b + h db, q + h dq); same stencil."""
+    pert.validate(system)
+    a = system.a_blocks
+    if pert.delta_a is not None:
+        a = a + h * pert.delta_a
+    b = system.b_blocks
+    if pert.delta_b is not None:
+        b = (b if b is not None else 0.0) + h * pert.delta_b
+    kernel = system.kernel
+    if pert.delta_weights is not None:  # validate() checked one per term
+        kernel = PronyKernel(tuple(w + h * dw for w, dw in zip(kernel.weights, pert.delta_weights)),
+                             kernel.taus)
+    return replace(system, a_blocks=a, b_blocks=b, kernel=kernel)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import write_tabulated_gamma
 from oracles import stored_convergence_series
 
 from roughwave import cli, evolution, sensitivity
@@ -16,7 +17,7 @@ from roughwave.cli import (
     parse_config,
 )
 from roughwave.errors import ConfigError
-from roughwave.fields import TabulatedKernel, build_grid, save_kernel
+from roughwave.fields import TabulatedKernel, build_grid, prony_fit
 from roughwave.forward import SeismogramData, load_observed_data, save_seismogram_csv
 from roughwave.physics import AcousticModel, ViscoelasticModel, save_model
 from roughwave.sensitivity import misfit_gradient
@@ -390,19 +391,39 @@ class TestInputErrors:
         grid = build_grid(1, [20], 1.0, 1e-3, 0.3)
         base = str(tmp_path / "model")
         save_model(ViscoelasticModel(grid=grid, rho=1.0, gamma_elastic=np.ones((20, 1, 1))), base)
-        with open(f"{base}.json") as fh:
-            manifest = json.load(fh)
-        short = TabulatedKernel(times=np.array([0.0, 1e-3]), samples=np.full((2, 20, 1, 1), 0.1))
-        manifest["kernel"] = save_kernel(short, base, "gamma", grid, 1)
-        with open(f"{base}.json", "w") as fh:
-            json.dump(manifest, fh)
+        write_tabulated_gamma(base, [0.0, 1e-3], np.full((2, 20, 1, 1), 0.1))
         payload = {"command": "simulate", "model": {"path": base},
                    "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
                    "output": str(tmp_path / "out")}
         path = write_config(tmp_path, payload)
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
-        assert "config error: config.model.path" in err and "at least 3 samples, got 2" in err
+        # a step down to zero after 1e-3 is no sum of decays on the fit's grid
+        assert "config error: config.model.path" in err
+        assert "the Prony fit of the tabulated kernel misses it by" in err
+        assert "in cell 0 (bound 0.01)" in err
+
+    def test_viscoelastic_model_with_a_tabulated_gamma(self, tmp_path):
+        # a hand-written tabulated gamma loads as its fit on the manifest's grid, and runs
+        grid = build_grid(1, [20], 1.0, 1e-3, 0.3)
+        base = str(tmp_path / "model")
+        save_model(ViscoelasticModel(grid=grid, rho=1.0, gamma_elastic=np.ones((20, 1, 1))), base)
+        times = 0.01 * np.arange(40)
+        gamma = 0.3 * np.exp(-times / 0.2) * (1.0 + 0.5 * np.cos(12.0 * times))
+        samples = gamma[:, None, None, None] * np.linspace(0.5, 1.0, 20)[None, :, None, None]
+        write_tabulated_gamma(base, times, samples)
+        payload = {"command": "simulate", "model": {"path": base},
+                   "source": {"type": "ricker", "center": [0.5], "frequency": 8.0},
+                   "output": str(tmp_path / "out")}
+        path = write_config(tmp_path, payload)
+        model, system = build_system(parse_config(path))
+        fit = prony_fit(TabulatedKernel(times=times, samples=samples), grid.dt, 0.3)
+        assert model.gamma_kernel.taus == system.kernel.taus == fit.taus
+        for w, w_fit in zip(model.gamma_kernel.weights, fit.weights, strict=True):
+            np.testing.assert_array_equal(w, w_fit)
+        assert main(["simulate", "--config", path]) == 0
+        energies = np.loadtxt(tmp_path / "out" / "energy.csv", delimiter=",", skiprows=1)
+        assert energies.shape == (grid.n_steps + 1, 2) and energies[:, 1].max() > 0
 
     def test_kernel_term_not_an_object(self, tmp_path, capsys):
         self.expect_config_error(tmp_path, capsys, {

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 import roughwave as rw
-from conftest import damped_oscillation, time_reversed_system, traced_peak, two_relaxations
+from conftest import (
+    damped_oscillation,
+    fitted,
+    time_reversed_system,
+    traced_peak,
+    two_relaxations,
+)
 from oracles import advection_oracle, dalembert_pressure, smooth_trajectory, trapezoid_solve
 from roughwave.errors import UnsupportedConfigurationError
 from roughwave.evolution import export_energy_csv, export_snapshots, solve_ivp, step_residuals
 from roughwave.experiments import fit_slope
 from roughwave.fields import CoefficientField, PronyKernel, ricker_wavelet
 from roughwave.operators import assemble_system, block_apply, energy
-from roughwave.physics import (
-    ViscoelasticModel,
-    isotropic_inverse_hooke,
-    kelvin_dim,
-    ve_kernel_split,
-)
+from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, kelvin_dim
 
 
 def homogeneous_acoustics(cells=120, dt=1e-3, t_end=0.3, kappa=1.0, rho=1.0, extent=1.0):
@@ -104,8 +105,8 @@ class TestCausalSolve:
 
 
 class TestTabulatedMidpoint:
-    """A tabulated kernel steps as the Prony fit that its system made; the trapezoid
-    stepper of ``oracles.trapezoid_solve`` is the reference."""
+    """A tabulated kernel steps as its Prony fit; the trapezoid stepper of
+    ``oracles.trapezoid_solve`` is the reference."""
 
     @staticmethod
     def gap_to_prony(cells, steps, t_end=0.3):
@@ -122,7 +123,7 @@ class TestTabulatedMidpoint:
         src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=6.0)
         prony = rw.solve_causal(
             rw.acoustics_system(model, kernel=PronyKernel(weights=(weight,), taus=(0.1,))), src)
-        system = rw.acoustics_system(model, kernel=tabulated)
+        system = rw.acoustics_system(model, kernel=fitted(tabulated, g))
         traj = rw.solve_causal(system, src)
         scale = np.abs(prony.states).max()
         trapezoid = trapezoid_solve(rw.acoustics_system(model), tabulated, src)
@@ -151,22 +152,23 @@ class TestTabulatedMidpoint:
         for step in (dt, dt / 2):
             system, kernel, src = tabulated_case(kind, dim, cells, step, t_end)
             if step == dt:
-                fitted = rw.solve_causal(system, src)
-                residual = step_residuals(fitted, system, src).max()
+                fit_solve = rw.solve_causal(system, src)
+                residual = step_residuals(fit_solve, system, src).max()
             states.append(trapezoid_solve(replace(system, kernel=rw.PronyKernel()), kernel, src))
         scale = np.abs(states[0]).max()
         halving = np.abs(states[1][::2] - states[0]).max() / scale
         assert halving > 0
-        assert np.abs(fitted.states - states[0]).max() / scale <= halving / 10
+        assert np.abs(fit_solve.states - states[0]).max() / scale <= halving / 10
         assert residual <= 1e-12 * scale
 
 
 def tabulated_case(kind, dim, cells, dt, t_end):
-    """A system made from a tabulated kernel sampled every 0.01, the kernel as the
-    trapezoid oracle reads it (the split kernel of a viscoelastic gamma, embedded in
-    the stress block) and a Ricker source.  Acoustic kernels, with kappa 1 | 3:
-    ``acoustic`` 0.5 e^{-t/0.2} (1 + 0.5 cos 12 t) I, ``exponential`` 2 e^{-t/0.1} I,
-    ``unit-exponential`` e^{-t} I and ``two-relaxations`` e^{-t/0.05} + e^{-t/0.5} I.
+    """A system made from the fit of a tabulated kernel sampled every 0.01, the kernel
+    as the trapezoid oracle reads it (for a viscoelastic gamma, the samples of its
+    derivative q = gamma', embedded in the stress block) and a Ricker source.
+    Acoustic kernels, with kappa 1 | 3: ``acoustic`` 0.5 e^{-t/0.2} (1 + 0.5 cos 12 t) I,
+    ``exponential`` 2 e^{-t/0.1} I, ``unit-exponential`` e^{-t} I and
+    ``two-relaxations`` e^{-t/0.05} + e^{-t/0.5} I.
     Viscoelastic, with lambda 2 | 6 and mu 1: ``viscoelastic`` gamma(t) = 0.3
     e^{-t/0.2} (1 + 0.5 cos 12 t) I and ``viscoelastic-exponential`` 0.3 e^{-t/0.2} I."""
     g = rw.build_grid(dim, [cells] * dim, 1.0, dt, t_end)
@@ -174,16 +176,19 @@ def tabulated_case(kind, dim, cells, dt, t_end):
     right = g.centers()[:, 0] >= 0.5
     if kind.startswith("viscoelastic"):
         m = kelvin_dim(dim)
-        profile = np.exp(-t / 0.2) * (1.0 if kind.endswith("exponential") else
-                                      1.0 + 0.5 * np.cos(12 * t))
-        gamma = rw.TabulatedKernel(times=t, samples=0.3 * profile[:, None, None, None]
-                                   * np.tile(np.eye(m), (t.size, g.n_cells, 1, 1)))
+        decay = 0.3 * np.exp(-t / 0.2)
+        if kind.endswith("exponential"):
+            profile, derivative = decay, -decay / 0.2
+        else:
+            profile = decay * (1.0 + 0.5 * np.cos(12 * t))
+            derivative = -profile / 0.2 - 6.0 * decay * np.sin(12 * t)
+        eye = np.tile(np.eye(m), (t.size, g.n_cells, 1, 1))
+        gamma = rw.TabulatedKernel(times=t, samples=profile[:, None, None, None] * eye)
         ge = np.stack([isotropic_inverse_hooke(lam, 1.0, dim) for lam in np.where(right, 6.0, 2.0)])
-        model = ViscoelasticModel(grid=g, rho=1.0, gamma_elastic=ge, gamma_kernel=gamma)
+        model = ViscoelasticModel(grid=g, rho=1.0, gamma_elastic=ge, gamma_kernel=fitted(gamma, g))
         system = rw.viscoelastic_system(model)
-        q = ve_kernel_split(model)[1]
         samples = np.zeros((t.size, g.n_cells, system.k, system.k))
-        samples[:, :, :m, :m] = q.samples
+        samples[:, :, :m, :m] = derivative[:, None, None, None] * eye
         kernel = rw.TabulatedKernel(times=t, samples=samples)
         src = rw.make_ricker_source(g, system.k, [0.3] * dim, peak_frequency=6.0, component=m)
         return system, kernel, src
@@ -197,7 +202,7 @@ def tabulated_case(kind, dim, cells, dt, t_end):
                                     * np.tile(np.eye(dim + 1), (t.size, g.n_cells, 1, 1)))
     model = rw.AcousticModel(grid=g, kappa=np.where(right, 3.0, 1.0), rho=1.0)
     src = rw.make_ricker_source(g, dim + 1, [0.3] * dim, peak_frequency=6.0)
-    return rw.acoustics_system(model, kernel=kernel), kernel, src
+    return rw.acoustics_system(model, kernel=fitted(kernel, g)), kernel, src
 
 
 def rk4_oracle(system, source, forcing=None):
@@ -345,7 +350,7 @@ class TestEnergyIdentity:
             kern = rw.TabulatedKernel(times=t, samples=(2.0 * np.exp(-t / 0.1))[:, None, None, None]
                                       * np.tile(np.eye(2), (t.size, g.n_cells, 1, 1)))
             system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.6),
-                                         kernel=kern)
+                                         kernel=fitted(kern, g))
             src = rw.make_ricker_source(g, 2, [0.3], peak_frequency=6.0)
             traj = rw.solve_causal(system, src)
             res = rw.energy_identity_residual(traj, system, src)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from conftest import traced_peak, two_relaxations
+from conftest import fitted, traced_peak, two_relaxations
 from oracles import stored_convergence_series
 
 import roughwave as rw
@@ -29,8 +29,8 @@ from roughwave.operators import assemble_system
 
 
 def study_case(dim, kernel):
-    """Two-layer acoustic field, 24 steps, with no memory, a two-term Prony kernel or a
-    tabulated one (which each system fits); a Ricker source and two pressure receivers."""
+    """Two-layer acoustic field, 24 steps, with no memory, a two-term Prony kernel or the
+    fit of a tabulated one; a Ricker source and two pressure receivers."""
     cells = {1: [40], 2: [10, 8]}[dim]
     dt = 0.5 / max(cells)
     g = rw.build_grid(dim, cells, 1.0, dt, 24 * dt)
@@ -40,7 +40,8 @@ def study_case(dim, kernel):
         kernel = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
                                            for _ in range(2)), taus=(0.05, 0.5))
     elif kernel == "tabulated":
-        kernel = two_relaxations(dt * np.arange(30), rng.uniform(0, 1, g.n_cells), dim + 1)
+        kernel = fitted(two_relaxations(dt * np.arange(30), rng.uniform(0, 1, g.n_cells),
+                                        dim + 1), g)
     else:
         kernel = PronyKernel()
     field = rw.two_layer_acoustic(g, 1.0, 4.0, interface=0.55).coefficient_field(kernel=kernel)

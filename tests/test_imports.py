@@ -1,7 +1,8 @@
 """Every module-level import in ``src/roughwave`` is used by its module,
 ``import roughwave`` loads no scipy subpackage that the solver does not run,
-no module imports a concurrency library, and every module imports only the
-package modules below it in ``LAYERS``.
+no module imports a concurrency library, every module imports only the
+package modules below it in ``LAYERS``, and no module but ``fields`` names
+``TabulatedKernel`` or ``prony_fit``.
 
 Lines marked ``# noqa`` are deliberate re-exports.  ``__init__`` exists to
 re-export, so it is not checked.
@@ -122,3 +123,34 @@ def test_layer_check_sees_nested_and_absolute_imports(tmp_path):
                       "    import roughwave.physics, json\n    from roughwave.forward import x\n")
     assert package_imports(module) == {"fields", "cli", "errors", "experiments", "physics",
                                        "forward"}
+
+
+# the names that turn a sampled kernel into a Prony sum, which only ``fields`` may use
+SAMPLED_KERNEL_NAMES = ("TabulatedKernel", "prony_fit")
+
+
+def sampled_kernel_names(path: Path) -> set[str]:
+    """The names of ``SAMPLED_KERNEL_NAMES`` that the file imports or reads, as a bare
+    name or as an attribute of any module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names & set(SAMPLED_KERNEL_NAMES)
+
+
+def test_only_fields_turns_samples_into_a_prony_sum():
+    # fields, models and systems hold a PronyKernel; ``__init__`` only re-exports
+    offenders = {p.stem: sorted(sampled_kernel_names(p)) for p in MODULES if p.stem != "fields"}
+    assert {name: used for name, used in offenders.items() if used} == {}
+
+
+def test_sampled_kernel_check_sees_imports_and_attributes(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from . import fields\nfrom .fields import TabulatedKernel as T\n"
+                      "def f(k, g):\n    return fields.prony_fit(k, g.dt, g.dt)\n")
+    assert sampled_kernel_names(module) == {"TabulatedKernel", "prony_fit"}

@@ -234,13 +234,21 @@ class TestMemory:
         r2 = list(memory_series(op, hist2, 0.01))[20]
         np.testing.assert_array_equal(r, r2)
 
-    def test_system_rejects_a_kernel_of_the_wrong_cell_shape(self):
+    @pytest.mark.parametrize("kind", ["none", "tabulated", "wrong-cell-shape"])
+    def test_system_rejects_anything_but_a_prony_kernel_on_its_cells(self, kind):
+        # a copy too, which no field checked: the error names the field and the weight
         model = rw.AcousticModel(grid=rw.build_grid(1, [4], 1.0, 0.01, 0.1), kappa=1.0, rho=1.0)
-        with pytest.raises(InvalidCoefficientError, match="Prony weight 0 has wrong shape"):
-            rw.acoustics_system(model, kernel=PronyKernel(weights=(np.ones((3, 2, 2)),), taus=(1.0,)))
-        with pytest.raises(InvalidCoefficientError, match="tabulated kernel has wrong per-cell shape"):
-            rw.acoustics_system(model, kernel=TabulatedKernel(times=np.array([0.0, 0.01]),
-                                                              samples=np.ones((2, 4, 1, 1))))
+        system = rw.acoustics_system(model)
+        kernel, match = {
+            "none": (None, r"^kernel must be a PronyKernel"),
+            "tabulated": (TabulatedKernel(times=np.array([0.0, 0.01]), samples=np.ones((2, 4, 2, 2))),
+                          r"^kernel must be a PronyKernel .*fields\.prony_fit"),
+            "wrong-cell-shape": (PronyKernel(weights=(np.ones((3, 2, 2)),), taus=(1.0,)),
+                                 r"^kernel Prony weight 0 has wrong shape \(3, 2, 2\), "
+                                 r"expected \(4, 2, 2\)"),
+        }[kind]
+        with pytest.raises(InvalidCoefficientError, match=match):
+            dataclasses.replace(system, kernel=kernel)
 
 
 class TestDiscreteSystem:

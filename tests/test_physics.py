@@ -3,6 +3,7 @@ import pytest
 
 import roughwave as rw
 from conftest import (
+    fitted,
     per_direction_pencil_min_eig,
     per_direction_viscoelastic_speed,
     symbol_test_system,
@@ -10,7 +11,7 @@ from conftest import (
 )
 from oracles import dot_product_test
 from roughwave.errors import InvalidCoefficientError, UnsupportedConfigurationError
-from roughwave.fields import PronyKernel, TabulatedKernel, prony_fit
+from roughwave.fields import PronyKernel, TabulatedKernel
 from roughwave.forward import build_sampler, sample_trajectory
 from roughwave.physics import (
     ViscoelasticModel,
@@ -27,7 +28,6 @@ from roughwave.physics import (
 )
 from roughwave.evolution import step_residuals
 from roughwave.operators import EIG_STACK_ROWS, block_apply, unit_directions
-from roughwave.experiments import fit_slope
 
 
 class TestAcoustics:
@@ -231,31 +231,32 @@ class TestViscoelastic:
             taus=(0.5, 1.5))
         assert kernel_split_reconstruction_error(self.make_model(kernel=kern)) <= 1e-8
 
-    @pytest.mark.parametrize("n_samples", [2, 3])
-    def test_tabulated_gamma_needs_three_samples(self, n_samples):
-        # the split's one-sided differences read three samples
+    def test_a_tabulated_gamma_is_fitted_first(self):
         m = kelvin_dim(2)
-        kern = TabulatedKernel(times=0.01 * np.arange(n_samples),
-                               samples=np.tile(0.3 * np.eye(m), (n_samples, 16, 1, 1)))
-        if n_samples < 3:
-            with pytest.raises(InvalidCoefficientError, match="at least 3 samples, got 2"):
-                self.make_model(kernel=kern)
-        else:
-            model = self.make_model(kernel=kern)
-            assert kernel_split_reconstruction_error(model) == 0.0  # constant: q = 0
-            fitted = rw.viscoelastic_system(model).kernel  # the fit of q = 0 (to round-off)
-            assert isinstance(fitted, PronyKernel) and np.abs(fitted.weights).max() <= 1e-13
+        kern = TabulatedKernel(times=0.01 * np.arange(3),
+                               samples=np.tile(0.3 * np.eye(m), (3, 16, 1, 1)))
+        with pytest.raises(InvalidCoefficientError,
+                           match=r"^gamma_kernel must be a PronyKernel .*fields\.prony_fit"):
+            self.make_model(kernel=kern)
 
-    def test_tabulated_reconstruction_second_order(self):
+    def test_a_gamma_weight_of_the_wrong_cell_shape_is_named(self):
+        # a 5-cell weight on an 8-cell grid, which the system could not embed
+        kern = PronyKernel(weights=(np.full((5, 1, 1), 0.1),), taus=(0.2,))
+        with pytest.raises(InvalidCoefficientError,
+                           match=r"^gamma_kernel Prony weight 0 has wrong shape \(5, 1, 1\), "
+                                 r"expected \(8, 1, 1\)"):
+            self.make_model(kernel=kern, dim=1, cells=[8])
+
+    def test_fitted_tabulated_reconstruction_exact(self):
+        # a tabulated gamma is fitted on the model's grid, then split exactly
         m = kelvin_dim(2)
-        errs, deltas = [], [0.02, 0.01, 0.005]
-        for d in deltas:
+        g = self.make_model().grid
+        for d in [0.02, 0.01, 0.005]:
             times = d * np.arange(int(2.0 / d) + 1)
             gamma_t = 0.3 * np.exp(-times / 0.5)
             samples = gamma_t[:, None, None, None] * np.tile(np.eye(m), (1, 16, 1, 1))
-            kern = TabulatedKernel(times=times, samples=samples)
-            errs.append(kernel_split_reconstruction_error(self.make_model(kernel=kern)))
-        assert fit_slope(deltas, errs) >= 1.9
+            kern = fitted(TabulatedKernel(times=times, samples=samples), g)
+            assert kernel_split_reconstruction_error(self.make_model(kernel=kern)) <= 1e-8
 
     def test_quasi_p_speed_isotropic(self):
         lam, mu, rho = 2.0, 1.0, 1.25
@@ -325,13 +326,13 @@ class TestViscoelastic:
         t = g.dt * np.arange(g.n_steps + 3)
         gamma = TabulatedKernel(times=t, samples=(0.3 * np.exp(-t / 0.2))[:, None, None, None]
                                 * np.tile(np.eye(m), (t.size, g.n_cells, 1, 1)))
-        model = ViscoelasticModel(grid=g, rho=1.25, gamma_elastic=ge, gamma_kernel=gamma)
+        model = ViscoelasticModel(grid=g, rho=1.25, gamma_elastic=ge,
+                                  gamma_kernel=fitted(gamma, g))
         system = rw.viscoelastic_system(model)
         _, q = ve_kernel_split(model)
-        # the system holds the fit of q embedded in the stress block
-        fit = prony_fit(q, g.dt, g.dt * g.n_steps)
-        assert system.kernel.taus == fit.taus
-        for w, w_stress in zip(system.kernel.weights, fit.weights):
+        # the system holds the split of the fitted gamma embedded in the stress block
+        assert system.kernel.taus == q.taus == model.gamma_kernel.taus
+        for w, w_stress in zip(system.kernel.weights, q.weights, strict=True):
             np.testing.assert_array_equal(w[:, :m, :m], w_stress)
             outside = w.copy()
             outside[:, :m, :m] = 0.0

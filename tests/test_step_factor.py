@@ -17,6 +17,7 @@ import roughwave as rw
 from conftest import (
     assert_matches_oracle,
     damped_oscillation,
+    fitted,
     oracle_system,
     per_term_solve,
     zero_keeping_step_matrix,
@@ -73,14 +74,13 @@ class TestOracleEquivalence:
         assert_matches_oracle(system, *pressure_case(system, rng), rng)
 
     def test_tabulated_kernel_1d(self):
-        # the system steps the kernel's Prony fit, its adjoint too
+        # the Prony fit of a tabulated kernel steps as the oracle does, its adjoint too
         rng = np.random.default_rng(7)
         model = rough_acoustic(1, rng)
         g = model.grid
         kernel = damped_oscillation(0.5 * g.dt * np.arange(2 * N_STEPS + 4),
                                     rng.uniform(0.0, 1.0, g.n_cells), 2)
-        system = rw.acoustics_system(model, kernel=kernel)
-        assert isinstance(system.kernel, PronyKernel)
+        system = rw.acoustics_system(model, kernel=fitted(kernel, g))
         assert_matches_oracle(system, *pressure_case(system, rng), rng)
 
     @pytest.mark.filterwarnings("ignore:custom sampler")

@@ -19,12 +19,14 @@ from roughwave import evolution
 from conftest import (
     adjoint_solve,
     damped_oscillation,
+    fitted,
     per_term_adjoint,
     per_term_solve,
     time_reversed_system,
     traced_peak,
     two_relaxations,
 )
+from oracles import perturbed_system
 from roughwave.cli import main
 from roughwave.errors import (
     GridMismatchError,
@@ -40,7 +42,6 @@ from roughwave.physics import ViscoelasticModel
 from roughwave.sensitivity import (
     BLOCK_STEPS,
     misfit_gradient,
-    perturbed_system,
     random_perturbation,
 )
 
@@ -62,8 +63,8 @@ def observed_for(system, src, sampler):
 
 
 def stacked_step_case(dim, boundary, kernel):
-    """Random acoustic medium, 20 steps, with no memory, a two-term Prony kernel or a
-    tabulated one (which the system fits); a Ricker source and two pressure receivers."""
+    """Random acoustic medium, 20 steps, with no memory, a two-term Prony kernel or the
+    fit of a tabulated one; a Ricker source and two pressure receivers."""
     cells = {1: [30], 2: [9, 7], 3: [4, 5, 3]}[dim]
     rng = np.random.default_rng(dim)
     dt = 0.5 / max(cells)
@@ -75,7 +76,8 @@ def stacked_step_case(dim, boundary, kernel):
         kernel = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
                                            for _ in range(2)), taus=(0.05, 0.5))
     elif kernel == "tabulated":
-        kernel = two_relaxations(dt * np.arange(30), rng.uniform(0, 1, g.n_cells), dim + 1)
+        kernel = fitted(two_relaxations(dt * np.arange(30), rng.uniform(0, 1, g.n_cells),
+                                        dim + 1), g)
     else:
         kernel = PronyKernel()
     system = rw.acoustics_system(model, boundary=boundary, kernel=kernel)
@@ -191,15 +193,15 @@ class TestPronyWeights:
 
 
 class TestTabulatedKernel:
-    def test_evaluated_once_when_the_system_is_made(self, monkeypatch):
-        # the system holds the kernel's Prony fit: a solve, its residuals and the
+    def test_evaluated_once_when_it_is_fitted(self, monkeypatch):
+        # a system holds the kernel's Prony fit: a solve, its residuals and the
         # convolution of the system's kernel read no tabulated value
         g = rw.build_grid(1, [50], 1.0, 2e-3, 0.2)
         kernel = damped_oscillation(3e-3 * np.arange(80), np.linspace(0.1, 1.0, g.n_cells), 2)
         calls = []
         monkeypatch.setattr(roughwave.fields, "kernel_values",
                             lambda *args: calls.append(args) or kernel_values(*args))
-        system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0), kernel=kernel)
+        system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0), kernel=fitted(kernel, g))
         assert len(calls) == 1 and isinstance(system.kernel, PronyKernel)
         src = rw.make_ricker_source(g, 2, [0.4], peak_frequency=8.0)
         traj = rw.solve_causal(system, src)
@@ -354,8 +356,9 @@ class TestMidpointSteps:
         eye = np.eye(2)
         kernel = {"prony": PronyKernel(weights=(0.3 * np.tile(eye, (g.n_cells, 1, 1)),),
                                        taus=(0.1,)),
-                  "tabulated": two_relaxations(0.05 * np.arange(12), np.full(g.n_cells, 0.3),
-                                               2)}.get(kind, PronyKernel())
+                  "tabulated": fitted(two_relaxations(0.05 * np.arange(12),
+                                                      np.full(g.n_cells, 0.3), 2), g),
+                  }.get(kind, PronyKernel())
         system = rw.acoustics_system(rw.AcousticModel(grid=g, kappa=1.0, rho=1.0), kernel=kernel)
         src = rw.make_ricker_source(g, 2, [0.4], peak_frequency=6.0)
         system.step_operators  # built outside the traced steps
@@ -372,8 +375,8 @@ class TestMidpointSteps:
 
 def batch_case(case, kernel, n_systems=3):
     """``n_systems`` random acoustic media on one grid, 12 steps, each with no memory, a
-    two-term Prony kernel (shared relaxation times) or a tabulated one on one sample grid
-    (whose fits share theirs), and a Ricker
+    two-term Prony kernel (shared relaxation times) or the fit of a tabulated one on one
+    sample grid (the fits share theirs), and a Ricker
     source.  ``restricted-1d`` is periodic with an even count and a point source, so a
     batch steps one parity class; ``free-odd-1d`` (acoustic_free, odd count, smooth
     footprint), ``free-1d`` (acoustic_free), ``odd-1d`` (periodic, odd count) and ``2d``
@@ -397,7 +400,8 @@ def batch_case(case, kernel, n_systems=3):
             memory = PronyKernel(weights=tuple(rng.uniform(0, 1, g.n_cells)[:, None, None] * eye
                                                for _ in range(2)), taus=(0.05, 0.5))
         elif kernel == "tabulated":
-            memory = two_relaxations(dt * np.arange(20), rng.uniform(0, 1, g.n_cells), dim + 1)
+            memory = fitted(two_relaxations(dt * np.arange(20), rng.uniform(0, 1, g.n_cells),
+                                            dim + 1), g)
         systems.append(rw.acoustics_system(model, boundary=boundary, kernel=memory))
     if case == "mixed-labels-1d":
         coupling = np.tile([[0.2, 0.1], [0.1, 0.2]], (g.n_cells, 1, 1))
