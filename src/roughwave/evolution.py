@@ -15,7 +15,9 @@ stacked Prony states.  The step matrix stores no zeros, and its fill-reducing
 ordering depends only on the grid dimension (see ``StepOperators``).
 Because <P ubar, ubar> = 0 to round-off, the scheme conserves the quadratic
 energy exactly when B = R = f = 0, which is the sharpest testable analogue
-of the continuous energy identity.
+of the continuous energy identity.  ``step_residuals`` reads a stored
+trajectory through ``operators.replay_carries``, which rebuilds the carries
+the solve stepped bit for bit, and advances each to the half step.
 
 In 1D the factor holds one LU per connected component of the step (see
 ``operators.StepFactor``), so a solve pays only for the components it
@@ -50,6 +52,7 @@ same order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -72,6 +75,7 @@ from .operators import (
     energy,
     memory_series,
     prony_advance,
+    replay_carries,
 )
 
 
@@ -319,13 +323,15 @@ def step_residuals(
     source = source if source is not None else traj.source
     dt = system.grid.dt
     ops = system.step_operators
-    states = traj.states
     out = np.zeros(traj.n_steps)
-    for n, s_half in enumerate(ops.replay(states)):
-        u, un = states[n], states[n + 1]
+    carries = replay_carries(traj.states, ops.step_weights)
+    for n, (z, z_next) in enumerate(itertools.pairwise(carries)):
+        u, un = z[0], z_next[0]
         ubar = 0.5 * (u + un)
         r = block_apply(system.a_blocks, (un - u) / dt) + system.skew @ ubar + system.apply_b(ubar)
-        r += ops.half_step_memory(s_half)
+        # R at the half step as the scheme saw it
+        r += sum(w @ s for w, s in zip(ops.weight_matrices,
+                                       prony_advance(z[1:], u, un, ops.half_weights)))
         r -= _source_at(source, traj.times[n] + 0.5 * dt, system.n_state)
         if forcing is not None:
             r -= forcing[n]

@@ -16,6 +16,7 @@ convex per-cell average, so symmetry and spectral bounds of ``a`` survive.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,6 +31,11 @@ _MAGIC = b"RWF1"
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
+
+
+def _all_are(values, kind) -> bool:
+    """Whether every value is a number of ``kind`` (``numbers.Integral`` or ``Real``), not a bool."""
+    return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,18 @@ class Grid:
     origin: tuple[float, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise InvalidArgumentError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if len(self.shape) != self.dim or len(self.h) != self.dim:
-            raise InvalidArgumentError("shape/h length must equal dim")
+        if not _all_are((self.dim,), numbers.Integral) or self.dim not in (1, 2, 3):
+            raise InvalidArgumentError(f"dim must be 1, 2 or 3, got {self.dim!r}")
+        if len(self.shape) != self.dim or len(self.h) != self.dim or len(self.origin) != self.dim:
+            raise InvalidArgumentError("shape, h and origin must have one entry per axis")
+        if not _all_are((*self.shape, self.n_steps), numbers.Integral):
+            raise InvalidArgumentError(
+                f"cell counts and n_steps must be integers, got {self.shape} and {self.n_steps!r}")
+        reals = (*self.h, self.dt, *self.origin)
+        if not _all_are(reals, numbers.Real) or not np.isfinite(reals).all():
+            raise InvalidArgumentError(
+                f"cell sizes, dt and origin must be finite numbers, got {self.h}, {self.dt!r} "
+                f"and {self.origin}")
         if any(n < 2 for n in self.shape):
             raise InvalidArgumentError(f"need at least 2 cells per axis, got {self.shape}")
         if any(hh <= 0 for hh in self.h) or self.dt <= 0 or self.n_steps < 1:

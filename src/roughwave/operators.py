@@ -1,10 +1,12 @@
 """Mass, spatial and memory terms of the discrete system, and its midpoint step.
 
-The spatial operator uses centered differences.  With periodic wrap the
-difference matrix along each axis is an antisymmetric circulant; with the
-acoustic pressure-release closure the pressure rows use antisymmetric
-ghost cells and the velocity rows symmetric ones, which makes the two
-one-sided difference matrices exact negative transposes of each other.
+The spatial operator uses centered differences from one builder.  With
+periodic wrap the difference matrix along each axis is an antisymmetric
+circulant; with the acoustic pressure-release closure a ghost cell past each
+wall mirrors the edge value, with its sign flipped in the pressure column
+(read by the velocity rows) and kept in the velocity columns (read by the
+pressure row), which makes the two one-sided difference matrices exact
+negative transposes of each other.
 Either way the assembled operator satisfies <Pu, v> = -<u, Pv> to the
 last bit, which is what the discrete energy argument needs.
 
@@ -19,8 +21,9 @@ recursion step, over all terms' states stacked as one (n_terms, n_state)
 array.  ``StepOperators`` holds the midpoint scheme's whole-step and
 half-step weight triples and the one sparse matrix that forms a step's
 right-hand side from u_n and the stacked Prony states.  The convolution, the
-step's ``replay`` and the linearized forcing read the one rerun of the
-recursion over state rows, ``prony_steps``, which streams.
+step residuals and the linearized forcing read the one rerun of the
+recursion over state rows, ``replay_carries``, which streams the carries a
+solve steps.
 
 The step matrix falls apart into connected components when nothing couples
 them.  On a periodic grid with an even cell count per axis the centered
@@ -117,40 +120,22 @@ def acoustic_p_matrices(dim: int) -> list[np.ndarray]:
     return mats
 
 
-def _centered_periodic(n: int, h: float) -> sp.csr_matrix:
-    i = np.arange(n)
-    rows = np.concatenate([i, i])
-    cols = np.concatenate([(i + 1) % n, (i - 1) % n])
-    vals = np.concatenate([np.full(n, 0.5 / h), np.full(n, -0.5 / h)])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+def _centered_difference(n: int, h: float, wall: int) -> sp.csr_matrix:
+    """Centered difference (u_{i+1} - u_{i-1}) / 2h on n cells.
 
-
-def _centered_ghost(n: int, h: float, kind: str) -> sp.csr_matrix:
-    """Centered difference with one-sided closures from ghost-cell reflection.
-
-    kind="anti": antisymmetric extension (value mirrors with a sign flip
-    across the wall face) -- the pressure rows of the acoustic closure.
-    kind="sym": symmetric extension -- the matching-velocity rows.
-    The two satisfy D_sym^T = -D_anti exactly.
+    ``wall`` 0 wraps periodically.  ``wall`` +1 or -1 puts a ghost cell past
+    each wall that mirrors the edge value with its sign kept or flipped; the
+    two wall matrices satisfy D_{+1}^T = -D_{-1} exactly.
     """
-    m = sp.lil_matrix((n, n))
-    c = 0.5 / h
-    for i in range(1, n - 1):
-        m[i, i + 1] = c
-        m[i, i - 1] = -c
-    if kind == "anti":
-        m[0, 0] = c
-        m[0, 1] = c
-        m[n - 1, n - 1] = -c
-        m[n - 1, n - 2] = -c
-    elif kind == "sym":
-        m[0, 0] = -c
-        m[0, 1] = c
-        m[n - 1, n - 1] = c
-        m[n - 1, n - 2] = -c
+    i = np.arange(n)
+    cols = np.concatenate([i + 1, i - 1])
+    vals = np.concatenate([np.full(n, 0.5 / h), np.full(n, -0.5 / h)])
+    if wall:
+        vals[(cols < 0) | (cols >= n)] *= wall
+        cols = np.clip(cols, 0, n - 1)
     else:
-        raise InvalidArgumentError(f"unknown ghost kind {kind!r}")
-    return m.tocsr()
+        cols %= n
+    return sp.coo_matrix((vals, (np.concatenate([i, i]), cols)), shape=(n, n)).tocsr()
 
 
 def _axis_operator(grid: Grid, axis: int, mat1d: sp.spmatrix) -> sp.csr_matrix:
@@ -171,8 +156,12 @@ def assemble_skew(
     """Assemble the centered-difference spatial operator.
 
     ``p_matrices`` are the constant symmetric k-by-k symbol matrices, one
-    per axis.  The acoustic_free closure is only defined for the acoustic
-    block structure (state = pressure followed by velocities).
+    per axis.  Per axis and per wall sign of ``_centered_difference``, P adds
+    kron(D, p restricted to the state columns whose ghost values mirror that
+    way): periodically every column wraps; the acoustic_free closure
+    (pressure release) flips the sign of the pressure column and keeps the
+    velocity columns'.  That closure is only defined for the acoustic block
+    structure (state = pressure followed by velocities).
     """
     p_matrices = [np.asarray(p, dtype=float) for p in p_matrices]
     if len(p_matrices) != grid.dim:
@@ -185,10 +174,7 @@ def assemble_skew(
             raise InvalidArgumentError(f"symbol matrix {j} is not symmetric")
 
     if boundary == PERIODIC:
-        total = sp.csr_matrix((grid.state_size(k), grid.state_size(k)))
-        for axis, p in enumerate(p_matrices):
-            d = _axis_operator(grid, axis, _centered_periodic(grid.shape[axis], grid.h[axis]))
-            total = total + sp.kron(d, sp.csr_matrix(p), format="csr")
+        walls = [(0, np.ones(k, dtype=bool))]
     elif boundary == ACOUSTIC_FREE:
         if k != grid.dim + 1 or any(
             np.abs(p - ap).max() > 0 for p, ap in zip(p_matrices, acoustic_p_matrices(grid.dim))
@@ -197,15 +183,15 @@ def assemble_skew(
                 "acoustic_free closure is defined only for the acoustic grad-div "
                 f"structure with k = dim + 1 (got k = {k}, dim = {grid.dim})"
             )
-        total = sp.csr_matrix((grid.state_size(k), grid.state_size(k)))
-        for axis in range(grid.dim):
-            d_anti = _axis_operator(grid, axis, _centered_ghost(grid.shape[axis], grid.h[axis], "anti"))
-            d_sym = _axis_operator(grid, axis, _centered_ghost(grid.shape[axis], grid.h[axis], "sym"))
-            e_pv = sp.csr_matrix(([-1.0], ([0], [1 + axis])), shape=(k, k))
-            e_vp = sp.csr_matrix(([-1.0], ([1 + axis], [0])), shape=(k, k))
-            total = total + sp.kron(d_sym, e_pv, format="csr") + sp.kron(d_anti, e_vp, format="csr")
+        pressure = np.arange(k) == 0
+        walls = [(1, ~pressure), (-1, pressure)]
     else:
         raise InvalidArgumentError(f"unknown boundary {boundary!r}")
+    total = sp.csr_matrix((grid.state_size(k), grid.state_size(k)))
+    for axis, p in enumerate(p_matrices):
+        for wall, columns in walls:
+            d = _axis_operator(grid, axis, _centered_difference(grid.shape[axis], grid.h[axis], wall))
+            total = total + sp.kron(d, sp.csr_matrix(p * columns), format="csr")
     total.sum_duplicates()
     return total
 
@@ -268,28 +254,30 @@ def prony_advance(
     return out
 
 
-def prony_steps(states, weights: np.ndarray | Sequence[tuple[float, float, float]]):
-    """Per step n over state rows t_0 .. t_N (a stored array, or any iterable that
-    yields them in order), the stacked Prony states (s_j(t_n), s_j(t_{n+1})) that
-    ``prony_advance`` with one ``weights`` row per term carries from s_j(0) = 0: one
-    advance per step pulled, none without terms."""
+def replay_carries(states, weights: np.ndarray | Sequence[tuple[float, float, float]]):
+    """The carries z_n = (u_n; s_1(t_n); ...), (1 + n_terms, n_state) each, over state
+    rows t_0 .. t_N (a stored array, or any iterable that yields them in order): the
+    Prony states that ``prony_advance`` with one ``weights`` row per term carries from
+    s_j(0) = 0, one advance per step pulled, none without terms.  Over a solve's states
+    at the step weights they are the carries that ``evolution._midpoint_steps`` yields
+    for one system and shot, bit for bit."""
     rows = iter(states)
-    u_prev = next(rows)
-    aux = np.zeros((len(weights), u_prev.shape[0]))
+    u = next(rows)
+    z = np.concatenate((u[None], np.zeros((len(weights), u.shape[0]))))
+    yield z
     for u_next in rows:
-        advanced = prony_advance(aux, u_prev, u_next, weights) if len(weights) else aux
-        yield aux, advanced
-        aux, u_prev = advanced, u_next
+        s_next = prony_advance(z[1:], z[0], u_next, weights) if len(weights) else z[1:]
+        z = np.concatenate((u_next[None], s_next))
+        yield z
 
 
 def memory_series(kernel: PronyKernel, states: np.ndarray, dt: float):
     """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N), one row per
     time, as a generator: no series of R is held.  The exact Prony recursion runs
     once over the states (no terms for the zero kernel)."""
-    yield np.zeros(states.shape[1])
-    for _, aux in prony_steps(states, [exp_interval_weights(dt, tau) for tau in kernel.taus]):
+    for z in replay_carries(states, [exp_interval_weights(dt, tau) for tau in kernel.taus]):
         row = np.zeros(states.shape[1])
-        for w, s in zip(kernel.weights, aux):
+        for w, s in zip(kernel.weights, z[1:]):
             row += block_apply(w, s)
         yield row
 
@@ -500,21 +488,6 @@ class StepOperators:
         """Per ``lu`` component, ``rhs_matrix``'s rows of its unknowns over all columns.
         Each row keeps its entries in their order, so its product is the same float."""
         return [self.rhs_matrix[rows] for rows in self.lu.rows]
-
-    def replay(self, states: np.ndarray):
-        """Replay the step's Prony recursion over stored states t_0 .. t_N.  Per
-        step it yields the (n_terms, n_state) half-step states s_j(t_n + dt/2)
-        as the step formed them (bit-identical; no rows without Prony terms)."""
-        for u_prev, u_next, (aux, _) in zip(states[:-1], states[1:],
-                                            prony_steps(states, self.step_weights)):
-            yield prony_advance(aux, u_prev, u_next, self.half_weights)
-
-    def half_step_memory(self, s_half: np.ndarray) -> np.ndarray:
-        """R at the half step as the scheme saw it, from ``replay``'s states (for residuals)."""
-        out = np.zeros(self.n_state)
-        for weight_matrix, s in zip(self.weight_matrices, s_half):
-            out += weight_matrix @ s
-        return out
 
 
 def assemble_system(

@@ -55,7 +55,7 @@ from .forward import (
     forward_map,
     gathered_adjoint_source,
 )
-from .operators import DiscreteSystem, block_diagonal, prony_steps
+from .operators import DiscreteSystem, block_diagonal, replay_carries
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,7 @@ def linearized_forcing(
     if isinstance(base, Trajectory):
         if base.grid != system.grid:
             raise GridMismatchError("trajectory was not produced on this system's grid")
-        states, weights = base.states, ops.step_weights[:len(dws)]  # the terms read below
-        base = itertools.chain(
-            [np.concatenate((states[:1], np.zeros((len(weights), system.n_state))))],
-            (np.concatenate((u[None], s))
-             for u, (_, s) in zip(states[1:], prony_steps(states, weights))))
+        base = replay_carries(base.states, ops.step_weights[:len(dws)])  # the terms read below
     da, db = (np.zeros_like(system.a_blocks) if d is None else d
               for d in (pert.delta_a, pert.delta_b))
     e_h, w_old_h, w_new_h = ops.half_weights.T

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 import tracemalloc
@@ -13,7 +14,13 @@ import roughwave as rw
 import roughwave.operators
 from oracles import dot_product_test
 from roughwave.evolution import step_residuals
-from roughwave.operators import StepFactor, block_apply, unit_directions
+from roughwave.operators import (
+    StepFactor,
+    block_apply,
+    prony_advance,
+    replay_carries,
+    unit_directions,
+)
 from roughwave.physics import ViscoelasticModel, isotropic_inverse_hooke, strain_projector
 from roughwave.forward import gathered_adjoint_source
 from roughwave.sensitivity import GradientReport, linearized_forcing
@@ -219,10 +226,11 @@ def adjoint_solve(system, residual, sampler):
 
 def per_step_series(system, traj):
     """Per step: (u_{n+1} - u_n)/dt, the midpoint average and the Prony half-step
-    states, each computed on its own from ``StepOperators.replay``."""
-    states, dt = traj.states, system.grid.dt
-    s_halves = system.step_operators.replay(states)
-    for u_prev, u_next, s_half in zip(states[:-1], states[1:], s_halves):
+    states s_j(t_n + dt/2), each computed on its own from the replayed carries."""
+    ops, dt = system.step_operators, system.grid.dt
+    for z, z_next in itertools.pairwise(replay_carries(traj.states, ops.step_weights)):
+        u_prev, u_next = z[0], z_next[0]
+        s_half = prony_advance(z[1:], u_prev, u_next, ops.half_weights)
         yield (u_next - u_prev) / dt, 0.5 * (u_prev + u_next), s_half
 
 

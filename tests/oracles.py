@@ -40,7 +40,7 @@ from roughwave.operators import (
     block_apply,
     block_diagonal,
     exp_interval_weights,
-    prony_steps,
+    replay_carries,
 )
 from roughwave.sensitivity import (
     CoefficientPerturbation,
@@ -202,8 +202,8 @@ def stacked_memory_series(kernel, states: np.ndarray, dt: float) -> np.ndarray:
     out = np.zeros_like(states)
     if isinstance(kernel, PronyKernel):
         weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
-        for row, (_, aux) in zip(out[1:], prony_steps(states, weights)):
-            for w, s in zip(kernel.weights, aux):
+        for row, z in zip(out, replay_carries(states, weights)):
+            for w, s in zip(kernel.weights, z[1:]):
                 row += block_apply(w, s)
         return out
     blocks = kernel_values(kernel, dt * np.arange(states.shape[0]), *kernel.samples.shape[1:3])

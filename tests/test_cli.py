@@ -387,6 +387,26 @@ class TestInputErrors:
         os.replace(tmp_path / "other_kappa.rwf", tmp_path / "model_kappa.rwf")
         self.expect_config_error(tmp_path, capsys, payload, "config.model.path")
 
+    @pytest.mark.parametrize("key,value", [
+        ("origin", [0.0]), ("dt", "0.01"), ("dt", float("nan")), ("h", [float("nan"), 0.125]),
+        ("n_steps", 2.5), ("cells", [8.0, 8]), ("dim", 2.0),
+    ], ids=["origin_short", "dt_string", "dt_nan", "h_nan", "n_steps_fraction", "cells_float",
+            "dim_float"])
+    def test_malformed_grid_in_the_model_manifest(self, tmp_path, capsys, key, value):
+        base = str(tmp_path / "model")
+        save_model(AcousticModel(grid=build_grid(2, [8, 8], 1.0, 1e-2, 0.1), kappa=2.0, rho=1.0),
+                   base)
+        with open(f"{base}.json") as fh:
+            manifest = json.load(fh)
+        manifest["grid"][key] = value
+        with open(f"{base}.json", "w") as fh:
+            json.dump(manifest, fh)
+        payload = {"command": "forward", "model": {"path": base},
+                   "source": {"type": "ricker", "center": [0.5, 0.5], "frequency": 8.0},
+                   "sampler": {"tag": "pressure", "receivers": [[0.7, 0.5]]},
+                   "output": str(tmp_path / "out")}
+        self.expect_config_error(tmp_path, capsys, payload, "config.model.path")
+
     def test_viscoelastic_model_with_two_kernel_samples(self, tmp_path, capsys):
         grid = build_grid(1, [20], 1.0, 1e-3, 0.3)
         base = str(tmp_path / "model")

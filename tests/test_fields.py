@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,27 @@ class TestBuildGrid:
         args.update(bad)
         with pytest.raises(InvalidArgumentError):
             rw.build_grid(**args)
+
+    @pytest.mark.parametrize("origin", [[0.0], [0.0, 0.0, 0.0], [0.0, float("nan")],
+                                        [float("inf"), 0.0]])
+    def test_origin_has_one_finite_entry_per_axis(self, origin):
+        with pytest.raises(InvalidArgumentError, match="origin"):
+            rw.build_grid(2, [4, 8], 1.0, 1e-3, 0.01, origin=origin)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("origin", (0.0,), "one entry per axis"),
+        ("dt", "0.01", "finite numbers"),
+        ("dt", float("nan"), "finite numbers"),
+        ("h", (float("nan"), 0.125), "finite numbers"),
+        ("n_steps", 2.5, "integers"),
+        ("shape", (8.0, 8), "integers"),
+        ("dim", 2.0, "dim must be"),
+    ], ids=["origin_short", "dt_string", "dt_nan", "h_nan", "n_steps_fraction", "cells_float",
+            "dim_float"])
+    def test_malformed_numbers_are_named(self, field, value, match):
+        g = rw.build_grid(2, [8, 8], 1.0, 1e-2, 0.1)
+        with pytest.raises(InvalidArgumentError, match=match):
+            dataclasses.replace(g, **{field: value})
 
     def test_state_size_and_volume(self):
         g = rw.build_grid(2, [4, 8], [1.0, 2.0], 1e-3, 0.01)

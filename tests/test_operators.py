@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from decimal import Decimal, localcontext
 
@@ -33,9 +34,10 @@ from roughwave.operators import (
     max_symbol_speed,
     memory_series,
     prony_advance,
-    prony_steps,
+    replay_carries,
     unit_directions,
 )
+from roughwave.physics import elastic_p_matrices
 
 
 def random_spd_field(n_cells, k, seed=0):
@@ -92,6 +94,42 @@ class TestMass:
         q = float(u @ block_apply(a, u)) / float(u @ u)
         eigs = np.linalg.eigvalsh(a)
         assert eigs.min() - 1e-10 <= q <= eigs.max() + 1e-10
+
+
+SYMBOLS = {"acoustic": acoustic_p_matrices, "elastic": elastic_p_matrices,
+           "scalar": lambda dim: [np.array([[1.0]])] * dim}
+
+# sha256 of P's data, indices and indptr, extent 1 on every axis: "<cells>-<symbol>-<boundary>"
+STENCIL_DIGESTS = {
+    "2-acoustic-periodic": "de47c9b27eb8d300dbb5f2c353e632c393262cf06340c4fa7f1b40c4cbd36f90",
+    "2-acoustic-acoustic_free": "5bd23db3754a3d2de30092b6d2b29f57d8873af3c82f652543f972be9a552a01",
+    "2-elastic-periodic": "de47c9b27eb8d300dbb5f2c353e632c393262cf06340c4fa7f1b40c4cbd36f90",
+    "3-acoustic-periodic": "06a215cf3f0ad952ea9f6234f1fce9eee59c3129c739b69badf44d038e1b5d9f",
+    "3-acoustic-acoustic_free": "d9f2ce127377e75bb058348bbb3da3890af63d730a34f0dc840b05caa00bd64c",
+    "3-elastic-periodic": "06a215cf3f0ad952ea9f6234f1fce9eee59c3129c739b69badf44d038e1b5d9f",
+    "40-acoustic-periodic": "639ef827513c2862439635d3c8bf882ee787bf00166799eb79a4ec854df8b6b2",
+    "40-acoustic-acoustic_free": "c91a34f76605f08b64cdde02f546c53669b2dfe895586cbc4b1607547ed2ea3a",
+    "40-elastic-periodic": "639ef827513c2862439635d3c8bf882ee787bf00166799eb79a4ec854df8b6b2",
+    "40-scalar-periodic": "5198845b1fc08cece328fc48afe4f3d9f62793161adafdba0236507f310db22e",
+    "41-acoustic-periodic": "ee8a3c7add684b6d06c31890ed713e677491b19ca367004a39a720d5d1ec4517",
+    "41-acoustic-acoustic_free": "3cdec6b2fa636eeea42390500e7bae2cf7be451e9123163579b7c43269b1f73d",
+    "41-elastic-periodic": "ee8a3c7add684b6d06c31890ed713e677491b19ca367004a39a720d5d1ec4517",
+    "2x3-acoustic-periodic": "4d58e15466dd537a16efddf5c57cf307360e24955359b2a25768bd444cc570a0",
+    "2x3-acoustic-acoustic_free": "de8d28d3f48b095b85d9ecab7d25d6f0afe86d8acaa92da3fc7f641266bfb8bc",
+    "2x3-elastic-periodic": "3a5e4a9918b333ea795bca6a1de30248ade6a640a5b86292e46b9ebf2c0ce560",
+    "12x10-acoustic-periodic": "25bdfa76864cfec52f94ff1d2054b343868b7c6f6b64916fcc7cd8cd60907478",
+    "12x10-acoustic-acoustic_free": "2343da0d6f346a16288343ed5f2cf5f8532b1e685e7ea69cedfd7c430ff450de",
+    "12x10-elastic-periodic": "41d01989577d49f0e007799c5916fe7b6b4871b30e61d234e32b2872515db597",
+    "23x24-acoustic-periodic": "e570e6ca7600402a9b98d7c44974c8c68e30ebc80cd272a8e3125da304e96b5e",
+    "23x24-acoustic-acoustic_free": "a349297e80299a1be85cdf3bb433a47ff04fdc91cba03ca0749103731d0da472",
+    "23x24-elastic-periodic": "09687b3b15ac470812780af72937df41127bc31416a65a1427de3d502fd58718",
+    "4x5x6-acoustic-periodic": "c74deeb190a4e350682fdef3bf24317ea539db04849ccff92d64f8a237ef4db2",
+    "4x5x6-acoustic-acoustic_free": "6388e116272feae33f6ecce5b9949dab0e6c8089b7b1bb1ffefc0e0605acbc71",
+    "4x5x6-elastic-periodic": "c8d902c8803c6e30caf99b22deae65fc33ece4db36216b1a01e21446ea39b971",
+    "2x2x2-acoustic-periodic": "115bad14f1c9f2c027a84de21b107015722cb76be8d0abf3760ad8e00d6c24a5",
+    "2x2x2-acoustic-acoustic_free": "a50fc6ccede94f2e4fcd6caabf676cac9e3767e8f69e8be4ac48489b2a19293f",
+    "2x2x2-elastic-periodic": "3453f578e4f10a1cafd84b6500620ae42aeb9b31d700b3b9c3ef5498062a25d4",
+}
 
 
 class TestSkew:
@@ -151,6 +189,20 @@ class TestSkew:
         g = rw.build_grid(1, [16], 1.0, 1e-3, 0.1)
         with pytest.raises(UnsupportedConfigurationError):
             rw.assemble_skew([np.array([[1.0]])], g, "acoustic_free")
+
+    @pytest.mark.parametrize("case", sorted(STENCIL_DIGESTS))
+    def test_centered_stencil_bytes_are_pinned(self, case):
+        # the stored data, indices and indptr of P, recorded when the periodic and
+        # wall stencils still had separate builders: a new stencil option or a
+        # refactor of the assembly must leave the centered bytes as they are
+        shape, symbol, boundary = case.split("-", 2)
+        cells = [int(c) for c in shape.split("x")]
+        g = rw.build_grid(len(cells), cells, 1.0, 1e-3, 0.1)
+        sk = rw.assemble_skew(SYMBOLS[symbol](len(cells)), g, boundary)
+        digest = hashlib.sha256()
+        for arr in (sk.data, sk.indices, sk.indptr):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == STENCIL_DIGESTS[case]
 
 
 class TestMemory:
@@ -326,31 +378,33 @@ class TestPronyAdvance:
         assert errs[-1] < errs[0]
         assert errs[-1] < 5e-6
 
-    def test_steps_chain_the_recursion_advancing_once_per_step(self, monkeypatch):
+    def test_carries_chain_the_recursion_advancing_once_per_step(self, monkeypatch):
         rng = np.random.default_rng(0)
         states = rng.standard_normal((6, 4))
         weights = np.array([exp_interval_weights(0.01, tau) for tau in (0.05, 1.0)])
         calls = count_calls(monkeypatch, "prony_advance")
-        steps = list(prony_steps(states, weights))
-        assert len(steps) == len(calls) == 5
+        carries = list(replay_carries(states, weights))
+        assert len(carries) == 6 and len(calls) == 5
         aux = np.zeros((2, 4))
-        for (s_now, s_next), u_prev, u_next in zip(steps, states[:-1], states[1:]):
-            assert np.array_equal(s_now, aux)
-            aux = prony_advance(aux, u_prev, u_next, weights)
-            assert np.array_equal(s_next, aux)
+        for z, u, u_next in zip(carries, states, [*states[1:], None]):
+            assert z.shape == (3, 4)
+            assert np.array_equal(z[0], u) and np.array_equal(z[1:], aux)
+            if u_next is not None:
+                aux = prony_advance(aux, u, u_next, weights)
         calls.clear()
-        assert [s.shape for pair in prony_steps(states, weights[:0]) for s in pair] == [(0, 4)] * 10
+        no_terms = list(replay_carries(states, weights[:0]))
+        assert all(np.array_equal(z, u[None]) for z, u in zip(no_terms, states))
+        assert [z.shape for z in no_terms] == [(1, 4)] * 6
         assert calls == []
 
-    def test_steps_read_rows_from_any_iterable(self):
+    def test_carries_read_rows_from_any_iterable(self):
         rng = np.random.default_rng(1)
         states = rng.standard_normal((7, 4))
         weights = np.array([exp_interval_weights(0.01, tau) for tau in (0.05, 1.0)])
-        stored = list(prony_steps(states, weights))
-        streamed = list(prony_steps((row.copy() for row in states), weights))
-        assert len(streamed) == len(stored) == 6
-        for (s_now, s_next), (r_now, r_next) in zip(streamed, stored):
-            assert np.array_equal(s_now, r_now) and np.array_equal(s_next, r_next)
+        stored = list(replay_carries(states, weights))
+        streamed = list(replay_carries((row.copy() for row in states), weights))
+        assert len(streamed) == len(stored) == 7
+        assert all(np.array_equal(z, ref) for z, ref in zip(streamed, stored))
 
     def test_rejects_bad_tau(self):
         with pytest.raises(InvalidArgumentError):

@@ -37,7 +37,7 @@ from roughwave.errors import (
 from roughwave.evolution import _midpoint_solve, _midpoint_steps, step_residuals
 from roughwave.fields import PronyKernel, kernel_values
 from roughwave.forward import build_sampler, forward_map_shots, sample_trajectory
-from roughwave.operators import StepFactor, memory_series
+from roughwave.operators import StepFactor, memory_series, replay_carries
 from roughwave.physics import ViscoelasticModel
 from roughwave.sensitivity import (
     BLOCK_STEPS,
@@ -349,6 +349,30 @@ class TestMidpointSteps:
                 resumed = list(resumed)
                 assert len(resumed) == n_steps - start
                 assert all(np.array_equal(z, ref) for z, ref in zip(resumed, carries[start + 1:]))
+
+    @pytest.mark.parametrize("kernel", [None, "prony"])
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    @pytest.mark.parametrize("cells", [[40], [41], [10, 8]])
+    def test_replayed_carries_are_the_yielded_ones(self, cells, boundary, kernel):
+        dim = len(cells)
+        dt = 0.5 / max(cells)
+        g = rw.build_grid(dim, cells, 1.0, dt, 30 * dt)
+        eye = np.eye(dim + 1)
+        kern = PronyKernel()
+        if kernel == "prony":
+            kern = PronyKernel(weights=tuple(np.tile(s * eye, (g.n_cells, 1, 1)) for s in (0.3, 0.1)),
+                               taus=(0.05, 0.4))
+        system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0, interface=0.55),
+                                     boundary, kernel=kern)
+        src = rw.make_ricker_source(g, dim + 1, [0.3] * dim, peak_frequency=8.0)
+        u0 = np.zeros((system.n_state, 1))
+        yielded = [z[0, ..., 0] for z in _midpoint_steps([system], [src], u0, None)]
+        states = np.array([u0[:, 0], *(z[0] for z in yielded)])
+        replayed = list(replay_carries(states, system.step_operators.step_weights))
+        assert len(replayed) == len(yielded) + 1 == g.n_steps + 1
+        assert replayed[0].shape == yielded[0].shape and not replayed[0].any()
+        assert all(np.array_equal(z, ref) for z, ref in zip(replayed[1:], yielded))
+        assert np.abs(yielded[-1]).max(axis=1).min() > 0
 
     @pytest.mark.parametrize("kind", [None, "prony", "tabulated"])
     def test_keeps_no_past_states(self, kind):
