@@ -1,9 +1,14 @@
 """The ``check`` invariant suite: every module's identities at desk scale on one system.
 
-``run_checks`` yields one ``(name, ok, detail)`` row per property.  The rows
-come in a fixed order, which is also the order of the work: the random draws
-are made in that order, so the printed values depend on it, and the trajectory
-is released before the zero-residual gradient solves its own.
+``run_checks`` yields one ``(name, ok, detail)`` row per property, always in
+the same order.  The causal solve of the suite's source is stepped once, in
+one pass that keeps no state series: its rows come from its carries as they
+arrive, and a second solve one step behind steps the repeat of the source,
+three times the source and the two derivatives as its four columns.  The
+random draws follow the order of the rows: the mass quotients, the sampler
+pair and the derivative's direction, all three drawn before the pass, then
+the dot test inside the gradient.  Every local of the pass is
+released before the zero-residual gradient steps its own solves.
 """
 
 from __future__ import annotations
@@ -14,28 +19,92 @@ from dataclasses import replace
 import numpy as np
 
 from . import evolution, experiments, fields, forward, physics, sensitivity
-from .evolution import energy_identity_residual, solve_causal, step_residuals
-from .fields import PronyKernel, build_grid, make_ricker_source, mollify_field
-from .operators import DiscreteSystem, block_apply
+from .fields import PronyKernel, SourceTerm, build_grid, make_ricker_source, mollify_field
+from .operators import DiscreteSystem, block_apply, energy, memory_row
 
 
-def _repeat_gap(system: DiscreteSystem, traj) -> float:
-    """max |u_n - u'_n| between ``traj`` and its causal solve repeated step by step."""
-    repeat = evolution._midpoint_steps([system], [traj.source], np.zeros((system.n_state, 1)),
-                                       None)
-    return max(float(np.abs(u - z[0, 0, :, 0]).max()) for u, z in zip(traj.states[1:], repeat))
+def _solve_rows(system: DiscreteSystem, src: SourceTerm, sampler: forward.Sampler,
+                pert: sensitivity.CoefficientPerturbation, density: np.ndarray | None
+                ) -> tuple[list[tuple[str, bool, str]], forward.SeismogramData]:
+    """The rows solve_causality .. derivative_linearity but sampler_adjoint_identity,
+    in order, and the sampled data of the causal solve of ``src``, from one pass
+    (module docstring).  The derivatives are in the directions ``pert`` and
+    2 ``pert``, and their forcing rows read the base carries as they are yielded.
+    ``density``, (N + 1, n_cells), if given, is filled with the base solve's
+    ``energy_density``, ``LEAK_ROWS`` time rows at a time."""
+    grid, n_state, k = system.grid, system.n_state, system.k
+    dt, times, cols = grid.dt, grid.times(), sampler.gathered[0]
+    z0 = np.zeros((1, 1 + system.step_operators.n_terms, n_state, 1))
+    latest = z0[0, ..., 0]  # the base carry of the step last taken
 
+    def base_carries():  # z_0, then each base carry as the base solve yields it
+        yield z0[0, ..., 0]
+        while True:
+            yield latest
 
-def _derivative_linearity(system: DiscreteSystem, traj, rng) -> tuple[float, float]:
-    """max |du(2m) - 2 du(m)| and max |du(2m)| for a random perturbation m, the two
-    derivative solves stepped together."""
-    pert = sensitivity.random_perturbation(system, rng)
     pert2 = sensitivity.CoefficientPerturbation(
         delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
         delta_weights=tuple(2 * w for w in pert.delta_weights))
-    steps = zip(*(sensitivity.derivative_steps(system, traj.source, traj, p) for p in (pert, pert2)))
-    lin, top = zip(*((np.abs(du2 - 2 * du1).max(), np.abs(du2).max()) for du1, du2 in steps))
-    return float(max(lin)), float(max(top))
+    derivative_rows = [sensitivity.linearized_forcing(system, base_carries(), p)
+                       for p in (pert, pert2)]
+
+    def forcing():  # the derivative columns' rows; the source columns get none
+        row = np.zeros((n_state, 4))
+        for f, f2 in zip(*derivative_rows):
+            row[:, 2], row[:, 3] = f, f2
+            yield row
+
+    base = evolution._midpoint_steps([system], [src], z0, None)
+    src3 = replace(src, footprint=3.0 * src.footprint)
+    behind = evolution._midpoint_steps([system], [src, src3, None, None],
+                                       np.zeros((n_state, 4)), forcing())
+    kept = np.zeros((2, grid.n_steps + 1, cols.size))  # the sampled base and 3x solves
+    buffer = np.zeros((experiments.LEAK_ROWS, n_state))  # density rows not yet filled
+    energies, rates = np.zeros(grid.n_steps + 1), np.zeros(grid.n_steps + 1)
+    rates[0] = evolution._energy_rate(system, latest[0], memory_row(system.kernel, latest),
+                                      src.evaluate(times[0]))
+    quiet = gap = res = hi = lo = lin = top = 0.0
+    for n, z in enumerate(base, 1):
+        prev, latest = latest, z[0, ..., 0]
+        u = latest[0]
+        if times[n] < src.onset:
+            quiet = max(quiet, float(np.abs(u).max()))
+        hi, lo = max(hi, float(u.max())), min(lo, float(u.min()))
+        r = evolution._step_residual(system, prev, latest, src.evaluate(times[n - 1] + 0.5 * dt))
+        res = max(res, np.linalg.norm(r))
+        energies[n] = energy(system.a_blocks, grid.cell_volume, u)
+        rates[n] = evolution._energy_rate(system, u, memory_row(system.kernel, latest),
+                                          src.evaluate(times[n]))
+        kept[0, n] = u[cols]
+        if density is not None:
+            row = n % experiments.LEAK_ROWS
+            buffer[row] = u
+            if row == experiments.LEAK_ROWS - 1 or n == grid.n_steps:
+                experiments.density_rows(buffer[:row + 1].reshape(-1, grid.n_cells, k),
+                                         system.a_blocks, grid.cell_volume, density[n - row:n + 1])
+        # t_n of the repeat, 3 src and the derivatives in the directions pert and 2 pert
+        w = next(behind)[0, 0]
+        gap = max(gap, float(np.abs(u - w[:, 0]).max()))
+        kept[1, n] = w[cols, 1]
+        lin, top = max(lin, np.abs(w[:, 3] - 2 * w[:, 2]).max()), max(top, np.abs(w[:, 3]).max())
+
+    seis1, seis3 = (forward._seismogram(sampler, times, shot) for shot in kept)
+    flin = float(np.abs(seis3.data - 3.0 * seis1.data).max())
+    bound = max(1.0, hi, -lo)
+    eres = np.abs(evolution._energy_gaps(energies, rates, dt)).max()
+    scale = max(energies.max(), 1e-30)
+    rows = [
+        ("solve_causality", quiet == 0.0, f"max |u| before onset = {quiet:.1e}"),
+        ("solve_determinism", gap <= 1e-14, f"repeat-solve gap = {gap:.1e}"),
+        ("step_residuals", bool(res <= 1e-8 * bound),
+         f"max half-step equation residual = {res:.2e}"),
+        ("energy_identity", bool(eres <= 2e-2 * scale),
+         f"max residual {eres:.2e} vs energy {scale:.2e}"),
+        ("forward_linearity", flin <= 1e-10 * max(1.0, float(np.abs(seis3.data).max())),
+         f"|F(3f) - 3F(f)| = {flin:.1e}"),
+        ("derivative_linearity", lin <= 1e-10 * max(1.0, top), f"|du(2m) - 2 du(m)| = {lin:.1e}"),
+    ]
+    return rows, seis1
 
 
 def run_checks(model: physics.AcousticModel, system: DiscreteSystem, sampler: forward.Sampler,
@@ -73,61 +142,40 @@ def run_checks(model: physics.AcousticModel, system: DiscreteSystem, sampler: fo
     yield ("measure_pseudo_metric", d13 <= d12 + d23 + 1e-15 and d12 == 0.0,
            f"d(f,g;2e)={d13:.4g} <= {d12 + d23:.4g}")
 
-    # evolution: causality, determinism, conservation, identity residual
+    # evolution, forward and sensitivity: the rows of one pass over the causal solve;
+    # its draws first, in the order of the rows
     duration = grid.dt * grid.n_steps
     peak_frequency = max(4.0 / max(grid.extent), 3.0 / duration)
     src = make_ricker_source(grid, k, center, peak_frequency=peak_frequency,
                              onset=0.05 * duration, amplitude=1.0)
-    traj = solve_causal(system, src)
-    n_quiet = int(np.count_nonzero(traj.times < src.onset))
-    quiet = float(np.abs(traj.states[:n_quiet]).max()) if n_quiet else 0.0
-    yield "solve_causality", quiet == 0.0, f"max |u| before onset = {quiet:.1e}"
-
-    gap = _repeat_gap(system, traj)
-    yield "solve_determinism", gap <= 1e-14, f"repeat-solve gap = {gap:.1e}"
-
-    res = np.abs(step_residuals(traj, system, src)).max()
-    bound = max(1.0, float(traj.states.max()), float(-traj.states.min()))
-    yield "step_residuals", bool(res <= 1e-8 * bound), f"max half-step equation residual = {res:.2e}"
-
-    eres = np.abs(energy_identity_residual(traj, system, src)).max()
-    scale = max(traj.energies.max(), 1e-30)
-    yield "energy_identity", bool(eres <= 2e-2 * scale), f"max residual {eres:.2e} vs energy {scale:.2e}"
-
-    # forward: sampler adjoint identity and forward linearity
     u = rng.standard_normal(system.n_state)
     r = rng.standard_normal(sampler.n_channels)
+    pert = sensitivity.random_perturbation(system, rng)
+    # the sampled symbol speed is only needed, and only cheap, in 1D, where both
+    # cones' leaks read one energy density of the pass
+    speed = physics.max_wavespeed(system) if grid.dim == 1 else 0.0
+    density = np.empty((grid.n_steps + 1, grid.n_cells)) if speed > 0 else None
+    rows, seis1 = _solve_rows(system, src, sampler, pert, density)
+    del pert
+    yield from rows[:4]
+
     lhs = float(forward.apply_sampler(sampler, u) @ r)
     rhs = float(u @ forward.sampler_adjoint_source(sampler, r[:, None])[0])
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     yield "sampler_adjoint_identity", rel <= 1e-12, f"relative gap = {rel:.1e}"
-
-    seis1 = forward.sample_trajectory(sampler, traj)
-    seis3 = forward.forward_map(system, replace(src, footprint=3.0 * src.footprint), sampler)
-    lin = float(np.abs(seis3.data - 3.0 * seis1.data).max())
-    yield ("forward_linearity", lin <= 1e-10 * max(1.0, float(np.abs(seis3.data).max())),
-           f"|F(3f) - 3F(f)| = {lin:.1e}")
-
-    # sensitivity: linearity, then (after the trajectory is released) the dot product and
-    # gradient symmetry, from one dot-tested gradient at zero residual
-    lin, top = _derivative_linearity(system, traj, rng)
-    yield "derivative_linearity", lin <= 1e-10 * max(1.0, top), f"|du(2m) - 2 du(m)| = {lin:.1e}"
+    yield from rows[4:]
 
     # experiments: two-sided cone check (the intruding cone is anchored at the
-    # emission peak so the pulse delay cannot mask the overlap); the sampled
-    # symbol speed is only needed, and only cheap, in 1D.  Both leaks read one
-    # energy density; the trajectory is released first, and before the gradient
-    # solves its own.
-    speed = physics.max_wavespeed(system) if grid.dim == 1 else 0.0
-    density = experiments.energy_density(traj) if speed > 0 else None
-    del traj
+    # emission peak so the pulse delay cannot mask the overlap); the density is
+    # released before the gradient solves its own, and the dot product and
+    # gradient symmetry come from one dot-tested gradient at zero residual
     if speed > 0:
         quiet = experiments.cone_from_speed(center, src.onset, speed, margin=0.1)
         leak_quiet = experiments.density_leak(density.copy(), grid, quiet)
         fast = experiments.ConeSpec(apex_x=tuple(center), apex_t=src.onset + 1.5 / peak_frequency,
                                     slowness=(1.1 / speed))
         leak_fast = experiments.density_leak(density, grid, fast)
-        del density
+    del density
 
     report = sensitivity.misfit_gradient(system, src, sampler, seis1, dot_test_rng=rng)
     rel = report.diagnostics["dot_product_residual"]

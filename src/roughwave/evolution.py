@@ -283,6 +283,33 @@ def solve_ivp(
 # ---------------------------------------------------------------------------
 
 
+def _energy_rate(system: DiscreteSystem, u: np.ndarray, mem: np.ndarray,
+                 f: np.ndarray) -> float:
+    """vol <-B u - R[u] + f, u> at one grid time, from its state, memory value and
+    source value: the power of the energy identity."""
+    return system.grid.cell_volume * float((-system.apply_b(u) - mem + f) @ u)
+
+
+def _energy_gaps(energies: np.ndarray, rates: np.ndarray, dt: float) -> np.ndarray:
+    """Per step, the energy change less the trapezoid of the ``_energy_rate`` values at
+    its ends."""
+    return np.diff(energies) - 0.5 * dt * (rates[:-1] + rates[1:])
+
+
+def _step_residual(system: DiscreteSystem, z: np.ndarray, z_next: np.ndarray,
+                   f: np.ndarray) -> np.ndarray:
+    """A (u_{n+1} - u_n)/dt + (P + B) ubar + R_{n+1/2} - f of one step, from its carries
+    z_n and z_{n+1}, with R at the half step as the scheme saw it."""
+    dt, ops = system.grid.dt, system.step_operators
+    u, un = z[0], z_next[0]
+    ubar = 0.5 * (u + un)
+    r = block_apply(system.a_blocks, (un - u) / dt) + system.skew @ ubar + system.apply_b(ubar)
+    r += sum(w @ s for w, s in zip(ops.weight_matrices,
+                                   prony_advance(z[1:], u, un, ops.half_weights)))
+    r -= f
+    return r
+
+
 def energy_identity_residual(
     traj: Trajectory,
     system: DiscreteSystem,
@@ -299,14 +326,10 @@ def energy_identity_residual(
     if traj.grid != system.grid:
         raise GridMismatchError("trajectory and system grids differ")
     source = source if source is not None else traj.source
-    vol = system.grid.cell_volume
-    dt = system.grid.dt
-    g = np.zeros(traj.times.size)
-    for n, (u, mem) in enumerate(zip(traj.states, memory_series(system.kernel, traj.states, dt))):
-        rhs = -system.apply_b(u) - mem + _source_at(source, traj.times[n], system.n_state)
-        g[n] = vol * float(rhs @ u)
-    de = np.diff(traj.energies)
-    return de - 0.5 * dt * (g[:-1] + g[1:])
+    memory = memory_series(system.kernel, traj.states, system.grid.dt)
+    rates = np.array([_energy_rate(system, u, mem, _source_at(source, t, system.n_state))
+                      for u, mem, t in zip(traj.states, memory, traj.times)])
+    return _energy_gaps(traj.energies, rates, system.grid.dt)
 
 
 def step_residuals(
@@ -322,17 +345,11 @@ def step_residuals(
     """
     source = source if source is not None else traj.source
     dt = system.grid.dt
-    ops = system.step_operators
     out = np.zeros(traj.n_steps)
-    carries = replay_carries(traj.states, ops.step_weights)
+    carries = replay_carries(traj.states, system.step_operators.step_weights)
     for n, (z, z_next) in enumerate(itertools.pairwise(carries)):
-        u, un = z[0], z_next[0]
-        ubar = 0.5 * (u + un)
-        r = block_apply(system.a_blocks, (un - u) / dt) + system.skew @ ubar + system.apply_b(ubar)
-        # R at the half step as the scheme saw it
-        r += sum(w @ s for w, s in zip(ops.weight_matrices,
-                                       prony_advance(z[1:], u, un, ops.half_weights)))
-        r -= _source_at(source, traj.times[n] + 0.5 * dt, system.n_state)
+        r = _step_residual(system, z, z_next,
+                           _source_at(source, traj.times[n] + 0.5 * dt, system.n_state))
         if forcing is not None:
             r -= forcing[n]
         out[n] = np.linalg.norm(r)

@@ -71,6 +71,14 @@ def cone_from_speed(apex_x, apex_t: float, speed: float, margin: float = 0.1) ->
 LEAK_ROWS = 16
 
 
+def density_rows(states: np.ndarray, a_blocks: np.ndarray, cell_volume: float,
+                 out: np.ndarray) -> None:
+    """Per-cell energy (1/2) vol u^T a u of each of ``states``, (n_rows, n_cells, k),
+    into ``out``, (n_rows, n_cells): one block of an ``energy_density``."""
+    np.einsum("nci,cij,ncj->nc", states, a_blocks, states, out=out)
+    out *= 0.5 * cell_volume
+
+
 def energy_density(traj: Trajectory) -> np.ndarray:
     """Per-cell energy (1/2) vol u^T a u of every state, (N + 1, n_cells), filled
     ``LEAK_ROWS`` time rows at a time."""
@@ -79,8 +87,7 @@ def energy_density(traj: Trajectory) -> np.ndarray:
     density = np.empty(states.shape[:2])
     for start in range(0, len(states), LEAK_ROWS):
         rows = slice(start, start + LEAK_ROWS)
-        np.einsum("nci,cij,ncj->nc", states[rows], traj.a_blocks, states[rows], out=density[rows])
-    density *= 0.5 * grid.cell_volume
+        density_rows(states[rows], traj.a_blocks, grid.cell_volume, density[rows])
     return density
 
 

@@ -642,6 +642,12 @@ def grid_metadata(grid: Grid) -> dict:
 
 
 def grid_from_metadata(meta: dict) -> Grid:
+    """The grid of a manifest's ``grid`` entry, whose ``cells``, ``h`` and ``origin``
+    are lists with one entry per axis."""
+    for key in ("cells", "h", "origin"):
+        if not isinstance(meta[key], (list, tuple)):
+            raise InvalidArgumentError(f"grid {key!r} must be a list with one entry per axis, "
+                                       f"got {meta[key]!r}")
     return Grid(dim=meta["dim"], shape=tuple(meta["cells"]), h=tuple(meta["h"]),
                 dt=meta["dt"], n_steps=meta["n_steps"], origin=tuple(meta["origin"]))
 

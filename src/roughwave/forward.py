@@ -179,10 +179,14 @@ def apply_sampler(sampler: Sampler, u: np.ndarray) -> np.ndarray:
 def sample_trajectory(sampler: Sampler, traj: Trajectory) -> SeismogramData:
     if traj.grid != sampler.grid:
         raise GridMismatchError("trajectory and sampler grids differ")
-    cols, gathered = sampler.gathered
-    data = gathered @ traj.states[:, cols].T
-    return SeismogramData(times=traj.times, data=np.asarray(data), receivers=sampler.receivers,
-                          tag=sampler.tag)
+    return _seismogram(sampler, traj.times, traj.states[:, sampler.gathered[0]])
+
+
+def _seismogram(sampler: Sampler, times: np.ndarray, kept: np.ndarray) -> SeismogramData:
+    """The data of ``kept``, the sampler's ``gathered`` columns of the states at
+    ``times``, (n_times, n_columns)."""
+    return SeismogramData(times=times, data=sampler.gathered[1] @ kept.T,
+                          receivers=sampler.receivers, tag=sampler.tag)
 
 
 def _sampled_shots(system: DiscreteSystem, sources: list[SourceTerm],
@@ -191,12 +195,9 @@ def _sampled_shots(system: DiscreteSystem, sources: list[SourceTerm],
     only the sampler's ``gathered`` columns of each state as it steps."""
     if system.grid != sampler.grid:
         raise GridMismatchError("system and sampler grids differ")
-    cols, gathered = sampler.gathered
     u0 = np.zeros((system.n_state, len(sources)))
-    states = _midpoint_solve(system, sources, u0, None, cols)
-    return [SeismogramData(times=system.grid.times(), data=gathered @ shot.T,
-                           receivers=sampler.receivers, tag=sampler.tag)
-            for shot in np.moveaxis(states, 2, 0)]
+    states = _midpoint_solve(system, sources, u0, None, sampler.gathered[0])
+    return [_seismogram(sampler, system.grid.times(), shot) for shot in np.moveaxis(states, 2, 0)]
 
 
 def _warn_if_rough(source: SourceTerm) -> None:

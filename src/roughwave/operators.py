@@ -16,11 +16,12 @@ a Prony sum, ``PronyKernel()`` (no terms) for no memory; a sampled kernel is
 fitted by ``fields.prony_fit`` before any system sees it.  Prony kernels
 convolve by an O(1)-per-step recursion that is exact for
 piecewise-linear input, and ``memory_series`` is the one grid-time
-convolution, yielded one time row at a time.  ``prony_advance`` is the one
-recursion step, over all terms' states stacked as one (n_terms, n_state)
-array.  ``StepOperators`` holds the midpoint scheme's whole-step and
-half-step weight triples and the one sparse matrix that forms a step's
-right-hand side from u_n and the stacked Prony states.  The convolution, the
+convolution, yielded one time row at a time, each the ``memory_row`` of a
+carry.  ``prony_advance`` is the one recursion step, over all terms' states
+stacked as one (n_terms, n_state) array.  ``StepOperators`` holds the
+midpoint scheme's whole-step and half-step weight triples and the one sparse
+matrix that forms a step's right-hand side from u_n and the stacked Prony
+states.  The convolution, the
 step residuals and the linearized forcing read the one rerun of the
 recursion over state rows, ``replay_carries``, which streams the carries a
 solve steps.
@@ -271,15 +272,21 @@ def replay_carries(states, weights: np.ndarray | Sequence[tuple[float, float, fl
         yield z
 
 
+def memory_row(kernel: PronyKernel, z: np.ndarray) -> np.ndarray:
+    """R[u](t) = sum_j W_j s_j(t) at the carry z = (u; s_1(t); ...) of a grid time t
+    (zero for the zero kernel)."""
+    row = np.zeros(z.shape[1])
+    for w, s in zip(kernel.weights, z[1:]):
+        row += block_apply(w, s)
+    return row
+
+
 def memory_series(kernel: PronyKernel, states: np.ndarray, dt: float):
     """R[u](t_n) at every grid time of ``states`` (rows t_0 .. t_N), one row per
     time, as a generator: no series of R is held.  The exact Prony recursion runs
     once over the states (no terms for the zero kernel)."""
-    for z in replay_carries(states, [exp_interval_weights(dt, tau) for tau in kernel.taus]):
-        row = np.zeros(states.shape[1])
-        for w, s in zip(kernel.weights, z[1:]):
-            row += block_apply(w, s)
-        yield row
+    weights = [exp_interval_weights(dt, tau) for tau in kernel.taus]
+    return (memory_row(kernel, z) for z in replay_carries(states, weights))
 
 
 # ---------------------------------------------------------------------------

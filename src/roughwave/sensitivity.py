@@ -35,7 +35,6 @@ pairing, not steepest-ascent directions.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -52,6 +51,7 @@ from .fields import SourceTerm, write_field_array
 from .forward import (
     Sampler,
     SeismogramData,
+    _seismogram,
     forward_map,
     gathered_adjoint_source,
 )
@@ -160,22 +160,6 @@ def linearized_forcing(
     n_read = len(dws)  # the rows read do not keep the blocks alive
     return (matrix @ np.concatenate((z[0], z_next[0], *z[1:1 + n_read]), out=stacked)
             for z, z_next in itertools.pairwise(base))
-
-
-def derivative_steps(
-    system: DiscreteSystem,
-    source: SourceTerm | None,
-    base: Trajectory | Iterable[np.ndarray],
-    pert: CoefficientPerturbation,
-) -> Iterator[np.ndarray]:
-    """The states du_1 .. du_N, (n_state, 1) each, of the derivative about the base
-    solve driven by ``source``, as they step; ``base`` as in ``linearized_forcing``."""
-    if source is not None and source.smoothness < 2:
-        warnings.warn("base source smoothness < 2: the derivative may not be well-defined "
-                      "in the continuum limit", stacklevel=3)
-    steps = _midpoint_steps([system], [None], np.zeros((system.n_state, 1)),
-                            linearized_forcing(system, base, pert))
-    return (z[0, 0] for z in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +403,7 @@ def misfit_gradient(
     pert = None if dot_test_rng is None else random_perturbation(system, dot_test_rng)
     kept, carries, top = _gradient_forward(system, source, sampler, pert)
     times, gathered = system.grid.times(), sampler.gathered[1]
-    predicted = SeismogramData(times=times, data=gathered @ kept[:, :, 0].T,
-                               receivers=sampler.receivers, tag=sampler.tag)
+    predicted = _seismogram(sampler, times, kept[:, :, 0])
     j_value = objective_from_data(predicted, observed)
     residual = observed.data - predicted.data
     injections = [gathered_adjoint_source(sampler, residual)]

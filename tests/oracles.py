@@ -7,7 +7,7 @@ mollifier's hat smoothing summed over every block entry
 (``full_width_mollify``), the memory convolution stacked over a whole
 series, the convergence study's series from stored trajectories, the
 trapezoid stepper of a tabulated kernel (``trapezoid_solve``), the ``check``
-suite's repeat and linearity comparisons from stored trajectories, the
+suite's rows from a stored solve (``stored_check_rows``), the
 gradient and adjoint-state dot test of a stored forward trajectory, the
 derivative of a stored trajectory (``stored_derivative``), and the two
 checks of the derivative: the Newton-quotient study (``quotient_study``) of
@@ -24,17 +24,35 @@ from scipy.integrate import quad, simpson
 from scipy.sparse.linalg import splu
 
 from roughwave.errors import InvalidArgumentError
-from roughwave.evolution import Trajectory, solve_causal
-from roughwave.experiments import fit_slope
+from roughwave.evolution import (
+    Trajectory,
+    energy_identity_residual,
+    solve_causal,
+    step_residuals,
+)
+from roughwave.experiments import (
+    ConeSpec,
+    cone_from_speed,
+    density_leak,
+    energy_density,
+    fit_slope,
+)
 from roughwave.fields import (
     PronyKernel,
     TabulatedKernel,
     _hat_weights,
     kernel_values,
+    make_ricker_source,
     measure_distance,
     mollify_field,
 )
-from roughwave.forward import SeismogramData, sample_trajectory
+from roughwave.forward import (
+    SeismogramData,
+    apply_sampler,
+    forward_map,
+    sample_trajectory,
+    sampler_adjoint_source,
+)
 from roughwave.operators import (
     assemble_system,
     block_apply,
@@ -42,11 +60,14 @@ from roughwave.operators import (
     exp_interval_weights,
     replay_carries,
 )
+from roughwave.physics import max_wavespeed, slowness_pencil_min_eig
 from roughwave.sensitivity import (
+    DOT_PRODUCT_BOUND,
     CoefficientPerturbation,
     _adjoint_identity_error,
     adjoint_gradient,
     linearized_forcing,
+    misfit_gradient,
     objective,
     objective_from_data,
     random_perturbation,
@@ -272,6 +293,101 @@ def stored_derivative_linearity(system, traj: Trajectory, rng) -> tuple[float, f
         delta_weights=tuple(2 * w for w in pert.delta_weights))
     du, du2 = (stored_derivative(system, traj, p).states for p in (pert, pert2))
     return float(np.abs(du2 - 2 * du).max()), float(np.abs(du2).max())
+
+
+def stored_check_rows(model, system, sampler, boundary: str, seed: int,
+                      leak_tolerance: float) -> list[tuple[str, bool, str]]:
+    """The rows of ``checks.run_checks``, in order, but the last two, which read no
+    solve and no draw, from a stored causal solve: the repeat, the solve of three
+    times the source and the two derivatives are solved apart and compared with it
+    whole, and the step residuals, the energy identity, the sampled data and the
+    cones' energy density are read from its states."""
+    rng = np.random.default_rng(seed)
+    grid, k = system.grid, system.k
+    center = [grid.origin[a] + 0.5 * grid.extent[a] for a in range(grid.dim)]
+    rows = []
+    worst = float(abs(system.skew + system.skew.T).max())
+    rows.append(("skew_symmetry", worst == 0.0, f"max |P + P^T| = {worst:.1e}"))
+    f0 = model.coefficient_field()
+    lo, hi = f0.c_lo, f0.c_hi
+    rq = []
+    for _ in range(20):
+        u = rng.standard_normal(system.n_state)
+        rq.append(float(u @ block_apply(system.a_blocks, u)) / float(u @ u))
+    rows.append(("mass_rayleigh_bounds", min(rq) >= lo - 1e-10 and max(rq) <= hi + 1e-10,
+                 f"quotients in [{min(rq):.4g}, {max(rq):.4g}] vs [{lo:.4g}, {hi:.4g}]"))
+    sm = mollify_field(f0, 4, boundary)
+    eig1 = np.linalg.eigvalsh(sm.a)
+    rows.append(("mollify_preserves_bounds",
+                 bool(eig1.min() >= lo - 1e-12 and eig1.max() <= hi + 1e-12),
+                 f"[{eig1.min():.4g}, {eig1.max():.4g}] within [{lo:.4g}, {hi:.4g}]"))
+    eps = 0.1 * max(float(f0.a.max() - f0.a.min()), 1e-3)
+    d13 = measure_distance(f0, sm, 2 * eps)
+    d12 = measure_distance(f0, f0, eps)
+    d23 = measure_distance(f0, sm, eps)
+    rows.append(("measure_pseudo_metric", d13 <= d12 + d23 + 1e-15 and d12 == 0.0,
+                 f"d(f,g;2e)={d13:.4g} <= {d12 + d23:.4g}"))
+
+    duration = grid.dt * grid.n_steps
+    peak_frequency = max(4.0 / max(grid.extent), 3.0 / duration)
+    src = make_ricker_source(grid, k, center, peak_frequency=peak_frequency,
+                             onset=0.05 * duration, amplitude=1.0)
+    traj = solve_causal(system, src)
+    n_quiet = int(np.count_nonzero(traj.times < src.onset))
+    quiet = float(np.abs(traj.states[:n_quiet]).max()) if n_quiet else 0.0
+    rows.append(("solve_causality", quiet == 0.0, f"max |u| before onset = {quiet:.1e}"))
+    gap = stored_repeat_gap(system, traj)
+    rows.append(("solve_determinism", gap <= 1e-14, f"repeat-solve gap = {gap:.1e}"))
+    res = np.abs(step_residuals(traj, system, src)).max()
+    bound = max(1.0, float(traj.states.max()), float(-traj.states.min()))
+    rows.append(("step_residuals", bool(res <= 1e-8 * bound),
+                 f"max half-step equation residual = {res:.2e}"))
+    eres = np.abs(energy_identity_residual(traj, system, src)).max()
+    scale = max(traj.energies.max(), 1e-30)
+    rows.append(("energy_identity", bool(eres <= 2e-2 * scale),
+                 f"max residual {eres:.2e} vs energy {scale:.2e}"))
+
+    u = rng.standard_normal(system.n_state)
+    r = rng.standard_normal(sampler.n_channels)
+    lhs = float(apply_sampler(sampler, u) @ r)
+    rhs = float(u @ sampler_adjoint_source(sampler, r[:, None])[0])
+    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    rows.append(("sampler_adjoint_identity", rel <= 1e-12, f"relative gap = {rel:.1e}"))
+    seis1 = sample_trajectory(sampler, traj)
+    seis3 = forward_map(system, replace(src, footprint=3.0 * src.footprint), sampler)
+    lin = float(np.abs(seis3.data - 3.0 * seis1.data).max())
+    rows.append(("forward_linearity", lin <= 1e-10 * max(1.0, float(np.abs(seis3.data).max())),
+                 f"|F(3f) - 3F(f)| = {lin:.1e}"))
+    lin, top = stored_derivative_linearity(system, traj, rng)
+    rows.append(("derivative_linearity", lin <= 1e-10 * max(1.0, top),
+                 f"|du(2m) - 2 du(m)| = {lin:.1e}"))
+
+    speed = max_wavespeed(system) if grid.dim == 1 else 0.0
+    if speed > 0:
+        density = energy_density(traj)
+        leak_quiet = density_leak(density.copy(), grid,
+                                  cone_from_speed(center, src.onset, speed, margin=0.1))
+        fast = ConeSpec(apex_x=tuple(center), apex_t=src.onset + 1.5 / peak_frequency,
+                        slowness=(1.1 / speed))
+        leak_fast = density_leak(density, grid, fast)
+    report = misfit_gradient(system, src, sampler, seis1, dot_test_rng=rng)
+    rel = report.diagnostics["dot_product_residual"]
+    rows.append(("adjoint_dot_product", rel <= DOT_PRODUCT_BOUND, f"relative error = {rel:.2e}"))
+    sym = float(np.abs(report.g_a - np.swapaxes(report.g_a, 1, 2)).max())
+    zero = float(np.abs(report.g_a).max() + np.abs(report.g_b).max()
+                 + sum(np.abs(g).max() for g in report.g_q))
+    rows.append(("gradient_symmetry", sym == 0.0, f"asymmetry = {sym:.1e}"))
+    rows.append(("zero_residual_zero_gradient", report.objective == 0.0 and zero == 0.0,
+                 f"J = {report.objective:.1e}, |g| = {zero:.1e}"))
+    if speed > 0:
+        rows.append(("cone_two_sided", leak_quiet <= leak_tolerance and leak_fast > 1e-3,
+                     f"quiet leak {leak_quiet:.2e} vs intruding leak {leak_fast:.2e}"))
+        tau0 = 1.0 / speed
+        inside = slowness_pencil_min_eig(system, 0.95 * tau0)
+        outside = slowness_pencil_min_eig(system, 1.05 * tau0)
+        rows.append(("slowness_pencil_two_sided", outside < 0 <= inside + 1e-12,
+                     f"min eig at 0.95/c: {inside:.2e}, at 1.05/c: {outside:.2e}"))
+    return rows
 
 
 def dot_product_test(system, base: Trajectory, sampler, rng) -> float:

@@ -5,18 +5,17 @@ import dataclasses
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import traced_peak
-from oracles import stored_derivative_linearity, stored_repeat_gap
+from oracles import stored_check_rows
 
-from roughwave import checks, cli, experiments, sensitivity
+from roughwave import cli, evolution, experiments, sensitivity
 from roughwave.checks import run_checks
 from roughwave.cli import build_sampler_from_spec, build_system, parse_config
-from roughwave.evolution import solve_causal
-from roughwave.fields import make_ricker_source
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,11 +73,12 @@ def test_check_samples_no_symbol_speed_outside_1d(tmp_path, monkeypatch):
     assert "cone_two_sided" not in names and "adjoint_dot_product" in names
 
 
-def check_config(tmp_path, dim, kernel, cells, dt, t_end):
+def check_config(tmp_path, dim, kernel, cells, dt, t_end, boundary="periodic"):
     """A two-layer acoustic ``check`` config with no memory or a two-term Prony kernel."""
     model = {"type": "acoustic",
              "grid": {"dim": dim, "cells": [cells] * dim, "extent": 1.0, "dt": dt, "t_end": t_end},
-             "kappa": {"two_layer": {"left": 1.0, "right": 4.0, "interface": 0.6}}, "rho": 1.0}
+             "kappa": {"two_layer": {"left": 1.0, "right": 4.0, "interface": 0.6}}, "rho": 1.0,
+             "boundary": boundary}
     if kernel == "prony":
         model["kernel"] = {"type": "prony", "terms": [{"scale": 0.4, "tau": 0.05},
                                                       {"scale": 0.2, "tau": 0.3}]}
@@ -107,20 +107,46 @@ def test_skew_symmetry_fails_on_one_perturbed_entry(tmp_path, dim):
 
 class TestCheckHoldsOneTrajectory:
     @pytest.mark.parametrize("kernel", ["zero", "prony"])
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_streamed_comparisons_equal_stored_ones(self, tmp_path, dim, kernel):
-        _, system = build_system(check_config(tmp_path, dim, kernel, 40 if dim == 1 else 10,
-                                              1e-2, 0.3))
-        src = make_ricker_source(system.grid, dim + 1, [0.5] * dim, peak_frequency=6.0, onset=0.02)
-        traj = solve_causal(system, src)
-        assert checks._repeat_gap(system, traj) == stored_repeat_gap(system, traj) == 0.0
-        # a trajectory that is not its source's solve: the gap is that of two solves
-        other = dataclasses.replace(traj, source=dataclasses.replace(src, footprint=3 * src.footprint))
-        gap = checks._repeat_gap(system, other)
-        assert gap > 0 and gap == stored_repeat_gap(system, other)
-        lin, top = checks._derivative_linearity(system, traj, np.random.default_rng(4))
-        assert top > 0
-        assert (lin, top) == stored_derivative_linearity(system, traj, np.random.default_rng(4))
+    @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_equal_the_stored_ones(self, tmp_path, dim, boundary, kernel):
+        # the one pass reads every value that the stored solve and its four separate
+        # solves gave; the repeat and the two derivative solves are the stored ones
+        cfg = check_config(tmp_path, dim, kernel, {1: 40, 2: 10, 3: 6}[dim], 1e-2, 0.3, boundary)
+        model, system = build_system(cfg)
+        sampler = build_sampler_from_spec(cfg.sampler, system)
+        rows = check_rows(cfg)
+        stored = stored_check_rows(model, system, sampler, boundary, cfg.seed, cfg.leak_tolerance)
+        assert rows[:-2] == stored
+        assert [name for name, _, _ in rows[-2:]] == ["ve_kernel_split", "christoffel_quasi_p"]
+        assert ("solve_determinism", True, "repeat-solve gap = 0.0e+00") in rows
+        [(ok, detail)] = [(ok, detail) for name, ok, detail in rows
+                          if name == "derivative_linearity"]
+        assert ok and detail.startswith("|du(2m) - 2 du(m)| = ")
+
+    def test_one_pass_opens_two_step_loops(self, tmp_path, monkeypatch):
+        # outside the gradient: the base solve, and one solve of four columns behind it
+        opened, in_gradient = [], []
+        steps, gradient = evolution._midpoint_steps, sensitivity.misfit_gradient
+
+        def counted(systems, sources, *args, **kwargs):
+            if not in_gradient:
+                opened.append(len(sources))
+            return steps(systems, sources, *args, **kwargs)
+
+        def marked(*args, **kwargs):
+            in_gradient.append(True)
+            try:
+                return gradient(*args, **kwargs)
+            finally:
+                in_gradient.pop()
+
+        for module in (evolution, sensitivity):
+            monkeypatch.setattr(module, "_midpoint_steps", counted)
+        monkeypatch.setattr(sensitivity, "misfit_gradient", marked)
+        results = check_rows(check_config(tmp_path, 2, "zero", 10, 5e-3, 0.3))
+        assert all(ok for _, ok, _ in results)
+        assert opened == [1, 4]
 
     @pytest.mark.parametrize("kernel", ["zero", "prony"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -144,21 +170,21 @@ class TestCheckHoldsOneTrajectory:
         assert [ok for name, ok, _ in results if name == "adjoint_dot_product"] == [True]
 
     def test_one_energy_density_serves_both_cones(self, tmp_path, monkeypatch):
-        densities = []
-        build = experiments.energy_density
-        monkeypatch.setattr(experiments, "energy_density",
-                            lambda traj: densities.append(traj.times.size) or build(traj))
+        # the pass fills one density, LEAK_ROWS time rows at a time, and both leaks read it
+        blocks = []
+        fill = experiments.density_rows
+        monkeypatch.setattr(experiments, "density_rows",
+                            lambda states, *args: blocks.append(len(states)) or fill(states, *args))
         results = check_rows(check_config(tmp_path, 1, "zero", 40, 1e-2, 0.3))
-        assert densities == [31]
+        assert blocks == [experiments.LEAK_ROWS, 31 - experiments.LEAK_ROWS]
         assert [ok for name, ok, _ in results if name == "cone_two_sided"] == [True]
 
     @pytest.mark.parametrize("kernel", ["zero", "prony"])
-    @pytest.mark.parametrize("dim, bound", [(2, 1.5), (1, 1.6)])
+    @pytest.mark.parametrize("dim, bound", [(2, 0.85), (1, 1.2)])
     def test_traced_peak_in_stored_series(self, tmp_path, dim, bound, kernel):
-        # 2D 24^2 x 400 steps and 1D 400 x 1000 (the parent held about 6 series).  In 1D
-        # one (N + 1, n_cells) energy density, half a series, serves both cones: it is
-        # built beside the trajectory, which is then released, and each leak is summed
-        # over it whole, as it always was
+        # 2D 24^2 x 400 steps and 1D 400 x 1000.  In 1D one (N + 1, n_cells) energy
+        # density, half a series, is filled as the pass steps and serves both cones,
+        # each leak summed over it whole
         cfg = check_config(tmp_path, dim, kernel, *((24, 1e-3, 0.4) if dim == 2 else (400, 5e-4, 0.5)))
         _, system = build_system(cfg)
         assert system.grid.n_steps == (400 if dim == 2 else 1000)
@@ -167,6 +193,30 @@ class TestCheckHoldsOneTrajectory:
         peak = traced_peak(lambda: results.extend(check_rows(cfg)))
         assert results and all(ok for _, ok, _ in results)
         assert peak <= bound * series_bytes
+
+    @pytest.mark.parametrize("kernel", ["zero", "prony"])
+    def test_holds_no_series_beside_the_gradient(self, tmp_path, monkeypatch, kernel):
+        # 2D 24^2 x 400 steps: outside its gradient, the suite peaks at no more than
+        # the gradient's own peak and a quarter of one state series
+        cfg = check_config(tmp_path, 2, kernel, 24, 1e-3, 0.4)
+        _, system = build_system(cfg)
+        series_bytes = (system.grid.n_steps + 1) * system.n_state * 8
+        peaks, gradient = {}, sensitivity.misfit_gradient
+
+        def traced(*args, **kwargs):
+            peaks["before"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            try:
+                return gradient(*args, **kwargs)
+            finally:
+                peaks["gradient"] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+
+        monkeypatch.setattr(sensitivity, "misfit_gradient", traced)
+        results = []
+        after = traced_peak(lambda: results.extend(check_rows(cfg)))
+        assert results and all(ok for _, ok, _ in results)
+        assert max(peaks["before"], after) <= peaks["gradient"] + 0.25 * series_bytes
 
 
 @pytest.mark.parametrize("kernel", ["zero", "prony"])

@@ -389,9 +389,10 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("key,value", [
         ("origin", [0.0]), ("dt", "0.01"), ("dt", float("nan")), ("h", [float("nan"), 0.125]),
-        ("n_steps", 2.5), ("cells", [8.0, 8]), ("dim", 2.0),
+        ("n_steps", 2.5), ("cells", [8.0, 8]), ("dim", 2.0), ("cells", 8), ("h", 0.125),
+        ("origin", 0.0),
     ], ids=["origin_short", "dt_string", "dt_nan", "h_nan", "n_steps_fraction", "cells_float",
-            "dim_float"])
+            "dim_float", "cells_scalar", "h_scalar", "origin_scalar"])
     def test_malformed_grid_in_the_model_manifest(self, tmp_path, capsys, key, value):
         base = str(tmp_path / "model")
         save_model(AcousticModel(grid=build_grid(2, [8, 8], 1.0, 1e-2, 0.1), kappa=2.0, rho=1.0),

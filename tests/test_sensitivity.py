@@ -1,6 +1,5 @@
 import itertools
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from roughwave.sensitivity import (
     CoefficientPerturbation,
     GradientReport,
     adjoint_gradient,
-    derivative_steps,
     linearized_forcing,
     misfit_gradient,
     objective_from_data,
@@ -503,21 +501,6 @@ class TestQuotientStudy:
             study = quotient_study(system, pert, src, h_sched)
             rel_remainders[s] = study.remainders[-1] / study.derivative_norm
         assert rel_remainders[4] <= rel_remainders[1] * 1.5
-
-
-class TestDerivativeSteps:
-    def test_equal_the_stored_derivative_and_warn_on_a_rough_source(self):
-        g, system, _, _ = acoustic_setup()
-        src = rw.make_burst_source(g, 2, [0.3], frequency=5.0, smoothness=1, amplitude=10.0)
-        base = rw.solve_causal(system, src)
-        pert = random_perturbation(system, np.random.default_rng(4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            du = stored_derivative(system, base, pert)
-        with pytest.warns(UserWarning, match="smoothness < 2"):
-            steps = list(derivative_steps(system, src, base, pert))
-        assert len(steps) == g.n_steps
-        assert all(np.array_equal(u[:, 0], ref) for u, ref in zip(steps, du.states[1:]))
 
 
 class TestPerturbedSystem:

@@ -351,6 +351,41 @@ class TestMidpointSteps:
                 assert all(np.array_equal(z, ref) for z, ref in zip(resumed, carries[start + 1:]))
 
     @pytest.mark.parametrize("kernel", [None, "prony"])
+    @pytest.mark.parametrize("cells, centers, reach", [
+        ([40], [[0.5]], 1), ([40], [[0.5], [0.49]], 2), ([10, 8], [[0.3, 0.5]], 1),
+        ([6, 5, 4], [[0.3] * 3], 1),
+    ], ids=["1d_one_class", "1d_both_classes", "2d", "3d"])
+    def test_fused_columns_are_each_column_solved_alone(self, cells, centers, reach, kernel):
+        # a source, three times it and two columns driven by their own forcing rows step
+        # as one solve to the floats of four solves; in 1D a lone source column that
+        # reaches one parity class solves that component alone, the fused solve all
+        dim = len(cells)
+        dt = 0.5 / max(cells)
+        g = rw.build_grid(dim, cells, 1.0, dt, 30 * dt)
+        kern = PronyKernel()
+        if kernel == "prony":
+            kern = PronyKernel(weights=tuple(np.tile(s * np.eye(dim + 1), (g.n_cells, 1, 1))
+                                             for s in (0.3, 0.1)), taus=(0.05, 0.4))
+        system = rw.acoustics_system(rw.two_layer_acoustic(g, 1.0, 3.0, interface=0.55),
+                                     kernel=kern)
+        src, *more = (rw.make_ricker_source(g, dim + 1, c, peak_frequency=8.0) for c in centers)
+        src = dataclasses.replace(src, footprint=sum((s.footprint for s in more), src.footprint))
+        labels = system.step_operators.lu.labels
+        assert np.unique(labels[src.footprint != 0]).size == reach
+        n = system.n_state
+        forcing = np.random.default_rng(dim).standard_normal((g.n_steps, n, 4))
+        forcing[..., :2] = 0.0
+        sources = [src, dataclasses.replace(src, footprint=3.0 * src.footprint), None, None]
+        fused = np.array([z[0, 0] for z in _midpoint_steps([system], sources, np.zeros((n, 4)),
+                                                           iter(forcing))])
+        for col, source in enumerate(sources):
+            rows = None if source is not None else forcing[..., col]
+            alone = [z[0, 0, :, 0] for z in _midpoint_steps([system], [source], np.zeros((n, 1)),
+                                                            rows)]
+            assert np.array_equal(fused[..., col], alone)
+            assert np.abs(fused[..., col]).max() > 0
+
+    @pytest.mark.parametrize("kernel", [None, "prony"])
     @pytest.mark.parametrize("boundary", ["periodic", "acoustic_free"])
     @pytest.mark.parametrize("cells", [[40], [41], [10, 8]])
     def test_replayed_carries_are_the_yielded_ones(self, cells, boundary, kernel):
