@@ -31,22 +31,15 @@ def _solve_rows(system: DiscreteSystem, src: SourceTerm, sampler: forward.Sample
     (module docstring).  The derivatives are in the directions ``pert`` and
     2 ``pert``, and their forcing rows read the base carries as they are yielded.
     ``density``, (N + 1, n_cells), if given, is filled with the base solve's
-    ``energy_density``, ``LEAK_ROWS`` time rows at a time."""
-    grid, n_state, k = system.grid, system.n_state, system.k
+    ``energy_density``."""
+    grid, n_state = system.grid, system.n_state
     dt, times, cols = grid.dt, grid.times(), sampler.gathered[0]
     z0 = np.zeros((1, 1 + system.step_operators.n_terms, n_state, 1))
-    latest = z0[0, ..., 0]  # the base carry of the step last taken
-
-    def base_carries():  # z_0, then each base carry as the base solve yields it
-        yield z0[0, ..., 0]
-        while True:
-            yield latest
-
+    carry = z0[0, ..., 0]  # the base carry of the step last taken
     pert2 = sensitivity.CoefficientPerturbation(
         delta_a=2 * pert.delta_a, delta_b=2 * pert.delta_b,
         delta_weights=tuple(2 * w for w in pert.delta_weights))
-    derivative_rows = [sensitivity.linearized_forcing(system, base_carries(), p)
-                       for p in (pert, pert2)]
+    derivative_rows, follow = sensitivity.following_forcing(system, carry, (pert, pert2))
 
     def forcing():  # the derivative columns' rows; the source columns get none
         row = np.zeros((n_state, 4))
@@ -59,34 +52,35 @@ def _solve_rows(system: DiscreteSystem, src: SourceTerm, sampler: forward.Sample
     behind = evolution._midpoint_steps([system], [src, src3, None, None],
                                        np.zeros((n_state, 4)), forcing())
     kept = np.zeros((2, grid.n_steps + 1, cols.size))  # the sampled base and 3x solves
-    buffer = np.zeros((experiments.LEAK_ROWS, n_state))  # density rows not yet filled
+    fill = None if density is None else experiments.density_filler(
+        system.a_blocks, grid.cell_volume, density)
     energies, rates = np.zeros(grid.n_steps + 1), np.zeros(grid.n_steps + 1)
-    rates[0] = evolution._energy_rate(system, latest[0], memory_row(system.kernel, latest),
+    rates[0] = evolution._energy_rate(system, carry[0], memory_row(system.kernel, carry),
                                       src.evaluate(times[0]))
+    if fill is not None:
+        fill(carry[0])
     quiet = gap = res = hi = lo = lin = top = 0.0
     for n, z in enumerate(base, 1):
-        prev, latest = latest, z[0, ..., 0]
-        u = latest[0]
+        prev, carry = carry, z[0, ..., 0]
+        follow(carry)
+        u = carry[0]
         if times[n] < src.onset:
             quiet = max(quiet, float(np.abs(u).max()))
         hi, lo = max(hi, float(u.max())), min(lo, float(u.min()))
-        r = evolution._step_residual(system, prev, latest, src.evaluate(times[n - 1] + 0.5 * dt))
+        r = evolution._step_residual(system, prev, carry, src.evaluate(times[n - 1] + 0.5 * dt))
         res = max(res, np.linalg.norm(r))
         energies[n] = energy(system.a_blocks, grid.cell_volume, u)
-        rates[n] = evolution._energy_rate(system, u, memory_row(system.kernel, latest),
+        rates[n] = evolution._energy_rate(system, u, memory_row(system.kernel, carry),
                                           src.evaluate(times[n]))
         kept[0, n] = u[cols]
-        if density is not None:
-            row = n % experiments.LEAK_ROWS
-            buffer[row] = u
-            if row == experiments.LEAK_ROWS - 1 or n == grid.n_steps:
-                experiments.density_rows(buffer[:row + 1].reshape(-1, grid.n_cells, k),
-                                         system.a_blocks, grid.cell_volume, density[n - row:n + 1])
+        if fill is not None:
+            fill(u)
         # t_n of the repeat, 3 src and the derivatives in the directions pert and 2 pert
         w = next(behind)[0, 0]
         gap = max(gap, float(np.abs(u - w[:, 0]).max()))
         kept[1, n] = w[cols, 1]
-        lin, top = max(lin, np.abs(w[:, 3] - 2 * w[:, 2]).max()), max(top, np.abs(w[:, 3]).max())
+        lin = max(lin, float(np.abs(w[:, 3] - 2 * w[:, 2]).max()))
+        top = max(top, float(np.abs(w[:, 3]).max()))
 
     seis1, seis3 = (forward._seismogram(sampler, times, shot) for shot in kept)
     flin = float(np.abs(seis3.data - 3.0 * seis1.data).max())

@@ -79,15 +79,33 @@ def density_rows(states: np.ndarray, a_blocks: np.ndarray, cell_volume: float,
     out *= 0.5 * cell_volume
 
 
+def density_filler(a_blocks: np.ndarray, cell_volume: float,
+                   density: np.ndarray) -> Callable[[np.ndarray], None]:
+    """``fill``, which takes the states of an ``energy_density`` one at a time, in
+    order, and fills ``density``, (N + 1, n_cells), ``LEAK_ROWS`` time rows at a time."""
+    n_rows, n_cells = density.shape
+    buffer = np.empty((LEAK_ROWS, n_cells, a_blocks.shape[-1]))  # rows not yet filled
+    n_filled = 0
+
+    def fill(u: np.ndarray) -> None:
+        nonlocal n_filled
+        row = n_filled % LEAK_ROWS
+        buffer[row] = u.reshape(n_cells, -1)
+        n_filled += 1
+        if row == LEAK_ROWS - 1 or n_filled == n_rows:
+            density_rows(buffer[:row + 1], a_blocks, cell_volume,
+                         density[n_filled - row - 1:n_filled])
+
+    return fill
+
+
 def energy_density(traj: Trajectory) -> np.ndarray:
     """Per-cell energy (1/2) vol u^T a u of every state, (N + 1, n_cells), filled
     ``LEAK_ROWS`` time rows at a time."""
-    grid = traj.grid
-    states = traj.states.reshape(traj.states.shape[0], grid.n_cells, -1)
-    density = np.empty(states.shape[:2])
-    for start in range(0, len(states), LEAK_ROWS):
-        rows = slice(start, start + LEAK_ROWS)
-        density_rows(states[rows], traj.a_blocks, grid.cell_volume, density[rows])
+    density = np.empty((traj.states.shape[0], traj.grid.n_cells))
+    fill = density_filler(traj.a_blocks, traj.grid.cell_volume, density)
+    for u in traj.states:
+        fill(u)
     return density
 
 

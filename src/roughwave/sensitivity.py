@@ -162,6 +162,26 @@ def linearized_forcing(
             for z, z_next in itertools.pairwise(base))
 
 
+def following_forcing(system: DiscreteSystem, first: np.ndarray,
+                      perts: Iterable[CoefficientPerturbation]):
+    """``linearized_forcing`` of each of ``perts`` about a base solve that steps as
+    their rows are pulled, and ``follow``, which hands them each base carry as the
+    solve yields it.  ``first`` is the base carry z_0; row n of every stream reads
+    z_n and z_{n+1}, so z_{n+1} is followed before row n is pulled."""
+    latest = first
+
+    def follow(carry: np.ndarray) -> None:
+        nonlocal latest
+        latest = carry
+
+    def carries():
+        yield first
+        while True:
+            yield latest
+
+    return [linearized_forcing(system, carries(), p) for p in perts], follow
+
+
 # ---------------------------------------------------------------------------
 # objective and adjoint
 # ---------------------------------------------------------------------------
@@ -320,14 +340,10 @@ def _gradient_forward(system: DiscreteSystem, source: SourceTerm, sampler: Sampl
     cols = sampler.gathered[0]
     (top_start, _), *lower = _block_bounds(n_steps)
     starts = {start for start, _ in lower}
-    sources, forcing = [source], None
+    sources, forcing = [source] if pert is None else [source, None], None
+    z0 = np.zeros((1, 1 + n_terms, n_state, len(sources)))
     if pert is not None:
-        def base_carries():  # z_0, then each base carry as the solve below yields it
-            yield z0[0, ..., 0]
-            while True:
-                yield latest
-
-        derivative_rows = linearized_forcing(system, base_carries(), pert)
+        [derivative_rows], follow = following_forcing(system, z0[0, ..., 0], [pert])
 
         def forcing():
             row = np.zeros((n_state, 2))
@@ -336,8 +352,7 @@ def _gradient_forward(system: DiscreteSystem, source: SourceTerm, sampler: Sampl
                 row[:, 1] = f
                 yield row
 
-        sources, forcing = [source, None], forcing()
-    z0 = np.zeros((1, 1 + n_terms, n_state, len(sources)))
+        forcing = forcing()
     kept = np.zeros((n_steps + 1, cols.size, len(sources)))
     carries, top = [], np.empty((n_steps + 1 - top_start, n_state))
     for n, z in enumerate(itertools.chain([z0], _midpoint_steps([system], sources, z0, forcing))):
@@ -347,7 +362,7 @@ def _gradient_forward(system: DiscreteSystem, source: SourceTerm, sampler: Sampl
         if n >= top_start:
             top[n - top_start] = z[0, 0, :, 0]
         if pert is not None:
-            latest = z[0, ..., 0]  # the base carry of the step last taken
+            follow(z[0, ..., 0])  # the base carry of the step last taken
             if n > 1:
                 kept[n - 1, :, 1] = z[0, 0, cols, 1]  # du_{n-1}
     if pert is not None:

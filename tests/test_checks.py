@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import traced_peak
-from oracles import stored_check_rows
+from oracles import stored_check_rows, stored_repeat_gap
 
 from roughwave import cli, evolution, experiments, sensitivity
 from roughwave.checks import run_checks
 from roughwave.cli import build_sampler_from_spec, build_system, parse_config
+from roughwave.evolution import solve_causal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -123,6 +124,34 @@ class TestCheckHoldsOneTrajectory:
         [(ok, detail)] = [(ok, detail) for name, ok, detail in rows
                           if name == "derivative_linearity"]
         assert ok and detail.startswith("|du(2m) - 2 du(m)| = ")
+
+    @pytest.mark.parametrize("kernel", ["zero", "prony"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_repeat_that_is_not_the_base_solve_fails(self, tmp_path, monkeypatch, dim, kernel):
+        # the repeat column steps three times the source: the gap is that of two stored
+        # solves, and no other row moves
+        cfg = check_config(tmp_path, dim, kernel, 40 if dim == 1 else 10, 1e-2, 0.3)
+        _, system = build_system(cfg)
+        rows, sources, steps = check_rows(cfg), [], evolution._midpoint_steps
+
+        def tripled_repeat(systems, columns, *args, **kwargs):
+            if len(columns) == 4:
+                sources.append(columns[0])
+                columns = [dataclasses.replace(columns[0], footprint=3 * columns[0].footprint),
+                           *columns[1:]]
+            return steps(systems, columns, *args, **kwargs)
+
+        monkeypatch.setattr(evolution, "_midpoint_steps", tripled_repeat)
+        failed = check_rows(cfg)
+        [src] = sources
+        traj = solve_causal(system, src)
+        gap = stored_repeat_gap(system, dataclasses.replace(
+            traj, source=dataclasses.replace(src, footprint=3 * src.footprint)))
+        assert gap > 0
+        assert [row for row in failed if row[0] == "solve_determinism"] == [
+            ("solve_determinism", False, f"repeat-solve gap = {gap:.1e}")]
+        assert ([row for row in failed if row[0] != "solve_determinism"]
+                == [row for row in rows if row[0] != "solve_determinism"])
 
     def test_one_pass_opens_two_step_loops(self, tmp_path, monkeypatch):
         # outside the gradient: the base solve, and one solve of four columns behind it
